@@ -544,7 +544,7 @@ pub fn encode_read_outcome_into(w: &mut WireWriter, o: &ReadOutcome) {
 ///
 /// [`WireError`] on any truncation or malformed field.
 pub fn decode_read_outcome(bytes: &[u8]) -> Result<ReadOutcome, WireError> {
-    decode_read_outcome_with(bytes, &|s| Bytes::from(s.to_vec()))
+    decode_read_outcome_shared(&Bytes::from(bytes))
 }
 
 /// Decodes a read outcome whose record payloads *share* the source
@@ -560,21 +560,7 @@ pub fn decode_read_outcome(bytes: &[u8]) -> Result<ReadOutcome, WireError> {
 ///
 /// [`WireError`] on any truncation or malformed field.
 pub fn decode_read_outcome_shared(src: &Bytes) -> Result<ReadOutcome, WireError> {
-    let base = src.as_ptr() as usize; // wormlint: allow(cast) -- pointer identity, not a length
-    decode_read_outcome_with(src, &|s| {
-        // wormlint: allow(cast) -- subslice offset via pointer identity; cannot truncate
-        let off = (s.as_ptr() as usize).wrapping_sub(base);
-        src.slice(off..off + s.len())
-    })
-}
-
-/// Shared body of the two decoders above: `mk` materializes a record
-/// from its wire subslice (copy, or refcounted view into the source).
-fn decode_read_outcome_with(
-    bytes: &[u8],
-    mk: &dyn Fn(&[u8]) -> Bytes,
-) -> Result<ReadOutcome, WireError> {
-    let mut r = WireReader::new(bytes);
+    let mut r = WireReader::new(src);
     if r.get_str()? != "strongworm.readoutcome.v1" {
         return Err(WireError {
             expected: "read outcome tag",
@@ -591,7 +577,7 @@ fn decode_read_outcome_with(
             }
             let mut records = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                records.push(mk(r.get_bytes()?));
+                records.push(r.get_shared(src)?);
             }
             let head = decode_head_cert(r.get_bytes()?)?;
             ReadOutcome::Data { vrd, records, head }

@@ -61,7 +61,6 @@
 pub mod adversary;
 pub mod attr;
 pub mod authority;
-pub mod cluster;
 pub mod codec;
 pub mod daemon;
 pub mod firmware;
@@ -82,7 +81,6 @@ mod sn;
 
 pub use authority::{CertificateAuthority, HoldCredential, RegulatoryAuthority, ReleaseCredential};
 pub use client::{CompositeVerifier, ReadVerdict, Verifier, VerifyRead};
-pub use cluster::{ClusterRecordId, WormCluster};
 pub use config::{DataHashScheme, HashMode, WitnessMode, WormConfig};
 pub use daemon::{DaemonConfig, RetentionDaemon};
 pub use error::{VerifyError, WormError};

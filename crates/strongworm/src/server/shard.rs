@@ -619,6 +619,48 @@ mod tests {
     }
 
     #[test]
+    fn shards_hold_distinct_keys_that_reject_each_others_evidence() {
+        let (server, clock, _verifier) = deployment(2);
+        let keys = server.shard_keys();
+        assert_ne!(keys[0].0.sign.fingerprint(), keys[1].0.sign.fingerprint());
+        // Same SN, same outcome, the other lane's SCPU keys: only the
+        // owning shard's verifier accepts.
+        let sn = server.write(&[b"lane record"], policy()).unwrap();
+        let outcome = server.read(sn).unwrap();
+        for (lane, (lane_keys, _)) in (0u32..).zip(&keys) {
+            let v = Verifier::new(lane_keys, Duration::from_secs(300), clock.clone()).unwrap();
+            assert_eq!(v.verify_read(sn, &outcome).is_ok(), lane == sn.lane());
+        }
+    }
+
+    #[test]
+    fn tick_expires_records_on_every_shard() {
+        let (server, clock, verifier) = deployment(3);
+        let short = RetentionPolicy::custom(Duration::from_secs(50), Shredder::ZeroFill);
+        let sns: Vec<_> = (0..9)
+            .map(|i| server.write(&[format!("r{i}").as_bytes()], short).unwrap())
+            .collect();
+        clock.advance(Duration::from_secs(60));
+        server.tick().unwrap();
+        for sn in sns {
+            let outcome = server.read(sn).unwrap();
+            assert_eq!(outcome.kind(), "deleted", "{sn}");
+            assert!(matches!(
+                verifier.verify_read(sn, &outcome).unwrap(),
+                crate::ReadVerdict::ConfirmedDeleted { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn zero_shards_is_rejected() {
+        let clock = VirtualClock::new();
+        let authority = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(42), 512);
+        let booted = ShardedWormServer::new(WormConfig::test_small(), clock, authority.public(), 0);
+        assert!(matches!(booted, Err(WormError::Firmware(_))));
+    }
+
+    #[test]
     fn out_of_lane_sn_is_routed_nowhere() {
         let (server, _clock, _verifier) = deployment(2);
         let foreign = SerialNumber(SerialNumber::lane_origin(7) + 1);

@@ -8,6 +8,8 @@
 //! variable-length byte strings with `u32` length prefixes, in a fixed
 //! field order defined by each caller.
 
+use bytes::Bytes;
+
 /// Largest byte string a `u32` length prefix can describe. Encoders must
 /// reject anything longer — `v.len() as u32` would silently wrap and
 /// produce a *valid-looking but corrupt* canonical encoding.
@@ -231,6 +233,27 @@ impl<'a> WireReader<'a> {
         let (head, rest) = self.buf.split_at(len);
         self.buf = rest;
         Ok(head)
+    }
+
+    /// Reads a length-prefixed byte string as a refcounted slice of
+    /// `src`, the buffer this reader was created over, so the result can
+    /// outlive the borrow without a copy of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] if the prefix or payload is truncated, or `src` is
+    /// shorter than what this reader has already consumed (it is not
+    /// the buffer being read).
+    pub fn get_shared(&mut self, src: &Bytes) -> Result<Bytes, WireError> {
+        let len = self.get_bytes()?.len();
+        let range = src
+            .len()
+            .checked_sub(self.buf.len())
+            .and_then(|end| Some(end.checked_sub(len)?..end))
+            .ok_or(WireError {
+                expected: "reader over the shared buffer",
+            })?;
+        Ok(src.slice(range))
     }
 
     /// Reads a `u32` collection count as `usize`.

@@ -139,11 +139,11 @@ fn main() {
         .collect();
     let sns = Arc::new(sns);
 
-    // Peak-throughput measurement runs with trace *collection* off, as
-    // a production deployment would at steady state: per-request span
-    // capture (and the read-cache bypass it forces) is the price of
-    // active diagnosis, not the serving baseline. Counters and gauges —
-    // everything the shed/queue gates below read — are unconditional.
+    // Peak-throughput measurement runs with trace *collection* off:
+    // per-request span capture is the price of active diagnosis. The
+    // switch stops the instruments only — the server does the same
+    // work per read either way. Counters and gauges — everything the
+    // shed/queue gates below read — are unconditional.
     server.trace().set_enabled(false);
 
     // Enough workers that the client count, not the pool, is the

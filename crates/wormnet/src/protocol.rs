@@ -13,10 +13,10 @@ use bytes::Bytes;
 use strongworm::authority::{HoldCredential, ReleaseCredential};
 use strongworm::codec::{
     decode_captured_traces, decode_composite_head, decode_device_keys, decode_hold_credential,
-    decode_read_outcome, decode_read_outcome_shared, decode_release_credential,
-    decode_stats_snapshot, decode_weak_key_cert, encode_captured_traces, encode_composite_head,
-    encode_device_keys, encode_hold_credential, encode_read_outcome_into,
-    encode_release_credential, encode_stats_snapshot, encode_weak_key_cert,
+    decode_read_outcome_shared, decode_release_credential, decode_stats_snapshot,
+    decode_weak_key_cert, encode_captured_traces, encode_composite_head, encode_device_keys,
+    encode_hold_credential, encode_read_outcome_into, encode_release_credential,
+    encode_stats_snapshot, encode_weak_key_cert,
 };
 use strongworm::firmware::{DeviceKeys, WeakKeyCert};
 use strongworm::wire::{WireError, WireReader, WireWriter};
@@ -540,7 +540,7 @@ pub fn encode_response(resp: &NetResponse) -> Vec<u8> {
 /// [`WireError`] on an unknown tag or discriminant, malformed fields,
 /// truncation, or trailing bytes.
 pub fn decode_response(bytes: &[u8]) -> Result<NetResponse, WireError> {
-    decode_response_with(bytes, &decode_read_outcome)
+    decode_response_shared(&Bytes::from(bytes))
 }
 
 /// Decodes a response whose read-outcome records *share* the frame
@@ -552,21 +552,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<NetResponse, WireError> {
 ///
 /// Exactly as [`decode_response`].
 pub fn decode_response_shared(src: &Bytes) -> Result<NetResponse, WireError> {
-    let base = src.as_ptr() as usize; // wormlint: allow(cast) -- pointer identity, not a length
-    decode_response_with(src, &|s| {
-        // wormlint: allow(cast) -- subslice offset via pointer identity; cannot truncate
-        let off = (s.as_ptr() as usize).wrapping_sub(base);
-        decode_read_outcome_shared(&src.slice(off..off + s.len()))
-    })
-}
-
-/// Shared body of the two response decoders: `outcome_dec` decodes the
-/// nested read outcome from its wire subslice.
-fn decode_response_with(
-    bytes: &[u8],
-    outcome_dec: &dyn Fn(&[u8]) -> Result<ReadOutcome, WireError>,
-) -> Result<NetResponse, WireError> {
-    let mut r = WireReader::new(bytes);
+    let mut r = WireReader::new(src);
     if r.get_str()? != RESP_TAG {
         return Err(WireError {
             expected: "response tag",
@@ -580,7 +566,7 @@ fn decode_response_with(
         1 => NetResponse::Written {
             sn: SerialNumber(r.get_u64()?),
         },
-        2 => NetResponse::Outcome(outcome_dec(r.get_bytes()?)?),
+        2 => NetResponse::Outcome(decode_read_outcome_shared(&r.get_shared(src)?)?),
         3 => NetResponse::Ack,
         4 => {
             let keys = decode_device_keys(r.get_bytes()?)?;

@@ -32,7 +32,7 @@ use std::time::Instant;
 use crossbeam::channel::Receiver;
 
 use crate::frame::{append_frame, parse_frame};
-use crate::server::{respond, NetServerConfig, NetStats, ReadCache, WormBackend, SHUTDOWN_POLL};
+use crate::server::{respond, NetServerConfig, NetStats, WormBackend, SHUTDOWN_POLL};
 
 /// Cap on requests served from one connection per loop iteration.
 pub(crate) const BURST_FRAMES: usize = 64;
@@ -150,7 +150,6 @@ impl Conn {
         stats: &NetStats,
         served: &AtomicU64,
         config: &NetServerConfig,
-        cache: &mut ReadCache,
     ) {
         let mut consumed = 0usize;
         for _ in 0..BURST_FRAMES {
@@ -160,7 +159,7 @@ impl Conn {
             let unparsed = self.rbuf.get(consumed..).unwrap_or_default();
             match parse_frame(unparsed, config.max_frame) {
                 Ok(Some((payload, frame_len))) => {
-                    let resp = respond(server, stats, served, payload, cache);
+                    let resp = respond(server, stats, served, payload);
                     if append_frame(&mut self.wbuf, &resp, config.max_frame).is_err() {
                         // A response the peer would reject as oversized:
                         // nothing sane to send; drop the connection.
@@ -265,7 +264,6 @@ pub(crate) fn worker_loop<B: WormBackend>(
     stats: &NetStats,
     live: &AtomicUsize,
     config: &NetServerConfig,
-    mut cache: ReadCache,
 ) {
     let wstats = WorkerStats {
         conns: stats.trace.gauge(&format!("net.worker{idx}.conns")),
@@ -321,7 +319,7 @@ pub(crate) fn worker_loop<B: WormBackend>(
             }
             if conn.close.is_none() {
                 let before = stats.frames_in.get();
-                conn.serve(server, stats, served, config, &mut cache);
+                conn.serve(server, stats, served, config);
                 wstats
                     .frames
                     .add(stats.frames_in.get().saturating_sub(before));

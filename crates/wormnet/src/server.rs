@@ -17,7 +17,6 @@
 //! in-process callers get. Against a sharded backend, writes fan out
 //! round-robin across shard lanes and only same-shard writes contend.
 
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -388,8 +387,6 @@ impl NetServer {
             u64::try_from(config.slow_trace_threshold.as_nanos()).unwrap_or(u64::MAX),
         );
 
-        // Shared read-cache invalidation generation (see [`ReadCache`]).
-        let cache_gen = Arc::new(AtomicU64::new(0));
         let mut txs: Vec<Sender<TcpStream>> = Vec::new();
         let mut wakers: Vec<Arc<netpoll::WakeWriter>> = Vec::new();
         let mut workers = Vec::new();
@@ -403,7 +400,6 @@ impl NetServer {
             let served = served.clone();
             let stats = stats.clone();
             let live = live.clone();
-            let cache = ReadCache::new(Arc::clone(&cache_gen));
             let handle = std::thread::Builder::new()
                 .name(format!("wormnet-worker{idx}"))
                 .spawn(move || {
@@ -417,7 +413,6 @@ impl NetServer {
                         &stats,
                         &live,
                         &config,
-                        cache,
                     )
                 })
                 .map_err(|e| {
@@ -616,68 +611,6 @@ fn shed_busy(conn: TcpStream, stats: &NetStats, config: &NetServerConfig) {
     let _ = write_frame(&mut conn, &encoded, config.max_frame);
 }
 
-/// Cap on per-worker cached read responses; clear-when-full keeps the
-/// footprint bounded without an eviction policy (at 4 KiB records the
-/// cap bounds each worker's cache near 16 MiB, and a working set that
-/// overflows it simply re-encodes).
-const READ_CACHE_CAP: usize = 4096;
-
-/// Per-worker cache of encoded responses for *untraced* reads.
-///
-/// A read response is a pure function of backend state: the VRD and
-/// records were fixed at commit time and the head certificate only
-/// changes on heartbeats — so between mutations the server re-reads,
-/// re-encodes, and re-sends byte-identical responses. The cache keys on
-/// the serial number and is invalidated wholesale by a shared state
-/// generation that every mutating request (write, delete, hold,
-/// release, tick) bumps; an entry only serves while the generation it
-/// was filled under is still current. Traced requests bypass the cache
-/// entirely (their spans must reflect real work), as does the whole
-/// path while trace collection is enabled.
-pub(crate) struct ReadCache {
-    /// Shared mutation generation — bumped by any worker, read by all.
-    generation: Arc<AtomicU64>,
-    map: HashMap<SerialNumber, (u64, Vec<u8>)>,
-}
-
-impl ReadCache {
-    pub(crate) fn new(generation: Arc<AtomicU64>) -> Self {
-        ReadCache {
-            generation,
-            map: HashMap::new(),
-        }
-    }
-
-    fn current(&self) -> u64 {
-        // ordering: Acquire pairs with the Release bump in `invalidate`
-        // so a hit can only serve bytes at least as fresh as the last
-        // completed mutation.
-        self.generation.load(Ordering::Acquire)
-    }
-
-    fn invalidate(&self) {
-        // ordering: Release publishes the backend mutation (already
-        // completed by `handle` on this thread) before the bumped
-        // generation becomes visible to other workers' Acquire loads.
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    fn get(&self, sn: SerialNumber) -> Option<Vec<u8>> {
-        let now = self.current();
-        self.map
-            .get(&sn)
-            .filter(|(gen, _)| *gen == now)
-            .map(|(_, bytes)| bytes.clone())
-    }
-
-    fn insert(&mut self, sn: SerialNumber, gen: u64, bytes: Vec<u8>) {
-        if self.map.len() >= READ_CACHE_CAP && !self.map.contains_key(&sn) {
-            self.map.clear();
-        }
-        self.map.insert(sn, (gen, bytes));
-    }
-}
-
 /// Serves one already-parsed request frame: full per-request
 /// accounting, tracing, dispatch, and encoding. Returns the encoded
 /// response payload for the caller to frame into its write buffer.
@@ -686,7 +619,6 @@ pub(crate) fn respond<B: WormBackend>(
     stats: &NetStats,
     served: &AtomicU64,
     payload: &[u8],
-    cache: &mut ReadCache,
 ) -> Vec<u8> {
     stats.frames_in.inc();
     stats
@@ -694,49 +626,6 @@ pub(crate) fn respond<B: WormBackend>(
         .add(payload.len() as u64 + FRAME_HEADER_BYTES);
     let timer = stats.trace.timer();
     let decoded = decode_request_traced(payload);
-    let tracing_live = stats.trace.enabled();
-    // Cache fast path: an untraced read while collection is off can be
-    // answered from the bytes encoded last time (see [`ReadCache`]).
-    if !tracing_live {
-        if let Ok((NetRequest::Read { sn }, None)) = &decoded {
-            if let Some(hit) = cache.get(*sn) {
-                if let Some((ns, prior)) = stats.request.finish(timer, true) {
-                    if prior % stats.trace.read_event_sample() == 0 {
-                        stats.trace.emit(wormtrace::TraceEvent {
-                            op: "net.request",
-                            plane: wormtrace::Plane::Net,
-                            sn: None,
-                            duration_ns: ns,
-                            ok: true,
-                        });
-                    }
-                }
-                // ordering: monitoring counter; no other memory is
-                // published through it.
-                served.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
-        }
-    }
-    // Snapshot *before* dispatch: a mutation racing with this read
-    // bumps the generation past the snapshot, so the entry filled
-    // below can never serve state older than that mutation.
-    let gen_before = cache.current();
-    let cache_sn = match &decoded {
-        Ok((NetRequest::Read { sn }, None)) if !tracing_live => Some(*sn),
-        _ => None,
-    };
-    let mutating = matches!(
-        &decoded,
-        Ok((
-            NetRequest::Write { .. }
-                | NetRequest::Delete { .. }
-                | NetRequest::LitHold(_)
-                | NetRequest::LitRelease(_)
-                | NetRequest::Tick,
-            _
-        ))
-    );
     let (resp, traced) = match decoded {
         // A trace is collected per request whenever the registry is
         // live: thread-attach the trace, open the root span, and
@@ -767,13 +656,6 @@ pub(crate) fn respond<B: WormBackend>(
     };
     let ok = !matches!(resp, NetResponse::Error { .. });
     let encoded = encode_response(&resp);
-    if mutating {
-        cache.invalidate();
-    } else if ok {
-        if let Some(sn) = cache_sn {
-            cache.insert(sn, gen_before, encoded.clone());
-        }
-    }
     if let Some((ns, prior)) = stats.request.finish(timer, ok) {
         // Counters stay exact; the ring event is sampled like the
         // read plane's (net traffic is read-dominated), except that

@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Clock, VirtualClock};
 use strongworm::{
-    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer, WormConfig,
-    WormServer,
+    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer, Verifier,
+    WormConfig, WormServer,
 };
 use wormnet::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient};
@@ -1149,4 +1149,55 @@ fn shutdown_with_frames_in_flight_neither_hangs_nor_leaks_gauges() {
         Some(0),
         "open-connection gauge must return to zero after shutdown"
     );
+}
+
+/// A quiet server (instruments off, one worker) holding one record that
+/// has already been read twice over the wire: anything that replays an
+/// earlier response instead of consulting backend state would do so on
+/// the third read.
+fn quiet_server_with_twice_read_record(
+    secs: u64,
+) -> (Harness, RemoteWormClient, Verifier, SerialNumber) {
+    let h = boot(NetServerConfig {
+        workers: 1,
+        ..NetServerConfig::default()
+    });
+    h.server.trace().set_enabled(false);
+    let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
+    let verifier = client
+        .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
+        .unwrap();
+    let sn = client.write(&[b"quiet record"], policy(secs)).unwrap();
+    for _ in 0..2 {
+        let (verdict, _) = client.read_verified(sn, &verifier).unwrap();
+        assert_eq!(verdict, ReadVerdict::Intact { sn });
+    }
+    (h, client, verifier, sn)
+}
+
+#[test]
+fn in_process_expiry_is_visible_to_the_next_wire_read() {
+    let (h, mut client, verifier, sn) = quiet_server_with_twice_read_record(60);
+    // Retention lapses and the daemon's in-process tick shreds the
+    // record: no wire mutation ever reaches the network layer.
+    h.clock.advance(Duration::from_secs(61));
+    h.server.tick().unwrap();
+    let (verdict, outcome) = client.read_verified(sn, &verifier).unwrap();
+    assert!(
+        matches!(verdict, ReadVerdict::ConfirmedDeleted { .. }),
+        "a shredded record must read as deleted, got {verdict:?}"
+    );
+    assert_eq!(outcome.kind(), "deleted");
+    h.net.shutdown();
+}
+
+#[test]
+fn wire_reads_carry_a_fresh_head_on_a_read_only_server() {
+    let (h, mut client, verifier, sn) = quiet_server_with_twice_read_record(1_000_000);
+    // An hour with no mutation: the head the earlier reads carried is
+    // now far past the verifier's 300 s freshness window.
+    h.clock.advance(Duration::from_secs(3600));
+    let (verdict, _) = client.read_verified(sn, &verifier).unwrap();
+    assert_eq!(verdict, ReadVerdict::Intact { sn });
+    h.net.shutdown();
 }

@@ -33,7 +33,6 @@ run ablation_merkle
 run ablation_windows --records 1500
 run ablation_deferred
 run disk_bottleneck --records 50
-run scaling --records 96
 run attack_matrix
 
 # Writes results/BENCH_read_scaling.json itself (wall-clock measurement).
@@ -49,9 +48,10 @@ echo ">> net_throughput"
 cargo run --release -q -p worm-bench --bin net_throughput > /dev/null
 
 # Writes results/BENCH_shard_scaling.json itself: ablation A7, write
-# throughput of the sharded witness plane at 1/2/4/8 SCPUs, with
-# cross-shard wire reads verified against the composite head. The bin
-# asserts monotone scaling and exits nonzero on a regression.
+# throughput of the sharded witness plane at 1/2/4/8 SCPUs for the
+# strong-1024 and deferred-512 tiers, with cross-shard wire reads
+# verified against the composite head. The bin asserts monotone
+# scaling per tier and exits nonzero on a regression.
 echo ">> shard_scaling"
 cargo run --release -q -p worm-bench --bin shard_scaling > /dev/null
 
