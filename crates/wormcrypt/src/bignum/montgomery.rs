@@ -1,10 +1,13 @@
-//! Montgomery multiplication context and modular exponentiation.
+//! Montgomery context and modular exponentiation.
 //!
-//! [`Montgomery`] precomputes everything needed to run repeated modular
-//! multiplications against a fixed odd modulus (the RSA hot path), using the
-//! CIOS (coarsely integrated operand scanning) formulation. `Ubig::pow_mod`
-//! dispatches to a 4-bit fixed-window exponentiation over this context and
-//! falls back to binary square-and-reduce for even moduli.
+//! [`Montgomery`] holds what repeated multiplication modulo a fixed odd `n`
+//! needs (`-n^-1 mod 2^64` and `R^2 mod n`) and owns the one modular
+//! exponentiation routine, [`Montgomery::pow`]: left-to-right sliding
+//! window over a table of odd powers, a fused CIOS multiplication and a
+//! dedicated squaring, all over one scratch buffer allocated per call. RSA
+//! keys build their contexts once and keep them; `Ubig::pow_mod` builds one
+//! per call for an odd modulus and keeps binary square-and-reduce for even
+//! moduli.
 
 use super::Ubig;
 
@@ -12,10 +15,10 @@ use super::Ubig;
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     /// The modulus (odd, > 1).
-    n: Vec<u64>,
+    n: Ubig,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R^2 mod n`, where `R = 2^(64 * k)` and `k = n.len()`.
+    /// `R^2 mod n`, where `R = 2^(64 * k)` and `k = n.limbs.len()`.
     r2: Vec<u64>,
 }
 
@@ -25,7 +28,7 @@ impl Montgomery {
     /// Returns `None` if `n` is even or `n <= 1` (Montgomery reduction
     /// requires `gcd(n, 2^64) = 1`).
     pub fn new(n: &Ubig) -> Option<Self> {
-        if n.is_even() || n.is_one() || n.is_zero() {
+        if n.is_even() || n.is_one() {
             return None;
         }
         let k = n.limbs.len();
@@ -36,109 +39,241 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n0_inv = inv.wrapping_neg();
 
         // R^2 mod n via plain division (done once per context).
-        let r2 = Ubig::one().shl(2 * 64 * k).rem(n);
-        let mut r2_limbs = r2.limbs;
-        r2_limbs.resize(k, 0);
+        let mut r2 = Ubig::one().shl(2 * 64 * k).rem(n).limbs;
+        r2.resize(k, 0);
 
         Some(Montgomery {
-            n: n.limbs.clone(),
-            n0_inv,
-            r2: r2_limbs,
+            n: n.clone(),
+            n0_inv: inv.wrapping_neg(),
+            r2,
         })
     }
 
-    /// Modulus width in limbs.
-    pub fn limbs(&self) -> usize {
-        self.n.len()
+    /// The modulus.
+    pub fn modulus(&self) -> &Ubig {
+        &self.n
     }
 
-    /// The modulus as a `Ubig`.
-    pub fn modulus(&self) -> Ubig {
-        Ubig::from_limbs(self.n.clone())
+    /// Computes `base^exp mod n`.
+    pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
+        // The kernels are instantiated with a constant limb count for the
+        // primes and moduli of 512/1024/2048-bit keys, and with the
+        // run-time count for every other width.
+        match self.n.limbs.len() {
+            4 => self.pow_k::<4>(base, exp),
+            8 => self.pow_k::<8>(base, exp),
+            16 => self.pow_k::<16>(base, exp),
+            32 => self.pow_k::<32>(base, exp),
+            _ => self.pow_k::<0>(base, exp),
+        }
     }
 
-    /// Converts `x < n` into Montgomery form (`x * R mod n`).
-    pub fn to_mont(&self, x: &Ubig) -> Vec<u64> {
-        debug_assert!(
-            *x < self.modulus(),
-            "to_mont operand must be reduced modulo n"
-        );
-        let mut xl = x.limbs.clone();
-        xl.resize(self.n.len(), 0);
-        self.mont_mul(&xl, &self.r2)
+    /// The limb count instantiation `K` works on: `K`, or that of `n` for
+    /// `K = 0`.
+    #[inline(always)]
+    fn width<const K: usize>(&self) -> usize {
+        if K == 0 {
+            self.n.limbs.len()
+        } else {
+            K
+        }
     }
 
-    /// Converts out of Montgomery form (`x̄ * R^{-1} mod n`).
-    pub fn from_mont(&self, x: &[u64]) -> Ubig {
-        let one = {
-            let mut v = vec![0u64; self.n.len()];
-            v[0] = 1;
-            v
+    /// [`Montgomery::pow`] for `K` limbs.
+    fn pow_k<const K: usize>(&self, base: &Ubig, exp: &Ubig) -> Ubig {
+        let k = self.width::<K>();
+        if exp.is_zero() {
+            return Ubig::one();
+        }
+        let reduced;
+        let base = if *base < self.n {
+            base
+        } else {
+            reduced = base.rem(&self.n);
+            &reduced
         };
-        Ubig::from_limbs(self.mont_mul(x, &one))
+        if base.is_zero() {
+            return Ubig::zero();
+        }
+
+        // The table holds base^1, base^3, .., base^(2^w - 1) in Montgomery
+        // form; a width of 1 is plain square-and-multiply.
+        let w = window_width(exp.bit_len());
+        let entries = 1usize << (w - 1);
+        let mut scratch = vec![0u64; (entries + 3) * k];
+        let (table, rest) = scratch.split_at_mut(entries * k);
+        let (acc, t) = rest.split_at_mut(k);
+
+        table[..base.limbs.len()].copy_from_slice(&base.limbs);
+        self.mul_into::<K>(&mut table[..k], &self.r2, t);
+        if entries > 1 {
+            acc.copy_from_slice(&table[..k]);
+            self.sqr_into::<K>(acc, t);
+            for i in 1..entries {
+                let (prev, next) = table[(i - 1) * k..(i + 1) * k].split_at_mut(k);
+                next.copy_from_slice(prev);
+                self.mul_into::<K>(next, acc, t);
+            }
+        }
+
+        // The window whose top bit is the set bit `i - 1`: at most `w` bits,
+        // ending on a set bit `lo`, so its value is odd. Returns `lo` and
+        // the window's table index.
+        let window = |i: usize| {
+            let mut lo = i.saturating_sub(w);
+            while !exp.bit(lo) {
+                lo += 1;
+            }
+            let value = (lo..i)
+                .rev()
+                .fold(0, |v, b| v << 1 | usize::from(exp.bit(b)));
+            (lo, value >> 1)
+        };
+        let (mut i, first) = window(exp.bit_len());
+        acc.copy_from_slice(&table[first * k..(first + 1) * k]);
+        while i > 0 {
+            if !exp.bit(i - 1) {
+                self.sqr_into::<K>(acc, t);
+                i -= 1;
+                continue;
+            }
+            let (lo, entry) = window(i);
+            for _ in lo..i {
+                self.sqr_into::<K>(acc, t);
+            }
+            self.mul_into::<K>(acc, &table[entry * k..(entry + 1) * k], t);
+            i = lo;
+        }
+
+        // Out of Montgomery form: one reduction of `acc` taken as a
+        // double-width value.
+        t[..k].copy_from_slice(acc);
+        t[k..].fill(0);
+        self.redc::<K>(acc, t);
+        Ubig::from_limbs(acc.to_vec())
     }
 
-    /// The Montgomery representation of 1 (`R mod n`).
-    pub fn one_mont(&self) -> Vec<u64> {
-        let mut one = vec![0u64; self.n.len()];
-        one[0] = 1;
-        self.mont_mul(&one, &self.r2)
-    }
-
-    /// CIOS Montgomery multiplication: returns `a * b * R^{-1} mod n`.
-    ///
-    /// Both inputs must be `k = n.len()` limbs.
-    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n.len();
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        // t has k+2 limbs: accumulator for the interleaved product/reduction.
-        let mut t = vec![0u64; k + 2];
+    /// `acc = acc * b * R^-1 mod n` over `k`-limb operands below `n`, with the
+    /// product and the reduction interleaved word by word (CIOS) in one pass
+    /// over `b` and `n`. `t` is scratch of at least `k + 1` limbs.
+    #[inline(always)]
+    fn mul_into<const K: usize>(&self, acc: &mut [u64], b: &[u64], t: &mut [u64]) {
+        let (k, n0_inv) = (self.width::<K>(), self.n0_inv);
+        let (acc, b, n, t) = (&mut acc[..k], &b[..k], &self.n.limbs[..k], &mut t[..k + 1]);
+        t.fill(0);
         for i in 0..k {
-            // t += a[i] * b
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + a[i] as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // m = t[0] * n0_inv mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let mut carry: u128 = {
-                let s = t[0] as u128 + m as u128 * self.n[0] as u128;
-                debug_assert_eq!(s as u64, 0);
-                s >> 64
-            };
+            // t = (t + acc[i] * b + m * n) / 2^64, with m chosen so that the
+            // low word of the sum is zero.
+            let ai = acc[i] as u128;
+            let s = t[0] as u128 + ai * b[0] as u128;
+            let m = (s as u64).wrapping_mul(n0_inv) as u128;
+            let r = (s as u64) as u128 + m * n[0] as u128;
+            debug_assert_eq!(r as u64, 0);
+            let (mut c1, mut c2) = (s >> 64, r >> 64);
             for j in 1..k {
-                let s = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
+                let s = t[j] as u128 + ai * b[j] as u128 + c1;
+                c1 = s >> 64;
+                let r = (s as u64) as u128 + m * n[j] as u128 + c2;
+                c2 = r >> 64;
+                t[j - 1] = r as u64;
             }
-            let s = t[k] as u128 + carry;
+            let s = t[k] as u128 + c1 + c2;
             t[k - 1] = s as u64;
-            t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
-            t[k + 1] = 0;
+            t[k] = (s >> 64) as u64;
         }
-        // Conditional final subtraction: t may be in [0, 2n).
-        let needs_sub = t[k] != 0 || !limbs_lt(&t[..k], &self.n);
-        let mut out = t[..k].to_vec();
-        if needs_sub {
-            let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = out[j].overflowing_sub(self.n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
+        let (t, top) = t.split_at(k);
+        sub_if_ge(acc, t, top[0], n);
+    }
+
+    /// `acc = acc^2 * R^-1 mod n`: each off-diagonal product `acc[i] * acc[j]`
+    /// is computed once and doubled, the diagonal added, and the double-width
+    /// square reduced word by word. `t` is scratch of at least `2k` limbs.
+    #[inline(always)]
+    fn sqr_into<const K: usize>(&self, acc: &mut [u64], t: &mut [u64]) {
+        let k = self.width::<K>();
+        let (acc, t) = (&mut acc[..k], &mut t[..2 * k]);
+        t.fill(0);
+        for i in 0..k {
+            let ai = acc[i] as u128;
+            let mut c = 0u128;
+            for j in i + 1..k {
+                let s = t[i + j] as u128 + ai * acc[j] as u128 + c;
+                t[i + j] = s as u64;
+                c = s >> 64;
             }
+            // Rows before `i` reach limb `i + k - 1` at most.
+            t[i + k] = c as u64;
         }
-        out
+        let (mut shifted_out, mut c) = (0u64, 0u128);
+        for i in 0..k {
+            let d = acc[i] as u128 * acc[i] as u128;
+            let (lo, hi) = (t[2 * i], t[2 * i + 1]);
+            let s = (lo << 1 | shifted_out) as u128 + (d as u64) as u128 + c;
+            t[2 * i] = s as u64;
+            let s = (hi << 1 | lo >> 63) as u128 + (d >> 64) + (s >> 64);
+            t[2 * i + 1] = s as u64;
+            shifted_out = hi >> 63;
+            c = s >> 64;
+        }
+        debug_assert_eq!((shifted_out, c), (0, 0), "a k-limb square fits 2k limbs");
+        self.redc::<K>(acc, t);
+    }
+
+    /// Montgomery reduction: `acc = t * R^-1 mod n` for a `2k`-limb `t < n * R`,
+    /// which is consumed.
+    #[inline(always)]
+    fn redc<const K: usize>(&self, acc: &mut [u64], t: &mut [u64]) {
+        let (k, n0_inv) = (self.width::<K>(), self.n0_inv);
+        let (acc, t, n) = (&mut acc[..k], &mut t[..2 * k], &self.n.limbs[..k]);
+        // Row `i` adds `m * n * 2^(64 i)` to clear limb `i`; what it carries out
+        // of limb `i + k - 1` lands where row `i + 1` carries out too, so one
+        // running carry serves every row.
+        let mut top = 0u64;
+        for i in 0..k {
+            let m = t[i].wrapping_mul(n0_inv) as u128;
+            let mut c = 0u128;
+            for j in 0..k {
+                let s = t[i + j] as u128 + m * n[j] as u128 + c;
+                t[i + j] = s as u64;
+                c = s >> 64;
+            }
+            let s = t[i + k] as u128 + c + top as u128;
+            t[i + k] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        sub_if_ge(acc, &t[k..], top, n);
+    }
+}
+
+/// Sliding-window width for an exponent of `bits` bits: the width at which
+/// the `2^(w-1)`-entry table of odd powers pays for itself against one
+/// multiplication per `w + 1` exponent bits. Exponents of up to 23 bits (RSA
+/// verification's `e = 65537`) run as plain square-and-multiply.
+fn window_width(bits: usize) -> usize {
+    match bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
+    }
+}
+
+/// `out = v - n` if `v >= n`, else `out = v`, where `v = top * R + t < 2n`.
+#[inline(always)]
+fn sub_if_ge(out: &mut [u64], t: &[u64], top: u64, n: &[u64]) {
+    if top == 0 && limbs_lt(t, n) {
+        out.copy_from_slice(t);
+        return;
+    }
+    let mut borrow = 0u64;
+    for j in 0..n.len() {
+        let (d1, b1) = t[j].overflowing_sub(n[j]);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        out[j] = d2;
+        borrow = (b1 as u64) + (b2 as u64);
     }
 }
 
@@ -154,10 +289,8 @@ fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
 }
 
 impl Ubig {
-    /// Computes `self^exp mod modulus`.
-    ///
-    /// Uses 4-bit fixed-window Montgomery exponentiation for odd moduli and
-    /// binary square-and-reduce otherwise.
+    /// Computes `self^exp mod modulus`: [`Montgomery::pow`] for an odd
+    /// modulus, binary square-and-reduce otherwise.
     ///
     /// # Panics
     ///
@@ -167,27 +300,12 @@ impl Ubig {
         if modulus.is_one() {
             return Ubig::zero();
         }
-        if exp.is_zero() {
-            return Ubig::one();
-        }
-        let base = self.rem(modulus);
-        if base.is_zero() {
-            return Ubig::zero();
-        }
-        if modulus.is_odd() {
-            // wormlint: allow(panic) -- Montgomery::new succeeds for any odd modulus
-            let ctx = Montgomery::new(modulus).expect("odd modulus");
-            // Short exponents (RSA verification's e = 65537) don't earn
-            // back a 14-multiply window table; plain square-and-multiply
-            // does strictly fewer multiplications below ~64 bits.
-            if exp.bit_len() < 64 {
-                return pow_mod_mont_binary(&ctx, &base, exp);
-            }
-            return pow_mod_mont(&ctx, &base, exp);
+        if let Some(ctx) = Montgomery::new(modulus) {
+            return ctx.pow(self, exp);
         }
         // Even modulus fallback (not used by RSA; kept for completeness).
         let mut result = Ubig::one();
-        let mut b = base;
+        let mut b = self.rem(modulus);
         for i in 0..exp.bit_len() {
             if exp.bit(i) {
                 result = result.mul(&b).rem(modulus);
@@ -200,75 +318,48 @@ impl Ubig {
     }
 }
 
-/// Left-to-right binary exponentiation in Montgomery space, for short
-/// exponents where a window table costs more than it saves. The caller
-/// guarantees `exp != 0` and `base != 0 mod n`.
-fn pow_mod_mont_binary(ctx: &Montgomery, base: &Ubig, exp: &Ubig) -> Ubig {
-    let base_m = ctx.to_mont(base);
-    let mut acc = base_m.clone();
-    // The top bit is consumed by seeding `acc = base`.
-    for i in (0..exp.bit_len().saturating_sub(1)).rev() {
-        acc = ctx.mont_mul(&acc, &acc);
-        if exp.bit(i) {
-            acc = ctx.mont_mul(&acc, &base_m);
-        }
-    }
-    ctx.from_mont(&acc)
-}
-
-/// 4-bit fixed-window exponentiation in Montgomery space.
-fn pow_mod_mont(ctx: &Montgomery, base: &Ubig, exp: &Ubig) -> Ubig {
-    const WINDOW: usize = 4;
-    let base_m = ctx.to_mont(base);
-    // Precompute base^0..base^15 in Montgomery form.
-    let mut table = Vec::with_capacity(1 << WINDOW);
-    table.push(ctx.one_mont());
-    table.push(base_m.clone());
-    for i in 2..(1 << WINDOW) {
-        table.push(ctx.mont_mul(&table[i - 1], &base_m));
-    }
-
-    let bits = exp.bit_len();
-    let mut acc = ctx.one_mont();
-    let mut started = false;
-    // Consume the exponent MSB-first in 4-bit chunks.
-    let nwindows = bits.div_ceil(WINDOW);
-    for w in (0..nwindows).rev() {
-        if started {
-            for _ in 0..WINDOW {
-                acc = ctx.mont_mul(&acc, &acc);
-            }
-        }
-        let mut digit = 0usize;
-        for b in 0..WINDOW {
-            let idx = w * WINDOW + b;
-            if idx < bits && exp.bit(idx) {
-                digit |= 1 << b;
-            }
-        }
-        if digit != 0 {
-            acc = ctx.mont_mul(&acc, &table[digit]);
-            started = true;
-        } else if started {
-            // Nothing to multiply; squarings above already account for it.
-        } else {
-            // Leading zero window; skip squarings until the first set digit.
-        }
-    }
-    if !started {
-        // exp == 0 is handled by the caller; reaching here means all windows
-        // were zero, which cannot happen for a nonzero exponent.
-        unreachable!("nonzero exponent produced no windows");
-    }
-    ctx.from_mont(&acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn u(v: u64) -> Ubig {
         Ubig::from_u64(v)
+    }
+
+    /// A context for an odd modulus of exactly `k` limbs.
+    fn odd_modulus(rng: &mut StdRng, k: usize) -> Montgomery {
+        let mut n = Ubig::random_bits(rng, 64 * k);
+        n.set_bit(0);
+        Montgomery::new(&n).unwrap()
+    }
+
+    /// `x` as the `k` limbs the kernels take.
+    fn padded(ctx: &Montgomery, x: &Ubig) -> Vec<u64> {
+        let mut limbs = x.limbs.clone();
+        limbs.resize(ctx.r2.len(), 0);
+        limbs
+    }
+
+    fn scratch(ctx: &Montgomery) -> Vec<u64> {
+        vec![0; 2 * ctx.r2.len()]
+    }
+
+    /// `x * R mod n` for `x < n`.
+    fn to_mont(ctx: &Montgomery, x: &Ubig) -> Vec<u64> {
+        let mut xm = padded(ctx, x);
+        ctx.mul_into::<0>(&mut xm, &ctx.r2, &mut scratch(ctx));
+        xm
+    }
+
+    /// `xm * R^-1 mod n`.
+    fn from_mont(ctx: &Montgomery, xm: &[u64]) -> Ubig {
+        let mut t = scratch(ctx);
+        t[..xm.len()].copy_from_slice(xm);
+        let mut out = xm.to_vec();
+        ctx.redc::<0>(&mut out, &mut t);
+        Ubig::from_limbs(out)
     }
 
     #[test]
@@ -276,8 +367,8 @@ mod tests {
         let n = Ubig::from_hex("f123456789abcdef123456789abcdef1").unwrap();
         let ctx = Montgomery::new(&n).unwrap();
         let x = Ubig::from_hex("123456789abcdef").unwrap();
-        let xm = ctx.to_mont(&x);
-        assert_eq!(ctx.from_mont(&xm), x);
+        let xm = to_mont(&ctx, &x);
+        assert_eq!(from_mont(&ctx, &xm), x);
     }
 
     #[test]
@@ -293,10 +384,41 @@ mod tests {
         let ctx = Montgomery::new(&n).unwrap();
         let a = Ubig::from_hex("1234567890abcdef12345").unwrap().rem(&n);
         let b = Ubig::from_hex("fedcba098765432112345").unwrap().rem(&n);
-        let am = ctx.to_mont(&a);
-        let bm = ctx.to_mont(&b);
-        let prod = ctx.from_mont(&ctx.mont_mul(&am, &bm));
-        assert_eq!(prod, a.mul(&b).rem(&n));
+        let mut prod = to_mont(&ctx, &a);
+        ctx.mul_into::<0>(&mut prod, &to_mont(&ctx, &b), &mut scratch(&ctx));
+        assert_eq!(from_mont(&ctx, &prod), a.mul(&b).rem(&n));
+    }
+
+    #[test]
+    fn sqr_into_matches_mul_into() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for k in 1..=33 {
+            let ctx = odd_modulus(&mut rng, k);
+            let n = ctx.modulus();
+            let operands = [
+                Ubig::zero(),
+                Ubig::one(),
+                n.sub(&Ubig::one()),
+                // Every bit below the modulus's top bit.
+                Ubig::one().shl(n.bit_len() - 1).sub(&Ubig::one()),
+                Ubig::random_below(&mut rng, n),
+            ];
+            for a in &operands {
+                let a = padded(&ctx, a);
+                let (mut squared, mut multiplied) = (a.clone(), a.clone());
+                ctx.sqr_into::<0>(&mut squared, &mut scratch(&ctx));
+                ctx.mul_into::<0>(&mut multiplied, &a, &mut scratch(&ctx));
+                assert_eq!(squared, multiplied, "k={k} a={a:x?}");
+                // Both are a^2 / R: as Montgomery forms they stand for (a/R)^2.
+                let plain = from_mont(&ctx, &a);
+                assert_eq!(from_mont(&ctx, &squared), plain.mul(&plain).rem(n), "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn public_exponent_runs_without_a_table() {
+        assert_eq!(window_width(Ubig::from_u64(65537).bit_len()), 1);
     }
 
     #[test]

@@ -17,12 +17,10 @@ impl Ubig {
         Ubig::from_limbs(out)
     }
 
-    /// `self * self`, slightly cheaper than `mul` for squaring-heavy
-    /// workloads (modular exponentiation).
+    /// `self * self`.
     pub fn square(&self) -> Ubig {
-        // A dedicated squaring routine would halve the partial products; the
-        // Montgomery path (where modexp spends its time) already avoids this
-        // function, so plain multiplication keeps the code surface small.
+        // Modular exponentiation squares inside `Montgomery::pow`, which has
+        // its own squaring kernel; nothing hot calls this.
         self.mul(self)
     }
 }

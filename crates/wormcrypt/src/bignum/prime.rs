@@ -6,7 +6,7 @@
 //! where the error bound per round is weakest relative to the target
 //! security level).
 
-use super::Ubig;
+use super::{Montgomery, Ubig};
 use std::sync::OnceLock;
 
 /// Upper bound of the small-prime sieve used for trial division.
@@ -89,11 +89,15 @@ impl Ubig {
             Some(v) => v,
             None => return true, // n == 3
         };
+        // One context serves every round.
+        let Some(ctx) = Montgomery::new(self) else {
+            return false; // even
+        };
 
         'rounds: for _ in 0..rounds {
             // a ∈ [2, n-2]
             let a = Ubig::random_below(rng, &n_minus_3).add(&two);
-            let mut x = a.pow_mod(&d, self);
+            let mut x = ctx.pow(&a, &d);
             if x.is_one() || x == n_minus_1 {
                 continue 'rounds;
             }

@@ -7,7 +7,9 @@
 //! deferred-strength optimization — emerge naturally from the O(k³)
 //! modular exponentiation.
 
-use crate::bignum::Ubig;
+use std::fmt;
+
+use crate::bignum::{Montgomery, Ubig};
 use crate::digest::Digest;
 use crate::error::CryptoError;
 use crate::{Sha1, Sha256};
@@ -45,26 +47,75 @@ impl HashAlg {
     }
 }
 
-/// RSA public key `(n, e)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// RSA public key `(n, e)`, with what every use of it needs precomputed.
+///
+/// Equality and `Debug` are those of `(n, e)`.
+#[derive(Clone)]
 pub struct RsaPublicKey {
     n: Ubig,
     e: Ubig,
+    /// Exponentiation context for `n`; `None` for an even modulus, which no
+    /// RSA key has but the wire format can carry. Boxed because keys travel
+    /// by value inside response enums.
+    ctx: Option<Box<Montgomery>>,
+    fingerprint: [u8; 8],
 }
 
-/// RSA private key with CRT parameters.
-#[derive(Clone, Debug)]
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.e == other.e
+    }
+}
+
+impl Eq for RsaPublicKey {}
+
+impl fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaPublicKey")
+            .field("n", &self.n)
+            .field("e", &self.e)
+            .finish()
+    }
+}
+
+/// RSA private key with CRT parameters; the primes live in their
+/// exponentiation contexts.
+#[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: Ubig,
-    p: Ubig,
-    q: Ubig,
+    p: Montgomery,
+    q: Montgomery,
     dp: Ubig,
     dq: Ubig,
     qinv: Ubig,
 }
 
+/// Shows the public half only: a log line must not carry `d`, `p` or `q`.
+impl fmt::Debug for RsaPrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaPrivateKey")
+            .field("modulus_bits", &self.public.modulus_bits())
+            .field("fingerprint", &self.public.fingerprint)
+            .finish_non_exhaustive()
+    }
+}
+
 impl RsaPublicKey {
+    fn new(n: Ubig, e: Ubig) -> Self {
+        let mut h = Sha256::new();
+        h.update(&n.to_bytes_be());
+        h.update(&e.to_bytes_be());
+        let mut fingerprint = [0u8; 8];
+        fingerprint.copy_from_slice(&h.finalize()[..8]);
+        RsaPublicKey {
+            ctx: Montgomery::new(&n).map(Box::new),
+            n,
+            e,
+            fingerprint,
+        }
+    }
+
     /// Modulus width in bits.
     pub fn modulus_bits(&self) -> usize {
         self.n.bit_len()
@@ -87,13 +138,7 @@ impl RsaPublicKey {
 
     /// Short stable identifier: first 8 bytes of `SHA-256(n || e)`.
     pub fn fingerprint(&self) -> [u8; 8] {
-        let mut h = Sha256::new();
-        h.update(&self.n.to_bytes_be());
-        h.update(&self.e.to_bytes_be());
-        let d = h.finalize();
-        let mut out = [0u8; 8];
-        out.copy_from_slice(&d[..8]);
-        out
+        self.fingerprint
     }
 
     /// Verifies a PKCS#1 v1.5 signature over `msg`.
@@ -108,7 +153,10 @@ impl RsaPublicKey {
         if s >= self.n {
             return false;
         }
-        let em = s.pow_mod(&self.e, &self.n);
+        let em = match &self.ctx {
+            Some(ctx) => ctx.pow(&s, &self.e),
+            None => s.pow_mod(&self.e, &self.n),
+        };
         let expected = match emsa_pkcs1_v15(msg, self.modulus_bytes(), alg) {
             Ok(e) => e,
             Err(_) => return false,
@@ -135,14 +183,11 @@ impl RsaPublicKey {
         if !rest.is_empty() {
             return Err(CryptoError::Malformed("trailing bytes in public key"));
         }
-        let key = RsaPublicKey {
-            n: Ubig::from_bytes_be(n),
-            e: Ubig::from_bytes_be(e),
-        };
-        if key.n.is_zero() || key.e.is_zero() {
+        let (n, e) = (Ubig::from_bytes_be(n), Ubig::from_bytes_be(e));
+        if n.is_zero() || e.is_zero() {
             return Err(CryptoError::Malformed("zero modulus or exponent"));
         }
-        Ok(key)
+        Ok(RsaPublicKey::new(n, e))
     }
 }
 
@@ -194,8 +239,10 @@ impl RsaPrivateKey {
             let dq = d.rem(&q1);
             // wormlint: allow(panic) -- p and q are distinct primes, so q is invertible mod p
             let qinv = q.mod_inverse(&p).expect("p, q distinct primes");
+            // wormlint: allow(panic) -- gen_prime returns odd primes of bits / 2 >= 32 bits
+            let [p, q] = [p, q].map(|f| Montgomery::new(&f).expect("odd prime"));
             return RsaPrivateKey {
-                public: RsaPublicKey { n, e },
+                public: RsaPublicKey::new(n, e),
                 d,
                 p,
                 q,
@@ -227,17 +274,18 @@ impl RsaPrivateKey {
 
     /// RSA private operation via the Chinese Remainder Theorem.
     fn raw_decrypt(&self, m: &Ubig) -> Ubig {
-        let m1 = m.pow_mod(&self.dp, &self.p);
-        let m2 = m.pow_mod(&self.dq, &self.q);
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        let m1 = self.p.pow(m, &self.dp);
+        let m2 = self.q.pow(m, &self.dq);
         // h = qinv * (m1 - m2) mod p, handling m1 < m2.
-        let m2_mod_p = m2.rem(&self.p);
+        let m2_mod_p = m2.rem(p);
         let diff = if m1 >= m2_mod_p {
             m1.sub(&m2_mod_p)
         } else {
-            m1.add(&self.p).sub(&m2_mod_p)
+            m1.add(p).sub(&m2_mod_p)
         };
-        let h = self.qinv.mul(&diff).rem(&self.p);
-        m2.add(&self.q.mul(&h))
+        let h = self.qinv.mul(&diff).rem(p);
+        m2.add(&q.mul(&h))
     }
 
     /// The private exponent (used by self-consistency tests).
@@ -290,9 +338,10 @@ mod tests {
         assert_eq!(key.public().modulus_bits(), 512);
         assert_eq!(key.public().modulus_bytes(), 64);
         // n = p * q
-        assert_eq!(key.p.mul(&key.q), *key.public().n());
+        let (p, q) = (key.p.modulus(), key.q.modulus());
+        assert_eq!(p.mul(q), *key.public().n());
         // e * d ≡ 1 mod φ
-        let phi = key.p.sub(&Ubig::one()).mul(&key.q.sub(&Ubig::one()));
+        let phi = p.sub(&Ubig::one()).mul(&q.sub(&Ubig::one()));
         assert_eq!(key.public().e().mul(key.d()).rem(&phi), Ubig::one());
     }
 
@@ -339,6 +388,86 @@ mod tests {
         let crt = key.raw_decrypt(&m);
         let plain = m.pow_mod(key.d(), key.public().n());
         assert_eq!(crt, plain);
+    }
+
+    #[test]
+    fn every_key_width_signs_verifies_and_matches_plain_exponentiation() {
+        for bits in [512usize, 1024, 2048] {
+            let mut rng = StdRng::seed_from_u64(bits as u64);
+            let key = RsaPrivateKey::generate(&mut rng, bits);
+            let sig = key.sign(b"width", HashAlg::Sha256).unwrap();
+            assert_eq!(sig.len(), bits / 8);
+            assert!(key.public().verify(b"width", &sig, HashAlg::Sha256));
+            assert!(!key.public().verify(b"widths", &sig, HashAlg::Sha256));
+            let m =
+                Ubig::from_bytes_be(&emsa_pkcs1_v15(b"width", bits / 8, HashAlg::Sha256).unwrap());
+            assert_eq!(key.raw_decrypt(&m), m.pow_mod(key.d(), key.public().n()));
+            assert_eq!(Ubig::from_bytes_be(&sig), key.raw_decrypt(&m));
+        }
+    }
+
+    /// No RSA key has an even modulus, but `from_bytes` accepts one and
+    /// `verify` then computes `s^e mod n` all the same: n = 2p is
+    /// square-free, so `m^(ed) = m (mod n)` for `ed = 1 (mod p - 1)`.
+    #[test]
+    fn even_modulus_public_key_verifies_and_rejects() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let e = Ubig::from_u64(65537);
+        let (p, d) = loop {
+            let p = Ubig::gen_prime(&mut rng, 511);
+            if let Some(d) = e.mod_inverse(&p.sub(&Ubig::one())) {
+                break (p, d);
+            }
+        };
+        let n = p.shl(1);
+        let key = RsaPublicKey::new(n.clone(), e);
+        assert!(key.ctx.is_none());
+        let parsed = RsaPublicKey::from_bytes(&key.to_bytes()).unwrap();
+        assert_eq!(parsed, key);
+
+        let em = emsa_pkcs1_v15(b"even", 64, HashAlg::Sha256).unwrap();
+        let sig = Ubig::from_bytes_be(&em)
+            .pow_mod(&d, &n)
+            .to_bytes_be_padded(64);
+        assert!(parsed.verify(b"even", &sig, HashAlg::Sha256));
+        assert!(!parsed.verify(b"odd", &sig, HashAlg::Sha256));
+        let mut bad = sig.clone();
+        bad[63] ^= 1;
+        assert!(!parsed.verify(b"even", &bad, HashAlg::Sha256));
+        assert!(!parsed.verify(b"even", &n.to_bytes_be_padded(64), HashAlg::Sha256));
+    }
+
+    #[test]
+    fn fingerprint_is_the_sha256_prefix_of_n_and_e() {
+        let key = test_key().public();
+        let mut h = Sha256::new();
+        h.update(&key.n().to_bytes_be());
+        h.update(&key.e().to_bytes_be());
+        assert_eq!(key.fingerprint()[..], h.finalize()[..8]);
+        let parsed = RsaPublicKey::from_bytes(&key.to_bytes()).unwrap();
+        assert_eq!(parsed.fingerprint(), key.fingerprint());
+    }
+
+    #[test]
+    fn private_key_debug_shows_no_secret_limb() {
+        let key = test_key();
+        let shown = format!("{key:?}");
+        assert!(shown.contains("modulus_bits: 512"), "{shown}");
+        assert!(shown.contains(&format!("{:?}", key.public().fingerprint())));
+        let secrets = [
+            &key.d,
+            key.p.modulus(),
+            key.q.modulus(),
+            &key.dp,
+            &key.dq,
+            &key.qinv,
+        ];
+        for secret in secrets {
+            for limb in &secret.limbs {
+                assert!(!shown.contains(&format!("{limb:x}")), "{shown}");
+                assert!(!shown.contains(&limb.to_string()), "{shown}");
+            }
+        }
     }
 
     #[test]

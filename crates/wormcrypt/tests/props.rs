@@ -1,11 +1,86 @@
 //! Property-based tests for the crypto substrate.
 
 use proptest::prelude::*;
-use wormcrypt::bignum::Ubig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use wormcrypt::bignum::{Montgomery, Ubig};
 use wormcrypt::{ChainHash, Digest, Hmac, MerkleTree, MultisetHash, Sha1, Sha256};
 
 fn ubig_strategy(max_bytes: usize) -> impl Strategy<Value = Ubig> {
     proptest::collection::vec(any::<u8>(), 0..=max_bytes).prop_map(|b| Ubig::from_bytes_be(&b))
+}
+
+/// `base^exp mod m` by square-and-`rem`, one exponent bit at a time.
+fn naive_pow_mod(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
+    let base = base.rem(m);
+    let mut acc = Ubig::one().rem(m);
+    for i in (0..exp.bit_len()).rev() {
+        acc = acc.mul(&acc).rem(m);
+        if exp.bit(i) {
+            acc = acc.mul(&base).rem(m);
+        }
+    }
+    acc
+}
+
+/// A fixed pseudo-random value of exactly `bits` bits.
+fn ubig_of_bits(seed: u64, bits: usize) -> Ubig {
+    Ubig::random_bits(&mut StdRng::seed_from_u64(seed), bits)
+}
+
+/// Every limb count from 1 to 33 — the four the kernels are instantiated for
+/// (4, 8, 16, 32) and both neighbours of each — against exponents of every
+/// shape the sliding window treats differently.
+#[test]
+fn montgomery_pow_matches_naive_at_every_width() {
+    let one = Ubig::one();
+    let mut exps = vec![
+        one.clone(),
+        Ubig::from_u64(2),
+        Ubig::from_u64(65537),
+        // All ones: every window is full.
+        one.shl(130).sub(&one),
+        // A single top bit: squarings only.
+        one.shl(200),
+        // Zero runs longer than any window between set bits.
+        one.shl(300).add(&one.shl(150)).add(&one),
+    ];
+    // Both sides of each step in the window width.
+    for bits in [23, 24, 79, 80, 239, 240, 671, 672] {
+        exps.push(ubig_of_bits(bits as u64, bits));
+    }
+    for k in 1..=33usize {
+        let mut n = ubig_of_bits(k as u64, 64 * k);
+        n.set_bit(0);
+        let ctx = Montgomery::new(&n).unwrap();
+        let base = ubig_of_bits(!(k as u64), 64 * k - 1);
+        for e in &exps {
+            assert_eq!(
+                ctx.pow(&base, e),
+                naive_pow_mod(&base, e, &n),
+                "k={k} e={e:x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn pow_mod_reduces_the_base_first() {
+    for bits in [64usize, 200, 256, 512] {
+        let mut n = ubig_of_bits(bits as u64, bits);
+        n.set_bit(0);
+        let e = ubig_of_bits(7, 90);
+        // base = 0, base = n, base a multiple of n, and bases far above n.
+        assert_eq!(Ubig::zero().pow_mod(&e, &n), Ubig::zero());
+        assert_eq!(n.pow_mod(&e, &n), Ubig::zero());
+        assert_eq!(n.mul(&e).pow_mod(&e, &n), Ubig::zero());
+        for extra in [1usize, 64, 300] {
+            let base = ubig_of_bits(extra as u64, bits + extra);
+            assert!(base >= n);
+            assert_eq!(base.pow_mod(&e, &n), naive_pow_mod(&base, &e, &n));
+            assert_eq!(base.pow_mod(&e, &n), base.rem(&n).pow_mod(&e, &n));
+        }
+    }
 }
 
 proptest! {
@@ -77,18 +152,20 @@ proptest! {
         m in ubig_strategy(16),
     ) {
         prop_assume!(!m.is_zero() && !m.is_one());
-        let fast = b.pow_mod(&e, &m);
-        // Naive square-and-multiply with explicit reduction.
-        let mut acc = Ubig::one();
-        let base = b.rem(&m);
-        for i in (0..e.bit_len()).rev() {
-            acc = acc.mul(&acc).rem(&m);
-            if e.bit(i) {
-                acc = acc.mul(&base).rem(&m);
-            }
-        }
-        let naive = acc.rem(&m);
-        prop_assert_eq!(fast, naive);
+        prop_assert_eq!(b.pow_mod(&e, &m), naive_pow_mod(&b, &e, &m));
+    }
+
+    #[test]
+    fn montgomery_pow_matches_naive(
+        b in ubig_strategy(80),
+        e in ubig_strategy(40),
+        m in ubig_strategy(72),
+    ) {
+        let mut m = m;
+        m.set_bit(0);
+        prop_assume!(!m.is_one());
+        let ctx = Montgomery::new(&m).unwrap();
+        prop_assert_eq!(ctx.pow(&b, &e), naive_pow_mod(&b, &e, &m));
     }
 
     #[test]
