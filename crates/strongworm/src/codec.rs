@@ -577,7 +577,7 @@ pub fn decode_read_outcome_shared(src: &Bytes) -> Result<ReadOutcome, WireError>
             }
             let mut records = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                records.push(r.get_shared(src)?);
+                records.push(src.slice(r.get_range()?));
             }
             let head = decode_head_cert(r.get_bytes()?)?;
             ReadOutcome::Data { vrd, records, head }
@@ -845,7 +845,7 @@ fn check_name_order(prev: &mut Option<String>, name: &str) -> Result<(), WireErr
 /// always produce identical bytes (the snapshot's name-sorted order is
 /// preserved verbatim, and histograms encode sparsely).
 pub fn encode_stats_snapshot(s: &wormtrace::StatsSnapshot) -> Vec<u8> {
-    let mut w = WireWriter::tagged("wormtrace.stats.v1");
+    let mut w = WireWriter::tagged("wormtrace.stats.v2");
     w.put_count(s.ops.len());
     for (name, op) in &s.ops {
         w.put_str(name);
@@ -863,7 +863,6 @@ pub fn encode_stats_snapshot(s: &wormtrace::StatsSnapshot) -> Vec<u8> {
         w.put_str(name);
         w.put_u64(*v);
     }
-    w.put_u64(s.events_dropped);
     w.finish()
 }
 
@@ -877,7 +876,7 @@ pub fn encode_stats_snapshot(s: &wormtrace::StatsSnapshot) -> Vec<u8> {
 /// violation — never a panic and never an unbounded allocation.
 pub fn decode_stats_snapshot(bytes: &[u8]) -> Result<wormtrace::StatsSnapshot, WireError> {
     let mut r = WireReader::new(bytes);
-    if r.get_str()? != "wormtrace.stats.v1" {
+    if r.get_str()? != "wormtrace.stats.v2" {
         return Err(WireError {
             expected: "stats snapshot tag",
         });
@@ -923,7 +922,6 @@ pub fn decode_stats_snapshot(bytes: &[u8]) -> Result<wormtrace::StatsSnapshot, W
         check_name_order(&mut prev, &name)?;
         s.gauges.push((name, r.get_u64()?));
     }
-    s.events_dropped = r.get_u64()?;
     r.expect_end()?;
     Ok(s)
 }

@@ -28,6 +28,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
+use wormaudit::AuditClass;
 use wormstore::BlockDevice;
 
 use crate::error::WormError;
@@ -111,13 +112,13 @@ impl RetentionDaemon {
                         return Ok(());
                     }
                     pass = pass.wrapping_add(1);
-                    let timer = trace.timer();
+                    let observed = trace.observe(&pass_op, "daemon.pass", wormtrace::Plane::Daemon);
                     let result = Self::run_pass(&server, &config, pass);
+                    observed.finish(result.is_ok(), None);
                     // ordering: status counters are read by observers
                     // for display only; the daemon thread is the sole
                     // writer, so no cross-field ordering is needed.
                     thread_status.passes.fetch_add(1, Ordering::Relaxed);
-                    pass_op.finish(timer, result.is_ok());
                     match result {
                         Ok(()) => {
                             thread_status
@@ -133,29 +134,17 @@ impl RetentionDaemon {
                             // ordering: status, see above
                             thread_status.total_failures.fetch_add(1, Ordering::Relaxed);
                             *thread_status.last_error.lock() = Some(e.to_string());
-                            // Failed passes are rare and diagnostic gold:
-                            // always ring them.
-                            trace.emit(wormtrace::TraceEvent {
-                                op: "daemon.pass",
-                                plane: wormtrace::Plane::Daemon,
-                                sn: None,
-                                duration_ns: 0,
-                                ok: false,
-                            });
                             if config.max_consecutive_failures != 0
                                 && streak >= config.max_consecutive_failures
                             {
                                 failures_gauge.set(streak as u64);
                                 // Retention enforcement stopping is an
-                                // integrity event: the registry sink
-                                // promotes this into the audit chain.
-                                trace.emit(wormtrace::TraceEvent {
-                                    op: "daemon.giveup",
-                                    plane: wormtrace::Plane::Daemon,
-                                    sn: None,
-                                    duration_ns: 0,
-                                    ok: false,
-                                });
+                                // integrity event.
+                                server.audit().emit(
+                                    AuditClass::RetentionGiveUp,
+                                    None,
+                                    &format!("gave up after {streak} failed passes: {e}"),
+                                );
                                 return Err(e);
                             }
                             // Bounded exponential backoff: double the

@@ -70,7 +70,6 @@ pub mod powerfail;
 pub mod proofs;
 pub mod vrd;
 pub mod vrdt;
-pub mod wire;
 pub mod witness;
 
 mod client;
@@ -91,3 +90,5 @@ pub use server::{ReadPlane, ShardRouter, ShardedWormServer, WitnessPlane, WormSe
 pub use sn::{SerialNumber, MAX_SHARDS, SHARD_LANE_BITS};
 pub use vrd::Vrd;
 pub use vrdt::RecoveryStats;
+/// The canonical wire encoding (one implementation, in `wormcrypt`).
+pub use wormcrypt::wire;

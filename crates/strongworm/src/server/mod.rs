@@ -34,11 +34,12 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use scpu::{Clock, Device, Meter};
-use wormaudit::{AuditClass, AuditLog, AuditTraceSink};
+use wormaudit::{AuditClass, AuditLog};
 use wormcrypt::{Digest, RsaPublicKey, Sha256};
 use wormstore::{
     BlockDevice, DiskJournal, DurableLog, MemDisk, Partition, RecordDescriptor, RecordStore,
 };
+use wormtrace::Plane;
 
 use crate::config::{WitnessMode, WormConfig};
 use crate::error::WormError;
@@ -231,9 +232,6 @@ impl<D: BlockDevice> WormServer<D> {
                 Box::new(move || audit_clock.now().as_millis()),
             ))
         });
-        // Integrity-relevant trace events (failed reads, sheds, daemon
-        // give-ups) are promoted into the audit chain by the ring sink.
-        trace.set_sink(Arc::new(AuditTraceSink::new(Arc::clone(&audit))));
         let recovery = vrdt.recovery_stats();
         trace.counter("recovery.replayed").add(recovery.replayed);
         trace
@@ -290,8 +288,8 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     /// The server's trace registry: per-op latency histograms and
-    /// outcome counters, subsystem counters/gauges, and the structured
-    /// event ring. Handed to the retention daemon and network layer so
+    /// outcome counters, subsystem counters/gauges, and the flight
+    /// recorder. Handed to the retention daemon and network layer so
     /// the whole stack reports into one snapshot.
     pub fn trace(&self) -> &Arc<wormtrace::Registry> {
         &self.trace
@@ -319,27 +317,6 @@ impl<D: BlockDevice> WormServer<D> {
     /// network layer serves for `Stats` requests).
     pub fn stats_snapshot(&self) -> wormtrace::StatsSnapshot {
         self.trace.snapshot()
-    }
-
-    /// Records a completed witness-plane operation and emits its trace
-    /// event (witness-path ops are low-rate, so every one is ringed).
-    fn finish_witnessed(
-        &self,
-        op: &wormtrace::OpStats,
-        name: &'static str,
-        timer: wormtrace::OpTimer,
-        sn: Option<u64>,
-        ok: bool,
-    ) {
-        if let Some((ns, _)) = op.finish(timer, ok) {
-            self.trace.emit(wormtrace::TraceEvent {
-                op: name,
-                plane: wormtrace::Plane::Witness,
-                sn,
-                duration_ns: ns,
-                ok,
-            });
-        }
     }
 
     /// Decomposes the server into the parts that survive a host restart:
@@ -476,26 +453,16 @@ impl<D: BlockDevice> WormServer<D> {
         records: &[&[u8]],
         policy: RetentionPolicy,
     ) -> Result<SerialNumber, WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.write", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.write, "server.write", Plane::Witness);
         let result = {
             let mut w = self.witness.lock();
             let witness = w.config.default_witness;
             w.write_inner(records, policy, 0, witness, false)
         };
-        self.finish_write(timer, span, &result);
+        observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
         result
-    }
-
-    fn finish_write(
-        &self,
-        timer: wormtrace::OpTimer,
-        span: Option<wormtrace::span::OpenSpan>,
-        result: &Result<SerialNumber, WormError>,
-    ) {
-        let sn = result.as_ref().ok().map(|sn| sn.0);
-        wormtrace::span::finish(span, result.is_ok(), sn);
-        self.finish_witnessed(&self.ops.write, "server.write", timer, sn, result.is_ok());
     }
 
     /// Writes with an explicit witness tier and flag bits (§4.2.2 Write,
@@ -511,13 +478,14 @@ impl<D: BlockDevice> WormServer<D> {
         flags: u32,
         witness: WitnessMode,
     ) -> Result<SerialNumber, WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.write", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.write, "server.write", Plane::Witness);
         let result = self
             .witness
             .lock()
             .write_inner(records, policy, flags, witness, false);
-        self.finish_write(timer, span, &result);
+        observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
         result
     }
 
@@ -535,14 +503,15 @@ impl<D: BlockDevice> WormServer<D> {
         records: &[&[u8]],
         policy: RetentionPolicy,
     ) -> Result<SerialNumber, WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.write", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.write, "server.write", Plane::Witness);
         let result = {
             let mut w = self.witness.lock();
             let witness = w.config.default_witness;
             w.write_inner(records, policy, 0, witness, true)
         };
-        self.finish_write(timer, span, &result);
+        observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
         result
     }
 
@@ -559,22 +528,17 @@ impl<D: BlockDevice> WormServer<D> {
     /// Device failures (only on lazy freshness refresh), store failures,
     /// or an internally inconsistent VRDT.
     pub fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.read", wormtrace::Plane::Read);
+        let observed = self
+            .trace
+            .observe(&self.ops.read, "server.read", Plane::Read);
         let result = self.read_inner(sn);
-        wormtrace::span::finish(span, result.is_ok(), Some(sn.0));
-        if let Some((ns, prior)) = self.ops.read.finish(timer, result.is_ok()) {
-            // Counters and the histogram are exact; only the ring event
-            // is sampled, keeping the mutex push off most reads.
-            if prior % self.trace.read_event_sample() == 0 || result.is_err() {
-                self.trace.emit(wormtrace::TraceEvent {
-                    op: "server.read",
-                    plane: wormtrace::Plane::Read,
-                    sn: Some(sn.0),
-                    duration_ns: ns,
-                    ok: result.is_ok(),
-                });
-            }
+        observed.finish(result.is_ok(), Some(sn.0));
+        if let Err(e) = &result {
+            // A read the host could not serve is evidence, not a
+            // diagnostic: it reaches the chain whatever the tracing
+            // kill switch says.
+            self.audit
+                .emit(AuditClass::VerifyFailure, Some(sn.0), &e.to_string());
         }
         result
     }
@@ -680,17 +644,11 @@ impl<D: BlockDevice> WormServer<D> {
     /// rejections for bad credentials.
     pub fn lit_hold(&self, credential: crate::authority::HoldCredential) -> Result<(), WormError> {
         let sn = credential.sn.0;
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.lit_hold", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.lit_hold, "server.lit_hold", Plane::Witness);
         let result = self.witness.lock().lit_hold(credential);
-        wormtrace::span::finish(span, result.is_ok(), Some(sn));
-        self.finish_witnessed(
-            &self.ops.lit_hold,
-            "server.lit_hold",
-            timer,
-            Some(sn),
-            result.is_ok(),
-        );
+        observed.finish(result.is_ok(), Some(sn));
         result
     }
 
@@ -705,17 +663,11 @@ impl<D: BlockDevice> WormServer<D> {
         credential: crate::authority::ReleaseCredential,
     ) -> Result<(), WormError> {
         let sn = credential.sn.0;
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.lit_release", wormtrace::Plane::Witness);
+        let observed =
+            self.trace
+                .observe(&self.ops.lit_release, "server.lit_release", Plane::Witness);
         let result = self.witness.lock().lit_release(credential);
-        wormtrace::span::finish(span, result.is_ok(), Some(sn));
-        self.finish_witnessed(
-            &self.ops.lit_release,
-            "server.lit_release",
-            timer,
-            Some(sn),
-            result.is_ok(),
-        );
+        observed.finish(result.is_ok(), Some(sn));
         result
     }
 
@@ -726,11 +678,11 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Device or store failures.
     pub fn tick(&self) -> Result<(), WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.tick", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.tick, "server.tick", Plane::Witness);
         let result = self.witness.lock().tick();
-        wormtrace::span::finish(span, result.is_ok(), None);
-        self.finish_witnessed(&self.ops.tick, "server.tick", timer, None, result.is_ok());
+        observed.finish(result.is_ok(), None);
         result
     }
 
@@ -742,11 +694,11 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Device or store failures.
     pub fn idle(&self, budget_ns: u64) -> Result<(), WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.idle", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.idle, "server.idle", Plane::Witness);
         let result = self.witness.lock().idle(budget_ns);
-        wormtrace::span::finish(span, result.is_ok(), None);
-        self.finish_witnessed(&self.ops.idle, "server.idle", timer, None, result.is_ok());
+        observed.finish(result.is_ok(), None);
         result
     }
 
@@ -758,17 +710,11 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Device or firmware failures.
     pub fn compact(&self) -> Result<usize, WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.compact", wormtrace::Plane::Witness);
+        let observed = self
+            .trace
+            .observe(&self.ops.compact, "server.compact", Plane::Witness);
         let result = self.witness.lock().compact();
-        wormtrace::span::finish(span, result.is_ok(), None);
-        self.finish_witnessed(
-            &self.ops.compact,
-            "server.compact",
-            timer,
-            None,
-            result.is_ok(),
-        );
+        observed.finish(result.is_ok(), None);
         result
     }
 
@@ -787,17 +733,13 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Store, journal, or device failures.
     pub fn compact_store(&self) -> Result<usize, WormError> {
-        let timer = self.trace.timer();
-        let span = wormtrace::span::begin("server.compact_store", wormtrace::Plane::Witness);
-        let result = self.witness.lock().compact_store();
-        wormtrace::span::finish(span, result.is_ok(), None);
-        self.finish_witnessed(
+        let observed = self.trace.observe(
             &self.ops.compact_store,
             "server.compact_store",
-            timer,
-            None,
-            result.is_ok(),
+            Plane::Witness,
         );
+        let result = self.witness.lock().compact_store();
+        observed.finish(result.is_ok(), None);
         result
     }
 

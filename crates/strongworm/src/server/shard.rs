@@ -450,7 +450,6 @@ impl<D: BlockDevice> ShardedWormServer<D> {
                     .into_iter()
                     .map(|(n, v)| (format!("{prefix}{n}"), v))
                     .collect(),
-                events_dropped: snap.events_dropped,
             };
             merged.merge(&prefixed);
         }

@@ -190,10 +190,9 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
         arb_instrument_names(4),
         proptest::collection::vec((any::<u64>(), any::<u64>(), arb_histogram()), 4),
         proptest::collection::vec(any::<u64>(), 4),
-        any::<u64>(),
     )
         .prop_map(
-            |(op_names, counter_names, gauge_names, ops, vals, events_dropped)| StatsSnapshot {
+            |(op_names, counter_names, gauge_names, ops, vals)| StatsSnapshot {
                 ops: op_names
                     .into_iter()
                     .zip(ops)
@@ -201,7 +200,6 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
                     .collect(),
                 counters: counter_names.into_iter().zip(vals.clone()).collect(),
                 gauges: gauge_names.into_iter().zip(vals).collect(),
-                events_dropped,
             },
         )
 }
@@ -584,7 +582,7 @@ fn stats_snapshot_count_bomb_rejected() {
     // A forged section count far beyond the decode cap must be rejected
     // up front — not drive an unbounded allocation loop.
     let enc = codec::encode_stats_snapshot(&StatsSnapshot::default());
-    let ops_count_at = 4 + "wormtrace.stats.v1".len();
+    let ops_count_at = 4 + "wormtrace.stats.v2".len();
     let mut bomb = enc;
     bomb[ops_count_at..ops_count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
     assert!(codec::decode_stats_snapshot(&bomb).is_err());

@@ -1,19 +1,18 @@
 //! Audit-plane overhead on remote verified reads.
 //!
-//! PR cost question: every security-relevant event now appends to a
-//! hash-chained audit journal, and the registry's trace sink inspects
-//! sampled read events to promote failures into that chain. This
-//! binary prices the whole plane against its kill switch on the
-//! operation the <3% budget applies to — the remote verified read:
+//! PR cost question: every security-relevant event appends to a
+//! hash-chained audit journal. This binary prices the whole plane
+//! against its kill switch on the operation the <3% budget applies to
+//! — the remote verified read:
 //!
-//! * **audited** — `AuditLog::set_enabled(true)`: sampled read events
-//!   reach the sink, failure promotion is armed, and maintenance
-//!   events chain and anchor as in production;
+//! * **audited** — `AuditLog::set_enabled(true)`: a failed read would
+//!   be chained, and maintenance events chain and anchor as in
+//!   production;
 //! * **unaudited** — `AuditLog::set_enabled(false)`: the journal's
 //!   emit path short-circuits to one atomic load, restoring the
 //!   pre-audit configuration.
 //!
-//! Methodology matches `trace_overhead.rs`: modes alternate per batch
+//! Methodology: modes alternate per batch
 //! so drift hits both equally, and each mode keeps its *minimum*
 //! per-read batch time (least-noise estimate). The binary exits
 //! nonzero if the overhead exceeds the 3% budget; `--smoke` runs the

@@ -31,7 +31,7 @@ use strongworm::{ReadVerdict, RetentionPolicy, SerialNumber, Verifier};
 use worm_bench::{json_record, quick_server, to_json_lines};
 use wormnet::{NetRequest, NetResponse, NetServer, NetServerConfig, RemoteWormClient};
 use wormstore::Shredder;
-use wormtrace::{OpSnapshot, OpStats, OpTimer};
+use wormtrace::{OpSnapshot, OpStats};
 
 /// One measured point of the scaling curve.
 #[derive(Clone, Debug)]
@@ -111,11 +111,11 @@ const POINT_PASSES: usize = 2;
 /// and records its submit-to-verified latency.
 fn complete(
     resp: &NetResponse,
-    issued: &mut VecDeque<(SerialNumber, OpTimer)>,
+    issued: &mut VecDeque<(SerialNumber, Instant)>,
     lat: &OpStats,
     verifier: &Verifier,
 ) {
-    let (sn, timer) = issued.pop_front().expect("response without a request");
+    let (sn, sent) = issued.pop_front().expect("response without a request");
     match resp {
         NetResponse::Outcome(outcome) => {
             let verdict = verifier.verify_read(sn, outcome).expect("verified read");
@@ -123,7 +123,10 @@ fn complete(
         }
         other => panic!("expected Outcome for {sn:?}, got {other:?}"),
     }
-    lat.finish(timer, true);
+    lat.record(
+        u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        true,
+    );
 }
 
 fn main() {
@@ -184,7 +187,7 @@ fn main() {
                         // fresh per point, so each client count stands on
                         // its own numbers.
                         let lat = OpStats::new();
-                        let mut issued: VecDeque<(SerialNumber, OpTimer)> = VecDeque::new();
+                        let mut issued: VecDeque<(SerialNumber, Instant)> = VecDeque::new();
                         start.wait();
                         let mut n = 0u64;
                         let mut i = t;
@@ -202,7 +205,7 @@ fn main() {
                         while !stop.load(Ordering::Relaxed) {
                             while pipe.in_flight() < PIPELINE_DEPTH {
                                 let sn = sns[i % sns.len()];
-                                issued.push_back((sn, OpTimer::started()));
+                                issued.push_back((sn, Instant::now()));
                                 if let Some(resp) =
                                     pipe.send(&NetRequest::Read { sn }).expect("pipelined send")
                                 {

@@ -9,11 +9,11 @@
 //! flipped byte in a page either fails decoding outright or surfaces
 //! as a chain/anchor divergence during [`crate::verify_chain`].
 
+use wormcrypt::wire::{WireError, WireReader, WireWriter};
 use wormcrypt::Sha256;
 
 use crate::event::{AuditAnchor, AuditClass, AuditEvent};
 use crate::log::AuditPage;
-use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Domain tag of the audit page encoding.
 pub const PAGE_TAG: &str = "wormaudit.events.v1";

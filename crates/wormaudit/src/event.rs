@@ -1,8 +1,7 @@
 //! Audit event classes, the chained event record, and the SCPU anchor.
 
+use wormcrypt::wire::WireWriter;
 use wormcrypt::{HashAlg, RsaPublicKey};
-
-use crate::wire::WireWriter;
 
 /// The class of an integrity-relevant event.
 ///

@@ -24,16 +24,19 @@
 //!   served by the wire opcode `FetchAuditEvents`.
 //! * [`verify_chain`] — the auditor-side replay: recompute every link,
 //!   check every anchor signature, report the first divergence.
-//! * [`AuditTraceSink`] — the bridge from `wormtrace`'s pluggable
-//!   [`TraceSink`](wormtrace::TraceSink): failure-shaped trace events
-//!   (read errors, admission sheds, daemon give-up) are classified into
-//!   audit events, so instrumented paths need no second emit call.
+//!
+//! Events are emitted where the fact is known — the read that failed
+//! verification, the acceptor that shed a connection, the daemon that
+//! gave up — by a direct [`AuditLog::emit`] call. The chain has one
+//! kill switch, its own ([`AuditLog::set_enabled`]); no diagnostics
+//! switch can silence it.
 //!
 //! Layering: this crate sits below `strongworm`/`wormnet` (which emit
 //! into it and anchor it) and depends only on `wormcrypt` (hashing,
-//! signature verification) and `wormtrace` (counters and the sink
-//! trait). Signature *minting* stays inside the SCPU firmware; this
-//! crate only defines the payload being signed and verifies the result.
+//! signature verification, the canonical wire encoding) and
+//! `wormtrace` (counters, poison-tolerant locking). Signature *minting*
+//! stays inside the SCPU firmware; this crate only defines the payload
+//! being signed and verifies the result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,12 +45,8 @@
 pub mod codec;
 mod event;
 mod log;
-mod sink;
-mod sync;
 pub mod verify;
-pub mod wire;
 
 pub use event::{anchor_payload, AuditAnchor, AuditClass, AuditEvent, ALL_CLASSES};
 pub use log::{AuditLog, AuditPage, DEFAULT_ANCHOR_CAPACITY, DEFAULT_JOURNAL_CAPACITY};
-pub use sink::AuditTraceSink;
 pub use verify::{verify_chain, ChainDivergence, ChainReport};

@@ -4,11 +4,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use wormtrace::{Counter, Gauge, Registry};
+use wormtrace::{sync, Counter, Gauge, Registry};
 
 use crate::codec::{event_hash, MAX_DETAIL_BYTES, MAX_PAGE_ANCHORS, MAX_PAGE_EVENTS};
 use crate::event::{AuditAnchor, AuditClass, AuditEvent};
-use crate::sync;
 
 /// Default bounded journal capacity (events retained).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;

@@ -18,6 +18,8 @@
 //!   alternative Table 1 cites \[Bellare–Micciancio, Clarke et al.\].
 //! * [`MerkleTree`] — the O(log n)-per-update baseline the paper's window
 //!   scheme replaces (ablation A1).
+//! * [`wire`] — the one canonical byte encoding everything hashed or
+//!   signed in this stack goes through.
 //!
 //! ## Example
 //!
@@ -51,6 +53,7 @@ mod merkle;
 mod rsa;
 mod sha1;
 mod sha256;
+pub mod wire;
 
 pub use chain::{ChainHash, ChainRecordWriter};
 pub use digest::Digest;

@@ -1,14 +1,16 @@
 //! Canonical wire encoding.
 //!
 //! Every byte string signed by the SCPU — attributes, head/base
-//! certificates, window bounds, deletion proofs — must have exactly one
+//! certificates, window bounds, deletion proofs, audit anchors — and
+//! every audit event hashed into the chain must have exactly one
 //! encoding, or Mallory could shift field boundaries to make one signed
 //! message parse as another. [`WireWriter`]/[`WireReader`] provide a tiny
 //! deterministic TLV-free format: fixed-width integers big-endian,
 //! variable-length byte strings with `u32` length prefixes, in a fixed
-//! field order defined by each caller.
+//! field order defined by each caller. This is the stack's only
+//! implementation of it (`strongworm::wire` is a re-export).
 
-use bytes::Bytes;
+use std::ops::Range;
 
 /// Largest byte string a `u32` length prefix can describe. Encoders must
 /// reject anything longer — `v.len() as u32` would silently wrap and
@@ -167,12 +169,17 @@ impl std::error::Error for WireError {}
 #[derive(Clone, Debug)]
 pub struct WireReader<'a> {
     buf: &'a [u8],
+    /// Length of the slice the reader was created over.
+    len: usize,
 }
 
 impl<'a> WireReader<'a> {
     /// Reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf }
+        WireReader {
+            buf,
+            len: buf.len(),
+        }
     }
 
     /// Reads a `u8`.
@@ -235,25 +242,18 @@ impl<'a> WireReader<'a> {
         Ok(head)
     }
 
-    /// Reads a length-prefixed byte string as a refcounted slice of
-    /// `src`, the buffer this reader was created over, so the result can
-    /// outlive the borrow without a copy of its own.
+    /// Reads a length-prefixed byte string and returns where it sits in
+    /// the slice this reader was created over, so a caller holding that
+    /// slice in a refcounted buffer can share the bytes instead of
+    /// copying them.
     ///
     /// # Errors
     ///
-    /// [`WireError`] if the prefix or payload is truncated, or `src` is
-    /// shorter than what this reader has already consumed (it is not
-    /// the buffer being read).
-    pub fn get_shared(&mut self, src: &Bytes) -> Result<Bytes, WireError> {
+    /// [`WireError`] if the prefix or payload is truncated.
+    pub fn get_range(&mut self) -> Result<Range<usize>, WireError> {
         let len = self.get_bytes()?.len();
-        let range = src
-            .len()
-            .checked_sub(self.buf.len())
-            .and_then(|end| Some(end.checked_sub(len)?..end))
-            .ok_or(WireError {
-                expected: "reader over the shared buffer",
-            })?;
-        Ok(src.slice(range))
+        let end = self.len - self.buf.len();
+        Ok(end - len..end)
     }
 
     /// Reads a `u32` collection count as `usize`.
@@ -366,6 +366,22 @@ mod tests {
         let mut raw = 100u32.to_be_bytes().to_vec();
         raw.extend_from_slice(b"ab");
         assert!(WireReader::new(&raw).get_bytes().is_err());
+    }
+
+    #[test]
+    fn ranges_index_the_source_slice() {
+        let mut w = WireWriter::new();
+        w.put_u64(9)
+            .put_bytes(b"first")
+            .put_bytes(b"")
+            .put_bytes(b"last");
+        let buf = w.finish();
+        let mut r = WireReader::new(&buf);
+        r.get_u64().unwrap();
+        assert_eq!(&buf[r.get_range().unwrap()], b"first");
+        assert!(r.get_range().unwrap().is_empty());
+        assert_eq!(&buf[r.get_range().unwrap()], b"last");
+        assert!(r.get_range().is_err());
     }
 
     #[test]

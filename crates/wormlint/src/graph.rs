@@ -145,8 +145,9 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"]
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// How a guard is entered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockKind {
+    #[default]
     Mutex,
     Read,
     Write,
@@ -452,11 +453,11 @@ pub fn build<'a>(gfiles: Vec<GraphFile<'a>>) -> Graph<'a> {
     }
 
     // Pass B1: raw facts per fn.
-    for i in 0..g.fns.len() {
+    for (i, extra) in extras.iter_mut().enumerate() {
         if g.fns[i].in_test {
             continue;
         }
-        extract_raw(&g, &mut extras[i], i);
+        extract_raw(&g, extra, i);
     }
 
     // Pass B2: lock-helper fixpoint (param-rooted acquisitions
@@ -682,9 +683,7 @@ fn parse_type_path(sf: &SourceFile, start: usize) -> Option<(String, usize)> {
         match toks.get(j) {
             Some(t) if t.is_punct(b'&') => j += 1,
             Some(t) if t.kind == TokKind::Lifetime => j += 1,
-            Some(t)
-                if t.kind == TokKind::Ident && matches!(t.ident_text(src), "mut" | "dyn") =>
-            {
+            Some(t) if t.kind == TokKind::Ident && matches!(t.ident_text(src), "mut" | "dyn") => {
                 j += 1
             }
             _ => break,
@@ -790,9 +789,7 @@ fn parse_field_type(sf: &SourceFile, start: usize, limit: usize) -> FieldTy {
     loop {
         match toks.get(j) {
             Some(t) if t.is_punct(b'&') || t.kind == TokKind::Lifetime => j += 1,
-            Some(t)
-                if t.kind == TokKind::Ident && matches!(t.ident_text(src), "mut" | "dyn") =>
-            {
+            Some(t) if t.kind == TokKind::Ident && matches!(t.ident_text(src), "mut" | "dyn") => {
                 j += 1
             }
             Some(t)
@@ -967,7 +964,9 @@ fn parse_fn(
             && toks[k].kind == TokKind::Ident
             && toks.get(k + 1).is_some_and(|t| t.is_punct(b':'))
             && !toks.get(k + 2).is_some_and(|t| t.is_punct(b':'))
-            && !toks.get(k.wrapping_sub(1)).is_some_and(|t| t.is_punct(b':'))
+            && !toks
+                .get(k.wrapping_sub(1))
+                .is_some_and(|t| t.is_punct(b':'))
         {
             let pname = toks[k].ident_text(src).to_string();
             // First meaningful type ident after the colon.
@@ -998,8 +997,7 @@ fn parse_fn(
             }
             // `Vec<T>` parameters record T so loop variables and
             // iteration-closure parameters over them type as T.
-            if ty.as_deref() == Some("Vec") && toks.get(m + 1).is_some_and(|t| t.is_punct(b'<'))
-            {
+            if ty.as_deref() == Some("Vec") && toks.get(m + 1).is_some_and(|t| t.is_punct(b'<')) {
                 if let Some(elem) = toks
                     .get(m + 2)
                     .filter(|t| t.kind == TokKind::Ident)
@@ -1126,7 +1124,10 @@ fn extract_raw(g: &Graph<'_>, extra: &mut FnExtra, idx: usize) {
             {
                 j += 1;
             }
-            let named = toks.get(j).filter(|t| t.kind == TokKind::Ident).map(|t| t.ident_text(src).to_string());
+            let named = toks
+                .get(j)
+                .filter(|t| t.kind == TokKind::Ident)
+                .map(|t| t.ident_text(src).to_string());
             if let Some(var) = named {
                 if toks.get(j + 1).is_some_and(|t| t.is_punct(b':'))
                     && !toks.get(j + 2).is_some_and(|t| t.is_punct(b':'))
@@ -1301,10 +1302,9 @@ fn extract_raw(g: &Graph<'_>, extra: &mut FnExtra, idx: usize) {
                     .get(&recv[0])
                     .or_else(|| extra.param_elems.get(&recv[0]))
                     .cloned();
-                if let (Some(ty), Some(cv)) = (
-                    elem,
-                    toks.get(k + 3).filter(|t| t.kind == TokKind::Ident),
-                ) {
+                if let (Some(ty), Some(cv)) =
+                    (elem, toks.get(k + 3).filter(|t| t.kind == TokKind::Ident))
+                {
                     extra.raw.push(RawSite::Bind {
                         var: cv.ident_text(src).to_string(),
                         ty,
@@ -1588,18 +1588,16 @@ fn first_arg_path(sf: &SourceFile, open_paren: usize) -> Vec<String> {
 /// parameter as the first argument of a known helper.
 fn helper_fixpoint(g: &mut Graph<'_>, extras: &[FnExtra]) {
     // Direct param acquisitions.
-    for i in 0..g.fns.len() {
+    for (i, extra) in extras.iter().enumerate() {
         if g.fns[i].in_test {
             continue;
         }
-        let params: BTreeSet<&String> = extras[i].params.iter().map(|(n, _)| n).collect();
+        let params: BTreeSet<&String> = extra.params.iter().map(|(n, _)| n).collect();
         let mut kinds = Vec::new();
-        for site in &extras[i].raw {
+        for site in &extra.raw {
             if let RawSite::Acq { kind, recv, .. } = site {
-                if recv.first().is_some_and(|r| params.contains(r)) {
-                    if !kinds.contains(kind) {
-                        kinds.push(*kind);
-                    }
+                if recv.first().is_some_and(|r| params.contains(r)) && !kinds.contains(kind) {
+                    kinds.push(*kind);
                 }
             }
         }
@@ -1608,13 +1606,13 @@ fn helper_fixpoint(g: &mut Graph<'_>, extras: &[FnExtra]) {
     // Transitive forwarding, to a fixpoint.
     loop {
         let mut changed = false;
-        for i in 0..g.fns.len() {
+        for (i, extra) in extras.iter().enumerate() {
             if g.fns[i].in_test {
                 continue;
             }
-            let params: BTreeSet<&String> = extras[i].params.iter().map(|(n, _)| n).collect();
+            let params: BTreeSet<&String> = extra.params.iter().map(|(n, _)| n).collect();
             let mut add: Vec<LockKind> = Vec::new();
-            for site in &extras[i].raw {
+            for site in &extra.raw {
                 let RawSite::Call {
                     name,
                     kind,
@@ -1684,59 +1682,60 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
     let mut provides: Option<(String, LockKind, Option<String>)> = None;
 
     // Shared routine: record one acquisition (direct or synthesized).
-    let record_acq = |g: &Graph<'_>,
-                          tok: usize,
-                          line: u32,
-                          lock: String,
-                          kind: LockKind,
-                          inner: Option<String>,
-                          binding: &Binding,
-                          via_call: bool,
-                          ret_guard: bool,
-                          guard_vars: &mut BTreeMap<String, String>,
-                          acquires: &mut Vec<Acquire>,
-                          provides: &mut Option<(String, LockKind, Option<String>)>| {
-        let _ = g;
-        match binding {
-            Binding::Let { var } => {
-                let scope_end = block_end(sf, tok, body.1, var);
-                if let Some(t) = &inner {
-                    guard_vars.insert(var.clone(), t.clone());
-                }
-                acquires.push(Acquire {
-                    lock,
-                    kind,
-                    line,
-                    tok,
-                    scope_end,
-                    via_call,
-                });
-            }
-            Binding::LetWild => acquires.push(Acquire {
-                lock,
-                kind,
-                line,
-                tok,
-                scope_end: statement_end(sf, tok, body.1).0,
-                via_call,
-            }),
-            Binding::None => {
-                let (end, tail) = statement_end(sf, tok, body.1);
-                if tail && ret_guard {
-                    *provides = Some((lock, kind, inner));
-                } else {
+    let record_acq =
+        |g: &Graph<'_>,
+         tok: usize,
+         line: u32,
+         lock: String,
+         kind: LockKind,
+         inner: Option<String>,
+         binding: &Binding,
+         via_call: bool,
+         ret_guard: bool,
+         guard_vars: &mut BTreeMap<String, String>,
+         acquires: &mut Vec<Acquire>,
+         provides: &mut Option<(String, LockKind, Option<String>)>| {
+            let _ = g;
+            match binding {
+                Binding::Let { var } => {
+                    let scope_end = block_end(sf, tok, body.1, var);
+                    if let Some(t) = &inner {
+                        guard_vars.insert(var.clone(), t.clone());
+                    }
                     acquires.push(Acquire {
                         lock,
                         kind,
                         line,
                         tok,
-                        scope_end: end,
+                        scope_end,
                         via_call,
                     });
                 }
+                Binding::LetWild => acquires.push(Acquire {
+                    lock,
+                    kind,
+                    line,
+                    tok,
+                    scope_end: statement_end(sf, tok, body.1).0,
+                    via_call,
+                }),
+                Binding::None => {
+                    let (end, tail) = statement_end(sf, tok, body.1);
+                    if tail && ret_guard {
+                        *provides = Some((lock, kind, inner));
+                    } else {
+                        acquires.push(Acquire {
+                            lock,
+                            kind,
+                            line,
+                            tok,
+                            scope_end: end,
+                            via_call,
+                        });
+                    }
+                }
             }
-        }
-    };
+        };
 
     // Resolve a lock identity from a receiver/argument ident path.
     let resolve_lock_path = |g: &Graph<'_>,
@@ -1753,10 +1752,8 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
             };
             return g.lock_id(&owner, path.last().unwrap_or(&String::new()));
         }
-        if path.len() == 1 {
-            if guard_vars.contains_key(p0) || params.contains_key(p0) {
-                return None; // handled by caller (helper / odd shape)
-            }
+        if path.len() == 1 && (guard_vars.contains_key(p0) || params.contains_key(p0)) {
+            return None; // handled by caller (helper / odd shape)
         }
         // Local variable holding a lock reference: walk from its last
         // segment if it is a field of some known type is not possible
@@ -1766,7 +1763,11 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
 
     for site in &extra.raw {
         match site {
-            RawSite::Panic { line, what, allowed } => panics.push(PanicSite {
+            RawSite::Panic {
+                line,
+                what,
+                allowed,
+            } => panics.push(PanicSite {
                 what: what.clone(),
                 line: *line,
                 allowed: *allowed,
@@ -1832,7 +1833,7 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
                     || BLOCKING_ANY_ARG.contains(&name.as_str())
                     || (name == "connect"
                         && matches!(kind, RawCallKind::Qualified { q } if SOCKET_TYPES.contains(&q.as_str())));
-                if blocking_name && !(precise && !callees.is_empty()) {
+                if blocking_name && (!precise || callees.is_empty()) {
                     blocking.push(Blocking {
                         what: match kind {
                             RawCallKind::Qualified { q } => format!("{q}::{name}"),
@@ -1872,9 +1873,9 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
                         }
                         acc
                     });
-                let any_ret_guard = callees.iter().any(|&c| {
-                    g.fns[c].provides.is_some() || !g.fns[c].param_locks.is_empty()
-                });
+                let any_ret_guard = callees
+                    .iter()
+                    .any(|&c| g.fns[c].provides.is_some() || !g.fns[c].param_locks.is_empty());
                 if !helper_kinds.is_empty() {
                     // Skip when forwarding our own parameter: we are
                     // the helper then (pass B2).
@@ -1885,8 +1886,7 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
                     if !forwards_param {
                         let resolved = resolve_lock_path(g, first_arg, &guard_vars);
                         let (lock, inner) = resolved.unwrap_or_else(|| {
-                            let tail =
-                                first_arg.last().cloned().unwrap_or_else(|| "?".to_string());
+                            let tail = first_arg.last().cloned().unwrap_or_else(|| "?".to_string());
                             (format!("{krate}:{tail}"), None)
                         });
                         for k in helper_kinds {
@@ -1948,12 +1948,6 @@ fn resolve_fn(g: &mut Graph<'_>, extras: &[FnExtra], idx: usize) {
     f.provides = provides;
 }
 
-impl Default for LockKind {
-    fn default() -> Self {
-        LockKind::Mutex
-    }
-}
-
 /// Resolves one call site to candidate fn indices.
 fn resolve_call(
     g: &Graph<'_>,
@@ -2008,7 +2002,9 @@ fn resolve_call(
                 // guard acquisition — dispatch on the lock's inner type.
                 if recv.len() >= 3
                     && recv[0] == "self"
-                    && recv.last().is_some_and(|m| lock_kind_for_method(m).is_some())
+                    && recv
+                        .last()
+                        .is_some_and(|m| lock_kind_for_method(m).is_some())
                 {
                     if let Some(t) = &f.impl_type {
                         let path = &recv[1..recv.len() - 1];
@@ -2030,9 +2026,12 @@ fn resolve_call(
                 // Resolve the inner call, then dispatch on its return
                 // type when every candidate agrees on one.
                 let inner: Vec<usize> = if recv.len() >= 2 {
-                    typed_recv(&recv[..recv.len() - 1], recv.last().map(|s| s.as_str()).unwrap_or(""))
-                        .map(|(_, c)| c)
-                        .unwrap_or_default()
+                    typed_recv(
+                        &recv[..recv.len() - 1],
+                        recv.last().map(|s| s.as_str()).unwrap_or(""),
+                    )
+                    .map(|(_, c)| c)
+                    .unwrap_or_default()
                 } else if recv.len() == 1 {
                     g.free_by_crate
                         .get(&(f.krate.clone(), recv[0].clone()))
@@ -2041,8 +2040,10 @@ fn resolve_call(
                 } else {
                     Vec::new()
                 };
-                let tys: BTreeSet<&String> =
-                    inner.iter().filter_map(|&c| g.fns[c].ret_ty.as_ref()).collect();
+                let tys: BTreeSet<&String> = inner
+                    .iter()
+                    .filter_map(|&c| g.fns[c].ret_ty.as_ref())
+                    .collect();
                 if !inner.is_empty()
                     && tys.len() == 1
                     && inner.iter().all(|&c| g.fns[c].ret_ty.is_some())
@@ -2063,9 +2064,7 @@ fn resolve_call(
                 Some((_, c)) if !c.is_empty() => return (c, true),
                 // Known std type with no workspace method: an external
                 // call, not a fan-out site.
-                Some((t, _)) if EXTERNAL_TYPES.contains(&t.as_str()) => {
-                    return (Vec::new(), true)
-                }
+                Some((t, _)) if EXTERNAL_TYPES.contains(&t.as_str()) => return (Vec::new(), true),
                 _ => {}
             }
             (g.fanout(name), false)
@@ -2096,19 +2095,13 @@ fn resolve_call(
             if let Some(c) = g.free_by_crate.get(&(f.krate.clone(), name.to_string())) {
                 return (c.clone(), true);
             }
-            (
-                g.free_by_name.get(name).cloned().unwrap_or_default(),
-                false,
-            )
+            (g.free_by_name.get(name).cloned().unwrap_or_default(), false)
         }
         RawCallKind::Free => {
             if let Some(c) = g.free_by_crate.get(&(f.krate.clone(), name.to_string())) {
                 return (c.clone(), true);
             }
-            (
-                g.free_by_name.get(name).cloned().unwrap_or_default(),
-                false,
-            )
+            (g.free_by_name.get(name).cloned().unwrap_or_default(), false)
         }
     }
 }
@@ -2209,9 +2202,7 @@ fn entry_held_fixpoint(g: &mut Graph<'_>) {
                     continue;
                 }
                 let before = g.fns[callee].entry_held.len();
-                g.fns[callee]
-                    .entry_held
-                    .extend(held.iter().cloned());
+                g.fns[callee].entry_held.extend(held.iter().cloned());
                 if g.fns[callee].entry_held.len() != before && !work.contains(&callee) {
                     work.push(callee);
                 }

@@ -103,11 +103,7 @@ fn l5_lock_order(g: &Graph<'_>, out: &mut InterpOut) {
         }
         let file = g.files[f.file].sf.path.clone();
         for a in &f.acquires {
-            let mut held: BTreeSet<&str> = f
-                .entry_held
-                .iter()
-                .map(|s| s.as_str())
-                .collect();
+            let mut held: BTreeSet<&str> = f.entry_held.iter().map(|s| s.as_str()).collect();
             for o in &f.acquires {
                 if o.tok < a.tok && a.tok < o.scope_end {
                     held.insert(o.lock.as_str());
@@ -275,7 +271,7 @@ fn l6_blocking(g: &Graph<'_>, out: &mut InterpOut) {
         segs.reverse();
         segs.join(" -> ")
     };
-    for (&i, _) in &reach {
+    for &i in reach.keys() {
         let f = &g.fns[i];
         let file = &g.files[f.file].sf.path;
         for b in &f.blocking {
@@ -338,7 +334,11 @@ fn l7_panic_reach(g: &Graph<'_>, out: &mut InterpOut) {
                 let Some(&hit) = c.callees.iter().find(|x| reach.contains(x)) else {
                     continue;
                 };
-                if g.files[f.file].sf.allow_for("panic-reach", c.line).is_some() {
+                if g.files[f.file]
+                    .sf
+                    .allow_for("panic-reach", c.line)
+                    .is_some()
+                {
                     continue;
                 }
                 reach.insert(i);
@@ -396,7 +396,13 @@ fn l7_panic_reach(g: &Graph<'_>, out: &mut InterpOut) {
 }
 
 /// Wire-read accessors whose value, unbounded, sizes an allocation.
-const L8_SOURCES: &[&str] = &["get_count", "get_u16", "get_u32", "get_u64", "from_be_bytes"];
+const L8_SOURCES: &[&str] = &[
+    "get_count",
+    "get_u16",
+    "get_u32",
+    "get_u64",
+    "from_be_bytes",
+];
 /// Allocation sinks taking an element count.
 const L8_SINKS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];
 /// Idents inside a sink argument that bound the count.
@@ -482,9 +488,7 @@ fn l8_count_bombs(g: &Graph<'_>, fi: usize, out: &mut InterpOut) {
                     tainted.remove(name);
                 }
             }
-            _ if L8_SINKS.contains(&name)
-                && toks.get(k + 1).is_some_and(|n| n.is_punct(b'(')) =>
-            {
+            _ if L8_SINKS.contains(&name) && toks.get(k + 1).is_some_and(|n| n.is_punct(b'(')) => {
                 check_sink_args(g, fi, k, &tainted, out);
             }
             "vec" if toks.get(k + 1).is_some_and(|n| n.is_punct(b'!')) => {

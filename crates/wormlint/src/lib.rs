@@ -43,6 +43,10 @@ pub const SERVING_CRATES: &[&str] = &[
     "scpu",
 ];
 
+/// Files outside [`SERVING_CRATES`] held to the same rules: the
+/// canonical wire encoding every serving codec is written in.
+pub const SERVING_FILES: &[&str] = &["crates/wormcrypt/src/wire.rs"];
+
 /// File names treated as canonical codec / wire-facing modules, where
 /// the `index` sub-rule and L4's cast ban additionally apply.
 pub const CODEC_FILES: &[&str] = &["codec.rs", "wire.rs", "frame.rs", "protocol.rs", "attr.rs"];
@@ -173,7 +177,7 @@ pub fn scope_for(rel_path: &str) -> Scope {
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .unwrap_or("");
-    let serving = SERVING_CRATES.contains(&crate_name);
+    let serving = SERVING_CRATES.contains(&crate_name) || SERVING_FILES.contains(&rel_path);
     let file_name = rel_path.rsplit('/').next().unwrap_or("");
     Scope {
         serving,

@@ -190,7 +190,9 @@ fn check_fixture(name: &str, scope: Scope, src: &str) -> Vec<(String, u32)> {
         orig: 0,
     }]);
     let iout = interp::check(&gr);
-    report.used_allows.extend(iout.used_allows[0].iter().copied());
+    report
+        .used_allows
+        .extend(iout.used_allows[0].iter().copied());
     let mut diags = report.diags;
     diags.extend(iout.diags);
     diags.extend(unused_allows(&f, &report.used_allows));

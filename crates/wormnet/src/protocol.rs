@@ -566,7 +566,7 @@ pub fn decode_response_shared(src: &Bytes) -> Result<NetResponse, WireError> {
         1 => NetResponse::Written {
             sn: SerialNumber(r.get_u64()?),
         },
-        2 => NetResponse::Outcome(decode_read_outcome_shared(&r.get_shared(src)?)?),
+        2 => NetResponse::Outcome(decode_read_outcome_shared(&src.slice(r.get_range()?))?),
         3 => NetResponse::Ack,
         4 => {
             let keys = decode_device_keys(r.get_bytes()?)?;
@@ -586,13 +586,8 @@ pub fn decode_response_shared(src: &Bytes) -> Result<NetResponse, WireError> {
         6 => NetResponse::Traces(decode_captured_traces(r.get_bytes()?)?),
         7 => NetResponse::CompositeHead(decode_composite_head(r.get_bytes()?)?),
         8 => NetResponse::ShardKeys(get_shard_keys(&mut r)?),
-        9 => NetResponse::AuditEvents(
-            // The page keeps its own canonical codec (and count caps);
-            // surface its decode failure as this layer's error type.
-            wormaudit::codec::decode_audit_page(r.get_bytes()?).map_err(|e| WireError {
-                expected: e.expected,
-            })?,
-        ),
+        // The page keeps its own canonical codec (and count caps).
+        9 => NetResponse::AuditEvents(wormaudit::codec::decode_audit_page(r.get_bytes()?)?),
         _ => {
             return Err(WireError {
                 expected: "response discriminant",

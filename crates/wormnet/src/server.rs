@@ -111,10 +111,9 @@ pub trait WormBackend: Send + Sync {
     /// A point-in-time snapshot of every registered instrument.
     fn stats_snapshot(&self) -> wormtrace::StatsSnapshot;
 
-    /// One page of the tamper-evident audit journal: events with
-    /// `seq >= from_seq`, at most `max_events` (further clamped by the
-    /// journal's page cap), plus the SCPU anchors covering the window.
-    fn audit_page(&self, from_seq: u64, max_events: usize) -> wormaudit::AuditPage;
+    /// The tamper-evident audit journal: `FetchAuditEvents` pages out
+    /// of it, and the acceptor records every shed connection in it.
+    fn audit(&self) -> &Arc<wormaudit::AuditLog>;
 
     /// The trace registry the network layer registers its instruments
     /// into (and whose flight recorder serves `Traces` requests).
@@ -168,8 +167,8 @@ impl<D: BlockDevice> WormBackend for WormServer<D> {
         WormServer::stats_snapshot(self)
     }
 
-    fn audit_page(&self, from_seq: u64, max_events: usize) -> wormaudit::AuditPage {
-        WormServer::audit(self).page(from_seq, max_events)
+    fn audit(&self) -> &Arc<wormaudit::AuditLog> {
+        WormServer::audit(self)
     }
 
     fn trace(&self) -> &Arc<wormtrace::Registry> {
@@ -224,10 +223,10 @@ impl<D: BlockDevice> WormBackend for ShardedWormServer<D> {
         ShardedWormServer::stats_snapshot(self)
     }
 
-    fn audit_page(&self, from_seq: u64, max_events: usize) -> wormaudit::AuditPage {
+    fn audit(&self) -> &Arc<wormaudit::AuditLog> {
         // All lanes chain into one shared journal; anchors may carry
         // any lane's key fingerprint.
-        ShardedWormServer::audit(self).page(from_seq, max_events)
+        ShardedWormServer::audit(self)
     }
 
     fn trace(&self) -> &Arc<wormtrace::Registry> {
@@ -259,11 +258,6 @@ pub struct NetServerConfig {
     /// acceptor sheds new arrivals with a [`CODE_BUSY`] frame before
     /// closing them, so clients can tell load-shedding from a crash.
     pub max_connections: usize,
-    /// Latency at/above which a successful request's span tree is kept
-    /// by the flight recorder (applied to the fronted server's trace
-    /// registry at bind; errors always capture). Also runtime-settable
-    /// via `Registry::flight().set_slow_threshold_ns`.
-    pub slow_trace_threshold: Duration,
 }
 
 impl Default for NetServerConfig {
@@ -275,7 +269,6 @@ impl Default for NetServerConfig {
             write_timeout: Duration::from_secs(10),
             queue_depth: 64,
             max_connections: 1024,
-            slow_trace_threshold: Duration::from_millis(250),
         }
     }
 }
@@ -300,10 +293,11 @@ const BUSY_FRAME_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Net-layer instrument handles into the fronted server's trace
 /// registry, resolved once at bind so per-frame accounting is pure
-/// atomics.
+/// atomics, plus the audit journal sheds are recorded in.
 #[derive(Clone)]
 pub(crate) struct NetStats {
     pub(crate) trace: Arc<wormtrace::Registry>,
+    audit: Arc<wormaudit::AuditLog>,
     pub(crate) request: Arc<wormtrace::OpStats>,
     pub(crate) conn_accepted: Arc<wormtrace::Counter>,
     pub(crate) conn_shed: Arc<wormtrace::Counter>,
@@ -320,8 +314,9 @@ pub(crate) struct NetStats {
 }
 
 impl NetStats {
-    fn new(trace: Arc<wormtrace::Registry>) -> Self {
+    fn new(trace: Arc<wormtrace::Registry>, audit: Arc<wormaudit::AuditLog>) -> Self {
         NetStats {
+            audit,
             request: trace.op("net.request"),
             conn_accepted: trace.counter("net.conn_accepted"),
             conn_shed: trace.counter("net.conn_shed"),
@@ -382,10 +377,7 @@ impl NetServer {
         // Connections admitted and not yet closed, shared between the
         // acceptor (admission control) and workers (close accounting).
         let live = Arc::new(AtomicUsize::new(0));
-        let stats = NetStats::new(Arc::clone(server.trace()));
-        stats.trace.flight().set_slow_threshold_ns(
-            u64::try_from(config.slow_trace_threshold.as_nanos()).unwrap_or(u64::MAX),
-        );
+        let stats = NetStats::new(Arc::clone(server.trace()), Arc::clone(server.audit()));
 
         let mut txs: Vec<Sender<TcpStream>> = Vec::new();
         let mut wakers: Vec<Arc<netpoll::WakeWriter>> = Vec::new();
@@ -592,16 +584,13 @@ fn admit(
 /// crash (silent EOF) and back off instead of failing hard.
 fn shed_busy(conn: TcpStream, stats: &NetStats, config: &NetServerConfig) {
     stats.conn_shed.inc();
-    // Load-shedding is security-relevant (a flood that sheds auditors
-    // is how a dishonest host would hide): the registry's sink promotes
-    // this event into the audit chain.
-    stats.trace.emit(wormtrace::TraceEvent {
-        op: "net.shed",
-        plane: wormtrace::Plane::Net,
-        sn: None,
-        duration_ns: 0,
-        ok: false,
-    });
+    // Load-shedding is security-relevant: a flood that sheds auditors
+    // is how a dishonest host would hide.
+    stats.audit.emit(
+        wormaudit::AuditClass::AdmissionShed,
+        None,
+        "connection shed at capacity",
+    );
     let encoded = encode_response(&NetResponse::Error {
         code: CODE_BUSY,
         message: "server at capacity; back off and retry".to_string(),
@@ -624,57 +613,40 @@ pub(crate) fn respond<B: WormBackend>(
     stats
         .bytes_in
         .add(payload.len() as u64 + FRAME_HEADER_BYTES);
-    let timer = stats.trace.timer();
     let decoded = decode_request_traced(payload);
-    let (resp, traced) = match decoded {
-        // A trace is collected per request whenever the registry is
-        // live: thread-attach the trace, open the root span, and
-        // serve — every span the planes/SCPU/store open on this
-        // thread lands under that root. Wire context (envelope
-        // opcode 9) supplies the identity; bare requests root a
-        // server-minted trace.
-        Ok((req, ctx)) if stats.trace.enabled() => {
+    // A trace is collected per decodable request whenever the registry
+    // is live: attached to this thread, so the guard below opens its
+    // root span and every span the planes/SCPU/store open lands under
+    // that root. Wire context (envelope opcode 9) supplies the
+    // identity; bare requests root a server-minted trace.
+    let traced = match &decoded {
+        Ok((_, ctx)) if stats.trace.enabled() => {
             let trace_id = ctx.map_or_else(wormtrace::span::fresh_trace_id, |c| c.trace_id);
-            let base_parent = ctx.map_or(0, |c| c.parent_span);
             let active = Arc::new(wormtrace::ActiveTrace::new(trace_id));
-            let scope = wormtrace::span::enter(Arc::clone(&active), base_parent);
-            let root = wormtrace::span::begin("net.request", wormtrace::Plane::Net);
-            let resp = handle(server, req);
-            let ok = !matches!(resp, NetResponse::Error { .. });
-            wormtrace::span::finish(root, ok, None);
-            drop(scope);
-            (resp, Some(active))
+            let scope =
+                wormtrace::span::enter(Arc::clone(&active), ctx.map_or(0, |c| c.parent_span));
+            Some((active, scope))
         }
-        Ok((req, _)) => (handle(server, req), None),
-        Err(e) => (
-            NetResponse::Error {
-                code: CODE_BAD_REQUEST,
-                message: format!("undecodable request: {e}"),
-            },
-            None,
-        ),
+        _ => None,
+    };
+    let observed = stats
+        .trace
+        .observe(&stats.request, "net.request", wormtrace::Plane::Net);
+    let resp = match decoded {
+        Ok((req, _)) => handle(server, req),
+        Err(e) => NetResponse::Error {
+            code: CODE_BAD_REQUEST,
+            message: format!("undecodable request: {e}"),
+        },
     };
     let ok = !matches!(resp, NetResponse::Error { .. });
     let encoded = encode_response(&resp);
-    if let Some((ns, prior)) = stats.request.finish(timer, ok) {
-        // Counters stay exact; the ring event is sampled like the
-        // read plane's (net traffic is read-dominated), except that
-        // failures always ring.
-        if prior % stats.trace.read_event_sample() == 0 || !ok {
-            stats.trace.emit(wormtrace::TraceEvent {
-                op: "net.request",
-                plane: wormtrace::Plane::Net,
-                sn: None,
-                duration_ns: ns,
-                ok,
-            });
-        }
-        // Tail capture: the flight recorder keeps the span tree of
-        // every errored or over-threshold request, bounded memory.
-        if let Some(active) = traced {
-            if stats.trace.flight().offer(&active, ns, ok) {
-                stats.traces_captured.inc();
-            }
+    let elapsed = observed.finish(ok, None);
+    // Tail capture: the flight recorder keeps the span tree of every
+    // errored or over-threshold request, bounded memory.
+    if let (Some((active, _scope)), Some(ns)) = (traced, elapsed) {
+        if stats.trace.flight().offer(&active, ns, ok) {
+            stats.traces_captured.inc();
         }
     }
     // ordering: monitoring counter; no other memory is published through it.
@@ -733,7 +705,7 @@ fn handle<B: WormBackend>(server: &B, req: NetRequest) -> NetResponse {
             NetRequest::FetchAuditEvents {
                 from_seq,
                 max_events,
-            } => Ok(NetResponse::AuditEvents(server.audit_page(
+            } => Ok(NetResponse::AuditEvents(server.audit().page(
                 from_seq,
                 usize::try_from(max_events).unwrap_or(usize::MAX),
             ))),

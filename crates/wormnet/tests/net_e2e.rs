@@ -15,7 +15,7 @@ use strongworm::{
     WormConfig, WormServer,
 };
 use wormnet::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
-use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient};
+use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient, WormBackend};
 use wormstore::Shredder;
 
 const CLIENTS: usize = 4;
@@ -774,22 +774,28 @@ fn queue_depth_gauge_drains_to_zero_after_connection_storm_and_shutdown() {
     );
 }
 
-#[test]
-fn shed_connections_receive_a_busy_frame_not_silent_eof() {
-    let h = boot(NetServerConfig {
-        max_connections: 2,
-        ..NetServerConfig::default()
-    });
-    let addr = h.net.local_addr();
+/// Sheds against a server bound with `max_connections: 2`, tracing
+/// kill switch off: the shed peer gets a CODE_BUSY frame, and each shed
+/// is an `AdmissionShed` event in the audit chain an admitted client
+/// then fetches over the wire. `while_full` runs against the address
+/// while the cap is still full. Returns how many sheds were audited.
+fn shed_is_announced_and_audited<B: WormBackend>(
+    net: NetServer,
+    server: &B,
+    while_full: impl FnOnce(SocketAddr),
+) -> usize {
+    // The diagnostics switch must not reach the audit chain.
+    server.trace().set_enabled(false);
+    let addr = net.local_addr();
 
     // Fill the admission cap with idle connections, then wait until the
     // reactor has actually registered both — a fixed sleep races the
     // accept loop under load, and a connection that lands before the
     // cap-fillers are counted is admitted instead of shed.
-    let _held: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut held: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
-        let snap = h.server.stats_snapshot();
+        let snap = server.stats_snapshot();
         let conns: u64 = (0..8)
             .filter_map(|i| snap.gauge(&format!("net.worker{i}.conns")))
             .sum();
@@ -819,16 +825,66 @@ fn shed_connections_receive_a_busy_frame_not_silent_eof() {
         Ok(None) | Err(_)
     ));
 
-    // The typed client surfaces the same shed as a Remote error.
-    let mut typed = RemoteWormClient::connect(addr).unwrap();
-    match typed.tick() {
-        Err(NetError::Remote { code, .. }) => assert_eq!(code, wormnet::protocol::CODE_BUSY),
-        other => panic!("expected remote busy error, got {other:?}"),
-    }
+    while_full(addr);
 
-    h.net.shutdown();
-    let snapshot = h.server.stats_snapshot();
-    assert!(snapshot.counter("net.conn_shed") >= 2);
+    // Free one slot; once the reactor has noticed the close, an auditor
+    // is admitted and finds every shed so far (those its own retries
+    // caused included) in the chain.
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let page = loop {
+        match RemoteWormClient::connect(addr).and_then(|mut c| c.audit_events(0, 4096)) {
+            Ok(page) => break page,
+            Err(e) => assert!(
+                std::time::Instant::now() < deadline,
+                "auditor never admitted: {e:?}"
+            ),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let sheds = page
+        .events
+        .iter()
+        .filter(|e| e.class == wormaudit::AuditClass::AdmissionShed)
+        .count();
+    assert!(sheds >= 1, "got {:?}", page.events);
+
+    net.shutdown();
+    let snapshot = server.stats_snapshot();
+    assert_eq!(snapshot.counter("net.conn_shed"), sheds as u64);
+    assert_eq!(snapshot.op("net.request").map_or(0, |o| o.total()), 0);
+    sheds
+}
+
+#[test]
+fn shed_connections_receive_a_busy_frame_not_silent_eof() {
+    let capped = NetServerConfig {
+        max_connections: 2,
+        ..NetServerConfig::default()
+    };
+    let single = boot(capped);
+    let sheds = shed_is_announced_and_audited(single.net, single.server.as_ref(), |addr| {
+        // The typed client surfaces the same shed as a Remote error.
+        // The busy frame is a courtesy: the acceptor closes without
+        // reading the request, so when the request lands first the
+        // kernel answers it with a reset that can overtake the frame.
+        // A reset is therefore retried; anything else is a failure.
+        for _ in 0..8 {
+            let mut typed = RemoteWormClient::connect(addr).unwrap();
+            match typed.tick() {
+                Err(NetError::Remote { code, .. }) => {
+                    assert_eq!(code, wormnet::protocol::CODE_BUSY);
+                    return;
+                }
+                Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("expected remote busy error, got {other:?}"),
+            }
+        }
+        panic!("eight sheds in a row lost their busy frame to a reset");
+    });
+    assert!(sheds >= 2);
+    let sharded = boot_sharded(2, capped);
+    shed_is_announced_and_audited(sharded.net, sharded.server.as_ref(), |_| {});
 }
 
 #[test]

@@ -306,12 +306,7 @@ fn self_test_boot(shards: u32) -> SelfTest {
     let clock = VirtualClock::new();
     let mut rng = StdRng::seed_from_u64(42);
     let regulator = RegulatoryAuthority::generate(&mut rng, 512);
-    // Threshold zero: every request is "slow", so each one's span tree
-    // lands in the flight recorder — the monitor has traces to show.
-    let config = NetServerConfig {
-        slow_trace_threshold: Duration::ZERO,
-        ..NetServerConfig::default()
-    };
+    let config = NetServerConfig::default();
     let (net, _daemons) = if shards > 1 {
         let server = Arc::new(
             ShardedWormServer::new(
@@ -322,6 +317,7 @@ fn self_test_boot(shards: u32) -> SelfTest {
             )
             .expect("self-test sharded server boots"),
         );
+        server.trace().flight().set_slow_threshold_ns(0);
         let daemons = server.spawn_daemons(DaemonConfig {
             interval: Duration::from_millis(100),
             ..DaemonConfig::default()
@@ -334,6 +330,7 @@ fn self_test_boot(shards: u32) -> SelfTest {
             WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public())
                 .expect("self-test server boots"),
         );
+        server.trace().flight().set_slow_threshold_ns(0);
         let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", config)
             .expect("self-test server binds a loopback port");
         (net, Vec::new())
@@ -511,12 +508,11 @@ fn render(
         interval.as_secs_f64()
     ));
     out.push_str(&format!(
-        "queue depth {}   conns accepted {}   shed {}   timeouts {}   events dropped {}\n",
+        "queue depth {}   conns accepted {}   shed {}   timeouts {}\n",
         stats.gauge("net.queue_depth").unwrap_or(0),
         stats.counter("net.conn_accepted"),
         stats.counter("net.conn_shed"),
         stats.counter("net.timeouts"),
-        stats.events_dropped,
     ));
     let daemon_passes = stats.op("daemon.pass").map_or(0, |o| o.total());
     out.push_str(&format!(
@@ -726,7 +722,6 @@ fn to_json_line(
 ) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str(&format!("{{\"addr\":\"{}\"", json_escape(addr)));
-    s.push_str(&format!(",\"events_dropped\":{}", stats.events_dropped));
 
     s.push_str(&format!(
         ",\"audit\":{{\"chain_height\":{},\"emitted\":{},\"dropped\":{},\"anchored\":{},\"unattested_tail\":{},\"anchor_age_ms\":{},\"classes\":{{",
@@ -993,7 +988,6 @@ mod tests {
                 ("shard0.daemon.backoff_ms".to_string(), 250),
                 ("shard2.daemon.consecutive_failures".to_string(), 1),
             ],
-            events_dropped: 0,
         }
     }
 
@@ -1044,7 +1038,6 @@ mod tests {
                 ("net.queue_depth".to_string(), 1),
                 ("net.worker0.conns".to_string(), 3),
             ],
-            events_dropped: 0,
         }
     }
 

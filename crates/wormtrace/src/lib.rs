@@ -17,9 +17,10 @@
 //! * [`Registry`] — get-or-register named metrics behind a read-mostly
 //!   lock. Subsystems resolve their handles **once** at construction;
 //!   the hot path never touches the registry lock.
-//! * [`EventRing`] + [`TraceSink`] — a bounded ring of structured
-//!   [`TraceEvent`]s (op, plane, SN, duration, outcome) with an
-//!   optional pluggable sink for external exporters.
+//! * [`Observed`] — the guard every instrumented operation runs under
+//!   ([`Registry::observe`]): one measurement feeds the op's
+//!   [`OpStats`] and, when a request trace is attached to the thread,
+//!   its span.
 //! * [`StatsSnapshot`] — a point-in-time, order-canonical copy of the
 //!   whole registry, cheap to ship over a wire (the canonical byte
 //!   codec lives with the other codecs in `strongworm::codec`).
@@ -32,13 +33,12 @@
 //! ## Hot-path budget
 //!
 //! The read path is the product; instrumentation must not tax it. An
-//! instrumented read costs one `Instant` pair (start/stop), three
-//! relaxed atomic RMWs, and — for a 1-in-[`READ_EVENT_SAMPLE`] sample —
-//! one short mutex-guarded ring push. When a [`Registry`] is disabled
-//! ([`Registry::set_enabled`]), [`Registry::timer`] returns an inert
-//! timer and the whole record path collapses to one relaxed load, which
-//! is what the `worm-bench` `observability` binary uses to measure the
-//! overhead delta.
+//! instrumented read costs one `Instant` pair (start/stop) and three
+//! relaxed atomic RMWs. When a [`Registry`] is disabled
+//! ([`Registry::set_enabled`]), [`Registry::observe`] returns an inert
+//! guard and the whole record path collapses to one relaxed load; the
+//! repository benchmark's `wire_read_hot` / `wire_read_hot_observed`
+//! pair prices the difference end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,17 +48,15 @@ mod metrics;
 mod registry;
 mod snapshot;
 pub mod span;
-mod sync;
-mod trace;
+pub mod sync;
 
 pub use metrics::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, OpSnapshot, OpStats,
-    OpTimer, NUM_BUCKETS,
+    NUM_BUCKETS,
 };
-pub use registry::{Registry, READ_EVENT_SAMPLE};
+pub use registry::{Observed, Registry};
 pub use snapshot::StatsSnapshot;
 pub use span::{
-    ActiveTrace, CapturedTrace, FlightRecorder, SpanRecord, TraceContext, TraceTrigger,
+    ActiveTrace, CapturedTrace, FlightRecorder, Plane, SpanRecord, TraceContext, TraceTrigger,
     DEFAULT_FLIGHT_CAPACITY, MAX_SPANS_PER_TRACE,
 };
-pub use trace::{EventRing, Plane, TraceEvent, TraceSink, DEFAULT_RING_CAPACITY};

@@ -1,7 +1,6 @@
 //! Atomic counters, gauges, and log2 latency histograms.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Number of log2 buckets in a [`Histogram`].
 ///
@@ -41,17 +40,16 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `n`, returning the value *before* the addition (useful for
-    /// cheap deterministic sampling).
-    pub fn add(&self, n: u64) -> u64 {
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
         // ordering: pure statistic — fetch_add is atomic at every
         // ordering, and the count orders nothing else.
-        self.0.fetch_add(n, Ordering::Relaxed)
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Increments by one, returning the value before the increment.
-    pub fn inc(&self) -> u64 {
-        self.add(1)
+    /// Increments by one.
+    pub fn inc(&self) {
+        self.add(1);
     }
 
     /// Current value.
@@ -211,24 +209,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// A started (or inert) latency measurement. Obtained from
-/// [`crate::Registry::timer`]; an inert timer records nothing, which is
-/// how a disabled registry removes itself from the hot path.
-#[derive(Clone, Copy, Debug)]
-pub struct OpTimer(pub(crate) Option<Instant>);
-
-impl OpTimer {
-    /// A timer that will record when finished.
-    pub fn started() -> Self {
-        OpTimer(Some(Instant::now()))
-    }
-
-    /// A timer that records nothing.
-    pub fn inert() -> Self {
-        OpTimer(None)
-    }
-}
-
 /// The per-operation instrument: outcome counters plus a latency
 /// histogram, always updated together.
 ///
@@ -251,24 +231,14 @@ impl OpStats {
         Self::default()
     }
 
-    /// Records one completed operation, returning the outcome counter's
-    /// value before the increment (for deterministic sampling).
-    pub fn record(&self, ns: u64, ok: bool) -> u64 {
+    /// Records one completed operation.
+    pub fn record(&self, ns: u64, ok: bool) {
         self.latency.record(ns);
         if ok {
-            self.ok.inc()
+            self.ok.inc();
         } else {
-            self.err.inc()
+            self.err.inc();
         }
-    }
-
-    /// Finishes `timer`: on a live timer records the elapsed time and
-    /// returns `(elapsed_ns, prior_outcome_count)`; on an inert timer
-    /// records nothing.
-    pub fn finish(&self, timer: OpTimer, ok: bool) -> Option<(u64, u64)> {
-        let started = timer.0?;
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Some((ns, self.record(ns, ok)))
     }
 
     /// Point-in-time copy.
@@ -361,16 +331,6 @@ mod tests {
         let s = op.snapshot();
         assert_eq!(s.ok + s.err, s.latency.count());
         assert_eq!(s.total(), 10);
-    }
-
-    #[test]
-    fn inert_timer_records_nothing() {
-        let op = OpStats::new();
-        assert!(op.finish(OpTimer::inert(), true).is_none());
-        assert_eq!(op.snapshot().total(), 0);
-        let got = op.finish(OpTimer::started(), false).unwrap();
-        assert_eq!(got.1, 0);
-        assert_eq!(op.snapshot().err, 1);
     }
 
     #[test]

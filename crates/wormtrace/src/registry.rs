@@ -1,26 +1,15 @@
-//! The metrics registry: named instruments behind a read-mostly lock.
+//! The metrics registry: named instruments behind a read-mostly lock,
+//! and the guard that observes one operation into them.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
-use crate::metrics::{Counter, Gauge, OpStats, OpTimer};
+use crate::metrics::{Counter, Gauge, OpStats};
 use crate::snapshot::StatsSnapshot;
-use crate::span::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+use crate::span::{self, FlightRecorder, OpenSpan, Plane, DEFAULT_FLIGHT_CAPACITY};
 use crate::sync;
-use crate::trace::{EventRing, TraceEvent, TraceSink, DEFAULT_RING_CAPACITY};
-
-/// Default read-plane event sampling rate: 1-in-this-many reads emit a
-/// ring event (witness, daemon, and net events are always emitted).
-/// Counters and histograms are exact regardless — sampling only thins
-/// the flight-recorder ring, keeping the mutex-guarded push off most of
-/// the hot read path. Error events bypass sampling at every call site,
-/// so failure evidence is never thinned.
-///
-/// Per-registry override: [`Registry::set_read_event_sample`] (e.g. `1`
-/// to ring every read while debugging, or a larger stride to shrink
-/// ring pressure on a hot store).
-pub const READ_EVENT_SAMPLE: u64 = 64;
 
 /// A process-wide (or server-wide) collection of named instruments.
 ///
@@ -33,91 +22,55 @@ pub struct Registry {
     ops: RwLock<BTreeMap<String, Arc<OpStats>>>,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    ring: EventRing,
     flight: FlightRecorder,
-    sink: RwLock<Option<Arc<dyn TraceSink>>>,
-    has_sink: AtomicBool,
     enabled: AtomicBool,
-    read_sample: AtomicU64,
 }
 
 impl Default for Registry {
     fn default() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-}
-
-impl std::fmt::Debug for dyn TraceSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TraceSink")
-    }
-}
-
-impl Registry {
-    /// Registry with the default event-ring capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registry with an explicit event-ring capacity.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
-        Self::with_capacities(capacity, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// Registry with explicit event-ring and flight-recorder capacities.
-    pub fn with_capacities(ring_capacity: usize, flight_capacity: usize) -> Self {
         Registry {
             ops: RwLock::new(BTreeMap::new()),
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
-            ring: EventRing::new(ring_capacity),
-            flight: FlightRecorder::new(flight_capacity),
-            sink: RwLock::new(None),
-            has_sink: AtomicBool::new(false),
+            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
             enabled: AtomicBool::new(true),
-            read_sample: AtomicU64::new(READ_EVENT_SAMPLE),
         }
     }
+}
 
-    /// Current read-plane sampling stride: 1-in-this-many successful
-    /// reads emit a ring event (defaults to [`READ_EVENT_SAMPLE`]).
-    pub fn read_event_sample(&self) -> u64 {
-        // ordering: tuning knob; a stale stride samples a few events at
-        // the old rate, nothing is guarded by it.
-        self.read_sample.load(Ordering::Relaxed)
+impl Registry {
+    /// An empty, enabled registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Sets the read-plane sampling stride (clamped to at least 1).
-    pub fn set_read_event_sample(&self, stride: u64) {
-        // ordering: see `read_event_sample()` — the knob publishes nothing.
-        self.read_sample.store(stride.max(1), Ordering::Relaxed);
-    }
-
-    /// Whether instruments driven through [`Registry::timer`] and
-    /// [`Registry::emit`] are live.
+    /// Whether guards from [`Registry::observe`] are live.
     pub fn enabled(&self) -> bool {
         // ordering: advisory on/off flag; a stale read just records (or
-        // skips) a few more events, no data is guarded by it.
+        // skips) a few more operations, no data is guarded by it.
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables recording. Disabling makes [`Registry::timer`]
-    /// return inert timers and [`Registry::emit`] a no-op; direct
-    /// counter/gauge handles keep working (they are too cheap to gate).
+    /// Enables or disables recording. Disabling makes
+    /// [`Registry::observe`] return inert guards; direct counter/gauge
+    /// handles keep working (they are too cheap to gate).
     pub fn set_enabled(&self, enabled: bool) {
         // ordering: see `enabled()` — the flag publishes nothing.
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// A latency timer: live when the registry is enabled, inert (and
-    /// free) when it is not. The only `Instant` an instrumented hot
-    /// path takes is the pair inside this timer.
-    pub fn timer(&self) -> OpTimer {
-        if self.enabled() {
-            OpTimer::started()
-        } else {
-            OpTimer::inert()
-        }
+    /// Begins observing one operation: until the guard finishes (or
+    /// drops), one `Instant` pair times it, and that single measurement
+    /// becomes both a sample in `op` and — when a request trace is
+    /// attached to this thread — a span named `name` on `plane`. While
+    /// the registry is disabled the guard is inert and costs this one
+    /// relaxed load.
+    pub fn observe<'a>(&self, op: &'a OpStats, name: &'static str, plane: Plane) -> Observed<'a> {
+        let live = self.enabled().then(|| {
+            let started = Instant::now();
+            (started, span::open(name, plane, || started))
+        });
+        Observed { op, live }
     }
 
     fn get_or_insert<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
@@ -141,46 +94,6 @@ impl Registry {
     /// Get-or-register the [`Gauge`] called `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         Self::get_or_insert(&self.gauges, name)
-    }
-
-    /// Emits a structured event to the ring and, if one is attached,
-    /// the external sink. No-op while disabled.
-    pub fn emit(&self, event: TraceEvent) {
-        if !self.enabled() {
-            return;
-        }
-        // ordering: cheap maybe-stale hint that skips the sink lock on
-        // the common no-sink path; the lock acquire below is the real
-        // synchronization point, so a stale hint only costs one event.
-        if self.has_sink.load(Ordering::Relaxed) {
-            // lock-order: Registry.sink is a trace leaf; emitters may hold any plane lock above it
-            if let Some(sink) = sync::read(&self.sink).as_ref() {
-                sink.on_event(&event);
-            }
-        }
-        self.ring.push(event);
-    }
-
-    /// Attaches (or replaces) the external event sink.
-    pub fn set_sink(&self, sink: Arc<dyn TraceSink>) {
-        *sync::write(&self.sink) = Some(sink);
-        // ordering: hint only — emitters that miss the flip skip this
-        // event's sink call; the sink itself is published by the lock.
-        self.has_sink.store(true, Ordering::Relaxed);
-    }
-
-    /// Detaches the external event sink, if any.
-    pub fn clear_sink(&self) {
-        // ordering: hint only (see `set_sink`); an emitter racing the
-        // clear may still deliver one event through the lock, which is
-        // indistinguishable from the event preceding the clear.
-        self.has_sink.store(false, Ordering::Relaxed);
-        *sync::write(&self.sink) = None;
-    }
-
-    /// The flight-recorder ring.
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
     }
 
     /// The span-tree flight recorder: captured slow/error request
@@ -208,16 +121,49 @@ impl Registry {
                 .iter()
                 .map(|(name, g)| (name.clone(), g.get()))
                 .collect(),
-            events_dropped: self.ring.dropped(),
         }
+    }
+}
+
+/// One operation under observation (see [`Registry::observe`]).
+///
+/// Dropping the guard without [`Observed::finish`] — a panic or an
+/// early `?` return — records the operation as failed, once, in both
+/// the op's counters and its span.
+#[must_use = "an unfinished guard records the operation as failed"]
+pub struct Observed<'a> {
+    op: &'a OpStats,
+    live: Option<(Instant, Option<OpenSpan>)>,
+}
+
+impl Observed<'_> {
+    /// Ends the observation with the operation's outcome, returning the
+    /// measured nanoseconds (`None` from an inert guard).
+    pub fn finish(mut self, ok: bool, sn: Option<u64>) -> Option<u64> {
+        self.close(ok, sn)
+    }
+
+    fn close(&mut self, ok: bool, sn: Option<u64>) -> Option<u64> {
+        let (started, span) = self.live.take()?;
+        let ns = span::elapsed_ns(started);
+        self.op.record(ns, ok);
+        if let Some(span) = span {
+            span.finish_measured(ok, sn, ns);
+        }
+        Some(ns)
+    }
+}
+
+impl Drop for Observed<'_> {
+    fn drop(&mut self) {
+        self.close(false, None);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Plane;
-    use std::sync::atomic::AtomicU64;
+    use crate::span::{ActiveTrace, TraceTrigger};
 
     #[test]
     fn handles_are_shared() {
@@ -235,56 +181,81 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_yields_inert_timers_and_drops_events() {
+    fn span_and_histogram_sample_are_one_measurement() {
         let r = Registry::new();
-        r.set_enabled(false);
-        assert!(r.op("x").finish(r.timer(), true).is_none());
-        r.emit(TraceEvent {
-            op: "x",
-            plane: Plane::Read,
-            sn: None,
-            duration_ns: 1,
-            ok: true,
-        });
-        assert!(r.ring().is_empty());
-        r.set_enabled(true);
-        assert!(r.op("x").finish(r.timer(), true).is_some());
+        let op = r.op("server.read");
+        let trace = Arc::new(ActiveTrace::new(7));
+        let scope = span::enter(Arc::clone(&trace), 0);
+        let guard = r.observe(&op, "server.read", Plane::Read);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let ns = guard.finish(true, Some(9)).unwrap();
+        drop(scope);
+        let snap = op.snapshot();
+        assert_eq!((snap.ok, snap.err, snap.latency.count()), (1, 0, 1));
+        let cap = trace.capture(TraceTrigger::Slow, 0);
+        assert_eq!(cap.spans.len(), 1);
+        let recorded = &cap.spans[0];
+        assert_eq!(recorded.op, "server.read");
+        assert_eq!(recorded.sn, Some(9));
+        assert!(recorded.ok);
+        // Not "close": the same number, from the same clock pair.
+        assert_eq!(recorded.duration_ns, snap.latency.sum_ns);
+        assert_eq!(recorded.duration_ns, ns);
+        assert!(ns >= 2_000_000);
     }
 
     #[test]
-    fn sink_sees_emitted_events() {
-        struct CountingSink(AtomicU64);
-        impl TraceSink for CountingSink {
-            fn on_event(&self, _event: &TraceEvent) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
+    fn dropped_guard_records_err_once_in_both_views() {
+        fn bails_early(r: &Registry, op: &OpStats) -> Result<(), ()> {
+            let guard = r.observe(op, "server.write", Plane::Witness);
+            Err::<(), ()>(())?;
+            guard.finish(true, None);
+            Ok(())
         }
         let r = Registry::new();
-        let sink = Arc::new(CountingSink(AtomicU64::new(0)));
-        r.set_sink(sink.clone());
-        let event = TraceEvent {
-            op: "x",
-            plane: Plane::Net,
-            sn: Some(3),
-            duration_ns: 7,
-            ok: true,
-        };
-        r.emit(event.clone());
-        r.clear_sink();
-        r.emit(event);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
-        assert_eq!(r.ring().len(), 2);
+        let op = r.op("server.write");
+        let trace = Arc::new(ActiveTrace::new(1));
+        let scope = span::enter(Arc::clone(&trace), 0);
+        assert!(bails_early(&r, &op).is_err());
+        // The open-span stack unwound: the next guard is a sibling.
+        r.observe(&op, "server.write", Plane::Witness)
+            .finish(true, None);
+        drop(scope);
+        let snap = op.snapshot();
+        assert_eq!((snap.ok, snap.err, snap.latency.count()), (1, 1, 2));
+        let cap = trace.capture(TraceTrigger::Error, 0);
+        assert_eq!(cap.spans.len(), 2);
+        assert!(!cap.spans[0].ok);
+        assert!(cap.spans[1].ok);
+        assert_eq!(cap.spans[1].parent_span, 0);
+        assert_eq!(
+            cap.spans[0].duration_ns + cap.spans[1].duration_ns,
+            snap.latency.sum_ns
+        );
     }
 
     #[test]
-    fn read_sample_defaults_and_clamps() {
+    fn disabled_registry_yields_inert_guards() {
         let r = Registry::new();
-        assert_eq!(r.read_event_sample(), READ_EVENT_SAMPLE);
-        r.set_read_event_sample(4);
-        assert_eq!(r.read_event_sample(), 4);
-        // Stride 0 would divide by zero at every call site; clamp to 1.
-        r.set_read_event_sample(0);
-        assert_eq!(r.read_event_sample(), 1);
+        let op = r.op("x");
+        let trace = Arc::new(ActiveTrace::new(1));
+        let scope = span::enter(Arc::clone(&trace), 0);
+        r.set_enabled(false);
+        assert!(r
+            .observe(&op, "x", Plane::Read)
+            .finish(true, None)
+            .is_none());
+        drop(r.observe(&op, "x", Plane::Read));
+        assert_eq!(op.snapshot(), crate::OpSnapshot::default());
+        assert_eq!(trace.span_count(), 0);
+        r.set_enabled(true);
+        assert!(r
+            .observe(&op, "x", Plane::Read)
+            .finish(true, None)
+            .is_some());
+        drop(scope);
+        assert_eq!(op.snapshot().total(), 1);
+        assert_eq!(trace.span_count(), 1);
     }
 
     #[test]

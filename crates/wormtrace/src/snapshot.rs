@@ -22,8 +22,6 @@ pub struct StatsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauges (last observed level), sorted by name.
     pub gauges: Vec<(String, u64)>,
-    /// Events evicted from the flight-recorder ring unobserved.
-    pub events_dropped: u64,
 }
 
 fn merge_sorted<T: Clone>(
@@ -119,7 +117,6 @@ impl StatsSnapshot {
             *a = a.saturating_add(*b);
         });
         merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a = (*a).max(*b));
-        self.events_dropped = self.events_dropped.saturating_add(other.events_dropped);
     }
 }
 
@@ -155,11 +152,9 @@ mod tests {
         };
         a.merge(&StatsSnapshot {
             gauges: vec![("q".into(), 3)],
-            events_dropped: 2,
             ..StatsSnapshot::default()
         });
         assert_eq!(a.gauge("q"), Some(5));
-        assert_eq!(a.events_dropped, 2);
     }
 
     #[test]

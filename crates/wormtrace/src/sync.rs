@@ -1,30 +1,31 @@
-//! Poison-tolerant accessors for this crate's std locks.
+//! Poison-tolerant accessors for std locks (this crate's, and the
+//! audit journal's in `wormaudit`).
 //!
 //! Observability must not take the server down: if some thread panics
 //! while holding a metrics lock, the panic already records the failure
 //! — propagating the poison into every later `snapshot()` or `emit()`
 //! would turn one broken request into a dead stats plane. Every
-//! structure guarded here (ring deques, registry maps, span lists) is
-//! valid after any prefix of its critical section — the worst a
-//! recovered guard can observe is a lost single update — so entering
-//! through the poison is strictly better than panicking again.
+//! structure guarded here (registry maps, span lists, the audit
+//! journal) is valid after any prefix of its critical section — the
+//! worst a recovered guard can observe is a lost single update — so
+//! entering through the poison is strictly better than panicking again.
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks `m`, entering through a poisoned guard rather than panicking.
-pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Read-locks `l`, entering through a poisoned guard rather than
 /// panicking.
-pub(crate) fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Write-locks `l`, entering through a poisoned guard rather than
 /// panicking.
-pub(crate) fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 

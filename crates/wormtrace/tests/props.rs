@@ -46,28 +46,24 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
         arb_names(),
         proptest::collection::vec(arb_op(), 4),
         proptest::collection::vec(0u64..(1 << 40), 4),
-        0u64..(1 << 40),
     )
-        .prop_map(
-            |(op_names, counter_names, ops, vals, events_dropped)| StatsSnapshot {
-                ops: op_names
-                    .iter()
-                    .zip(ops.iter())
-                    .map(|(n, o)| (n.clone(), o.clone()))
-                    .collect(),
-                counters: counter_names
-                    .iter()
-                    .zip(vals.iter())
-                    .map(|(n, &v)| (n.clone(), v))
-                    .collect(),
-                gauges: counter_names
-                    .iter()
-                    .zip(vals.iter().rev())
-                    .map(|(n, &v)| (n.clone(), v))
-                    .collect(),
-                events_dropped,
-            },
-        )
+        .prop_map(|(op_names, counter_names, ops, vals)| StatsSnapshot {
+            ops: op_names
+                .iter()
+                .zip(ops.iter())
+                .map(|(n, o)| (n.clone(), o.clone()))
+                .collect(),
+            counters: counter_names
+                .iter()
+                .zip(vals.iter())
+                .map(|(n, &v)| (n.clone(), v))
+                .collect(),
+            gauges: counter_names
+                .iter()
+                .zip(vals.iter().rev())
+                .map(|(n, &v)| (n.clone(), v))
+                .collect(),
+        })
 }
 
 fn merged_h(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
@@ -176,7 +172,6 @@ proptest! {
         for (name, v) in &a.counters {
             prop_assert_eq!(m.counter(name), v + b.counter(name));
         }
-        prop_assert_eq!(m.events_dropped, a.events_dropped + b.events_dropped);
         // Merged lists stay sorted strictly ascending (the canonical-
         // codec precondition).
         for w in m.ops.windows(2) {

@@ -68,16 +68,6 @@ else
   cargo run --release -q -p worm-bench --bin powerfail > /dev/null
 fi
 
-# Writes results/BENCH_observability.json itself: wormtrace
-# instrumentation overhead on the read path, enabled vs kill-switched.
-echo ">> observability"
-cargo run --release -q -p worm-bench --bin observability > /dev/null
-
-# Writes results/BENCH_trace_overhead.json itself: causal tracing +
-# flight recorder cost on remote verified reads, traced vs kill-switched.
-echo ">> trace_overhead"
-cargo run --release -q -p worm-bench --bin trace_overhead > /dev/null
-
 # Writes results/BENCH_audit_overhead.json itself: tamper-evident audit
 # plane cost on remote verified reads, audited vs kill-switched. Exits
 # nonzero if the overhead exceeds the 3% budget.

@@ -4,10 +4,11 @@
 
 mod common;
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use common::{server, short_policy};
-use strongworm::{ShardedWormServer, WormConfig, WormServer};
+use strongworm::{DaemonConfig, RetentionDaemon, ShardedWormServer, WormConfig, WormServer};
 use wormaudit::{verify_chain, AuditClass};
 use wormstore::Journal;
 
@@ -74,24 +75,64 @@ fn tampered_journal_entry_is_detected_by_replay() {
     assert_eq!(divergence.seq, 0);
 }
 
+/// A read the host cannot serve is audited where it fails, so the
+/// tracing kill switch — a diagnostics knob — cannot silence it.
 #[test]
 fn failed_reads_are_promoted_into_the_chain() {
     let (srv, _clock) = server();
+    let sn = srv.write(&[b"evidence"], short_policy(10_000)).unwrap();
+    srv.refresh_head().unwrap();
+    srv.trace().set_enabled(false);
+    // A dishonest host erases the record's table entry: the SN is at or
+    // below the signed head, so no honest evidence exists for it.
+    {
+        let (mut vrdt, _store) = srv.parts_mut_for_attack();
+        assert!(vrdt.entries_mut_for_attack().remove(&sn).is_some());
+    }
     let before = srv.audit().height();
-    // The registry sink promotes failure-shaped trace events; a failed
-    // verified read is the canonical one.
-    srv.trace().emit(wormtrace::TraceEvent {
-        op: "server.read",
-        plane: wormtrace::Plane::Read,
-        sn: Some(7),
-        duration_ns: 100,
-        ok: false,
-    });
+    assert!(srv.read(sn).is_err());
     let page = srv.audit().page(before, 4096);
-    assert!(page
+    assert!(
+        page.events
+            .iter()
+            .any(|e| e.class == AuditClass::VerifyFailure && e.sn == Some(sn.0)),
+        "got {:?}",
+        page.events
+    );
+    // Instruments, and only instruments, stayed off.
+    assert_eq!(srv.stats_snapshot().op("server.read").unwrap().total(), 0);
+}
+
+/// Retention enforcement stopping is audited by the daemon itself.
+#[test]
+fn daemon_give_up_lands_in_the_chain_with_tracing_off() {
+    let (srv, _clock) = server();
+    let srv = Arc::new(srv);
+    srv.trace().set_enabled(false);
+    let daemon = RetentionDaemon::spawn(
+        Arc::clone(&srv),
+        DaemonConfig {
+            interval: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(5),
+            max_consecutive_failures: 3,
+            ..DaemonConfig::default()
+        },
+    );
+    let before = srv.audit().height();
+    srv.tamper_device(scpu::TamperCause::Penetration);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while daemon.is_running() {
+        assert!(Instant::now() < deadline, "daemon never hit its limit");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(daemon.stop().is_err());
+    let page = srv.audit().page(before, 4096);
+    let give_ups = page
         .events
         .iter()
-        .any(|e| e.class == AuditClass::VerifyFailure && e.sn == Some(7)));
+        .filter(|e| e.class == AuditClass::RetentionGiveUp)
+        .count();
+    assert_eq!(give_ups, 1, "got {:?}", page.events);
 }
 
 #[test]
