@@ -60,7 +60,14 @@ impl RecordAttributes {
     /// Canonical encoding (the byte string `metasig` covers, together with
     /// the SN).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::tagged("strongworm.attr.v1");
+        WireWriter::encoded(|w| self.encode_into(w))
+    }
+
+    /// Writes the canonical encoding in place (the one definition of
+    /// its layout; [`RecordAttributes::encode`] is this into a fresh
+    /// writer).
+    pub fn encode_into(&self, w: &mut WireWriter) {
+        w.put_str("strongworm.attr.v1");
         w.put_u64(self.created_at.as_millis());
         w.put_u64(self.retention_until.as_millis());
         w.put_u8(self.regulation.code());
@@ -90,7 +97,6 @@ impl RecordAttributes {
             }
         }
         w.put_u32(self.flags);
-        w.finish()
     }
 
     /// Decodes the canonical encoding.
@@ -99,13 +105,7 @@ impl RecordAttributes {
     ///
     /// [`WireError`] on truncation, unknown codes, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let tag = r.get_str()?;
-        if tag != "strongworm.attr.v1" {
-            return Err(WireError {
-                expected: "attr tag",
-            });
-        }
+        let mut r = WireReader::tagged(bytes, "strongworm.attr.v1", "attr tag")?;
         let created_at = Timestamp::from_millis(r.get_u64()?);
         let retention_until = Timestamp::from_millis(r.get_u64()?);
         let regulation = Regulation::from_code(r.get_u8()?).ok_or(WireError {

@@ -46,9 +46,19 @@ const SIG_MEMO_CAP: usize = 8192;
 /// on every read, only the signature arithmetic is skipped. Failures
 /// are never cached (a host that alternates good and bad bytes gets the
 /// bad ones rejected every time).
+///
+/// The last head certificate whose signature verified rides under the
+/// same lock: nearly every response carries that very head, and
+/// comparing it field for field is cheaper than hashing a memo key.
 #[derive(Debug, Default)]
 struct SigMemo {
-    seen: RwLock<HashSet<[u8; 32]>>,
+    seen: RwLock<SigSeen>,
+}
+
+#[derive(Debug, Default)]
+struct SigSeen {
+    keys: HashSet<[u8; 32]>,
+    head: Option<HeadCert>,
 }
 
 impl SigMemo {
@@ -66,85 +76,114 @@ impl SigMemo {
 
     fn contains(&self, k: &[u8; 32]) -> bool {
         // A poisoned lock degrades to cache-miss, never to acceptance.
-        self.seen.read().is_ok_and(|s| s.contains(k))
+        self.seen.read().is_ok_and(|s| s.keys.contains(k))
     }
 
     fn insert(&self, k: [u8; 32]) {
         if let Ok(mut s) = self.seen.write() {
-            if s.len() >= SIG_MEMO_CAP {
-                s.clear();
+            if s.keys.len() >= SIG_MEMO_CAP {
+                s.keys.clear();
             }
-            s.insert(k);
+            s.keys.insert(k);
+        }
+    }
+
+    /// Whether `head` is, field for field, the last head whose
+    /// signature verified.
+    fn is_last_head(&self, head: &HeadCert) -> bool {
+        self.seen
+            .read()
+            .is_ok_and(|s| s.head.as_ref() == Some(head))
+    }
+
+    fn set_last_head(&self, head: &HeadCert) {
+        if let Ok(mut s) = self.seen.write() {
+            s.head = Some(head.clone());
         }
     }
 }
 
-/// Bound on the data-chain memo before it resets. Entries hold a clone
-/// of the verified record bytes (`bytes::Bytes` handles, so hot records
-/// decoded from a shared buffer are not duplicated); at 4 KiB records
-/// the cap bounds the memo near a few MiB.
+/// Bound on the record memo before it resets. An entry holds its own
+/// copy of the verified record bytes; at 4 KiB records the cap bounds
+/// the memo near a few MiB.
 const CHAIN_MEMO_CAP: usize = 1024;
 
-/// A bounded memo of data-chain hashes over records that already
-/// verified.
+/// A bounded memo of reads that passed full verification: per serial
+/// number, the VRD, the record bytes and their data-chain hash.
 ///
-/// Hashing the record payload dominates warm-path read verification
-/// (the signature memo above removes the RSA cost, leaving the SHA-256
-/// over every data byte). `data_hash` is a pure function of the scheme
-/// and the record bytes, so when a serial number is re-read the memo
-/// compares the received bytes against the copy that verified last
-/// time: byte equality implies hash equality, and a memcmp over the
-/// records is an order of magnitude cheaper than re-hashing them. Any
-/// difference — scheme, record count, or a single byte — falls back to
-/// a full recompute, so a host that alternates good and tampered bytes
-/// still gets the tampered ones hashed (and rejected) every time.
+/// A WORM record is fixed at witness time, so a re-read of a hot record
+/// re-presents the byte-identical (VRD, records) pair. Every check on
+/// that pair is a pure function of those bytes, the verifier's keys and
+/// the hash scheme — except the ones that depend on the clock or on the
+/// request, which [`Verifier::verify_read`] and the hit path below run
+/// every time (head signature and freshness, `vrd.sn == requested`,
+/// weak-witness expiry). So:
+///
+/// * VRD (every field, both witnesses) and records byte-identical to the
+///   entry: accepted after those checks, at the cost of a comparison.
+/// * Only the records identical (the host replaced the VRD: a
+///   litigation hold, a strengthened witness): the chain hash is reused
+///   — byte equality implies hash equality, and a memcmp is an order of
+///   magnitude cheaper than SHA-256 — and both witnesses verify in full.
+/// * Anything else — scheme, record count, a single byte: the full path.
+///
+/// Only a read that verified is stored, so a host that alternates good
+/// and tampered bytes gets the tampered ones checked (and rejected)
+/// every time and never displaces the good entry. Entries are owned
+/// copies: a hit never pins a receive buffer.
 #[derive(Debug, Default)]
-struct ChainMemo {
-    seen: RwLock<HashMap<SerialNumber, ChainEntry>>,
+struct RecordMemo {
+    seen: RwLock<HashMap<SerialNumber, RecordEntry>>,
 }
 
 #[derive(Debug)]
-struct ChainEntry {
+struct RecordEntry {
     scheme: DataHashScheme,
-    records: Vec<bytes::Bytes>,
+    vrd: Vrd,
+    records: Vec<Vec<u8>>,
     chain: Vec<u8>,
 }
 
-impl ChainMemo {
-    /// Returns the memoized chain for `sn` when `records` are
-    /// byte-identical to the ones that verified before.
-    fn lookup(
-        &self,
-        sn: SerialNumber,
-        scheme: DataHashScheme,
-        records: &[bytes::Bytes],
-    ) -> Option<Vec<u8>> {
+/// What the record memo knows about a presented (VRD, records) pair.
+enum Remembered {
+    /// VRD and records are byte-identical to a read that verified.
+    Verified,
+    /// The records are; here is their chain hash.
+    Chain(Vec<u8>),
+    /// Nothing usable.
+    Unknown,
+}
+
+impl RecordMemo {
+    fn lookup(&self, scheme: DataHashScheme, vrd: &Vrd, records: &[bytes::Bytes]) -> Remembered {
         // A poisoned lock degrades to cache-miss, never to acceptance.
-        let seen = self.seen.read().ok()?;
-        let e = seen.get(&sn)?;
-        if e.scheme == scheme && e.records == records {
-            Some(e.chain.clone())
-        } else {
-            None
+        let Ok(seen) = self.seen.read() else {
+            return Remembered::Unknown;
+        };
+        match seen.get(&vrd.sn) {
+            Some(e) if e.scheme == scheme && records.iter().eq(e.records.iter()) => {
+                if e.vrd == *vrd {
+                    Remembered::Verified
+                } else {
+                    Remembered::Chain(e.chain.clone())
+                }
+            }
+            _ => Remembered::Unknown,
         }
     }
 
-    fn insert(
-        &self,
-        sn: SerialNumber,
-        scheme: DataHashScheme,
-        records: &[bytes::Bytes],
-        chain: Vec<u8>,
-    ) {
-        if let Ok(mut s) = self.seen.write() {
-            if s.len() >= CHAIN_MEMO_CAP && !s.contains_key(&sn) {
-                s.clear();
+    /// Stores a read that just passed full verification.
+    fn insert(&self, scheme: DataHashScheme, vrd: &Vrd, records: &[bytes::Bytes], chain: Vec<u8>) {
+        if let Ok(mut seen) = self.seen.write() {
+            if seen.len() >= CHAIN_MEMO_CAP && !seen.contains_key(&vrd.sn) {
+                seen.clear();
             }
-            s.insert(
-                sn,
-                ChainEntry {
+            seen.insert(
+                vrd.sn,
+                RecordEntry {
                     scheme,
-                    records: records.to_vec(),
+                    vrd: vrd.clone(),
+                    records: records.iter().map(|r| r.to_vec()).collect(),
                     chain,
                 },
             );
@@ -196,18 +235,13 @@ pub struct Verifier {
     data_hash: DataHashScheme,
     sign_key: RsaPublicKey,
     del_key: RsaPublicKey,
-    /// Fingerprints of `sign_key` / `del_key`, computed once — the memo
-    /// fast path compares these on every check and recomputing the
-    /// key-bytes hash per read is measurable.
-    sign_fp: [u8; 8],
-    del_fp: [u8; 8],
     weak_certs: Vec<WeakKeyCert>,
     tolerance: Duration,
     clock: Arc<dyn Clock>,
     /// Memo of signature checks that already succeeded (see [`SigMemo`]).
     memo: SigMemo,
-    /// Memo of data-chain hashes over verified records (see [`ChainMemo`]).
-    chain_memo: ChainMemo,
+    /// Memo of reads that verified in full (see [`RecordMemo`]).
+    record_memo: RecordMemo,
 }
 
 impl Verifier {
@@ -222,19 +256,37 @@ impl Verifier {
         tolerance: Duration,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, VerifyError> {
+        Self::over(
+            keys.data_hash,
+            &keys.sign,
+            &keys.delete,
+            keys.weak_cert.clone(),
+            tolerance,
+            clock,
+        )
+    }
+
+    /// A verifier over keys the caller has established, with nothing
+    /// memoised yet.
+    fn over(
+        data_hash: DataHashScheme,
+        sign_key: &RsaPublicKey,
+        del_key: &RsaPublicKey,
+        weak_cert: WeakKeyCert,
+        tolerance: Duration,
+        clock: Arc<dyn Clock>,
+    ) -> Result<Self, VerifyError> {
         let mut v = Verifier {
-            data_hash: keys.data_hash,
-            sign_fp: keys.sign.fingerprint(),
-            del_fp: keys.delete.fingerprint(),
-            sign_key: keys.sign.clone(),
-            del_key: keys.delete.clone(),
+            data_hash,
+            sign_key: sign_key.clone(),
+            del_key: del_key.clone(),
             weak_certs: Vec::new(),
             tolerance,
             clock,
             memo: SigMemo::default(),
-            chain_memo: ChainMemo::default(),
+            record_memo: RecordMemo::default(),
         };
-        v.add_weak_cert(keys.weak_cert.clone())?;
+        v.add_weak_cert(weak_cert)?;
         Ok(v)
     }
 
@@ -260,20 +312,14 @@ impl Verifier {
         if del_cert.role != KeyRole::Delete || !del_cert.verify(ca) {
             return Err(VerifyError::BadSignature("delete key certificate"));
         }
-        let mut v = Verifier {
-            data_hash: DataHashScheme::Chained,
-            sign_fp: sign_cert.key.fingerprint(),
-            del_fp: del_cert.key.fingerprint(),
-            sign_key: sign_cert.key.clone(),
-            del_key: del_cert.key.clone(),
-            weak_certs: Vec::new(),
+        Self::over(
+            DataHashScheme::Chained,
+            &sign_cert.key,
+            &del_cert.key,
+            weak_cert,
             tolerance,
             clock,
-            memo: SigMemo::default(),
-            chain_memo: ChainMemo::default(),
-        };
-        v.add_weak_cert(weak_cert)?;
-        Ok(v)
+        )
     }
 
     /// Sets the data-hash scheme (for verifiers built via
@@ -338,14 +384,18 @@ impl Verifier {
     ///
     /// See [`Verifier::verify_read`].
     pub fn verify_vrd(&self, vrd: &Vrd, records: &[bytes::Bytes]) -> Result<(), VerifyError> {
+        let chain = match self.record_memo.lookup(self.data_hash, vrd, records) {
+            Remembered::Verified => {
+                // Every check on these exact bytes has passed before;
+                // what is left depends on the clock.
+                self.check_weak_expiry(&vrd.metasig, "metasig")?;
+                return self.check_weak_expiry(&vrd.datasig, "datasig");
+            }
+            Remembered::Chain(chain) => chain,
+            Remembered::Unknown => data_hash(self.data_hash, records.iter().map(|b| b.as_ref())),
+        };
         let meta = meta_payload(vrd.sn, &vrd.attr.encode());
         self.verify_witness(&meta, &vrd.metasig, "metasig")?;
-
-        let memo_hit = self.chain_memo.lookup(vrd.sn, self.data_hash, records);
-        let chain = match &memo_hit {
-            Some(chain) => chain.clone(),
-            None => data_hash(self.data_hash, records.iter().map(|b| b.as_ref())),
-        };
         let datap = data_payload(vrd.sn, &chain);
         self.verify_witness(&datap, &vrd.datasig, "datasig")
             .map_err(|e| match e {
@@ -354,11 +404,18 @@ impl Verifier {
                 VerifyError::BadSignature("datasig") => VerifyError::DataHashMismatch,
                 other => other,
             })?;
-        if memo_hit.is_none() {
-            self.chain_memo
-                .insert(vrd.sn, self.data_hash, records, chain);
-        }
+        self.record_memo.insert(self.data_hash, vrd, records, chain);
         Ok(())
+    }
+
+    /// The one check on a witness that depends on the clock.
+    fn check_weak_expiry(&self, witness: &Witness, field: &'static str) -> Result<(), VerifyError> {
+        match witness {
+            Witness::Weak { expires_at, .. } if *expires_at < self.clock.now() => {
+                Err(VerifyError::WeakWitnessExpired { field })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Verifies a single witness over `payload`.
@@ -370,21 +427,18 @@ impl Verifier {
     ) -> Result<(), VerifyError> {
         match witness {
             Witness::Strong(sig) => {
-                if self.verify_memoized(&self.sign_key, self.sign_fp, payload, sig) {
+                if self.verify_memoized(&self.sign_key, payload, sig) {
                     Ok(())
                 } else {
                     Err(VerifyError::BadSignature(field))
                 }
             }
             Witness::Weak { sig, expires_at } => {
-                let now = self.clock.now();
-                if *expires_at < now {
-                    return Err(VerifyError::WeakWitnessExpired { field });
-                }
+                self.check_weak_expiry(witness, field)?;
                 let wrapped = weak_wrap(payload, *expires_at);
                 let ok = self.weak_certs.iter().any(|cert| {
                     *expires_at <= cert.max_sig_expiry
-                        && self.verify_memoized(&cert.key, cert.key.fingerprint(), &wrapped, sig)
+                        && self.verify_memoized(&cert.key, &wrapped, sig)
                 });
                 if ok {
                     Ok(())
@@ -400,15 +454,8 @@ impl Verifier {
     /// through the verifier's memo of byte-identical checks that
     /// already succeeded. Failures are computed (and re-computed)
     /// honestly every time.
-    fn verify_memoized(
-        &self,
-        key: &RsaPublicKey,
-        key_fp: [u8; 8],
-        payload: &[u8],
-        sig: &Signature,
-    ) -> bool {
-        debug_assert_eq!(key_fp, key.fingerprint());
-        if sig.key_id != key_fp {
+    fn verify_memoized(&self, key: &RsaPublicKey, payload: &[u8], sig: &Signature) -> bool {
+        if sig.key_id != key.fingerprint() {
             return false;
         }
         let k = SigMemo::key(sig.key_id, payload, &sig.bytes);
@@ -434,7 +481,7 @@ impl Verifier {
                     return Err(VerifyError::EvidenceDoesNotCoverSn);
                 }
                 let payload = deletion_payload(p.sn, p.deleted_at);
-                if !self.verify_memoized(&self.del_key, self.del_fp, &payload, &p.sig) {
+                if !self.verify_memoized(&self.del_key, &payload, &p.sig) {
                     return Err(VerifyError::BadSignature("deletion proof"));
                 }
                 Ok(ReadVerdict::ConfirmedDeleted {
@@ -446,7 +493,7 @@ impl Verifier {
                     return Err(VerifyError::ExpiredCertificate("base"));
                 }
                 let payload = base_payload(base.sn_base, base.expires_at);
-                if !self.verify_memoized(&self.sign_key, self.sign_fp, &payload, &base.sig) {
+                if !self.verify_memoized(&self.sign_key, &payload, &base.sig) {
                     return Err(VerifyError::BadSignature("base certificate"));
                 }
                 if requested >= base.sn_base {
@@ -463,8 +510,8 @@ impl Verifier {
                 // (§4.2.1).
                 let lo_payload = window_payload(w.window_id, w.lo, WindowSide::Lower);
                 let hi_payload = window_payload(w.window_id, w.hi, WindowSide::Upper);
-                if !self.verify_memoized(&self.sign_key, self.sign_fp, &lo_payload, &w.lo_sig)
-                    || !self.verify_memoized(&self.sign_key, self.sign_fp, &hi_payload, &w.hi_sig)
+                if !self.verify_memoized(&self.sign_key, &lo_payload, &w.lo_sig)
+                    || !self.verify_memoized(&self.sign_key, &hi_payload, &w.hi_sig)
                 {
                     return Err(VerifyError::BadSignature("window bound"));
                 }
@@ -480,9 +527,12 @@ impl Verifier {
     ///
     /// [`VerifyError::BadSignature`] / [`VerifyError::StaleHead`].
     pub fn check_head(&self, head: &HeadCert) -> Result<(), VerifyError> {
-        let payload = head_payload(head.sn_current, head.issued_at);
-        if !self.verify_memoized(&self.sign_key, self.sign_fp, &payload, &head.sig) {
-            return Err(VerifyError::BadSignature("head certificate"));
+        if !self.memo.is_last_head(head) {
+            let payload = head_payload(head.sn_current, head.issued_at);
+            if !self.verify_memoized(&self.sign_key, &payload, &head.sig) {
+                return Err(VerifyError::BadSignature("head certificate"));
+            }
+            self.memo.set_last_head(head);
         }
         let age = self.clock.now().since(head.issued_at);
         if age > self.tolerance {
@@ -579,12 +629,7 @@ impl CompositeVerifier {
             return Err(VerifyError::BadSignature("composite shard count"));
         }
         let payload = composite_payload(binding.shard_count, &binding.root, binding.issued_at);
-        if !coordinator.verify_memoized(
-            &coordinator.sign_key,
-            coordinator.sign_fp,
-            &payload,
-            &binding.sig,
-        ) {
+        if !coordinator.verify_memoized(&coordinator.sign_key, &payload, &binding.sig) {
             return Err(VerifyError::BadSignature("composite binding"));
         }
         let age = coordinator.clock.now().since(binding.issued_at);
@@ -625,5 +670,116 @@ impl VerifyRead for CompositeVerifier {
             .shard(lane)
             .ok_or(VerifyError::ShardNotBound { lane })?;
         shard.verify_read(requested, outcome)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::{rngs::StdRng, SeedableRng};
+    use scpu::VirtualClock;
+
+    use super::*;
+    use crate::{RegulatoryAuthority, RetentionPolicy, WitnessMode, WormConfig, WormServer};
+
+    /// The VRD the record memo holds for `sn`.
+    fn remembered(v: &Verifier, sn: SerialNumber) -> Option<Vrd> {
+        let seen = v.record_memo.seen.read().unwrap();
+        seen.get(&sn).map(|e| e.vrd.clone())
+    }
+
+    fn data(outcome: &ReadOutcome) -> (&Vrd, &[bytes::Bytes]) {
+        match outcome {
+            ReadOutcome::Data { vrd, records, .. } => (vrd, records),
+            other => panic!("expected data, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_record_memo_holds_only_what_verified_and_follows_a_replaced_vrd() {
+        let clock = VirtualClock::starting_at_millis(1_000_000);
+        let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x3E30), 512);
+        let srv =
+            WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public()).unwrap();
+        let v = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone()).unwrap();
+        let policy = RetentionPolicy::custom(
+            Duration::from_secs(10_000_000),
+            wormstore::Shredder::ZeroFill,
+        );
+        let sn = srv
+            .write_with(&[b"one", b"two"], policy, 0, WitnessMode::Deferred)
+            .unwrap();
+
+        let weak = srv.read(sn).unwrap();
+        assert_eq!(remembered(&v, sn), None);
+        v.verify_read(sn, &weak).unwrap();
+        assert_eq!(remembered(&v, sn).as_ref(), Some(data(&weak).0));
+
+        // Neither tampered records nor a tampered VRD displace the entry
+        // (or get stored beside it).
+        let mut bad_record = weak.clone();
+        if let ReadOutcome::Data { records, .. } = &mut bad_record {
+            records[0] = bytes::Bytes::from_static(b"0ne");
+        }
+        let mut bad_vrd = weak.clone();
+        if let ReadOutcome::Data { vrd, .. } = &mut bad_vrd {
+            vrd.attr.flags ^= 1;
+        }
+        for bad in [&bad_record, &bad_vrd] {
+            assert!(v.verify_read(sn, bad).is_err());
+            assert_eq!(remembered(&v, sn).as_ref(), Some(data(&weak).0));
+        }
+
+        // Strengthening and a litigation hold each replace the VRD over
+        // the same records: the chain is reused, both witnesses verify,
+        // and the entry moves on to the VRD that verified last.
+        srv.idle(1_000_000_000).unwrap();
+        let strengthened = srv.read(sn).unwrap();
+        let now = clock.now();
+        let hold = regulator.issue_hold(sn, now, 9, now.after(Duration::from_secs(500)));
+        srv.lit_hold(hold).unwrap();
+        let held = srv.read(sn).unwrap();
+        for replaced in [&strengthened, &held] {
+            let (vrd, records) = data(replaced);
+            assert!(matches!(
+                v.record_memo.lookup(v.data_hash, vrd, records),
+                Remembered::Chain(chain) if chain == data_hash(v.data_hash, records.iter().map(|r| r.as_ref()))
+            ));
+            v.verify_read(sn, replaced).unwrap();
+            assert_eq!(remembered(&v, sn).as_ref(), Some(vrd));
+            assert!(matches!(
+                v.record_memo.lookup(v.data_hash, vrd, records),
+                Remembered::Verified
+            ));
+        }
+    }
+
+    #[test]
+    fn the_record_memo_clears_when_full_but_not_for_a_serial_it_holds() {
+        let memo = RecordMemo::default();
+        let vrd_for = |sn: u64| Vrd {
+            sn: SerialNumber(sn),
+            attr: crate::attr::RecordAttributes {
+                created_at: Timestamp::from_millis(1),
+                retention_until: Timestamp::from_millis(2),
+                regulation: crate::policy::Regulation::Custom,
+                shredder: wormstore::Shredder::ZeroFill,
+                litigation_hold: None,
+                flags: 0,
+            },
+            rdl: Vec::new(),
+            metasig: Witness::Mac { tag: Vec::new() },
+            datasig: Witness::Mac { tag: Vec::new() },
+        };
+        let cap = CHAIN_MEMO_CAP as u64;
+        for sn in 1..=cap {
+            memo.insert(DataHashScheme::Chained, &vrd_for(sn), &[], Vec::new());
+        }
+        assert_eq!(memo.seen.read().unwrap().len(), CHAIN_MEMO_CAP);
+        // Re-inserting a serial number it holds replaces in place ...
+        memo.insert(DataHashScheme::Chained, &vrd_for(cap), &[], Vec::new());
+        assert_eq!(memo.seen.read().unwrap().len(), CHAIN_MEMO_CAP);
+        // ... and a new one past the cap starts the memo over.
+        memo.insert(DataHashScheme::Chained, &vrd_for(cap + 1), &[], Vec::new());
+        assert_eq!(memo.seen.read().unwrap().len(), 1);
     }
 }

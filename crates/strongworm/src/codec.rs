@@ -16,7 +16,7 @@ use crate::config::DataHashScheme;
 use crate::firmware::{DeviceKeys, WeakKeyCert};
 use crate::proofs::{
     BaseCert, CompositeBinding, CompositeHead, DeletionEvidence, DeletionProof, HeadCert,
-    ReadOutcome, WindowProof,
+    ReadOutcome, Resolved, WindowProof,
 };
 use crate::sn::SerialNumber;
 use crate::vrd::Vrd;
@@ -77,20 +77,23 @@ pub(crate) fn get_witness(r: &mut WireReader<'_>) -> Result<Witness, WireError> 
     }
 }
 
-/// Encodes a VRD for the journal.
-pub fn encode_vrd(v: &Vrd) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.vrd.v1");
+pub(crate) fn put_vrd(w: &mut WireWriter, v: &Vrd) {
+    w.put_str("strongworm.vrd.v1");
     w.put_u64(v.sn.get());
-    w.put_bytes(&v.attr.encode());
+    w.put_nested(|w| v.attr.encode_into(w));
     w.put_count(v.rdl.len());
     for rd in &v.rdl {
         w.put_u64(rd.id.0);
         w.put_u64(rd.offset);
         w.put_u64(rd.len);
     }
-    put_witness(&mut w, &v.metasig);
-    put_witness(&mut w, &v.datasig);
-    w.finish()
+    put_witness(w, &v.metasig);
+    put_witness(w, &v.datasig);
+}
+
+/// Encodes a VRD for the journal.
+pub fn encode_vrd(v: &Vrd) -> Vec<u8> {
+    WireWriter::encoded(|w| put_vrd(w, v))
 }
 
 /// Decodes a journalled VRD.
@@ -99,21 +102,10 @@ pub fn encode_vrd(v: &Vrd) -> Vec<u8> {
 ///
 /// [`WireError`] on any truncation or malformed field.
 pub fn decode_vrd(bytes: &[u8]) -> Result<Vrd, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.vrd.v1" {
-        return Err(WireError {
-            expected: "vrd tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.vrd.v1", "vrd tag")?;
     let sn = SerialNumber(r.get_u64()?);
     let attr = RecordAttributes::decode(r.get_bytes()?)?;
-    let n = r.get_count()?;
-    // Cap defensively: a corrupt count must not allocate unboundedly.
-    if n > MAX_LIST_LEN {
-        return Err(WireError {
-            expected: "sane rdl length",
-        });
-    }
+    let n = r.get_count_within(MAX_LIST_LEN, "sane rdl length")?;
     let mut rdl = Vec::with_capacity(n);
     for _ in 0..n {
         rdl.push(RecordDescriptor {
@@ -134,13 +126,16 @@ pub fn decode_vrd(bytes: &[u8]) -> Result<Vrd, WireError> {
     })
 }
 
-/// Encodes a deletion proof.
-pub fn encode_deletion_proof(p: &DeletionProof) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.delproof.v1");
+fn put_deletion_proof(w: &mut WireWriter, p: &DeletionProof) {
+    w.put_str("strongworm.delproof.v1");
     w.put_u64(p.sn.get());
     w.put_u64(p.deleted_at.as_millis());
-    put_signature(&mut w, &p.sig);
-    w.finish()
+    put_signature(w, &p.sig);
+}
+
+/// Encodes a deletion proof.
+pub fn encode_deletion_proof(p: &DeletionProof) -> Vec<u8> {
+    WireWriter::encoded(|w| put_deletion_proof(w, p))
 }
 
 /// Decodes a deletion proof.
@@ -149,12 +144,7 @@ pub fn encode_deletion_proof(p: &DeletionProof) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_deletion_proof(bytes: &[u8]) -> Result<DeletionProof, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.delproof.v1" {
-        return Err(WireError {
-            expected: "deletion proof tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.delproof.v1", "deletion proof tag")?;
     let sn = SerialNumber(r.get_u64()?);
     let deleted_at = Timestamp::from_millis(r.get_u64()?);
     let sig = get_signature(&mut r)?;
@@ -166,15 +156,18 @@ pub fn decode_deletion_proof(bytes: &[u8]) -> Result<DeletionProof, WireError> {
     })
 }
 
-/// Encodes a window proof.
-pub fn encode_window_proof(p: &WindowProof) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.winproof.v1");
+fn put_window_proof(w: &mut WireWriter, p: &WindowProof) {
+    w.put_str("strongworm.winproof.v1");
     w.put_u64(p.window_id);
     w.put_u64(p.lo.get());
     w.put_u64(p.hi.get());
-    put_signature(&mut w, &p.lo_sig);
-    put_signature(&mut w, &p.hi_sig);
-    w.finish()
+    put_signature(w, &p.lo_sig);
+    put_signature(w, &p.hi_sig);
+}
+
+/// Encodes a window proof.
+pub fn encode_window_proof(p: &WindowProof) -> Vec<u8> {
+    WireWriter::encoded(|w| put_window_proof(w, p))
 }
 
 /// Decodes a window proof.
@@ -183,12 +176,7 @@ pub fn encode_window_proof(p: &WindowProof) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_window_proof(bytes: &[u8]) -> Result<WindowProof, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.winproof.v1" {
-        return Err(WireError {
-            expected: "window proof tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.winproof.v1", "window proof tag")?;
     let window_id = r.get_u64()?;
     let lo = SerialNumber(r.get_u64()?);
     let hi = SerialNumber(r.get_u64()?);
@@ -204,13 +192,30 @@ pub fn decode_window_proof(bytes: &[u8]) -> Result<WindowProof, WireError> {
     })
 }
 
-/// Encodes a head certificate.
-pub fn encode_head_cert(h: &HeadCert) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.headcert.v1");
+/// A head certificate's fields, as they stand in its own encoding
+/// (after the tag) and in a composite head's list.
+fn put_head_fields(w: &mut WireWriter, h: &HeadCert) {
     w.put_u64(h.sn_current.get());
     w.put_u64(h.issued_at.as_millis());
-    put_signature(&mut w, &h.sig);
-    w.finish()
+    put_signature(w, &h.sig);
+}
+
+fn get_head_fields(r: &mut WireReader<'_>) -> Result<HeadCert, WireError> {
+    Ok(HeadCert {
+        sn_current: SerialNumber(r.get_u64()?),
+        issued_at: Timestamp::from_millis(r.get_u64()?),
+        sig: get_signature(r)?,
+    })
+}
+
+fn put_head_cert(w: &mut WireWriter, h: &HeadCert) {
+    w.put_str("strongworm.headcert.v1");
+    put_head_fields(w, h);
+}
+
+/// Encodes a head certificate.
+pub fn encode_head_cert(h: &HeadCert) -> Vec<u8> {
+    WireWriter::encoded(|w| put_head_cert(w, h))
 }
 
 /// Decodes a head certificate.
@@ -219,21 +224,10 @@ pub fn encode_head_cert(h: &HeadCert) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_head_cert(bytes: &[u8]) -> Result<HeadCert, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.headcert.v1" {
-        return Err(WireError {
-            expected: "head cert tag",
-        });
-    }
-    let sn_current = SerialNumber(r.get_u64()?);
-    let issued_at = Timestamp::from_millis(r.get_u64()?);
-    let sig = get_signature(&mut r)?;
+    let mut r = WireReader::tagged(bytes, "strongworm.headcert.v1", "head cert tag")?;
+    let head = get_head_fields(&mut r)?;
     r.expect_end()?;
-    Ok(HeadCert {
-        sn_current,
-        issued_at,
-        sig,
-    })
+    Ok(head)
 }
 
 /// Computes the composite-head root: SHA-256 over the canonical
@@ -246,7 +240,7 @@ pub fn composite_root(heads: &[HeadCert]) -> Vec<u8> {
     let mut w = WireWriter::tagged("strongworm.compositeroot.v1");
     w.put_count(heads.len());
     for h in heads {
-        w.put_bytes(&encode_head_cert(h));
+        w.put_nested(|w| put_head_cert(w, h));
     }
     Sha256::digest(&w.finish())
 }
@@ -256,9 +250,7 @@ pub fn encode_composite_head(c: &CompositeHead) -> Vec<u8> {
     let mut w = WireWriter::tagged("strongworm.compositehead.v1");
     w.put_count(c.heads.len());
     for h in &c.heads {
-        w.put_u64(h.sn_current.get());
-        w.put_u64(h.issued_at.as_millis());
-        put_signature(&mut w, &h.sig);
+        put_head_fields(&mut w, h);
     }
     w.put_u32(c.binding.shard_count);
     w.put_bytes(&c.binding.root);
@@ -273,28 +265,11 @@ pub fn encode_composite_head(c: &CompositeHead) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_composite_head(bytes: &[u8]) -> Result<CompositeHead, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.compositehead.v1" {
-        return Err(WireError {
-            expected: "composite head tag",
-        });
-    }
-    let n = r.get_count()?;
-    if n > MAX_LIST_LEN {
-        return Err(WireError {
-            expected: "shard head count within bounds",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.compositehead.v1", "composite head tag")?;
+    let n = r.get_count_within(MAX_LIST_LEN, "shard head count within bounds")?;
     let mut heads = Vec::with_capacity(n);
     for _ in 0..n {
-        let sn_current = SerialNumber(r.get_u64()?);
-        let issued_at = Timestamp::from_millis(r.get_u64()?);
-        let sig = get_signature(&mut r)?;
-        heads.push(HeadCert {
-            sn_current,
-            issued_at,
-            sig,
-        });
+        heads.push(get_head_fields(&mut r)?);
     }
     let shard_count = r.get_u32()?;
     let root = r.get_bytes()?.to_vec();
@@ -312,13 +287,16 @@ pub fn decode_composite_head(bytes: &[u8]) -> Result<CompositeHead, WireError> {
     })
 }
 
-/// Encodes a base certificate.
-pub fn encode_base_cert(b: &BaseCert) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.basecert.v1");
+fn put_base_cert(w: &mut WireWriter, b: &BaseCert) {
+    w.put_str("strongworm.basecert.v1");
     w.put_u64(b.sn_base.get());
     w.put_u64(b.expires_at.as_millis());
-    put_signature(&mut w, &b.sig);
-    w.finish()
+    put_signature(w, &b.sig);
+}
+
+/// Encodes a base certificate.
+pub fn encode_base_cert(b: &BaseCert) -> Vec<u8> {
+    WireWriter::encoded(|w| put_base_cert(w, b))
 }
 
 /// Decodes a base certificate.
@@ -327,12 +305,7 @@ pub fn encode_base_cert(b: &BaseCert) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_base_cert(bytes: &[u8]) -> Result<BaseCert, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.basecert.v1" {
-        return Err(WireError {
-            expected: "base cert tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.basecert.v1", "base cert tag")?;
     let sn_base = SerialNumber(r.get_u64()?);
     let expires_at = Timestamp::from_millis(r.get_u64()?);
     let sig = get_signature(&mut r)?;
@@ -377,12 +350,7 @@ pub fn encode_shred_state(s: &ShredState) -> Vec<u8> {
 ///
 /// [`WireError`] on truncation, unknown shredder codes, or trailing bytes.
 pub fn decode_shred_state(bytes: &[u8]) -> Result<ShredState, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.shredstate.v1" {
-        return Err(WireError {
-            expected: "shred state tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.shredstate.v1", "shred state tag")?;
     let rd = RecordDescriptor {
         id: RecordId(r.get_u64()?),
         offset: r.get_u64()?,
@@ -427,12 +395,7 @@ pub fn encode_shred_pass(offset: u64, pass: u32) -> Vec<u8> {
 ///
 /// [`WireError`] on truncation or trailing bytes.
 pub fn decode_shred_pass(bytes: &[u8]) -> Result<(u64, u32), WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.shredpass.v1" {
-        return Err(WireError {
-            expected: "shred pass tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.shredpass.v1", "shred pass tag")?;
     let offset = r.get_u64()?;
     let pass = r.get_u32()?;
     r.expect_end()?;
@@ -453,32 +416,10 @@ pub fn encode_shred_done(offset: u64) -> Vec<u8> {
 ///
 /// [`WireError`] on truncation or trailing bytes.
 pub fn decode_shred_done(bytes: &[u8]) -> Result<u64, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.shreddone.v1" {
-        return Err(WireError {
-            expected: "shred done tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.shreddone.v1", "shred done tag")?;
     let offset = r.get_u64()?;
     r.expect_end()?;
     Ok(offset)
-}
-
-fn put_evidence(w: &mut WireWriter, evidence: &DeletionEvidence) {
-    match evidence {
-        DeletionEvidence::Proof(p) => {
-            w.put_u8(0);
-            w.put_bytes(&encode_deletion_proof(p));
-        }
-        DeletionEvidence::BelowBase(b) => {
-            w.put_u8(1);
-            w.put_bytes(&encode_base_cert(b));
-        }
-        DeletionEvidence::InWindow(win) => {
-            w.put_u8(2);
-            w.put_bytes(&encode_window_proof(win));
-        }
-    }
 }
 
 fn get_evidence(r: &mut WireReader<'_>) -> Result<DeletionEvidence, WireError> {
@@ -498,40 +439,64 @@ fn get_evidence(r: &mut WireReader<'_>) -> Result<DeletionEvidence, WireError> {
     }
 }
 
-/// Encodes a complete read outcome — what a serving host returns to a
-/// remote client, who re-verifies every embedded certificate.
-pub fn encode_read_outcome(o: &ReadOutcome) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    encode_read_outcome_into(&mut w, o);
-    w.finish()
-}
-
-/// Encodes a read outcome directly into an existing writer — the
-/// serving path nests outcomes inside response frames, and writing in
-/// place avoids re-copying every record payload.
-// wormlint: allow(codec) -- in-place variant of the tested encode_read_outcome/decode_read_outcome pair; it emits byte-identical output, so the same decoder covers it
-pub fn encode_read_outcome_into(w: &mut WireWriter, o: &ReadOutcome) {
+/// Writes a read outcome in place — the one definition of its layout,
+/// for the owned [`ReadOutcome`] ([`encode_read_outcome_into`]) and for
+/// what the read plane resolved by reference (`WormServer::read_into`)
+/// alike. `records` writes a data outcome's record list: a count, then
+/// each record as a byte string.
+///
+/// # Errors
+///
+/// Whatever `records` returns; `w` is then truncated back to where it
+/// stood, so a record that fails to read leaves no partial outcome.
+pub(crate) fn put_read_outcome<E>(
+    w: &mut WireWriter,
+    resolved: Resolved<'_>,
+    head: &HeadCert,
+    records: impl FnOnce(&mut WireWriter, &Vrd) -> Result<(), E>,
+) -> Result<(), E> {
+    let mark = w.len();
     w.put_str("strongworm.readoutcome.v1");
-    match o {
-        ReadOutcome::Data { vrd, records, head } => {
+    match resolved {
+        Resolved::Data(vrd) => {
             w.put_u8(0);
-            w.put_bytes(&encode_vrd(vrd));
-            w.put_count(records.len());
-            for rec in records {
-                w.put_bytes(rec.as_ref());
-            }
-            w.put_bytes(&encode_head_cert(head));
+            w.put_nested(|w| put_vrd(w, vrd));
+            records(w, vrd).inspect_err(|_| w.truncate(mark))?;
         }
-        ReadOutcome::Deleted { evidence, head } => {
-            w.put_u8(1);
-            put_evidence(w, evidence);
-            w.put_bytes(&encode_head_cert(head));
+        // Deleted: the evidence kind follows the outcome variant.
+        Resolved::Proof(p) => {
+            w.put_u8(1).put_u8(0);
+            w.put_nested(|w| put_deletion_proof(w, p));
         }
-        ReadOutcome::NeverExisted { head } => {
+        Resolved::BelowBase(b) => {
+            w.put_u8(1).put_u8(1);
+            w.put_nested(|w| put_base_cert(w, b));
+        }
+        Resolved::InWindow(win) => {
+            w.put_u8(1).put_u8(2);
+            w.put_nested(|w| put_window_proof(w, win));
+        }
+        Resolved::NeverExisted => {
             w.put_u8(2);
-            w.put_bytes(&encode_head_cert(head));
         }
     }
+    w.put_nested(|w| put_head_cert(w, head));
+    Ok(())
+}
+
+/// Encodes a complete read outcome — what a serving host returns to a
+/// remote client, who re-verifies every embedded certificate — into an
+/// existing writer: responses nest outcomes inside frames.
+pub fn encode_read_outcome_into(w: &mut WireWriter, o: &ReadOutcome) {
+    let Ok(()) = put_read_outcome(w, o.resolved(), o.head(), |w, _| {
+        if let ReadOutcome::Data { records, .. } = o {
+            w.put_count(records.len());
+            for rec in records {
+                w.put_bytes(rec);
+            }
+        }
+        Ok::<(), std::convert::Infallible>(())
+    });
 }
 
 /// Decodes a read outcome received from an untrusted host.
@@ -540,41 +505,20 @@ pub fn encode_read_outcome_into(w: &mut WireWriter, o: &ReadOutcome) {
 /// strings are bounded by the input actually present, so a hostile
 /// encoding cannot drive unbounded allocation.
 ///
-/// # Errors
-///
-/// [`WireError`] on any truncation or malformed field.
-pub fn decode_read_outcome(bytes: &[u8]) -> Result<ReadOutcome, WireError> {
-    decode_read_outcome_shared(&Bytes::from(bytes))
-}
-
-/// Decodes a read outcome whose record payloads *share* the source
-/// buffer instead of being copied out of it.
-///
-/// The returned records are [`Bytes`] slices into `src` (refcounted
-/// views), so decoding a data response costs no per-record copy — the
-/// dominant cost of [`decode_read_outcome`] on large records. The
-/// trade-off is lifetime, not safety: each record handle keeps the
-/// whole source frame alive until dropped.
+/// The returned records are [`Bytes`] slices of `src` (refcounted
+/// views), so decoding a data response copies no record. The trade-off
+/// is lifetime, not safety: each record handle keeps the whole source
+/// frame alive until dropped.
 ///
 /// # Errors
 ///
 /// [`WireError`] on any truncation or malformed field.
 pub fn decode_read_outcome_shared(src: &Bytes) -> Result<ReadOutcome, WireError> {
-    let mut r = WireReader::new(src);
-    if r.get_str()? != "strongworm.readoutcome.v1" {
-        return Err(WireError {
-            expected: "read outcome tag",
-        });
-    }
+    let mut r = WireReader::tagged(src, "strongworm.readoutcome.v1", "read outcome tag")?;
     let outcome = match r.get_u8()? {
         0 => {
             let vrd = decode_vrd(r.get_bytes()?)?;
-            let n = r.get_count()?;
-            if n > MAX_LIST_LEN {
-                return Err(WireError {
-                    expected: "sane record count",
-                });
-            }
+            let n = r.get_count_within(MAX_LIST_LEN, "sane record count")?;
             let mut records = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 records.push(src.slice(r.get_range()?));
@@ -617,12 +561,7 @@ pub fn encode_hold_credential(c: &HoldCredential) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_hold_credential(bytes: &[u8]) -> Result<HoldCredential, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.holdcredcodec.v1" {
-        return Err(WireError {
-            expected: "hold credential tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.holdcredcodec.v1", "hold credential tag")?;
     let sn = SerialNumber(r.get_u64()?);
     let issued_at = Timestamp::from_millis(r.get_u64()?);
     let litigation_id = r.get_u64()?;
@@ -654,12 +593,11 @@ pub fn encode_release_credential(c: &ReleaseCredential) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input.
 pub fn decode_release_credential(bytes: &[u8]) -> Result<ReleaseCredential, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.releasecredcodec.v1" {
-        return Err(WireError {
-            expected: "release credential tag",
-        });
-    }
+    let mut r = WireReader::tagged(
+        bytes,
+        "strongworm.releasecredcodec.v1",
+        "release credential tag",
+    )?;
     let sn = SerialNumber(r.get_u64()?);
     let issued_at = Timestamp::from_millis(r.get_u64()?);
     let litigation_id = r.get_u64()?;
@@ -723,12 +661,7 @@ pub fn encode_weak_key_cert(c: &WeakKeyCert) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input or an unparsable RSA key.
 pub fn decode_weak_key_cert(bytes: &[u8]) -> Result<WeakKeyCert, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.weakcert.v1" {
-        return Err(WireError {
-            expected: "weak key cert tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.weakcert.v1", "weak key cert tag")?;
     let cert = get_weak_cert(&mut r)?;
     r.expect_end()?;
     Ok(cert)
@@ -752,12 +685,7 @@ pub fn encode_device_keys(k: &DeviceKeys) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input or unparsable RSA keys.
 pub fn decode_device_keys(bytes: &[u8]) -> Result<DeviceKeys, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "strongworm.devicekeys.v1" {
-        return Err(WireError {
-            expected: "device keys tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.devicekeys.v1", "device keys tag")?;
     let data_hash = data_hash_from_code(r.get_u8()?)?;
     let rsa = |b: &[u8]| {
         RsaPublicKey::from_bytes(b).map_err(|_| WireError {
@@ -799,12 +727,7 @@ fn put_histogram(w: &mut WireWriter, h: &wormtrace::HistogramSnapshot) {
 }
 
 fn get_histogram(r: &mut WireReader<'_>) -> Result<wormtrace::HistogramSnapshot, WireError> {
-    let n = r.get_count()?;
-    if n > MAX_HISTOGRAM_ENTRIES {
-        return Err(WireError {
-            expected: "sane histogram entry count",
-        });
-    }
+    let n = r.get_count_within(MAX_HISTOGRAM_ENTRIES, "sane histogram entry count")?;
     let mut h = wormtrace::HistogramSnapshot::default();
     let mut prev: Option<usize> = None;
     for _ in 0..n {
@@ -875,19 +798,9 @@ pub fn encode_stats_snapshot(s: &wormtrace::StatsSnapshot) -> Vec<u8> {
 /// [`WireError`] on any truncation, oversized count, or ordering
 /// violation — never a panic and never an unbounded allocation.
 pub fn decode_stats_snapshot(bytes: &[u8]) -> Result<wormtrace::StatsSnapshot, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "wormtrace.stats.v2" {
-        return Err(WireError {
-            expected: "stats snapshot tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "wormtrace.stats.v2", "stats snapshot tag")?;
     let mut s = wormtrace::StatsSnapshot::default();
-    let n_ops = r.get_count()?;
-    if n_ops > MAX_STATS_ENTRIES {
-        return Err(WireError {
-            expected: "sane op count",
-        });
-    }
+    let n_ops = r.get_count_within(MAX_STATS_ENTRIES, "sane op count")?;
     let mut prev = None;
     for _ in 0..n_ops {
         let name = r.get_str()?.to_string();
@@ -898,24 +811,14 @@ pub fn decode_stats_snapshot(bytes: &[u8]) -> Result<wormtrace::StatsSnapshot, W
         s.ops
             .push((name, wormtrace::OpSnapshot { ok, err, latency }));
     }
-    let n_counters = r.get_count()?;
-    if n_counters > MAX_STATS_ENTRIES {
-        return Err(WireError {
-            expected: "sane counter count",
-        });
-    }
+    let n_counters = r.get_count_within(MAX_STATS_ENTRIES, "sane counter count")?;
     let mut prev = None;
     for _ in 0..n_counters {
         let name = r.get_str()?.to_string();
         check_name_order(&mut prev, &name)?;
         s.counters.push((name, r.get_u64()?));
     }
-    let n_gauges = r.get_count()?;
-    if n_gauges > MAX_STATS_ENTRIES {
-        return Err(WireError {
-            expected: "sane gauge count",
-        });
-    }
+    let n_gauges = r.get_count_within(MAX_STATS_ENTRIES, "sane gauge count")?;
     let mut prev = None;
     for _ in 0..n_gauges {
         let name = r.get_str()?.to_string();
@@ -1018,18 +921,8 @@ pub fn encode_captured_traces(traces: &[wormtrace::CapturedTrace]) -> Vec<u8> {
 /// [`WireError`] on any truncation, oversized count, or out-of-range
 /// code — never a panic and never an unbounded allocation.
 pub fn decode_captured_traces(bytes: &[u8]) -> Result<Vec<wormtrace::CapturedTrace>, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != "wormtrace.traces.v1" {
-        return Err(WireError {
-            expected: "captured traces tag",
-        });
-    }
-    let n_traces = r.get_count()?;
-    if n_traces > MAX_CAPTURED_TRACES {
-        return Err(WireError {
-            expected: "sane captured trace count",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "wormtrace.traces.v1", "captured traces tag")?;
+    let n_traces = r.get_count_within(MAX_CAPTURED_TRACES, "sane captured trace count")?;
     let mut traces = Vec::with_capacity(n_traces.min(r.remaining()));
     for _ in 0..n_traces {
         let trace_id = r.get_u64()?;
@@ -1044,12 +937,10 @@ pub fn decode_captured_traces(bytes: &[u8]) -> Result<Vec<wormtrace::CapturedTra
         };
         let total_ns = r.get_u64()?;
         let truncated_spans = r.get_u64()?;
-        let n_spans = r.get_count()?;
-        if n_spans > wormtrace::MAX_SPANS_PER_TRACE {
-            return Err(WireError {
-                expected: "span count within per-trace bound",
-            });
-        }
+        let n_spans = r.get_count_within(
+            wormtrace::MAX_SPANS_PER_TRACE,
+            "span count within per-trace bound",
+        )?;
         let mut spans = Vec::with_capacity(n_spans.min(r.remaining()));
         for _ in 0..n_spans {
             let span_id = r.get_u64()?;
@@ -1371,23 +1262,69 @@ mod tests {
             ReadOutcome::NeverExisted { head },
         ];
         for o in outcomes {
-            let enc = encode_read_outcome(&o);
-            assert_eq!(decode_read_outcome(&enc).unwrap(), o);
-            // The in-place encoder is byte-identical (it IS the encoder,
-            // writing into a caller-owned writer instead of a fresh one).
-            let mut w = WireWriter::new();
+            // Appending to a writer that already holds bytes: the
+            // encoding lands after them and leaves them alone.
+            let mut w = WireWriter::from(b"kept".to_vec());
             encode_read_outcome_into(&mut w, &o);
-            assert_eq!(w.finish(), enc);
-            // The shared-buffer decoder agrees with the copying one.
-            let shared = Bytes::from(enc.clone());
-            assert_eq!(decode_read_outcome_shared(&shared).unwrap(), o);
+            let enc = Bytes::from(w.finish()).slice(4..);
+            let decoded = decode_read_outcome_shared(&enc).unwrap();
+            assert_eq!(decoded, o);
+            // Decoded records are views of the source buffer, not copies.
+            if let ReadOutcome::Data { records, .. } = &decoded {
+                let src = enc.as_ptr_range();
+                for rec in records.iter().filter(|r| !r.is_empty()) {
+                    assert!(src.contains(&rec.as_ptr()), "record was copied out");
+                }
+            }
             // Truncation and trailing garbage are both rejected.
-            assert!(decode_read_outcome(&enc[..enc.len() - 1]).is_err());
-            assert!(decode_read_outcome_shared(&shared.slice(0..shared.len() - 1)).is_err());
-            let mut bad = enc.clone();
+            assert!(decode_read_outcome_shared(&enc.slice(..enc.len() - 1)).is_err());
+            let mut bad = enc.to_vec();
             bad.push(0);
-            assert!(decode_read_outcome(&bad).is_err());
+            assert!(decode_read_outcome_shared(&Bytes::from(bad)).is_err());
         }
+    }
+
+    #[test]
+    fn nested_structures_encode_as_their_owned_encoders_do() {
+        // The in-place writers nest with `put_nested`; the journal and
+        // the signatures use the owned encoders. Same bytes either way.
+        let vrd = sample_vrd();
+        let head = sample_head();
+        let mut staged = WireWriter::tagged("strongworm.readoutcome.v1");
+        staged.put_u8(0);
+        staged.put_bytes(&encode_vrd(&vrd));
+        staged.put_count(1);
+        staged.put_bytes(b"alpha");
+        staged.put_bytes(&encode_head_cert(&head));
+        let mut w = WireWriter::new();
+        encode_read_outcome_into(
+            &mut w,
+            &ReadOutcome::Data {
+                vrd: vrd.clone(),
+                records: vec![Bytes::from_static(b"alpha")],
+                head,
+            },
+        );
+        assert_eq!(w.finish(), staged.finish());
+
+        let mut attr_nested = WireWriter::new();
+        attr_nested.put_bytes(&vrd.attr.encode());
+        let mut in_place = WireWriter::new();
+        in_place.put_nested(|w| vrd.attr.encode_into(w));
+        assert_eq!(in_place.finish(), attr_nested.finish());
+    }
+
+    #[test]
+    fn a_failed_record_leaves_no_partial_outcome() {
+        let vrd = sample_vrd();
+        let mut w = WireWriter::from(b"kept".to_vec());
+        let failed = put_read_outcome(&mut w, Resolved::Data(&vrd), &sample_head(), |w, _| {
+            w.put_count(1);
+            w.put_bytes(b"half a rec");
+            Err("store failed")
+        });
+        assert_eq!(failed, Err("store failed"));
+        assert_eq!(w.finish(), b"kept");
     }
 
     #[test]
@@ -1397,7 +1334,7 @@ mod tests {
         w.put_u8(0);
         w.put_bytes(&encode_vrd(&sample_vrd()));
         w.put_u32(u32::MAX);
-        assert!(decode_read_outcome(&w.finish()).is_err());
+        assert!(decode_read_outcome_shared(&Bytes::from(w.finish())).is_err());
     }
 
     #[test]

@@ -154,7 +154,63 @@ pub enum ReadOutcome {
     },
 }
 
+/// What the VRDT holds for a serial number, by reference: a
+/// [`ReadOutcome`] minus the head certificate and the record bytes,
+/// borrowed from the table under its read guard. The read plane presents
+/// this; the codec writes it and [`WormServer::read`] copies it out.
+///
+/// [`WormServer::read`]: crate::WormServer::read
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Resolved<'a> {
+    /// The record is live.
+    Data(&'a Vrd),
+    /// Deleted, per-record proof still resident.
+    Proof(&'a DeletionProof),
+    /// Deleted, below the signed base.
+    BelowBase(&'a BaseCert),
+    /// Deleted, inside a signed window.
+    InWindow(&'a WindowProof),
+    /// Beyond the head: never allocated.
+    NeverExisted,
+}
+
+impl Resolved<'_> {
+    /// Copies the resolution out into an owned [`ReadOutcome`]
+    /// (`records` only matter for [`Resolved::Data`]).
+    pub(crate) fn to_outcome(self, head: &HeadCert, records: Vec<Bytes>) -> ReadOutcome {
+        let head = head.clone();
+        let evidence = match self {
+            Resolved::Data(vrd) => {
+                return ReadOutcome::Data {
+                    vrd: vrd.clone(),
+                    records,
+                    head,
+                }
+            }
+            Resolved::NeverExisted => return ReadOutcome::NeverExisted { head },
+            Resolved::Proof(p) => DeletionEvidence::Proof(p.clone()),
+            Resolved::BelowBase(b) => DeletionEvidence::BelowBase(b.clone()),
+            Resolved::InWindow(w) => DeletionEvidence::InWindow(w.clone()),
+        };
+        ReadOutcome::Deleted { evidence, head }
+    }
+}
+
 impl ReadOutcome {
+    /// What this outcome resolved to, by reference (its head and record
+    /// bytes aside).
+    pub(crate) fn resolved(&self) -> Resolved<'_> {
+        match self {
+            ReadOutcome::Data { vrd, .. } => Resolved::Data(vrd),
+            ReadOutcome::Deleted { evidence, .. } => match evidence {
+                DeletionEvidence::Proof(p) => Resolved::Proof(p),
+                DeletionEvidence::BelowBase(b) => Resolved::BelowBase(b),
+                DeletionEvidence::InWindow(w) => Resolved::InWindow(w),
+            },
+            ReadOutcome::NeverExisted { .. } => Resolved::NeverExisted,
+        }
+    }
+
     /// The head certificate attached to this outcome.
     pub fn head(&self) -> &HeadCert {
         match self {

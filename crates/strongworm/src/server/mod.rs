@@ -41,16 +41,18 @@ use wormstore::{
 };
 use wormtrace::Plane;
 
+use crate::codec::put_read_outcome;
 use crate::config::{WitnessMode, WormConfig};
 use crate::error::WormError;
 use crate::firmware::{
     DeviceKeys, FirmwareConfig, WeakKeyCert, WormFirmware, WormRequest, WormResponse,
 };
 use crate::policy::RetentionPolicy;
-use crate::proofs::{CompositeBinding, CompositeHead, DeletionEvidence, HeadCert, ReadOutcome};
+use crate::proofs::{CompositeBinding, CompositeHead, HeadCert, ReadOutcome, Resolved};
 use crate::sn::SerialNumber;
 use crate::vrd::data_chain_hash;
 use crate::vrdt::Vrdt;
+use crate::wire::WireWriter;
 
 use read_plane::ReadStep;
 use witness::{execute, unexpected};
@@ -528,10 +530,54 @@ impl<D: BlockDevice> WormServer<D> {
     /// Device failures (only on lazy freshness refresh), store failures,
     /// or an internally inconsistent VRDT.
     pub fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
+        let store = self.store();
+        self.read_with(sn, |resolved, head| {
+            let records = match resolved {
+                Resolved::Data(vrd) => vrd.rdl.iter().map(|rd| store.read(rd)).collect(),
+                _ => Ok(Vec::new()),
+            };
+            Ok(resolved.to_outcome(head, records?))
+        })
+    }
+
+    /// [`WormServer::read`] for a serving path: writes the outcome's
+    /// canonical encoding — byte for byte what
+    /// [`encode_read_outcome_into`](crate::codec::encode_read_outcome_into)
+    /// writes for the [`ReadOutcome`] — straight into `w`, with no owned
+    /// outcome in between. The VRD, the evidence and the head are
+    /// encoded from the table by reference and each record is copied
+    /// once, store to `w`.
+    ///
+    /// # Errors
+    ///
+    /// As [`WormServer::read`]; `w` is then exactly as it was.
+    pub fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
+        let store = self.store();
+        self.read_with(sn, |resolved, head| {
+            put_read_outcome(w, resolved, head, |w, vrd| {
+                w.put_count(vrd.rdl.len());
+                for rd in &vrd.rdl {
+                    w.try_put_bytes_with(rd.len, |dst| {
+                        store.read_into(rd, dst).map_err(WormError::from)
+                    })?;
+                }
+                Ok(())
+            })
+        })
+    }
+
+    /// One read, observed and audited: resolves `sn` and lets `present`
+    /// turn what the read plane found into the caller's result, under
+    /// the guard that found it.
+    fn read_with<R>(
+        &self,
+        sn: SerialNumber,
+        mut present: impl FnMut(Resolved<'_>, &HeadCert) -> Result<R, WormError>,
+    ) -> Result<R, WormError> {
         let observed = self
             .trace
             .observe(&self.ops.read, "server.read", Plane::Read);
-        let result = self.read_inner(sn);
+        let result = self.resolve(sn, &mut present);
         observed.finish(result.is_ok(), Some(sn.0));
         if let Err(e) = &result {
             // A read the host could not serve is evidence, not a
@@ -543,22 +589,28 @@ impl<D: BlockDevice> WormServer<D> {
         result
     }
 
-    fn read_inner(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
-        if self.read_plane.head_stale() {
-            // Serialize only the refresh; the staleness re-check inside
-            // collapses racing readers into one device round-trip.
-            self.ops.read_slow_path.inc();
-            self.witness.lock().ensure_fresh_head()?;
-        }
-        match self.read_plane.read(sn)? {
-            ReadStep::Done(outcome) => Ok(outcome),
-            ReadStep::NeedFreshBase { head } => {
-                self.ops.read_slow_path.inc();
-                let base = self.witness.lock().ensure_fresh_base()?;
-                Ok(ReadOutcome::Deleted {
-                    evidence: DeletionEvidence::BelowBase(base),
-                    head,
-                })
+    fn resolve<R>(
+        &self,
+        sn: SerialNumber,
+        present: &mut impl FnMut(Resolved<'_>, &HeadCert) -> Result<R, WormError>,
+    ) -> Result<R, WormError> {
+        let mut head_refreshed = false;
+        loop {
+            match self.read_plane.resolve(sn, head_refreshed, present)? {
+                ReadStep::Done(presented) => return Ok(presented),
+                ReadStep::StaleHead => {
+                    // Serialize only the refresh; the staleness re-check
+                    // inside collapses racing readers into one device
+                    // round-trip.
+                    self.ops.read_slow_path.inc();
+                    self.witness.lock().ensure_fresh_head()?;
+                    head_refreshed = true;
+                }
+                ReadStep::NeedFreshBase(head) => {
+                    self.ops.read_slow_path.inc();
+                    let base = self.witness.lock().ensure_fresh_base()?;
+                    return present(Resolved::BelowBase(&base), &head);
+                }
             }
         }
     }

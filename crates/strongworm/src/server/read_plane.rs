@@ -6,12 +6,14 @@
 //! threads through `&self`; the witness plane mutates the same structures
 //! behind its own serialization.
 //!
-//! Consistency: a reader resolves a serial number and fetches the record
-//! bytes **while holding the VRDT read lock**. The witness plane expires
-//! an entry under the write lock *before* shredding its extents, so a
-//! reader that observed `Active` is guaranteed un-shredded bytes, and a
-//! reader arriving after expiry gets the deletion proof — never torn
-//! state.
+//! Consistency: a reader resolves a serial number and copies the record
+//! bytes out **while holding the VRDT read lock**. The witness plane
+//! expires an entry under the write lock *before* shredding its extents,
+//! so a reader that observed `Active` is guaranteed un-shredded bytes, and
+//! a reader arriving after expiry gets the deletion proof — never torn
+//! state. That copy (device → the caller's buffer) is the one copy a read
+//! makes here: everything else — the head, the VRD, the evidence — is
+//! presented by reference under the same guard, not cloned.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,21 +23,22 @@ use scpu::Clock;
 use wormstore::{BlockDevice, RecordStore};
 
 use crate::error::WormError;
-use crate::proofs::{DeletionEvidence, HeadCert, ReadOutcome};
+use crate::proofs::{HeadCert, Resolved};
 use crate::sn::SerialNumber;
 use crate::vrdt::{Lookup, Vrdt};
 
-/// Outcome of a read-plane attempt: either fully served from host state,
+/// Outcome of a read-plane attempt: either presented from host state,
 /// or blocked on evidence only the witness plane can refresh.
-pub(crate) enum ReadStep {
-    /// Served entirely from shared host state.
-    Done(ReadOutcome),
+pub(crate) enum ReadStep<R> {
+    /// Resolved and presented entirely from shared host state.
+    Done(R),
+    /// The head certificate is missing or older than the refresh
+    /// interval; the witness plane must refresh it before the retry.
+    StaleHead,
     /// The SN is below the base but the base certificate has expired; the
     /// witness plane must re-issue it before evidence can be assembled.
-    NeedFreshBase {
-        /// The head certificate already cloned under the same read lock.
-        head: HeadCert,
-    },
+    /// Carries the head certificate, cloned under the same read lock.
+    NeedFreshBase(HeadCert),
 }
 
 /// The lock-shared, SCPU-free half of the server (see module docs).
@@ -77,68 +80,62 @@ impl<D: BlockDevice> ReadPlane<D> {
         self.vrdt.write()
     }
 
-    /// Whether the head certificate is missing or older than the refresh
-    /// interval. A cheap probe readers use to decide if the witness plane
-    /// must be consulted before serving freshness evidence.
-    pub fn head_stale(&self) -> bool {
-        match self.vrdt.read().head() {
-            None => true,
-            Some(h) => self.clock.now().since(h.issued_at) > self.head_refresh_interval,
-        }
+    fn stale(&self, head: &HeadCert) -> bool {
+        self.clock.now().since(head.issued_at) > self.head_refresh_interval
     }
 
-    /// Resolves `sn` and assembles evidence from shared host state alone.
+    /// Whether the head certificate is missing or older than the refresh
+    /// interval. A cheap probe to decide if the witness plane must be
+    /// consulted before serving freshness evidence (reads make the same
+    /// check inside [`ReadPlane::resolve`], under its one guard).
+    pub fn head_stale(&self) -> bool {
+        self.vrdt.read().head().is_none_or(|h| self.stale(h))
+    }
+
+    /// Resolves `sn` once, under one VRDT read guard, and hands what it
+    /// found to `present` by reference, still under that guard: nothing
+    /// is cloned on the way, and for an active record `present` copies
+    /// the bytes out under the guard that proved it active.
     ///
-    /// Single lookup: the match arms clone what they need out of the
-    /// table, and for an active record the store reads happen under the
-    /// same VRDT read guard that proved it active.
-    pub(crate) fn read(&self, sn: SerialNumber) -> Result<ReadStep, WormError> {
+    /// `head_refreshed` says the caller has just been through the
+    /// witness plane for [`ReadStep::StaleHead`]; the head is then
+    /// served as it stands.
+    pub(crate) fn resolve<R>(
+        &self,
+        sn: SerialNumber,
+        head_refreshed: bool,
+        present: &mut impl FnMut(Resolved<'_>, &HeadCert) -> Result<R, WormError>,
+    ) -> Result<ReadStep<R>, WormError> {
         let vrdt = self.vrdt.read();
+        let head = vrdt.head();
+        if !head_refreshed && head.is_none_or(|h| self.stale(h)) {
+            return Ok(ReadStep::StaleHead);
+        }
         // The facade installs a head at boot, but this path is reachable
         // from remote requests: if the head is absent (failed lazy
         // refresh after a device tamper, or a hostile caller racing
         // recovery) the request must fail, never take the server down.
-        let head = vrdt.head().cloned().ok_or_else(|| {
+        let head = head.ok_or_else(|| {
             WormError::Firmware("no head certificate installed; freshness refresh failed".into())
         })?;
-        match vrdt.lookup(sn) {
-            Lookup::Active(v) => {
-                let vrd = v.clone();
-                let mut records = Vec::with_capacity(vrd.rdl.len());
-                for rd in &vrd.rdl {
-                    records.push(self.store.read(rd)?);
-                }
-                Ok(ReadStep::Done(ReadOutcome::Data { vrd, records, head }))
-            }
-            Lookup::Expired(p) => Ok(ReadStep::Done(ReadOutcome::Deleted {
-                evidence: DeletionEvidence::Proof(p.clone()),
-                head,
-            })),
-            Lookup::InWindow(w) => Ok(ReadStep::Done(ReadOutcome::Deleted {
-                evidence: DeletionEvidence::InWindow(w.clone()),
-                head,
-            })),
+        let resolved = match vrdt.lookup(sn) {
+            Lookup::Active(v) => Resolved::Data(v),
+            Lookup::Expired(p) => Resolved::Proof(p),
+            Lookup::InWindow(w) => Resolved::InWindow(w),
             Lookup::BelowBase => match vrdt.base() {
-                Some(b) if b.expires_at > self.clock.now() => {
-                    Ok(ReadStep::Done(ReadOutcome::Deleted {
-                        evidence: DeletionEvidence::BelowBase(b.clone()),
-                        head,
-                    }))
-                }
-                _ => Ok(ReadStep::NeedFreshBase { head }),
+                Some(b) if b.expires_at > self.clock.now() => Resolved::BelowBase(b),
+                _ => return Ok(ReadStep::NeedFreshBase(head.clone())),
             },
+            Lookup::Unknown if sn > head.sn_current => Resolved::NeverExisted,
+            // A hole at or below the head means the VRDT was corrupted
+            // out-of-band; an honest server cannot produce evidence for
+            // it.
             Lookup::Unknown => {
-                if sn > head.sn_current {
-                    Ok(ReadStep::Done(ReadOutcome::NeverExisted { head }))
-                } else {
-                    // A hole at or below the head means the VRDT was
-                    // corrupted out-of-band; an honest server cannot
-                    // produce evidence for it.
-                    Err(WormError::Firmware(format!(
-                        "vrdt has no entry or window for {sn} at or below the head"
-                    )))
-                }
+                return Err(WormError::Firmware(format!(
+                    "vrdt has no entry or window for {sn} at or below the head"
+                )))
             }
-        }
+        };
+        present(resolved, head).map(ReadStep::Done)
     }
 }

@@ -40,6 +40,7 @@ use crate::firmware::{DeviceKeys, WeakKeyCert};
 use crate::policy::RetentionPolicy;
 use crate::proofs::{CompositeHead, HeadCert, ReadOutcome};
 use crate::sn::{SerialNumber, MAX_SHARDS, SHARD_LANE_BITS};
+use crate::wire::WireWriter;
 
 use super::WormServer;
 
@@ -301,6 +302,16 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     /// otherwise the owning shard's errors.
     pub fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
         self.owner(sn)?.read(sn)
+    }
+
+    /// [`ShardedWormServer::read`] for a serving path: the owning
+    /// shard's [`WormServer::read_into`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedWormServer::read`]; `w` is then exactly as it was.
+    pub fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
+        self.owner(sn)?.read_into(sn, w)
     }
 
     /// Places a litigation hold, routed by the credential's SN.

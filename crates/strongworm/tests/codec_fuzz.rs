@@ -4,9 +4,13 @@
 //! valid encoding must either fail to decode or decode to a different
 //! value (no silent aliasing).
 
+use std::time::Duration;
+
 use bytes::Bytes;
 use proptest::prelude::*;
-use scpu::Timestamp;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use scpu::{Timestamp, VirtualClock};
 use strongworm::attr::RecordAttributes;
 use strongworm::authority::{HoldCredential, ReleaseCredential};
 use strongworm::codec;
@@ -15,11 +19,20 @@ use strongworm::proofs::{
     BaseCert, DeletionEvidence, DeletionProof, HeadCert, ReadOutcome, WindowProof,
 };
 use strongworm::vrd::Vrd;
+use strongworm::vrdt::VrdtEntry;
+use strongworm::wire::WireWriter;
 use strongworm::witness::{Signature, Witness};
-use strongworm::SerialNumber;
-use strongworm::{CompositeBinding, CompositeHead};
+use strongworm::{
+    CompositeBinding, CompositeHead, RegulatoryAuthority, RetentionPolicy, SerialNumber,
+    ShardedWormServer, WormConfig, WormError, WormServer,
+};
 use wormstore::{RecordDescriptor, RecordId, Shredder};
 use wormtrace::{HistogramSnapshot, OpSnapshot, StatsSnapshot, NUM_BUCKETS};
+
+/// The one encoder of a read outcome, into a fresh buffer.
+fn encode_outcome(o: &ReadOutcome) -> Vec<u8> {
+    WireWriter::encoded(|w| codec::encode_read_outcome_into(w, o))
+}
 
 fn arb_sig() -> impl Strategy<Value = Signature> {
     (
@@ -301,7 +314,7 @@ proptest! {
         let _ = codec::decode_window_proof(&bytes);
         let _ = codec::decode_head_cert(&bytes);
         let _ = codec::decode_base_cert(&bytes);
-        let _ = codec::decode_read_outcome(&bytes);
+        let _ = codec::decode_read_outcome_shared(&Bytes::from(bytes.clone()));
         let _ = codec::decode_hold_credential(&bytes);
         let _ = codec::decode_release_credential(&bytes);
         let _ = codec::decode_device_keys(&bytes);
@@ -351,17 +364,16 @@ proptest! {
 
     #[test]
     fn read_outcome_roundtrip_holds(outcome in arb_outcome()) {
-        let enc = codec::encode_read_outcome(&outcome);
-        prop_assert_eq!(codec::decode_read_outcome(&enc).unwrap(), outcome);
+        let enc = Bytes::from(encode_outcome(&outcome));
+        prop_assert_eq!(codec::decode_read_outcome_shared(&enc).unwrap(), outcome);
     }
 
     #[test]
     fn read_outcome_mutations_never_alias(outcome in arb_outcome(), pos in any::<prop::sample::Index>(), flip in 1u8..=255) {
-        let enc = codec::encode_read_outcome(&outcome);
-        let mut mutated = enc.clone();
+        let mut mutated = encode_outcome(&outcome);
         let i = pos.index(mutated.len());
         mutated[i] ^= flip;
-        match codec::decode_read_outcome(&mutated) {
+        match codec::decode_read_outcome_shared(&Bytes::from(mutated)) {
             Err(_) => {}
             Ok(other) => prop_assert_ne!(other, outcome, "mutation at byte {} aliased", i),
         }
@@ -597,4 +609,203 @@ fn audit_page_count_bomb_rejected() {
     let mut bomb = enc;
     bomb[events_count_at..events_count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
     assert!(wormaudit::codec::decode_audit_page(&bomb).is_err());
+}
+
+// ---------------------------------------------------------------------
+// The streaming read path (`read_into`) against the owned one (`read` +
+// `encode_read_outcome_into`): one layout, so the same bytes, for every
+// outcome variant, on a single server and across shard lanes.
+// ---------------------------------------------------------------------
+
+/// The calls the byte-identity scenario makes, on either server shape.
+trait Served {
+    fn put(&self, records: &[&[u8]], retention_secs: u64) -> SerialNumber;
+    fn expire_and_compact(&self);
+    fn owned(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError>;
+    fn streamed(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError>;
+    fn slow_reads(&self) -> u64;
+}
+
+macro_rules! served {
+    ($server:ty) => {
+        impl Served for $server {
+            fn put(&self, records: &[&[u8]], retention_secs: u64) -> SerialNumber {
+                let policy = RetentionPolicy::custom(
+                    Duration::from_secs(retention_secs),
+                    Shredder::ZeroFill,
+                );
+                self.write(records, policy).unwrap()
+            }
+            fn expire_and_compact(&self) {
+                self.tick().unwrap();
+                self.compact().unwrap();
+            }
+            fn owned(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
+                self.read(sn)
+            }
+            fn streamed(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
+                self.read_into(sn, w)
+            }
+            fn slow_reads(&self) -> u64 {
+                // Summed over lanes (a sharded snapshot prefixes each
+                // shard's instruments with `shard{i}.`).
+                let counters = self.stats_snapshot().counters;
+                let slow = counters
+                    .iter()
+                    .filter(|(name, _)| name.ends_with("server.read_slow_path"));
+                slow.map(|(_, n)| n).sum()
+            }
+        }
+    };
+}
+served!(WormServer);
+served!(ShardedWormServer);
+
+fn regulator() -> RegulatoryAuthority {
+    RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0xB17E), 512)
+}
+
+/// Streams `sn` after bytes the writer already holds and checks the
+/// result against the owned outcome's encoding; returns the outcome.
+fn assert_streams_as_owned(srv: &impl Served, sn: SerialNumber) -> ReadOutcome {
+    let mut w = WireWriter::from(b"kept".to_vec());
+    srv.streamed(sn, &mut w).unwrap();
+    let streamed = w.finish();
+    let outcome = srv.owned(sn).unwrap();
+    assert_eq!(&streamed[..4], b"kept");
+    assert_eq!(
+        &streamed[4..],
+        encode_outcome(&outcome),
+        "{sn}: streamed bytes differ from the owned {} outcome's encoding",
+        outcome.kind()
+    );
+    outcome
+}
+
+/// Every outcome variant, `lanes` times over (writes go round-robin, so
+/// each lane of a sharded server gets the same layout).
+fn streamed_reads_match_the_owned_encoding(srv: &impl Served, clock: &VirtualClock, lanes: usize) {
+    const KEEP: u64 = 10_000_000;
+    const BIG: &[u8] = &[0xA5; 3000];
+    // Per lane: SN 1-3 an expired prefix (the base passes them), 4 one
+    // record, 5 an isolated expiry (its proof stays resident), 6 several
+    // records (one empty), 7-10 an interior expired run (compacts into a
+    // window), 11 the upper anchor.
+    let layout: [(&[&[u8]], u64, &str); 11] = [
+        (&[b"a"], 50, "below-base"),
+        (&[b"b"], 50, "below-base"),
+        (&[b"c"], 50, "below-base"),
+        (&[BIG], KEEP, "data"),
+        (&[b"lone"], 50, "proof"),
+        (&[b"first", b"", BIG], KEEP, "data"),
+        (&[b"w"], 50, "in-window"),
+        (&[b"x"], 50, "in-window"),
+        (&[b"y"], 50, "in-window"),
+        (&[b"z"], 50, "in-window"),
+        (&[b"anchor"], KEEP, "data"),
+    ];
+    let mut written = Vec::new();
+    for (records, secs, expect) in layout {
+        for _ in 0..lanes {
+            written.push((srv.put(records, secs), expect));
+        }
+    }
+    clock.advance(Duration::from_secs(60));
+    srv.expire_and_compact();
+
+    let evidence_kind = |outcome: &ReadOutcome| match outcome {
+        ReadOutcome::Data { .. } => "data",
+        ReadOutcome::Deleted { evidence, .. } => match evidence {
+            DeletionEvidence::Proof(_) => "proof",
+            DeletionEvidence::BelowBase(_) => "below-base",
+            DeletionEvidence::InWindow(_) => "in-window",
+        },
+        ReadOutcome::NeverExisted { .. } => "never-existed",
+    };
+    for &(sn, expect) in &written {
+        assert_eq!(
+            evidence_kind(&assert_streams_as_owned(srv, sn)),
+            expect,
+            "{sn}"
+        );
+        // Above every lane's head.
+        let beyond = SerialNumber(sn.0 + 1_000);
+        assert_eq!(
+            evidence_kind(&assert_streams_as_owned(srv, beyond)),
+            "never-existed"
+        );
+    }
+
+    // The expired-base slow path, streamed first and then owned first:
+    // each refreshes the base through the witness plane and must still
+    // put out what the other form then serves from the table.
+    let below_base: Vec<SerialNumber> = written
+        .iter()
+        .filter(|(_, expect)| *expect == "below-base")
+        .map(|(sn, _)| *sn)
+        .collect();
+    for streamed_first in [true, false] {
+        clock.advance(Duration::from_secs(25 * 60 * 60));
+        // Lane by lane: each lane's first below-base read is the slow one.
+        for &sn in &below_base[..lanes] {
+            let slow_before = srv.slow_reads();
+            if streamed_first {
+                assert_streams_as_owned(srv, sn);
+            } else {
+                let outcome = srv.owned(sn).unwrap();
+                let mut w = WireWriter::new();
+                srv.streamed(sn, &mut w).unwrap();
+                assert_eq!(w.finish(), encode_outcome(&outcome));
+            }
+            assert!(
+                srv.slow_reads() > slow_before,
+                "{sn}: an expired base certificate must take the slow path"
+            );
+        }
+    }
+}
+
+#[test]
+fn streamed_reads_match_the_owned_encoding_on_one_server() {
+    let clock = VirtualClock::starting_at_millis(1_000_000);
+    let srv = WormServer::new(
+        WormConfig::test_small(),
+        clock.clone(),
+        regulator().public(),
+    )
+    .unwrap();
+    streamed_reads_match_the_owned_encoding(&srv, &clock, 1);
+}
+
+#[test]
+fn streamed_reads_match_the_owned_encoding_across_two_shards() {
+    let clock = VirtualClock::starting_at_millis(1_000_000);
+    let srv = ShardedWormServer::new(
+        WormConfig::test_small(),
+        clock.clone(),
+        regulator().public(),
+        2,
+    )
+    .unwrap();
+    streamed_reads_match_the_owned_encoding(&srv, &clock, 2);
+}
+
+#[test]
+fn a_store_error_after_the_vrd_was_written_leaves_the_writer_as_it_was() {
+    let clock = VirtualClock::starting_at_millis(1_000_000);
+    let srv = WormServer::new(WormConfig::test_small(), clock, regulator().public()).unwrap();
+    let sn = srv.put(&[b"reads fine", b"descriptor goes stale"], 1_000);
+    {
+        // The second extent now points past the device: the VRD and the
+        // first record are already in the writer when the store fails.
+        let (mut vrdt, _) = srv.parts_mut_for_attack();
+        match vrdt.entries_mut_for_attack().get_mut(&sn) {
+            Some(VrdtEntry::Active(vrd)) => vrd.rdl[1].offset = u64::MAX / 2,
+            _ => unreachable!("just written"),
+        }
+    }
+    let mut w = WireWriter::from(b"kept".to_vec());
+    assert!(matches!(srv.streamed(sn, &mut w), Err(WormError::Store(_))));
+    assert_eq!(w.finish(), b"kept");
+    assert!(matches!(srv.owned(sn), Err(WormError::Store(_))));
 }

@@ -192,28 +192,13 @@ pub fn encode_audit_page(p: &AuditPage) -> Vec<u8> {
 /// [`WireError`] on a wrong tag, counts above [`MAX_PAGE_EVENTS`] /
 /// [`MAX_PAGE_ANCHORS`], any malformed element, or trailing bytes.
 pub fn decode_audit_page(bytes: &[u8]) -> Result<AuditPage, WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != PAGE_TAG {
-        return Err(WireError {
-            expected: "wormaudit.events.v1 tag",
-        });
-    }
-    let n_events = r.get_count()?;
-    if n_events > MAX_PAGE_EVENTS {
-        return Err(WireError {
-            expected: "event count within page bound",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, PAGE_TAG, "wormaudit.events.v1 tag")?;
+    let n_events = r.get_count_within(MAX_PAGE_EVENTS, "event count within page bound")?;
     let mut events = Vec::with_capacity(n_events.min(r.remaining()));
     for _ in 0..n_events {
         events.push(get_event(&mut r)?);
     }
-    let n_anchors = r.get_count()?;
-    if n_anchors > MAX_PAGE_ANCHORS {
-        return Err(WireError {
-            expected: "anchor count within page bound",
-        });
-    }
+    let n_anchors = r.get_count_within(MAX_PAGE_ANCHORS, "anchor count within page bound")?;
     let mut anchors = Vec::with_capacity(n_anchors.min(r.remaining()));
     for _ in 0..n_anchors {
         anchors.push(get_anchor(&mut r)?);

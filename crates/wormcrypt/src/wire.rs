@@ -37,6 +37,14 @@ impl WireWriter {
         w
     }
 
+    /// What `put` writes into a fresh writer: how an owned `encode_*`
+    /// is made from the in-place writer that defines a layout.
+    pub fn encoded(put: impl FnOnce(&mut Self)) -> Vec<u8> {
+        let mut w = Self::new();
+        put(&mut w);
+        w.finish()
+    }
+
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -63,28 +71,14 @@ impl WireWriter {
     /// cannot be represented in the `u32` prefix must never be silently
     /// truncated into a corrupt encoding. Callers encoding data whose
     /// size is not already bounded should use
-    /// [`WireWriter::try_put_bytes`].
+    /// [`WireWriter::try_put_bytes_with`].
     #[allow(clippy::expect_used)]
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        let appended = self.try_put_bytes(v);
-        // wormlint: allow(panic) -- the documented contract above: encoders feeding unbounded data must use try_put_bytes; silently truncating a length prefix would mint a corrupt canonical encoding
-        appended.expect("byte string exceeds the u32 length prefix");
-        self
-    }
-
-    /// Appends a length-prefixed byte string, rejecting lengths the `u32`
-    /// prefix cannot represent.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] if `v` is longer than [`MAX_WIRE_BYTES`].
-    pub fn try_put_bytes(&mut self, v: &[u8]) -> Result<&mut Self, WireError> {
-        let len = u32::try_from(v.len()).map_err(|_| WireError {
-            expected: "byte string within u32 length range",
-        })?;
+        // wormlint: allow(panic) -- the documented contract above: encoders feeding unbounded data must use try_put_bytes_with; silently truncating a length prefix would mint a corrupt canonical encoding
+        let len = u32::try_from(v.len()).expect("byte string exceeds the u32 length prefix");
         self.put_u32(len);
         self.buf.extend_from_slice(v);
-        Ok(self)
+        self
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -116,18 +110,79 @@ impl WireWriter {
     ///
     /// Panics if the nested body exceeds [`MAX_WIRE_BYTES`] — same
     /// contract as [`WireWriter::put_bytes`].
-    #[allow(clippy::expect_used)]
     pub fn put_nested<F: FnOnce(&mut Self)>(&mut self, f: F) -> &mut Self {
+        let Ok(()) = self.try_put_nested(|w| {
+            f(w);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        self
+    }
+
+    /// [`WireWriter::put_nested`] for a body that can fail part-way (a
+    /// record read from the store): on `Err` the writer is truncated
+    /// back to where it stood, so a failed body leaves no bytes behind.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `f` returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`WireWriter::put_nested`].
+    #[allow(clippy::expect_used)]
+    pub fn try_put_nested<E>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
         let at = self.buf.len();
         self.put_u32(0);
-        f(self);
+        if let Err(e) = f(self) {
+            self.buf.truncate(at);
+            return Err(e);
+        }
         let body_len = self.buf.len() - at - 4;
         // wormlint: allow(panic) -- mirrors the put_bytes contract: a nested body the u32 prefix cannot represent must halt rather than mint a corrupt canonical encoding
         let prefix = u32::try_from(body_len).expect("nested body exceeds u32 prefix");
         if let Some(slot) = self.buf.get_mut(at..at + 4) {
             slot.copy_from_slice(&prefix.to_be_bytes());
         }
-        self
+        Ok(())
+    }
+
+    /// Appends a length-prefixed byte string of `len` bytes that `fill`
+    /// writes in place — byte-identical to [`WireWriter::put_bytes`] of
+    /// the same bytes, without staging them in a buffer of their own.
+    /// On `Err` the writer is truncated back to where it stood.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] (converted) if `len` exceeds [`MAX_WIRE_BYTES`];
+    /// otherwise whatever `fill` returns.
+    pub fn try_put_bytes_with<E: From<WireError>>(
+        &mut self,
+        len: u64,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let too_long = WireError {
+            expected: "byte string within u32 length range",
+        };
+        let prefix = u32::try_from(len).map_err(|_| too_long)?;
+        let body = usize::try_from(prefix).map_err(|_| too_long)?;
+        let at = self.buf.len();
+        self.put_u32(prefix);
+        self.buf.resize(at + 4 + body, 0);
+        let filled = fill(self.buf.get_mut(at + 4..).unwrap_or_default());
+        if filled.is_err() {
+            self.buf.truncate(at);
+        }
+        filled
+    }
+
+    /// Drops everything written past `len` (no-op when `len` is not
+    /// below the current length): how a caller that owns a mark rolls a
+    /// partially written message back.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -143,6 +198,16 @@ impl WireWriter {
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+impl From<Vec<u8>> for WireWriter {
+    /// A writer that appends to `buf`, keeping what it already holds
+    /// (and its capacity): how a server encodes straight into a
+    /// connection's output buffer. [`WireWriter::finish`] hands the
+    /// buffer back.
+    fn from(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
     }
 }
 
@@ -180,6 +245,20 @@ impl<'a> WireReader<'a> {
             buf,
             len: buf.len(),
         }
+    }
+
+    /// Reader over `buf` past its domain-separation label — the
+    /// counterpart of [`WireWriter::tagged`].
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] naming `expected` if `buf` opens with another label.
+    pub fn tagged(buf: &'a [u8], tag: &str, expected: &'static str) -> Result<Self, WireError> {
+        let mut r = Self::new(buf);
+        if r.get_str()? != tag {
+            return Err(WireError { expected });
+        }
+        Ok(r)
     }
 
     /// Reads a `u8`.
@@ -256,19 +335,23 @@ impl<'a> WireReader<'a> {
         Ok(end - len..end)
     }
 
-    /// Reads a `u32` collection count as `usize`.
-    ///
-    /// Callers still bound the result against their own caps before
-    /// allocating.
+    /// Reads a `u32` collection count as `usize`, rejecting one above
+    /// `max`: the caller's cap on what a corrupt or hostile count may
+    /// size or drive, stated where the count is read.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncation or a count the address space cannot
-    /// hold.
-    pub fn get_count(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.get_u32()?).map_err(|_| WireError {
-            expected: "count within address space",
-        })
+    /// [`WireError`] on truncation, or naming `expected` for a count
+    /// above `max`.
+    pub fn get_count_within(
+        &mut self,
+        max: usize,
+        expected: &'static str,
+    ) -> Result<usize, WireError> {
+        match usize::try_from(self.get_u32()?) {
+            Ok(n) if n <= max => Ok(n),
+            _ => Err(WireError { expected }),
+        }
     }
 
     /// Reads a length-prefixed byte string, additionally rejecting any
@@ -385,6 +468,43 @@ mod tests {
     }
 
     #[test]
+    fn in_place_writers_match_put_bytes_and_roll_back_on_error() {
+        // What staging each body in a writer of its own would produce.
+        let mut inner = WireWriter::new();
+        inner.put_u64(7).put_bytes(b"payload");
+        let mut staged = WireWriter::tagged("outer.v1");
+        staged.put_bytes(&inner.finish());
+
+        // Written in place, appending to a buffer that already holds bytes.
+        let mut w = WireWriter::from(b"kept".to_vec());
+        w.put_str("outer.v1");
+        w.try_put_nested(|w| {
+            w.put_u64(7);
+            w.try_put_bytes_with(7, |dst| {
+                dst.copy_from_slice(b"payload");
+                Ok::<(), WireError>(())
+            })
+        })
+        .unwrap();
+        let good = w.len();
+        let mut expected = b"kept".to_vec();
+        expected.extend_from_slice(&staged.finish());
+        assert_eq!(w.clone().finish(), expected);
+
+        // A body that fails part-way leaves nothing behind, at either level.
+        let failed = w.try_put_nested(|w| {
+            w.put_u64(9);
+            w.try_put_bytes_with(3, |_| Err(WireError { expected: "fill" }))
+        });
+        assert_eq!(failed.unwrap_err().expected, "fill");
+        assert_eq!(w.len(), good);
+        w.put_u8(1).put_u8(2);
+        w.truncate(good);
+        w.truncate(good + 10);
+        assert_eq!(w.finish(), expected);
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         let mut w = WireWriter::new();
         w.put_u8(1);
@@ -409,11 +529,10 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn oversized_byte_string_rejected_not_truncated() {
-        // Zero-filled allocation is lazily mapped; nothing is copied
-        // because the length check fails before any write.
-        let huge = vec![0u8; MAX_WIRE_BYTES as usize + 1];
+        // The length check fails before anything is written or sized.
         let mut w = WireWriter::new();
-        assert!(w.try_put_bytes(&huge).is_err());
+        let fill = |_: &mut [u8]| Ok::<(), WireError>(());
+        assert!(w.try_put_bytes_with(MAX_WIRE_BYTES + 1, fill).is_err());
         // The failed append must not leave a partial prefix behind.
         assert!(w.is_empty());
         // The largest representable length is still accepted in principle:

@@ -267,11 +267,13 @@ fn l2_atomics(f: &SourceFile, report: &mut FileReport) {
 
 /// Per-file half of L3: every non-test `fn encode_*` needs a matching
 /// `fn decode_*` in the same file, and is reported upward so the
-/// workspace pass can check test coverage.
+/// workspace pass can check test coverage. An encoder that writes in
+/// place (`encode_x_into`) and a decoder that slices its source buffer
+/// (`decode_x_shared`) are the `x` pair itself, not variants of it.
 fn l3_codec_pairs(f: &SourceFile, report: &mut FileReport, used_allows: &mut BTreeSet<usize>) {
     let toks = &f.lexed.tokens;
-    let mut encodes: Vec<(String, u32)> = Vec::new();
-    let mut decodes: BTreeSet<String> = BTreeSet::new();
+    let mut encodes: Vec<(&str, &str, u32)> = Vec::new();
+    let mut decodes: BTreeSet<&str> = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || t.ident_text(&f.src) != "fn" {
             continue;
@@ -283,29 +285,28 @@ fn l3_codec_pairs(f: &SourceFile, report: &mut FileReport, used_allows: &mut BTr
         if f.in_test(name_tok.line) {
             continue;
         }
-        if let Some(suffix) = name.strip_prefix("encode_") {
-            if !suffix.is_empty() {
-                encodes.push((name.to_string(), name_tok.line));
-            }
-        } else if let Some(suffix) = name.strip_prefix("decode_") {
-            if !suffix.is_empty() {
-                decodes.insert(name.to_string());
-            }
+        let stem_of = |prefix: &str, suffix: &str| {
+            let stem = name.strip_suffix(suffix).unwrap_or(name);
+            stem.strip_prefix(prefix).filter(|s| !s.is_empty())
+        };
+        if let Some(stem) = stem_of("encode_", "_into") {
+            encodes.push((name, stem, name_tok.line));
+        } else if let Some(stem) = stem_of("decode_", "_shared") {
+            decodes.insert(stem);
         }
     }
-    for (name, line) in encodes {
-        let want = format!("decode_{}", &name["encode_".len()..]);
-        if !decodes.contains(&want) && !consume_allow(f, "codec", line, used_allows) {
+    for (name, stem, line) in encodes {
+        if !decodes.contains(stem) && !consume_allow(f, "codec", line, used_allows) {
             report.diags.push(Diag::new(
                 "L3",
                 "codec-pair",
                 &f.path,
                 line,
-                format!("`{name}` has no matching `{want}` in this module"),
+                format!("`{name}` has no matching `decode_{stem}` in this module"),
             ));
             continue;
         }
-        report.encode_fns.push((name, line));
+        report.encode_fns.push((name.to_string(), line));
     }
 }
 
@@ -379,7 +380,7 @@ pub fn l3_test_coverage(
 /// arm, and documented as a `| N |` table row in PROTOCOL.md.
 pub fn l3_opcodes(f: &SourceFile, ctx: &CodecContext<'_>, diags: &mut Vec<Diag>) {
     let encode_ops = put_u8_literals(f, &["encode_request", "encode_request_traced"]);
-    let resp_ops = put_u8_literals(f, &["encode_response"]);
+    let resp_ops = put_u8_literals(f, &["put_response"]);
     let decode_ops = match_arm_literals(f, &["decode_request_inner", "decode_request"]);
 
     let mut seen: BTreeMap<u64, u32> = BTreeMap::new();

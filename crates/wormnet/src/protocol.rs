@@ -233,43 +233,24 @@ fn get_policy(r: &mut WireReader<'_>) -> Result<RetentionPolicy, WireError> {
     })
 }
 
-fn put_shard_keys(w: &mut WireWriter, shards: &[(DeviceKeys, Vec<WeakKeyCert>)]) {
-    w.put_count(shards.len());
-    for (keys, weak_certs) in shards {
-        w.put_bytes(&encode_device_keys(keys));
-        w.put_count(weak_certs.len());
-        for cert in weak_certs {
-            w.put_bytes(&encode_weak_key_cert(cert));
-        }
+/// One lane's published keys: the device keys, then every weak-key
+/// certificate. `Keys` carries one of these, `ShardKeys` a list.
+fn put_lane_keys(w: &mut WireWriter, keys: &DeviceKeys, weak_certs: &[WeakKeyCert]) {
+    w.put_bytes(&encode_device_keys(keys));
+    w.put_count(weak_certs.len());
+    for cert in weak_certs {
+        w.put_bytes(&encode_weak_key_cert(cert));
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn get_shard_keys(
-    r: &mut WireReader<'_>,
-) -> Result<Vec<(DeviceKeys, Vec<WeakKeyCert>)>, WireError> {
-    let n = r.get_count()?;
-    if n > MAX_LIST_LEN {
-        return Err(WireError {
-            expected: "shard count within bounds",
-        });
-    }
-    let mut shards = Vec::with_capacity(n.min(r.remaining()));
+fn get_lane_keys(r: &mut WireReader<'_>) -> Result<(DeviceKeys, Vec<WeakKeyCert>), WireError> {
+    let keys = decode_device_keys(r.get_bytes()?)?;
+    let n = r.get_count_within(MAX_LIST_LEN, "weak cert count within bounds")?;
+    let mut weak_certs = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
-        let keys = decode_device_keys(r.get_bytes()?)?;
-        let m = r.get_count()?;
-        if m > MAX_LIST_LEN {
-            return Err(WireError {
-                expected: "weak cert count within bounds",
-            });
-        }
-        let mut weak_certs = Vec::with_capacity(m.min(r.remaining()));
-        for _ in 0..m {
-            weak_certs.push(decode_weak_key_cert(r.get_bytes()?)?);
-        }
-        shards.push((keys, weak_certs));
+        weak_certs.push(decode_weak_key_cert(r.get_bytes()?)?);
     }
-    Ok(shards)
+    Ok((keys, weak_certs))
 }
 
 fn witness_code(m: WitnessMode) -> u8 {
@@ -402,12 +383,7 @@ fn decode_request_inner(
     bytes: &[u8],
     allow_envelope: bool,
 ) -> Result<(NetRequest, Option<wormtrace::TraceContext>), WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_str()? != REQ_TAG {
-        return Err(WireError {
-            expected: "request tag",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, REQ_TAG, "request tag")?;
     let opcode = r.get_u8()?;
     if opcode == 9 {
         if !allow_envelope {
@@ -430,12 +406,7 @@ fn decode_request_inner(
     }
     let req = match opcode {
         1 => {
-            let n = r.get_count()?;
-            if n > MAX_LIST_LEN {
-                return Err(WireError {
-                    expected: "record count within bounds",
-                });
-            }
+            let n = r.get_count_within(MAX_LIST_LEN, "record count within bounds")?;
             let mut records = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
                 records.push(Bytes::from(r.get_bytes()?.to_vec()));
@@ -480,7 +451,14 @@ fn decode_request_inner(
 
 /// Encodes a response frame payload.
 pub fn encode_response(resp: &NetResponse) -> Vec<u8> {
-    let mut w = WireWriter::tagged(RESP_TAG);
+    WireWriter::encoded(|w| put_response(w, resp))
+}
+
+/// Writes a response frame payload in place (the one definition of its
+/// layout): the server encodes straight into a connection's output
+/// buffer, [`encode_response`] into a fresh one.
+pub(crate) fn put_response(w: &mut WireWriter, resp: &NetResponse) {
+    w.put_str(RESP_TAG);
     match resp {
         NetResponse::Error { code, message } => {
             w.put_u8(0);
@@ -493,9 +471,6 @@ pub fn encode_response(resp: &NetResponse) -> Vec<u8> {
         }
         NetResponse::Outcome(outcome) => {
             w.put_u8(2);
-            // In place: outcomes carry whole record payloads, and the
-            // serving loop encodes one per read — skip the intermediate
-            // buffer-and-recopy.
             w.put_nested(|w| encode_read_outcome_into(w, outcome));
         }
         NetResponse::Ack => {
@@ -503,11 +478,7 @@ pub fn encode_response(resp: &NetResponse) -> Vec<u8> {
         }
         NetResponse::Keys { keys, weak_certs } => {
             w.put_u8(4);
-            w.put_bytes(&encode_device_keys(keys));
-            w.put_count(weak_certs.len());
-            for cert in weak_certs {
-                w.put_bytes(&encode_weak_key_cert(cert));
-            }
+            put_lane_keys(w, keys, weak_certs);
         }
         NetResponse::Stats(snapshot) => {
             w.put_u8(5);
@@ -523,41 +494,47 @@ pub fn encode_response(resp: &NetResponse) -> Vec<u8> {
         }
         NetResponse::ShardKeys(shards) => {
             w.put_u8(8);
-            put_shard_keys(&mut w, shards);
+            w.put_count(shards.len());
+            for (keys, weak_certs) in shards {
+                put_lane_keys(w, keys, weak_certs);
+            }
         }
         NetResponse::AuditEvents(page) => {
             w.put_u8(9);
             w.put_bytes(&wormaudit::codec::encode_audit_page(page));
         }
     }
-    w.finish()
 }
 
-/// Decodes a response frame payload.
+/// Writes the [`NetResponse::Outcome`] response to a read that
+/// `read_into` serves by writing the outcome's encoding in place
+/// ([`strongworm::WormServer::read_into`]): the bytes [`put_response`]
+/// writes for the owned outcome, without building one.
+///
+/// # Errors
+///
+/// Whatever `read_into` returns; the outcome it may have half written
+/// is truncated away, the response tag before it stays for the caller
+/// to roll back.
+pub(crate) fn put_outcome_response<E>(
+    w: &mut WireWriter,
+    read_into: impl FnOnce(&mut WireWriter) -> Result<(), E>,
+) -> Result<(), E> {
+    w.put_str(RESP_TAG);
+    w.put_u8(2);
+    w.try_put_nested(read_into)
+}
+
+/// Decodes a response frame payload. A read outcome's records are
+/// slices of `src` (see [`decode_read_outcome_shared`]): the frame is
+/// not copied again after it leaves the socket.
 ///
 /// # Errors
 ///
 /// [`WireError`] on an unknown tag or discriminant, malformed fields,
 /// truncation, or trailing bytes.
-pub fn decode_response(bytes: &[u8]) -> Result<NetResponse, WireError> {
-    decode_response_shared(&Bytes::from(bytes))
-}
-
-/// Decodes a response whose read-outcome records *share* the frame
-/// buffer instead of being copied out of it (see
-/// [`decode_read_outcome_shared`]): the zero-copy path pipelined
-/// clients use, where the per-record copy is measurable at depth.
-///
-/// # Errors
-///
-/// Exactly as [`decode_response`].
 pub fn decode_response_shared(src: &Bytes) -> Result<NetResponse, WireError> {
-    let mut r = WireReader::new(src);
-    if r.get_str()? != RESP_TAG {
-        return Err(WireError {
-            expected: "response tag",
-        });
-    }
+    let mut r = WireReader::tagged(src, RESP_TAG, "response tag")?;
     let resp = match r.get_u8()? {
         0 => NetResponse::Error {
             code: r.get_u8()?,
@@ -569,23 +546,20 @@ pub fn decode_response_shared(src: &Bytes) -> Result<NetResponse, WireError> {
         2 => NetResponse::Outcome(decode_read_outcome_shared(&src.slice(r.get_range()?))?),
         3 => NetResponse::Ack,
         4 => {
-            let keys = decode_device_keys(r.get_bytes()?)?;
-            let n = r.get_count()?;
-            if n > MAX_LIST_LEN {
-                return Err(WireError {
-                    expected: "weak cert count within bounds",
-                });
-            }
-            let mut weak_certs = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                weak_certs.push(decode_weak_key_cert(r.get_bytes()?)?);
-            }
+            let (keys, weak_certs) = get_lane_keys(&mut r)?;
             NetResponse::Keys { keys, weak_certs }
         }
         5 => NetResponse::Stats(decode_stats_snapshot(r.get_bytes()?)?),
         6 => NetResponse::Traces(decode_captured_traces(r.get_bytes()?)?),
         7 => NetResponse::CompositeHead(decode_composite_head(r.get_bytes()?)?),
-        8 => NetResponse::ShardKeys(get_shard_keys(&mut r)?),
+        8 => {
+            let n = r.get_count_within(MAX_LIST_LEN, "shard count within bounds")?;
+            let mut shards = Vec::with_capacity(n.min(r.remaining()));
+            for _ in 0..n {
+                shards.push(get_lane_keys(&mut r)?);
+            }
+            NetResponse::ShardKeys(shards)
+        }
         // The page keeps its own canonical codec (and count caps).
         9 => NetResponse::AuditEvents(wormaudit::codec::decode_audit_page(r.get_bytes()?)?),
         _ => {
@@ -603,6 +577,12 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use strongworm::witness::Signature;
+
+    /// Decodes a response from plain bytes (the decoder takes the
+    /// receive buffer as `Bytes`).
+    fn decode_plain(bytes: &[u8]) -> Result<NetResponse, WireError> {
+        decode_response_shared(&Bytes::from(bytes))
+    }
 
     fn sig(b: u8) -> Signature {
         Signature {
@@ -739,11 +719,11 @@ mod tests {
             }],
         };
         let enc = encode_response(&NetResponse::Traces(vec![trace.clone()]));
-        match decode_response(&enc).unwrap() {
+        match decode_plain(&enc).unwrap() {
             NetResponse::Traces(got) => assert_eq!(got, vec![trace]),
             other => panic!("wrong variant: {other:?}"),
         }
-        assert!(decode_response(&enc[..enc.len() - 1]).is_err());
+        assert!(decode_plain(&enc[..enc.len() - 1]).is_err());
     }
 
     #[test]
@@ -761,9 +741,9 @@ mod tests {
         assert!(decode_request(&w.finish()).is_err());
         let mut w = WireWriter::tagged("wormnet.resp.v2");
         w.put_u8(3);
-        assert!(decode_response(&w.finish()).is_err());
+        assert!(decode_plain(&w.finish()).is_err());
         assert!(decode_request(b"").is_err());
-        assert!(decode_response(b"").is_err());
+        assert!(decode_plain(b"").is_err());
     }
 
     #[test]
@@ -772,14 +752,14 @@ mod tests {
         reg.op("server.read").record(512, true);
         reg.counter("net.frames_in").add(7);
         let enc = encode_response(&NetResponse::Stats(reg.snapshot()));
-        match decode_response(&enc).unwrap() {
+        match decode_plain(&enc).unwrap() {
             NetResponse::Stats(s) => {
                 assert_eq!(s, reg.snapshot());
                 assert_eq!(s.counter("net.frames_in"), 7);
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        assert!(decode_response(&enc[..enc.len() - 1]).is_err());
+        assert!(decode_plain(&enc[..enc.len() - 1]).is_err());
     }
 
     fn tiny_key(n: u8) -> wormcrypt::RsaPublicKey {
@@ -835,11 +815,11 @@ mod tests {
             heads,
         };
         let enc = encode_response(&NetResponse::CompositeHead(composite.clone()));
-        match decode_response(&enc).unwrap() {
+        match decode_plain(&enc).unwrap() {
             NetResponse::CompositeHead(got) => assert_eq!(got, composite),
             other => panic!("wrong variant: {other:?}"),
         }
-        assert!(decode_response(&enc[..enc.len() - 1]).is_err());
+        assert!(decode_plain(&enc[..enc.len() - 1]).is_err());
     }
 
     #[test]
@@ -847,7 +827,7 @@ mod tests {
         for lanes in [0u8, 1, 3] {
             let shards = sample_shard_keys(lanes);
             let enc = encode_response(&NetResponse::ShardKeys(shards.clone()));
-            match decode_response(&enc).unwrap() {
+            match decode_plain(&enc).unwrap() {
                 NetResponse::ShardKeys(got) => {
                     assert_eq!(got.len(), shards.len());
                     for ((gk, gc), (wk, wc)) in got.iter().zip(shards.iter()) {
@@ -859,7 +839,7 @@ mod tests {
                 other => panic!("wrong variant: {other:?}"),
             }
             if lanes > 0 {
-                assert!(decode_response(&enc[..enc.len() - 1]).is_err());
+                assert!(decode_plain(&enc[..enc.len() - 1]).is_err());
             }
         }
     }
@@ -870,7 +850,7 @@ mod tests {
         let mut w = WireWriter::tagged("wormnet.resp.v1");
         w.put_u8(8);
         w.put_u32(u32::MAX);
-        assert!(decode_response(&w.finish()).is_err());
+        assert!(decode_plain(&w.finish()).is_err());
         // Same for the nested weak-cert count.
         let (keys, _) = sample_shard_keys(1).pop().unwrap();
         let mut w = WireWriter::tagged("wormnet.resp.v1");
@@ -878,7 +858,7 @@ mod tests {
         w.put_count(1);
         w.put_bytes(&encode_device_keys(&keys));
         w.put_u32(u32::MAX);
-        assert!(decode_response(&w.finish()).is_err());
+        assert!(decode_plain(&w.finish()).is_err());
     }
 
     #[test]
@@ -901,12 +881,12 @@ mod tests {
             }],
         };
         let enc = encode_response(&NetResponse::AuditEvents(page.clone()));
-        match decode_response(&enc).unwrap() {
+        match decode_plain(&enc).unwrap() {
             NetResponse::AuditEvents(got) => assert_eq!(got, page),
             other => panic!("wrong variant: {other:?}"),
         }
         for cut in 0..enc.len() {
-            assert!(decode_response(&enc[..cut]).is_err());
+            assert!(decode_plain(&enc[..cut]).is_err());
         }
     }
 
@@ -920,7 +900,7 @@ mod tests {
         let mut w = WireWriter::tagged("wormnet.resp.v1");
         w.put_u8(9);
         w.put_bytes(&inner.finish());
-        assert!(decode_response(&w.finish()).is_err());
+        assert!(decode_plain(&w.finish()).is_err());
     }
 
     #[test]
@@ -929,7 +909,7 @@ mod tests {
             code: CODE_BAD_REQUEST,
             message: "no".into(),
         });
-        match decode_response(&enc).unwrap() {
+        match decode_plain(&enc).unwrap() {
             NetResponse::Error { code, message } => {
                 assert_eq!(code, CODE_BAD_REQUEST);
                 assert_eq!(message, "no");

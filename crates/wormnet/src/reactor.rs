@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use crossbeam::channel::Receiver;
 
-use crate::frame::{append_frame, parse_frame};
+use crate::frame::parse_frame;
 use crate::server::{respond, NetServerConfig, NetStats, WormBackend, SHUTDOWN_POLL};
 
 /// Cap on requests served from one connection per loop iteration.
@@ -143,15 +143,17 @@ impl Conn {
     }
 
     /// Parses and serves every complete buffered frame, up to the burst
-    /// cap and the write-buffer watermark. Responses append to `wbuf`.
+    /// cap and the write-buffer watermark. Each response is written in
+    /// place at the end of `wbuf`. Returns how many frames were served.
     fn serve<B: WormBackend>(
         &mut self,
         server: &B,
         stats: &NetStats,
         served: &AtomicU64,
         config: &NetServerConfig,
-    ) {
+    ) -> u64 {
         let mut consumed = 0usize;
+        let mut frames = 0u64;
         for _ in 0..BURST_FRAMES {
             if self.wbuf.len() - self.wpos >= WBUF_PAUSE {
                 break;
@@ -159,17 +161,24 @@ impl Conn {
             let unparsed = self.rbuf.get(consumed..).unwrap_or_default();
             match parse_frame(unparsed, config.max_frame) {
                 Ok(Some((payload, frame_len))) => {
-                    let resp = respond(server, stats, served, payload);
-                    if append_frame(&mut self.wbuf, &resp, config.max_frame).is_err() {
+                    let before = self.wbuf.len();
+                    let framed = respond(
+                        server,
+                        stats,
+                        served,
+                        payload,
+                        &mut self.wbuf,
+                        config.max_frame,
+                    );
+                    frames += 1;
+                    if framed.is_err() {
                         // A response the peer would reject as oversized:
                         // nothing sane to send; drop the connection.
                         self.close = Some(Close::Error);
-                        return;
+                        return frames;
                     }
                     stats.frames_out.inc();
-                    stats
-                        .bytes_out
-                        .add(resp.len() as u64 + crate::server::FRAME_HEADER_BYTES);
+                    stats.bytes_out.add((self.wbuf.len() - before) as u64);
                     consumed += frame_len;
                 }
                 Ok(None) => break,
@@ -188,6 +197,7 @@ impl Conn {
         if self.rbuf.is_empty() && self.rbuf.capacity() > BUF_SHRINK {
             self.rbuf.shrink_to(READ_CHUNK);
         }
+        frames
     }
 
     /// Pushes pending output to the socket: one coalesced write per
@@ -318,11 +328,7 @@ pub(crate) fn worker_loop<B: WormBackend>(
                 conn.fill(&mut scratch);
             }
             if conn.close.is_none() {
-                let before = stats.frames_in.get();
-                conn.serve(server, stats, served, config);
-                wstats
-                    .frames
-                    .add(stats.frames_in.get().saturating_sub(before));
+                wstats.frames.add(conn.serve(server, stats, served, config));
                 conn.flush();
             }
             conn.decide_close(now, config);

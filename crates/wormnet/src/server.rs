@@ -27,16 +27,17 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use strongworm::authority::{HoldCredential, ReleaseCredential};
 use strongworm::firmware::{DeviceKeys, WeakKeyCert};
+use strongworm::wire::WireWriter;
 use strongworm::{
-    CompositeHead, ReadOutcome, RetentionPolicy, SerialNumber, ShardedWormServer, WitnessMode,
-    WormError, WormServer,
+    CompositeHead, RetentionPolicy, SerialNumber, ShardedWormServer, WitnessMode, WormError,
+    WormServer,
 };
 use wormstore::BlockDevice;
 
 use crate::frame::{write_frame, DEFAULT_MAX_FRAME};
 use crate::protocol::{
-    decode_request_traced, encode_response, error_code, NetRequest, NetResponse, CODE_BAD_REQUEST,
-    CODE_BUSY,
+    decode_request_traced, encode_response, error_code, put_outcome_response, put_response,
+    NetRequest, NetResponse, CODE_BAD_REQUEST, CODE_BUSY,
 };
 use crate::reactor;
 use crate::NetError;
@@ -62,12 +63,15 @@ pub trait WormBackend: Send + Sync {
         witness: WitnessMode,
     ) -> Result<SerialNumber, WormError>;
 
-    /// Reads a record by serial number, host-only.
+    /// Reads a record by serial number, host-only, writing the
+    /// outcome's canonical encoding straight into `w` (see
+    /// [`WormServer::read_into`]).
     ///
     /// # Errors
     ///
-    /// Routing failures (sharded backends) or store failures.
-    fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError>;
+    /// Routing failures (sharded backends) or store failures; `w` is
+    /// then exactly as it was.
+    fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError>;
 
     /// Drives due device alarms on every SCPU.
     ///
@@ -131,8 +135,8 @@ impl<D: BlockDevice> WormBackend for WormServer<D> {
         WormServer::write_with(self, records, policy, flags, witness)
     }
 
-    fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
-        WormServer::read(self, sn)
+    fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
+        WormServer::read_into(self, sn, w)
     }
 
     fn tick(&self) -> Result<(), WormError> {
@@ -187,8 +191,8 @@ impl<D: BlockDevice> WormBackend for ShardedWormServer<D> {
         ShardedWormServer::write_with(self, records, policy, flags, witness)
     }
 
-    fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
-        ShardedWormServer::read(self, sn)
+    fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
+        ShardedWormServer::read_into(self, sn, w)
     }
 
     fn tick(&self) -> Result<(), WormError> {
@@ -601,14 +605,22 @@ fn shed_busy(conn: TcpStream, stats: &NetStats, config: &NetServerConfig) {
 }
 
 /// Serves one already-parsed request frame: full per-request
-/// accounting, tracing, dispatch, and encoding. Returns the encoded
-/// response payload for the caller to frame into its write buffer.
+/// accounting, tracing and dispatch, with the response written in place
+/// as one frame at the end of `out` (the connection's output buffer) —
+/// header reserved and back-patched, no response buffer in between.
+///
+/// # Errors
+///
+/// [`NetError::FrameTooLarge`] for a response the peer would reject as
+/// oversized; `out` is then exactly as it was.
 pub(crate) fn respond<B: WormBackend>(
     server: &B,
     stats: &NetStats,
     served: &AtomicU64,
     payload: &[u8],
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+    max_frame: u32,
+) -> Result<(), NetError> {
     stats.frames_in.inc();
     stats
         .bytes_in
@@ -632,15 +644,32 @@ pub(crate) fn respond<B: WormBackend>(
     let observed = stats
         .trace
         .observe(&stats.request, "net.request", wormtrace::Plane::Net);
-    let resp = match decoded {
-        Ok((req, _)) => handle(server, req),
-        Err(e) => NetResponse::Error {
-            code: CODE_BAD_REQUEST,
-            message: format!("undecodable request: {e}"),
-        },
-    };
-    let ok = !matches!(resp, NetResponse::Error { .. });
-    let encoded = encode_response(&resp);
+    let mut w = WireWriter::from(std::mem::take(out));
+    let mut ok = true;
+    // A frame is its payload nested under a u32 length.
+    let framed = w.try_put_nested(|w| {
+        let body = w.len();
+        let handled = match decoded {
+            Ok((req, _)) => handle(server, req, w).map_err(|e| (error_code(&e), e.to_string())),
+            Err(e) => Err((CODE_BAD_REQUEST, format!("undecodable request: {e}"))),
+        };
+        if let Err((code, message)) = handled {
+            // Whatever the failed request already wrote goes; the
+            // client gets one clean error response.
+            ok = false;
+            w.truncate(body);
+            put_response(w, &NetResponse::Error { code, message });
+        }
+        let len = (w.len() - body) as u64;
+        if len > u64::from(max_frame) {
+            return Err(NetError::FrameTooLarge {
+                len,
+                max: u64::from(max_frame),
+            });
+        }
+        Ok(())
+    });
+    *out = w.finish();
     let elapsed = observed.finish(ok, None);
     // Tail capture: the flight recorder keeps the span tree of every
     // errored or over-threshold request, bounded memory.
@@ -651,68 +680,164 @@ pub(crate) fn respond<B: WormBackend>(
     }
     // ordering: monitoring counter; no other memory is published through it.
     served.fetch_add(1, Ordering::Relaxed);
-    encoded
+    framed
 }
 
-fn handle<B: WormBackend>(server: &B, req: NetRequest) -> NetResponse {
-    let result = (|| -> Result<NetResponse, WormError> {
-        match req {
-            NetRequest::Write {
-                records,
-                policy,
-                flags,
-                witness,
-            } => {
-                let views: Vec<&[u8]> = records.iter().map(|b| b.as_ref()).collect();
-                let sn = server.write_with(&views, policy, flags, witness)?;
-                Ok(NetResponse::Written { sn })
-            }
-            NetRequest::Read { sn } => Ok(NetResponse::Outcome(server.read(sn)?)),
-            NetRequest::Delete { sn } => {
-                // Drive maintenance so any due expiry executes, then
-                // return the re-read: the client verifies either the
-                // deletion evidence or — if retention has not lapsed —
-                // proof the record is still intact. No unilateral
-                // delete exists in a WORM store.
-                server.tick()?;
-                Ok(NetResponse::Outcome(server.read(sn)?))
-            }
-            NetRequest::LitHold(cred) => {
-                server.lit_hold(cred)?;
-                Ok(NetResponse::Ack)
-            }
-            NetRequest::LitRelease(cred) => {
-                server.lit_release(cred)?;
-                Ok(NetResponse::Ack)
-            }
-            NetRequest::Tick => {
-                server.tick()?;
-                Ok(NetResponse::Ack)
-            }
-            NetRequest::GetKeys => Ok(NetResponse::Keys {
-                keys: server.keys(),
-                weak_certs: server.weak_certs(),
-            }),
-            NetRequest::Stats => Ok(NetResponse::Stats(server.stats_snapshot())),
-            NetRequest::Traces => {
-                let flight = server.trace().flight();
-                Ok(NetResponse::Traces(flight.recent(flight.capacity())))
-            }
-            NetRequest::GetCompositeHead => {
-                Ok(NetResponse::CompositeHead(server.composite_head()?))
-            }
-            NetRequest::GetShardKeys => Ok(NetResponse::ShardKeys(server.shard_keys())),
-            NetRequest::FetchAuditEvents {
-                from_seq,
-                max_events,
-            } => Ok(NetResponse::AuditEvents(server.audit().page(
-                from_seq,
-                usize::try_from(max_events).unwrap_or(usize::MAX),
-            ))),
+/// Dispatches one request, writing its response into `w`. On `Err`,
+/// `w` may hold the start of a response; [`respond`] rolls it back.
+fn handle<B: WormBackend>(
+    server: &B,
+    req: NetRequest,
+    w: &mut WireWriter,
+) -> Result<(), WormError> {
+    let resp = match req {
+        NetRequest::Write {
+            records,
+            policy,
+            flags,
+            witness,
+        } => {
+            let views: Vec<&[u8]> = records.iter().map(|b| b.as_ref()).collect();
+            let sn = server.write_with(&views, policy, flags, witness)?;
+            NetResponse::Written { sn }
         }
-    })();
-    result.unwrap_or_else(|e| NetResponse::Error {
-        code: error_code(&e),
-        message: e.to_string(),
-    })
+        NetRequest::Read { sn } => return put_outcome_response(w, |w| server.read_into(sn, w)),
+        NetRequest::Delete { sn } => {
+            // Drive maintenance so any due expiry executes, then
+            // return the re-read: the client verifies either the
+            // deletion evidence or — if retention has not lapsed —
+            // proof the record is still intact. No unilateral
+            // delete exists in a WORM store.
+            server.tick()?;
+            return put_outcome_response(w, |w| server.read_into(sn, w));
+        }
+        NetRequest::LitHold(cred) => {
+            server.lit_hold(cred)?;
+            NetResponse::Ack
+        }
+        NetRequest::LitRelease(cred) => {
+            server.lit_release(cred)?;
+            NetResponse::Ack
+        }
+        NetRequest::Tick => {
+            server.tick()?;
+            NetResponse::Ack
+        }
+        NetRequest::GetKeys => NetResponse::Keys {
+            keys: server.keys(),
+            weak_certs: server.weak_certs(),
+        },
+        NetRequest::Stats => NetResponse::Stats(server.stats_snapshot()),
+        NetRequest::Traces => {
+            let flight = server.trace().flight();
+            NetResponse::Traces(flight.recent(flight.capacity()))
+        }
+        NetRequest::GetCompositeHead => NetResponse::CompositeHead(server.composite_head()?),
+        NetRequest::GetShardKeys => NetResponse::ShardKeys(server.shard_keys()),
+        NetRequest::FetchAuditEvents {
+            from_seq,
+            max_events,
+        } => NetResponse::AuditEvents(
+            server
+                .audit()
+                .page(from_seq, usize::try_from(max_events).unwrap_or(usize::MAX)),
+        ),
+    };
+    put_response(w, &resp);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::{rngs::StdRng, SeedableRng};
+    use strongworm::vrdt::VrdtEntry;
+    use strongworm::{RegulatoryAuthority, WormConfig};
+    use wormstore::Shredder;
+
+    use super::*;
+    use crate::frame::{append_frame, parse_frame};
+    use crate::protocol::{decode_response_shared, encode_request};
+
+    /// A server holding one two-record VR, and what `respond` needs
+    /// beside it.
+    fn fixture() -> (WormServer, SerialNumber, NetStats, AtomicU64) {
+        let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x5E1), 512);
+        let server = WormServer::new(
+            WormConfig::test_small(),
+            scpu::VirtualClock::new(),
+            regulator.public(),
+        )
+        .unwrap();
+        let policy = RetentionPolicy::custom(Duration::from_secs(3600), Shredder::ZeroFill);
+        let sn = server.write(&[&[7u8; 900], b"second"], policy).unwrap();
+        let stats = NetStats::new(Arc::clone(server.trace()), Arc::clone(server.audit()));
+        (server, sn, stats, AtomicU64::new(0))
+    }
+
+    /// `respond` to a read of `sn`, appended to an output buffer that
+    /// already holds an unflushed frame.
+    fn respond_to_read(
+        fixture: &(WormServer, SerialNumber, NetStats, AtomicU64),
+        max_frame: u32,
+    ) -> (Result<(), NetError>, Vec<u8>, Vec<u8>) {
+        let (server, sn, stats, served) = fixture;
+        let mut pending = Vec::new();
+        append_frame(&mut pending, b"an earlier response", DEFAULT_MAX_FRAME).unwrap();
+        let mut out = pending.clone();
+        let request = encode_request(&NetRequest::Read { sn: *sn });
+        let framed = respond(server, stats, served, &request, &mut out, max_frame);
+        (framed, pending, out)
+    }
+
+    #[test]
+    fn a_read_is_framed_in_place_after_what_the_buffer_holds() {
+        let fixture = fixture();
+        let (framed, pending, out) = respond_to_read(&fixture, DEFAULT_MAX_FRAME);
+        framed.unwrap();
+        let mut expected = pending;
+        let outcome = fixture.0.read(fixture.1).unwrap();
+        let owned = encode_response(&NetResponse::Outcome(outcome));
+        append_frame(&mut expected, &owned, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn a_store_error_after_partial_output_leaves_one_clean_error_frame() {
+        let fixture = fixture();
+        {
+            // The second extent now points past the device: the VRD and
+            // the first record are in the buffer when the store fails.
+            let (mut vrdt, _) = fixture.0.parts_mut_for_attack();
+            match vrdt.entries_mut_for_attack().get_mut(&fixture.1) {
+                Some(VrdtEntry::Active(vrd)) => vrd.rdl[1].offset = u64::MAX / 2,
+                _ => unreachable!("just written"),
+            }
+        }
+        let (framed, pending, out) = respond_to_read(&fixture, DEFAULT_MAX_FRAME);
+        framed.unwrap();
+        assert_eq!(&out[..pending.len()], &pending[..]);
+        let (payload, consumed) = parse_frame(&out[pending.len()..], DEFAULT_MAX_FRAME)
+            .unwrap()
+            .expect("one whole frame");
+        assert_eq!(
+            pending.len() + consumed,
+            out.len(),
+            "nothing after the frame"
+        );
+        match decode_response_shared(&bytes::Bytes::from(payload)).unwrap() {
+            NetResponse::Error { code, .. } => assert_eq!(code, 2, "a store error"),
+            other => panic!("expected an error response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_response_over_max_frame_leaves_the_buffer_as_it_was() {
+        let fixture = fixture();
+        let (framed, pending, out) = respond_to_read(&fixture, 512);
+        assert!(matches!(
+            framed,
+            Err(NetError::FrameTooLarge { max: 512, .. })
+        ));
+        assert_eq!(out, pending);
+    }
 }

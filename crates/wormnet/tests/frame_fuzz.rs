@@ -10,7 +10,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use strongworm::{RetentionPolicy, SerialNumber, WitnessMode};
 use wormnet::frame::{read_frame, write_frame};
-use wormnet::protocol::{decode_request, decode_response, encode_request, NetRequest};
+use wormnet::protocol::{decode_request, decode_response_shared, encode_request, NetRequest};
 use wormnet::NetError;
 use wormstore::Shredder;
 
@@ -119,7 +119,7 @@ proptest! {
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_request(&bytes);
-        let _ = decode_response(&bytes);
+        let _ = decode_response_shared(&Bytes::from(bytes));
     }
 
     /// Valid requests roundtrip exactly; every strict prefix fails.
@@ -151,15 +151,15 @@ proptest! {
     /// wire too.
     #[test]
     fn audit_page_responses_roundtrip_and_reject_prefixes(page in arb_audit_page()) {
-        let enc = wormnet::protocol::encode_response(
+        let enc = Bytes::from(wormnet::protocol::encode_response(
             &wormnet::protocol::NetResponse::AuditEvents(page.clone()),
-        );
-        match decode_response(&enc).unwrap() {
+        ));
+        match decode_response_shared(&enc).unwrap() {
             wormnet::protocol::NetResponse::AuditEvents(got) => prop_assert_eq!(got, page),
             other => prop_assert!(false, "wrong variant: {:?}", other),
         }
         for cut in 0..enc.len() {
-            prop_assert!(decode_response(&enc[..cut]).is_err());
+            prop_assert!(decode_response_shared(&enc.slice(..cut)).is_err());
         }
     }
 
@@ -169,13 +169,12 @@ proptest! {
     /// then enforced by `wormaudit::verify_chain`).
     #[test]
     fn audit_page_mutations_never_alias(page in arb_audit_page(), pos in any::<prop::sample::Index>(), flip in 1u8..255) {
-        let enc = wormnet::protocol::encode_response(
+        let mut bad = wormnet::protocol::encode_response(
             &wormnet::protocol::NetResponse::AuditEvents(page.clone()),
         );
-        let mut bad = enc.clone();
         let i = pos.index(bad.len());
         bad[i] ^= flip;
-        if let Ok(wormnet::protocol::NetResponse::AuditEvents(got)) = decode_response(&bad) {
+        if let Ok(wormnet::protocol::NetResponse::AuditEvents(got)) = decode_response_shared(&Bytes::from(bad)) {
             prop_assert_ne!(got, page);
         }
     }

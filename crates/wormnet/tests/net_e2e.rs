@@ -359,7 +359,7 @@ fn hostile_and_malformed_clients_cannot_break_the_server() {
         // 64-byte frame is fine but garbage: server answers with a
         // bad-request error rather than dying.
         let resp = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        let decoded = wormnet::protocol::decode_response(&resp).unwrap();
+        let decoded = wormnet::protocol::decode_response_shared(&bytes::Bytes::from(resp)).unwrap();
         assert!(matches!(
             decoded,
             wormnet::protocol::NetResponse::Error { code, .. } if code == wormnet::protocol::CODE_BAD_REQUEST
@@ -507,7 +507,7 @@ fn malformed_trace_envelope_is_bad_request_and_connection_survives() {
     let expect_bad_request = |raw: &mut TcpStream, frame: &[u8]| {
         write_frame(raw, frame, DEFAULT_MAX_FRAME).unwrap();
         let resp = read_frame(raw, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        match wormnet::protocol::decode_response(&resp).unwrap() {
+        match wormnet::protocol::decode_response_shared(&bytes::Bytes::from(resp)).unwrap() {
             wormnet::protocol::NetResponse::Error { code, .. } => {
                 assert_eq!(code, wormnet::protocol::CODE_BAD_REQUEST);
             }
@@ -538,7 +538,7 @@ fn malformed_trace_envelope_is_bad_request_and_connection_survives() {
     .unwrap();
     let resp = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().unwrap();
     assert!(matches!(
-        wormnet::protocol::decode_response(&resp).unwrap(),
+        wormnet::protocol::decode_response_shared(&bytes::Bytes::from(resp)).unwrap(),
         wormnet::protocol::NetResponse::Ack
     ));
     h.net.shutdown();
@@ -813,7 +813,7 @@ fn shed_is_announced_and_audited<B: WormBackend>(
     let payload = read_frame(&mut shed, DEFAULT_MAX_FRAME)
         .unwrap()
         .expect("shed connection must get a busy frame, not silent EOF");
-    match wormnet::protocol::decode_response(&payload).unwrap() {
+    match wormnet::protocol::decode_response_shared(&bytes::Bytes::from(payload)).unwrap() {
         wormnet::protocol::NetResponse::Error { code, .. } => {
             assert_eq!(code, wormnet::protocol::CODE_BUSY);
         }
@@ -1018,7 +1018,7 @@ fn malformed_frame_mid_pipeline_kills_only_that_connection() {
     for _ in 0..2 {
         let payload = read_frame(&mut bad, DEFAULT_MAX_FRAME).unwrap().unwrap();
         assert!(matches!(
-            wormnet::protocol::decode_response(&payload).unwrap(),
+            wormnet::protocol::decode_response_shared(&bytes::Bytes::from(payload)).unwrap(),
             wormnet::protocol::NetResponse::Keys { .. }
         ));
     }
@@ -1255,5 +1255,128 @@ fn wire_reads_carry_a_fresh_head_on_a_read_only_server() {
     h.clock.advance(Duration::from_secs(3600));
     let (verdict, _) = client.read_verified(sn, &verifier).unwrap();
     assert_eq!(verdict, ReadVerdict::Intact { sn });
+    h.net.shutdown();
+}
+
+/// Sends one bare `Read` on a raw socket and returns the response
+/// frame's payload exactly as the server put it on the wire.
+fn wire_read_bytes(raw: &mut TcpStream, sn: SerialNumber) -> Vec<u8> {
+    let request = wormnet::protocol::encode_request(&wormnet::NetRequest::Read { sn });
+    write_frame(raw, &request, DEFAULT_MAX_FRAME).unwrap();
+    read_frame(raw, DEFAULT_MAX_FRAME).unwrap().unwrap()
+}
+
+/// Data (one and several records), a deletion proof and a never-existed
+/// SN, read over the wire from `addr`: each response must be, byte for
+/// byte, the owned encoder's output for what `read` returns in process.
+fn wire_bytes_match_owned_encoding(
+    addr: SocketAddr,
+    clock: &VirtualClock,
+    tick: impl Fn(),
+    read: impl Fn(SerialNumber) -> strongworm::ReadOutcome,
+) {
+    let mut client = RemoteWormClient::connect(addr).unwrap();
+    let big = vec![0x5Au8; 5000];
+    let mut sns = Vec::new();
+    // Twice over, so both lanes of a two-shard backend hold each shape.
+    for _ in 0..2 {
+        sns.push(client.write(&[&big], policy(3600)).unwrap());
+        sns.push(client.write(&[b"a", b"", &big], policy(3600)).unwrap());
+        sns.push(client.write(&[b"short-lived"], policy(10)).unwrap());
+    }
+    clock.advance(Duration::from_secs(11));
+    tick();
+    sns.push(SerialNumber(sns[0].0 + 1_000));
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut kinds = std::collections::BTreeSet::new();
+    for sn in sns {
+        let on_the_wire = wire_read_bytes(&mut raw, sn);
+        let outcome = read(sn);
+        kinds.insert(outcome.kind());
+        assert_eq!(
+            on_the_wire,
+            wormnet::protocol::encode_response(&wormnet::NetResponse::Outcome(outcome)),
+            "{sn}: wire bytes differ from the owned encoding"
+        );
+    }
+    assert_eq!(kinds.len(), 3, "data, deleted and never-existed: {kinds:?}");
+}
+
+#[test]
+fn streamed_wire_responses_equal_the_owned_encoding_on_both_backends() {
+    let h = boot(NetServerConfig::default());
+    wire_bytes_match_owned_encoding(
+        h.net.local_addr(),
+        &h.clock,
+        || h.server.tick().unwrap(),
+        |sn| h.server.read(sn).unwrap(),
+    );
+    h.net.shutdown();
+
+    let h = boot_sharded(2, NetServerConfig::default());
+    wire_bytes_match_owned_encoding(
+        h.net.local_addr(),
+        &h.clock,
+        || h.server.tick().unwrap(),
+        |sn| h.server.read(sn).unwrap(),
+    );
+    h.net.shutdown();
+}
+
+#[test]
+fn per_worker_frame_counters_sum_to_frames_in() {
+    const READS: usize = 3000;
+    let h = boot(NetServerConfig {
+        workers: 2,
+        ..NetServerConfig::default()
+    });
+    let addr = h.net.local_addr();
+    let sn = RemoteWormClient::connect(addr)
+        .unwrap()
+        .write(&[&[1u8; 512]], policy(3600))
+        .unwrap();
+
+    // Two connections, handed round-robin to the two workers, each
+    // pipelining reads while the other does: a worker that booked the
+    // shared `net.frames_in` delta over its own `serve` call would also
+    // count the frames its neighbour served meanwhile.
+    let start = Arc::new(Barrier::new(2));
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let mut client = RemoteWormClient::connect(addr).unwrap();
+                client.tick().unwrap();
+                start.wait();
+                let mut pipe = client.pipeline(32);
+                let mut answered = 0;
+                for _ in 0..READS {
+                    let sent = pipe.send(&wormnet::NetRequest::Read { sn }).unwrap();
+                    answered += usize::from(sent.is_some());
+                }
+                answered += pipe.finish().unwrap().len();
+                assert_eq!(answered, READS);
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread panicked");
+    }
+
+    let snapshot = h.server.stats_snapshot();
+    let per_worker: Vec<u64> = (0..2)
+        .map(|i| snapshot.counter(&format!("net.worker{i}.frames")))
+        .collect();
+    assert!(
+        per_worker.iter().all(|&frames| frames >= READS as u64),
+        "each worker served one of the connections: {per_worker:?}"
+    );
+    assert_eq!(
+        per_worker.iter().sum::<u64>(),
+        snapshot.counter("net.frames_in"),
+        "per-worker frames {per_worker:?} must partition net.frames_in"
+    );
     h.net.shutdown();
 }

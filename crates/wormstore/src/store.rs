@@ -31,9 +31,10 @@ pub enum StoreError {
     },
     /// Underlying device failure.
     Device(BlockError),
-    /// Recovery was handed a descriptor set that cannot describe live
-    /// records on this device (overlap or out of capacity) — the
-    /// descriptor source (the VRDT) and the medium disagree.
+    /// A descriptor that cannot describe what it is used for. At
+    /// recovery: a set that overlaps itself or falls outside the device —
+    /// the descriptor source (the VRDT) and the medium disagree. On a
+    /// read: a destination that is not the record's length.
     InvalidDescriptor {
         /// Record id of the offending descriptor.
         id: u64,
@@ -57,7 +58,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Device(e) => write!(f, "device failure: {e}"),
             StoreError::InvalidDescriptor { id, offset, len } => write!(
                 f,
-                "invalid descriptor at recovery: record {id} claims [{offset}, +{len})"
+                "invalid descriptor: record {id} claims [{offset}, +{len})"
             ),
         }
     }
@@ -343,14 +344,32 @@ impl<D: BlockDevice> RecordStore<D> {
     ///
     /// Propagates device errors (e.g., a stale descriptor past capacity).
     pub fn read(&self, rd: &RecordDescriptor) -> Result<Bytes, StoreError> {
+        let mut buf = vec![0u8; rd.len as usize];
+        self.read_into(rd, &mut buf)?;
+        Ok(Bytes::from(buf))
+    }
+
+    /// Reads a record's bytes into `dst` (exactly `rd.len` bytes long):
+    /// one copy, device to destination, so a server can land a record
+    /// straight in a connection's output buffer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors (e.g., a stale descriptor past capacity,
+    /// or a destination that is not `rd.len` bytes).
+    pub fn read_into(&self, rd: &RecordDescriptor, dst: &mut [u8]) -> Result<(), StoreError> {
         // Span attribution costs one thread-local check when no request
-        // trace is attached — negligible next to the read's allocation.
+        // trace is attached.
         let span = wormtrace::span::begin("store.read", wormtrace::Plane::Store);
-        let result = (|| {
-            let mut buf = vec![0u8; rd.len as usize];
-            self.dev.read_at(rd.offset, &mut buf)?;
-            Ok(Bytes::from(buf))
-        })();
+        let result = if dst.len() as u64 == rd.len {
+            self.dev.read_at(rd.offset, dst).map_err(StoreError::from)
+        } else {
+            Err(StoreError::InvalidDescriptor {
+                id: rd.id.0,
+                offset: rd.offset,
+                len: rd.len,
+            })
+        };
         wormtrace::span::finish(span, result.is_ok(), None);
         result
     }

@@ -7,7 +7,11 @@
 //! the same instant, and *every* outcome observed under full contention
 //! verifies against the SCPU's keys — concurrent shredding never exposes
 //! a torn record (readers hold the VRDT read lock across store reads, and
-//! the witness plane expires an entry before shredding its extents).
+//! the witness plane expires an entry before shredding its extents). Half
+//! the readers come in over the wire, where the record is copied from the
+//! store straight into the connection's output buffer under that same
+//! guard: they too get intact bytes or a deletion proof, never shredded
+//! bytes.
 
 mod common;
 
@@ -17,7 +21,9 @@ use std::time::Duration;
 
 use common::{server, short_policy, verifier};
 use strongworm::{DaemonConfig, RetentionDaemon, SerialNumber};
+use wormnet::{NetServer, NetServerConfig, RemoteWormClient};
 
+/// Reader threads; the odd-numbered ones read over the wire.
 const READERS: usize = 4;
 const READS_PER_THREAD: usize = 1500;
 const WRITES: usize = 60;
@@ -83,6 +89,9 @@ fn readers_writer_and_daemon_all_verify() {
         },
     );
 
+    let net = NetServer::bind(srv.clone(), "127.0.0.1:0", NetServerConfig::default()).unwrap();
+    let addr = net.local_addr();
+
     let stop_writer = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(READERS + 1));
 
@@ -112,6 +121,7 @@ fn readers_writer_and_daemon_all_verify() {
             let written = written.clone();
             let start = start.clone();
             std::thread::spawn(move || {
+                let mut wire = (t % 2 == 1).then(|| RemoteWormClient::connect(addr).unwrap());
                 start.wait();
                 for i in 0..READS_PER_THREAD {
                     // Rotate over seeded records, whatever the writer has
@@ -127,7 +137,10 @@ fn readers_writer_and_daemon_all_verify() {
                         }
                         _ => SerialNumber(9_999),
                     };
-                    let outcome = srv.read(sn).unwrap();
+                    let outcome = match &mut wire {
+                        Some(client) => client.read_raw(sn).unwrap(),
+                        None => srv.read(sn).unwrap(),
+                    };
                     // Every outcome served under contention must verify.
                     v.verify_read(sn, &outcome).unwrap_or_else(|e| {
                         panic!("reader {t} iteration {i}: {sn} failed verification: {e:?}")
@@ -168,5 +181,6 @@ fn readers_writer_and_daemon_all_verify() {
         std::thread::sleep(Duration::from_millis(5));
     };
     daemon.stop().unwrap();
+    net.shutdown();
     assert!(expired > 0, "no record expired during the stress window");
 }

@@ -1,0 +1,148 @@
+//! Allocation budget of a hot verified read over the wire.
+//!
+//! A memo-warm read of a hot record allocates nothing on the server (the
+//! response is written in place into the connection's output buffer) and
+//! only what decoding the outcome needs on the client. Timing in CI is
+//! noise; a count of allocator calls repeats, so it is the guard.
+//!
+//! This is its own test binary because it installs a counting global
+//! allocator, and it holds a single test so nothing else allocates
+//! while it counts.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use common::short_policy;
+use strongworm::{ReadVerdict, SerialNumber, WormConfig};
+use wormnet::{NetRequest, NetResponse, NetServer, NetServerConfig, RemoteWormClient};
+
+/// Calls that obtain or resize memory (`alloc`, `alloc_zeroed`,
+/// `realloc`), process-wide. Frees are not counted: each pairs with one
+/// of these.
+static ALLOCATOR_CALLS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller already upholds; the counter is a
+// plain atomic and touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATOR_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; see the impl's comment.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATOR_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; see the impl's comment.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATOR_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; see the impl's comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged; see the impl's comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const HOT_RECORDS: usize = 64;
+const RECORD_BYTES: usize = 4096;
+const DEPTH: usize = 32;
+const READS: usize = 1_000;
+/// Allocator calls one hot verified read may cost, server and client
+/// together. Measured: 10, all on the client thread (the request's
+/// encoding, the receive buffer and its refcount, the decoded outcome's
+/// vectors) and none on the server; the same loop cost 62 (32 + 30)
+/// before responses were written in place and verified reads memoised.
+const BUDGET_PER_READ: u64 = 16;
+
+/// Reads `sns` round-robin, `reads` times, through a pipeline kept
+/// `DEPTH` deep, verifying every response.
+fn pipelined_verified_reads(
+    client: &mut RemoteWormClient,
+    verifier: &strongworm::Verifier,
+    sns: &[SerialNumber],
+    reads: usize,
+) {
+    let mut asked = sns.iter().cycle();
+    let mut answered = sns.iter().cycle();
+    let mut pipe = client.pipeline(DEPTH);
+    let mut check = |resp: NetResponse| {
+        let sn = *answered.next().unwrap();
+        match resp {
+            NetResponse::Outcome(outcome) => assert_eq!(
+                verifier.verify_read(sn, &outcome),
+                Ok(ReadVerdict::Intact { sn })
+            ),
+            other => panic!("expected an outcome for {sn}, got {other:?}"),
+        }
+    };
+    for _ in 0..reads {
+        let sn = *asked.next().unwrap();
+        if let Some(resp) = pipe.send(&NetRequest::Read { sn }).unwrap() {
+            check(resp);
+        }
+    }
+    while let Some(resp) = pipe.recv().unwrap() {
+        check(resp);
+    }
+}
+
+#[test]
+fn a_hot_verified_wire_read_stays_within_its_allocation_budget() {
+    let (server, clock) = common::server_with(WormConfig {
+        store_capacity: 4 * HOT_RECORDS * RECORD_BYTES,
+        ..WormConfig::test_small()
+    });
+    // As `wire_read_hot` runs: instruments off, one worker.
+    server.trace().set_enabled(false);
+    let server = Arc::new(server);
+    let net = NetServer::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        NetServerConfig {
+            workers: 1,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = RemoteWormClient::connect(net.local_addr()).unwrap();
+    let verifier = client
+        .bootstrap_verifier(Duration::from_secs(300), clock)
+        .unwrap();
+    let sns: Vec<SerialNumber> = (0..HOT_RECORDS)
+        .map(|i| {
+            let record = vec![i as u8; RECORD_BYTES];
+            client.write(&[&record], short_policy(1_000_000)).unwrap()
+        })
+        .collect();
+
+    // Warm-up: every record verified in full once and then from the
+    // memo, and both connections' buffers grown to the window's size.
+    pipelined_verified_reads(&mut client, &verifier, &sns, 4 * HOT_RECORDS);
+
+    let before = ALLOCATOR_CALLS.load(Ordering::Relaxed);
+    pipelined_verified_reads(&mut client, &verifier, &sns, READS);
+    let calls = ALLOCATOR_CALLS.load(Ordering::Relaxed) - before;
+    net.shutdown();
+
+    let per_read = calls as f64 / READS as f64;
+    println!("{calls} allocator calls over {READS} reads: {per_read:.2} per read");
+    assert!(
+        calls <= BUDGET_PER_READ * READS as u64,
+        "{per_read:.2} allocator calls per hot verified read, budget {BUDGET_PER_READ}"
+    );
+}

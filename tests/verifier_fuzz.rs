@@ -2,14 +2,23 @@
 //! serves — and any single byte-level mutation of signature material in
 //! an honest outcome must flip the verdict to an error (no forgiving
 //! parse paths).
+//!
+//! Every fixture here has already verified its honest outcome once, so
+//! the verifier under test is *memo-warm*: the second half of the file
+//! pins that its record memo never changes a verdict — a warm verifier
+//! answers exactly as one that has seen nothing.
 
 mod common;
 
-use common::{server, short_policy, verifier};
+use std::sync::Arc;
+use std::time::Duration;
+
+use common::{regulator, server, short_policy, verifier};
 use proptest::prelude::*;
+use scpu::{Clock, VirtualClock};
 use strongworm::proofs::ReadOutcome;
 use strongworm::witness::Witness;
-use strongworm::{ReadVerdict, SerialNumber};
+use strongworm::{ReadVerdict, SerialNumber, Verifier, VerifyError, WitnessMode, WormServer};
 
 /// Builds one honest, verifiable data outcome (shared across cases).
 fn honest() -> (strongworm::Verifier, SerialNumber, ReadOutcome) {
@@ -128,4 +137,201 @@ fn verdict_is_stable_across_repeated_verification() {
             ReadVerdict::Intact { sn }
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Record-memo soundness: a memo-warm verifier against a fresh one.
+// ---------------------------------------------------------------------
+
+/// A server, a record on it, and a verifier that has already accepted
+/// that record's honest outcome (twice: the second was a memo hit).
+struct Warm {
+    srv: WormServer,
+    clock: Arc<VirtualClock>,
+    v: Verifier,
+    sn: SerialNumber,
+    outcome: ReadOutcome,
+}
+
+fn warm(witness: WitnessMode) -> Warm {
+    let (srv, clock) = server();
+    let v = verifier(&srv, clock.clone());
+    let sn = srv
+        .write_with(
+            &[b"record-one", b"record-two"],
+            short_policy(10_000_000),
+            0,
+            witness,
+        )
+        .unwrap();
+    let outcome = srv.read(sn).unwrap();
+    for _ in 0..2 {
+        assert_eq!(v.verify_read(sn, &outcome), Ok(ReadVerdict::Intact { sn }));
+    }
+    Warm {
+        srv,
+        clock,
+        v,
+        sn,
+        outcome,
+    }
+}
+
+impl Warm {
+    /// What a verifier that has never seen anything says of `outcome`.
+    fn fresh_verdict(&self, outcome: &ReadOutcome) -> Result<ReadVerdict, VerifyError> {
+        verifier(&self.srv, self.clock.clone()).verify_read(self.sn, outcome)
+    }
+}
+
+/// XORs `flip` into byte `idx % 8` of a 64-bit field.
+fn flip_u64(field: u64, idx: usize, flip: u8) -> u64 {
+    field ^ (u64::from(flip) << (8 * (idx % 8)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any single-byte change to a memo-warm response — a record, either
+    /// witness, the attributes, the RDL — gets exactly the verdict a
+    /// fresh verifier gives the same bytes: the signed parts are
+    /// rejected with the same error, the unsigned RDL is a memo miss
+    /// that still verifies.
+    #[test]
+    fn memo_warm_byte_flips_get_the_fresh_verdict(part in 0u8..7, idx in 0usize..4096, flip in 1u8..=255) {
+        let w = warm(WitnessMode::Strong);
+        let mut m = w.outcome.clone();
+        let ReadOutcome::Data { vrd, records, .. } = &mut m else { unreachable!() };
+        match part {
+            0 => {
+                let rec = idx % records.len();
+                let mut bytes = records[rec].to_vec();
+                let i = (idx / 2) % bytes.len();
+                bytes[i] ^= flip;
+                records[rec] = bytes.into();
+            }
+            1 => mutate_sig_bytes(&mut vrd.metasig, idx, flip),
+            2 => mutate_sig_bytes(&mut vrd.datasig, idx, flip),
+            3 => vrd.attr.retention_until = scpu::Timestamp::from_millis(
+                flip_u64(vrd.attr.retention_until.as_millis(), idx, flip),
+            ),
+            4 => vrd.attr.created_at = scpu::Timestamp::from_millis(
+                flip_u64(vrd.attr.created_at.as_millis(), idx, flip),
+            ),
+            5 => vrd.attr.flags ^= u32::from(flip) << (8 * (idx % 4)),
+            _ => {
+                let rd = &mut vrd.rdl[idx % 2];
+                match idx % 3 {
+                    0 => rd.id.0 = flip_u64(rd.id.0, idx / 3, flip),
+                    1 => rd.offset = flip_u64(rd.offset, idx / 3, flip),
+                    _ => rd.len = flip_u64(rd.len, idx / 3, flip),
+                }
+            }
+        }
+        let verdict = w.v.verify_read(w.sn, &m);
+        prop_assert_eq!(&verdict, &w.fresh_verdict(&m));
+        // The RDL is the one part no witness covers.
+        prop_assert_eq!(verdict.is_ok(), part == 6);
+        // And the entry the good bytes left is still good for them.
+        prop_assert_eq!(w.v.verify_read(w.sn, &w.outcome), Ok(ReadVerdict::Intact { sn: w.sn }));
+    }
+}
+
+#[test]
+fn alternating_good_and_tampered_responses_never_let_a_tampered_one_through() {
+    let w = warm(WitnessMode::Strong);
+    let mut tampered = w.outcome.clone();
+    if let ReadOutcome::Data { records, .. } = &mut tampered {
+        records[1] = bytes::Bytes::from_static(b"record-twO");
+    }
+    let rejected = w.fresh_verdict(&tampered);
+    assert_eq!(rejected, Err(VerifyError::DataHashMismatch));
+    for _ in 0..4 {
+        // Twice in a row: a failure that got cached would pass the
+        // second time.
+        assert_eq!(w.v.verify_read(w.sn, &tampered), rejected);
+        assert_eq!(w.v.verify_read(w.sn, &tampered), rejected);
+        assert_eq!(
+            w.v.verify_read(w.sn, &w.outcome),
+            Ok(ReadVerdict::Intact { sn: w.sn })
+        );
+    }
+}
+
+#[test]
+fn a_weak_witness_that_expired_is_rejected_on_a_memo_hit() {
+    let w = warm(WitnessMode::Deferred);
+    // Two hours on, the weak signatures' lifetime has lapsed. The host
+    // replays the response that verified, under a head minted just now
+    // so that freshness is not what fails.
+    w.clock.advance(Duration::from_secs(121 * 60));
+    let mut replay = w.outcome.clone();
+    if let ReadOutcome::Data { head, .. } = &mut replay {
+        *head = w.srv.current_head().unwrap();
+    }
+    let expired = Err(VerifyError::WeakWitnessExpired { field: "metasig" });
+    assert_eq!(w.v.verify_read(w.sn, &replay), expired);
+    assert_eq!(w.fresh_verdict(&replay), expired);
+}
+
+#[test]
+fn a_stale_or_replayed_head_is_rejected_on_a_memo_hit() {
+    let w = warm(WitnessMode::Strong);
+    w.clock.advance(Duration::from_secs(301));
+    // The very response that verified five minutes ago, head and all.
+    let stale = w.v.verify_read(w.sn, &w.outcome);
+    assert!(
+        matches!(stale, Err(VerifyError::StaleHead { .. })),
+        "{stale:?}"
+    );
+    assert_eq!(stale, w.fresh_verdict(&w.outcome));
+    // A current response verifies; an old head spliced onto it is a
+    // replay, and is rejected although the record is a memo hit.
+    let current = w.srv.read(w.sn).unwrap();
+    assert_eq!(
+        w.v.verify_read(w.sn, &current),
+        Ok(ReadVerdict::Intact { sn: w.sn })
+    );
+    let mut replayed = current.clone();
+    if let ReadOutcome::Data { head, .. } = &mut replayed {
+        *head = w.outcome.head().clone();
+    }
+    assert_eq!(w.v.verify_read(w.sn, &replayed), stale);
+    // A head for another SN count under the old signature never verified.
+    if let ReadOutcome::Data { head, .. } = &mut replayed {
+        *head = current.head().clone();
+        head.sn_current = SerialNumber(head.sn_current.get() + 1);
+    }
+    assert_eq!(
+        w.v.verify_read(w.sn, &replayed),
+        Err(VerifyError::BadSignature("head certificate"))
+    );
+}
+
+#[test]
+fn a_replaced_vrd_verifies_over_the_remembered_records() {
+    // Strengthening, then a litigation hold, each replace the VRD the
+    // memo holds while the records stay byte-identical.
+    let w = warm(WitnessMode::Deferred);
+    w.srv.idle(1_000_000_000).unwrap();
+    let now = w.clock.now();
+    let strengthened = w.srv.read(w.sn).unwrap();
+    w.srv
+        .lit_hold(regulator().issue_hold(w.sn, now, 77, now.after(Duration::from_secs(9_000))))
+        .unwrap();
+    let held = w.srv.read(w.sn).unwrap();
+    for replaced in [&strengthened, &held] {
+        assert_ne!(replaced, &w.outcome);
+        for _ in 0..2 {
+            assert_eq!(
+                w.v.verify_read(w.sn, replaced),
+                Ok(ReadVerdict::Intact { sn: w.sn })
+            );
+        }
+    }
+    // A VRD the memo no longer holds is simply verified again in full.
+    assert_eq!(
+        w.v.verify_read(w.sn, &strengthened),
+        w.fresh_verdict(&strengthened)
+    );
 }
