@@ -100,8 +100,7 @@ impl WormFirmware {
         let meta = meta_payload(sn, &attr.encode());
         let datap = data_payload(sn, &chain_hash);
 
-        let metasig = self.issue_witness(env, sn, WitnessField::Meta, &meta, witness)?;
-        let datasig = self.issue_witness(env, sn, WitnessField::Data, &datap, witness)?;
+        let [metasig, datasig] = self.issue_witnesses(env, sn, &meta, &datap, witness)?;
 
         if audit_pending {
             if let WriteData::HostHash { chain_hash, .. } = data {
@@ -134,44 +133,48 @@ impl WormFirmware {
         }))
     }
 
-    /// Issues one witness at the requested tier, registering deferred
-    /// tiers for idle-time strengthening.
-    fn issue_witness(
+    /// Issues `metasig` and `datasig` at the requested tier, registering
+    /// deferred tiers for idle-time strengthening. The two go out under one
+    /// key, so an RSA tier signs them as one pair; the device is charged
+    /// two signatures all the same.
+    fn issue_witnesses(
         &mut self,
         env: &mut Env,
         sn: SerialNumber,
-        field: WitnessField,
-        payload: &[u8],
+        meta: &[u8],
+        data: &[u8],
         mode: WitnessMode,
-    ) -> Result<Witness, FirmwareError> {
-        match mode {
-            WitnessMode::Strong => Ok(self.sign_strong(env, payload)),
+    ) -> Result<[Witness; 2], FirmwareError> {
+        let witnesses = match mode {
+            WitnessMode::Strong => return Ok(self.sign_strong_pair(env, meta, data)),
             WitnessMode::Deferred => {
-                let now = env.now();
-                let (sig, expires_at) = {
-                    let weak_bits = self.cfg.weak_bits;
-                    let lifetime = self.cfg.weak_lifetime;
-                    env.charge(Op::RsaSign { bits: weak_bits });
-                    let s = self.booted()?;
-                    let expires_at = now.after(lifetime).min(s.weak_cert.max_sig_expiry);
-                    let wrapped = weak_wrap(payload, expires_at);
-                    (Signature::sign(&s.weak_key, &wrapped), expires_at)
-                };
-                self.register_pending(env, sn, field, payload);
-                Ok(Witness::Weak { sig, expires_at })
+                let (weak_bits, lifetime) = (self.cfg.weak_bits, self.cfg.weak_lifetime);
+                env.charge(Op::RsaSign { bits: weak_bits });
+                env.charge(Op::RsaSign { bits: weak_bits });
+                let s = self.booted()?;
+                let expires_at = env.now().after(lifetime).min(s.weak_cert.max_sig_expiry);
+                Signature::sign_pair(
+                    &s.weak_key,
+                    &weak_wrap(meta, expires_at),
+                    &weak_wrap(data, expires_at),
+                )
+                .map(|sig| Witness::Weak { sig, expires_at })
             }
             WitnessMode::Hmac => {
-                env.charge(Op::Hmac {
-                    bytes: payload.len(),
-                });
-                let tag = {
-                    let s = self.booted()?;
-                    Hmac::<Sha256>::mac(&s.hmac_key, payload)
-                };
-                self.register_pending(env, sn, field, payload);
-                Ok(Witness::Mac { tag })
+                let s = self.booted()?;
+                [meta, data].map(|payload| {
+                    env.charge(Op::Hmac {
+                        bytes: payload.len(),
+                    });
+                    Witness::Mac {
+                        tag: Hmac::<Sha256>::mac(&s.hmac_key, payload),
+                    }
+                })
             }
-        }
+        };
+        self.register_pending(env, sn, WitnessField::Meta, meta);
+        self.register_pending(env, sn, WitnessField::Data, data);
+        Ok(witnesses)
     }
 
     /// Signs `payload` with the permanent key `s`.
@@ -181,6 +184,16 @@ impl WormFirmware {
         });
         let s = self.booted_invariant();
         Witness::Strong(Signature::sign(&s.sign_key, payload))
+    }
+
+    /// Signs two payloads with the permanent key `s` in one private-key
+    /// operation, charged as the two signatures they are.
+    fn sign_strong_pair(&mut self, env: &mut Env, a: &[u8], b: &[u8]) -> [Witness; 2] {
+        let bits = self.cfg.strong_bits;
+        env.charge(Op::RsaSign { bits });
+        env.charge(Op::RsaSign { bits });
+        let s = self.booted_invariant();
+        Signature::sign_pair(&s.sign_key, a, b).map(Witness::Strong)
     }
 
     /// Signs a deletion payload with the deletion key `d`.
@@ -214,9 +227,14 @@ impl WormFirmware {
             );
         } else {
             let witness = self.sign_strong(env, payload);
-            self.outbox
-                .push(OutboxItem::Strengthened { sn, field, witness });
+            self.push_strengthened(sn, field, witness);
         }
+    }
+
+    /// Hands the host a strengthened witness to install in the VRD.
+    fn push_strengthened(&mut self, sn: SerialNumber, field: WitnessField, witness: Witness) {
+        self.outbox
+            .push(OutboxItem::Strengthened { sn, field, witness });
     }
 
     /// Removes any deferred entries for `sn` (record deleted before
@@ -238,20 +256,37 @@ impl WormFirmware {
         });
         let mut spent = 0u64;
         while spent + per_sig <= budget_ns || (per_sig == 0 && !self.pending.is_empty()) {
-            let Some((key, entry)) = self.pending.pop_first() else {
+            let Some(((sn, code), entry)) = self.pending.pop_first() else {
                 break;
             };
             env.memory().release(entry.reserved);
-            let witness = self.sign_strong(env, &entry.payload);
             spent += per_sig;
-            let (sn, code) = key;
-            let field = if code == 0 {
-                WitnessField::Meta
+            // A record's `Data` entry is the key after its `Meta` entry:
+            // where the budget covers a second signature the two are one
+            // pair.
+            let partner = if code == WitnessField::Meta.code() && spent + per_sig <= budget_ns {
+                self.pending.remove(&(sn, WitnessField::Data.code()))
             } else {
-                WitnessField::Data
+                None
             };
-            self.outbox
-                .push(OutboxItem::Strengthened { sn, field, witness });
+            match partner {
+                Some(data) => {
+                    env.memory().release(data.reserved);
+                    spent += per_sig;
+                    let [meta, data] = self.sign_strong_pair(env, &entry.payload, &data.payload);
+                    self.push_strengthened(sn, WitnessField::Meta, meta);
+                    self.push_strengthened(sn, WitnessField::Data, data);
+                }
+                None => {
+                    let field = if code == WitnessField::Meta.code() {
+                        WitnessField::Meta
+                    } else {
+                        WitnessField::Data
+                    };
+                    let witness = self.sign_strong(env, &entry.payload);
+                    self.push_strengthened(sn, field, witness);
+                }
+            }
             if per_sig == 0 && self.pending.is_empty() {
                 break;
             }

@@ -355,12 +355,9 @@ impl WormFirmware {
         env.charge(Op::RsaSign { bits });
         env.charge(Op::RsaSign { bits });
         let s = self.booted_mut()?;
-        let lo_sig = Signature::sign(
+        let [lo_sig, hi_sig] = Signature::sign_pair(
             &s.sign_key,
             &window_payload(window_id, lo, WindowSide::Lower),
-        );
-        let hi_sig = Signature::sign(
-            &s.sign_key,
             &window_payload(window_id, hi, WindowSide::Upper),
         );
         // Externalize: per-SN knowledge is replaced by the interval.

@@ -479,3 +479,186 @@ fn zeroize_wipes_everything() {
     assert_eq!(dev.applet_for_test().vexp_len(), 0);
     assert_eq!(dev.applet_for_test().pending_strengthen(), 0);
 }
+
+/// A booted device on the IBM 4764 cost model, so an idle budget is spent
+/// in whole signatures.
+fn metered() -> (Fw, Arc<VirtualClock>) {
+    let clock = VirtualClock::starting_at_millis(5_000);
+    let mut dev = Device::new(
+        WormFirmware::new(fw_config()),
+        DeviceConfig {
+            cost_model: scpu::CostModel::ibm4764(),
+            secure_memory_bytes: 1 << 20,
+            serial: 1,
+            rng_seed: 9,
+        },
+        clock.clone(),
+    );
+    let reg = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(55), 512);
+    dev.execute(WormRequest::Init {
+        regulator: reg.public().clone(),
+    })
+    .unwrap()
+    .unwrap();
+    (dev, clock)
+}
+
+fn write_as(dev: &mut Fw, witness: WitnessMode) -> strongworm::firmware::WriteReceipt {
+    match dev
+        .execute(WormRequest::Write {
+            policy: policy(1_000_000),
+            flags: 0,
+            data: WriteData::Full(vec![b"payload".to_vec()]),
+            witness,
+        })
+        .unwrap()
+        .unwrap()
+    {
+        WormResponse::Written(r) => r,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+fn device_keys(dev: &mut Fw) -> strongworm::firmware::DeviceKeys {
+    match dev.execute(WormRequest::GetKeys).unwrap().unwrap() {
+        WormResponse::Keys(k) => k,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// What `datasig` covers for the one record `write_as` sends.
+fn payload_hash() -> Vec<u8> {
+    strongworm::vrd::data_hash(strongworm::DataHashScheme::Chained, [b"payload".as_slice()])
+}
+
+/// `metasig` and `datasig` come out of one pair call; the device is still
+/// charged the two signatures of Table 1, and each verifies on its own.
+#[test]
+fn a_write_is_charged_two_signatures_and_both_verify() {
+    use strongworm::witness::{data_payload, meta_payload, weak_wrap, Witness};
+    let (mut dev, _clock) = metered();
+    let keys = device_keys(&mut dev);
+    let data_hash = payload_hash();
+    for (mode, pending) in [(WitnessMode::Strong, 0), (WitnessMode::Deferred, 2)] {
+        dev.reset_meter();
+        let r = write_as(&mut dev, mode);
+        assert_eq!(dev.meter().count("rsa_sign"), 2, "{mode:?}");
+        assert_eq!(dev.applet_for_test().pending_strengthen(), pending);
+        let payloads = [
+            meta_payload(r.sn, &r.attr.encode()),
+            data_payload(r.sn, &data_hash),
+        ];
+        for (witness, payload) in [&r.metasig, &r.datasig].into_iter().zip(&payloads) {
+            match witness {
+                Witness::Strong(sig) => {
+                    assert_eq!(mode, WitnessMode::Strong);
+                    assert!(sig.verify(&keys.sign, payload));
+                }
+                Witness::Weak { sig, expires_at } => {
+                    assert_eq!(mode, WitnessMode::Deferred);
+                    assert!(sig.verify(&keys.weak_cert.key, &weak_wrap(payload, *expires_at)));
+                }
+                Witness::Mac { .. } => panic!("no HMAC write was made"),
+            }
+        }
+        // Neither signature stands in for the other.
+        if let (Witness::Strong(m), Witness::Strong(d)) = (&r.metasig, &r.datasig) {
+            assert!(!m.verify(&keys.sign, &payloads[1]));
+            assert!(!d.verify(&keys.sign, &payloads[0]));
+        }
+    }
+}
+
+/// Idle-time strengthening signs a record's two payloads as one pair where
+/// the budget covers two signatures and singly where it covers one; the
+/// number signed, their order and their charges are those of one signature
+/// per queue entry.
+#[test]
+fn idle_strengthening_pairs_within_budget_and_keeps_queue_order() {
+    use strongworm::firmware::WitnessField;
+    use strongworm::witness::{data_payload, meta_payload, Witness};
+    let (mut dev, _clock) = metered();
+    let keys = device_keys(&mut dev);
+    let receipts = [(); 3].map(|()| write_as(&mut dev, WitnessMode::Deferred));
+    assert_eq!(dev.applet_for_test().pending_strengthen(), 6);
+    let per_sig = scpu::CostModel::ibm4764().cost_ns(scpu::Op::RsaSign {
+        bits: fw_config().strong_bits,
+    });
+    let data_hash = payload_hash();
+
+    let mut strengthened = Vec::new();
+    // Less than one signature, exactly one (the partner stays queued), three
+    // (a lone `Data` entry, then a whole record), and the rest.
+    for (budget, signed) in [
+        (per_sig - 1, 0),
+        (per_sig, 1),
+        (3 * per_sig + per_sig / 2, 3),
+        (10 * per_sig, 2),
+    ] {
+        dev.reset_meter();
+        dev.idle(budget).unwrap();
+        assert_eq!(dev.meter().count("rsa_sign"), signed, "budget {budget}");
+        let items = drain(&mut dev);
+        assert_eq!(items.len() as u64, signed);
+        strengthened.extend(items);
+    }
+    assert_eq!(dev.applet_for_test().pending_strengthen(), 0);
+
+    let expected = receipts.iter().flat_map(|r| {
+        [
+            (
+                r.sn,
+                WitnessField::Meta,
+                meta_payload(r.sn, &r.attr.encode()),
+            ),
+            (r.sn, WitnessField::Data, data_payload(r.sn, &data_hash)),
+        ]
+    });
+    for (item, (sn, field, payload)) in strengthened.iter().zip(expected) {
+        match item {
+            OutboxItem::Strengthened {
+                sn: got_sn,
+                field: got_field,
+                witness: Witness::Strong(sig),
+            } => {
+                assert_eq!((*got_sn, *got_field), (sn, field));
+                assert!(sig.verify(&keys.sign, &payload), "{sn} {field:?}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// The two bounds of a deleted window are one pair call, charged as two
+/// signatures, each bound verifying only as its own side.
+#[test]
+fn window_bounds_are_charged_two_signatures_and_both_verify() {
+    use strongworm::witness::{window_payload, WindowSide};
+    let (mut dev, clock) = metered();
+    let keys = device_keys(&mut dev);
+    for _ in 0..3 {
+        write(&mut dev, 10);
+    }
+    write(&mut dev, 1_000_000);
+    clock.advance(Duration::from_secs(20));
+    dev.tick().unwrap();
+    dev.reset_meter();
+    let w = match dev
+        .execute(WormRequest::CompactWindow {
+            lo: SerialNumber(1),
+            hi: SerialNumber(3),
+        })
+        .unwrap()
+        .unwrap()
+    {
+        WormResponse::Window(w) => w,
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(dev.meter().count("rsa_sign"), 2);
+    let lower = window_payload(w.window_id, w.lo, WindowSide::Lower);
+    let upper = window_payload(w.window_id, w.hi, WindowSide::Upper);
+    assert!(w.lo_sig.verify(&keys.sign, &lower));
+    assert!(w.hi_sig.verify(&keys.sign, &upper));
+    assert!(!w.lo_sig.verify(&keys.sign, &upper));
+    assert!(!w.hi_sig.verify(&keys.sign, &lower));
+}

@@ -6,8 +6,21 @@
 //! relative signing costs across these widths — which drive the paper's
 //! deferred-strength optimization — emerge naturally from the O(k³)
 //! modular exponentiation.
+//!
+//! The private operation has two engines. [`Montgomery::pow`] is the scalar
+//! one: it runs on every CPU and key width, it is what verification uses,
+//! and it is the reference the tests compare against. Where the CPU has
+//! AVX-512 IFMA and the key is 512, 1024 or 2048 bits wide, the key also
+//! carries its primes prepared for `shani::ifma52`, which raises four
+//! numbers to four exponents in the time the scalar code takes for little
+//! more than one: the CRT halves of one signature fill two lanes, those of
+//! two signatures under one key ([`RsaPrivateKey::sign_pair`]) all four.
+//! Which engine runs is fixed when the key is built, from the CPU and the
+//! width alone; PKCS#1 v1.5 is deterministic, so both give the same bytes.
 
 use std::fmt;
+
+use shani::ifma52;
 
 use crate::bignum::{Montgomery, Ubig};
 use crate::digest::Digest;
@@ -89,6 +102,9 @@ pub struct RsaPrivateKey {
     dp: Ubig,
     dq: Ubig,
     qinv: Ubig,
+    /// `p` and `q` prepared for the four-lane engine; `None` on a CPU
+    /// without it or for a width it has no kernel for.
+    lanes: Option<[ifma52::Modulus; 2]>,
 }
 
 /// Shows the public half only: a log line must not carry `d`, `p` or `q`.
@@ -239,6 +255,7 @@ impl RsaPrivateKey {
             let dq = d.rem(&q1);
             // wormlint: allow(panic) -- p and q are distinct primes, so q is invertible mod p
             let qinv = q.mod_inverse(&p).expect("p, q distinct primes");
+            let lanes = lane_modulus(&p).zip(lane_modulus(&q)).map(<[_; 2]>::from);
             // wormlint: allow(panic) -- gen_prime returns odd primes of bits / 2 >= 32 bits
             let [p, q] = [p, q].map(|f| Montgomery::new(&f).expect("odd prime"));
             return RsaPrivateKey {
@@ -249,6 +266,7 @@ impl RsaPrivateKey {
                 dp,
                 dq,
                 qinv,
+                lanes,
             };
         }
     }
@@ -266,20 +284,68 @@ impl RsaPrivateKey {
     /// the `DigestInfo` encoding for `alg`.
     pub fn sign(&self, msg: &[u8], alg: HashAlg) -> Result<Vec<u8>, CryptoError> {
         let k = self.public.modulus_bytes();
-        let em = emsa_pkcs1_v15(msg, k, alg)?;
-        let m = Ubig::from_bytes_be(&em);
-        let s = self.raw_decrypt(&m);
+        let m = Ubig::from_bytes_be(&emsa_pkcs1_v15(msg, k, alg)?);
+        let [s] = self.private_ops([&m]);
         Ok(s.to_bytes_be_padded(k))
     }
 
-    /// RSA private operation via the Chinese Remainder Theorem.
+    /// Signs two messages with PKCS#1 v1.5: byte for byte
+    /// `[sign(msgs[0]), sign(msgs[1])]`, and where the key carries lanes
+    /// both signatures cost one four-lane exponentiation.
+    ///
+    /// # Errors
+    ///
+    /// As [`RsaPrivateKey::sign`].
+    pub fn sign_pair(&self, msgs: [&[u8]; 2], alg: HashAlg) -> Result<[Vec<u8>; 2], CryptoError> {
+        let k = self.public.modulus_bytes();
+        let a = Ubig::from_bytes_be(&emsa_pkcs1_v15(msgs[0], k, alg)?);
+        let b = Ubig::from_bytes_be(&emsa_pkcs1_v15(msgs[1], k, alg)?);
+        Ok(self.private_ops([&a, &b]).map(|s| s.to_bytes_be_padded(k)))
+    }
+
+    /// The private operation on one or two values: every CRT half in one
+    /// four-lane call (two lanes idle for one value) where the key carries
+    /// lanes, one scalar [`Self::raw_decrypt`] per value otherwise.
+    fn private_ops<const N: usize>(&self, ms: [&Ubig; N]) -> [Ubig; N] {
+        match self.crt_halves_in_lanes(&ms) {
+            Some(halves) => {
+                std::array::from_fn(|i| self.crt_combine(&halves[2 * i], &halves[2 * i + 1]))
+            }
+            None => ms.map(|m| self.raw_decrypt(m)),
+        }
+    }
+
+    /// `[m mod p ^ dp, m mod q ^ dq]` for each of up to two values `m`,
+    /// side by side. `None` without lanes.
+    fn crt_halves_in_lanes(&self, ms: &[&Ubig]) -> Option<[Ubig; 4]> {
+        let [p, q] = self.lanes.as_ref()?;
+        let bases: [Ubig; 4] = std::array::from_fn(|lane| {
+            let prime = [&self.p, &self.q][lane % 2].modulus();
+            ms.get(lane / 2).map_or_else(Ubig::zero, |m| m.rem(prime))
+        });
+        let (dp, dq) = (&self.dp.limbs[..], &self.dq.limbs[..]);
+        let powers = ifma52::pow4(
+            [p, q, p, q],
+            bases.each_ref().map(|b| &b.limbs[..]),
+            [dp, dq, dp, dq],
+        )?;
+        Some(powers.map(Ubig::from_limbs))
+    }
+
+    /// RSA private operation via the Chinese Remainder Theorem, on the
+    /// scalar engine.
     fn raw_decrypt(&self, m: &Ubig) -> Ubig {
-        let (p, q) = (self.p.modulus(), self.q.modulus());
         let m1 = self.p.pow(m, &self.dp);
         let m2 = self.q.pow(m, &self.dq);
+        self.crt_combine(&m1, &m2)
+    }
+
+    /// Garner's recombination of `m1 = m^dp mod p` and `m2 = m^dq mod q`.
+    fn crt_combine(&self, m1: &Ubig, m2: &Ubig) -> Ubig {
+        let (p, q) = (self.p.modulus(), self.q.modulus());
         // h = qinv * (m1 - m2) mod p, handling m1 < m2.
         let m2_mod_p = m2.rem(p);
-        let diff = if m1 >= m2_mod_p {
+        let diff = if *m1 >= m2_mod_p {
             m1.sub(&m2_mod_p)
         } else {
             m1.add(p).sub(&m2_mod_p)
@@ -292,6 +358,30 @@ impl RsaPrivateKey {
     pub fn d(&self) -> &Ubig {
         &self.d
     }
+
+    /// This key as built on a CPU without the four-lane engine.
+    #[cfg(test)]
+    fn scalar_only(&self) -> Self {
+        RsaPrivateKey {
+            lanes: None,
+            ..self.clone()
+        }
+    }
+}
+
+/// `prime` prepared for the four-lane engine, if this CPU has it and the
+/// prime is that of a 512, 1024 or 2048-bit key (5, 10 or 20 digits of 52
+/// bits, two bits to spare).
+fn lane_modulus(prime: &Ubig) -> Option<ifma52::Modulus> {
+    let digits = match prime.bit_len() {
+        256 => 5,
+        512 => 10,
+        1024 => 20,
+        _ => return None,
+    };
+    // R^2 mod p for R = 2^(52 digits), which the engine cannot divide for.
+    let r2 = Ubig::one().shl(2 * 52 * digits).rem(prime);
+    ifma52::Modulus::new(digits, &prime.limbs, &r2.limbs)
 }
 
 /// EMSA-PKCS1-v1_5 encoding: `0x00 0x01 0xFF.. 0x00 DigestInfo H(m)`.
@@ -404,6 +494,77 @@ mod tests {
             assert_eq!(key.raw_decrypt(&m), m.pow_mod(key.d(), key.public().n()));
             assert_eq!(Ubig::from_bytes_be(&sig), key.raw_decrypt(&m));
         }
+    }
+
+    /// The scalar signature, computed without `sign`: EMSA encoding, one
+    /// `Montgomery::pow` per prime, Garner. The oracle for both engines.
+    fn scalar_signature(key: &RsaPrivateKey, msg: &[u8]) -> Vec<u8> {
+        let k = key.public().modulus_bytes();
+        let m = Ubig::from_bytes_be(&emsa_pkcs1_v15(msg, k, HashAlg::Sha256).unwrap());
+        let (m1, m2) = (key.p.pow(&m, &key.dp), key.q.pow(&m, &key.dq));
+        let s = key.crt_combine(&m1, &m2);
+        assert_eq!(s, key.raw_decrypt(&m));
+        s.to_bytes_be_padded(k)
+    }
+
+    /// One key per width the lanes serve, shared across tests.
+    fn lane_width_keys() -> &'static [RsaPrivateKey; 3] {
+        static KEYS: OnceLock<[RsaPrivateKey; 3]> = OnceLock::new();
+        KEYS.get_or_init(|| {
+            [512usize, 1024, 2048]
+                .map(|bits| RsaPrivateKey::generate(&mut StdRng::seed_from_u64(bits as u64), bits))
+        })
+    }
+
+    #[test]
+    fn lanes_are_chosen_by_cpu_and_width_alone() {
+        for key in lane_width_keys() {
+            assert_eq!(key.lanes.is_some(), ifma52::available(), "{key:?}");
+            assert!(key.scalar_only().lanes.is_none());
+        }
+        // No kernel for these widths: the scalar engine on every CPU.
+        for bits in [256usize, 768] {
+            let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(bits as u64), bits);
+            assert!(key.lanes.is_none(), "{bits}");
+        }
+    }
+
+    #[test]
+    fn sign_pair_is_byte_identical_to_two_scalar_signatures() {
+        let long = vec![0xA5u8; 4096];
+        let messages: [&[u8]; 3] = [b"", b"x", &long];
+        for key in lane_width_keys() {
+            let k = key.public().modulus_bytes();
+            // With lanes where this CPU has them, and as built without.
+            for key in [key.clone(), key.scalar_only()] {
+                for a in messages {
+                    for b in messages {
+                        let pair = key.sign_pair([a, b], HashAlg::Sha256).unwrap();
+                        assert_eq!(pair[0], scalar_signature(&key, a), "k={k}");
+                        assert_eq!(pair[1], scalar_signature(&key, b), "k={k}");
+                        assert!(key.public().verify(a, &pair[0], HashAlg::Sha256));
+                        assert!(key.public().verify(b, &pair[1], HashAlg::Sha256));
+                    }
+                    assert_eq!(
+                        key.sign(a, HashAlg::Sha256).unwrap(),
+                        scalar_signature(&key, a),
+                        "k={k}"
+                    );
+                }
+                let sha1 = key.sign_pair([b"one", b"two"], HashAlg::Sha1).unwrap();
+                assert_eq!(sha1[0], key.sign(b"one", HashAlg::Sha1).unwrap());
+                assert!(key.public().verify(b"two", &sha1[1], HashAlg::Sha1));
+            }
+        }
+    }
+
+    #[test]
+    fn sign_pair_reports_a_modulus_too_small_for_either_message() {
+        let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(44), 256);
+        assert!(matches!(
+            key.sign_pair([b"a", b"b"], HashAlg::Sha256),
+            Err(CryptoError::ModulusTooSmall { have: 32, .. })
+        ));
     }
 
     /// No RSA key has an even modulus, but `from_bytes` accepts one and

@@ -4,7 +4,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wormcrypt::bignum::{Montgomery, Ubig};
-use wormcrypt::{ChainHash, Digest, Hmac, MerkleTree, MultisetHash, Sha1, Sha256};
+use wormcrypt::{
+    ChainHash, Digest, HashAlg, Hmac, MerkleTree, MultisetHash, RsaPrivateKey, Sha1, Sha256,
+};
 
 fn ubig_strategy(max_bytes: usize) -> impl Strategy<Value = Ubig> {
     proptest::collection::vec(any::<u8>(), 0..=max_bytes).prop_map(|b| Ubig::from_bytes_be(&b))
@@ -188,6 +190,42 @@ proptest! {
         } else {
             prop_assert!(a.is_zero() && b.is_zero());
         }
+    }
+
+    // --- RSA ---------------------------------------------------------------
+
+    /// A pair signature is the two single signatures, and each is the one
+    /// plain exponentiation `EM^d mod n` over the whole modulus — no CRT,
+    /// no lanes — of an encoding assembled here.
+    #[test]
+    fn sign_pair_matches_plain_exponentiation(
+        a in proptest::collection::vec(any::<u8>(), 0..300),
+        b in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        static KEY: std::sync::OnceLock<RsaPrivateKey> = std::sync::OnceLock::new();
+        let key = KEY.get_or_init(|| RsaPrivateKey::generate(&mut StdRng::seed_from_u64(19), 1024));
+        let plain = |msg: &[u8]| {
+            // EMSA-PKCS1-v1_5 with the SHA-256 DigestInfo (RFC 8017 §9.2).
+            let mut em = vec![0xffu8; 128 - 52];
+            em[0] = 0x00;
+            em[1] = 0x01;
+            em.extend_from_slice(&[
+                0x00, 0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04,
+                0x02, 0x01, 0x05, 0x00, 0x04, 0x20,
+            ]);
+            em.extend_from_slice(&Sha256::digest(msg));
+            Ubig::from_bytes_be(&em)
+                .pow_mod(key.d(), key.public().n())
+                .to_bytes_be_padded(128)
+        };
+        let pair = key.sign_pair([&a, &b], HashAlg::Sha256).unwrap();
+        prop_assert_eq!(&pair[0], &plain(&a));
+        prop_assert_eq!(&pair[1], &plain(&b));
+        prop_assert_eq!(&pair[0], &key.sign(&a, HashAlg::Sha256).unwrap());
+        prop_assert_eq!(&pair[1], &key.sign(&b, HashAlg::Sha256).unwrap());
+        prop_assert!(key.public().verify(&a, &pair[0], HashAlg::Sha256));
+        prop_assert!(key.public().verify(&b, &pair[1], HashAlg::Sha256));
+        prop_assert_eq!(key.public().verify(&b, &pair[0], HashAlg::Sha256), a == b);
     }
 
     // --- Hashes -----------------------------------------------------------
