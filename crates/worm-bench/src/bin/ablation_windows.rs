@@ -8,7 +8,7 @@
 //! records out of insertion order, and reports resident VRDT entries with
 //! and without compaction.
 //!
-//! Usage: `ablation_windows [--json] [--records N]`
+//! Usage: `ablation_windows [--json]`
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,16 +47,11 @@ fn build_server(clock: Arc<VirtualClock>) -> WormServer {
     WormServer::new(cfg, clock, regulator.public()).expect("server boots")
 }
 
+/// Records ingested: twenty batches of each regulation class.
+const RECORDS: usize = 1500;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let n: usize = args
-        .iter()
-        .position(|a| a == "--records")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3000);
+    let json = std::env::args().any(|a| a == "--json");
 
     // Three regulation classes with different retention periods, written
     // in alternating batches (as departments upload in blocks): class-0
@@ -70,7 +65,7 @@ fn main() {
     let plain = build_server(clock_a.clone());
     let compacted = build_server(clock_b.clone());
 
-    for i in 0..n {
+    for i in 0..RECORDS {
         let retention = classes[(i / batch) % classes.len()];
         let policy = RetentionPolicy::custom(Duration::from_secs(retention), Shredder::ZeroFill);
         let body = format!("record-{i}");
@@ -112,7 +107,7 @@ fn main() {
     }
     println!("Ablation A2 — VRDT residency: per-record proofs vs multi-window compaction");
     println!(
-        "workload: {n} records, 3 regulation classes (600 s / 3000 s / 30000 s), 25-record batches"
+        "workload: {RECORDS} records, 3 regulation classes (600 s / 3000 s / 30000 s), 25-record batches"
     );
     println!();
     println!(

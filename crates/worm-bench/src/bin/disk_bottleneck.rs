@@ -9,7 +9,7 @@
 //! against the SCPU's — showing which stage actually bounds the system
 //! in each witnessing mode.
 //!
-//! Usage: `disk_bottleneck [--json] [--records N]`
+//! Usage: `disk_bottleneck [--json]`
 
 use std::time::Duration;
 
@@ -40,16 +40,11 @@ json_record!(Row {
     effective_rps
 });
 
+/// Writes per (mode, size) row; per-record busy times do not depend on it.
+const RECORDS: usize = 50;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let n: usize = args
-        .iter()
-        .position(|a| a == "--records")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(50);
+    let json = std::env::args().any(|a| a == "--json");
 
     let mut rows = Vec::new();
     for (label, witness) in [
@@ -88,13 +83,13 @@ fn main() {
                 Duration::from_secs(10 * 365 * 24 * 3600),
                 Shredder::ZeroFill,
             );
-            for _ in 0..n {
+            for _ in 0..RECORDS {
                 server
                     .write_with(&[&record], policy, 0, witness)
                     .expect("write");
             }
-            let scpu_ns = server.device_meter().busy_ns() as f64 / n as f64;
-            let disk_ns = server.store().device().stats().busy_ns as f64 / n as f64;
+            let scpu_ns = server.device_meter().busy_ns() as f64 / RECORDS as f64;
+            let disk_ns = server.store().device().stats().busy_ns as f64 / RECORDS as f64;
             let (bottleneck, limit_ns) = if disk_ns > scpu_ns {
                 ("disk", disk_ns)
             } else {

@@ -6,23 +6,21 @@
 //! possible [...] Without deferring strong constructs, the WORM layer can
 //! support sustained throughputs of 450-500 records/second."
 //!
-//! Usage: `figure1 [--json] [--records N]`
+//! Usage: `figure1 [--json]`
 
 use worm_bench::{figure1_sweep, to_json_lines};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let n = args
-        .iter()
-        .position(|a| a == "--records")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(40usize);
+/// Writes per (mode, size) point. Every write of a point charges the same
+/// virtual time, so the rates do not depend on this (the crate's
+/// `figure1_rates_do_not_depend_on_records_per_point` test); 40 exercises
+/// each server well past its first window.
+const RECORDS: usize = 40;
 
-    eprintln!("figure1: sweeping 5 modes x 10 record sizes, {n} records/point ...");
-    let points = figure1_sweep(n);
+fn main() {
+    let json = std::env::args().any(|a| a == "--json");
+
+    eprintln!("figure1: sweeping 5 modes x 10 record sizes, {RECORDS} records/point ...");
+    let points = figure1_sweep(RECORDS);
 
     if json {
         println!("{}", to_json_lines(&points));

@@ -8,15 +8,18 @@
 //! re-verifies the Theorem 1/2 invariants end-to-end, so a single dirty
 //! recovery fails the run.
 //!
-//! Emits `results/BENCH_powerfail.json` as JSON lines: one row per cut
-//! style plus a summary row carrying the gates —
+//! Prints one row per cut style plus a summary row carrying the gates —
 //!
 //! * ≥ 1000 distinct cut points explored (the acceptance floor), and
-//! * 100% clean recovery across all of them.
+//! * 100% clean recovery across all of them
 //!
-//! `--smoke` subsamples the boundary range for CI (same scenario, same
-//! styles, proportionally lower cut-point floor). The process exits
-//! nonzero if any gate fails, so CI can wire the binary in directly.
+//! — and exits nonzero if either fails. The rows hold counts only, so
+//! the output repeats byte for byte (`results/BENCH_powerfail.json` is
+//! the `--json` output); how long the recoveries took on this machine
+//! goes to stderr, and the recovery time of record is
+//! `wormstore.recover_s` in `bench/`.
+//!
+//! Usage: `powerfail [--json]`
 
 use std::time::Instant;
 
@@ -24,17 +27,16 @@ use strongworm::powerfail::{Scenario, Torture};
 use worm_bench::{json_record, to_json_lines};
 use wormstore::{CutPlan, CutStyle};
 
-/// One row of `BENCH_powerfail.json`: a per-style sweep or the summary.
+/// Cut-point floor the summary row is held to.
+const MIN_CUT_POINTS: u64 = 1_000;
+
+/// One row of the artifact: a per-style sweep or the summary.
 #[derive(Clone, Debug)]
 struct PowerfailPoint {
     mode: String,
     cut_points: u64,
     clean_recoveries: u64,
     clean_pct: f64,
-    min_recovery_us: f64,
-    mean_recovery_us: f64,
-    max_recovery_us: f64,
-    /// Cut-point floor this run was held to (1000 full, 100 smoke).
     gate_min_cut_points: u64,
     /// Both gates: floor reached and 100% clean. Judged on the summary
     /// row; vacuously true on per-style rows.
@@ -46,64 +48,34 @@ json_record!(PowerfailPoint {
     cut_points,
     clean_recoveries,
     clean_pct,
-    min_recovery_us,
-    mean_recovery_us,
-    max_recovery_us,
     gate_min_cut_points,
     gate_pass,
 });
 
-/// Per-style accumulator over the sweep.
-#[derive(Default)]
-struct StyleTally {
+/// Cut points explored in one style, and how many recovered clean.
+struct Tally {
+    style: CutStyle,
     cut_points: u64,
     clean: u64,
-    min_ns: u64,
-    sum_ns: u64,
-    max_ns: u64,
 }
 
-impl StyleTally {
-    fn record(&mut self, clean: bool, nanos: u64) {
-        self.cut_points += 1;
-        if clean {
-            self.clean += 1;
-            self.min_ns = if self.min_ns == 0 {
-                nanos
-            } else {
-                self.min_ns.min(nanos)
-            };
-            self.sum_ns += nanos;
-            self.max_ns = self.max_ns.max(nanos);
-        }
-    }
-
-    fn point(&self, mode: &str, floor: u64) -> PowerfailPoint {
-        let mean = if self.clean > 0 {
-            self.sum_ns as f64 / self.clean as f64
+fn point(mode: &str, cut_points: u64, clean: u64) -> PowerfailPoint {
+    PowerfailPoint {
+        mode: mode.to_string(),
+        cut_points,
+        clean_recoveries: clean,
+        clean_pct: if cut_points > 0 {
+            100.0 * clean as f64 / cut_points as f64
         } else {
             0.0
-        };
-        PowerfailPoint {
-            mode: mode.to_string(),
-            cut_points: self.cut_points,
-            clean_recoveries: self.clean,
-            clean_pct: if self.cut_points > 0 {
-                100.0 * self.clean as f64 / self.cut_points as f64
-            } else {
-                0.0
-            },
-            min_recovery_us: self.min_ns as f64 / 1_000.0,
-            mean_recovery_us: mean / 1_000.0,
-            max_recovery_us: self.max_ns as f64 / 1_000.0,
-            gate_min_cut_points: floor,
-            gate_pass: true,
-        }
+        },
+        gate_min_cut_points: MIN_CUT_POINTS,
+        gate_pass: true,
     }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let json = std::env::args().any(|a| a == "--json");
     // 1 MiB medium, 256 KiB journal region: room for the large scenario's
     // journal traffic plus compaction relocations.
     let rig = Torture::new(1 << 20, 1 << 18);
@@ -116,81 +88,92 @@ fn main() {
         tail_writes: 3,
     };
     let range = rig.profile(&sc).expect("scenario profiles cleanly");
-    let boundaries = range.last - range.first + 1;
-    // Full runs take every boundary; smoke subsamples down to ~32 while
-    // keeping all four styles per boundary.
-    let stride = if smoke { (boundaries / 32).max(1) } else { 1 };
-    let floor = if smoke { 100 } else { 1_000 };
     eprintln!(
-        "powerfail: {boundaries} write boundaries x {} styles, stride {stride}",
+        "powerfail: {} write boundaries x {} styles",
+        range.last - range.first + 1,
         CutStyle::ALL.len()
     );
 
     let started = Instant::now();
-    let mut tallies: Vec<(CutStyle, StyleTally)> = CutStyle::ALL
+    let mut tallies: Vec<Tally> = CutStyle::ALL
         .iter()
-        .map(|&s| (s, StyleTally::default()))
+        .map(|&style| Tally {
+            style,
+            cut_points: 0,
+            clean: 0,
+        })
         .collect();
+    let mut recovery_ns: Vec<u64> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let mut at = range.first;
-    while at <= range.last {
-        for (style, tally) in &mut tallies {
+    for at in range.first..=range.last {
+        for tally in &mut tallies {
             let plan = CutPlan {
                 at_write: at,
-                style: *style,
+                style: tally.style,
                 seed: 0x5EED ^ at,
             };
+            tally.cut_points += 1;
             match rig.torture(&sc, plan, None) {
-                Ok(out) => tally.record(true, out.recovery_nanos),
-                Err(e) => {
-                    tally.record(false, 0);
-                    failures.push(format!("cut at write {at} ({style}): {e}"));
+                Ok(out) => {
+                    tally.clean += 1;
+                    recovery_ns.push(out.recovery_nanos);
                 }
+                Err(e) => failures.push(format!("cut at write {at} ({}): {e}", tally.style)),
             }
         }
-        at += stride;
     }
 
-    let mut total = StyleTally::default();
-    let mut points = Vec::new();
-    for (style, tally) in &tallies {
-        total.cut_points += tally.cut_points;
-        total.clean += tally.clean;
-        total.min_ns = if total.min_ns == 0 {
-            tally.min_ns
-        } else if tally.min_ns > 0 {
-            total.min_ns.min(tally.min_ns)
-        } else {
-            total.min_ns
-        };
-        total.sum_ns += tally.sum_ns;
-        total.max_ns = total.max_ns.max(tally.max_ns);
-        points.push(tally.point(&format!("{style}"), floor));
-    }
-    let all_clean = total.clean == total.cut_points;
-    let mut summary = total.point("summary", floor);
-    summary.gate_pass = all_clean && total.cut_points >= floor;
+    let mut points: Vec<PowerfailPoint> = tallies
+        .iter()
+        .map(|t| point(&t.style.to_string(), t.cut_points, t.clean))
+        .collect();
+    let mut summary = point(
+        "summary",
+        tallies.iter().map(|t| t.cut_points).sum(),
+        tallies.iter().map(|t| t.clean).sum(),
+    );
+    summary.gate_pass =
+        summary.clean_recoveries == summary.cut_points && summary.cut_points >= MIN_CUT_POINTS;
     points.push(summary.clone());
 
-    let out = to_json_lines(&points) + "\n";
-    std::fs::write("results/BENCH_powerfail.json", out).expect("write results");
-    println!("wrote results/BENCH_powerfail.json");
-    println!(
-        "{} cut points, {} clean ({:.1}%), mean recovery {:.0} us, in {:.1}s",
-        summary.cut_points,
-        summary.clean_recoveries,
-        summary.clean_pct,
-        summary.mean_recovery_us,
+    eprintln!(
+        "powerfail: recovery min {:.0} / mean {:.0} / max {:.0} us over {} clean cuts, {:.1}s in all",
+        recovery_ns.iter().min().copied().unwrap_or(0) as f64 / 1e3,
+        recovery_ns.iter().sum::<u64>() as f64 / recovery_ns.len().max(1) as f64 / 1e3,
+        recovery_ns.iter().max().copied().unwrap_or(0) as f64 / 1e3,
+        recovery_ns.len(),
         started.elapsed().as_secs_f64()
     );
+
+    if json {
+        println!("{}", to_json_lines(&points));
+    } else {
+        println!("Power-fail sweep — a cut at every write boundary of a full record lifecycle");
+        println!(
+            "scenario: {} expiring + {} surviving records, shred + compaction, {} tail writes",
+            sc.victims, sc.keepers, sc.tail_writes
+        );
+        println!();
+        println!(
+            "{:<10} {:>11} {:>17} {:>8}",
+            "cut style", "cut points", "clean recoveries", "clean %"
+        );
+        println!("{}", "-".repeat(49));
+        for p in &points {
+            println!(
+                "{:<10} {:>11} {:>17} {:>8.1}",
+                p.mode, p.cut_points, p.clean_recoveries, p.clean_pct
+            );
+        }
+    }
+
     for f in failures.iter().take(10) {
         eprintln!("FAIL {f}");
     }
     if !summary.gate_pass {
         eprintln!(
-            "GATE FAILED: {} cut points (floor {}), {} dirty recoveries",
+            "GATE FAILED: {} cut points (floor {MIN_CUT_POINTS}), {} dirty recoveries",
             summary.cut_points,
-            floor,
             summary.cut_points - summary.clean_recoveries
         );
         std::process::exit(1);

@@ -25,9 +25,11 @@
 //! freshness head. A point only counts if every sampled cross-shard
 //! read verifies.
 //!
-//! Emits `results/BENCH_shard_scaling.json` as JSON lines and exits
-//! nonzero if the speedup curve is not monotone — `--smoke` restricts
-//! the sweep to 1 vs 2 shards with a smaller batch for CI.
+//! Exits nonzero if a tier's speedup curve is not monotone or its
+//! 4-shard point is below 2.5x. `results/BENCH_shard_scaling.json` is
+//! the `--json` output.
+//!
+//! Usage: `shard_scaling [--json]`
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,6 +83,10 @@ json_record!(ShardScalingPoint {
     wire_reads_verified,
 });
 
+/// Shard counts swept per tier.
+const SWEEP: [u32; 4] = [1, 2, 4, 8];
+/// Writes per point.
+const RECORDS: usize = 192;
 const RECORD_BYTES: usize = 4 << 10;
 /// Verified cross-shard reads sampled per point (capped by batch size).
 const READBACK_SAMPLES: usize = 16;
@@ -100,7 +106,6 @@ fn bench_config() -> WormConfig {
 fn measure_point(
     (mode, witness): (&'static str, WitnessMode),
     shards: u32,
-    records: usize,
     regulator: &RsaPublicKey,
     baseline_rps: Option<f64>,
 ) -> ShardScalingPoint {
@@ -118,7 +123,7 @@ fn measure_point(
     for shard in server.shards() {
         shard.reset_meters();
     }
-    let sns: Vec<SerialNumber> = (0..records)
+    let sns: Vec<SerialNumber> = (0..RECORDS)
         .map(|_| {
             server
                 .write_with(&[&record], policy, 0, witness)
@@ -141,7 +146,7 @@ fn measure_point(
         .map(|s| u64::try_from(s.host_meter().busy_ns()).unwrap_or(u64::MAX))
         .sum();
 
-    let n = records as f64;
+    let n = RECORDS as f64;
     let scpu_rps = n / (scpu_makespan_ns as f64 / 1e9).max(1e-12);
     let host_rps = if host_ns > 0 {
         n / (host_ns as f64 / 1e9)
@@ -157,7 +162,7 @@ fn measure_point(
     ShardScalingPoint {
         mode,
         shards,
-        records,
+        records: RECORDS,
         record_bytes: RECORD_BYTES,
         scpu_makespan_ns,
         host_ns,
@@ -202,12 +207,7 @@ fn verify_over_wire(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (sweep, records): (&[u32], usize) = if smoke {
-        (&[1, 2], 64)
-    } else {
-        (&[1, 2, 4, 8], 192)
-    };
+    let json = std::env::args().any(|a| a == "--json");
 
     let mut rng = StdRng::seed_from_u64(0xA7);
     let regulator = RegulatoryAuthority::generate(&mut rng, 512);
@@ -218,14 +218,9 @@ fn main() {
         ("deferred-512", WitnessMode::Deferred),
     ] {
         let mut points: Vec<ShardScalingPoint> = Vec::new();
-        for &shards in sweep {
+        for shards in SWEEP {
             let baseline = points.first().map(|p| p.effective_rps);
-            let p = measure_point(series, shards, records, regulator.public(), baseline);
-            println!(
-                "{:<12} shards={:<2} effective={:>9.0} rec/s speedup={:.2}x wire-verified={}",
-                p.mode, p.shards, p.effective_rps, p.speedup_vs_1, p.wire_reads_verified
-            );
-            points.push(p);
+            points.push(measure_point(series, shards, regulator.public(), baseline));
         }
 
         // A7's claim is monotone (near-linear) scaling; a regression here
@@ -241,23 +236,37 @@ fn main() {
                 pair[1].effective_rps,
             );
         }
-        if !smoke {
-            let four = points
-                .iter()
-                .find(|p| p.shards == 4)
-                .expect("4-shard point");
-            assert!(
-                four.speedup_vs_1 >= 2.5,
-                "{} 4-shard speedup must be >= 2.5x, got {:.2}x",
-                four.mode,
-                four.speedup_vs_1
-            );
-        }
+        let four = points
+            .iter()
+            .find(|p| p.shards == 4)
+            .expect("4-shard point");
+        assert!(
+            four.speedup_vs_1 >= 2.5,
+            "{} 4-shard speedup must be >= 2.5x, got {:.2}x",
+            four.mode,
+            four.speedup_vs_1
+        );
         all.extend(points);
     }
 
-    std::fs::create_dir_all("results").expect("results dir");
-    let out = to_json_lines(&all) + "\n";
-    std::fs::write("results/BENCH_shard_scaling.json", out).expect("write results");
-    println!("wrote results/BENCH_shard_scaling.json");
+    if json {
+        println!("{}", to_json_lines(&all));
+        return;
+    }
+    println!("Ablation A7 — write throughput vs SCPU count (records/second, SCPU virtual time)");
+    println!(
+        "workload: {RECORDS} x {RECORD_BYTES} B writes per point, round-robin over the shards"
+    );
+    println!();
+    println!(
+        "{:<14} {:>7} {:>14} {:>9} {:>14}",
+        "mode", "shards", "effective rps", "speedup", "wire-verified"
+    );
+    println!("{}", "-".repeat(62));
+    for p in &all {
+        println!(
+            "{:<14} {:>7} {:>14.0} {:>8.2}x {:>14}",
+            p.mode, p.shards, p.effective_rps, p.speedup_vs_1, p.wire_reads_verified
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! under one key issued together, which is how a write's `metasig` and
 //! `datasig` are made.
 //!
-//! Usage: `table2 [--json] [--iters N]`
+//! Usage: `table2 [--json]`
 
 use std::time::Instant;
 
@@ -18,6 +18,11 @@ use rand::SeedableRng;
 use scpu::{CostModel, Op};
 use worm_bench::{rate_mb_per_sec, rate_per_sec, to_json_lines, Table2Row};
 use wormcrypt::{Digest, HashAlg, RsaPrivateKey, Sha1};
+
+/// Timed repetitions of each RSA and copy row.
+const ITERS: usize = 32;
+/// Timed repetitions of the SHA-1 rows, whose single run is much shorter.
+const SHA_ITERS: usize = 64;
 
 fn measure_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     let start = Instant::now();
@@ -28,14 +33,7 @@ fn measure_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let iters = args
-        .iter()
-        .position(|a| a == "--iters")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8usize);
+    let json = std::env::args().any(|a| a == "--json");
 
     let dev = CostModel::ibm4764();
     let host = CostModel::host_p4();
@@ -48,13 +46,13 @@ fn main() {
     for bits in [512usize, 1024, 2048] {
         eprintln!("table2: generating {bits}-bit key ...");
         let key = RsaPrivateKey::generate(&mut rng, bits);
-        let mine = measure_ns(iters, || {
+        let mine = measure_ns(ITERS, || {
             key.sign(msg, HashAlg::Sha256).expect("modulus sized");
         });
         // Two signatures under one key issued together (a write's `metasig`
         // and `datasig`), as signatures per second. The models charge a
         // pair as two signatures.
-        let pair = measure_ns(iters, || {
+        let pair = measure_ns(ITERS, || {
             key.sign_pair([msg, msg], HashAlg::Sha256)
                 .expect("modulus sized");
         });
@@ -72,7 +70,7 @@ fn main() {
     // SHA-1 rows.
     for (label, block) in [("1KB blk.", 1usize << 10), ("64 KB blk.", 64 << 10)] {
         let buf = vec![0xABu8; block];
-        let mine = measure_ns(iters.max(64), || {
+        let mine = measure_ns(SHA_ITERS, || {
             let _ = Sha1::digest(&buf);
         });
         rows.push(Table2Row {
@@ -89,7 +87,7 @@ fn main() {
         let block = 1usize << 20;
         let src = vec![0x5Au8; block];
         let mut dst = vec![0u8; block];
-        let mine = measure_ns(iters.max(32), || {
+        let mine = measure_ns(ITERS, || {
             dst.copy_from_slice(&src);
             std::hint::black_box(&dst);
         });

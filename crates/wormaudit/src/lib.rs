@@ -27,9 +27,9 @@
 //!
 //! Events are emitted where the fact is known — the read that failed
 //! verification, the acceptor that shed a connection, the daemon that
-//! gave up — by a direct [`AuditLog::emit`] call. The chain has one
-//! kill switch, its own ([`AuditLog::set_enabled`]); no diagnostics
-//! switch can silence it.
+//! gave up — by a direct [`AuditLog::emit`] call. The chain has no off
+//! switch: neither the diagnostics kill switch nor anything else the
+//! host can set silences it.
 //!
 //! Layering: this crate sits below `strongworm`/`wormnet` (which emit
 //! into it and anchor it) and depends only on `wormcrypt` (hashing,

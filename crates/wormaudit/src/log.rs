@@ -1,7 +1,6 @@
 //! The bounded, hash-chained audit journal.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wormtrace::{sync, Counter, Gauge, Registry};
@@ -67,7 +66,6 @@ pub struct AuditLog {
     clock: Box<ClockFn>,
     capacity: usize,
     anchor_capacity: usize,
-    enabled: AtomicBool,
     emitted: Arc<Counter>,
     dropped: Arc<Counter>,
     anchored: Arc<Counter>,
@@ -99,7 +97,6 @@ impl AuditLog {
             clock,
             capacity: capacity.max(1),
             anchor_capacity: DEFAULT_ANCHOR_CAPACITY,
-            enabled: AtomicBool::new(true),
             emitted: registry.counter("audit.emitted"),
             dropped: registry.counter("audit.dropped"),
             anchored: registry.counter("audit.anchored"),
@@ -107,27 +104,10 @@ impl AuditLog {
         }
     }
 
-    /// Whether emission is live. The kill switch for overhead
-    /// measurement and emergency shedding; fetching stays available
-    /// either way.
-    pub fn is_enabled(&self) -> bool {
-        // ordering: advisory on/off flag — a stale read records (or
-        // skips) at most a few events; no data is guarded by it.
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables emission ([`AuditLog::emit`] becomes a
-    /// no-op while disabled; anchoring and fetching keep working).
-    pub fn set_enabled(&self, enabled: bool) {
-        // ordering: see `is_enabled` — the flag publishes nothing.
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Appends one event to the chain. No-op while disabled.
+    /// Appends one event to the chain. Nothing the host can set turns
+    /// this off: an integrity record that could be silenced would be
+    /// deniable evidence.
     pub fn emit(&self, class: AuditClass, sn: Option<u64>, detail: &str) {
-        if !self.is_enabled() {
-            return;
-        }
         let at_ms = (self.clock)();
         // lock-order: AuditLog.inner is a terminal leaf; emitters may hold witness/vrdt and no lock is taken under it
         let mut inner = sync::lock(&self.inner);
@@ -331,18 +311,6 @@ mod tests {
         assert_eq!(log.last_anchor_seq(), Some(0));
         log.emit(AuditClass::HeadRefresh, None, "");
         assert_eq!(log.needs_anchor().unwrap().0, 1);
-    }
-
-    #[test]
-    fn kill_switch_stops_emission() {
-        let log = log(16);
-        log.set_enabled(false);
-        assert!(!log.is_enabled());
-        log.emit(AuditClass::HeadRefresh, None, "");
-        assert_eq!(log.height(), 0);
-        log.set_enabled(true);
-        log.emit(AuditClass::HeadRefresh, None, "");
-        assert_eq!(log.height(), 1);
     }
 
     #[test]

@@ -1325,39 +1325,52 @@ fn streamed_wire_responses_equal_the_owned_encoding_on_both_backends() {
     h.net.shutdown();
 }
 
-#[test]
-fn per_worker_frame_counters_sum_to_frames_in() {
-    const READS: usize = 3000;
+/// `connections` clients, handed round-robin to two workers, each
+/// pipelining `reads` verified reads of one record at `depth` while the
+/// others do. Every connection must complete (none starves behind the
+/// event loop), nothing may be shed, timed out or left queued, and the
+/// per-worker frame counters must partition `net.frames_in`: a worker
+/// that booked the shared delta over its own `serve` call would also
+/// count the frames its neighbour served meanwhile.
+fn pipelined_readers_partition_frames_in(connections: usize, depth: usize, reads: usize) {
     let h = boot(NetServerConfig {
         workers: 2,
         ..NetServerConfig::default()
     });
     let addr = h.net.local_addr();
-    let sn = RemoteWormClient::connect(addr)
-        .unwrap()
-        .write(&[&[1u8; 512]], policy(3600))
-        .unwrap();
+    let mut setup = RemoteWormClient::connect(addr).unwrap();
+    let sn = setup.write(&[&[1u8; 512]], policy(3600)).unwrap();
+    let verifier = Arc::new(
+        setup
+            .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
+            .unwrap(),
+    );
+    drop(setup);
 
-    // Two connections, handed round-robin to the two workers, each
-    // pipelining reads while the other does: a worker that booked the
-    // shared `net.frames_in` delta over its own `serve` call would also
-    // count the frames its neighbour served meanwhile.
-    let start = Arc::new(Barrier::new(2));
-    let clients: Vec<_> = (0..2)
+    let start = Arc::new(Barrier::new(connections));
+    let clients: Vec<_> = (0..connections)
         .map(|_| {
-            let start = start.clone();
+            let (start, verifier) = (start.clone(), verifier.clone());
             std::thread::spawn(move || {
                 let mut client = RemoteWormClient::connect(addr).unwrap();
                 client.tick().unwrap();
                 start.wait();
-                let mut pipe = client.pipeline(32);
-                let mut answered = 0;
-                for _ in 0..READS {
-                    let sent = pipe.send(&wormnet::NetRequest::Read { sn }).unwrap();
-                    answered += usize::from(sent.is_some());
+                let mut pipe = client.pipeline(depth);
+                let mut responses = Vec::with_capacity(reads);
+                for _ in 0..reads {
+                    responses.extend(pipe.send(&wormnet::NetRequest::Read { sn }).unwrap());
                 }
-                answered += pipe.finish().unwrap().len();
-                assert_eq!(answered, READS);
+                responses.extend(pipe.finish().unwrap());
+                assert_eq!(responses.len(), reads);
+                for resp in &responses {
+                    match resp {
+                        wormnet::NetResponse::Outcome(outcome) => assert_eq!(
+                            verifier.verify_read(sn, outcome).unwrap(),
+                            ReadVerdict::Intact { sn }
+                        ),
+                        other => panic!("expected Outcome, got {other:?}"),
+                    }
+                }
             })
         })
         .collect();
@@ -1366,12 +1379,15 @@ fn per_worker_frame_counters_sum_to_frames_in() {
     }
 
     let snapshot = h.server.stats_snapshot();
+    assert_eq!(snapshot.counter("net.conn_shed"), 0);
+    assert_eq!(snapshot.counter("net.timeouts"), 0);
+    assert_eq!(snapshot.gauge("net.queue_depth"), Some(0));
     let per_worker: Vec<u64> = (0..2)
         .map(|i| snapshot.counter(&format!("net.worker{i}.frames")))
         .collect();
     assert!(
-        per_worker.iter().all(|&frames| frames >= READS as u64),
-        "each worker served one of the connections: {per_worker:?}"
+        per_worker.iter().all(|&frames| frames >= reads as u64),
+        "each worker served its share of the connections: {per_worker:?}"
     );
     assert_eq!(
         per_worker.iter().sum::<u64>(),
@@ -1379,4 +1395,13 @@ fn per_worker_frame_counters_sum_to_frames_in() {
         "per-worker frames {per_worker:?} must partition net.frames_in"
     );
     h.net.shutdown();
+}
+
+#[test]
+fn per_worker_frame_counters_sum_to_frames_in() {
+    // One connection a worker, deep window.
+    pipelined_readers_partition_frames_in(2, 32, 3000);
+    // More connections than workers or cores, the window a verifying
+    // client settles into: four sessions multiplexed on each event loop.
+    pipelined_readers_partition_frames_in(8, 8, 1000);
 }

@@ -1,77 +1,80 @@
 #!/usr/bin/env bash
-# Regenerates every captured evaluation artifact under results/.
-# Usage: scripts/regen_results.sh [--quick]
-#   --quick  fewer records per point (faster, noisier shapes)
+# The only writer of results/: regenerates every committed evaluation
+# artifact. Each is a worm-bench paper-artifact bin's stdout or a
+# wormlint audit; wall-clock numbers about the running system are not
+# here, they come from `bash bench/run.sh`.
+#
+# Usage: scripts/regen_results.sh [--check]
+#   --check  regenerate into a temporary directory instead and fail on
+#            any byte of difference from results/, on a file in results/
+#            that was not produced, and on a produced file that is not
+#            committed. table2.txt is compared on its two model columns:
+#            its `this machine` column and engines line are wall clock.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RECORDS=40
-if [[ "${1:-}" == "--quick" ]]; then
-  RECORDS=10
-fi
+case "${1:-}" in
+  "") out=results; mkdir -p "$out" ;;
+  --check) out=$(mktemp -d); trap 'rm -rf "$out"' EXIT ;;
+  *) echo "usage: $0 [--check]" >&2; exit 2 ;;
+esac
 
-mkdir -p results
-
-# Writes results/ATOMICS_AUDIT.json (wormlint.atomics.v1: every atomic
-# Ordering site and its justification) and results/LOCK_AUDIT.json
-# (wormlint.locks.v1: every lock acquisition, the observed nesting
-# edges, and the — required-empty — cycle set).
+# ATOMICS_AUDIT.json (wormlint.atomics.v1: every atomic Ordering site
+# and its justification) and LOCK_AUDIT.json (wormlint.locks.v1: every
+# lock acquisition, the observed nesting edges, and the —
+# required-empty — cycle set). Exits nonzero on any lint violation.
 echo ">> wormlint atomics + lock-order audits"
 cargo run --release -q -p wormlint -- --workspace \
-  --audit-out results/ATOMICS_AUDIT.json \
-  --lock-audit-out results/LOCK_AUDIT.json
+  --audit-out "$out/ATOMICS_AUDIT.json" \
+  --lock-audit-out "$out/LOCK_AUDIT.json"
 
+# run <artifact> <bin> [--json]: the bin's stdout is the artifact. The
+# bins' own assertions (shard_scaling: monotone per tier; powerfail:
+# >= 1000 cut points, 100% clean; attack_matrix: every attack detected)
+# fail the script through their exit status.
 run() {
-  local name="$1"; shift
-  echo ">> $name"
-  cargo run --release -q -p worm-bench --bin "$name" -- "$@" > "results/$name.txt"
+  local file="$1" bin="$2"; shift 2
+  echo ">> $file"
+  cargo run --release -q -p worm-bench --bin "$bin" -- "$@" > "$out/$file"
 }
 
-run table2 --iters 32
-run figure1 --records "$RECORDS"
-run ablation_merkle
-run ablation_windows --records 1500
-run ablation_deferred
-run disk_bottleneck --records 50
-run attack_matrix
+run table2.txt table2
+run figure1.txt figure1
+run ablation_merkle.txt ablation_merkle
+run ablation_windows.txt ablation_windows
+run ablation_deferred.txt ablation_deferred
+run disk_bottleneck.txt disk_bottleneck
+run attack_matrix.txt attack_matrix
+run BENCH_shard_scaling.json shard_scaling --json
+run BENCH_powerfail.json powerfail --json   # every write boundary x 4 cut styles, ~2 min
 
-# Writes results/BENCH_read_scaling.json itself (wall-clock measurement).
-echo ">> read_scaling"
-cargo run --release -q -p worm-bench --bin read_scaling > /dev/null
-
-# Writes results/BENCH_net_throughput.json itself: verified pipelined
-# reads over the wormnet TCP serving layer at 1/2/4/8/16 client
-# connections. Doubles as a regression gate: the binary exits nonzero
-# if the scaling curve dips below 0.9x of the previous point or any
-# connection was shed mid-measurement.
-echo ">> net_throughput"
-cargo run --release -q -p worm-bench --bin net_throughput > /dev/null
-
-# Writes results/BENCH_shard_scaling.json itself: ablation A7, write
-# throughput of the sharded witness plane at 1/2/4/8 SCPUs for the
-# strong-1024 and deferred-512 tiers, with cross-shard wire reads
-# verified against the composite head. The bin asserts monotone
-# scaling per tier and exits nonzero on a regression.
-echo ">> shard_scaling"
-cargo run --release -q -p worm-bench --bin shard_scaling > /dev/null
-
-# Writes results/BENCH_powerfail.json itself: the benchmark-scale
-# power-fail sweep — a cut at every write boundary of a full record
-# lifecycle (writes, deletions, shredding, compaction) in all four
-# torn-sector styles, each recovered and re-verified. Gates on >=1000
-# distinct cut points with 100% clean recovery and exits nonzero
-# otherwise. --quick subsamples boundaries (same gate shape, lower floor).
-echo ">> powerfail"
-if [[ "${1:-}" == "--quick" ]]; then
-  cargo run --release -q -p worm-bench --bin powerfail -- --smoke > /dev/null
-else
-  cargo run --release -q -p worm-bench --bin powerfail > /dev/null
+if [[ "$out" == results ]]; then
+  echo "done; artifacts in results/"
+  exit 0
 fi
 
-# Writes results/BENCH_audit_overhead.json itself: tamper-evident audit
-# plane cost on remote verified reads, audited vs kill-switched. Exits
-# nonzero if the overhead exceeds the 3% budget.
-echo ">> audit_overhead"
-cargo run --release -q -p worm-bench --bin audit_overhead > /dev/null
+# Table 2 without this machine's wall clock: the rows cut after the
+# P4-model column, the engines line dropped.
+model_columns() {
+  sed -E -e '/^engines on this machine:/d' \
+    -e 's/^(.{58}) +[0-9.]+(\/s| MB\/s)$/\1/' "$1"
+}
 
-echo "done; artifacts in results/"
+status=0
+while read -r name; do
+  if [[ ! -e "$out/$name" ]]; then
+    echo "CHECK FAILED: results/$name is not produced by this script"
+    status=1
+  elif [[ ! -e "results/$name" || -z "$(git ls-files "results/$name")" ]]; then
+    echo "CHECK FAILED: $name is produced but not committed under results/"
+    status=1
+  elif [[ "$name" == table2.txt ]]; then
+    diff -u <(model_columns results/table2.txt) <(model_columns "$out/table2.txt") \
+      || { echo "CHECK FAILED: results/table2.txt model columns differ"; status=1; }
+  elif ! diff -u "results/$name" "$out/$name"; then
+    echo "CHECK FAILED: results/$name differs from a fresh run"
+    status=1
+  fi
+done < <( (ls results; ls "$out") | sort -u )
+[[ $status -eq 0 ]] && echo "check passed: results/ matches a fresh run"
+exit $status

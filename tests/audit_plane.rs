@@ -136,19 +136,6 @@ fn daemon_give_up_lands_in_the_chain_with_tracing_off() {
 }
 
 #[test]
-fn kill_switch_stops_the_chain() {
-    let (srv, _clock) = server();
-    let audit = srv.audit();
-    audit.set_enabled(false);
-    let h = audit.height();
-    srv.refresh_head().unwrap();
-    assert_eq!(audit.height(), h, "disabled journal must not grow");
-    audit.set_enabled(true);
-    srv.refresh_head().unwrap();
-    assert_eq!(audit.height(), h + 1);
-}
-
-#[test]
 fn torn_tail_recovery_is_audited_and_the_chain_still_anchors() {
     let (srv, clock) = server();
     srv.write(&[b"committed"], short_policy(10_000)).unwrap();
