@@ -191,6 +191,21 @@ impl RecordMemo {
     }
 }
 
+/// One signature check an answer needs, resolved to the key its `key_id`
+/// names: everything about the check that is not arithmetic is done.
+struct SigCheck<'a> {
+    key: &'a RsaPublicKey,
+    payload: Vec<u8>,
+    sig: &'a Signature,
+}
+
+impl<'a> SigCheck<'a> {
+    /// `sig` over `payload` under `key`, if that is the key `sig` names.
+    fn under(key: &'a RsaPublicKey, payload: Vec<u8>, sig: &'a Signature) -> Option<Self> {
+        (sig.key_id == key.fingerprint()).then_some(SigCheck { key, payload, sig })
+    }
+}
+
 /// What a verified read means.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReadVerdict {
@@ -336,12 +351,24 @@ impl Verifier {
     ///
     /// [`VerifyError::BadSignature`] if the certificate does not verify.
     pub fn add_weak_cert(&mut self, cert: WeakKeyCert) -> Result<(), VerifyError> {
+        // A server publishes its whole list, the certificate this verifier
+        // was built from included: one that is registered stays registered
+        // once, so a weak witness has one key to be checked against.
+        if self.weak_certs.contains(&cert) {
+            return Ok(());
+        }
         let payload = weak_cert_payload(&cert.key, cert.max_sig_expiry);
         if !cert.sig.verify(&self.sign_key, &payload) {
             return Err(VerifyError::BadSignature("weak key certificate"));
         }
         self.weak_certs.push(cert);
         Ok(())
+    }
+
+    /// The weak-key certificates registered so far, each once, in the
+    /// order they were first added.
+    pub fn weak_certs(&self) -> &[WeakKeyCert] {
+        &self.weak_certs
     }
 
     /// Verifies a complete read outcome for `requested`.
@@ -394,16 +421,35 @@ impl Verifier {
             Remembered::Chain(chain) => chain,
             Remembered::Unknown => data_hash(self.data_hash, records.iter().map(|b| b.as_ref())),
         };
+        // Everything about either witness that is not arithmetic, in the
+        // order a reader meets them; then both signatures in one pass. What
+        // is reported is what checking metasig to the end and only then
+        // looking at datasig would report.
         let meta = meta_payload(vrd.sn, &vrd.attr.encode());
-        self.verify_witness(&meta, &vrd.metasig, "metasig")?;
+        let meta = self.resolve_witness(meta, &vrd.metasig, "metasig")?;
         let datap = data_payload(vrd.sn, &chain);
-        self.verify_witness(&datap, &vrd.datasig, "datasig")
-            .map_err(|e| match e {
-                // A structurally valid signature that does not cover the
-                // recomputed hash means the data (or the hash) was altered.
-                VerifyError::BadSignature("datasig") => VerifyError::DataHashMismatch,
-                other => other,
-            })?;
+        let data = self.resolve_witness(datap, &vrd.datasig, "datasig");
+        let [meta_ok, data_ok] = match &data {
+            Ok(data) => self.verify_memoized_pair([&meta, data]),
+            Err(_) => [
+                self.verify_memoized(meta.key, &meta.payload, meta.sig),
+                false,
+            ],
+        };
+        if !meta_ok {
+            return Err(VerifyError::BadSignature("metasig"));
+        }
+        data.and_then(|_| {
+            data_ok
+                .then_some(())
+                .ok_or(VerifyError::BadSignature("datasig"))
+        })
+        .map_err(|e| match e {
+            // A structurally valid signature that does not cover the
+            // recomputed hash means the data (or the hash) was altered.
+            VerifyError::BadSignature("datasig") => VerifyError::DataHashMismatch,
+            other => other,
+        })?;
         self.record_memo.insert(self.data_hash, vrd, records, chain);
         Ok(())
     }
@@ -418,36 +464,34 @@ impl Verifier {
         }
     }
 
-    /// Verifies a single witness over `payload`.
-    fn verify_witness(
-        &self,
-        payload: &[u8],
-        witness: &Witness,
+    /// Resolves a witness over `payload` to the one signature check it
+    /// stands for, making every check that needs no arithmetic: the key the
+    /// signature names is one this verifier holds, a weak witness is within
+    /// its lifetime and within what its key's certificate may assert.
+    fn resolve_witness<'a>(
+        &'a self,
+        payload: Vec<u8>,
+        witness: &'a Witness,
         field: &'static str,
-    ) -> Result<(), VerifyError> {
-        match witness {
-            Witness::Strong(sig) => {
-                if self.verify_memoized(&self.sign_key, payload, sig) {
-                    Ok(())
-                } else {
-                    Err(VerifyError::BadSignature(field))
-                }
-            }
+    ) -> Result<SigCheck<'a>, VerifyError> {
+        let check = match witness {
+            Witness::Strong(sig) => SigCheck::under(&self.sign_key, payload, sig),
             Witness::Weak { sig, expires_at } => {
                 self.check_weak_expiry(witness, field)?;
-                let wrapped = weak_wrap(payload, *expires_at);
-                let ok = self.weak_certs.iter().any(|cert| {
-                    *expires_at <= cert.max_sig_expiry
-                        && self.verify_memoized(&cert.key, &wrapped, sig)
-                });
-                if ok {
-                    Ok(())
-                } else {
-                    Err(VerifyError::BadSignature(field))
-                }
+                // Certificates with one fingerprint carry one key, so the
+                // first that fits decides as any other that fits would.
+                let fits = |cert: &&WeakKeyCert| {
+                    *expires_at <= cert.max_sig_expiry && sig.key_id == cert.key.fingerprint()
+                };
+                self.weak_certs.iter().find(fits).map(|cert| SigCheck {
+                    key: &cert.key,
+                    payload: weak_wrap(&payload, *expires_at),
+                    sig,
+                })
             }
-            Witness::Mac { .. } => Err(VerifyError::UnverifiableMac { field }),
-        }
+            Witness::Mac { .. } => return Err(VerifyError::UnverifiableMac { field }),
+        };
+        check.ok_or(VerifyError::BadSignature(field))
     }
 
     /// Checks `sig` over `payload` under `key`, short-circuiting
@@ -465,6 +509,31 @@ impl Verifier {
         let ok = sig.verify(key, payload);
         if ok {
             self.memo.insert(k);
+        }
+        ok
+    }
+
+    /// `[verify_memoized(a), verify_memoized(b)]` for the two checks an
+    /// answer carries, with the arithmetic the memo leaves — when that is
+    /// both — done as one pair. Each half is memoized on its own success
+    /// only, as there.
+    fn verify_memoized_pair(&self, checks: [&SigCheck<'_>; 2]) -> [bool; 2] {
+        let memo_keys = checks.map(|c| SigMemo::key(c.sig.key_id, &c.payload, &c.sig.bytes));
+        let known = memo_keys.each_ref().map(|k| self.memo.contains(k));
+        let [a, b] = checks;
+        let ok = match known {
+            [false, false] => {
+                Signature::verify_pair([a.sig, b.sig], [a.key, b.key], [&a.payload, &b.payload])
+            }
+            _ => [
+                known[0] || a.sig.verify(a.key, &a.payload),
+                known[1] || b.sig.verify(b.key, &b.payload),
+            ],
+        };
+        for (i, memo_key) in memo_keys.into_iter().enumerate() {
+            if ok[i] && !known[i] {
+                self.memo.insert(memo_key);
+            }
         }
         ok
     }
@@ -510,12 +579,12 @@ impl Verifier {
                 // (§4.2.1).
                 let lo_payload = window_payload(w.window_id, w.lo, WindowSide::Lower);
                 let hi_payload = window_payload(w.window_id, w.hi, WindowSide::Upper);
-                if !self.verify_memoized(&self.sign_key, &lo_payload, &w.lo_sig)
-                    || !self.verify_memoized(&self.sign_key, &hi_payload, &w.hi_sig)
-                {
-                    return Err(VerifyError::BadSignature("window bound"));
+                let bounds = SigCheck::under(&self.sign_key, lo_payload, &w.lo_sig)
+                    .zip(SigCheck::under(&self.sign_key, hi_payload, &w.hi_sig));
+                match bounds.map(|(lo, hi)| self.verify_memoized_pair([&lo, &hi])) {
+                    Some([true, true]) => Ok(ReadVerdict::ConfirmedDeleted { deleted_at: None }),
+                    _ => Err(VerifyError::BadSignature("window bound")),
                 }
-                Ok(ReadVerdict::ConfirmedDeleted { deleted_at: None })
             }
         }
     }
@@ -680,6 +749,7 @@ mod tests {
 
     use super::*;
     use crate::{RegulatoryAuthority, RetentionPolicy, WitnessMode, WormConfig, WormServer};
+    use wormstore::Shredder;
 
     /// The VRD the record memo holds for `sn`.
     fn remembered(v: &Verifier, sn: SerialNumber) -> Option<Vrd> {
@@ -750,6 +820,129 @@ mod tests {
                 v.record_memo.lookup(v.data_hash, vrd, records),
                 Remembered::Verified
             ));
+        }
+    }
+
+    /// Whether `sig` over `payload` is in the verifier's signature memo.
+    fn memoized(v: &Verifier, payload: &[u8], sig: &Signature) -> bool {
+        v.memo
+            .contains(&SigMemo::key(sig.key_id, payload, &sig.bytes))
+    }
+
+    fn strong(witness: &mut Witness) -> &mut Signature {
+        match witness {
+            Witness::Strong(sig) => sig,
+            other => panic!("expected a strong witness, got {other:?}"),
+        }
+    }
+
+    /// A pair decides each half on its own: the half that failed is not
+    /// remembered, whichever it was and whatever the other did, at the
+    /// width whose keys carry lanes (1024 bits) and at one whose keys do
+    /// not (512).
+    #[test]
+    fn a_failed_half_of_a_pair_enters_neither_memo() {
+        for strong_bits in [512usize, 1024] {
+            let clock = VirtualClock::starting_at_millis(1_000_000);
+            let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x3E31), 512);
+            let config = WormConfig {
+                strong_bits,
+                ..WormConfig::test_small()
+            };
+            let srv = WormServer::new(config, clock.clone(), regulator.public()).unwrap();
+            let fresh = || Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone());
+            let short = RetentionPolicy::custom(Duration::from_secs(50), Shredder::ZeroFill);
+            let long = RetentionPolicy::custom(Duration::from_secs(1_000_000), Shredder::ZeroFill);
+
+            // metasig and datasig.
+            let sn = srv.write(&[b"kept"], long).unwrap();
+            let honest = srv.read(sn).unwrap();
+            let (vrd, records) = data(&honest);
+            let chain = data_hash(srv.keys().data_hash, records.iter().map(|r| r.as_ref()));
+            let payloads = [
+                meta_payload(sn, &vrd.attr.encode()),
+                data_payload(sn, &chain),
+            ];
+            for (bad_meta, bad_data) in [(true, false), (false, true), (true, true)] {
+                let v = fresh().unwrap();
+                let mut tampered = honest.clone();
+                let ReadOutcome::Data { vrd, .. } = &mut tampered else {
+                    unreachable!()
+                };
+                if bad_meta {
+                    strong(&mut vrd.metasig).bytes[3] ^= 0x10;
+                }
+                if bad_data {
+                    strong(&mut vrd.datasig).bytes[60] ^= 0x01;
+                }
+                let sigs = [
+                    strong(&mut vrd.metasig).clone(),
+                    strong(&mut vrd.datasig).clone(),
+                ];
+                let expected = if bad_meta {
+                    VerifyError::BadSignature("metasig")
+                } else {
+                    VerifyError::DataHashMismatch
+                };
+                for _ in 0..2 {
+                    assert_eq!(v.verify_read(sn, &tampered), Err(expected.clone()));
+                    assert_eq!(remembered(&v, sn), None);
+                    // The half that verified is remembered, as it would
+                    // be had it arrived alone.
+                    assert_eq!(memoized(&v, &payloads[0], &sigs[0]), !bad_meta);
+                    assert_eq!(memoized(&v, &payloads[1], &sigs[1]), !bad_data);
+                }
+                assert_eq!(v.verify_read(sn, &honest), Ok(ReadVerdict::Intact { sn }));
+                assert_eq!(remembered(&v, sn).as_ref(), Some(data(&honest).0));
+            }
+
+            // The two bounds of a deleted window.
+            for _ in 0..3 {
+                srv.write(&[b"brief"], short).unwrap();
+            }
+            srv.write(&[b"kept"], long).unwrap();
+            clock.advance(Duration::from_secs(60));
+            srv.tick().unwrap();
+            assert_eq!(srv.compact().unwrap(), 1);
+            let inside = SerialNumber(sn.get() + 2);
+            let honest = srv.read(inside).unwrap();
+            let ReadOutcome::Deleted {
+                evidence: DeletionEvidence::InWindow(w),
+                ..
+            } = &honest
+            else {
+                panic!("expected window evidence, got {honest:?}")
+            };
+            let payloads = [
+                window_payload(w.window_id, w.lo, WindowSide::Lower),
+                window_payload(w.window_id, w.hi, WindowSide::Upper),
+            ];
+            for (bad_lo, bad_hi) in [(true, false), (false, true), (true, true)] {
+                let v = fresh().unwrap();
+                let mut w = w.clone();
+                if bad_lo {
+                    w.lo_sig.bytes[0] ^= 0x02;
+                }
+                if bad_hi {
+                    w.hi_sig.bytes[63] ^= 0x80;
+                }
+                let tampered = ReadOutcome::Deleted {
+                    evidence: DeletionEvidence::InWindow(w.clone()),
+                    head: honest.head().clone(),
+                };
+                for _ in 0..2 {
+                    assert_eq!(
+                        v.verify_read(inside, &tampered),
+                        Err(VerifyError::BadSignature("window bound"))
+                    );
+                    assert_eq!(memoized(&v, &payloads[0], &w.lo_sig), !bad_lo);
+                    assert_eq!(memoized(&v, &payloads[1], &w.hi_sig), !bad_hi);
+                }
+                assert_eq!(
+                    v.verify_read(inside, &honest),
+                    Ok(ReadVerdict::ConfirmedDeleted { deleted_at: None })
+                );
+            }
         }
     }
 

@@ -96,6 +96,30 @@ impl Signature {
     pub fn verify(&self, key: &RsaPublicKey, msg: &[u8]) -> bool {
         key.fingerprint() == self.key_id && key.verify(msg, &self.bytes, HashAlg::Sha256)
     }
+
+    /// Verifies two signatures, each over its own message with its own
+    /// key: `[sigs[0].verify(keys[0], msgs[0]), sigs[1].verify(keys[1],
+    /// msgs[1])]` exactly, in one pass where the keys' engine takes a pair
+    /// (`RsaPublicKey::verify_pair`). The counterpart of
+    /// [`Signature::sign_pair`] for the client that reads what it issued.
+    pub fn verify_pair(
+        sigs: [&Signature; 2],
+        keys: [&RsaPublicKey; 2],
+        msgs: [&[u8]; 2],
+    ) -> [bool; 2] {
+        if sigs[0].key_id != keys[0].fingerprint() || sigs[1].key_id != keys[1].fingerprint() {
+            return [
+                sigs[0].verify(keys[0], msgs[0]),
+                sigs[1].verify(keys[1], msgs[1]),
+            ];
+        }
+        RsaPublicKey::verify_pair(
+            keys,
+            msgs,
+            [&sigs[0].bytes, &sigs[1].bytes],
+            HashAlg::Sha256,
+        )
+    }
 }
 
 /// One witnessing construct at one of the three strength tiers.

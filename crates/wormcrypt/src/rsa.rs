@@ -7,16 +7,20 @@
 //! deferred-strength optimization — emerge naturally from the O(k³)
 //! modular exponentiation.
 //!
-//! The private operation has two engines. [`Montgomery::pow`] is the scalar
-//! one: it runs on every CPU and key width, it is what verification uses,
-//! and it is the reference the tests compare against. Where the CPU has
-//! AVX-512 IFMA and the key is 512, 1024 or 2048 bits wide, the key also
-//! carries its primes prepared for `shani::ifma52`, which raises four
-//! numbers to four exponents in the time the scalar code takes for little
-//! more than one: the CRT halves of one signature fill two lanes, those of
-//! two signatures under one key ([`RsaPrivateKey::sign_pair`]) all four.
-//! Which engine runs is fixed when the key is built, from the CPU and the
-//! width alone; PKCS#1 v1.5 is deterministic, so both give the same bytes.
+//! There are two engines. [`Montgomery::pow`] is the scalar one: it runs on
+//! every CPU and key width, it is what [`RsaPublicKey::verify`] uses, and it
+//! is the reference the tests compare against. Where the CPU has AVX-512
+//! IFMA, a key also carries its moduli prepared for `shani::ifma52`, which
+//! raises four numbers to four exponents in the time the scalar code takes
+//! for little more than one. On the private side (keys 512, 1024 or 2048
+//! bits wide) the CRT halves of one signature fill two lanes, those of two
+//! signatures under one key ([`RsaPrivateKey::sign_pair`]) all four. On the
+//! public side (a 1024-bit modulus, a one-limb exponent) the two signatures
+//! a record carries are checked in one pass ([`RsaPublicKey::verify_pair`]),
+//! two lanes idle; narrower keys gain nothing from that and wider ones have
+//! no kernel, so both stay scalar. Which engine runs is fixed when the key
+//! is built, from the CPU and the width alone; PKCS#1 v1.5 is deterministic,
+//! so both give the same bytes and the same verdicts.
 
 use std::fmt;
 
@@ -71,6 +75,10 @@ pub struct RsaPublicKey {
     /// RSA key has but the wire format can carry. Boxed because keys travel
     /// by value inside response enums.
     ctx: Option<Box<Montgomery>>,
+    /// `n` prepared for the four-lane engine, which [`Self::verify_pair`]
+    /// uses: present for an odd 1024-bit `n` with a one-limb `e` on a CPU
+    /// that has the engine.
+    lanes: Option<Box<ifma52::Modulus>>,
     fingerprint: [u8; 8],
 }
 
@@ -124,8 +132,13 @@ impl RsaPublicKey {
         h.update(&e.to_bytes_be());
         let mut fingerprint = [0u8; 8];
         fingerprint.copy_from_slice(&h.finalize()[..8]);
+        // The one width the pair is faster at (see `verify_pair`).
+        let lanes = (ifma52::available() && n.bit_len() == 1024 && e.bit_len() <= 64)
+            .then(|| lane_modulus(&n, 20))
+            .flatten();
         RsaPublicKey {
             ctx: Montgomery::new(&n).map(Box::new),
+            lanes: lanes.map(Box::new),
             n,
             e,
             fingerprint,
@@ -162,22 +175,82 @@ impl RsaPublicKey {
     /// Returns `false` for any malformed, truncated, or mismatching
     /// signature — verification never panics on attacker-controlled input.
     pub fn verify(&self, msg: &[u8], sig: &[u8], alg: HashAlg) -> bool {
-        if sig.len() != self.modulus_bytes() {
+        let Some(s) = self.signature_value(sig) else {
             return false;
-        }
-        let s = Ubig::from_bytes_be(sig);
-        if s >= self.n {
-            return false;
-        }
+        };
         let em = match &self.ctx {
             Some(ctx) => ctx.pow(&s, &self.e),
             None => s.pow_mod(&self.e, &self.n),
         };
-        let expected = match emsa_pkcs1_v15(msg, self.modulus_bytes(), alg) {
-            Ok(e) => e,
-            Err(_) => return false,
-        };
-        em.to_bytes_be_padded(self.modulus_bytes()) == expected
+        self.is_encoding_of(&em, msg, alg)
+    }
+
+    /// Verifies two PKCS#1 v1.5 signatures, each under its own key: exactly
+    /// `[keys[0].verify(msgs[0], sigs[0], alg), keys[1].verify(msgs[1],
+    /// sigs[1], alg)]`, and where both keys carry lanes the two
+    /// exponentiations are one four-lane pass. A half that is malformed is
+    /// `false` and costs the other nothing but the scalar engine.
+    pub fn verify_pair(
+        keys: [&RsaPublicKey; 2],
+        msgs: [&[u8]; 2],
+        sigs: [&[u8]; 2],
+        alg: HashAlg,
+    ) -> [bool; 2] {
+        Self::verify_pair_in_lanes(keys, msgs, sigs, alg)
+            .unwrap_or_else(|| [0, 1].map(|i| keys[i].verify(msgs[i], sigs[i], alg)))
+    }
+
+    /// [`Self::verify_pair`] where both keys carry lanes and both signatures
+    /// are values the lanes may be given; `None` otherwise.
+    fn verify_pair_in_lanes(
+        keys: [&RsaPublicKey; 2],
+        msgs: [&[u8]; 2],
+        sigs: [&[u8]; 2],
+        alg: HashAlg,
+    ) -> Option<[bool; 2]> {
+        let [a, b] = [keys[0].lanes.as_deref()?, keys[1].lanes.as_deref()?];
+        let s = [
+            keys[0].signature_value(sigs[0])?,
+            keys[1].signature_value(sigs[1])?,
+        ];
+        // Lanes 2 and 3 idle: 0^0 under either modulus, which lengthens
+        // nothing.
+        let (e0, e1) = (keys[0].e.low_u64(), keys[1].e.low_u64());
+        let [em0, em1, _, _] = ifma52::pow4_short(
+            [a, b, a, b],
+            [&s[0].limbs, &s[1].limbs, &[], &[]],
+            [e0, e1, 0, 0],
+        )?;
+        Some([
+            keys[0].is_encoding_of(&Ubig::from_limbs(em0), msgs[0], alg),
+            keys[1].is_encoding_of(&Ubig::from_limbs(em1), msgs[1], alg),
+        ])
+    }
+
+    /// The number a signature encodes, if it has this key's length and is
+    /// below `n` — what RFC 8017 §8.2.2 requires before any arithmetic.
+    fn signature_value(&self, sig: &[u8]) -> Option<Ubig> {
+        if sig.len() != self.modulus_bytes() {
+            return None;
+        }
+        let s = Ubig::from_bytes_be(sig);
+        (s < self.n).then_some(s)
+    }
+
+    /// Whether `em = s^e mod n` is, byte for byte, the EMSA-PKCS1-v1_5
+    /// encoding of `msg` at this key's length.
+    fn is_encoding_of(&self, em: &Ubig, msg: &[u8], alg: HashAlg) -> bool {
+        let k = self.modulus_bytes();
+        emsa_pkcs1_v15(msg, k, alg).is_ok_and(|expected| em.to_bytes_be_padded(k) == expected)
+    }
+
+    /// This key as built on a CPU without the four-lane engine.
+    #[cfg(test)]
+    fn scalar_only(&self) -> Self {
+        RsaPublicKey {
+            lanes: None,
+            ..self.clone()
+        }
     }
 
     /// Serializes as `len(n) || n || len(e) || e` (u32-BE length prefixes).
@@ -255,7 +328,7 @@ impl RsaPrivateKey {
             let dq = d.rem(&q1);
             // wormlint: allow(panic) -- p and q are distinct primes, so q is invertible mod p
             let qinv = q.mod_inverse(&p).expect("p, q distinct primes");
-            let lanes = lane_modulus(&p).zip(lane_modulus(&q)).map(<[_; 2]>::from);
+            let lanes = prime_lanes(&p).zip(prime_lanes(&q)).map(<[_; 2]>::from);
             // wormlint: allow(panic) -- gen_prime returns odd primes of bits / 2 >= 32 bits
             let [p, q] = [p, q].map(|f| Montgomery::new(&f).expect("odd prime"));
             return RsaPrivateKey {
@@ -372,16 +445,22 @@ impl RsaPrivateKey {
 /// `prime` prepared for the four-lane engine, if this CPU has it and the
 /// prime is that of a 512, 1024 or 2048-bit key (5, 10 or 20 digits of 52
 /// bits, two bits to spare).
-fn lane_modulus(prime: &Ubig) -> Option<ifma52::Modulus> {
+fn prime_lanes(prime: &Ubig) -> Option<ifma52::Modulus> {
     let digits = match prime.bit_len() {
         256 => 5,
         512 => 10,
         1024 => 20,
         _ => return None,
     };
-    // R^2 mod p for R = 2^(52 digits), which the engine cannot divide for.
-    let r2 = Ubig::one().shl(2 * 52 * digits).rem(prime);
-    ifma52::Modulus::new(digits, &prime.limbs, &r2.limbs)
+    lane_modulus(prime, digits)
+}
+
+/// `n` prepared for lanes of `digits` digits, if this CPU has the engine
+/// and `n` is odd and leaves two of their bits to spare.
+fn lane_modulus(n: &Ubig, digits: usize) -> Option<ifma52::Modulus> {
+    // R^2 mod n for R = 2^(52 digits), which the engine cannot divide for.
+    let r2 = Ubig::one().shl(2 * 52 * digits).rem(n);
+    ifma52::Modulus::new(digits, &n.limbs, &r2.limbs)
 }
 
 /// EMSA-PKCS1-v1_5 encoding: `0x00 0x01 0xFF.. 0x00 DigestInfo H(m)`.
@@ -527,6 +606,100 @@ mod tests {
             let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(bits as u64), bits);
             assert!(key.lanes.is_none(), "{bits}");
         }
+    }
+
+    #[test]
+    fn public_lanes_are_chosen_by_cpu_width_and_exponent_alone() {
+        let [k512, k1024, k2048] = lane_width_keys().each_ref().map(|k| k.public());
+        assert_eq!(k1024.lanes.is_some(), ifma52::available());
+        assert!(k1024.scalar_only().lanes.is_none());
+        assert_eq!(k1024.scalar_only(), *k1024);
+        // A pair is no faster at 512 bits and has no kernel at 2048.
+        assert!(k512.lanes.is_none() && k2048.lanes.is_none());
+        // As parsed off the wire, too.
+        let parsed = RsaPublicKey::from_bytes(&k1024.to_bytes()).unwrap();
+        assert_eq!(parsed.lanes.is_some(), ifma52::available());
+        // 1024 bits, but even, one bit short, or under a two-limb exponent.
+        let n = k1024.n();
+        let even = n.sub(&Ubig::one());
+        let mut short = n.shr(1);
+        short.set_bit(0);
+        let two_limb_e = Ubig::one().shl(64).add(&Ubig::one());
+        assert_eq!((even.bit_len(), short.bit_len()), (1024, 1023));
+        assert!(RsaPublicKey::new(even, k1024.e().clone()).lanes.is_none());
+        assert!(RsaPublicKey::new(short, k1024.e().clone()).lanes.is_none());
+        assert!(RsaPublicKey::new(n.clone(), two_limb_e).lanes.is_none());
+        let widest_e = Ubig::from_u64(u64::MAX);
+        assert_eq!(
+            RsaPublicKey::new(n.clone(), widest_e).lanes.is_some(),
+            ifma52::available()
+        );
+    }
+
+    /// What a non-IFMA machine runs, run here: `verify_pair` over keys as
+    /// built with lanes and without is `[verify, verify]` on honest pairs,
+    /// each kind of damage to either half, and keys of different widths.
+    #[test]
+    fn verify_pair_is_two_verifications_with_and_without_lanes() {
+        let alg = HashAlg::Sha256;
+        let [k512, k1024, _] = lane_width_keys();
+        let other = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(1025), 1024);
+        let (a, b): (&[u8], &[u8]) = (b"metadata", b"data chain");
+        let honest = |key: &RsaPrivateKey, msg| key.sign(msg, alg).unwrap();
+        let flipped = |mut sig: Vec<u8>, at: usize| {
+            sig[at] ^= 0x40;
+            sig
+        };
+        let n = k1024.public().n();
+        // (key, message, signature, verdict) for one half.
+        let halves: Vec<(&RsaPrivateKey, &[u8], Vec<u8>, bool)> = vec![
+            (k1024, a, honest(k1024, a), true),
+            (k1024, b, honest(k1024, b), true),
+            (&other, b, honest(&other, b), true),
+            (k512, a, honest(k512, a), true),
+            // The other message's signature, another key's, damage at
+            // either end, a byte short, a byte long, nothing.
+            (k1024, a, honest(k1024, b), false),
+            (k1024, a, honest(&other, a), false),
+            (k1024, a, flipped(honest(k1024, a), 0), false),
+            (k1024, a, flipped(honest(k1024, a), 127), false),
+            (k1024, a, honest(k1024, a)[1..].to_vec(), false),
+            (k1024, a, [&[0u8][..], &honest(k1024, a)].concat(), false),
+            (k1024, a, Vec::new(), false),
+            // Numbers not below n — n itself, n + 1 (which the lanes would
+            // reduce and raise like any other), all ones — and zero.
+            (k1024, a, n.to_bytes_be_padded(128), false),
+            (k1024, a, n.add(&Ubig::one()).to_bytes_be_padded(128), false),
+            (k1024, a, vec![0xff; 128], false),
+            (k1024, a, vec![0; 128], false),
+        ];
+        for (key0, msg0, sig0, ok0) in &halves {
+            for (key1, msg1, sig1, ok1) in &halves {
+                let keys = [key0.public(), key1.public()];
+                let each = [
+                    keys[0].verify(msg0, sig0, alg),
+                    keys[1].verify(msg1, sig1, alg),
+                ];
+                assert_eq!(each, [*ok0, *ok1]);
+                let scalar = keys.map(RsaPublicKey::scalar_only);
+                for keys in [keys, scalar.each_ref()] {
+                    let pair = RsaPublicKey::verify_pair(keys, [msg0, msg1], [sig0, sig1], alg);
+                    assert_eq!(pair, each);
+                }
+            }
+        }
+        // The hash algorithm reaches both halves.
+        let sha1 = k1024.sign_pair([a, b], HashAlg::Sha1).unwrap();
+        let keys = [k1024.public(); 2];
+        let sigs = [&sha1[0][..], &sha1[1][..]];
+        assert_eq!(
+            RsaPublicKey::verify_pair(keys, [a, b], sigs, HashAlg::Sha1),
+            [true; 2]
+        );
+        assert_eq!(
+            RsaPublicKey::verify_pair(keys, [a, b], sigs, alg),
+            [false; 2]
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wormcrypt::bignum::{Montgomery, Ubig};
 use wormcrypt::{
-    ChainHash, Digest, HashAlg, Hmac, MerkleTree, MultisetHash, RsaPrivateKey, Sha1, Sha256,
+    ChainHash, Digest, HashAlg, Hmac, MerkleTree, MultisetHash, RsaPrivateKey, RsaPublicKey, Sha1,
+    Sha256,
 };
 
 fn ubig_strategy(max_bytes: usize) -> impl Strategy<Value = Ubig> {
@@ -342,6 +343,84 @@ proptest! {
             };
             let proof = t.prove(i).unwrap();
             prop_assert!(MerkleTree::verify(&root, i, &data, &proof), "leaf {i}");
+        }
+    }
+}
+
+proptest! {
+    // 36 pairings of keys by 49 of damage: more cases than the block above.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `verify_pair` is `[verify, verify]` — the scalar engine, whatever the
+    /// keys carry — for every pairing of six keys (two of the width that has
+    /// lanes, one narrower, one wider, and two 1024-bit keys no lanes are
+    /// built for: an even modulus, a two-limb exponent) with signatures that
+    /// are honest, the other half's, flipped in any one bit, too short, too
+    /// long, or a number not below the modulus.
+    #[test]
+    fn verify_pair_matches_two_verifications(
+        msgs in (proptest::collection::vec(any::<u8>(), 0..300), proptest::collection::vec(any::<u8>(), 0..300)),
+        keys in (0usize..6, 0usize..6),
+        damage in ((0u8..7, any::<usize>()), (0u8..7, any::<usize>())),
+    ) {
+        let (msgs, keys, damage) = ([msgs.0, msgs.1], [keys.0, keys.1], [damage.0, damage.1]);
+        struct Keys {
+            signers: [RsaPrivateKey; 4],
+            public: [RsaPublicKey; 6],
+        }
+        static KEYS: std::sync::OnceLock<Keys> = std::sync::OnceLock::new();
+        let pool = KEYS.get_or_init(|| {
+            let signers = [(1024, 21), (1024, 22), (512, 23), (2048, 24)]
+                .map(|(bits, seed)| RsaPrivateKey::generate(&mut StdRng::seed_from_u64(seed), bits));
+            let [a, b, c, d] = signers.each_ref().map(|k| k.public().clone());
+            // Public keys as a host could serve them: a's modulus less one,
+            // and a's modulus under e = 2^64 + 65537.
+            let served = |n: &Ubig, e: &Ubig| {
+                let (n, e) = (n.to_bytes_be(), e.to_bytes_be());
+                let mut bytes = (n.len() as u32).to_be_bytes().to_vec();
+                bytes.extend_from_slice(&n);
+                bytes.extend_from_slice(&(e.len() as u32).to_be_bytes());
+                bytes.extend_from_slice(&e);
+                RsaPublicKey::from_bytes(&bytes).unwrap()
+            };
+            let even = served(&a.n().sub(&Ubig::one()), a.e());
+            let long_e = served(a.n(), &Ubig::one().shl(64).add(a.e()));
+            Keys { signers, public: [a, b, c, d, even, long_e] }
+        });
+        let alg = HashAlg::Sha256;
+        // The last two keys have no private half: they are handed what
+        // a key of their width signed.
+        let honest = [0, 1].map(|i| pool.signers[keys[i] % 4].sign(&msgs[i], alg).unwrap());
+        let sigs = [0, 1].map(|i| {
+            let (kind, at) = damage[i];
+            let mut sig = honest[i].clone();
+            let (n, len) = (pool.public[keys[i]].n(), sig.len());
+            match kind {
+                0 | 1 => {}
+                2 => sig = honest[1 - i].clone(),
+                3 => sig[at % len] ^= 1 << (at / len % 8),
+                4 => sig.truncate(at % len),
+                5 => sig.extend_from_slice(&honest[1 - i][..1 + at % 8]),
+                // n + (at % 256), when that is no longer: not below n.
+                _ => {
+                    let s = n.add(&Ubig::from_u64(at as u64 % 256));
+                    if s.bit_len() == n.bit_len() {
+                        sig = s.to_bytes_be_padded(len);
+                    }
+                }
+            }
+            sig
+        });
+        let public = [&pool.public[keys[0]], &pool.public[keys[1]]];
+        let each = [0, 1].map(|i| public[i].verify(&msgs[i], &sigs[i], alg));
+        let pair = RsaPublicKey::verify_pair(public, [&msgs[0], &msgs[1]], [&sigs[0], &sigs[1]], alg);
+        prop_assert_eq!(pair, each);
+        for i in 0..2 {
+            if keys[i] < 4 && damage[i].0 < 2 {
+                prop_assert!(each[i], "an honest half verifies");
+            } else if keys[i] < 4 && damage[i].0 > 2 {
+                prop_assert!(!each[i], "a damaged half does not");
+            }
         }
     }
 }

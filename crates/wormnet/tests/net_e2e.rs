@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use scpu::{Clock, VirtualClock};
 use strongworm::{
     ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer, Verifier,
-    WormConfig, WormServer,
+    WitnessMode, WormConfig, WormServer,
 };
 use wormnet::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient, WormBackend};
@@ -116,6 +116,67 @@ fn concurrent_clients_write_read_delete_all_verified() {
     }
     assert!(h.net.requests_served() >= (CLIENTS * 4) as u64);
     h.net.shutdown();
+}
+
+/// The served certificate list begins with the certificate the served keys
+/// already carry. A bootstrapped verifier registers each distinct one once
+/// — so a weak witness has one key to be checked against — before a
+/// weak-key rotation and after it, on one server and per shard lane.
+#[test]
+fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
+    let h = boot(NetServerConfig::default());
+    let mut c = RemoteWormClient::connect(h.net.local_addr()).unwrap();
+    let tolerance = Duration::from_secs(300);
+    let (keys, served) = c.fetch_keys().unwrap();
+    assert_eq!(served, std::slice::from_ref(&keys.weak_cert));
+    let v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
+    assert_eq!(v.weak_certs(), &served[..]);
+
+    // Past the weak key's lifetime the next deferred write rotates it.
+    h.clock.advance(Duration::from_secs(121 * 60));
+    let sn = c
+        .write_with(
+            &[b"after rotation"],
+            policy(100_000),
+            0,
+            WitnessMode::Deferred,
+        )
+        .unwrap();
+    let (keys, served) = c.fetch_keys().unwrap();
+    assert_eq!(served.len(), 2);
+    assert_eq!(served[0], keys.weak_cert);
+    assert_ne!(served[0].key, served[1].key);
+    let mut v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
+    assert_eq!(v.weak_certs(), &served[..]);
+    assert_eq!(
+        c.read_verified(sn, &v).unwrap().0,
+        ReadVerdict::Intact { sn }
+    );
+    // Registering the list again changes nothing; a certificate that does
+    // not chain to the signing key is still refused.
+    for cert in served.iter().cloned() {
+        v.add_weak_cert(cert).unwrap();
+    }
+    assert_eq!(v.weak_certs(), &served[..]);
+    let mut forged = served[1].clone();
+    forged.max_sig_expiry = forged.max_sig_expiry.after(Duration::from_secs(1));
+    assert!(v.add_weak_cert(forged).is_err());
+    assert_eq!(v.weak_certs(), &served[..]);
+
+    let sharded = boot_sharded(2, NetServerConfig::default());
+    let mut c = RemoteWormClient::connect(sharded.net.local_addr()).unwrap();
+    let lanes = c.fetch_shard_keys().unwrap();
+    let composite = c
+        .bootstrap_composite_verifier(tolerance, sharded.clock.clone())
+        .unwrap();
+    assert_eq!(lanes.len(), 2);
+    for (lane, (keys, served)) in lanes.iter().enumerate() {
+        assert_eq!(&served[..], std::slice::from_ref(&keys.weak_cert));
+        let shard = composite.shard(lane as u32).unwrap();
+        assert_eq!(shard.weak_certs(), &served[..]);
+    }
+    h.net.shutdown();
+    sharded.net.shutdown();
 }
 
 #[test]

@@ -13,10 +13,10 @@ mod common;
 
 use std::time::Duration;
 
-use common::{server, short_policy, verifier};
+use common::{paper_widths, sequential_verdict, server, server_with, short_policy, verifier};
 use scpu::Timestamp;
 use strongworm::proofs::{DeletionEvidence, HeadCert, ReadOutcome};
-use strongworm::{ReadVerdict, SerialNumber, VerifyError};
+use strongworm::{ReadVerdict, SerialNumber, VerifyError, WormConfig};
 
 /// Theorem 1: direct modification of record bytes on the medium.
 #[test]
@@ -198,7 +198,14 @@ fn replayed_deletion_proof_is_detected() {
 /// wider window covering an active record (§4.2.1's correlation attack).
 #[test]
 fn spliced_window_bounds_are_detected() {
-    let (srv, clock) = server();
+    // At 512-bit keys, and at the width whose two bounds a client with the
+    // instructions checks as one pair.
+    spliced_window_bounds_are_detected_at(WormConfig::test_small());
+    spliced_window_bounds_are_detected_at(paper_widths());
+}
+
+fn spliced_window_bounds_are_detected_at(config: WormConfig) {
+    let (srv, clock) = server_with(config);
     let v = verifier(&srv, clock.clone());
 
     // Layout: anchor, [2..4] short, active, [6..8] short, anchor.
@@ -238,10 +245,17 @@ fn spliced_window_bounds_are_detected() {
     let spliced = srv.mallory().splice_windows(&w1, &w2);
     assert!(spliced.contains(active));
     let malicious = srv.mallory().claim_in_window(active, spliced).unwrap();
-    assert_eq!(
-        v.verify_read(active, &malicious),
-        Err(VerifyError::BadSignature("window bound"))
-    );
+    let rejected = Err(VerifyError::BadSignature("window bound"));
+    assert_eq!(v.verify_read(active, &malicious), rejected);
+    // One good bound, one bad: a verifier that has seen both windows and
+    // the bounds checked one after the other say the same.
+    let seen_both = verifier(&srv, clock.clone());
+    for sn in [2, 7].map(SerialNumber) {
+        let honest = srv.read(sn).unwrap();
+        assert!(seen_both.verify_read(sn, &honest).is_ok());
+    }
+    assert_eq!(seen_both.verify_read(active, &malicious), rejected);
+    assert_eq!(sequential_verdict(&srv, &v, active, &malicious), rejected);
 }
 
 /// Theorem 2: claiming an active record falls in a legitimate window that

@@ -10,7 +10,13 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::VirtualClock;
-use strongworm::{RegulatoryAuthority, RetentionPolicy, Verifier, WormConfig, WormServer};
+use strongworm::proofs::{DeletionEvidence, ReadOutcome};
+use strongworm::vrd::data_hash;
+use strongworm::witness::{data_payload, meta_payload, window_payload, WindowSide, Witness};
+use strongworm::{
+    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, Verifier, VerifyError,
+    WormConfig, WormServer,
+};
 use wormstore::Shredder;
 
 /// One shared regulator (keygen is the slow part of the fixtures).
@@ -40,4 +46,65 @@ pub fn verifier(server: &WormServer, clock: Arc<VirtualClock>) -> Verifier {
 /// A short-retention policy convenient for expiry tests.
 pub fn short_policy(secs: u64) -> RetentionPolicy {
     RetentionPolicy::custom(Duration::from_secs(secs), Shredder::ZeroFill)
+}
+
+/// The widths the paper runs at: 1024-bit permanent keys — the one width
+/// at which a client's keys carry the four-lane engine, where the CPU has
+/// it — and 512-bit short-lived ones.
+pub fn paper_widths() -> WormConfig {
+    WormConfig {
+        strong_bits: 1024,
+        weak_bits: 512,
+        ..WormConfig::test_small()
+    }
+}
+
+/// What checking an answer's signatures one after the other says, each with
+/// `Signature::verify` (the scalar engine on every machine) and nothing
+/// remembered in between: the definition a [`Verifier`]'s pair path and
+/// memos are held to, written against the public payload builders. Covers
+/// what carries two signatures — a data answer under strong witnesses and
+/// window evidence; `fresh` lends its head check.
+pub fn sequential_verdict(
+    server: &WormServer,
+    fresh: &Verifier,
+    requested: SerialNumber,
+    outcome: &ReadOutcome,
+) -> Result<ReadVerdict, VerifyError> {
+    let keys = server.keys();
+    fresh.check_head(outcome.head())?;
+    match outcome {
+        ReadOutcome::Data { vrd, records, .. } => {
+            if vrd.sn != requested {
+                return Err(VerifyError::WrongSerialNumber);
+            }
+            let (Witness::Strong(metasig), Witness::Strong(datasig)) = (&vrd.metasig, &vrd.datasig)
+            else {
+                panic!("the oracle covers strong witnesses, got {vrd:?}")
+            };
+            if !metasig.verify(&keys.sign, &meta_payload(vrd.sn, &vrd.attr.encode())) {
+                return Err(VerifyError::BadSignature("metasig"));
+            }
+            let chain = data_hash(keys.data_hash, records.iter().map(|r| r.as_ref()));
+            if !datasig.verify(&keys.sign, &data_payload(vrd.sn, &chain)) {
+                return Err(VerifyError::DataHashMismatch);
+            }
+            Ok(ReadVerdict::Intact { sn: vrd.sn })
+        }
+        ReadOutcome::Deleted {
+            evidence: DeletionEvidence::InWindow(w),
+            ..
+        } => {
+            if !w.contains(requested) {
+                return Err(VerifyError::EvidenceDoesNotCoverSn);
+            }
+            let lo = window_payload(w.window_id, w.lo, WindowSide::Lower);
+            let hi = window_payload(w.window_id, w.hi, WindowSide::Upper);
+            if !w.lo_sig.verify(&keys.sign, &lo) || !w.hi_sig.verify(&keys.sign, &hi) {
+                return Err(VerifyError::BadSignature("window bound"));
+            }
+            Ok(ReadVerdict::ConfirmedDeleted { deleted_at: None })
+        }
+        other => panic!("the oracle covers pairs of signatures, got {other:?}"),
+    }
 }

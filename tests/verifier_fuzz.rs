@@ -5,20 +5,27 @@
 //!
 //! Every fixture here has already verified its honest outcome once, so
 //! the verifier under test is *memo-warm*: the second half of the file
-//! pins that its record memo never changes a verdict — a warm verifier
-//! answers exactly as one that has seen nothing.
+//! pins that its memos never change a verdict, and neither does checking
+//! a record's two signatures as one pair — a warm verifier answers
+//! exactly as one that has seen nothing, and both as the signatures
+//! checked one after the other would.
 
 mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{regulator, server, short_policy, verifier};
+use common::{
+    paper_widths, regulator, sequential_verdict, server, server_with, short_policy, verifier,
+};
 use proptest::prelude::*;
 use scpu::{Clock, VirtualClock};
+use strongworm::proofs::DeletionEvidence;
 use strongworm::proofs::ReadOutcome;
 use strongworm::witness::Witness;
-use strongworm::{ReadVerdict, SerialNumber, Verifier, VerifyError, WitnessMode, WormServer};
+use strongworm::{
+    ReadVerdict, SerialNumber, Verifier, VerifyError, WitnessMode, WormConfig, WormServer,
+};
 
 /// Builds one honest, verifiable data outcome (shared across cases).
 fn honest() -> (strongworm::Verifier, SerialNumber, ReadOutcome) {
@@ -154,7 +161,11 @@ struct Warm {
 }
 
 fn warm(witness: WitnessMode) -> Warm {
-    let (srv, clock) = server();
+    warm_with(WormConfig::test_small(), witness)
+}
+
+fn warm_with(config: WormConfig, witness: WitnessMode) -> Warm {
+    let (srv, clock) = server_with(config);
     let v = verifier(&srv, clock.clone());
     let sn = srv
         .write_with(
@@ -182,6 +193,13 @@ impl Warm {
     fn fresh_verdict(&self, outcome: &ReadOutcome) -> Result<ReadVerdict, VerifyError> {
         verifier(&self.srv, self.clock.clone()).verify_read(self.sn, outcome)
     }
+
+    /// What the signatures checked one after the other, on the scalar
+    /// engine, say of `outcome`.
+    fn sequential_verdict(&self, outcome: &ReadOutcome) -> Result<ReadVerdict, VerifyError> {
+        let fresh = verifier(&self.srv, self.clock.clone());
+        sequential_verdict(&self.srv, &fresh, self.sn, outcome)
+    }
 }
 
 /// XORs `flip` into byte `idx % 8` of a 64-bit field.
@@ -193,13 +211,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any single-byte change to a memo-warm response — a record, either
-    /// witness, the attributes, the RDL — gets exactly the verdict a
-    /// fresh verifier gives the same bytes: the signed parts are
-    /// rejected with the same error, the unsigned RDL is a memo miss
-    /// that still verifies.
+    /// witness or both, the attributes, the RDL — gets exactly the verdict
+    /// a fresh verifier gives the same bytes, which is the verdict of the
+    /// signatures checked one after the other: the signed parts are
+    /// rejected with the same error, the unsigned RDL is a memo miss that
+    /// still verifies. At 512-bit keys, which no machine checks in lanes,
+    /// and at 1024, which one with the instructions does.
     #[test]
-    fn memo_warm_byte_flips_get_the_fresh_verdict(part in 0u8..7, idx in 0usize..4096, flip in 1u8..=255) {
-        let w = warm(WitnessMode::Strong);
+    fn memo_warm_byte_flips_get_the_fresh_verdict(
+        lanes_width in any::<bool>(),
+        part in 0u8..8,
+        idx in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        let config = if lanes_width { paper_widths() } else { WormConfig::test_small() };
+        let w = warm_with(config, WitnessMode::Strong);
         let mut m = w.outcome.clone();
         let ReadOutcome::Data { vrd, records, .. } = &mut m else { unreachable!() };
         match part {
@@ -219,7 +245,7 @@ proptest! {
                 flip_u64(vrd.attr.created_at.as_millis(), idx, flip),
             ),
             5 => vrd.attr.flags ^= u32::from(flip) << (8 * (idx % 4)),
-            _ => {
+            6 => {
                 let rd = &mut vrd.rdl[idx % 2];
                 match idx % 3 {
                     0 => rd.id.0 = flip_u64(rd.id.0, idx / 3, flip),
@@ -227,13 +253,101 @@ proptest! {
                     _ => rd.len = flip_u64(rd.len, idx / 3, flip),
                 }
             }
+            _ => {
+                mutate_sig_bytes(&mut vrd.metasig, idx, flip);
+                mutate_sig_bytes(&mut vrd.datasig, idx / 7, flip.rotate_left(3));
+            }
         }
         let verdict = w.v.verify_read(w.sn, &m);
         prop_assert_eq!(&verdict, &w.fresh_verdict(&m));
+        prop_assert_eq!(&verdict, &w.sequential_verdict(&m));
         // The RDL is the one part no witness covers.
         prop_assert_eq!(verdict.is_ok(), part == 6);
         // And the entry the good bytes left is still good for them.
         prop_assert_eq!(w.v.verify_read(w.sn, &w.outcome), Ok(ReadVerdict::Intact { sn: w.sn }));
+    }
+}
+
+/// A record's two signatures are checked as one pair. Whichever half is
+/// bad — metasig, datasig, both — a long-lived verifier, a fresh one and
+/// the signatures checked one after the other report the same error, the
+/// bad half is not remembered (the same bytes are rejected again, by each
+/// verifier), and the honest response still verifies afterwards. The
+/// same for the two bounds of a deleted window.
+#[test]
+fn a_pair_with_a_bad_half_gets_the_sequential_verdict_every_time() {
+    for config in [WormConfig::test_small(), paper_widths()] {
+        let w = warm_with(config, WitnessMode::Strong);
+        let same_everywhere = |sn: SerialNumber, tampered: &ReadOutcome, honest: &ReadOutcome| {
+            // One that has seen neither half; by its second turn it has
+            // seen whichever half was good.
+            let fresh = verifier(&w.srv, w.clock.clone());
+            let expected = sequential_verdict(&w.srv, &fresh, sn, tampered);
+            assert!(expected.is_err(), "{tampered:?}");
+            for _ in 0..2 {
+                assert_eq!(w.v.verify_read(sn, tampered), expected);
+                assert_eq!(fresh.verify_read(sn, tampered), expected);
+            }
+            let accepted = sequential_verdict(&w.srv, &fresh, sn, honest);
+            assert!(accepted.is_ok(), "{honest:?}");
+            assert_eq!(w.v.verify_read(sn, honest), accepted);
+            assert_eq!(fresh.verify_read(sn, honest), accepted);
+            expected
+        };
+
+        for (bad_meta, bad_data) in [(true, false), (false, true), (true, true)] {
+            let mut tampered = w.outcome.clone();
+            let ReadOutcome::Data { vrd, .. } = &mut tampered else {
+                unreachable!()
+            };
+            if bad_meta {
+                mutate_sig_bytes(&mut vrd.metasig, 17, 0x20);
+            }
+            if bad_data {
+                mutate_sig_bytes(&mut vrd.datasig, 40, 0x04);
+            }
+            let expected = if bad_meta {
+                VerifyError::BadSignature("metasig")
+            } else {
+                VerifyError::DataHashMismatch
+            };
+            assert_eq!(same_everywhere(w.sn, &tampered, &w.outcome), Err(expected));
+        }
+
+        // A window of three expired records between two that stay.
+        for _ in 0..3 {
+            w.srv.write(&[b"brief"], short_policy(50)).unwrap();
+        }
+        w.srv.write(&[b"anchor"], short_policy(10_000_000)).unwrap();
+        w.clock.advance(Duration::from_secs(60));
+        w.srv.tick().unwrap();
+        assert_eq!(w.srv.compact().unwrap(), 1);
+        let inside = SerialNumber(w.sn.get() + 2);
+        let honest = w.srv.read(inside).unwrap();
+        let ReadOutcome::Deleted {
+            evidence: DeletionEvidence::InWindow(window),
+            head,
+        } = &honest
+        else {
+            panic!("expected window evidence, got {honest:?}")
+        };
+        for (bad_lo, bad_hi) in [(true, false), (false, true), (true, true)] {
+            let mut window = window.clone();
+            if bad_lo {
+                window.lo_sig.bytes[9] ^= 0x01;
+            }
+            if bad_hi {
+                window.hi_sig.bytes[2] ^= 0x80;
+            }
+            let tampered = ReadOutcome::Deleted {
+                evidence: DeletionEvidence::InWindow(window),
+                head: head.clone(),
+            };
+            assert_eq!(
+                same_everywhere(inside, &tampered, &honest),
+                Err(VerifyError::BadSignature("window bound"))
+            );
+        }
     }
 }
 
