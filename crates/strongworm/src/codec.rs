@@ -964,7 +964,7 @@ pub fn decode_captured_traces(bytes: &[u8]) -> Result<Vec<wormtrace::CapturedTra
             spans.push(wormtrace::SpanRecord {
                 span_id,
                 parent_span,
-                op,
+                op: op.into(),
                 plane,
                 start_ns,
                 duration_ns,
@@ -1438,7 +1438,7 @@ mod tests {
     }
 
     fn sample_traces() -> Vec<wormtrace::CapturedTrace> {
-        let span = |id, parent, op: &str, plane, sn, ok| wormtrace::SpanRecord {
+        let span = |id, parent, op: &'static str, plane, sn, ok| wormtrace::SpanRecord {
             span_id: id,
             parent_span: parent,
             op: op.into(),

@@ -68,12 +68,16 @@ impl Digest for Sha1 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // `update` leaves fewer than 64 bytes buffered, so the marker
+        // byte always fits; the zeros behind it are one fill.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room for the length: it goes in a block of its own.
+            let block = self.buf;
+            self.compress(&block);
+            self.buf.fill(0);
         }
-        // Length padding must not count toward total_len; compensate by
-        // compressing the final block manually.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -147,6 +151,23 @@ mod tests {
             )),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
         );
+    }
+
+    /// Lengths on either side of where the marker byte and the length
+    /// stop fitting in the final block, over one and two blocks.
+    #[test]
+    fn padding_boundary_vectors() {
+        for (len, want) in [
+            (0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"),
+            (56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"),
+            (63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"),
+            (64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"),
+            (119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"),
+            (120, "f34c1488385346a55709ba056ddd08280dd4c6d6"),
+        ] {
+            assert_eq!(hex(&Sha1::digest(&vec![b'a'; len])), want, "len={len}");
+        }
     }
 
     #[test]

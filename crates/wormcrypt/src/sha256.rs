@@ -80,9 +80,15 @@ impl Digest for Sha256 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // `update` leaves fewer than 64 bytes buffered, so the marker
+        // byte always fits; the zeros behind it are one fill.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            // No room for the length: it goes in a block of its own.
+            let block = self.buf;
+            self.compress_blocks(&block);
+            self.buf.fill(0);
         }
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
@@ -185,6 +191,44 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    /// Lengths on either side of where the marker byte and the length
+    /// stop fitting in the final block, over one and two blocks.
+    #[test]
+    fn padding_boundary_vectors() {
+        for (len, want) in [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&Sha256::digest(&vec![b'a'; len])), want, "len={len}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crossbeam::channel::Receiver;
@@ -149,7 +149,6 @@ impl Conn {
         &mut self,
         server: &B,
         stats: &NetStats,
-        served: &AtomicU64,
         config: &NetServerConfig,
     ) -> u64 {
         let mut consumed = 0usize;
@@ -162,14 +161,7 @@ impl Conn {
             match parse_frame(unparsed, config.max_frame) {
                 Ok(Some((payload, frame_len))) => {
                     let before = self.wbuf.len();
-                    let framed = respond(
-                        server,
-                        stats,
-                        served,
-                        payload,
-                        &mut self.wbuf,
-                        config.max_frame,
-                    );
+                    let framed = respond(server, stats, payload, &mut self.wbuf, config.max_frame);
                     frames += 1;
                     if framed.is_err() {
                         // A response the peer would reject as oversized:
@@ -270,7 +262,6 @@ pub(crate) fn worker_loop<B: WormBackend>(
     wake: &netpoll::WakeReader,
     stop: &AtomicBool,
     server: &B,
-    served: &AtomicU64,
     stats: &NetStats,
     live: &AtomicUsize,
     config: &NetServerConfig,
@@ -328,7 +319,7 @@ pub(crate) fn worker_loop<B: WormBackend>(
                 conn.fill(&mut scratch);
             }
             if conn.close.is_none() {
-                wstats.frames.add(conn.serve(server, stats, served, config));
+                wstats.frames.add(conn.serve(server, stats, config));
                 conn.flush();
             }
             conn.decide_close(now, config);

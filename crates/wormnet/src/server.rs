@@ -19,7 +19,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -346,7 +346,7 @@ pub struct NetServer {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    served: Arc<AtomicU64>,
+    frames_in: Arc<wormtrace::Counter>,
     /// One self-pipe writer per worker, so shutdown interrupts a
     /// mid-`poll` worker immediately instead of waiting out the poll
     /// timeout.
@@ -377,7 +377,6 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let served = Arc::new(AtomicU64::new(0));
         // Connections admitted and not yet closed, shared between the
         // acceptor (admission control) and workers (close accounting).
         let live = Arc::new(AtomicUsize::new(0));
@@ -393,7 +392,6 @@ impl NetServer {
             wakers.push(Arc::new(wake_w));
             let worker_stop = stop.clone();
             let server = server.clone();
-            let served = served.clone();
             let stats = stats.clone();
             let live = live.clone();
             let handle = std::thread::Builder::new()
@@ -405,7 +403,6 @@ impl NetServer {
                         &wake_r,
                         &worker_stop,
                         server.as_ref(),
-                        &served,
                         &stats,
                         &live,
                         &config,
@@ -452,7 +449,7 @@ impl NetServer {
             stop,
             acceptor: Some(acceptor),
             workers,
-            served,
+            frames_in: Arc::clone(&stats.frames_in),
             wakers,
         })
     }
@@ -462,10 +459,11 @@ impl NetServer {
         self.addr
     }
 
-    /// Requests committed or served so far, across all workers.
+    /// Request frames taken up so far, across all workers: the
+    /// `net.frames_in` counter, which counts whatever the instruments'
+    /// kill switch says.
     pub fn requests_served(&self) -> u64 {
-        // ordering: monitoring counter; readers need a recent value, not an ordered one.
-        self.served.load(Ordering::Relaxed)
+        self.frames_in.get()
     }
 
     /// Stops accepting, flushes responses already produced, closes
@@ -616,7 +614,6 @@ fn shed_busy(conn: TcpStream, stats: &NetStats, config: &NetServerConfig) {
 pub(crate) fn respond<B: WormBackend>(
     server: &B,
     stats: &NetStats,
-    served: &AtomicU64,
     payload: &[u8],
     out: &mut Vec<u8>,
     max_frame: u32,
@@ -631,13 +628,13 @@ pub(crate) fn respond<B: WormBackend>(
     // root span and every span the planes/SCPU/store open lands under
     // that root. Wire context (envelope opcode 9) supplies the
     // identity; bare requests root a server-minted trace.
-    let traced = match &decoded {
+    let scope = match &decoded {
         Ok((_, ctx)) if stats.trace.enabled() => {
             let trace_id = ctx.map_or_else(wormtrace::span::fresh_trace_id, |c| c.trace_id);
-            let active = Arc::new(wormtrace::ActiveTrace::new(trace_id));
-            let scope =
-                wormtrace::span::enter(Arc::clone(&active), ctx.map_or(0, |c| c.parent_span));
-            Some((active, scope))
+            Some(wormtrace::span::enter(
+                trace_id,
+                ctx.map_or(0, |c| c.parent_span),
+            ))
         }
         _ => None,
     };
@@ -673,13 +670,11 @@ pub(crate) fn respond<B: WormBackend>(
     let elapsed = observed.finish(ok, None);
     // Tail capture: the flight recorder keeps the span tree of every
     // errored or over-threshold request, bounded memory.
-    if let (Some((active, _scope)), Some(ns)) = (traced, elapsed) {
-        if stats.trace.flight().offer(&active, ns, ok) {
+    if let (Some(scope), Some(ns)) = (scope, elapsed) {
+        if stats.trace.flight().offer(&scope, ns, ok) {
             stats.traces_captured.inc();
         }
     }
-    // ordering: monitoring counter; no other memory is published through it.
-    served.fetch_add(1, Ordering::Relaxed);
     framed
 }
 
@@ -760,7 +755,7 @@ mod tests {
 
     /// A server holding one two-record VR, and what `respond` needs
     /// beside it.
-    fn fixture() -> (WormServer, SerialNumber, NetStats, AtomicU64) {
+    fn fixture() -> (WormServer, SerialNumber, NetStats) {
         let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x5E1), 512);
         let server = WormServer::new(
             WormConfig::test_small(),
@@ -771,21 +766,21 @@ mod tests {
         let policy = RetentionPolicy::custom(Duration::from_secs(3600), Shredder::ZeroFill);
         let sn = server.write(&[&[7u8; 900], b"second"], policy).unwrap();
         let stats = NetStats::new(Arc::clone(server.trace()), Arc::clone(server.audit()));
-        (server, sn, stats, AtomicU64::new(0))
+        (server, sn, stats)
     }
 
     /// `respond` to a read of `sn`, appended to an output buffer that
     /// already holds an unflushed frame.
     fn respond_to_read(
-        fixture: &(WormServer, SerialNumber, NetStats, AtomicU64),
+        fixture: &(WormServer, SerialNumber, NetStats),
         max_frame: u32,
     ) -> (Result<(), NetError>, Vec<u8>, Vec<u8>) {
-        let (server, sn, stats, served) = fixture;
+        let (server, sn, stats) = fixture;
         let mut pending = Vec::new();
         append_frame(&mut pending, b"an earlier response", DEFAULT_MAX_FRAME).unwrap();
         let mut out = pending.clone();
         let request = encode_request(&NetRequest::Read { sn: *sn });
-        let framed = respond(server, stats, served, &request, &mut out, max_frame);
+        let framed = respond(server, stats, &request, &mut out, max_frame);
         (framed, pending, out)
     }
 

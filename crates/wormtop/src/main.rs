@@ -836,10 +836,10 @@ mod tests {
 
     #[test]
     fn tree_order_nests_children_under_parents() {
-        let mk = |span_id, parent_span, op: &str, start_ns| SpanRecord {
+        let mk = |span_id, parent_span, op: &'static str, start_ns| SpanRecord {
             span_id,
             parent_span,
-            op: op.to_string(),
+            op: op.into(),
             plane: wormtrace::Plane::Net,
             start_ns,
             duration_ns: 1,
@@ -853,15 +853,11 @@ mod tests {
         ];
         let order: Vec<_> = tree_order(&spans)
             .into_iter()
-            .map(|(d, s)| (d, s.op.clone()))
+            .map(|(d, s)| (d, s.op.as_ref()))
             .collect();
         assert_eq!(
             order,
-            vec![
-                (0, "net.request".to_string()),
-                (1, "server.read".to_string()),
-                (2, "store.read".to_string()),
-            ]
+            [(0, "net.request"), (1, "server.read"), (2, "store.read")]
         );
     }
 

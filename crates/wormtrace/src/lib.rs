@@ -32,13 +32,27 @@
 //!
 //! ## Hot-path budget
 //!
-//! The read path is the product; instrumentation must not tax it. An
-//! instrumented read costs one `Instant` pair (start/stop) and three
-//! relaxed atomic RMWs. When a [`Registry`] is disabled
-//! ([`Registry::set_enabled`]), [`Registry::observe`] returns an inert
-//! guard and the whole record path collapses to one relaxed load; the
-//! repository benchmark's `wire_read_hot` / `wire_read_hot_observed`
-//! pair prices the difference end to end.
+//! The read path is the product; instrumentation must not tax it. What
+//! it costs is counted per guard and per request, not estimated:
+//!
+//! * One [`Observed`] guard: one relaxed load of the kill switch, one
+//!   `Instant` pair, and three relaxed RMWs (histogram bucket, histogram
+//!   sum, ok-or-err counter). With a trace attached the same pair also
+//!   becomes the guard's span, a push into the thread's own buffer.
+//! * One wire read on a server as booted runs under three timed steps —
+//!   the `net.request` and `server.read` guards and the store's
+//!   `store.read` span — so it costs three clock pairs plus the one read
+//!   that starts the trace, six histogram/counter RMWs, one RMW minting
+//!   the trace id of a request that did not bring one, and the flight
+//!   recorder's one relaxed load when it declines the request. No
+//!   allocation (pinned by `tests/read_alloc_budget.rs`), no lock, no
+//!   reference count; see [`span`].
+//!
+//! When a [`Registry`] is disabled ([`Registry::set_enabled`]),
+//! [`Registry::observe`] returns an inert guard, no trace is attached,
+//! and the whole record path collapses to one relaxed load per guard;
+//! the repository benchmark's `wire_read_hot` / `wire_read_hot_observed`
+//! pair prices the difference end to end (`obs.effect_pct`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +71,6 @@ pub use metrics::{
 pub use registry::{Observed, Registry};
 pub use snapshot::StatsSnapshot;
 pub use span::{
-    ActiveTrace, CapturedTrace, FlightRecorder, Plane, SpanRecord, TraceContext, TraceTrigger,
+    CapturedTrace, FlightRecorder, Plane, SpanRecord, TraceContext, TraceTrigger,
     DEFAULT_FLIGHT_CAPACITY, MAX_SPANS_PER_TRACE,
 };

@@ -68,7 +68,7 @@ impl Registry {
     pub fn observe<'a>(&self, op: &'a OpStats, name: &'static str, plane: Plane) -> Observed<'a> {
         let live = self.enabled().then(|| {
             let started = Instant::now();
-            (started, span::open(name, plane, || started))
+            (started, span::open(name, plane, Some(started)))
         });
         Observed { op, live }
     }
@@ -163,7 +163,7 @@ impl Drop for Observed<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{ActiveTrace, TraceTrigger};
+    use crate::span::TraceTrigger;
 
     #[test]
     fn handles_are_shared() {
@@ -184,15 +184,13 @@ mod tests {
     fn span_and_histogram_sample_are_one_measurement() {
         let r = Registry::new();
         let op = r.op("server.read");
-        let trace = Arc::new(ActiveTrace::new(7));
-        let scope = span::enter(Arc::clone(&trace), 0);
+        let scope = span::enter(7, 0);
         let guard = r.observe(&op, "server.read", Plane::Read);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let ns = guard.finish(true, Some(9)).unwrap();
-        drop(scope);
         let snap = op.snapshot();
         assert_eq!((snap.ok, snap.err, snap.latency.count()), (1, 0, 1));
-        let cap = trace.capture(TraceTrigger::Slow, 0);
+        let cap = scope.capture(TraceTrigger::Slow, 0).unwrap();
         assert_eq!(cap.spans.len(), 1);
         let recorded = &cap.spans[0];
         assert_eq!(recorded.op, "server.read");
@@ -214,16 +212,14 @@ mod tests {
         }
         let r = Registry::new();
         let op = r.op("server.write");
-        let trace = Arc::new(ActiveTrace::new(1));
-        let scope = span::enter(Arc::clone(&trace), 0);
+        let scope = span::enter(1, 0);
         assert!(bails_early(&r, &op).is_err());
         // The open-span stack unwound: the next guard is a sibling.
         r.observe(&op, "server.write", Plane::Witness)
             .finish(true, None);
-        drop(scope);
         let snap = op.snapshot();
         assert_eq!((snap.ok, snap.err, snap.latency.count()), (1, 1, 2));
-        let cap = trace.capture(TraceTrigger::Error, 0);
+        let cap = scope.capture(TraceTrigger::Error, 0).unwrap();
         assert_eq!(cap.spans.len(), 2);
         assert!(!cap.spans[0].ok);
         assert!(cap.spans[1].ok);
@@ -238,8 +234,8 @@ mod tests {
     fn disabled_registry_yields_inert_guards() {
         let r = Registry::new();
         let op = r.op("x");
-        let trace = Arc::new(ActiveTrace::new(1));
-        let scope = span::enter(Arc::clone(&trace), 0);
+        let scope = span::enter(1, 0);
+        let span_count = || scope.capture(TraceTrigger::Slow, 0).unwrap().spans.len();
         r.set_enabled(false);
         assert!(r
             .observe(&op, "x", Plane::Read)
@@ -247,15 +243,14 @@ mod tests {
             .is_none());
         drop(r.observe(&op, "x", Plane::Read));
         assert_eq!(op.snapshot(), crate::OpSnapshot::default());
-        assert_eq!(trace.span_count(), 0);
+        assert_eq!(span_count(), 0);
         r.set_enabled(true);
         assert!(r
             .observe(&op, "x", Plane::Read)
             .finish(true, None)
             .is_some());
-        drop(scope);
         assert_eq!(op.snapshot().total(), 1);
-        assert_eq!(trace.span_count(), 1);
+        assert_eq!(span_count(), 1);
     }
 
     #[test]

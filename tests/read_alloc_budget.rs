@@ -1,9 +1,11 @@
 //! Allocation budget of a hot verified read over the wire.
 //!
 //! A memo-warm read of a hot record allocates nothing on the server (the
-//! response is written in place into the connection's output buffer) and
-//! only what decoding the outcome needs on the client. Timing in CI is
-//! noise; a count of allocator calls repeats, so it is the guard.
+//! response is written in place into the connection's output buffer, its
+//! spans into the worker thread's reused trace) and only what decoding
+//! the outcome needs on the client — with the instruments off and with
+//! the server as it boots. Timing in CI is noise; a count of allocator
+//! calls repeats, so it is the guard.
 //!
 //! This is its own test binary because it installs a counting global
 //! allocator, and it holds a single test so nothing else allocates
@@ -101,14 +103,26 @@ fn pipelined_verified_reads(
     }
 }
 
+/// Allocator calls over `READS` hot verified reads, after a warm-up in
+/// which every record is verified in full once and then from the memo
+/// and both sides' buffers grow to the window's size.
+fn calls_over_hot_reads(
+    client: &mut RemoteWormClient,
+    verifier: &strongworm::Verifier,
+    sns: &[SerialNumber],
+) -> u64 {
+    pipelined_verified_reads(client, verifier, sns, 4 * HOT_RECORDS);
+    let before = ALLOCATOR_CALLS.load(Ordering::Relaxed);
+    pipelined_verified_reads(client, verifier, sns, READS);
+    ALLOCATOR_CALLS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn a_hot_verified_wire_read_stays_within_its_allocation_budget() {
     let (server, clock) = common::server_with(WormConfig {
         store_capacity: 4 * HOT_RECORDS * RECORD_BYTES,
         ..WormConfig::test_small()
     });
-    // As `wire_read_hot` runs: instruments off, one worker.
-    server.trace().set_enabled(false);
     let server = Arc::new(server);
     let net = NetServer::bind(
         Arc::clone(&server),
@@ -130,19 +144,30 @@ fn a_hot_verified_wire_read_stays_within_its_allocation_budget() {
         })
         .collect();
 
-    // Warm-up: every record verified in full once and then from the
-    // memo, and both connections' buffers grown to the window's size.
-    pipelined_verified_reads(&mut client, &verifier, &sns, 4 * HOT_RECORDS);
-
-    let before = ALLOCATOR_CALLS.load(Ordering::Relaxed);
-    pipelined_verified_reads(&mut client, &verifier, &sns, READS);
-    let calls = ALLOCATOR_CALLS.load(Ordering::Relaxed) - before;
+    // As `wire_read_hot` runs: instruments off, one worker.
+    server.trace().set_enabled(false);
+    let quiet = calls_over_hot_reads(&mut client, &verifier, &sns);
+    // As `wire_read_hot_observed` runs, and as the server boots: every
+    // request traced, timed and offered to the flight recorder.
+    server.trace().set_enabled(true);
+    let booted = calls_over_hot_reads(&mut client, &verifier, &sns);
     net.shutdown();
 
-    let per_read = calls as f64 / READS as f64;
-    println!("{calls} allocator calls over {READS} reads: {per_read:.2} per read");
+    let per_read = |calls: u64| calls as f64 / READS as f64;
+    println!(
+        "allocator calls per read over {READS} reads: {:.2} quiet, {:.2} as booted",
+        per_read(quiet),
+        per_read(booted)
+    );
     assert!(
-        calls <= BUDGET_PER_READ * READS as u64,
-        "{per_read:.2} allocator calls per hot verified read, budget {BUDGET_PER_READ}"
+        quiet <= BUDGET_PER_READ * READS as u64,
+        "{:.2} allocator calls per hot verified read, budget {BUDGET_PER_READ}",
+        per_read(quiet)
+    );
+    assert!(
+        booted.abs_diff(quiet) <= READS as u64,
+        "observing a read costs allocations: {:.2} calls per read as booted, {:.2} quiet",
+        per_read(booted),
+        per_read(quiet)
     );
 }
