@@ -128,13 +128,6 @@ impl<D: BlockDevice> Mallory<'_, D> {
         ReadOutcome::NeverExisted { head: old_head }
     }
 
-    /// Installs a replayed old head into the VRDT so subsequent honest
-    /// reads serve stale freshness evidence.
-    pub fn install_replayed_head(&mut self, old_head: HeadCert) {
-        let (mut vrdt, _) = self.server.parts_mut_for_attack();
-        vrdt.set_head_for_attack(old_head);
-    }
-
     /// Fabricates a deletion proof for an active record (removing history
     /// before its retention elapsed) with a forged signature.
     pub fn forge_deletion(&mut self, sn: SerialNumber) -> ReadOutcome {

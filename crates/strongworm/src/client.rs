@@ -16,12 +16,11 @@ use wormcrypt::{Digest, RsaPublicKey, Sha256};
 
 use crate::authority::KeyCertificate;
 use crate::codec::composite_root;
-use crate::config::DataHashScheme;
 use crate::error::VerifyError;
 use crate::firmware::{DeviceKeys, WeakKeyCert};
 use crate::proofs::{CompositeHead, DeletionEvidence, HeadCert, ReadOutcome};
 use crate::sn::SerialNumber;
-use crate::vrd::{data_hash, Vrd};
+use crate::vrd::{data_chain_hash, Vrd};
 use crate::witness::{
     base_payload, composite_payload, data_payload, deletion_payload, head_payload, meta_payload,
     weak_cert_payload, weak_wrap, window_payload, KeyRole, Signature, WindowSide, Witness,
@@ -113,11 +112,11 @@ const CHAIN_MEMO_CAP: usize = 1024;
 ///
 /// A WORM record is fixed at witness time, so a re-read of a hot record
 /// re-presents the byte-identical (VRD, records) pair. Every check on
-/// that pair is a pure function of those bytes, the verifier's keys and
-/// the hash scheme — except the ones that depend on the clock or on the
-/// request, which [`Verifier::verify_read`] and the hit path below run
-/// every time (head signature and freshness, `vrd.sn == requested`,
-/// weak-witness expiry). So:
+/// that pair is a pure function of those bytes and the verifier's keys
+/// — except the ones that depend on the clock or on the request, which
+/// [`Verifier::verify_read`] and the hit path below run every time (head
+/// signature and freshness, `vrd.sn == requested`, weak-witness expiry).
+/// So:
 ///
 /// * VRD (every field, both witnesses) and records byte-identical to the
 ///   entry: accepted after those checks, at the cost of a comparison.
@@ -125,7 +124,7 @@ const CHAIN_MEMO_CAP: usize = 1024;
 ///   litigation hold, a strengthened witness): the chain hash is reused
 ///   — byte equality implies hash equality, and a memcmp is an order of
 ///   magnitude cheaper than SHA-256 — and both witnesses verify in full.
-/// * Anything else — scheme, record count, a single byte: the full path.
+/// * Anything else — record count, a single byte: the full path.
 ///
 /// Only a read that verified is stored, so a host that alternates good
 /// and tampered bytes gets the tampered ones checked (and rejected)
@@ -138,7 +137,6 @@ struct RecordMemo {
 
 #[derive(Debug)]
 struct RecordEntry {
-    scheme: DataHashScheme,
     vrd: Vrd,
     records: Vec<Vec<u8>>,
     chain: Vec<u8>,
@@ -155,13 +153,13 @@ enum Remembered {
 }
 
 impl RecordMemo {
-    fn lookup(&self, scheme: DataHashScheme, vrd: &Vrd, records: &[bytes::Bytes]) -> Remembered {
+    fn lookup(&self, vrd: &Vrd, records: &[bytes::Bytes]) -> Remembered {
         // A poisoned lock degrades to cache-miss, never to acceptance.
         let Ok(seen) = self.seen.read() else {
             return Remembered::Unknown;
         };
         match seen.get(&vrd.sn) {
-            Some(e) if e.scheme == scheme && records.iter().eq(e.records.iter()) => {
+            Some(e) if records.iter().eq(e.records.iter()) => {
                 if e.vrd == *vrd {
                     Remembered::Verified
                 } else {
@@ -173,7 +171,7 @@ impl RecordMemo {
     }
 
     /// Stores a read that just passed full verification.
-    fn insert(&self, scheme: DataHashScheme, vrd: &Vrd, records: &[bytes::Bytes], chain: Vec<u8>) {
+    fn insert(&self, vrd: &Vrd, records: &[bytes::Bytes], chain: Vec<u8>) {
         if let Ok(mut seen) = self.seen.write() {
             if seen.len() >= CHAIN_MEMO_CAP && !seen.contains_key(&vrd.sn) {
                 seen.clear();
@@ -181,7 +179,6 @@ impl RecordMemo {
             seen.insert(
                 vrd.sn,
                 RecordEntry {
-                    scheme,
                     vrd: vrd.clone(),
                     records: records.iter().map(|r| r.to_vec()).collect(),
                     chain,
@@ -247,7 +244,6 @@ pub trait VerifyRead {
 /// clock.
 #[derive(Debug)]
 pub struct Verifier {
-    data_hash: DataHashScheme,
     sign_key: RsaPublicKey,
     del_key: RsaPublicKey,
     weak_certs: Vec<WeakKeyCert>,
@@ -272,7 +268,6 @@ impl Verifier {
         clock: Arc<dyn Clock>,
     ) -> Result<Self, VerifyError> {
         Self::over(
-            keys.data_hash,
             &keys.sign,
             &keys.delete,
             keys.weak_cert.clone(),
@@ -284,7 +279,6 @@ impl Verifier {
     /// A verifier over keys the caller has established, with nothing
     /// memoised yet.
     fn over(
-        data_hash: DataHashScheme,
         sign_key: &RsaPublicKey,
         del_key: &RsaPublicKey,
         weak_cert: WeakKeyCert,
@@ -292,7 +286,6 @@ impl Verifier {
         clock: Arc<dyn Clock>,
     ) -> Result<Self, VerifyError> {
         let mut v = Verifier {
-            data_hash,
             sign_key: sign_key.clone(),
             del_key: del_key.clone(),
             weak_certs: Vec::new(),
@@ -327,21 +320,7 @@ impl Verifier {
         if del_cert.role != KeyRole::Delete || !del_cert.verify(ca) {
             return Err(VerifyError::BadSignature("delete key certificate"));
         }
-        Self::over(
-            DataHashScheme::Chained,
-            &sign_cert.key,
-            &del_cert.key,
-            weak_cert,
-            tolerance,
-            clock,
-        )
-    }
-
-    /// Sets the data-hash scheme (for verifiers built via
-    /// [`Verifier::from_certificates`], which defaults to
-    /// [`DataHashScheme::Chained`]).
-    pub fn set_data_hash_scheme(&mut self, scheme: DataHashScheme) {
-        self.data_hash = scheme;
+        Self::over(&sign_cert.key, &del_cert.key, weak_cert, tolerance, clock)
     }
 
     /// Registers a (rotated) weak-key certificate after verifying its
@@ -411,7 +390,7 @@ impl Verifier {
     ///
     /// See [`Verifier::verify_read`].
     pub fn verify_vrd(&self, vrd: &Vrd, records: &[bytes::Bytes]) -> Result<(), VerifyError> {
-        let chain = match self.record_memo.lookup(self.data_hash, vrd, records) {
+        let chain = match self.record_memo.lookup(vrd, records) {
             Remembered::Verified => {
                 // Every check on these exact bytes has passed before;
                 // what is left depends on the clock.
@@ -419,7 +398,7 @@ impl Verifier {
                 return self.check_weak_expiry(&vrd.datasig, "datasig");
             }
             Remembered::Chain(chain) => chain,
-            Remembered::Unknown => data_hash(self.data_hash, records.iter().map(|b| b.as_ref())),
+            Remembered::Unknown => data_chain_hash(records.iter().map(|b| b.as_ref())),
         };
         // Everything about either witness that is not arithmetic, in the
         // order a reader meets them; then both signatures in one pass. What
@@ -450,7 +429,7 @@ impl Verifier {
             VerifyError::BadSignature("datasig") => VerifyError::DataHashMismatch,
             other => other,
         })?;
-        self.record_memo.insert(self.data_hash, vrd, records, chain);
+        self.record_memo.insert(vrd, records, chain);
         Ok(())
     }
 
@@ -811,13 +790,13 @@ mod tests {
         for replaced in [&strengthened, &held] {
             let (vrd, records) = data(replaced);
             assert!(matches!(
-                v.record_memo.lookup(v.data_hash, vrd, records),
-                Remembered::Chain(chain) if chain == data_hash(v.data_hash, records.iter().map(|r| r.as_ref()))
+                v.record_memo.lookup(vrd, records),
+                Remembered::Chain(chain) if chain == data_chain_hash(records.iter().map(|r| r.as_ref()))
             ));
             v.verify_read(sn, replaced).unwrap();
             assert_eq!(remembered(&v, sn).as_ref(), Some(vrd));
             assert!(matches!(
-                v.record_memo.lookup(v.data_hash, vrd, records),
+                v.record_memo.lookup(vrd, records),
                 Remembered::Verified
             ));
         }
@@ -858,7 +837,7 @@ mod tests {
             let sn = srv.write(&[b"kept"], long).unwrap();
             let honest = srv.read(sn).unwrap();
             let (vrd, records) = data(&honest);
-            let chain = data_hash(srv.keys().data_hash, records.iter().map(|r| r.as_ref()));
+            let chain = data_chain_hash(records.iter().map(|r| r.as_ref()));
             let payloads = [
                 meta_payload(sn, &vrd.attr.encode()),
                 data_payload(sn, &chain),
@@ -965,14 +944,14 @@ mod tests {
         };
         let cap = CHAIN_MEMO_CAP as u64;
         for sn in 1..=cap {
-            memo.insert(DataHashScheme::Chained, &vrd_for(sn), &[], Vec::new());
+            memo.insert(&vrd_for(sn), &[], Vec::new());
         }
         assert_eq!(memo.seen.read().unwrap().len(), CHAIN_MEMO_CAP);
         // Re-inserting a serial number it holds replaces in place ...
-        memo.insert(DataHashScheme::Chained, &vrd_for(cap), &[], Vec::new());
+        memo.insert(&vrd_for(cap), &[], Vec::new());
         assert_eq!(memo.seen.read().unwrap().len(), CHAIN_MEMO_CAP);
         // ... and a new one past the cap starts the memo over.
-        memo.insert(DataHashScheme::Chained, &vrd_for(cap + 1), &[], Vec::new());
+        memo.insert(&vrd_for(cap + 1), &[], Vec::new());
         assert_eq!(memo.seen.read().unwrap().len(), 1);
     }
 }

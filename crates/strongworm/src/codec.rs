@@ -12,7 +12,6 @@ use wormstore::{RecordDescriptor, RecordId, Shredder};
 
 use crate::attr::RecordAttributes;
 use crate::authority::{HoldCredential, ReleaseCredential};
-use crate::config::DataHashScheme;
 use crate::firmware::{DeviceKeys, WeakKeyCert};
 use crate::proofs::{
     BaseCert, CompositeBinding, CompositeHead, DeletionEvidence, DeletionProof, HeadCert,
@@ -611,23 +610,6 @@ pub fn decode_release_credential(bytes: &[u8]) -> Result<ReleaseCredential, Wire
     })
 }
 
-fn data_hash_code(s: DataHashScheme) -> u8 {
-    match s {
-        DataHashScheme::Chained => 0,
-        DataHashScheme::Multiset => 1,
-    }
-}
-
-fn data_hash_from_code(code: u8) -> Result<DataHashScheme, WireError> {
-    match code {
-        0 => Ok(DataHashScheme::Chained),
-        1 => Ok(DataHashScheme::Multiset),
-        _ => Err(WireError {
-            expected: "data hash scheme code",
-        }),
-    }
-}
-
 fn put_weak_cert(w: &mut WireWriter, c: &WeakKeyCert) {
     w.put_bytes(&c.key.to_bytes());
     w.put_u64(c.max_sig_expiry.as_millis());
@@ -672,7 +654,8 @@ pub fn decode_weak_key_cert(bytes: &[u8]) -> Result<WeakKeyCert, WireError> {
 /// CA-issued certificates; the bytes themselves are untrusted).
 pub fn encode_device_keys(k: &DeviceKeys) -> Vec<u8> {
     let mut w = WireWriter::tagged("strongworm.devicekeys.v1");
-    w.put_u8(data_hash_code(k.data_hash));
+    // Reserved (once a data-hash scheme code): always 0.
+    w.put_u8(0);
     w.put_bytes(&k.sign.to_bytes());
     w.put_bytes(&k.delete.to_bytes());
     put_weak_cert(&mut w, &k.weak_cert);
@@ -686,7 +669,11 @@ pub fn encode_device_keys(k: &DeviceKeys) -> Vec<u8> {
 /// [`WireError`] on malformed input or unparsable RSA keys.
 pub fn decode_device_keys(bytes: &[u8]) -> Result<DeviceKeys, WireError> {
     let mut r = WireReader::tagged(bytes, "strongworm.devicekeys.v1", "device keys tag")?;
-    let data_hash = data_hash_from_code(r.get_u8()?)?;
+    if r.get_u8()? != 0 {
+        return Err(WireError {
+            expected: "reserved byte 0",
+        });
+    }
     let rsa = |b: &[u8]| {
         RsaPublicKey::from_bytes(b).map_err(|_| WireError {
             expected: "rsa public key",
@@ -697,7 +684,6 @@ pub fn decode_device_keys(bytes: &[u8]) -> Result<DeviceKeys, WireError> {
     let weak_cert = get_weak_cert(&mut r)?;
     r.expect_end()?;
     Ok(DeviceKeys {
-        data_hash,
         sign,
         delete,
         weak_cert,
@@ -1368,7 +1354,6 @@ mod tests {
     #[test]
     fn device_keys_roundtrip() {
         let keys = DeviceKeys {
-            data_hash: DataHashScheme::Multiset,
             sign: tiny_key(5),
             delete: tiny_key(7),
             weak_cert: WeakKeyCert {
@@ -1379,7 +1364,6 @@ mod tests {
         };
         let enc = encode_device_keys(&keys);
         let dec = decode_device_keys(&enc).unwrap();
-        assert_eq!(dec.data_hash, keys.data_hash);
         assert_eq!(dec.sign.fingerprint(), keys.sign.fingerprint());
         assert_eq!(dec.delete.fingerprint(), keys.delete.fingerprint());
         assert_eq!(

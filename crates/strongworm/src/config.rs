@@ -16,21 +16,6 @@ pub enum HashMode {
     TrustHostHash,
 }
 
-/// Which incremental hash binds a VR's record list into `datasig`
-/// (Table 1: "a chained hash (or other incremental secure hashing
-/// \[Bellare–Micciancio, Clarke et al.\]) of the data records").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DataHashScheme {
-    /// Chained hash: order-sensitive, O(1) append.
-    #[default]
-    Chained,
-    /// Additive multiset hash: order-*insensitive*, O(1) add **and**
-    /// remove — suited to very large VRs assembled out of order. The
-    /// trade-off is that record reordering inside a VR is not detected
-    /// (set semantics rather than sequence semantics).
-    Multiset,
-}
-
 /// Witnessing tier requested for a write (§4.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WitnessMode {
@@ -64,8 +49,6 @@ pub struct WormConfig {
     pub base_cert_lifetime: Duration,
     /// Default hashing model for writes.
     pub hash_mode: HashMode,
-    /// Which incremental hash binds record lists into `datasig`.
-    pub data_hash: DataHashScheme,
     /// Default witnessing tier for writes.
     pub default_witness: WitnessMode,
     /// Minimum contiguous expired run compacted into a window (paper: 3).
@@ -91,7 +74,6 @@ impl Default for WormConfig {
             freshness_tolerance: Duration::from_secs(300),
             base_cert_lifetime: Duration::from_secs(24 * 60 * 60),
             hash_mode: HashMode::ScpuHashes,
-            data_hash: DataHashScheme::Chained,
             default_witness: WitnessMode::Strong,
             min_compaction_run: 3,
             device: DeviceConfig::default(),

@@ -32,7 +32,7 @@ use wormstore::Shredder;
 
 use crate::attr::RecordAttributes;
 use crate::authority::{HoldCredential, ReleaseCredential};
-use crate::config::{DataHashScheme, WitnessMode};
+use crate::config::WitnessMode;
 use crate::policy::RetentionPolicy;
 use crate::proofs::{BaseCert, CompositeBinding, DeletionProof, HeadCert, WindowProof};
 use crate::sn::SerialNumber;
@@ -83,9 +83,6 @@ pub struct WeakKeyCert {
 /// Public keys and certificates the host publishes to clients.
 #[derive(Clone, Debug)]
 pub struct DeviceKeys {
-    /// The data-hash scheme this deployment's `datasig` uses (clients
-    /// must recompute `Hash(data)` the same way).
-    pub data_hash: DataHashScheme,
     /// The permanent witnessing key `s`.
     pub sign: RsaPublicKey,
     /// The deletion-proof key `d`.
@@ -315,8 +312,6 @@ pub struct FirmwareConfig {
     pub base_cert_lifetime: Duration,
     /// Minimum expired-run length for window compaction.
     pub min_compaction_run: usize,
-    /// Which incremental hash binds record lists into `datasig`.
-    pub data_hash: DataHashScheme,
     /// Pre-first serial value `Init` boots `SN_current` to (a shard's
     /// lane origin; 0 for a single-SCPU deployment).
     pub sn_origin: u64,
@@ -331,7 +326,6 @@ impl Default for FirmwareConfig {
             head_refresh_interval: Duration::from_secs(120),
             base_cert_lifetime: Duration::from_secs(24 * 60 * 60),
             min_compaction_run: 3,
-            data_hash: DataHashScheme::Chained,
             sn_origin: 0,
         }
     }

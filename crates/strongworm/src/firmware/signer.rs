@@ -59,27 +59,20 @@ impl WormFirmware {
         }
         let now = env.now();
 
-        // Compute (or accept) the incremental data hash (Table 1: chained
-        // or multiset, per deployment configuration).
-        let scheme = self.cfg.data_hash;
-        let expected_len = crate::vrd::data_hash_len(scheme);
+        // Compute (or accept) the chained data hash (Table 1).
         let (chain_hash, audit_pending) = match &data {
             WriteData::Full(records) => {
                 let total: usize = records.iter().map(|r| r.len()).sum();
                 env.charge(Op::DmaIn { bytes: total });
                 env.charge(Op::Sha256 { bytes: total });
-                let digest = crate::vrd::data_hash(scheme, records.iter().map(|r| r.as_slice()));
+                let digest = crate::vrd::data_chain_hash(records.iter().map(|r| r.as_slice()));
                 (digest, false)
             }
             WriteData::HostHash { chain_hash, .. } => {
-                if chain_hash.len() != expected_len {
-                    return reject(format!(
-                        "host-provided data hash must be {expected_len} bytes for {scheme:?}"
-                    ));
+                if chain_hash.len() != 32 {
+                    return reject("host-provided data hash must be 32 bytes");
                 }
-                env.charge(Op::DmaIn {
-                    bytes: expected_len,
-                });
+                env.charge(Op::DmaIn { bytes: 32 });
                 (chain_hash.clone(), true)
             }
         };
@@ -338,7 +331,7 @@ impl WormFirmware {
         let total: usize = data.iter().map(|r| r.len()).sum();
         env.charge(Op::DmaIn { bytes: total });
         env.charge(Op::Sha256 { bytes: total });
-        let digest = crate::vrd::data_hash(self.cfg.data_hash, data.iter().map(|r| r.as_slice()));
+        let digest = crate::vrd::data_chain_hash(data.iter().map(|r| r.as_slice()));
         let ok = ct_eq(&digest, &claimed);
         if !ok {
             self.outbox.push(OutboxItem::AuditFailure { sn });

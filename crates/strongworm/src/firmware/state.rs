@@ -179,7 +179,6 @@ impl WormFirmware {
     pub(crate) fn get_keys(&self) -> Result<WormResponse, FirmwareError> {
         let s = self.booted()?;
         Ok(WormResponse::Keys(DeviceKeys {
-            data_hash: self.cfg.data_hash,
             sign: s.sign_key.public().clone(),
             delete: s.del_key.public().clone(),
             weak_cert: s.weak_cert.clone(),

@@ -80,7 +80,7 @@ mod sn;
 
 pub use authority::{CertificateAuthority, HoldCredential, RegulatoryAuthority, ReleaseCredential};
 pub use client::{CompositeVerifier, ReadVerdict, Verifier, VerifyRead};
-pub use config::{DataHashScheme, HashMode, WitnessMode, WormConfig};
+pub use config::{HashMode, WitnessMode, WormConfig};
 pub use daemon::{DaemonConfig, RetentionDaemon};
 pub use error::{VerifyError, WormError};
 pub use offline::{audit_journal, OfflineAuditReport};

@@ -60,13 +60,6 @@ pub struct CompositeHead {
     pub binding: CompositeBinding,
 }
 
-impl CompositeHead {
-    /// The head certificate of shard lane `lane`, if bound.
-    pub fn head_for_lane(&self, lane: u32) -> Option<&HeadCert> {
-        self.heads.get(usize::try_from(lane).ok()?)
-    }
-}
-
 /// Base certificate `S_s(SN_base)` with anti-replay expiry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BaseCert {

@@ -29,13 +29,12 @@ pub use read_plane::ReadPlane;
 pub use shard::{ShardRouter, ShardedWormServer};
 pub use witness::WitnessPlane;
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use scpu::{Clock, Device, Meter};
 use wormaudit::{AuditClass, AuditLog};
-use wormcrypt::{Digest, RsaPublicKey, Sha256};
+use wormcrypt::RsaPublicKey;
 use wormstore::{
     BlockDevice, DiskJournal, DurableLog, MemDisk, Partition, RecordDescriptor, RecordStore,
 };
@@ -50,7 +49,6 @@ use crate::firmware::{
 use crate::policy::RetentionPolicy;
 use crate::proofs::{CompositeBinding, CompositeHead, HeadCert, ReadOutcome, Resolved};
 use crate::sn::SerialNumber;
-use crate::vrd::data_chain_hash;
 use crate::vrdt::Vrdt;
 use crate::wire::WireWriter;
 
@@ -165,7 +163,6 @@ impl<D: BlockDevice> WormServer<D> {
             head_refresh_interval: config.head_refresh_interval,
             base_cert_lifetime: config.base_cert_lifetime,
             min_compaction_run: config.min_compaction_run,
-            data_hash: config.data_hash,
             sn_origin: config.sn_origin,
         });
         let mut device = Device::new(firmware, config.device.clone(), clock.clone());
@@ -351,11 +348,10 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     /// Resumes operation after a host crash: rebuilds the VRDT from its
-    /// journal, reconstructs the dedup/refcount indexes from the store,
-    /// and re-arms every active record's expiration inside the SCPU from
-    /// its own signed attributes (`SyncVexpFromAttr`) — the firmware
-    /// verifies each metasig, so a malicious "recovery" cannot shorten
-    /// retentions.
+    /// journal and re-arms every active record's expiration inside the
+    /// SCPU from its own signed attributes (`SyncVexpFromAttr`) — the
+    /// firmware verifies each metasig, so a malicious "recovery" cannot
+    /// shorten retentions.
     ///
     /// Note: the published weak-key certificate history is host state a
     /// real deployment persists alongside the journal; after resume only
@@ -381,7 +377,7 @@ impl<D: BlockDevice> WormServer<D> {
         let server = Self::assemble(vrdt, store, device, keys, config, clock, 0x4058, None);
         {
             let mut w = server.witness.lock();
-            w.rebuild_after_recovery()?;
+            w.rebuild_after_recovery();
             w.complete_pending_shreds()?;
             w.refresh_head()?;
             w.refresh_base()?;
@@ -455,16 +451,8 @@ impl<D: BlockDevice> WormServer<D> {
         records: &[&[u8]],
         policy: RetentionPolicy,
     ) -> Result<SerialNumber, WormError> {
-        let observed = self
-            .trace
-            .observe(&self.ops.write, "server.write", Plane::Witness);
-        let result = {
-            let mut w = self.witness.lock();
-            let witness = w.config.default_witness;
-            w.write_inner(records, policy, 0, witness, false)
-        };
-        observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
-        result
+        let witness = self.witness.lock().config.default_witness;
+        self.write_with(records, policy, 0, witness)
     }
 
     /// Writes with an explicit witness tier and flag bits (§4.2.2 Write,
@@ -486,33 +474,7 @@ impl<D: BlockDevice> WormServer<D> {
         let result = self
             .witness
             .lock()
-            .write_inner(records, policy, flags, witness, false);
-        observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
-        result
-    }
-
-    /// Writes a VR whose records are deduplicated against previously
-    /// stored content (§4.2: VRs may overlap, so "repeatedly stored
-    /// objects (such as popular email attachments) \[are\] potentially ...
-    /// stored only once"). A shared extent is shredded only when the last
-    /// VR referencing it is deleted.
-    ///
-    /// # Errors
-    ///
-    /// Store, device, or firmware failures.
-    pub fn write_dedup(
-        &self,
-        records: &[&[u8]],
-        policy: RetentionPolicy,
-    ) -> Result<SerialNumber, WormError> {
-        let observed = self
-            .trace
-            .observe(&self.ops.write, "server.write", Plane::Witness);
-        let result = {
-            let mut w = self.witness.lock();
-            let witness = w.config.default_witness;
-            w.write_inner(records, policy, 0, witness, true)
-        };
+            .write_inner(records, policy, flags, witness);
         observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
         result
     }
@@ -795,17 +757,6 @@ impl<D: BlockDevice> WormServer<D> {
         result
     }
 
-    /// Verifies the chain hash of a record against host state (utility
-    /// for tools; clients do their own verification).
-    pub fn local_chain_hash(records: &[&[u8]]) -> Vec<u8> {
-        data_chain_hash(records.iter().copied())
-    }
-
-    /// Computes SHA-256 of a byte string (host-side convenience).
-    pub fn sha256(data: &[u8]) -> Vec<u8> {
-        Sha256::digest(data)
-    }
-
     /// Test/adversary access to internal state; see [`crate::adversary`].
     /// The VRDT write guard blocks the read plane while held.
     #[doc(hidden)]
@@ -922,18 +873,13 @@ where
             let data = Partition::new(dev, journal_bytes, store_bytes)
                 .map_err(wormstore::StoreError::from)?;
             // The journal is the authority on occupied space: live
-            // extents (deduped — overlapping VRs share them) survive,
-            // pending-shred extents stay reserved for their remaining
-            // passes, everything else returns to the free list.
-            let mut live: Vec<RecordDescriptor> = Vec::new();
-            let mut seen = BTreeSet::new();
-            for vrd in vrdt.iter_active() {
-                for rd in &vrd.rdl {
-                    if seen.insert(rd.offset) {
-                        live.push(*rd);
-                    }
-                }
-            }
+            // extents survive, pending-shred extents stay reserved for
+            // their remaining passes, everything else returns to the
+            // free list.
+            let live: Vec<RecordDescriptor> = vrdt
+                .iter_active()
+                .flat_map(|vrd| vrd.rdl.iter().copied())
+                .collect();
             let reserved: Vec<RecordDescriptor> =
                 vrdt.pending_shreds().values().map(|s| s.rd).collect();
             let store = RecordStore::recover(data, &live, &reserved)?;
@@ -958,7 +904,7 @@ where
         // inside the server, so failures decompose it to hand it back.
         let post = (|| -> Result<(), WormError> {
             let mut w = server.witness.lock();
-            w.rebuild_after_recovery()?;
+            w.rebuild_after_recovery();
             w.complete_pending_shreds()?;
             w.refresh_head()?;
             w.refresh_base()?;

@@ -14,7 +14,7 @@
 //! either saw the record active (and finished reading its bytes under
 //! their read guard) or see the deletion proof.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -22,7 +22,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Clock, Device, Meter, Op, Timestamp};
 use wormaudit::{AuditClass, AuditLog};
-use wormcrypt::Sha256;
 use wormstore::{BlockDevice, RecordDescriptor, RecordStore, Shredder};
 
 use crate::config::{HashMode, WitnessMode, WormConfig};
@@ -95,14 +94,6 @@ pub struct WitnessPlane<D: BlockDevice> {
     pub(crate) host_meter: Meter,
     host_model: scpu::CostModel,
     rng: StdRng,
-    /// Content-addressed index for deduplicated writes (§4.2: overlapping
-    /// VRs let "repeatedly stored objects ... be stored only once").
-    dedup_index: HashMap<[u8; 32], RecordDescriptor>,
-    /// Reverse map for cleaning the dedup index when an extent dies.
-    record_hashes: HashMap<wormstore::RecordId, [u8; 32]>,
-    /// Live VR references per physical record; extents are shredded only
-    /// when the last referencing VR is deleted.
-    refcounts: HashMap<wormstore::RecordId, usize>,
     /// Records whose expiration scheduling must be retried (crash
     /// recovery with exhausted secure memory).
     resync: Vec<SerialNumber>,
@@ -143,35 +134,16 @@ impl<D: BlockDevice> WitnessPlane<D> {
             host_meter: Meter::new(),
             host_model: scpu::CostModel::host_p4(),
             rng: StdRng::seed_from_u64(rng_seed),
-            dedup_index: HashMap::new(),
-            record_hashes: HashMap::new(),
-            refcounts: HashMap::new(),
             resync: Vec::new(),
             stats: WitnessStats::new(trace),
             audit,
         }
     }
 
-    /// Rebuilds reference counts, the content-addressed index, the audit
-    /// queue, and the SCPU's expiration schedule from recovered state
-    /// (crash recovery; see `WormServer::resume`).
-    pub(crate) fn rebuild_after_recovery(&mut self) -> Result<(), WormError> {
+    /// Rebuilds the audit queue and the SCPU's expiration schedule from
+    /// recovered state (crash recovery; see `WormServer::resume`).
+    pub(crate) fn rebuild_after_recovery(&mut self) {
         let active: Vec<Vrd> = self.vrdt.read().iter_active().cloned().collect();
-        for vrd in &active {
-            for rd in &vrd.rdl {
-                *self.refcounts.entry(rd.id).or_insert(0) += 1;
-            }
-        }
-        for vrd in &active {
-            for rd in &vrd.rdl {
-                if !self.record_hashes.contains_key(&rd.id) {
-                    let bytes = self.store.read(rd)?;
-                    let digest = Sha256::digest_array(&bytes);
-                    self.dedup_index.insert(digest, *rd);
-                    self.record_hashes.insert(rd.id, digest);
-                }
-            }
-        }
         // Trust-host-hash deployments: the firmware's pending-audit set
         // survives in the device, but the host's submission queue does
         // not — re-enqueue every active record. Already-audited records
@@ -194,7 +166,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 _ => self.resync.push(vrd.sn),
             }
         }
-        Ok(())
     }
 
     pub(crate) fn spilled_vexp(&self) -> usize {
@@ -207,7 +178,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         policy: RetentionPolicy,
         flags: u32,
         witness: WitnessMode,
-        dedup: bool,
     ) -> Result<SerialNumber, WormError> {
         // Records end up in length-prefixed wire encodings (journal VRDs,
         // network read responses); reject anything the u32 prefix cannot
@@ -222,30 +192,34 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 crate::wire::MAX_WIRE_BYTES
             )));
         }
-        // 1. Host writes the data records to the store (reusing identical
-        //    content when deduplication is requested).
         let mut rdl = Vec::with_capacity(records.len());
+        let written = self.write_witnessed(records, policy, flags, witness, &mut rdl);
+        if written.is_err() {
+            // No VRD owns what reached the store, so nothing would ever
+            // shred it: destroy and release it here. The write's own
+            // error is the one reported.
+            for rd in &rdl {
+                let _ = self.store.shred(rd, policy.shredder, &mut self.rng);
+            }
+        }
+        written
+    }
+
+    /// The write proper. `rdl` holds the extents written so far for as
+    /// long as no VRD names them; the VRD takes them just before its
+    /// journal append, which may be durable even when it reports failure
+    /// — from there recovery decides (replay, or reclaim and scrub).
+    fn write_witnessed(
+        &mut self,
+        records: &[&[u8]],
+        policy: RetentionPolicy,
+        flags: u32,
+        witness: WitnessMode,
+        rdl: &mut Vec<RecordDescriptor>,
+    ) -> Result<SerialNumber, WormError> {
+        // 1. Host writes the data records to the store.
         for r in records {
-            let rd = if dedup {
-                let digest = Sha256::digest_array(r);
-                match self.dedup_index.get(&digest) {
-                    Some(&existing)
-                        if self.refcounts.get(&existing.id).copied().unwrap_or(0) > 0 =>
-                    {
-                        existing
-                    }
-                    _ => {
-                        let rd = self.store.write(r)?;
-                        self.dedup_index.insert(digest, rd);
-                        self.record_hashes.insert(rd.id, digest);
-                        rd
-                    }
-                }
-            } else {
-                self.store.write(r)?
-            };
-            *self.refcounts.entry(rd.id).or_insert(0) += 1;
-            rdl.push(rd);
+            rdl.push(self.store.write(r)?);
         }
         // 2. Host messages the SCPU with the record content (or its hash).
         let data = match self.config.hash_mode {
@@ -257,10 +231,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
                     self.host_model.cost_ns(Op::Sha256 { bytes: total }),
                 );
                 WriteData::HostHash {
-                    chain_hash: crate::vrd::data_hash(
-                        self.config.data_hash,
-                        records.iter().copied(),
-                    ),
+                    chain_hash: crate::vrd::data_chain_hash(records.iter().copied()),
                     total_len: total as u64,
                 }
             }
@@ -282,7 +253,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
         let vrd = Vrd {
             sn: receipt.sn,
             attr: receipt.attr,
-            rdl,
+            rdl: std::mem::take(rdl),
             metasig: receipt.metasig,
             datasig: receipt.datasig,
         };
@@ -621,80 +592,58 @@ impl<D: BlockDevice> WitnessPlane<D> {
     /// space and shreds the vacated originals, reclaiming contiguous room
     /// at the top of the region. Returns how many extents moved.
     ///
-    /// Each relocation commits as ONE staged journal transaction — every
-    /// referencing VRD's descriptor swap plus the shred intent for the old
+    /// Each relocation commits as ONE staged journal transaction — the
+    /// owning VRD's descriptor swap plus the shred intent for the old
     /// extent — so a crash either rolls the whole move back (old extent
     /// still live, leaked copy reclaimed by the next recover) or replays
     /// it and resumes destroying the vacated bytes. A relocated record's
     /// old plaintext is exactly as sensitive as its current bytes: leaving
     /// it unshredded would survive the record's eventual deletion.
     pub(crate) fn compact_store(&mut self) -> Result<usize, WormError> {
-        // Unique live extents, highest offset first: draining from the
-        // top frees contiguous space at the tail of the region.
-        let mut extents: Vec<RecordDescriptor> = Vec::new();
-        {
+        // Live extents with the VR that owns each, highest offset first:
+        // draining from the top frees contiguous space at the tail of
+        // the region.
+        let mut extents: Vec<(SerialNumber, RecordDescriptor)> = {
             // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             let vrdt = self.vrdt.read();
-            let mut seen = BTreeSet::new();
-            for vrd in vrdt.iter_active() {
-                for rd in &vrd.rdl {
-                    if seen.insert(rd.offset) {
-                        extents.push(*rd);
-                    }
-                }
-            }
-        }
-        extents.sort_by_key(|rd| std::cmp::Reverse(rd.offset));
+            vrdt.iter_active()
+                .flat_map(|vrd| vrd.rdl.iter().map(|rd| (vrd.sn, *rd)))
+                .collect()
+        };
+        extents.sort_by_key(|(_, rd)| std::cmp::Reverse(rd.offset));
         let mut moved = 0usize;
-        for old in extents {
+        for (sn, old) in extents {
             let Some(new_rd) = self.store.relocate_down(&old)? else {
                 continue;
             };
-            // Rewrite every active VRD referencing the old extent, and
-            // take the first referent's shredder for the vacated bytes.
-            let mut updated: Vec<Vrd> = Vec::new();
-            let mut shredder: Option<Shredder> = None;
-            {
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
-                let vrdt = self.vrdt.read();
-                for vrd in vrdt.iter_active() {
-                    if vrd.rdl.iter().any(|rd| rd.offset == old.offset) {
-                        shredder.get_or_insert(vrd.attr.shredder);
-                        let mut v = vrd.clone();
-                        for rd in &mut v.rdl {
-                            if rd.offset == old.offset {
-                                *rd = new_rd;
-                            }
-                        }
-                        updated.push(v);
-                    }
-                }
-            }
-            let Some(shredder) = shredder else {
+            // Point the owning VRD at the copy; its shredder destroys the
+            // vacated bytes.
+            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
+            let owner = match self.vrdt.read().lookup(sn) {
+                Lookup::Active(v) => Some(v.clone()),
+                _ => None,
+            };
+            let Some(mut owner) = owner else {
                 // Raced a deletion: nothing references the copy we just
                 // made. Hand the new extent back untouched — the deletion
                 // path owns shredding the original.
                 self.store.release(&new_rd);
                 continue;
             };
+            for rd in owner.rdl.iter_mut().filter(|rd| **rd == old) {
+                *rd = new_rd;
+            }
             let state = ShredState {
                 rd: old,
-                shredder,
+                shredder: owner.attr.shredder,
                 next_pass: 0,
             };
             {
                 // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 let mut vrdt = self.vrdt.write();
-                for v in &updated {
-                    vrdt.stage_replace(v)?;
-                }
+                vrdt.stage_replace(&owner)?;
                 vrdt.stage_shred_begin(&state)?;
                 vrdt.commit_txn()?;
-            }
-            // The extent moved but the record id did not: repoint the
-            // content-addressed index at the new copy.
-            if let Some(digest) = self.record_hashes.get(&old.id) {
-                self.dedup_index.insert(*digest, new_rd);
             }
             self.run_shred(state)?;
             self.stats.compact_relocations.inc();
@@ -720,10 +669,10 @@ impl<D: BlockDevice> WitnessPlane<D> {
             match item {
                 OutboxItem::Deleted { proof, shredder } => {
                     // Expire under the write lock FIRST, collecting the
-                    // extents whose last reference died; shred after the
-                    // lock is dropped. Readers holding the read lock have
-                    // finished their store reads before we got the write
-                    // lock; later readers see the deletion proof.
+                    // VR's extents; shred after the lock is dropped.
+                    // Readers holding the read lock have finished their
+                    // store reads before we got the write lock; later
+                    // readers see the deletion proof.
                     //
                     // The expiration and every shred intent commit as ONE
                     // staged journal transaction: a crash either rolls the
@@ -731,38 +680,29 @@ impl<D: BlockDevice> WitnessPlane<D> {
                     // destroyed) or replays past the commit marker and
                     // resumes every pending shred — never a deleted record
                     // whose plaintext quietly survives.
-                    let mut to_shred: Vec<ShredState> = Vec::new();
-                    {
+                    let to_shred = {
                         // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                         let mut vrdt = self.vrdt.write();
-                        let rdl: Vec<RecordDescriptor> = match vrdt.lookup(proof.sn) {
-                            Lookup::Active(v) => v.rdl.clone(),
-                            _ => Vec::new(),
-                        };
-                        for rd in &rdl {
-                            // Shared extents (overlapping VRs) survive
-                            // until their last referencing VR dies.
-                            let count = self.refcounts.entry(rd.id).or_insert(1);
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                self.refcounts.remove(&rd.id);
-                                if let Some(digest) = self.record_hashes.remove(&rd.id) {
-                                    self.dedup_index.remove(&digest);
-                                }
-                                to_shred.push(ShredState {
-                                    rd: *rd,
+                        let to_shred: Vec<ShredState> = match vrdt.lookup(proof.sn) {
+                            Lookup::Active(v) => v
+                                .rdl
+                                .iter()
+                                .map(|&rd| ShredState {
+                                    rd,
                                     shredder,
                                     next_pass: 0,
-                                });
-                            }
-                        }
+                                })
+                                .collect(),
+                            _ => Vec::new(),
+                        };
                         self.unaudited.remove(&proof.sn);
                         vrdt.stage_expire(&proof)?;
                         for state in &to_shred {
                             vrdt.stage_shred_begin(state)?;
                         }
                         vrdt.commit_txn()?;
-                    }
+                        to_shred
+                    };
                     for state in to_shred {
                         self.run_shred(state)?;
                     }

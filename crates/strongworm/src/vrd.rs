@@ -6,11 +6,10 @@
 //! attributes, the physical record descriptor list (RDL), and the two SCPU
 //! signatures `metasig` and `datasig`.
 
-use wormcrypt::{ChainHash, MultisetHash};
+use wormcrypt::ChainHash;
 use wormstore::RecordDescriptor;
 
 use crate::attr::RecordAttributes;
-use crate::config::DataHashScheme;
 use crate::sn::SerialNumber;
 use crate::witness::Witness;
 
@@ -48,44 +47,12 @@ impl Vrd {
 }
 
 /// Computes the chained hash of an ordered record list — the `Hash(data)`
-/// that `datasig` covers under [`DataHashScheme::Chained`].
+/// that `datasig` covers (Table 1).
 pub fn data_chain_hash<'a, I>(records: I) -> Vec<u8>
 where
     I: IntoIterator<Item = &'a [u8]>,
 {
     ChainHash::digest_records(records)
-}
-
-/// Computes the additive multiset hash of a record list
-/// ([`DataHashScheme::Multiset`], Table 1's incremental alternative).
-pub fn data_multiset_hash<'a, I>(records: I) -> Vec<u8>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    let mut m = MultisetHash::new();
-    for r in records {
-        m.add(r);
-    }
-    m.digest()
-}
-
-/// Computes `Hash(data)` under the given scheme.
-pub fn data_hash<'a, I>(scheme: DataHashScheme, records: I) -> Vec<u8>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-{
-    match scheme {
-        DataHashScheme::Chained => data_chain_hash(records),
-        DataHashScheme::Multiset => data_multiset_hash(records),
-    }
-}
-
-/// Expected digest length for a scheme (32 for chained, 40 for multiset).
-pub fn data_hash_len(scheme: DataHashScheme) -> usize {
-    match scheme {
-        DataHashScheme::Chained => 32,
-        DataHashScheme::Multiset => 40,
-    }
 }
 
 #[cfg(test)]

@@ -485,15 +485,6 @@ impl Vrdt {
         Ok(())
     }
 
-    /// Stages a VRD insert into the open transaction.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::Journal`] if the durable append fails.
-    pub fn stage_insert(&mut self, vrd: &Vrd) -> Result<(), WormError> {
-        self.stage(OP_INSERT, codec::encode_vrd(vrd))
-    }
-
     /// Stages a VRD replacement into the open transaction.
     ///
     /// # Errors
@@ -725,19 +716,6 @@ impl Vrdt {
     #[doc(hidden)]
     pub fn entries_mut_for_attack(&mut self) -> &mut BTreeMap<SerialNumber, VrdtEntry> {
         &mut self.entries
-    }
-
-    /// Direct mutable access to windows — adversarial test hook.
-    #[doc(hidden)]
-    pub fn windows_mut_for_attack(&mut self) -> &mut Vec<WindowProof> {
-        &mut self.windows
-    }
-
-    /// Overwrites the head certificate without journaling — adversarial
-    /// test hook (stale-head replay).
-    #[doc(hidden)]
-    pub fn set_head_for_attack(&mut self, head: HeadCert) {
-        self.head = Some(head);
     }
 }
 

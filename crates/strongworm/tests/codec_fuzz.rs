@@ -611,6 +611,27 @@ fn audit_page_count_bomb_rejected() {
     assert!(wormaudit::codec::decode_audit_page(&bomb).is_err());
 }
 
+#[test]
+fn device_keys_reserved_byte_must_be_zero() {
+    // The byte after the tag once named a data-hash scheme (0 chained,
+    // 1 multiset). One scheme is left, so the byte is reserved: a default
+    // server still sends tag-then-0, and nothing else decodes.
+    const TAG: &[u8] = b"strongworm.devicekeys.v1";
+    let clock = VirtualClock::starting_at_millis(1_000_000);
+    let srv = WormServer::new(WormConfig::test_small(), clock, regulator().public()).unwrap();
+    let enc = codec::encode_device_keys(srv.keys());
+    let reserved_at = 4 + TAG.len();
+    assert_eq!(&enc[..4], (TAG.len() as u32).to_be_bytes());
+    assert_eq!(&enc[4..reserved_at], TAG);
+    assert_eq!(enc[reserved_at], 0);
+    assert!(codec::decode_device_keys(&enc).is_ok());
+    for scheme in [1u8, 0xFF] {
+        let mut other = enc.clone();
+        other[reserved_at] = scheme;
+        assert!(codec::decode_device_keys(&other).is_err());
+    }
+}
+
 // ---------------------------------------------------------------------
 // The streaming read path (`read_into`) against the owned one (`read` +
 // `encode_read_outcome_into`): one layout, so the same bytes, for every

@@ -25,7 +25,6 @@ fn fw_config() -> FirmwareConfig {
         head_refresh_interval: Duration::from_secs(120),
         base_cert_lifetime: Duration::from_secs(86400),
         min_compaction_run: 3,
-        data_hash: strongworm::DataHashScheme::Chained,
         sn_origin: 0,
     }
 }
@@ -528,7 +527,7 @@ fn device_keys(dev: &mut Fw) -> strongworm::firmware::DeviceKeys {
 
 /// What `datasig` covers for the one record `write_as` sends.
 fn payload_hash() -> Vec<u8> {
-    strongworm::vrd::data_hash(strongworm::DataHashScheme::Chained, [b"payload".as_slice()])
+    strongworm::vrd::data_chain_hash([b"payload".as_slice()])
 }
 
 /// `metasig` and `datasig` come out of one pair call; the device is still

@@ -17,8 +17,6 @@
 //!   IBM 4764 benchmark rows in Table 2; [`Sha256`] is the default hash).
 //! * [`Hmac`] — RFC 2104, the paper's fastest burst-witnessing construct.
 //! * [`ChainHash`] — the chained record hash signed by `datasig` (Table 1).
-//! * [`MultisetHash`] — incremental (add/remove) multiset hashing, the
-//!   alternative Table 1 cites \[Bellare–Micciancio, Clarke et al.\].
 //! * [`MerkleTree`] — the O(log n)-per-update baseline the paper's window
 //!   scheme replaces (ablation A1).
 //! * [`wire`] — the one canonical byte encoding everything hashed or
@@ -51,7 +49,6 @@ mod chain;
 mod digest;
 mod error;
 mod hmac;
-mod incremental;
 mod merkle;
 mod rsa;
 mod sha1;
@@ -62,7 +59,6 @@ pub use chain::{ChainHash, ChainRecordWriter};
 pub use digest::Digest;
 pub use error::CryptoError;
 pub use hmac::{ct_eq, Hmac};
-pub use incremental::MultisetHash;
 pub use merkle::MerkleTree;
 pub use rsa::{HashAlg, RsaPrivateKey, RsaPublicKey};
 pub use sha1::Sha1;

@@ -5,8 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wormcrypt::bignum::{Montgomery, Ubig};
 use wormcrypt::{
-    ChainHash, Digest, HashAlg, Hmac, MerkleTree, MultisetHash, RsaPrivateKey, RsaPublicKey, Sha1,
-    Sha256,
+    ChainHash, Digest, HashAlg, Hmac, MerkleTree, RsaPrivateKey, RsaPublicKey, Sha1, Sha256,
 };
 
 fn ubig_strategy(max_bytes: usize) -> impl Strategy<Value = Ubig> {
@@ -284,42 +283,6 @@ proptest! {
             let refs2: Vec<&[u8]> = mutated.iter().map(|r| r.as_slice()).collect();
             prop_assert_ne!(ChainHash::digest_records(refs2.iter().copied()), base.clone());
         }
-    }
-
-    // --- Multiset hash ----------------------------------------------------
-
-    #[test]
-    fn multiset_order_independent(elems in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..16), 0..10),
-                                  seed in any::<u64>()) {
-        let mut fwd = MultisetHash::new();
-        for e in &elems {
-            fwd.add(e);
-        }
-        // Deterministic shuffle.
-        let mut shuffled = elems.clone();
-        let mut s = seed;
-        for i in (1..shuffled.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            shuffled.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        let mut rev = MultisetHash::new();
-        for e in &shuffled {
-            rev.add(e);
-        }
-        prop_assert_eq!(fwd, rev);
-    }
-
-    #[test]
-    fn multiset_add_remove_is_identity(keep in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..8), 0..6),
-                                       temp in proptest::collection::vec(any::<u8>(), 0..8)) {
-        let mut m = MultisetHash::new();
-        for e in &keep {
-            m.add(e);
-        }
-        let snapshot = m.clone();
-        m.add(&temp);
-        m.remove(&temp);
-        prop_assert_eq!(m, snapshot);
     }
 
     // --- Merkle tree ------------------------------------------------------

@@ -781,7 +781,6 @@ mod tests {
                     sig: sig(i),
                 };
                 let keys = DeviceKeys {
-                    data_hash: strongworm::DataHashScheme::Multiset,
                     sign: tiny_key(20 + i),
                     delete: tiny_key(40 + i),
                     weak_cert: weak_cert.clone(),

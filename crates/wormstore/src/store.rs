@@ -294,12 +294,6 @@ impl<D: BlockDevice> RecordStore<D> {
         &self.dev
     }
 
-    /// Mutable device access — this is Mallory's physical-attack surface
-    /// and the benches' stats hook; normal callers use `write`/`read`.
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.dev
-    }
-
     /// Bytes currently un-allocatable past the bump pointer.
     pub fn watermark(&self) -> u64 {
         self.alloc.lock().watermark
@@ -390,6 +384,7 @@ impl<D: BlockDevice> RecordStore<D> {
         let result = shredder.shred(&self.dev, rd, rng).map_err(StoreError::from);
         wormtrace::span::finish(span, result.is_ok(), None);
         result?;
+        // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
         let mut alloc = self.alloc.lock();
         alloc.lifetime.bytes_shredded += rd.len;
         alloc.lifetime.records_shredded += 1;

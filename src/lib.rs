@@ -9,5 +9,4 @@ pub use scpu;
 pub use softworm;
 pub use strongworm;
 pub use wormcrypt;
-pub use wormfs;
 pub use wormstore;

@@ -109,6 +109,29 @@ fn record_substitution_is_detected() {
     );
 }
 
+/// Theorem 1: `datasig`'s chained hash binds the order of a VR's records,
+/// so swapping two descriptors inside one RDL is detected.
+#[test]
+fn reordered_records_are_detected() {
+    let (srv, clock) = server();
+    let v = verifier(&srv, clock.clone());
+    let sn = srv
+        .write(&[b"first", b"second"], short_policy(1000))
+        .unwrap();
+    {
+        let (mut vrdt, _) = srv.parts_mut_for_attack();
+        if let Some(strongworm::vrdt::VrdtEntry::Active(vrd)) =
+            vrdt.entries_mut_for_attack().get_mut(&sn)
+        {
+            vrd.rdl.reverse();
+        }
+    }
+    assert_eq!(
+        v.verify_read(sn, &srv.read(sn).unwrap()),
+        Err(VerifyError::DataHashMismatch)
+    );
+}
+
 /// Theorem 2: claiming an active record never existed, against a fresh
 /// head certificate.
 #[test]

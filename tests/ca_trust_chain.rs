@@ -26,7 +26,7 @@ fn client_bootstraps_from_ca_root_only() {
 
     // A client that only trusts the CA builds its verifier from the
     // certificates the (untrusted) host serves.
-    let mut v = Verifier::from_certificates(
+    let v = Verifier::from_certificates(
         ca.public(),
         &sign_cert,
         &del_cert,
@@ -35,7 +35,6 @@ fn client_bootstraps_from_ca_root_only() {
         clock.clone(),
     )
     .expect("chain verifies");
-    v.set_data_hash_scheme(srv.keys().data_hash);
 
     let sn = srv.write(&[b"chained trust"], short_policy(1000)).unwrap();
     let outcome = srv.read(sn).unwrap();

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::VirtualClock;
 use strongworm::proofs::{DeletionEvidence, ReadOutcome};
-use strongworm::vrd::data_hash;
+use strongworm::vrd::data_chain_hash;
 use strongworm::witness::{data_payload, meta_payload, window_payload, WindowSide, Witness};
 use strongworm::{
     ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, Verifier, VerifyError,
@@ -85,7 +85,7 @@ pub fn sequential_verdict(
             if !metasig.verify(&keys.sign, &meta_payload(vrd.sn, &vrd.attr.encode())) {
                 return Err(VerifyError::BadSignature("metasig"));
             }
-            let chain = data_hash(keys.data_hash, records.iter().map(|r| r.as_ref()));
+            let chain = data_chain_hash(records.iter().map(|r| r.as_ref()));
             if !datasig.verify(&keys.sign, &data_payload(vrd.sn, &chain)) {
                 return Err(VerifyError::DataHashMismatch);
             }

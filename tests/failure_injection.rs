@@ -165,6 +165,46 @@ fn tamper_response_kills_updates_but_reads_keep_serving() {
     }
 }
 
+/// A write that fails before its VRD exists leaves nothing behind: the
+/// extents already written belong to no VR, so no expiry would ever shred
+/// them. Both ways a write can fail there — the store refusing a later
+/// record of the VR, the SCPU refusing to witness — give back the space
+/// and destroy the plaintext.
+#[test]
+fn refused_writes_leave_no_extent_and_no_plaintext() {
+    const REFUSED: &[u8] = b"refused plaintext, never witnessed";
+    let mut cfg = WormConfig::test_small();
+    cfg.store_capacity = 256;
+    let (srv, _clock) = server_with(cfg);
+    srv.write(&[b"pre"], short_policy(100_000)).unwrap();
+    let usage = || (srv.store().watermark(), srv.store().free_bytes());
+    let copies = || {
+        let (_vrdt, store) = srv.parts_mut_for_attack();
+        let raw = store.device().raw();
+        raw.windows(REFUSED.len()).filter(|w| *w == REFUSED).count()
+    };
+    let before = usage();
+
+    // The store takes the first record and has no room for the second.
+    match srv.write(&[REFUSED, &[0xAB; 256]], short_policy(100)) {
+        Err(WormError::Store(wormstore::StoreError::OutOfSpace { .. })) => {}
+        other => panic!("expected out of space, got {other:?}"),
+    }
+    assert_eq!((usage(), copies()), (before, 0));
+
+    // A tampered SCPU refuses every write, of one record or of several.
+    srv.tamper_device(TamperCause::Penetration);
+    for _ in 0..10 {
+        for records in [&[REFUSED][..], &[REFUSED, b"second", REFUSED][..]] {
+            assert!(matches!(
+                srv.write(records, short_policy(100)),
+                Err(WormError::Device(_))
+            ));
+            assert_eq!((usage(), copies()), (before, 0));
+        }
+    }
+}
+
 #[test]
 fn tamper_zeroizes_firmware_state() {
     let (srv, _clock) = server();

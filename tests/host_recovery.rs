@@ -178,26 +178,6 @@ fn recovery_counters_report_torn_tail_and_replay() {
     );
 }
 
-#[test]
-fn dedup_index_rebuilds_after_crash() {
-    let (srv, clock) = server();
-    let shared: &[u8] = b"popular-attachment-bytes";
-    srv.write_dedup(&[b"m1", shared], short_policy(10_000))
-        .unwrap();
-    let before = srv.store().watermark();
-
-    let srv = crash_and_resume(srv, WormConfig::test_small(), clock.clone());
-
-    // Post-crash dedup writes still reuse the pre-crash extent.
-    srv.write_dedup(&[b"m2", shared], short_policy(10_000))
-        .unwrap();
-    let growth = srv.store().watermark() - before;
-    assert!(
-        growth < shared.len() as u64,
-        "dedup must survive recovery (grew {growth} bytes)"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Exact-count counter assertions on the durable (on-disk journal) path,
 // with power cuts injected at precise write boundaries via `TornDisk`.

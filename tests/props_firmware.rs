@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Device, DeviceConfig, VirtualClock};
 use strongworm::firmware::{FirmwareConfig, WormFirmware, WormRequest, WormResponse, WriteData};
-use strongworm::{DataHashScheme, RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
+use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
 use wormstore::Shredder;
 
 type Fw = Device<WormFirmware>;
@@ -32,7 +32,6 @@ fn boot() -> (Fw, Arc<VirtualClock>) {
             head_refresh_interval: Duration::from_secs(100_000), // quiet heartbeat
             base_cert_lifetime: Duration::from_secs(86_400),
             min_compaction_run: 3,
-            data_hash: DataHashScheme::Chained,
             sn_origin: 0,
         }),
         DeviceConfig {

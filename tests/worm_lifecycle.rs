@@ -113,6 +113,47 @@ fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
 }
 
+/// An extent has exactly one owning VR: identical bytes written twice are
+/// stored twice, and one VR's expiry shreds its own copy and no other.
+#[test]
+fn identical_writes_own_separate_extents() {
+    const ATTACHMENT: &[u8] = b"quarterly-results.xlsx: 48KB of spreadsheet bytes (simulated)";
+    let (srv, clock) = server();
+    let v = verifier(&srv, clock.clone());
+    srv.write(&[b"anchor"], short_policy(1_000_000)).unwrap();
+    let a = srv.write(&[ATTACHMENT], short_policy(50)).unwrap();
+    let b = srv.write(&[ATTACHMENT], short_policy(100_000)).unwrap();
+    let extent = |sn| match srv.read(sn).unwrap() {
+        ReadOutcome::Data { vrd, .. } => vrd.rdl[0],
+        other => panic!("unexpected {other:?}"),
+    };
+    let (rd_a, rd_b) = (extent(a), extent(b));
+    assert_ne!(rd_a.id, rd_b.id);
+    assert_ne!(rd_a.offset, rd_b.offset);
+
+    clock.advance(Duration::from_secs(60));
+    srv.tick().unwrap();
+    assert_eq!(srv.read(a).unwrap().kind(), "deleted");
+    {
+        let (_vrdt, store) = srv.parts_mut_for_attack();
+        let raw = store.device().raw();
+        let at = |rd: wormstore::RecordDescriptor| {
+            raw[rd.offset as usize..(rd.offset + rd.len) as usize].to_vec()
+        };
+        assert_eq!(at(rd_a), vec![0u8; ATTACHMENT.len()]);
+        assert_eq!(at(rd_b), ATTACHMENT);
+    }
+    let outcome = srv.read(b).unwrap();
+    assert_eq!(
+        v.verify_read(b, &outcome).unwrap(),
+        ReadVerdict::Intact { sn: b }
+    );
+    match outcome {
+        ReadOutcome::Data { records, .. } => assert_eq!(&records[0][..], ATTACHMENT),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
 #[test]
 fn records_expire_in_expiration_order_not_insertion_order() {
     let (srv, clock) = server();
