@@ -816,12 +816,12 @@ mod tests {
     }
 
     /// A pair decides each half on its own: the half that failed is not
-    /// remembered, whichever it was and whatever the other did, at the
-    /// width whose keys carry lanes (1024 bits) and at one whose keys do
-    /// not (512).
+    /// remembered, whichever it was and whatever the other did, at a width
+    /// whose keys carry lanes (1024 bits) and at one whose keys do not
+    /// (768).
     #[test]
     fn a_failed_half_of_a_pair_enters_neither_memo() {
-        for strong_bits in [512usize, 1024] {
+        for strong_bits in [768usize, 1024] {
             let clock = VirtualClock::starting_at_millis(1_000_000);
             let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x3E31), 512);
             let config = WormConfig {

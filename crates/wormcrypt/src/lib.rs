@@ -10,9 +10,9 @@
 //!   modular exponentiation and Miller–Rabin primality.
 //! * [`RsaPrivateKey`] / [`RsaPublicKey`] — PKCS#1 v1.5 signatures at the
 //!   512/1024/2048-bit widths the paper's deferred-strength scheme uses;
-//!   on a CPU with AVX-512 IFMA the private operation runs in four lanes
-//!   and [`RsaPrivateKey::sign_pair`] signs two messages for the price of
-//!   one.
+//!   on a CPU with AVX-512 IFMA the private operation runs in four lanes,
+//!   [`RsaPrivateKey::sign_pair`] signs two messages for the price of one,
+//!   and [`RsaPublicKey::verify_pair`] checks two signatures in one pass.
 //! * [`Sha1`] and [`Sha256`] — FIPS 180-4 hashes ([`Sha1`] matches the
 //!   IBM 4764 benchmark rows in Table 2; [`Sha256`] is the default hash).
 //! * [`Hmac`] — RFC 2104, the paper's fastest burst-witnessing construct.
@@ -65,7 +65,7 @@ pub use sha1::Sha1;
 pub use sha256::Sha256;
 
 /// The hardware engines (`vendor/shani`) and whether this CPU runs them:
-/// `sha-ni` under [`Sha256`], `ifma52` under the RSA private operation.
+/// `sha-ni` under [`Sha256`], `ifma52` under RSA signing and verification.
 /// For labelling a measurement with the machine it came from; the code
 /// that selects an engine asks `shani` itself.
 pub fn hardware_engines() -> [(&'static str, bool); 2] {

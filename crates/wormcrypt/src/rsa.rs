@@ -8,19 +8,19 @@
 //! modular exponentiation.
 //!
 //! There are two engines. [`Montgomery::pow`] is the scalar one: it runs on
-//! every CPU and key width, it is what [`RsaPublicKey::verify`] uses, and it
-//! is the reference the tests compare against. Where the CPU has AVX-512
-//! IFMA, a key also carries its moduli prepared for `shani::ifma52`, which
-//! raises four numbers to four exponents in the time the scalar code takes
-//! for little more than one. On the private side (keys 512, 1024 or 2048
-//! bits wide) the CRT halves of one signature fill two lanes, those of two
-//! signatures under one key ([`RsaPrivateKey::sign_pair`]) all four. On the
-//! public side (a 1024-bit modulus, a one-limb exponent) the two signatures
-//! a record carries are checked in one pass ([`RsaPublicKey::verify_pair`]),
-//! two lanes idle; narrower keys gain nothing from that and wider ones have
-//! no kernel, so both stay scalar. Which engine runs is fixed when the key
-//! is built, from the CPU and the width alone; PKCS#1 v1.5 is deterministic,
-//! so both give the same bytes and the same verdicts.
+//! every CPU and key width and is the reference the tests compare against.
+//! Where the CPU has AVX-512 IFMA, a key also carries its moduli prepared
+//! for `shani::ifma52`, whose vectors hold four lanes of 52-bit digits. On
+//! the private side (keys 512, 1024 or 2048 bits wide) a number takes one
+//! lane: the CRT halves of one signature fill two, those of two signatures
+//! under one key ([`RsaPrivateKey::sign_pair`]) all four. On the public side
+//! (a one-limb exponent) a number spreads over the lanes there are: the two
+//! signatures a record carries are checked in one pass of two lanes each
+//! ([`RsaPublicKey::verify_pair`]), a lone signature in four
+//! ([`RsaPublicKey::verify`]; not at 512 bits, whose ten digits do not
+//! split in four). Which engine runs is fixed when the key is built, from
+//! the CPU and the width alone; PKCS#1 v1.5 is deterministic, so both give
+//! the same bytes and the same verdicts.
 
 use std::fmt;
 
@@ -75,9 +75,9 @@ pub struct RsaPublicKey {
     /// RSA key has but the wire format can carry. Boxed because keys travel
     /// by value inside response enums.
     ctx: Option<Box<Montgomery>>,
-    /// `n` prepared for the four-lane engine, which [`Self::verify_pair`]
-    /// uses: present for an odd 1024-bit `n` with a one-limb `e` on a CPU
-    /// that has the engine.
+    /// `n` prepared for the lane engine, which [`Self::verify`] and
+    /// [`Self::verify_pair`] use: present for an odd `n` 512, 1024 or 2048
+    /// bits wide with a one-limb `e`, on a CPU that has the engine.
     lanes: Option<Box<ifma52::Modulus>>,
     fingerprint: [u8; 8],
 }
@@ -132,10 +132,18 @@ impl RsaPublicKey {
         h.update(&e.to_bytes_be());
         let mut fingerprint = [0u8; 8];
         fingerprint.copy_from_slice(&h.finalize()[..8]);
-        // The one width the pair is faster at (see `verify_pair`).
-        let lanes = (ifma52::available() && n.bit_len() == 1024 && e.bit_len() <= 64)
-            .then(|| lane_modulus(&n, 20))
-            .flatten();
+        // The widths whose rows in the engine table (EXPERIMENTS.md) show
+        // lanes faster than the scalar engine: all three this repository
+        // signs with. At 512 bits that is the pair alone.
+        let digits = match n.bit_len() {
+            512 => Some(10),
+            1024 => Some(20),
+            2048 => Some(40),
+            _ => None,
+        };
+        let lanes = digits
+            .filter(|_| ifma52::available() && e.bit_len() <= 64)
+            .and_then(|digits| lane_modulus(&n, digits));
         RsaPublicKey {
             ctx: Montgomery::new(&n).map(Box::new),
             lanes: lanes.map(Box::new),
@@ -174,22 +182,29 @@ impl RsaPublicKey {
     ///
     /// Returns `false` for any malformed, truncated, or mismatching
     /// signature — verification never panics on attacker-controlled input.
+    /// The exponentiation spreads over four lanes where the key carries them
+    /// and its digits split in four (1024 and 2048 bits).
     pub fn verify(&self, msg: &[u8], sig: &[u8], alg: HashAlg) -> bool {
         let Some(s) = self.signature_value(sig) else {
             return false;
         };
-        let em = match &self.ctx {
-            Some(ctx) => ctx.pow(&s, &self.e),
-            None => s.pow_mod(&self.e, &self.n),
+        let lanes = self
+            .lanes
+            .as_deref()
+            .and_then(|n| ifma52::pow_short([n], [&s.limbs], [self.e.low_u64()]));
+        let em = match (lanes, &self.ctx) {
+            (Some([em]), _) => Ubig::from_limbs(em),
+            (None, Some(ctx)) => ctx.pow(&s, &self.e),
+            (None, None) => s.pow_mod(&self.e, &self.n),
         };
         self.is_encoding_of(&em, msg, alg)
     }
 
     /// Verifies two PKCS#1 v1.5 signatures, each under its own key: exactly
     /// `[keys[0].verify(msgs[0], sigs[0], alg), keys[1].verify(msgs[1],
-    /// sigs[1], alg)]`, and where both keys carry lanes the two
-    /// exponentiations are one four-lane pass. A half that is malformed is
-    /// `false` and costs the other nothing but the scalar engine.
+    /// sigs[1], alg)]`, and where both keys carry lanes of one width the two
+    /// exponentiations are one pass, two lanes each. A half that is
+    /// malformed is `false` and costs the other one `verify`.
     pub fn verify_pair(
         keys: [&RsaPublicKey; 2],
         msgs: [&[u8]; 2],
@@ -200,8 +215,8 @@ impl RsaPublicKey {
             .unwrap_or_else(|| [0, 1].map(|i| keys[i].verify(msgs[i], sigs[i], alg)))
     }
 
-    /// [`Self::verify_pair`] where both keys carry lanes and both signatures
-    /// are values the lanes may be given; `None` otherwise.
+    /// [`Self::verify_pair`] where both keys carry lanes of one width and
+    /// both signatures are values the lanes may be given; `None` otherwise.
     fn verify_pair_in_lanes(
         keys: [&RsaPublicKey; 2],
         msgs: [&[u8]; 2],
@@ -213,13 +228,11 @@ impl RsaPublicKey {
             keys[0].signature_value(sigs[0])?,
             keys[1].signature_value(sigs[1])?,
         ];
-        // Lanes 2 and 3 idle: 0^0 under either modulus, which lengthens
-        // nothing.
-        let (e0, e1) = (keys[0].e.low_u64(), keys[1].e.low_u64());
-        let [em0, em1, _, _] = ifma52::pow4_short(
-            [a, b, a, b],
-            [&s[0].limbs, &s[1].limbs, &[], &[]],
-            [e0, e1, 0, 0],
+        // Keys of different widths share no pass: `None`.
+        let [em0, em1] = ifma52::pow_short(
+            [a, b],
+            [&s[0].limbs, &s[1].limbs],
+            [keys[0].e.low_u64(), keys[1].e.low_u64()],
         )?;
         Some([
             keys[0].is_encoding_of(&Ubig::from_limbs(em0), msgs[0], alg),
@@ -610,15 +623,16 @@ mod tests {
 
     #[test]
     fn public_lanes_are_chosen_by_cpu_width_and_exponent_alone() {
-        let [k512, k1024, k2048] = lane_width_keys().each_ref().map(|k| k.public());
-        assert_eq!(k1024.lanes.is_some(), ifma52::available());
-        assert!(k1024.scalar_only().lanes.is_none());
-        assert_eq!(k1024.scalar_only(), *k1024);
-        // A pair is no faster at 512 bits and has no kernel at 2048.
-        assert!(k512.lanes.is_none() && k2048.lanes.is_none());
-        // As parsed off the wire, too.
-        let parsed = RsaPublicKey::from_bytes(&k1024.to_bytes()).unwrap();
-        assert_eq!(parsed.lanes.is_some(), ifma52::available());
+        // Every width the engine table gave lanes, as built and as parsed
+        // off the wire.
+        for key in lane_width_keys().each_ref().map(|k| k.public()) {
+            assert_eq!(key.lanes.is_some(), ifma52::available(), "{key:?}");
+            assert!(key.scalar_only().lanes.is_none());
+            assert_eq!(key.scalar_only(), *key);
+            let parsed = RsaPublicKey::from_bytes(&key.to_bytes()).unwrap();
+            assert_eq!(parsed.lanes.is_some(), ifma52::available());
+        }
+        let k1024 = lane_width_keys()[1].public();
         // 1024 bits, but even, one bit short, or under a two-limb exponent.
         let n = k1024.n();
         let even = n.sub(&Ubig::one());
@@ -636,13 +650,15 @@ mod tests {
         );
     }
 
-    /// What a non-IFMA machine runs, run here: `verify_pair` over keys as
-    /// built with lanes and without is `[verify, verify]` on honest pairs,
-    /// each kind of damage to either half, and keys of different widths.
+    /// What a non-IFMA machine runs, run here: `verify` and `verify_pair`
+    /// over keys as built with lanes and without give the same verdicts —
+    /// `verify_pair` is `[verify, verify]` — on honest signatures at every
+    /// width that carries lanes, each kind of damage to either half, and
+    /// keys of different widths, which share no pass.
     #[test]
     fn verify_pair_is_two_verifications_with_and_without_lanes() {
         let alg = HashAlg::Sha256;
-        let [k512, k1024, _] = lane_width_keys();
+        let [k512, k1024, k2048] = lane_width_keys();
         let other = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(1025), 1024);
         let (a, b): (&[u8], &[u8]) = (b"metadata", b"data chain");
         let honest = |key: &RsaPrivateKey, msg| key.sign(msg, alg).unwrap();
@@ -657,6 +673,9 @@ mod tests {
             (k1024, b, honest(k1024, b), true),
             (&other, b, honest(&other, b), true),
             (k512, a, honest(k512, a), true),
+            (k512, b, flipped(honest(k512, b), 63), false),
+            (k2048, a, honest(k2048, a), true),
+            (k2048, b, flipped(honest(k2048, b), 0), false),
             // The other message's signature, another key's, damage at
             // either end, a byte short, a byte long, nothing.
             (k1024, a, honest(k1024, b), false),
@@ -673,20 +692,31 @@ mod tests {
             (k1024, a, vec![0xff; 128], false),
             (k1024, a, vec![0; 128], false),
         ];
+        for (key, msg, sig, ok) in &halves {
+            let key = key.public();
+            assert_eq!(key.verify(msg, sig, alg), *ok, "{key:?}");
+            assert_eq!(key.scalar_only().verify(msg, sig, alg), *ok, "{key:?}");
+        }
         for (key0, msg0, sig0, ok0) in &halves {
             for (key1, msg1, sig1, ok1) in &halves {
                 let keys = [key0.public(), key1.public()];
-                let each = [
-                    keys[0].verify(msg0, sig0, alg),
-                    keys[1].verify(msg1, sig1, alg),
-                ];
-                assert_eq!(each, [*ok0, *ok1]);
                 let scalar = keys.map(RsaPublicKey::scalar_only);
                 for keys in [keys, scalar.each_ref()] {
                     let pair = RsaPublicKey::verify_pair(keys, [msg0, msg1], [sig0, sig1], alg);
-                    assert_eq!(pair, each);
+                    assert_eq!(pair, [*ok0, *ok1]);
                 }
             }
+        }
+        // One width is one pass; two widths are two `verify`s.
+        let in_lanes = |keys: [&RsaPrivateKey; 2]| {
+            let sigs = [honest(keys[0], a), honest(keys[1], b)];
+            let keys = keys.map(RsaPrivateKey::public);
+            RsaPublicKey::verify_pair_in_lanes(keys, [a, b], [&sigs[0], &sigs[1]], alg)
+        };
+        assert_eq!(in_lanes([k512, k1024]), None);
+        assert_eq!(in_lanes([k1024, k2048]), None);
+        for keys in [[k512, k512], [k1024, &other], [k2048, k2048]] {
+            assert_eq!(in_lanes(keys), ifma52::available().then_some([true; 2]));
         }
         // The hash algorithm reaches both halves.
         let sha1 = k1024.sign_pair([a, b], HashAlg::Sha1).unwrap();

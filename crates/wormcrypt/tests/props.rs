@@ -326,12 +326,14 @@ proptest! {
     // 36 pairings of keys by 49 of damage: more cases than the block above.
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `verify_pair` is `[verify, verify]` — the scalar engine, whatever the
-    /// keys carry — for every pairing of six keys (two of the width that has
-    /// lanes, one narrower, one wider, and two 1024-bit keys no lanes are
-    /// built for: an even modulus, a two-limb exponent) with signatures that
-    /// are honest, the other half's, flipped in any one bit, too short, too
-    /// long, or a number not below the modulus.
+    /// `verify_pair` is `[verify, verify]` for every pairing of six keys —
+    /// two 1024-bit, one 512 and one 2048 (all of which carry lanes on a CPU
+    /// with the engine), and two 1024-bit keys no lanes are built for: an
+    /// even modulus, a two-limb exponent — with signatures that are honest,
+    /// the other half's, flipped in any one bit, too short, too long, or a
+    /// number not below the modulus. Half the draws pair keys of different
+    /// widths, whose digit counts share no pass: they fall back to two
+    /// verifications.
     #[test]
     fn verify_pair_matches_two_verifications(
         msgs in (proptest::collection::vec(any::<u8>(), 0..300), proptest::collection::vec(any::<u8>(), 0..300)),

@@ -48,9 +48,10 @@ pub fn short_policy(secs: u64) -> RetentionPolicy {
     RetentionPolicy::custom(Duration::from_secs(secs), Shredder::ZeroFill)
 }
 
-/// The widths the paper runs at: 1024-bit permanent keys — the one width
-/// at which a client's keys carry the four-lane engine, where the CPU has
-/// it — and 512-bit short-lived ones.
+/// The widths the paper runs at: 1024-bit permanent keys — whose lone
+/// signatures, not only pairs, a client checks in lanes where the CPU has
+/// them (512-bit keys take lanes for pairs alone) — and 512-bit short-lived
+/// ones.
 pub fn paper_widths() -> WormConfig {
     WormConfig {
         strong_bits: 1024,
@@ -60,9 +61,10 @@ pub fn paper_widths() -> WormConfig {
 }
 
 /// What checking an answer's signatures one after the other says, each with
-/// `Signature::verify` (the scalar engine on every machine) and nothing
-/// remembered in between: the definition a [`Verifier`]'s pair path and
-/// memos are held to, written against the public payload builders. Covers
+/// `Signature::verify` (one number to a pass; `wormcrypt`'s own tests hold
+/// that to the scalar engine) and nothing remembered in between: the
+/// definition a [`Verifier`]'s pair path and memos are held to, written
+/// against the public payload builders. Covers
 /// what carries two signatures — a data answer under strong witnesses and
 /// window evidence; `fresh` lends its head check.
 pub fn sequential_verdict(
