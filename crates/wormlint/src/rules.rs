@@ -379,7 +379,7 @@ pub fn l3_test_coverage(
 /// literal emitted by the encoders must be unique, matched by a decoder
 /// arm, and documented as a `| N |` table row in PROTOCOL.md.
 pub fn l3_opcodes(f: &SourceFile, ctx: &CodecContext<'_>, diags: &mut Vec<Diag>) {
-    let encode_ops = put_u8_literals(f, &["encode_request", "encode_request_traced"]);
+    let encode_ops = put_u8_literals(f, &["put_request"]);
     let resp_ops = put_u8_literals(f, &["put_response"]);
     let decode_ops = match_arm_literals(f, &["decode_request_inner", "decode_request"]);
 
@@ -447,7 +447,7 @@ pub fn l3_opcodes(f: &SourceFile, ctx: &CodecContext<'_>, diags: &mut Vec<Diag>)
             "opcode",
             &f.path,
             1,
-            "no `put_u8(<literal>)` opcodes found in encode_request; \
+            "no `put_u8(<literal>)` opcodes found in put_request; \
              opcode audit cannot run"
                 .to_string(),
         ));

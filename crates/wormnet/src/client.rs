@@ -6,7 +6,7 @@
 //! the server itself) altering a response in flight surfaces as a
 //! [`strongworm::VerifyError`], never as silently wrong data.
 
-use std::io::BufReader;
+use std::io::Write as _;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,10 +19,8 @@ use strongworm::{
     Verifier, VerifyRead, WitnessMode,
 };
 
-use crate::frame::{append_frame, read_frame, write_frame, DEFAULT_MAX_FRAME};
-use crate::protocol::{
-    decode_response_shared, encode_request, encode_request_traced, NetRequest, NetResponse,
-};
+use crate::frame::{put_frame, FrameReader, DEFAULT_MAX_FRAME};
+use crate::protocol::{decode_response_shared, put_request, NetRequest, NetResponse};
 use crate::NetError;
 
 /// A connected client session over one TCP stream.
@@ -35,20 +33,27 @@ use crate::NetError;
 /// independent.
 pub struct RemoteWormClient {
     stream: TcpStream,
-    /// Buffered read half (a cloned handle of the same socket): frame
-    /// headers and payloads arrive in few large reads instead of two
-    /// syscalls per frame, which matters once pipelining has many
-    /// responses back-to-back on the wire.
-    reader: BufReader<TcpStream>,
+    /// Read half (a cloned handle of the same socket) and the one
+    /// receive buffer: a pipelined window of responses arrives in one
+    /// `read(2)`, and each response is handed to the decoder as a view
+    /// of that buffer — the one client copy is socket → buffer. A
+    /// decoded record is a view too, so one the caller keeps holds on to
+    /// the buffer it arrived in, and the next read takes a fresh one.
+    reader: FrameReader<TcpStream>,
+    /// Requests written in place and not yet sent: a strict call's one
+    /// frame, or a pipeline's queue. Reused, so a request allocates
+    /// nothing once it has grown.
+    outbuf: Vec<u8>,
     max_frame: u32,
     /// When set, every request is wrapped in a trace-context envelope
     /// (opcode 9) carrying a fresh client-minted trace id, so the
     /// server's span tree for the request is findable by that id.
     tracing: bool,
     last_trace_id: Option<u64>,
-    /// Set when a [`Pipeline`] was dropped with responses still in
-    /// flight: the stream holds replies to requests nobody will match
-    /// up, so every subsequent call would read the wrong frame.
+    /// Set when the stream may hold a reply nobody will match up — a
+    /// [`Pipeline`] dropped with responses in flight, or a request that
+    /// failed after it may have reached the wire — so every subsequent
+    /// call would read the wrong frame.
     desynced: bool,
 }
 
@@ -76,10 +81,11 @@ impl RemoteWormClient {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::with_capacity(64 << 10, stream.try_clone()?);
+        let reader = FrameReader::new(stream.try_clone()?, max_frame);
         Ok(RemoteWormClient {
             stream,
             reader,
+            outbuf: Vec::new(),
             max_frame,
             tracing: false,
             last_trace_id: None,
@@ -105,27 +111,46 @@ impl RemoteWormClient {
         self.last_trace_id
     }
 
-    /// Encodes a request, minting and recording a trace envelope when
-    /// tracing is on. Shared by the call path and [`Pipeline`].
-    fn next_request_bytes(&mut self, req: &NetRequest) -> Vec<u8> {
-        if self.tracing {
-            let ctx = wormtrace::TraceContext {
-                trace_id: wormtrace::span::fresh_trace_id(),
-                parent_span: 0,
-            };
+    /// Writes `req` in place at the end of the output buffer as one
+    /// frame, minting and recording a trace envelope when tracing is on.
+    /// Shared by the call path and [`Pipeline`].
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::FrameTooLarge`] for a request over the frame cap; the
+    /// buffer is then as it was.
+    fn queue(&mut self, req: &NetRequest) -> Result<(), NetError> {
+        let ctx = self.tracing.then(|| wormtrace::TraceContext {
+            trace_id: wormtrace::span::fresh_trace_id(),
+            parent_span: 0,
+        });
+        if let Some(ctx) = ctx {
             self.last_trace_id = Some(ctx.trace_id);
-            encode_request_traced(req, ctx)
-        } else {
-            encode_request(req)
         }
+        put_frame(&mut self.outbuf, self.max_frame, |w| {
+            put_request(w, req, ctx);
+        })
     }
 
-    /// Fails fast on a session a dropped [`Pipeline`] left with
-    /// unmatched responses in flight.
+    /// Writes every queued frame in one call and empties the queue. A
+    /// write that fails may have sent part of a frame, so it leaves the
+    /// session out of step.
+    fn send_queued(&mut self) -> Result<(), NetError> {
+        if self.outbuf.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.outbuf);
+        self.outbuf.clear();
+        self.desynced |= sent.is_err();
+        Ok(sent?)
+    }
+
+    /// Fails fast on a session whose stream may hold a reply nobody
+    /// will match up (see `desynced`).
     fn check_sync(&self) -> Result<(), NetError> {
         if self.desynced {
             return Err(NetError::Protocol(
-                "pipeline dropped with responses in flight; reconnect",
+                "a request failed or was abandoned with its response due; reconnect",
             ));
         }
         Ok(())
@@ -133,25 +158,30 @@ impl RemoteWormClient {
 
     fn call(&mut self, req: &NetRequest) -> Result<NetResponse, NetError> {
         self.check_sync()?;
-        let encoded = self.next_request_bytes(req);
-        if let Err(e) = write_frame(&mut self.stream, &encoded, self.max_frame) {
+        self.queue(req)?;
+        if let Err(e) = self.send_queued() {
             // A write that dies on a broken connection may be racing a
             // courtesy error frame the server sent before closing (load
             // shed at admission sends CODE_BUSY, then hangs up). Drain
             // it so the caller sees *why* the server hung up instead of
             // a bare EPIPE; if there is nothing to read, surface the
             // original write error.
-            if let Ok(Some(payload)) = read_frame(&mut self.reader, self.max_frame) {
-                let payload = bytes::Bytes::from(payload);
+            if let Ok(Some(payload)) = self.reader.next_frame() {
                 if let Ok(NetResponse::Error { code, message }) = decode_response_shared(&payload) {
                     return Err(NetError::Remote { code, message });
                 }
             }
             return Err(e);
         }
-        let payload = read_frame(&mut self.reader, self.max_frame)?.ok_or(NetError::Truncated)?;
-        let payload = bytes::Bytes::from(payload);
-        let resp = decode_response_shared(&payload)?;
+        let payload = self
+            .reader
+            .next_frame()
+            .and_then(|frame| frame.ok_or(NetError::Truncated));
+        // A call that gives up on its response (a timeout, a truncated
+        // or over-cap frame) leaves the rest of it on the wire. A whole
+        // frame that fails to decode leaves the stream in step.
+        self.desynced |= payload.is_err();
+        let resp = decode_response_shared(&payload?)?;
         if let NetResponse::Error { code, message } = resp {
             return Err(NetError::Remote { code, message });
         }
@@ -177,7 +207,6 @@ impl RemoteWormClient {
     pub fn pipeline(&mut self, depth: usize) -> Pipeline<'_> {
         Pipeline {
             depth: depth.max(1),
-            outbuf: Vec::new(),
             in_flight: 0,
             client: self,
         }
@@ -501,8 +530,6 @@ impl RemoteWormClient {
 /// round trip per *window*.
 pub struct Pipeline<'c> {
     depth: usize,
-    /// Encoded frames not yet pushed to the socket.
-    outbuf: Vec<u8>,
     in_flight: usize,
     client: &'c mut RemoteWormClient,
 }
@@ -524,8 +551,7 @@ impl Pipeline<'_> {
     /// not queued), or an undecodable response.
     pub fn send(&mut self, req: &NetRequest) -> Result<Option<NetResponse>, NetError> {
         self.client.check_sync()?;
-        let encoded = self.client.next_request_bytes(req);
-        append_frame(&mut self.outbuf, &encoded, self.client.max_frame)?;
+        self.client.queue(req)?;
         self.in_flight += 1;
         if self.in_flight <= self.depth {
             return Ok(None);
@@ -556,33 +582,35 @@ impl Pipeline<'_> {
     ///
     /// # Errors
     ///
-    /// Transport failures.
+    /// Transport failures. A failed write may have sent part of a frame,
+    /// so it poisons the session (see [`RemoteWormClient::pipeline`]).
     pub fn flush(&mut self) -> Result<(), NetError> {
-        if !self.outbuf.is_empty() {
-            use std::io::Write as _;
-            self.client.stream.write_all(&self.outbuf)?;
-            self.outbuf.clear();
-        }
-        Ok(())
+        self.client.send_queued()
     }
 
     /// Collects the oldest in-flight response, flushing queued frames
-    /// first. `Ok(None)` when nothing is in flight.
+    /// first. `Ok(None)` when nothing is in flight. The response's
+    /// records are views of the client's receive buffer.
     ///
     /// # Errors
     ///
-    /// Transport failures or an undecodable response.
+    /// Transport failures or an undecodable response. After a read
+    /// timeout the response is still due and the bytes received so far
+    /// stay buffered: calling `recv` again resumes.
     pub fn recv(&mut self) -> Result<Option<NetResponse>, NetError> {
         if self.in_flight == 0 {
             return Ok(None);
         }
+        self.client.check_sync()?;
         self.flush()?;
-        let payload = read_frame(&mut self.client.reader, self.client.max_frame)?
+        let payload = self
+            .client
+            .reader
+            .next_frame()?
             .ok_or(NetError::Truncated)?;
         // The frame is consumed whether or not it decodes: the window
         // position is spent either way.
         self.in_flight -= 1;
-        let payload = bytes::Bytes::from(payload);
         Ok(Some(decode_response_shared(&payload)?))
     }
 

@@ -25,7 +25,9 @@
 //! # Architecture
 //!
 //! - [`frame`]: `u32` big-endian length-prefixed frames with a hard
-//!   size cap, so a hostile peer cannot drive unbounded allocation.
+//!   size cap, so a hostile peer cannot drive unbounded allocation, and
+//!   [`FrameReader`], which hands received frames out as views of one
+//!   reused buffer.
 //! - [`protocol`]: [`NetRequest`]/[`NetResponse`] and their codecs,
 //!   layered on [`strongworm::wire`].
 //! - [`server`]: [`NetServer`], an event-driven front-end fronting an
@@ -52,7 +54,7 @@ mod reactor;
 pub mod server;
 
 pub use client::{Pipeline, RemoteWormClient};
-pub use frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+pub use frame::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
 pub use protocol::{NetRequest, NetResponse};
 pub use server::{NetServer, NetServerConfig, WormBackend};
 

@@ -274,7 +274,37 @@ fn witness_from_code(code: u8) -> Result<WitnessMode, WireError> {
 
 /// Encodes a request frame payload.
 pub fn encode_request(req: &NetRequest) -> Vec<u8> {
-    let mut w = WireWriter::tagged(REQ_TAG);
+    WireWriter::encoded(|w| put_request(w, req, None))
+}
+
+/// Wraps an already-meaningful request in the versioned trace-context
+/// envelope (opcode 9): trace id, parent span id, then the inner
+/// request's complete canonical encoding as a nested byte string. A
+/// server that understands the envelope serves the inner request with
+/// its spans joined to the caller's trace; an old server rejects the
+/// unknown opcode with a decode error and the connection survives —
+/// tracing is strictly opt-in per request.
+pub fn encode_request_traced(req: &NetRequest, ctx: wormtrace::TraceContext) -> Vec<u8> {
+    WireWriter::encoded(|w| put_request(w, req, Some(ctx)))
+}
+
+/// Writes a request frame payload in place (the one definition of its
+/// layout): bare, or inside the trace-context envelope when `ctx` is
+/// given. The client encodes straight into its output buffer,
+/// [`encode_request`] and [`encode_request_traced`] into a fresh one.
+pub(crate) fn put_request(
+    w: &mut WireWriter,
+    req: &NetRequest,
+    ctx: Option<wormtrace::TraceContext>,
+) {
+    w.put_str(REQ_TAG);
+    if let Some(ctx) = ctx {
+        w.put_u8(9);
+        w.put_u64(ctx.trace_id);
+        w.put_u64(ctx.parent_span);
+        w.put_nested(|w| put_request(w, req, None));
+        return;
+    }
     match req {
         NetRequest::Write {
             records,
@@ -287,7 +317,7 @@ pub fn encode_request(req: &NetRequest) -> Vec<u8> {
             for rec in records {
                 w.put_bytes(rec);
             }
-            put_policy(&mut w, policy);
+            put_policy(w, policy);
             w.put_u32(*flags);
             w.put_u8(witness_code(*witness));
         }
@@ -334,23 +364,6 @@ pub fn encode_request(req: &NetRequest) -> Vec<u8> {
             w.put_u32(*max_events);
         }
     }
-    w.finish()
-}
-
-/// Wraps an already-meaningful request in the versioned trace-context
-/// envelope (opcode 9): trace id, parent span id, then the inner
-/// request's complete canonical encoding as a nested byte string. A
-/// server that understands the envelope serves the inner request with
-/// its spans joined to the caller's trace; an old server rejects the
-/// unknown opcode with a decode error and the connection survives —
-/// tracing is strictly opt-in per request.
-pub fn encode_request_traced(req: &NetRequest, ctx: wormtrace::TraceContext) -> Vec<u8> {
-    let mut w = WireWriter::tagged(REQ_TAG);
-    w.put_u8(9);
-    w.put_u64(ctx.trace_id);
-    w.put_u64(ctx.parent_span);
-    w.put_bytes(&encode_request(req));
-    w.finish()
 }
 
 /// Decodes a request frame payload (context-free form). An envelope

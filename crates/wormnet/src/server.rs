@@ -34,7 +34,7 @@ use strongworm::{
 };
 use wormstore::BlockDevice;
 
-use crate::frame::{write_frame, DEFAULT_MAX_FRAME};
+use crate::frame::{put_frame, write_frame, DEFAULT_MAX_FRAME};
 use crate::protocol::{
     decode_request_traced, encode_response, error_code, put_outcome_response, put_response,
     NetRequest, NetResponse, CODE_BAD_REQUEST, CODE_BUSY,
@@ -641,10 +641,8 @@ pub(crate) fn respond<B: WormBackend>(
     let observed = stats
         .trace
         .observe(&stats.request, "net.request", wormtrace::Plane::Net);
-    let mut w = WireWriter::from(std::mem::take(out));
     let mut ok = true;
-    // A frame is its payload nested under a u32 length.
-    let framed = w.try_put_nested(|w| {
+    let framed = put_frame(out, max_frame, |w| {
         let body = w.len();
         let handled = match decoded {
             Ok((req, _)) => handle(server, req, w).map_err(|e| (error_code(&e), e.to_string())),
@@ -657,16 +655,7 @@ pub(crate) fn respond<B: WormBackend>(
             w.truncate(body);
             put_response(w, &NetResponse::Error { code, message });
         }
-        let len = (w.len() - body) as u64;
-        if len > u64::from(max_frame) {
-            return Err(NetError::FrameTooLarge {
-                len,
-                max: u64::from(max_frame),
-            });
-        }
-        Ok(())
     });
-    *out = w.finish();
     let elapsed = observed.finish(ok, None);
     // Tail capture: the flight recorder keeps the span tree of every
     // errored or over-threshold request, bounded memory.

@@ -14,7 +14,7 @@ use strongworm::{
     ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, ShardedWormServer, Verifier,
     WitnessMode, WormConfig, WormServer,
 };
-use wormnet::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+use wormnet::frame::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
 use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient, WormBackend};
 use wormstore::Shredder;
 
@@ -222,11 +222,11 @@ fn tampering_proxy(upstream: SocketAddr) -> SocketAddr {
     std::thread::spawn(move || {
         let (client_side, _) = listener.accept().unwrap();
         let server_side = TcpStream::connect(upstream).unwrap();
-        let mut c_read = client_side.try_clone().unwrap();
+        let mut c_read = FrameReader::new(client_side.try_clone().unwrap(), DEFAULT_MAX_FRAME);
         let mut s_write = server_side.try_clone().unwrap();
         // Client → server: pass through untouched.
         std::thread::spawn(move || {
-            while let Ok(Some(frame)) = read_frame(&mut c_read, DEFAULT_MAX_FRAME) {
+            while let Ok(Some(frame)) = c_read.next_frame() {
                 if write_frame(&mut s_write, &frame, DEFAULT_MAX_FRAME).is_err() {
                     break;
                 }
@@ -234,9 +234,9 @@ fn tampering_proxy(upstream: SocketAddr) -> SocketAddr {
         });
         // Server → client: flip the final byte of each response, which
         // lands in the head certificate's signature bytes.
-        let mut s_read = server_side;
+        let mut s_read = FrameReader::new(server_side, DEFAULT_MAX_FRAME);
         let mut c_write = client_side;
-        while let Ok(Some(mut frame)) = read_frame(&mut s_read, DEFAULT_MAX_FRAME) {
+        while let Some(mut frame) = s_read.next_frame().ok().flatten().map(Vec::from) {
             if let Some(last) = frame.last_mut() {
                 *last ^= 0xFF;
             }
@@ -369,18 +369,18 @@ fn first_byte_tampering_proxy(upstream: SocketAddr) -> SocketAddr {
     std::thread::spawn(move || {
         let (client_side, _) = listener.accept().unwrap();
         let server_side = TcpStream::connect(upstream).unwrap();
-        let mut c_read = client_side.try_clone().unwrap();
+        let mut c_read = FrameReader::new(client_side.try_clone().unwrap(), DEFAULT_MAX_FRAME);
         let mut s_write = server_side.try_clone().unwrap();
         std::thread::spawn(move || {
-            while let Ok(Some(frame)) = read_frame(&mut c_read, DEFAULT_MAX_FRAME) {
+            while let Ok(Some(frame)) = c_read.next_frame() {
                 if write_frame(&mut s_write, &frame, DEFAULT_MAX_FRAME).is_err() {
                     break;
                 }
             }
         });
-        let mut s_read = server_side;
+        let mut s_read = FrameReader::new(server_side, DEFAULT_MAX_FRAME);
         let mut c_write = client_side;
-        while let Ok(Some(mut frame)) = read_frame(&mut s_read, DEFAULT_MAX_FRAME) {
+        while let Some(mut frame) = s_read.next_frame().ok().flatten().map(Vec::from) {
             if let Some(first) = frame.first_mut() {
                 *first ^= 0xFF;
             }
@@ -419,8 +419,8 @@ fn hostile_and_malformed_clients_cannot_break_the_server() {
         write_frame(&mut raw, &[0u8; 64], DEFAULT_MAX_FRAME).unwrap();
         // 64-byte frame is fine but garbage: server answers with a
         // bad-request error rather than dying.
-        let resp = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        let decoded = wormnet::protocol::decode_response_shared(&bytes::Bytes::from(resp)).unwrap();
+        let resp = read_one(&mut raw).unwrap().unwrap();
+        let decoded = wormnet::protocol::decode_response_shared(&resp).unwrap();
         assert!(matches!(
             decoded,
             wormnet::protocol::NetResponse::Error { code, .. } if code == wormnet::protocol::CODE_BAD_REQUEST
@@ -431,7 +431,7 @@ fn hostile_and_malformed_clients_cannot_break_the_server() {
         raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
         raw.write_all(&[0u8; 16]).unwrap();
         // The server hangs up on us; the next read sees EOF/reset.
-        let gone = read_frame(&mut raw, DEFAULT_MAX_FRAME);
+        let gone = read_one(&mut raw);
         assert!(matches!(gone, Ok(None) | Err(_)));
     }
 
@@ -567,8 +567,8 @@ fn malformed_trace_envelope_is_bad_request_and_connection_survives() {
     );
     let expect_bad_request = |raw: &mut TcpStream, frame: &[u8]| {
         write_frame(raw, frame, DEFAULT_MAX_FRAME).unwrap();
-        let resp = read_frame(raw, DEFAULT_MAX_FRAME).unwrap().unwrap();
-        match wormnet::protocol::decode_response_shared(&bytes::Bytes::from(resp)).unwrap() {
+        let resp = read_one(raw).unwrap().unwrap();
+        match wormnet::protocol::decode_response_shared(&resp).unwrap() {
             wormnet::protocol::NetResponse::Error { code, .. } => {
                 assert_eq!(code, wormnet::protocol::CODE_BAD_REQUEST);
             }
@@ -597,9 +597,9 @@ fn malformed_trace_envelope_is_bad_request_and_connection_survives() {
         DEFAULT_MAX_FRAME,
     )
     .unwrap();
-    let resp = read_frame(&mut raw, DEFAULT_MAX_FRAME).unwrap().unwrap();
+    let resp = read_one(&mut raw).unwrap().unwrap();
     assert!(matches!(
-        wormnet::protocol::decode_response_shared(&bytes::Bytes::from(resp)).unwrap(),
+        wormnet::protocol::decode_response_shared(&resp).unwrap(),
         wormnet::protocol::NetResponse::Ack
     ));
     h.net.shutdown();
@@ -871,20 +871,17 @@ fn shed_is_announced_and_audited<B: WormBackend>(
     // from a crash.
     let mut shed = TcpStream::connect(addr).unwrap();
     shed.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let payload = read_frame(&mut shed, DEFAULT_MAX_FRAME)
+    let payload = read_one(&mut shed)
         .unwrap()
         .expect("shed connection must get a busy frame, not silent EOF");
-    match wormnet::protocol::decode_response_shared(&bytes::Bytes::from(payload)).unwrap() {
+    match wormnet::protocol::decode_response_shared(&payload).unwrap() {
         wormnet::protocol::NetResponse::Error { code, .. } => {
             assert_eq!(code, wormnet::protocol::CODE_BUSY);
         }
         other => panic!("expected busy error frame, got {other:?}"),
     }
     // After the courtesy frame the connection is closed.
-    assert!(matches!(
-        read_frame(&mut shed, DEFAULT_MAX_FRAME),
-        Ok(None) | Err(_)
-    ));
+    assert!(matches!(read_one(&mut shed), Ok(None) | Err(_)));
 
     while_full(addr);
 
@@ -1004,6 +1001,48 @@ fn pipelined_responses_arrive_in_request_order_and_verify() {
 }
 
 #[test]
+fn a_call_that_times_out_leaves_the_session_refusing_the_next_one() {
+    // A stub server that answers the first write after 300 ms and the
+    // second at once, each with its own serial number.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut requests = FrameReader::new(conn.try_clone().unwrap(), DEFAULT_MAX_FRAME);
+        for (sn, delay_ms) in [(7, 300), (8, 0)] {
+            if !matches!(requests.next_frame(), Ok(Some(_))) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(delay_ms));
+            let written = wormnet::protocol::encode_response(&wormnet::NetResponse::Written {
+                sn: SerialNumber(sn),
+            });
+            if write_frame(&mut conn, &written, DEFAULT_MAX_FRAME).is_err() {
+                return;
+            }
+        }
+    });
+
+    let mut client =
+        RemoteWormClient::connect_with(addr, Duration::from_millis(100), DEFAULT_MAX_FRAME)
+            .unwrap();
+    let first = client.write(&[b"first"], policy(60));
+    assert!(
+        matches!(&first, Err(NetError::Io(e)) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+        "the first write must time out, got {first:?}"
+    );
+    // The first write's answer has arrived by now. Handing it to the
+    // second write as its own would return the first write's SN.
+    std::thread::sleep(Duration::from_millis(400));
+    match client.write(&[b"second"], policy(60)) {
+        Err(NetError::Protocol(message)) => assert!(message.contains("reconnect"), "{message}"),
+        other => panic!("the session must refuse the next call, got {other:?}"),
+    }
+    drop(client);
+    stub.join().unwrap();
+}
+
+#[test]
 fn interleaved_traced_and_untraced_frames_share_one_pipelined_connection() {
     let h = boot(NetServerConfig::default());
     let addr = h.net.local_addr();
@@ -1076,17 +1115,16 @@ fn malformed_frame_mid_pipeline_kills_only_that_connection() {
 
     // The valid prefix is answered — responses owed before the
     // violation still flush — then the connection dies.
+    // Both responses may arrive in one read: one reader takes them all.
+    let mut responses = FrameReader::new(&mut bad, DEFAULT_MAX_FRAME);
     for _ in 0..2 {
-        let payload = read_frame(&mut bad, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        let payload = responses.next_frame().unwrap().unwrap();
         assert!(matches!(
-            wormnet::protocol::decode_response_shared(&bytes::Bytes::from(payload)).unwrap(),
+            wormnet::protocol::decode_response_shared(&payload).unwrap(),
             wormnet::protocol::NetResponse::Keys { .. }
         ));
     }
-    assert!(matches!(
-        read_frame(&mut bad, DEFAULT_MAX_FRAME),
-        Ok(None) | Err(_)
-    ));
+    assert!(matches!(responses.next_frame(), Ok(None) | Err(_)));
 
     // A neighbour connection is untouched by the violation.
     let mut client = RemoteWormClient::connect(addr).unwrap();
@@ -1324,7 +1362,13 @@ fn wire_reads_carry_a_fresh_head_on_a_read_only_server() {
 fn wire_read_bytes(raw: &mut TcpStream, sn: SerialNumber) -> Vec<u8> {
     let request = wormnet::protocol::encode_request(&wormnet::NetRequest::Read { sn });
     write_frame(raw, &request, DEFAULT_MAX_FRAME).unwrap();
-    read_frame(raw, DEFAULT_MAX_FRAME).unwrap().unwrap()
+    read_one(raw).unwrap().unwrap().into()
+}
+
+/// Reads one frame off a raw socket on which nothing more is due after
+/// it (a reader may take in more than the frame it returns).
+fn read_one(raw: &mut TcpStream) -> Result<Option<bytes::Bytes>, NetError> {
+    FrameReader::new(raw, DEFAULT_MAX_FRAME).next_frame()
 }
 
 /// Data (one and several records), a deletion proof and a never-existed
