@@ -221,42 +221,78 @@ pub enum ReadVerdict {
     ConfirmedNeverExisted,
 }
 
-/// Uniform read-verification interface over single-SCPU and sharded
-/// deployments, so transports (e.g. `wormnet`'s remote client) can be
-/// generic over [`Verifier`] and [`CompositeVerifier`].
-pub trait VerifyRead {
-    /// Verifies a complete read outcome for `requested`.
-    ///
-    /// # Errors
-    ///
-    /// A [`VerifyError`] naming the first check that failed.
-    fn verify_read(
-        &self,
-        requested: SerialNumber,
-        outcome: &ReadOutcome,
-    ) -> Result<ReadVerdict, VerifyError>;
-}
-
 /// A WORM client's verifier.
 ///
-/// Holds the SCPU public keys (`s`, `d`), the published weak-key
-/// certificates, the freshness tolerance, and a roughly synchronized
-/// clock.
+/// Holds, per SN lane, the public keys (`s`, `d`) and published weak-key
+/// certificates of the SCPU that issues that lane's serial numbers, plus
+/// the freshness tolerance and a roughly synchronized clock. A single
+/// server is one lane; lane `i` of a deployment is its `i`-th SCPU, and
+/// lane 0's also signs the composite binding.
+///
+/// Every answer is checked under the keys of the lane its serial number
+/// names *before* any signature is checked, so evidence signed by lane A
+/// can never satisfy a query lane B owns — Theorems 1 and 2 hold per lane
+/// as in the single-SCPU case, and the composite binding extends Theorem
+/// 2 across lanes by making the lane count itself a signed statement.
 #[derive(Debug)]
 pub struct Verifier {
-    sign_key: RsaPublicKey,
-    del_key: RsaPublicKey,
-    weak_certs: Vec<WeakKeyCert>,
+    /// In lane order; never empty.
+    lanes: Vec<Lane>,
     tolerance: Duration,
     clock: Arc<dyn Clock>,
-    /// Memo of signature checks that already succeeded (see [`SigMemo`]).
+    /// Memo of signature checks that already succeeded (see [`SigMemo`]);
+    /// its keys name the signing key, so one memo serves every lane.
     memo: SigMemo,
-    /// Memo of reads that verified in full (see [`RecordMemo`]).
+    /// Memo of reads that verified in full (see [`RecordMemo`]); its
+    /// serial numbers name their lane.
     record_memo: RecordMemo,
 }
 
+/// One lane's SCPU keys: what evidence for a serial number in that lane
+/// must verify under.
+#[derive(Debug)]
+struct Lane {
+    sign_key: RsaPublicKey,
+    del_key: RsaPublicKey,
+    weak_certs: Vec<WeakKeyCert>,
+}
+
+impl Lane {
+    /// A lane over keys the caller has established, its first weak-key
+    /// certificate checked.
+    fn over(
+        sign_key: &RsaPublicKey,
+        del_key: &RsaPublicKey,
+        weak_cert: WeakKeyCert,
+    ) -> Result<Self, VerifyError> {
+        let mut lane = Lane {
+            sign_key: sign_key.clone(),
+            del_key: del_key.clone(),
+            weak_certs: Vec::new(),
+        };
+        lane.add_weak_cert(weak_cert)?;
+        Ok(lane)
+    }
+
+    fn add_weak_cert(&mut self, cert: WeakKeyCert) -> Result<(), VerifyError> {
+        // A server publishes its whole list, the certificate this lane
+        // was built from included: one that is registered stays registered
+        // once, so a weak witness has one key to be checked against.
+        if self.weak_certs.contains(&cert) {
+            return Ok(());
+        }
+        let payload = weak_cert_payload(&cert.key, cert.max_sig_expiry);
+        if !cert.sig.verify(&self.sign_key, &payload) {
+            return Err(VerifyError::BadSignature("weak key certificate"));
+        }
+        self.weak_certs.push(cert);
+        Ok(())
+    }
+}
+
 impl Verifier {
-    /// Builds a verifier directly from the device's published keys.
+    /// Builds a one-lane verifier directly from the device's published
+    /// keys.
     ///
     /// # Errors
     ///
@@ -267,40 +303,24 @@ impl Verifier {
         tolerance: Duration,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, VerifyError> {
-        Self::over(
-            &keys.sign,
-            &keys.delete,
-            keys.weak_cert.clone(),
-            tolerance,
-            clock,
-        )
+        let lane = Lane::over(&keys.sign, &keys.delete, keys.weak_cert.clone())?;
+        Ok(Self::over(lane, tolerance, clock))
     }
 
-    /// A verifier over keys the caller has established, with nothing
-    /// memoised yet.
-    fn over(
-        sign_key: &RsaPublicKey,
-        del_key: &RsaPublicKey,
-        weak_cert: WeakKeyCert,
-        tolerance: Duration,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Self, VerifyError> {
-        let mut v = Verifier {
-            sign_key: sign_key.clone(),
-            del_key: del_key.clone(),
-            weak_certs: Vec::new(),
+    /// A verifier over lane 0, with nothing memoised yet.
+    fn over(lane: Lane, tolerance: Duration, clock: Arc<dyn Clock>) -> Self {
+        Verifier {
+            lanes: vec![lane],
             tolerance,
             clock,
             memo: SigMemo::default(),
             record_memo: RecordMemo::default(),
-        };
-        v.add_weak_cert(weak_cert)?;
-        Ok(v)
+        }
     }
 
-    /// Builds a verifier from CA-issued certificates — the full trust
-    /// chain of §4.2.1 ("public key certificates — signed by a regulatory
-    /// or general purpose certificate authority").
+    /// Builds a one-lane verifier from CA-issued certificates — the full
+    /// trust chain of §4.2.1 ("public key certificates — signed by a
+    /// regulatory or general purpose certificate authority").
     ///
     /// # Errors
     ///
@@ -320,37 +340,62 @@ impl Verifier {
         if del_cert.role != KeyRole::Delete || !del_cert.verify(ca) {
             return Err(VerifyError::BadSignature("delete key certificate"));
         }
-        Self::over(&sign_cert.key, &del_cert.key, weak_cert, tolerance, clock)
+        let lane = Lane::over(&sign_cert.key, &del_cert.key, weak_cert)?;
+        Ok(Self::over(lane, tolerance, clock))
     }
 
-    /// Registers a (rotated) weak-key certificate after verifying its
-    /// chain to the signing key.
+    /// Adds the next lane — index [`Verifier::shard_count`] — from that
+    /// lane's SCPU's published keys.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadSignature`] if the certificate does not verify.
-    pub fn add_weak_cert(&mut self, cert: WeakKeyCert) -> Result<(), VerifyError> {
-        // A server publishes its whole list, the certificate this verifier
-        // was built from included: one that is registered stays registered
-        // once, so a weak witness has one key to be checked against.
-        if self.weak_certs.contains(&cert) {
-            return Ok(());
-        }
-        let payload = weak_cert_payload(&cert.key, cert.max_sig_expiry);
-        if !cert.sig.verify(&self.sign_key, &payload) {
-            return Err(VerifyError::BadSignature("weak key certificate"));
-        }
-        self.weak_certs.push(cert);
+    /// [`VerifyError::BadSignature`] if the weak-key certificate does not
+    /// chain to the signing key; the verifier is then as it was.
+    pub fn add_lane(&mut self, keys: &DeviceKeys) -> Result<(), VerifyError> {
+        let lane = Lane::over(&keys.sign, &keys.delete, keys.weak_cert.clone())?;
+        self.lanes.push(lane);
         Ok(())
     }
 
-    /// The weak-key certificates registered so far, each once, in the
-    /// order they were first added.
-    pub fn weak_certs(&self) -> &[WeakKeyCert] {
-        &self.weak_certs
+    /// Number of lanes this verifier holds keys for.
+    pub fn shard_count(&self) -> usize {
+        self.lanes.len()
     }
 
-    /// Verifies a complete read outcome for `requested`.
+    /// Registers a (rotated) weak-key certificate with the lane whose
+    /// signing key signed it, after verifying that chain.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::BadSignature`] if no lane's signing key signed the
+    /// certificate.
+    pub fn add_weak_cert(&mut self, cert: WeakKeyCert) -> Result<(), VerifyError> {
+        self.lanes
+            .iter_mut()
+            .find(|lane| cert.sig.key_id == lane.sign_key.fingerprint())
+            .ok_or(VerifyError::BadSignature("weak key certificate"))?
+            .add_weak_cert(cert)
+    }
+
+    /// Lane `lane`'s weak-key certificates, each once, in the order they
+    /// were first added (none for a lane this verifier does not hold).
+    pub fn weak_certs(&self, lane: u32) -> &[WeakKeyCert] {
+        self.lane(lane)
+            .map_or(&[], |lane| lane.weak_certs.as_slice())
+    }
+
+    fn lane(&self, lane: u32) -> Option<&Lane> {
+        self.lanes.get(usize::try_from(lane).ok()?)
+    }
+
+    /// The lane `sn` belongs to.
+    fn lane_of(&self, sn: SerialNumber) -> Result<&Lane, VerifyError> {
+        let lane = sn.lane();
+        self.lane(lane).ok_or(VerifyError::ShardNotBound { lane })
+    }
+
+    /// Verifies a complete read outcome for `requested`, under the keys
+    /// of `requested`'s lane.
     ///
     /// # Errors
     ///
@@ -362,7 +407,8 @@ impl Verifier {
         requested: SerialNumber,
         outcome: &ReadOutcome,
     ) -> Result<ReadVerdict, VerifyError> {
-        self.check_head(outcome.head())?;
+        let lane = self.lane_of(requested)?;
+        self.check_lane_head(lane, outcome.head())?;
         match outcome {
             ReadOutcome::Data { vrd, records, .. } => {
                 if vrd.sn != requested {
@@ -371,10 +417,12 @@ impl Verifier {
                 // Note: `vrd.sn` may legitimately exceed `head.sn_current`
                 // for records written since the last heartbeat; the head
                 // only bounds *denials* (Theorem 2), never data responses.
-                self.verify_vrd(vrd, records)?;
+                self.verify_lane_vrd(lane, vrd, records)?;
                 Ok(ReadVerdict::Intact { sn: vrd.sn })
             }
-            ReadOutcome::Deleted { evidence, .. } => self.verify_deletion(requested, evidence),
+            ReadOutcome::Deleted { evidence, .. } => {
+                self.verify_deletion(lane, requested, evidence)
+            }
             ReadOutcome::NeverExisted { head } => {
                 if requested <= head.sn_current {
                     return Err(VerifyError::HiddenRecord);
@@ -384,12 +432,22 @@ impl Verifier {
         }
     }
 
-    /// Verifies a VRD's witnesses against (re-hashed) record data.
+    /// Verifies a VRD's witnesses against (re-hashed) record data, under
+    /// the keys of the VRD's lane.
     ///
     /// # Errors
     ///
     /// See [`Verifier::verify_read`].
     pub fn verify_vrd(&self, vrd: &Vrd, records: &[bytes::Bytes]) -> Result<(), VerifyError> {
+        self.verify_lane_vrd(self.lane_of(vrd.sn)?, vrd, records)
+    }
+
+    fn verify_lane_vrd(
+        &self,
+        lane: &Lane,
+        vrd: &Vrd,
+        records: &[bytes::Bytes],
+    ) -> Result<(), VerifyError> {
         let chain = match self.record_memo.lookup(vrd, records) {
             Remembered::Verified => {
                 // Every check on these exact bytes has passed before;
@@ -405,9 +463,9 @@ impl Verifier {
         // is reported is what checking metasig to the end and only then
         // looking at datasig would report.
         let meta = meta_payload(vrd.sn, &vrd.attr.encode());
-        let meta = self.resolve_witness(meta, &vrd.metasig, "metasig")?;
+        let meta = self.resolve_witness(lane, meta, &vrd.metasig, "metasig")?;
         let datap = data_payload(vrd.sn, &chain);
-        let data = self.resolve_witness(datap, &vrd.datasig, "datasig");
+        let data = self.resolve_witness(lane, datap, &vrd.datasig, "datasig");
         let [meta_ok, data_ok] = match &data {
             Ok(data) => self.verify_memoized_pair([&meta, data]),
             Err(_) => [
@@ -445,16 +503,17 @@ impl Verifier {
 
     /// Resolves a witness over `payload` to the one signature check it
     /// stands for, making every check that needs no arithmetic: the key the
-    /// signature names is one this verifier holds, a weak witness is within
-    /// its lifetime and within what its key's certificate may assert.
+    /// signature names is one `lane` holds, a weak witness is within its
+    /// lifetime and within what its key's certificate may assert.
     fn resolve_witness<'a>(
-        &'a self,
+        &self,
+        lane: &'a Lane,
         payload: Vec<u8>,
         witness: &'a Witness,
         field: &'static str,
     ) -> Result<SigCheck<'a>, VerifyError> {
         let check = match witness {
-            Witness::Strong(sig) => SigCheck::under(&self.sign_key, payload, sig),
+            Witness::Strong(sig) => SigCheck::under(&lane.sign_key, payload, sig),
             Witness::Weak { sig, expires_at } => {
                 self.check_weak_expiry(witness, field)?;
                 // Certificates with one fingerprint carry one key, so the
@@ -462,7 +521,7 @@ impl Verifier {
                 let fits = |cert: &&WeakKeyCert| {
                     *expires_at <= cert.max_sig_expiry && sig.key_id == cert.key.fingerprint()
                 };
-                self.weak_certs.iter().find(fits).map(|cert| SigCheck {
+                lane.weak_certs.iter().find(fits).map(|cert| SigCheck {
                     key: &cert.key,
                     payload: weak_wrap(&payload, *expires_at),
                     sig,
@@ -517,9 +576,10 @@ impl Verifier {
         ok
     }
 
-    /// Verifies deletion evidence for `requested`.
+    /// Verifies deletion evidence for `requested`, which `lane` owns.
     fn verify_deletion(
         &self,
+        lane: &Lane,
         requested: SerialNumber,
         evidence: &DeletionEvidence,
     ) -> Result<ReadVerdict, VerifyError> {
@@ -529,7 +589,7 @@ impl Verifier {
                     return Err(VerifyError::EvidenceDoesNotCoverSn);
                 }
                 let payload = deletion_payload(p.sn, p.deleted_at);
-                if !self.verify_memoized(&self.del_key, &payload, &p.sig) {
+                if !self.verify_memoized(&lane.del_key, &payload, &p.sig) {
                     return Err(VerifyError::BadSignature("deletion proof"));
                 }
                 Ok(ReadVerdict::ConfirmedDeleted {
@@ -541,7 +601,7 @@ impl Verifier {
                     return Err(VerifyError::ExpiredCertificate("base"));
                 }
                 let payload = base_payload(base.sn_base, base.expires_at);
-                if !self.verify_memoized(&self.sign_key, &payload, &base.sig) {
+                if !self.verify_memoized(&lane.sign_key, &payload, &base.sig) {
                     return Err(VerifyError::BadSignature("base certificate"));
                 }
                 if requested >= base.sn_base {
@@ -558,8 +618,8 @@ impl Verifier {
                 // (§4.2.1).
                 let lo_payload = window_payload(w.window_id, w.lo, WindowSide::Lower);
                 let hi_payload = window_payload(w.window_id, w.hi, WindowSide::Upper);
-                let bounds = SigCheck::under(&self.sign_key, lo_payload, &w.lo_sig)
-                    .zip(SigCheck::under(&self.sign_key, hi_payload, &w.hi_sig));
+                let bounds = SigCheck::under(&lane.sign_key, lo_payload, &w.lo_sig)
+                    .zip(SigCheck::under(&lane.sign_key, hi_payload, &w.hi_sig));
                 match bounds.map(|(lo, hi)| self.verify_memoized_pair([&lo, &hi])) {
                     Some([true, true]) => Ok(ReadVerdict::ConfirmedDeleted { deleted_at: None }),
                     _ => Err(VerifyError::BadSignature("window bound")),
@@ -569,15 +629,24 @@ impl Verifier {
     }
 
     /// Checks a head certificate's signature and freshness (§4.2.1,
-    /// mechanism (ii)).
+    /// mechanism (ii)) under the keys of the lane its `sn_current` names.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadSignature`] / [`VerifyError::StaleHead`].
+    /// [`VerifyError::ShardNotBound`] / [`VerifyError::BadSignature`] /
+    /// [`VerifyError::StaleHead`].
     pub fn check_head(&self, head: &HeadCert) -> Result<(), VerifyError> {
-        if !self.memo.is_last_head(head) {
+        self.check_lane_head(self.lane_of(head.sn_current)?, head)
+    }
+
+    fn check_lane_head(&self, lane: &Lane, head: &HeadCert) -> Result<(), VerifyError> {
+        // The remembered head is one lane's: only the same lane's key may
+        // skip the signature on it.
+        let remembered =
+            head.sig.key_id == lane.sign_key.fingerprint() && self.memo.is_last_head(head);
+        if !remembered {
             let payload = head_payload(head.sn_current, head.issued_at);
-            if !self.verify_memoized(&self.sign_key, &payload, &head.sig) {
+            if !self.verify_memoized(&lane.sign_key, &payload, &head.sig) {
                 return Err(VerifyError::BadSignature("head certificate"));
             }
             self.memo.set_last_head(head);
@@ -590,134 +659,48 @@ impl Verifier {
         }
         Ok(())
     }
-}
 
-impl VerifyRead for Verifier {
-    fn verify_read(
-        &self,
-        requested: SerialNumber,
-        outcome: &ReadOutcome,
-    ) -> Result<ReadVerdict, VerifyError> {
-        Verifier::verify_read(self, requested, outcome)
-    }
-}
-
-impl<T: VerifyRead + ?Sized> VerifyRead for std::sync::Arc<T> {
-    fn verify_read(
-        &self,
-        requested: SerialNumber,
-        outcome: &ReadOutcome,
-    ) -> Result<ReadVerdict, VerifyError> {
-        (**self).verify_read(requested, outcome)
-    }
-}
-
-impl<T: VerifyRead + ?Sized> VerifyRead for &T {
-    fn verify_read(
-        &self,
-        requested: SerialNumber,
-        outcome: &ReadOutcome,
-    ) -> Result<ReadVerdict, VerifyError> {
-        (**self).verify_read(requested, outcome)
-    }
-}
-
-/// Verifier for a sharded witness plane.
-///
-/// Holds one [`Verifier`] per shard lane (each shard's SCPU has its own
-/// key pair); lane 0's verifier doubles as the coordinator that signed
-/// the composite binding. Every read is routed to the lane its serial
-/// number belongs to *before* any signature is checked, so evidence
-/// signed by shard A can never satisfy a query that shard B owns —
-/// Theorems 1 and 2 then hold per lane exactly as in the single-SCPU
-/// case, and the composite binding extends Theorem 2 across lanes by
-/// making the shard count itself a signed statement.
-#[derive(Debug)]
-pub struct CompositeVerifier {
-    shards: Vec<Verifier>,
-}
-
-impl CompositeVerifier {
-    /// Builds a composite verifier from per-shard verifiers, indexed by
-    /// lane (element 0 = coordinator shard).
-    pub fn new(shards: Vec<Verifier>) -> Self {
-        CompositeVerifier { shards }
-    }
-
-    /// Number of shard lanes this verifier covers.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The verifier owning shard lane `lane`, if any.
-    pub fn shard(&self, lane: u32) -> Option<&Verifier> {
-        self.shards.get(usize::try_from(lane).ok()?)
-    }
-
-    fn coordinator(&self) -> Result<&Verifier, VerifyError> {
-        self.shards
-            .first()
-            .ok_or(VerifyError::ShardNotBound { lane: 0 })
-    }
-
-    /// Verifies a composite freshness head end-to-end: the coordinator
-    /// signature over `(shard_count, root, t)`, the binding's freshness,
-    /// that the presented per-shard heads hash to the signed root, and
-    /// each constituent head under its own shard's key.
+    /// Verifies a composite freshness head end-to-end: lane 0's signature
+    /// over `(lane count, root, t)`, the binding's freshness, that the
+    /// presented per-lane heads hash to the signed root, and each
+    /// constituent head under its own lane's key.
     ///
     /// # Errors
     ///
     /// A [`VerifyError`] naming the first check that failed;
     /// [`VerifyError::CompositeRootMismatch`] means the host mixed or
-    /// altered shard heads after the coordinator signed.
+    /// altered lane heads after lane 0 signed.
     pub fn verify_composite(&self, composite: &CompositeHead) -> Result<(), VerifyError> {
-        let coordinator = self.coordinator()?;
+        let coordinator = self.lane_of(SerialNumber::ZERO)?;
         let binding = &composite.binding;
-        if usize::try_from(binding.shard_count).ok() != Some(self.shards.len()) {
+        if usize::try_from(binding.shard_count).ok() != Some(self.lanes.len()) {
             return Err(VerifyError::BadSignature("composite shard count"));
         }
         let payload = composite_payload(binding.shard_count, &binding.root, binding.issued_at);
-        if !coordinator.verify_memoized(&coordinator.sign_key, &payload, &binding.sig) {
+        if !self.verify_memoized(&coordinator.sign_key, &payload, &binding.sig) {
             return Err(VerifyError::BadSignature("composite binding"));
         }
-        let age = coordinator.clock.now().since(binding.issued_at);
-        if age > coordinator.tolerance {
+        let age = self.clock.now().since(binding.issued_at);
+        if age > self.tolerance {
             return Err(VerifyError::StaleHead {
                 age_ms: age.as_millis() as u64,
             });
         }
-        if composite.heads.len() != self.shards.len() {
+        if composite.heads.len() != self.lanes.len() {
             return Err(VerifyError::CompositeRootMismatch);
         }
         if composite_root(&composite.heads) != binding.root {
             return Err(VerifyError::CompositeRootMismatch);
         }
-        for (lane, (head, shard)) in composite.heads.iter().zip(&self.shards).enumerate() {
-            shard.check_head(head)?;
-            let origin = SerialNumber::lane_origin(u32::try_from(lane).unwrap_or(u32::MAX));
-            if head.sn_current.get() < origin {
-                // A shard head below its own lane origin is structurally
+        for (index, (head, lane)) in (0u32..).zip(composite.heads.iter().zip(&self.lanes)) {
+            self.check_lane_head(lane, head)?;
+            if head.sn_current.get() < SerialNumber::lane_origin(index) {
+                // A lane head below its own lane origin is structurally
                 // impossible for honest firmware.
                 return Err(VerifyError::BadSignature("shard head lane"));
             }
         }
         Ok(())
-    }
-}
-
-impl VerifyRead for CompositeVerifier {
-    /// Routes `requested` to its owning shard lane first, then verifies
-    /// the outcome exclusively under that shard's keys.
-    fn verify_read(
-        &self,
-        requested: SerialNumber,
-        outcome: &ReadOutcome,
-    ) -> Result<ReadVerdict, VerifyError> {
-        let lane = requested.lane();
-        let shard = self
-            .shard(lane)
-            .ok_or(VerifyError::ShardNotBound { lane })?;
-        shard.verify_read(requested, outcome)
     }
 }
 

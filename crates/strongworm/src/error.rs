@@ -133,8 +133,9 @@ pub enum VerifyError {
     /// per-shard head certificates — the host mixed head sets from
     /// different instants (or altered one) after the coordinator signed.
     CompositeRootMismatch,
-    /// The requested serial number routes to a shard lane the composite
-    /// head does not bind — the host is hiding an entire shard.
+    /// The serial number names a lane the verifier holds no keys for: no
+    /// SCPU the deployment published could have issued it, and no
+    /// evidence the host presents for it is checked.
     ShardNotBound {
         /// The lane the serial number routes to.
         lane: u32,
@@ -180,7 +181,7 @@ impl std::fmt::Display for VerifyError {
                 f.write_str("composite binding root does not match the presented shard heads")
             }
             VerifyError::ShardNotBound { lane } => {
-                write!(f, "shard lane {lane} is not bound by the composite head")
+                write!(f, "no published lane key covers shard lane {lane}")
             }
         }
     }

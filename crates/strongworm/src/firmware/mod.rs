@@ -81,7 +81,7 @@ pub struct WeakKeyCert {
 }
 
 /// Public keys and certificates the host publishes to clients.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceKeys {
     /// The permanent witnessing key `s`.
     pub sign: RsaPublicKey,

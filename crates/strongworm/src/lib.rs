@@ -21,11 +21,14 @@
 //!
 //! * [`WormServer`] — the untrusted host: record store, VRDT, command
 //!   channel. Reads never touch the SCPU (§4.1).
+//! * [`ShardedWormServer`] — the deployment: N ≥ 1 `WormServer` lanes,
+//!   one SCPU each, over a partitioned SN space; what a network
+//!   front-end serves. One server is the one-lane case.
 //! * [`firmware::WormFirmware`] — the certified logic inside the device:
 //!   serial-number issuing, witnessing, the Retention Monitor, window
 //!   management, litigation holds, deferred-strength signing.
-//! * [`Verifier`] — the client: checks every read against the SCPU's
-//!   public keys and a fresh head certificate.
+//! * [`Verifier`] — the client: checks every read against the public
+//!   keys of the SCPU whose lane issued it and a fresh head certificate.
 //! * [`adversary::Mallory`] — the threat model as an executable harness.
 //!
 //! ## Quickstart
@@ -79,14 +82,14 @@ mod server;
 mod sn;
 
 pub use authority::{CertificateAuthority, HoldCredential, RegulatoryAuthority, ReleaseCredential};
-pub use client::{CompositeVerifier, ReadVerdict, Verifier, VerifyRead};
+pub use client::{ReadVerdict, Verifier};
 pub use config::{HashMode, WitnessMode, WormConfig};
 pub use daemon::{DaemonConfig, RetentionDaemon};
 pub use error::{VerifyError, WormError};
 pub use offline::{audit_journal, OfflineAuditReport};
 pub use policy::{Regulation, RetentionPolicy};
 pub use proofs::{CompositeBinding, CompositeHead, DeletionEvidence, ReadOutcome};
-pub use server::{ReadPlane, ShardRouter, ShardedWormServer, WitnessPlane, WormServer};
+pub use server::{ReadPlane, ShardedWormServer, WitnessPlane, WormServer};
 pub use sn::{SerialNumber, MAX_SHARDS, SHARD_LANE_BITS};
 pub use vrd::Vrd;
 pub use vrdt::RecoveryStats;

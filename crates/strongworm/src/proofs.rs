@@ -50,8 +50,8 @@ pub struct CompositeBinding {
 /// shard's timestamped head certificate plus the coordinator-signed
 /// binding folding them into one verifiable root.
 ///
-/// A single-shard deployment degenerates to a one-element composite, so
-/// clients can verify against either shape uniformly.
+/// A one-lane deployment's composite holds one head, minted and cached
+/// by the same code as any other lane count's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompositeHead {
     /// Per-shard head certificates, indexed by shard lane.

@@ -26,7 +26,7 @@ mod shard;
 mod witness;
 
 pub use read_plane::ReadPlane;
-pub use shard::{ShardRouter, ShardedWormServer};
+pub use shard::ShardedWormServer;
 pub use witness::WitnessPlane;
 
 use std::sync::Arc;
@@ -47,7 +47,7 @@ use crate::firmware::{
     DeviceKeys, FirmwareConfig, WeakKeyCert, WormFirmware, WormRequest, WormResponse,
 };
 use crate::policy::RetentionPolicy;
-use crate::proofs::{CompositeBinding, CompositeHead, HeadCert, ReadOutcome, Resolved};
+use crate::proofs::{CompositeBinding, HeadCert, ReadOutcome, Resolved};
 use crate::sn::SerialNumber;
 use crate::vrdt::Vrdt;
 use crate::wire::WireWriter;
@@ -127,22 +127,10 @@ impl<D: BlockDevice> WormServer<D> {
         Self::boot(store, config, clock, regulator, None, None)
     }
 
-    /// Boots a shard whose integrity events land in a shared,
-    /// deployment-wide audit journal (see [`ShardedWormServer`]): all
-    /// lanes chain into one journal, anchored by whichever shard's SCPU
-    /// ticks past an unanchored tip.
-    pub(crate) fn with_store_and_audit(
-        store: RecordStore<D>,
-        config: WormConfig,
-        clock: Arc<dyn Clock>,
-        regulator: &RsaPublicKey,
-        audit: Arc<AuditLog>,
-    ) -> Result<Self, WormError> {
-        Self::boot(store, config, clock, regulator, None, Some(audit))
-    }
-
     /// Shared boot path: initializes the SCPU, wires the planes, and
-    /// publishes the initial head and base.
+    /// publishes the initial head and base. `shared_audit` is the
+    /// journal of a deployment's lane 0, which every further lane chains
+    /// into (see [`ShardedWormServer`]).
     ///
     /// When a durable journal `sink` is supplied it is attached to the
     /// fresh VRDT *before* assembly — the head/base refresh below already
@@ -205,9 +193,9 @@ impl<D: BlockDevice> WormServer<D> {
     /// SCPU commands record their virtual-time cost alongside the host
     /// planes' wall-clock timings).
     ///
-    /// `shared_audit` lets a sharded deployment hand every shard one
-    /// common audit journal (anchored once, by the coordinator's SCPU);
-    /// a standalone server builds its own against its own registry.
+    /// `shared_audit` hands a deployment's lane ≥ 1 the journal of its
+    /// lane 0; a standalone server (lane 0) builds its own against its
+    /// own registry.
     // One-time assembly wiring; bundling the handles would just move the
     // list (same shape as `WitnessPlane::new`).
     #[allow(clippy::too_many_arguments)]
@@ -603,19 +591,19 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     /// Asks this server's SCPU to sign a composite-freshness binding over
-    /// `shard_count` shard heads folded into `root`. Only meaningful on
-    /// the coordinator shard of a sharded deployment (shard lane 0).
+    /// `shard_count` lane heads folded into `root`: the job of a
+    /// deployment's lane 0 (see [`ShardedWormServer::composite_head`]).
     ///
     /// # Errors
     ///
     /// Device or firmware failures (e.g. a root that is not a SHA-256
     /// digest).
-    pub fn sign_composite(
+    fn sign_composite(
         &self,
         shard_count: u32,
         root: Vec<u8>,
     ) -> Result<CompositeBinding, WormError> {
-        // lock-order: ShardRouter.composite -> WormServer.witness; the composite head orders before every per-shard witness device
+        // lock-order: ShardedWormServer.composite -> WormServer.witness; the composite head orders before every lane's witness device
         let mut w = self.witness.lock();
         match execute(
             &mut w.device,
@@ -624,21 +612,6 @@ impl<D: BlockDevice> WormServer<D> {
             WormResponse::Composite(binding) => Ok(binding),
             other => Err(unexpected(other)),
         }
-    }
-
-    /// Mints a single-shard composite freshness head: this server's own
-    /// head certificate bound under its own key. Lets transports serve
-    /// one uniform composite shape whether the deployment is sharded or
-    /// not.
-    ///
-    /// # Errors
-    ///
-    /// Device or firmware failures.
-    pub fn composite_head(&self) -> Result<CompositeHead, WormError> {
-        let heads = vec![self.current_head()?];
-        let root = crate::codec::composite_root(&heads);
-        let binding = self.sign_composite(1, root)?;
-        Ok(CompositeHead { heads, binding })
     }
 
     /// Forces a base-certificate refresh through the SCPU.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use scpu::Clock;
+use scpu::{Clock, Timestamp};
 use wormstore::{BlockDevice, RecordStore};
 
 use crate::error::WormError;
@@ -80,8 +80,10 @@ impl<D: BlockDevice> ReadPlane<D> {
         self.vrdt.write()
     }
 
-    fn stale(&self, head: &HeadCert) -> bool {
-        self.clock.now().since(head.issued_at) > self.head_refresh_interval
+    /// Whether evidence issued at `issued_at` is older than the refresh
+    /// interval.
+    pub(crate) fn stale(&self, issued_at: Timestamp) -> bool {
+        self.clock.now().since(issued_at) > self.head_refresh_interval
     }
 
     /// Whether the head certificate is missing or older than the refresh
@@ -89,7 +91,10 @@ impl<D: BlockDevice> ReadPlane<D> {
     /// consulted before serving freshness evidence (reads make the same
     /// check inside [`ReadPlane::resolve`], under its one guard).
     pub fn head_stale(&self) -> bool {
-        self.vrdt.read().head().is_none_or(|h| self.stale(h))
+        self.vrdt
+            .read()
+            .head()
+            .is_none_or(|h| self.stale(h.issued_at))
     }
 
     /// Resolves `sn` once, under one VRDT read guard, and hands what it
@@ -108,7 +113,7 @@ impl<D: BlockDevice> ReadPlane<D> {
     ) -> Result<ReadStep<R>, WormError> {
         let vrdt = self.vrdt.read();
         let head = vrdt.head();
-        if !head_refreshed && head.is_none_or(|h| self.stale(h)) {
+        if !head_refreshed && head.is_none_or(|h| self.stale(h.issued_at)) {
             return Ok(ReadStep::StaleHead);
         }
         // The facade installs a head at boot, but this path is reachable

@@ -1,30 +1,30 @@
-//! The sharded witness plane: N SCPUs behind one facade.
+//! The deployment: N ≥ 1 SCPU lanes behind one facade.
 //!
 //! The paper's §5 remark (ablation A7) observes that write throughput
 //! scales with SCPU count, since each write costs two RSA signatures
 //! inside one device. [`ShardedWormServer`] realizes that: the SN space
-//! is partitioned into lanes (high byte = shard index, see
+//! is partitioned into lanes (high byte = lane index, see
 //! [`SHARD_LANE_BITS`]), each lane owned by a full [`WormServer`] —
 //! its own SCPU device, deferred-signature queue, strengthen machinery,
 //! and (optionally) its own [`RetentionDaemon`]. Writes fan out
-//! round-robin across shards and serialize only per shard; reads route
+//! round-robin across lanes and serialize only per lane; reads route
 //! deterministically by lane and stay `&self`, host-only, and globally
-//! verifiable.
+//! verifiable. A single server is the one-lane case, not a second shape:
+//! lane 0 boots exactly as a standalone [`WormServer`], and a standalone
+//! one converts into a one-lane deployment (`From<Arc<WormServer>>`).
 //!
-//! Freshness across shards is the new obligation: a client must learn
-//! not just each shard's head but that it has seen *all* shards at one
-//! instant. [`ShardRouter`] mints that evidence — the composite
-//! freshness head — off the hot path, exactly like the single-server
-//! lazy head refresh: per-shard [`HeadCert`]s are folded into a SHA-256
-//! root which the coordinator shard's SCPU signs together with the
-//! shard count (see [`crate::proofs::CompositeBinding`]). Theorems 1
-//! and 2 then hold per lane verbatim, and the signed shard count
-//! extends Theorem 2 across lanes: hiding an entire shard is as
-//! detectable as hiding a record.
+//! Freshness across lanes is the new obligation: a client must learn
+//! not just each lane's head but that it has seen *all* lanes at one
+//! instant. The deployment mints that evidence — the composite
+//! freshness head — off the hot path, exactly like the per-lane lazy
+//! head refresh: per-lane [`HeadCert`]s are folded into a SHA-256 root
+//! which lane 0's SCPU signs together with the lane count (see
+//! [`crate::proofs::CompositeBinding`]). Theorems 1 and 2 then hold per
+//! lane verbatim, and the signed lane count extends Theorem 2 across
+//! lanes: hiding an entire lane is as detectable as hiding a record.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::RwLock;
 use scpu::Clock;
@@ -44,104 +44,35 @@ use crate::wire::WireWriter;
 
 use super::WormServer;
 
-/// Deterministic SN→shard routing plus the composite-head cache.
+/// N ≥ 1 lane [`WormServer`]s behind one `&self` facade: the one
+/// deployment shape, whatever the lane count.
 ///
-/// The router is pure coordination state — it holds no keys and signs
-/// nothing itself; minting goes through the coordinator shard's SCPU.
-pub struct ShardRouter {
-    shard_count: u32,
-    /// Round-robin write cursor.
-    cursor: AtomicU32,
-    /// Cached composite head, refreshed lazily when older than the
-    /// deployment's head-refresh interval (same policy as the
-    /// single-server lazy head refresh).
-    composite: RwLock<Option<CompositeHead>>,
-    head_refresh_interval: Duration,
-    clock: Arc<dyn Clock>,
-}
-
-impl ShardRouter {
-    /// Builds a router over `shard_count` lanes.
-    pub fn new(shard_count: u32, head_refresh_interval: Duration, clock: Arc<dyn Clock>) -> Self {
-        ShardRouter {
-            shard_count,
-            cursor: AtomicU32::new(0),
-            composite: RwLock::new(None),
-            head_refresh_interval,
-            clock,
-        }
-    }
-
-    /// Number of shard lanes routed.
-    pub fn shard_count(&self) -> u32 {
-        self.shard_count
-    }
-
-    /// The shard lane owning `sn`.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::NoSuchShard`] when the SN's lane is outside this
-    /// deployment — no SCPU here could ever have issued it.
-    pub fn route(&self, sn: SerialNumber) -> Result<usize, WormError> {
-        let lane = sn.lane();
-        if lane >= self.shard_count {
-            return Err(WormError::NoSuchShard {
-                lane,
-                shard_count: self.shard_count,
-            });
-        }
-        Ok(lane as usize)
-    }
-
-    /// The next shard to receive a write (round-robin).
-    pub fn next_write_shard(&self) -> usize {
-        // ordering: Relaxed suffices — the cursor only balances load; no
-        // other memory is published through it, and any interleaving of
-        // fetch_add results still yields a valid shard index.
-        let n = self.cursor.fetch_add(1, Ordering::Relaxed);
-        (n % self.shard_count) as usize
-    }
-
-    fn cached_composite(&self) -> Option<CompositeHead> {
-        let guard = self.composite.read();
-        let composite = guard.as_ref()?;
-        let age = self.clock.now().since(composite.binding.issued_at);
-        (age < self.head_refresh_interval).then(|| composite.clone())
-    }
-}
-
-/// N lane-sharded [`WormServer`]s behind one `&self` facade.
-///
-/// Shard `i` issues serial numbers in lane `i` (starting at
+/// Lane `i` issues serial numbers in lane `i` (starting at
 /// `i·2^56 + 1`), so within each lane the single-SCPU density
 /// invariants — consecutive issue, contiguous base advance, window
-/// adjacency — hold unchanged, and shard 0 of a one-shard deployment is
+/// adjacency — hold unchanged, and lane 0 of a one-lane deployment is
 /// bit-for-bit the original single server.
 pub struct ShardedWormServer<D: BlockDevice = MemDisk> {
     shards: Vec<Arc<WormServer<D>>>,
-    router: ShardRouter,
-    /// Router-level instruments (network front-ends, fan-out stats) —
-    /// distinct from the per-shard registries, merged unprefixed into
-    /// [`ShardedWormServer::stats_snapshot`].
-    trace: Arc<wormtrace::Registry>,
-    /// One deployment-wide audit journal shared by every lane: shard
-    /// events chain into a single sequence, and its `audit.*` counters
-    /// register on the router registry (so pollers see them unprefixed).
-    audit: Arc<AuditLog>,
+    /// Round-robin write cursor.
+    cursor: AtomicU32,
+    /// Cached composite head, re-minted lazily once lane 0 would refresh
+    /// a head of its age (the same policy as the per-lane lazy head
+    /// refresh).
+    composite: RwLock<Option<CompositeHead>>,
 }
 
 impl ShardedWormServer<MemDisk> {
-    /// Boots `shard_count` shards over in-memory, unmetered disks.
+    /// Boots `shard_count` lanes over in-memory, unmetered disks.
     ///
-    /// Each shard gets `config` with its own SN lane origin and a
-    /// distinct device serial / RNG seed (distinct SCPUs, distinct
-    /// keys).
+    /// Lane `i` gets `config` with its own SN lane origin and the device
+    /// serial and RNG seed `+ i` (distinct SCPUs, distinct keys; lane 0's
+    /// device is the configured one).
     ///
     /// # Errors
     ///
-    /// Rejects a shard count of 0 or above [`MAX_SHARDS`]; propagates
-    /// device failures during per-shard key generation.
+    /// Rejects a lane count of 0 or above [`MAX_SHARDS`]; propagates
+    /// device failures during per-lane key generation.
     pub fn new(
         config: WormConfig,
         clock: Arc<dyn Clock>,
@@ -155,134 +86,159 @@ impl ShardedWormServer<MemDisk> {
     }
 }
 
+impl<D: BlockDevice> From<Arc<WormServer<D>>> for ShardedWormServer<D> {
+    /// A standalone server as a one-lane deployment: it keeps its keys,
+    /// registry and audit journal, and its serial numbers are lane 0's.
+    fn from(server: Arc<WormServer<D>>) -> Self {
+        Self::over(vec![server])
+    }
+}
+
 impl<D: BlockDevice> ShardedWormServer<D> {
-    /// Boots one shard per caller-supplied record store (store `i`
-    /// backs shard lane `i`).
+    /// Boots one lane per caller-supplied record store (store `i` backs
+    /// lane `i`). Lane 0 boots exactly as a standalone server, with its
+    /// own trace registry and audit journal; every other lane chains its
+    /// integrity events into lane 0's journal.
     ///
     /// # Errors
     ///
     /// Rejects 0 or more than [`MAX_SHARDS`] stores; propagates device
-    /// failures during per-shard key generation.
+    /// failures during per-lane key generation.
     pub fn with_stores(
         stores: Vec<RecordStore<D>>,
         config: WormConfig,
         clock: Arc<dyn Clock>,
         regulator: &RsaPublicKey,
     ) -> Result<Self, WormError> {
-        let shard_count = u32::try_from(stores.len())
-            .ok()
-            .filter(|n| (1..=MAX_SHARDS).contains(n))
-            .ok_or_else(|| {
-                WormError::Firmware(format!(
-                    "shard count must be 1..={MAX_SHARDS}, got {}",
-                    stores.len()
-                ))
-            })?;
-        // Router registry and the shared audit journal come first: every
-        // shard emits into the one journal, whose counters live on the
-        // router registry (merged unprefixed into the stats snapshot).
-        let trace = Arc::new(wormtrace::Registry::new());
-        let audit_clock = Arc::clone(&clock);
-        let audit = Arc::new(AuditLog::new(
-            wormaudit::DEFAULT_JOURNAL_CAPACITY,
-            &trace,
-            Box::new(move || audit_clock.now().as_millis()),
-        ));
-        let mut shards = Vec::with_capacity(stores.len());
-        for (i, store) in stores.into_iter().enumerate() {
-            let lane = i as u64;
-            let mut shard_config = config.clone();
-            shard_config.sn_origin = lane << SHARD_LANE_BITS;
-            // Distinct SCPUs: each shard's device derives its own key
-            // material and serial identity.
-            shard_config.device.serial = config.device.serial.wrapping_add(lane);
-            shard_config.device.rng_seed = config.device.rng_seed.wrapping_add(1 + lane);
-            shards.push(Arc::new(WormServer::with_store_and_audit(
+        if !(1..=MAX_SHARDS as usize).contains(&stores.len()) {
+            return Err(WormError::Firmware(format!(
+                "shard count must be 1..={MAX_SHARDS}, got {}",
+                stores.len()
+            )));
+        }
+        let mut lanes: Vec<Arc<WormServer<D>>> = Vec::with_capacity(stores.len());
+        for (lane, store) in (0u64..).zip(stores) {
+            // Distinct SCPUs: lane `i`'s device derives its own key
+            // material and serial identity, and lane 0's is the one a
+            // standalone server would boot.
+            let mut lane_config = config.clone();
+            lane_config.sn_origin = lane << SHARD_LANE_BITS;
+            lane_config.device.serial = config.device.serial.wrapping_add(lane);
+            lane_config.device.rng_seed = config.device.rng_seed.wrapping_add(lane);
+            let journal = lanes.first().map(|lane0| Arc::clone(lane0.audit()));
+            lanes.push(Arc::new(WormServer::boot(
                 store,
-                shard_config,
+                lane_config,
                 clock.clone(),
                 regulator,
-                Arc::clone(&audit),
+                None,
+                journal,
             )?));
         }
-        Ok(ShardedWormServer {
+        Ok(Self::over(lanes))
+    }
+
+    /// The deployment over `shards`, lane 0 first; at least one.
+    fn over(shards: Vec<Arc<WormServer<D>>>) -> Self {
+        ShardedWormServer {
             shards,
-            router: ShardRouter::new(shard_count, config.head_refresh_interval, clock),
-            trace,
-            audit,
-        })
+            cursor: AtomicU32::new(0),
+            composite: RwLock::new(None),
+        }
     }
 
-    /// The router-level trace registry: instruments that belong to the
-    /// deployment as a whole (e.g. a network front-end's counters)
-    /// rather than to any one shard.
+    /// Lane 0's trace registry, which is the deployment's: a network
+    /// front-end registers its instruments there, its kill switch is the
+    /// one the front-end obeys, and its flight recorder serves `Traces`.
     pub fn trace(&self) -> &Arc<wormtrace::Registry> {
-        &self.trace
+        self.coordinator().trace()
     }
 
-    /// The deployment-wide audit journal (shared by every lane): one
-    /// hash chain over all shards' integrity events, anchored by
-    /// whichever shard's SCPU ticks past an unanchored tip. Anchors from
+    /// The deployment-wide audit journal, lane 0's, shared by every
+    /// lane: one hash chain over all lanes' integrity events, anchored by
+    /// whichever lane's SCPU ticks past an unanchored tip. Anchors from
     /// different lanes carry different key fingerprints; auditors verify
     /// against the full [`ShardedWormServer::shard_keys`] set.
     pub fn audit(&self) -> &Arc<AuditLog> {
-        &self.audit
+        self.coordinator().audit()
     }
 
-    /// Number of shards (= SN lanes) in this deployment.
+    /// Number of lanes in this deployment.
     pub fn shard_count(&self) -> u32 {
-        self.router.shard_count()
+        // At most MAX_SHARDS (checked at boot), so the cast is exact.
+        self.shards.len() as u32
     }
 
-    /// The shard owning lane `lane`, if any.
+    /// The lane with index `lane`, if any.
     pub fn shard(&self, lane: u32) -> Option<&Arc<WormServer<D>>> {
         self.shards.get(usize::try_from(lane).ok()?)
     }
 
-    /// All shards, in lane order.
+    /// All lanes, in lane order.
     pub fn shards(&self) -> &[Arc<WormServer<D>>] {
         &self.shards
     }
 
-    /// The coordinator shard (lane 0) — the SCPU that signs composite
-    /// bindings. The constructor guarantees at least one shard.
+    /// Lane 0 — the SCPU that signs composite bindings, and whose
+    /// registry and journal are the deployment's.
     pub fn coordinator(&self) -> &Arc<WormServer<D>> {
         &self.shards[0]
     }
 
-    /// The SN→shard router (routing decisions and the composite cache).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    fn owner(&self, sn: SerialNumber) -> Result<&Arc<WormServer<D>>, WormError> {
-        let idx = self.router.route(sn)?;
-        self.shards.get(idx).ok_or(WormError::NoSuchShard {
-            lane: sn.lane(),
-            shard_count: self.router.shard_count(),
-        })
-    }
-
-    /// Writes a virtual record on the next shard in round-robin order,
-    /// using the configured default witness tier. Serialization is per
-    /// shard: writes to different shards proceed in parallel.
+    /// The lane owning `sn`.
     ///
     /// # Errors
     ///
-    /// Store, device, or firmware failures on the owning shard.
+    /// [`WormError::NoSuchShard`] when the SN's lane is outside this
+    /// deployment — no SCPU here could ever have issued it.
+    pub fn owner(&self, sn: SerialNumber) -> Result<&Arc<WormServer<D>>, WormError> {
+        let lane = sn.lane();
+        self.shard(lane).ok_or(WormError::NoSuchShard {
+            lane,
+            shard_count: self.shard_count(),
+        })
+    }
+
+    /// The next lane to receive a write (round-robin).
+    fn next_writer(&self) -> &Arc<WormServer<D>> {
+        // ordering: Relaxed suffices — the cursor only balances load; no
+        // other memory is published through it, and any interleaving of
+        // fetch_add results still yields a valid lane index.
+        let n = self.cursor.fetch_add(1, Ordering::Relaxed) as usize;
+        &self.shards[n % self.shards.len()]
+    }
+
+    /// Runs `f` on every lane, in lane order, whatever the others
+    /// return: a failing lane (say, a tampered SCPU) must not starve the
+    /// rest of their maintenance. The results, or the first error.
+    fn every_lane<T>(
+        &self,
+        f: impl Fn(&WormServer<D>) -> Result<T, WormError>,
+    ) -> Result<Vec<T>, WormError> {
+        let results: Vec<_> = self.shards.iter().map(|lane| f(lane)).collect();
+        results.into_iter().collect()
+    }
+
+    /// Writes a virtual record on the next lane in round-robin order,
+    /// using the configured default witness tier. Serialization is per
+    /// lane: writes to different lanes proceed in parallel.
+    ///
+    /// # Errors
+    ///
+    /// Store, device, or firmware failures on the owning lane.
     pub fn write(
         &self,
         records: &[&[u8]],
         policy: RetentionPolicy,
     ) -> Result<SerialNumber, WormError> {
-        self.shards[self.router.next_write_shard()].write(records, policy)
+        self.next_writer().write(records, policy)
     }
 
     /// Writes with an explicit witness tier and flag bits.
     ///
     /// # Errors
     ///
-    /// Store, device, or firmware failures on the owning shard.
+    /// Store, device, or firmware failures on the owning lane.
     pub fn write_with(
         &self,
         records: &[&[u8]],
@@ -290,22 +246,23 @@ impl<D: BlockDevice> ShardedWormServer<D> {
         flags: u32,
         witness: WitnessMode,
     ) -> Result<SerialNumber, WormError> {
-        self.shards[self.router.next_write_shard()].write_with(records, policy, flags, witness)
+        self.next_writer()
+            .write_with(records, policy, flags, witness)
     }
 
     /// Reads a record by serial number — routed to its owning lane,
-    /// host-only, concurrent with writes on every shard.
+    /// host-only, concurrent with writes on every lane.
     ///
     /// # Errors
     ///
     /// [`WormError::NoSuchShard`] for an SN outside every lane;
-    /// otherwise the owning shard's errors.
+    /// otherwise the owning lane's errors.
     pub fn read(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
         self.owner(sn)?.read(sn)
     }
 
-    /// [`ShardedWormServer::read`] for a serving path: the owning
-    /// shard's [`WormServer::read_into`].
+    /// [`ShardedWormServer::read`] for a serving path: the owning lane's
+    /// [`WormServer::read_into`].
     ///
     /// # Errors
     ///
@@ -318,7 +275,7 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     ///
     /// # Errors
     ///
-    /// Routing or owning-shard failures.
+    /// Routing or owning-lane failures.
     pub fn lit_hold(&self, credential: crate::authority::HoldCredential) -> Result<(), WormError> {
         self.owner(credential.sn)?.lit_hold(credential)
     }
@@ -327,7 +284,7 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     ///
     /// # Errors
     ///
-    /// Routing or owning-shard failures.
+    /// Routing or owning-lane failures.
     pub fn lit_release(
         &self,
         credential: crate::authority::ReleaseCredential,
@@ -335,69 +292,67 @@ impl<D: BlockDevice> ShardedWormServer<D> {
         self.owner(credential.sn)?.lit_release(credential)
     }
 
-    /// Drives due device alarms on every shard.
+    /// Drives due device alarms on every lane.
     ///
     /// # Errors
     ///
-    /// The first shard failure encountered (remaining shards are still
-    /// ticked on the next pass).
+    /// The first lane failure, after every lane has been ticked.
     pub fn tick(&self) -> Result<(), WormError> {
-        for shard in &self.shards {
-            shard.tick()?;
-        }
-        Ok(())
+        self.every_lane(WormServer::tick).map(drop)
     }
 
-    /// Grants every shard's SCPU an idle budget for deferred work.
+    /// Grants every lane's SCPU an idle budget for deferred work.
     ///
     /// # Errors
     ///
-    /// The first shard failure encountered.
+    /// The first lane failure, after every lane has had its budget.
     pub fn idle(&self, budget_ns: u64) -> Result<(), WormError> {
-        for shard in &self.shards {
-            shard.idle(budget_ns)?;
-        }
-        Ok(())
+        self.every_lane(|lane| lane.idle(budget_ns)).map(drop)
     }
 
-    /// Compacts eligible expired runs on every shard, returning the
-    /// total number of windows created.
+    /// Compacts eligible expired runs on every lane, returning the total
+    /// number of windows created.
     ///
     /// # Errors
     ///
-    /// The first shard failure encountered.
+    /// The first lane failure, after every lane has compacted.
     pub fn compact(&self) -> Result<usize, WormError> {
-        let mut total = 0;
-        for shard in &self.shards {
-            total += shard.compact()?;
-        }
-        Ok(total)
+        Ok(self.every_lane(WormServer::compact)?.into_iter().sum())
     }
 
-    /// The composite freshness head: every shard's current head folded
-    /// into one root, signed by the coordinator shard's SCPU.
+    /// A cached composite head that lane 0 would not yet refresh.
+    fn cached_composite(
+        cached: &Option<CompositeHead>,
+        lane0: &WormServer<D>,
+    ) -> Option<CompositeHead> {
+        cached
+            .as_ref()
+            .filter(|c| !lane0.read_plane.stale(c.binding.issued_at))
+            .cloned()
+    }
+
+    /// The composite freshness head: every lane's current head folded
+    /// into one root, signed by lane 0's SCPU.
     ///
     /// Served from a cache and re-minted lazily when older than the
-    /// head-refresh interval — composite minting costs one RSA
-    /// signature plus a head refresh per stale shard, so like the
-    /// single-server head it stays off the write hot path.
+    /// head-refresh interval — minting costs one RSA signature plus a
+    /// head refresh per stale lane, so like each lane's head it stays
+    /// off the write hot path.
     ///
     /// # Errors
     ///
-    /// Device or firmware failures while refreshing shard heads or
+    /// Device or firmware failures while refreshing lane heads or
     /// signing the binding.
     pub fn composite_head(&self) -> Result<CompositeHead, WormError> {
-        if let Some(cached) = self.router.cached_composite() {
+        let lane0 = self.coordinator();
+        if let Some(cached) = Self::cached_composite(&self.composite.read(), lane0) {
             return Ok(cached);
         }
-        let mut guard = self.router.composite.write();
+        let mut guard = self.composite.write();
         // Re-check under the write lock: racing callers collapse into
         // one minting round-trip.
-        if let Some(composite) = guard.as_ref() {
-            let age = self.router.clock.now().since(composite.binding.issued_at);
-            if age < self.router.head_refresh_interval {
-                return Ok(composite.clone());
-            }
+        if let Some(cached) = Self::cached_composite(&guard, lane0) {
+            return Ok(cached);
         }
         let heads: Vec<HeadCert> = self
             .shards
@@ -405,15 +360,15 @@ impl<D: BlockDevice> ShardedWormServer<D> {
             .map(|s| s.current_head())
             .collect::<Result<_, _>>()?;
         let root = composite_root(&heads);
-        let binding = self.shards[0].sign_composite(self.router.shard_count(), root)?;
+        let binding = lane0.sign_composite(self.shard_count(), root)?;
         let composite = CompositeHead { heads, binding };
         *guard = Some(composite.clone());
         Ok(composite)
     }
 
-    /// Per-shard published keys and weak-key certificates, in lane
+    /// Per-lane published keys and weak-key certificates, in lane
     /// order — what a client needs to build a
-    /// [`CompositeVerifier`](crate::CompositeVerifier).
+    /// [`Verifier`](crate::Verifier) over every lane.
     pub fn shard_keys(&self) -> Vec<(DeviceKeys, Vec<WeakKeyCert>)> {
         self.shards
             .iter()
@@ -421,8 +376,8 @@ impl<D: BlockDevice> ShardedWormServer<D> {
             .collect()
     }
 
-    /// Spawns one [`RetentionDaemon`] per shard (lane order), each
-    /// driving its own shard's alarms, idle budget, and compaction
+    /// Spawns one [`RetentionDaemon`] per lane (lane order), each
+    /// driving its own lane's alarms, idle budget, and compaction
     /// independently.
     pub fn spawn_daemons(&self, config: DaemonConfig) -> Vec<RetentionDaemon>
     where
@@ -434,13 +389,14 @@ impl<D: BlockDevice> ShardedWormServer<D> {
             .collect()
     }
 
-    /// A merged point-in-time stats snapshot: router-level instruments
-    /// unprefixed, plus each shard's instruments under a `shard{i}.`
-    /// prefix, so per-shard op rates and daemon health stay
-    /// distinguishable after the merge.
+    /// A merged point-in-time stats snapshot: lane 0's instruments (the
+    /// deployment's registry) unprefixed, plus each further lane's under
+    /// a `shard{i}.` prefix, so per-lane op rates and daemon health stay
+    /// distinguishable after the merge. At one lane it is lane 0's
+    /// snapshot as it stands.
     pub fn stats_snapshot(&self) -> wormtrace::StatsSnapshot {
-        let mut merged = self.trace.snapshot();
-        for (i, shard) in self.shards.iter().enumerate() {
+        let mut merged = self.coordinator().stats_snapshot();
+        for (i, shard) in self.shards.iter().enumerate().skip(1) {
             let snap = shard.stats_snapshot();
             let prefix = format!("shard{i}.");
             // A constant prefix preserves each snapshot's sorted name
@@ -476,7 +432,7 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     /// washes out at the next lazy refresh.
     #[doc(hidden)]
     pub fn tamper_composite_for_test(&self) {
-        let mut guard = self.router.composite.write();
+        let mut guard = self.composite.write();
         if let Some(composite) = guard.as_mut() {
             if let Some(byte) = composite.binding.root.first_mut() {
                 *byte ^= 0x01;
@@ -489,7 +445,7 @@ impl<D: BlockDevice> ShardedWormServer<D> {
 mod tests {
     use super::*;
     use crate::authority::RegulatoryAuthority;
-    use crate::client::{CompositeVerifier, Verifier, VerifyRead};
+    use crate::client::Verifier;
     use crate::policy::RetentionPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -501,36 +457,35 @@ mod tests {
         RetentionPolicy::custom(Duration::from_secs(1_000_000), Shredder::ZeroFill)
     }
 
-    fn deployment(shards: u32) -> (ShardedWormServer, Arc<VirtualClock>, CompositeVerifier) {
+    fn regulator() -> RegulatoryAuthority {
+        RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(42), 512)
+    }
+
+    fn deployment(shards: u32) -> (ShardedWormServer, Arc<VirtualClock>, Verifier) {
         let clock = VirtualClock::starting_at_millis(1000);
-        let authority = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(42), 512);
         let server = ShardedWormServer::new(
             WormConfig::test_small(),
             clock.clone(),
-            authority.public(),
+            regulator().public(),
             shards,
         )
         .unwrap();
-        let verifier = composite_verifier(&server, clock.clone());
+        let verifier = verifier(&server, clock.clone());
         (server, clock, verifier)
     }
 
-    fn composite_verifier(
-        server: &ShardedWormServer,
-        clock: Arc<VirtualClock>,
-    ) -> CompositeVerifier {
-        let shards = server
-            .shard_keys()
-            .into_iter()
-            .map(|(keys, weak_certs)| {
-                let mut v = Verifier::new(&keys, Duration::from_secs(300), clock.clone()).unwrap();
-                for cert in weak_certs {
-                    v.add_weak_cert(cert).unwrap();
-                }
-                v
-            })
-            .collect();
-        CompositeVerifier::new(shards)
+    /// A verifier over every lane of `server`, each lane's published
+    /// weak-key certificates registered.
+    fn verifier(server: &ShardedWormServer, clock: Arc<VirtualClock>) -> Verifier {
+        let lanes = server.shard_keys();
+        let mut v = Verifier::new(&lanes[0].0, Duration::from_secs(300), clock).unwrap();
+        for (keys, _) in &lanes[1..] {
+            v.add_lane(keys).unwrap();
+        }
+        for cert in lanes.into_iter().flat_map(|(_, certs)| certs) {
+            v.add_weak_cert(cert).unwrap();
+        }
+        v
     }
 
     #[test]
@@ -630,17 +585,25 @@ mod tests {
 
     #[test]
     fn shards_hold_distinct_keys_that_reject_each_others_evidence() {
-        let (server, clock, _verifier) = deployment(2);
+        let (server, clock, verifier) = deployment(2);
         let keys = server.shard_keys();
         assert_ne!(keys[0].0.sign.fingerprint(), keys[1].0.sign.fingerprint());
-        // Same SN, same outcome, the other lane's SCPU keys: only the
-        // owning shard's verifier accepts.
+        // A lane-1 record verifies under lane 1's keys only: not under a
+        // verifier that holds lane 0 alone, nor one whose lanes are
+        // swapped.
+        server.write(&[b"lane 0 record"], policy()).unwrap();
         let sn = server.write(&[b"lane record"], policy()).unwrap();
+        assert_eq!(sn.lane(), 1);
         let outcome = server.read(sn).unwrap();
-        for (lane, (lane_keys, _)) in (0u32..).zip(&keys) {
-            let v = Verifier::new(lane_keys, Duration::from_secs(300), clock.clone()).unwrap();
-            assert_eq!(v.verify_read(sn, &outcome).is_ok(), lane == sn.lane());
-        }
+        let lane0_only = Verifier::new(&keys[0].0, Duration::from_secs(300), clock.clone());
+        assert!(matches!(
+            lane0_only.unwrap().verify_read(sn, &outcome),
+            Err(crate::VerifyError::ShardNotBound { lane: 1 })
+        ));
+        let mut swapped = Verifier::new(&keys[1].0, Duration::from_secs(300), clock).unwrap();
+        swapped.add_lane(&keys[0].0).unwrap();
+        assert!(swapped.verify_read(sn, &outcome).is_err());
+        assert!(verifier.verify_read(sn, &outcome).is_ok());
     }
 
     #[test]
@@ -663,24 +626,115 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_lane_does_not_stop_maintenance_on_the_others() {
+        let (server, clock, verifier) = deployment(2);
+        let short = RetentionPolicy::custom(Duration::from_secs(50), Shredder::ZeroFill);
+        let sns: Vec<_> = (0..4)
+            .map(|i| server.write(&[format!("r{i}").as_bytes()], short).unwrap())
+            .collect();
+        server
+            .coordinator()
+            .tamper_device(scpu::TamperCause::Penetration);
+        clock.advance(Duration::from_secs(60));
+        assert!(server.tick().is_err(), "lane 0's SCPU is gone");
+        assert!(server.idle(1_000_000).is_err());
+        assert!(server.compact().is_err());
+        for sn in sns.into_iter().filter(|sn| sn.lane() == 1) {
+            let outcome = server.read(sn).unwrap();
+            assert_eq!(outcome.kind(), "deleted", "{sn}");
+            assert!(matches!(
+                verifier.verify_read(sn, &outcome).unwrap(),
+                crate::ReadVerdict::ConfirmedDeleted { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn one_lane_is_the_standalone_server() {
+        let clock = VirtualClock::starting_at_millis(1000);
+        let booted = ShardedWormServer::new(
+            WormConfig::test_small(),
+            clock.clone(),
+            regulator().public(),
+            1,
+        )
+        .unwrap();
+        let standalone =
+            WormServer::new(WormConfig::test_small(), clock, regulator().public()).unwrap();
+        let converted = ShardedWormServer::from(Arc::new(standalone));
+        assert_eq!(booted.shard_keys(), converted.shard_keys());
+        for deployment in [&booted, &converted] {
+            let sn = deployment.write(&[b"first"], policy()).unwrap();
+            assert_eq!(sn, SerialNumber(1));
+            assert_eq!(
+                deployment.stats_snapshot(),
+                deployment.coordinator().stats_snapshot()
+            );
+        }
+    }
+
+    #[test]
+    fn a_weak_certificate_lands_on_the_lane_that_signed_it() {
+        let (server, clock, mut verifier) = deployment(3);
+        // Past the weak key's lifetime each lane's next deferred write
+        // rotates its weak key, publishing a second certificate.
+        clock.advance(WormConfig::test_small().weak_lifetime + Duration::from_secs(60));
+        for _ in 0..3 {
+            server
+                .write_with(&[b"deferred"], policy(), 0, WitnessMode::Deferred)
+                .unwrap();
+        }
+        for (lane, (_, certs)) in (0u32..).zip(server.shard_keys()) {
+            assert_eq!(certs.len(), 2, "lane {lane} rotated");
+            verifier.add_weak_cert(certs[1].clone()).unwrap();
+        }
+        for (lane, (_, certs)) in (0u32..).zip(server.shard_keys()) {
+            assert_eq!(verifier.weak_certs(lane), &certs[..], "lane {lane}");
+        }
+
+        // A certificate no lane signed: one from lane 3 of a four-lane
+        // deployment (an SCPU this verifier holds no lane for), and one
+        // of this deployment's with its expiry pushed out.
+        let (other, _, _) = deployment(4);
+        let foreign = other.shard(3).unwrap().keys().weak_cert.clone();
+        let mut forged = server.shard_keys()[2].1[1].clone();
+        forged.max_sig_expiry = forged.max_sig_expiry.after(Duration::from_secs(1));
+        let before: Vec<_> = (0..3).map(|lane| verifier.weak_certs(lane).len()).collect();
+        for cert in [foreign, forged] {
+            assert!(matches!(
+                verifier.add_weak_cert(cert),
+                Err(crate::VerifyError::BadSignature("weak key certificate"))
+            ));
+        }
+        let after: Vec<_> = (0..3).map(|lane| verifier.weak_certs(lane).len()).collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
     fn zero_shards_is_rejected() {
         let clock = VirtualClock::new();
-        let authority = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(42), 512);
-        let booted = ShardedWormServer::new(WormConfig::test_small(), clock, authority.public(), 0);
+        let booted =
+            ShardedWormServer::new(WormConfig::test_small(), clock, regulator().public(), 0);
         assert!(matches!(booted, Err(WormError::Firmware(_))));
     }
 
     #[test]
     fn out_of_lane_sn_is_routed_nowhere() {
-        let (server, _clock, _verifier) = deployment(2);
-        let foreign = SerialNumber(SerialNumber::lane_origin(7) + 1);
-        assert!(matches!(
-            server.read(foreign),
-            Err(WormError::NoSuchShard {
-                lane: 7,
-                shard_count: 2
-            })
-        ));
+        for shards in [1, 2] {
+            let (server, _clock, verifier) = deployment(shards);
+            let foreign = SerialNumber(SerialNumber::lane_origin(7) + 1);
+            assert!(matches!(
+                server.read(foreign),
+                Err(WormError::NoSuchShard { lane: 7, shard_count }) if shard_count == shards
+            ));
+            // An honest lane-0 answer presented for it is refused before
+            // any signature is looked at.
+            let outcome = server.read(SerialNumber(1)).unwrap();
+            assert!(matches!(
+                verifier.verify_read(foreign, &outcome),
+                Err(crate::VerifyError::ShardNotBound { lane: 7 })
+            ));
+        }
     }
 
     #[test]
@@ -689,15 +743,13 @@ mod tests {
         server.write(&[b"a"], policy()).unwrap();
         server.write(&[b"b"], policy()).unwrap();
         let stats = server.stats_snapshot();
-        let s0 = stats
-            .op("shard0.server.write")
-            .map(|o| o.ok + o.err)
-            .unwrap();
-        let s1 = stats
-            .op("shard1.server.write")
-            .map(|o| o.ok + o.err)
-            .unwrap();
-        assert_eq!(s0 + s1, 2);
+        // Lane 0's instruments are the deployment's, unprefixed; lane 1's
+        // carry its prefix.
+        let writes = |name: &str| stats.op(name).map(|o| o.ok + o.err).unwrap();
+        assert_eq!(writes("server.write"), 1);
+        assert_eq!(writes("shard1.server.write"), 1);
+        assert!(stats.op("shard0.server.write").is_none());
+        assert!(stats.counter("audit.emitted") > 0);
     }
 
     #[test]

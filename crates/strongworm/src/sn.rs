@@ -11,8 +11,7 @@
 /// `i · 2^56 + 1`, so the owning shard of any SN is simply its high
 /// byte. Within a lane the paper's density invariants (consecutive
 /// issue, contiguous base advance, window adjacency) hold unchanged,
-/// and a single-shard deployment (lane 0) degenerates to the original
-/// single-SCPU numbering exactly.
+/// and lane 0 numbers exactly as a single-SCPU server always has.
 pub const SHARD_LANE_BITS: u32 = 56;
 
 /// Highest shard count a lane-partitioned deployment can address (the

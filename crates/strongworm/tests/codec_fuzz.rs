@@ -4,6 +4,7 @@
 //! valid encoding must either fail to decode or decode to a different
 //! value (no silent aliasing).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -635,52 +636,25 @@ fn device_keys_reserved_byte_must_be_zero() {
 // ---------------------------------------------------------------------
 // The streaming read path (`read_into`) against the owned one (`read` +
 // `encode_read_outcome_into`): one layout, so the same bytes, for every
-// outcome variant, on a single server and across shard lanes.
+// outcome variant, at one lane and across two.
 // ---------------------------------------------------------------------
 
-/// The calls the byte-identity scenario makes, on either server shape.
-trait Served {
-    fn put(&self, records: &[&[u8]], retention_secs: u64) -> SerialNumber;
-    fn expire_and_compact(&self);
-    fn owned(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError>;
-    fn streamed(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError>;
-    fn slow_reads(&self) -> u64;
+/// Writes `records` on the deployment's next lane, kept for
+/// `retention_secs`.
+fn put(srv: &ShardedWormServer, records: &[&[u8]], retention_secs: u64) -> SerialNumber {
+    let policy = RetentionPolicy::custom(Duration::from_secs(retention_secs), Shredder::ZeroFill);
+    srv.write(records, policy).unwrap()
 }
 
-macro_rules! served {
-    ($server:ty) => {
-        impl Served for $server {
-            fn put(&self, records: &[&[u8]], retention_secs: u64) -> SerialNumber {
-                let policy = RetentionPolicy::custom(
-                    Duration::from_secs(retention_secs),
-                    Shredder::ZeroFill,
-                );
-                self.write(records, policy).unwrap()
-            }
-            fn expire_and_compact(&self) {
-                self.tick().unwrap();
-                self.compact().unwrap();
-            }
-            fn owned(&self, sn: SerialNumber) -> Result<ReadOutcome, WormError> {
-                self.read(sn)
-            }
-            fn streamed(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
-                self.read_into(sn, w)
-            }
-            fn slow_reads(&self) -> u64 {
-                // Summed over lanes (a sharded snapshot prefixes each
-                // shard's instruments with `shard{i}.`).
-                let counters = self.stats_snapshot().counters;
-                let slow = counters
-                    .iter()
-                    .filter(|(name, _)| name.ends_with("server.read_slow_path"));
-                slow.map(|(_, n)| n).sum()
-            }
-        }
-    };
+/// Reads that took the slow path, summed over lanes (lane `i ≥ 1`'s
+/// instruments carry a `shard{i}.` prefix).
+fn slow_reads(srv: &ShardedWormServer) -> u64 {
+    let counters = srv.stats_snapshot().counters;
+    let slow = counters
+        .iter()
+        .filter(|(name, _)| name.ends_with("server.read_slow_path"));
+    slow.map(|(_, n)| n).sum()
 }
-served!(WormServer);
-served!(ShardedWormServer);
 
 fn regulator() -> RegulatoryAuthority {
     RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0xB17E), 512)
@@ -688,11 +662,11 @@ fn regulator() -> RegulatoryAuthority {
 
 /// Streams `sn` after bytes the writer already holds and checks the
 /// result against the owned outcome's encoding; returns the outcome.
-fn assert_streams_as_owned(srv: &impl Served, sn: SerialNumber) -> ReadOutcome {
+fn assert_streams_as_owned(srv: &ShardedWormServer, sn: SerialNumber) -> ReadOutcome {
     let mut w = WireWriter::from(b"kept".to_vec());
-    srv.streamed(sn, &mut w).unwrap();
+    srv.read_into(sn, &mut w).unwrap();
     let streamed = w.finish();
-    let outcome = srv.owned(sn).unwrap();
+    let outcome = srv.read(sn).unwrap();
     assert_eq!(&streamed[..4], b"kept");
     assert_eq!(
         &streamed[4..],
@@ -704,8 +678,12 @@ fn assert_streams_as_owned(srv: &impl Served, sn: SerialNumber) -> ReadOutcome {
 }
 
 /// Every outcome variant, `lanes` times over (writes go round-robin, so
-/// each lane of a sharded server gets the same layout).
-fn streamed_reads_match_the_owned_encoding(srv: &impl Served, clock: &VirtualClock, lanes: usize) {
+/// each lane gets the same layout).
+fn streamed_reads_match_the_owned_encoding(
+    srv: &ShardedWormServer,
+    clock: &VirtualClock,
+    lanes: usize,
+) {
     const KEEP: u64 = 10_000_000;
     const BIG: &[u8] = &[0xA5; 3000];
     // Per lane: SN 1-3 an expired prefix (the base passes them), 4 one
@@ -728,11 +706,12 @@ fn streamed_reads_match_the_owned_encoding(srv: &impl Served, clock: &VirtualClo
     let mut written = Vec::new();
     for (records, secs, expect) in layout {
         for _ in 0..lanes {
-            written.push((srv.put(records, secs), expect));
+            written.push((put(srv, records, secs), expect));
         }
     }
     clock.advance(Duration::from_secs(60));
-    srv.expire_and_compact();
+    srv.tick().unwrap();
+    srv.compact().unwrap();
 
     let evidence_kind = |outcome: &ReadOutcome| match outcome {
         ReadOutcome::Data { .. } => "data",
@@ -769,17 +748,17 @@ fn streamed_reads_match_the_owned_encoding(srv: &impl Served, clock: &VirtualClo
         clock.advance(Duration::from_secs(25 * 60 * 60));
         // Lane by lane: each lane's first below-base read is the slow one.
         for &sn in &below_base[..lanes] {
-            let slow_before = srv.slow_reads();
+            let slow_before = slow_reads(srv);
             if streamed_first {
                 assert_streams_as_owned(srv, sn);
             } else {
-                let outcome = srv.owned(sn).unwrap();
+                let outcome = srv.read(sn).unwrap();
                 let mut w = WireWriter::new();
-                srv.streamed(sn, &mut w).unwrap();
+                srv.read_into(sn, &mut w).unwrap();
                 assert_eq!(w.finish(), encode_outcome(&outcome));
             }
             assert!(
-                srv.slow_reads() > slow_before,
+                slow_reads(srv) > slow_before,
                 "{sn}: an expired base certificate must take the slow path"
             );
         }
@@ -788,45 +767,46 @@ fn streamed_reads_match_the_owned_encoding(srv: &impl Served, clock: &VirtualClo
 
 #[test]
 fn streamed_reads_match_the_owned_encoding_on_one_server() {
-    let clock = VirtualClock::starting_at_millis(1_000_000);
-    let srv = WormServer::new(
-        WormConfig::test_small(),
-        clock.clone(),
-        regulator().public(),
-    )
-    .unwrap();
+    let (srv, clock) = lanes(1);
     streamed_reads_match_the_owned_encoding(&srv, &clock, 1);
 }
 
 #[test]
 fn streamed_reads_match_the_owned_encoding_across_two_shards() {
+    let (srv, clock) = lanes(2);
+    streamed_reads_match_the_owned_encoding(&srv, &clock, 2);
+}
+
+fn lanes(count: u32) -> (ShardedWormServer, Arc<VirtualClock>) {
     let clock = VirtualClock::starting_at_millis(1_000_000);
     let srv = ShardedWormServer::new(
         WormConfig::test_small(),
         clock.clone(),
         regulator().public(),
-        2,
+        count,
     )
     .unwrap();
-    streamed_reads_match_the_owned_encoding(&srv, &clock, 2);
+    (srv, clock)
 }
 
 #[test]
 fn a_store_error_after_the_vrd_was_written_leaves_the_writer_as_it_was() {
-    let clock = VirtualClock::starting_at_millis(1_000_000);
-    let srv = WormServer::new(WormConfig::test_small(), clock, regulator().public()).unwrap();
-    let sn = srv.put(&[b"reads fine", b"descriptor goes stale"], 1_000);
+    let (srv, _clock) = lanes(1);
+    let sn = put(&srv, &[b"reads fine", b"descriptor goes stale"], 1_000);
     {
         // The second extent now points past the device: the VRD and the
         // first record are already in the writer when the store fails.
-        let (mut vrdt, _) = srv.parts_mut_for_attack();
+        let (mut vrdt, _) = srv.coordinator().parts_mut_for_attack();
         match vrdt.entries_mut_for_attack().get_mut(&sn) {
             Some(VrdtEntry::Active(vrd)) => vrd.rdl[1].offset = u64::MAX / 2,
             _ => unreachable!("just written"),
         }
     }
     let mut w = WireWriter::from(b"kept".to_vec());
-    assert!(matches!(srv.streamed(sn, &mut w), Err(WormError::Store(_))));
+    assert!(matches!(
+        srv.read_into(sn, &mut w),
+        Err(WormError::Store(_))
+    ));
     assert_eq!(w.finish(), b"kept");
-    assert!(matches!(srv.owned(sn), Err(WormError::Store(_))));
+    assert!(matches!(srv.read(sn), Err(WormError::Store(_))));
 }

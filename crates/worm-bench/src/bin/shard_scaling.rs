@@ -20,9 +20,8 @@
 //!
 //! After each measured point the batch is re-read over the wire: a
 //! `NetServer` fronts the sharded deployment, a `RemoteWormClient`
-//! bootstraps a `CompositeVerifier` from `GetShardKeys`, and sampled
-//! records from every lane must verify end-to-end against the composite
-//! freshness head. A point only counts if every sampled cross-shard
+//! bootstraps a `Verifier` over every lane from `GetShardKeys`, and
+//! sampled records from every lane must verify end-to-end. A point only counts if every sampled cross-shard
 //! read verifies.
 //!
 //! Exits nonzero if a tier's speedup curve is not monotone or its
@@ -65,7 +64,7 @@ struct ShardScalingPoint {
     /// Pipeline minimum of the two stages.
     effective_rps: f64,
     speedup_vs_1: f64,
-    /// Cross-shard wire reads verified against the composite head.
+    /// Cross-shard wire reads verified under their lanes' keys.
     wire_reads_verified: u64,
 }
 
@@ -156,7 +155,7 @@ fn measure_point(
     let effective_rps = scpu_rps.min(host_rps);
 
     // End-to-end check: every lane's records must still verify over the
-    // wire against the composite freshness head.
+    // wire, each under its own lane's keys.
     let wire_reads_verified = verify_over_wire(&server, clock, &sns);
 
     ShardScalingPoint {
@@ -174,8 +173,8 @@ fn measure_point(
     }
 }
 
-/// Reads a cross-lane sample of `sns` over a loopback `NetServer` with
-/// full composite-head verification; returns the number verified.
+/// Reads a cross-lane sample of `sns` over a loopback `NetServer`, each
+/// verified under its lane's keys; returns the number verified.
 /// Panics if any sampled read fails to verify — the scaling numbers are
 /// only meaningful if the sharded plane stays globally verifiable.
 fn verify_over_wire(
@@ -187,8 +186,8 @@ fn verify_over_wire(
         .expect("bind loopback");
     let mut client = RemoteWormClient::connect(net.local_addr()).expect("connect");
     let verifier = client
-        .bootstrap_composite_verifier(Duration::from_secs(300), clock)
-        .expect("bootstrap composite verifier");
+        .bootstrap_verifier(Duration::from_secs(300), clock)
+        .expect("bootstrap verifier");
     assert_eq!(verifier.shard_count(), server.shard_count() as usize);
 
     // An evenly strided sample crosses every lane (writes were assigned

@@ -152,9 +152,8 @@ fn run_verify(
         // unattested and the tail count is nonzero.
         client.tick()?;
     }
-    // The permanent witnessing key of every lane: a single server
-    // answers with one degenerate lane, a sharded plane with all of
-    // them. Anchors may be signed by any lane's SCPU.
+    // The permanent witnessing key of every lane, one for a one-lane
+    // deployment. Anchors may be signed by any lane's SCPU.
     let shard_keys = client.fetch_shard_keys()?;
     let lanes = shard_keys.len();
     let keys: Vec<_> = shard_keys.into_iter().map(|(k, _)| k.sign).collect();

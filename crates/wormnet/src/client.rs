@@ -15,8 +15,7 @@ use scpu::Clock;
 use strongworm::authority::{HoldCredential, ReleaseCredential};
 use strongworm::firmware::{DeviceKeys, WeakKeyCert};
 use strongworm::{
-    CompositeHead, CompositeVerifier, ReadOutcome, ReadVerdict, RetentionPolicy, SerialNumber,
-    Verifier, VerifyRead, WitnessMode,
+    CompositeHead, ReadOutcome, ReadVerdict, RetentionPolicy, SerialNumber, Verifier, WitnessMode,
 };
 
 use crate::frame::{put_frame, FrameReader, DEFAULT_MAX_FRAME};
@@ -267,23 +266,19 @@ impl RemoteWormClient {
         }
     }
 
-    /// Reads a record and verifies the outcome end-to-end: signatures,
-    /// data hash, freshness, deletion evidence. Any in-flight or
-    /// server-side tampering fails here as [`NetError::Verify`].
-    ///
-    /// Accepts any [`VerifyRead`] implementation: a single-shard
-    /// [`Verifier`] or a [`CompositeVerifier`], which routes the check
-    /// to the SN's owning shard lane — so the same call verifies reads
-    /// against sharded deployments transparently.
+    /// Reads a record and verifies the outcome end-to-end, under the
+    /// keys of the lane `sn` names: signatures, data hash, freshness,
+    /// deletion evidence. Any in-flight or server-side tampering fails
+    /// here as [`NetError::Verify`].
     ///
     /// # Errors
     ///
     /// Transport failures, a server-reported error, or verification
     /// failure.
-    pub fn read_verified<V: VerifyRead + ?Sized>(
+    pub fn read_verified(
         &mut self,
         sn: SerialNumber,
-        verifier: &V,
+        verifier: &Verifier,
     ) -> Result<(ReadVerdict, ReadOutcome), NetError> {
         let outcome = self.read_raw(sn)?;
         let verdict = verifier.verify_read(sn, &outcome)?;
@@ -372,7 +367,7 @@ impl RemoteWormClient {
         }
     }
 
-    /// Fetches the device's published keys and all weak-key
+    /// Fetches lane 0's published keys and all its weak-key
     /// certificates. The bytes are untrusted until validated against
     /// CA-issued certificates (see
     /// [`strongworm::Verifier::from_certificates`]).
@@ -387,8 +382,25 @@ impl RemoteWormClient {
         }
     }
 
-    /// Fetches keys and builds a [`Verifier`] from them, registering
-    /// every published weak-key certificate.
+    /// Fetches every lane's published keys and weak-key certificates, in
+    /// lane order. Untrusted until validated, exactly like
+    /// [`RemoteWormClient::fetch_keys`].
+    ///
+    /// # Errors
+    ///
+    /// Transport failures or a server-reported error.
+    #[allow(clippy::type_complexity)]
+    pub fn fetch_shard_keys(&mut self) -> Result<Vec<(DeviceKeys, Vec<WeakKeyCert>)>, NetError> {
+        match self.call(&NetRequest::GetShardKeys)? {
+            NetResponse::ShardKeys(shards) => Ok(shards),
+            _ => Err(NetError::Protocol("expected ShardKeys response")),
+        }
+    }
+
+    /// Fetches every lane's keys and builds a [`Verifier`] over them,
+    /// registering every published weak-key certificate with its lane.
+    /// The SCPUs are not consulted: the keys are what the host already
+    /// holds.
     ///
     /// Convenience for tests and trusted-bootstrap deployments; when
     /// the server is not trusted to introduce its own keys, fetch the
@@ -404,28 +416,18 @@ impl RemoteWormClient {
         tolerance: Duration,
         clock: Arc<dyn Clock>,
     ) -> Result<Verifier, NetError> {
-        let (keys, weak_certs) = self.fetch_keys()?;
-        let mut verifier = Verifier::new(&keys, tolerance, clock)?;
-        for cert in weak_certs {
+        let lanes = self.fetch_shard_keys()?;
+        let ((lane0, _), rest) = lanes
+            .split_first()
+            .ok_or(NetError::Protocol("the server published no lanes"))?;
+        let mut verifier = Verifier::new(lane0, tolerance, clock)?;
+        for (keys, _) in rest {
+            verifier.add_lane(keys)?;
+        }
+        for cert in lanes.into_iter().flat_map(|(_, certs)| certs) {
             verifier.add_weak_cert(cert)?;
         }
         Ok(verifier)
-    }
-
-    /// Fetches every shard's published keys and weak-key certificates,
-    /// in lane order. A single-SCPU server answers with one lane.
-    /// Untrusted until validated, exactly like
-    /// [`RemoteWormClient::fetch_keys`].
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a server-reported error.
-    #[allow(clippy::type_complexity)]
-    pub fn fetch_shard_keys(&mut self) -> Result<Vec<(DeviceKeys, Vec<WeakKeyCert>)>, NetError> {
-        match self.call(&NetRequest::GetShardKeys)? {
-            NetResponse::ShardKeys(shards) => Ok(shards),
-            _ => Err(NetError::Protocol("expected ShardKeys response")),
-        }
     }
 
     /// Fetches one page of the server's tamper-evident audit journal:
@@ -484,39 +486,11 @@ impl RemoteWormClient {
     /// failure.
     pub fn composite_head_verified(
         &mut self,
-        verifier: &CompositeVerifier,
+        verifier: &Verifier,
     ) -> Result<CompositeHead, NetError> {
         let composite = self.composite_head_raw()?;
         verifier.verify_composite(&composite)?;
         Ok(composite)
-    }
-
-    /// Fetches per-shard keys and builds a [`CompositeVerifier`] over
-    /// them, registering every published weak-key certificate per lane.
-    ///
-    /// Convenience for tests and trusted-bootstrap deployments, with
-    /// the same caveat as [`RemoteWormClient::bootstrap_verifier`]:
-    /// when the server is not trusted to introduce its own keys, fetch
-    /// CA certificates out of band instead.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a server-reported error, or an internally
-    /// inconsistent key bundle.
-    pub fn bootstrap_composite_verifier(
-        &mut self,
-        tolerance: Duration,
-        clock: Arc<dyn Clock>,
-    ) -> Result<CompositeVerifier, NetError> {
-        let mut shards = Vec::new();
-        for (keys, weak_certs) in self.fetch_shard_keys()? {
-            let mut verifier = Verifier::new(&keys, tolerance, clock.clone())?;
-            for cert in weak_certs {
-                verifier.add_weak_cert(cert)?;
-            }
-            shards.push(verifier);
-        }
-        Ok(CompositeVerifier::new(shards))
     }
 }
 

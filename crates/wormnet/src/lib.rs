@@ -30,17 +30,18 @@
 //!   reused buffer.
 //! - [`protocol`]: [`NetRequest`]/[`NetResponse`] and their codecs,
 //!   layered on [`strongworm::wire`].
-//! - [`server`]: [`NetServer`], an event-driven front-end fronting an
-//!   `Arc<WormServer>`. Each worker thread runs a readiness loop (the
-//!   private `reactor` module, `poll(2)` via the vendored `netpoll`
-//!   shim) over its share of the connections, so a handful of workers
+//! - [`server`]: [`NetServer`], an event-driven front-end fronting one
+//!   deployment — a `ShardedWormServer` of N ≥ 1 lanes, or one
+//!   `WormServer` as its one lane. Each worker thread runs a readiness
+//!   loop (the private `reactor` module, `poll(2)` via the vendored
+//!   `netpoll` shim) over its share of the connections, so a handful of workers
 //!   serve many more connections than threads. Requests on one
 //!   connection may be pipelined; responses come back in request
 //!   order. Mutations still funnel through the witness plane's mutex
 //!   exactly as in-process callers do.
-//! - [`client`]: [`RemoteWormClient`], which composes with
-//!   [`strongworm::Verifier`] so every remote read is verified
-//!   end-to-end, and whose [`client::Pipeline`] mode keeps a window of
+//! - [`client`]: [`RemoteWormClient`], which composes with a
+//!   [`strongworm::Verifier`] over every lane so every remote read is
+//!   verified end-to-end, and whose [`client::Pipeline`] mode keeps a window of
 //!   requests in flight on one connection.
 
 #![forbid(unsafe_code)]
@@ -56,7 +57,7 @@ pub mod server;
 pub use client::{Pipeline, RemoteWormClient};
 pub use frame::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
 pub use protocol::{NetRequest, NetResponse};
-pub use server::{NetServer, NetServerConfig, WormBackend};
+pub use server::{IntoLanes, NetServer, NetServerConfig};
 
 use strongworm::wire::WireError;
 use strongworm::VerifyError;

@@ -51,7 +51,8 @@ pub enum NetRequest {
         /// The serial number to read.
         sn: SerialNumber,
     },
-    /// Drive retention maintenance, then re-read `sn` so the caller can
+    /// Drive retention maintenance on the lane that owns `sn`, then
+    /// re-read `sn` so the caller can
     /// verify the resulting deletion evidence. WORM semantics: there is
     /// no unilateral delete — only records past their retention
     /// deadline are actually removed, and the response proves whichever
@@ -73,9 +74,8 @@ pub enum NetRequest {
     /// Drive due device alarms (Retention Monitor wake-ups, head
     /// heartbeats).
     Tick,
-    /// Fetch the device's published keys and weak-key certificates, for
-    /// bootstrapping a [`strongworm::Verifier`]. The bytes are
-    /// untrusted until validated against CA certificates.
+    /// Fetch lane 0's published keys and weak-key certificates. The
+    /// bytes are untrusted until validated against CA certificates.
     GetKeys,
     /// Fetch a point-in-time snapshot of the server's trace registry:
     /// per-op latency histograms, outcome counters, and subsystem
@@ -85,15 +85,14 @@ pub enum NetRequest {
     /// Fetch the flight recorder's retained slow/error span trees
     /// (newest last). Like `Stats`, unsigned diagnostic data only.
     Traces,
-    /// Fetch the deployment's composite freshness head: every shard's
-    /// head certificate folded into one coordinator-signed root. A
-    /// single-SCPU server answers with a degenerate one-shard
-    /// composite, so clients need not know the deployment shape.
+    /// Fetch the deployment's composite freshness head: every lane's
+    /// head certificate folded into one root signed by lane 0, cached
+    /// for the head-refresh interval. A one-lane deployment answers
+    /// the same way with one head.
     GetCompositeHead,
-    /// Fetch every shard's published keys and weak-key certificates, in
-    /// lane order, for bootstrapping a
-    /// [`strongworm::CompositeVerifier`]. Untrusted until validated,
-    /// exactly like `GetKeys`.
+    /// Fetch every lane's published keys and weak-key certificates, in
+    /// lane order, for bootstrapping a [`strongworm::Verifier`].
+    /// Untrusted until validated, exactly like `GetKeys`.
     GetShardKeys,
     /// Fetch a page of the tamper-evident audit journal, cursor-based:
     /// events with `seq >= from_seq`, at most `max_events` of them,

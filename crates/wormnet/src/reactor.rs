@@ -30,9 +30,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crossbeam::channel::Receiver;
+use strongworm::ShardedWormServer;
+use wormstore::BlockDevice;
 
 use crate::frame::parse_frame;
-use crate::server::{respond, NetServerConfig, NetStats, WormBackend, SHUTDOWN_POLL};
+use crate::server::{respond, NetServerConfig, NetStats, SHUTDOWN_POLL};
 
 /// Cap on requests served from one connection per loop iteration.
 pub(crate) const BURST_FRAMES: usize = 64;
@@ -145,9 +147,9 @@ impl Conn {
     /// Parses and serves every complete buffered frame, up to the burst
     /// cap and the write-buffer watermark. Each response is written in
     /// place at the end of `wbuf`. Returns how many frames were served.
-    fn serve<B: WormBackend>(
+    fn serve<D: BlockDevice>(
         &mut self,
-        server: &B,
+        server: &ShardedWormServer<D>,
         stats: &NetStats,
         config: &NetServerConfig,
     ) -> u64 {
@@ -256,12 +258,12 @@ struct WorkerStats {
 /// this worker, woken by readiness, the acceptor's hand-off pipe, or
 /// the shutdown flag's poll interval.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn worker_loop<B: WormBackend>(
+pub(crate) fn worker_loop<D: BlockDevice>(
     idx: usize,
     rx: &Receiver<TcpStream>,
     wake: &netpoll::WakeReader,
     stop: &AtomicBool,
-    server: &B,
+    server: &ShardedWormServer<D>,
     stats: &NetStats,
     live: &AtomicUsize,
     config: &NetServerConfig,

@@ -1,4 +1,4 @@
-//! Event-driven TCP front-end for any [`WormBackend`].
+//! Event-driven TCP front-end for a [`ShardedWormServer`] deployment.
 //!
 //! The network layer adds no trust: it is part of the untrusted host.
 //! Serving is a small reactor (see [`crate::reactor`]): each worker
@@ -10,12 +10,13 @@
 //! from a per-connection read buffer and flushes coalesced per
 //! readiness burst.
 //!
-//! Workers call straight into the fronted facade — a single
-//! [`WormServer`] or a sharded [`ShardedWormServer`] — so concurrent
-//! connections exercise the read plane in parallel while mutations
-//! serialize per witness plane, exactly the concurrency discipline
-//! in-process callers get. Against a sharded backend, writes fan out
-//! round-robin across shard lanes and only same-shard writes contend.
+//! Workers call straight into the fronted deployment — N ≥ 1
+//! [`WormServer`] lanes, one SCPU each; a bound `WormServer` is the
+//! one-lane case — so concurrent connections exercise the read plane in
+//! parallel while mutations serialize per witness plane, exactly the
+//! concurrency discipline in-process callers get. Writes fan out
+//! round-robin across lanes and only same-lane writes contend; a read
+//! goes to the lane its serial number names.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -25,13 +26,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
-use strongworm::authority::{HoldCredential, ReleaseCredential};
-use strongworm::firmware::{DeviceKeys, WeakKeyCert};
 use strongworm::wire::WireWriter;
-use strongworm::{
-    CompositeHead, RetentionPolicy, SerialNumber, ShardedWormServer, WitnessMode, WormError,
-    WormServer,
-};
+use strongworm::{ShardedWormServer, WormError, WormServer};
 use wormstore::BlockDevice;
 
 use crate::frame::{put_frame, write_frame, DEFAULT_MAX_FRAME};
@@ -42,199 +38,27 @@ use crate::protocol::{
 use crate::reactor;
 use crate::NetError;
 
-/// The server-side surface [`NetServer`] fronts.
+/// What [`NetServer::bind`] fronts: a shared deployment, or one shared
+/// [`WormServer`], which serves as a one-lane deployment (its registry
+/// and audit journal are the deployment's, so nothing it serves changes).
 ///
-/// Implemented by the single-SCPU [`WormServer`] and by the sharded
-/// facade [`ShardedWormServer`], so one network layer serves both
-/// deployment shapes. A single server answers the shard-aware requests
-/// (`GetCompositeHead`, `GetShardKeys`) with degenerate one-shard
-/// forms, so clients need not know the deployment shape in advance.
-pub trait WormBackend: Send + Sync {
-    /// Commits a virtual record with explicit flags and witness tier.
-    ///
-    /// # Errors
-    ///
-    /// Store, device, or firmware failures on the owning shard.
-    fn write_with(
-        &self,
-        records: &[&[u8]],
-        policy: RetentionPolicy,
-        flags: u32,
-        witness: WitnessMode,
-    ) -> Result<SerialNumber, WormError>;
-
-    /// Reads a record by serial number, host-only, writing the
-    /// outcome's canonical encoding straight into `w` (see
-    /// [`WormServer::read_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Routing failures (sharded backends) or store failures; `w` is
-    /// then exactly as it was.
-    fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError>;
-
-    /// Drives due device alarms on every SCPU.
-    ///
-    /// # Errors
-    ///
-    /// Device or firmware failures.
-    fn tick(&self) -> Result<(), WormError>;
-
-    /// Places a litigation hold, routed by the credential's SN.
-    ///
-    /// # Errors
-    ///
-    /// Routing, credential, or firmware failures.
-    fn lit_hold(&self, credential: HoldCredential) -> Result<(), WormError>;
-
-    /// Releases a litigation hold, routed by the credential's SN.
-    ///
-    /// # Errors
-    ///
-    /// Routing, credential, or firmware failures.
-    fn lit_release(&self, credential: ReleaseCredential) -> Result<(), WormError>;
-
-    /// The coordinator device's published keys.
-    fn keys(&self) -> DeviceKeys;
-
-    /// All weak-key certificates the coordinator has issued so far.
-    fn weak_certs(&self) -> Vec<WeakKeyCert>;
-
-    /// The composite freshness head over every shard lane.
-    ///
-    /// # Errors
-    ///
-    /// Device or firmware failures while refreshing heads or signing
-    /// the binding.
-    fn composite_head(&self) -> Result<CompositeHead, WormError>;
-
-    /// Every shard's published keys and weak-key certificates, in lane
-    /// order.
-    fn shard_keys(&self) -> Vec<(DeviceKeys, Vec<WeakKeyCert>)>;
-
-    /// A point-in-time snapshot of every registered instrument.
-    fn stats_snapshot(&self) -> wormtrace::StatsSnapshot;
-
-    /// The tamper-evident audit journal: `FetchAuditEvents` pages out
-    /// of it, and the acceptor records every shed connection in it.
-    fn audit(&self) -> &Arc<wormaudit::AuditLog>;
-
-    /// The trace registry the network layer registers its instruments
-    /// into (and whose flight recorder serves `Traces` requests).
-    fn trace(&self) -> &Arc<wormtrace::Registry>;
+/// A trait of its own because the coherence rules allow no
+/// `From<Arc<WormServer>>` for `Arc<ShardedWormServer>`, both being
+/// `Arc`s.
+pub trait IntoLanes<D: BlockDevice> {
+    /// The deployment to serve.
+    fn into_lanes(self) -> Arc<ShardedWormServer<D>>;
 }
 
-impl<D: BlockDevice> WormBackend for WormServer<D> {
-    fn write_with(
-        &self,
-        records: &[&[u8]],
-        policy: RetentionPolicy,
-        flags: u32,
-        witness: WitnessMode,
-    ) -> Result<SerialNumber, WormError> {
-        WormServer::write_with(self, records, policy, flags, witness)
-    }
-
-    fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
-        WormServer::read_into(self, sn, w)
-    }
-
-    fn tick(&self) -> Result<(), WormError> {
-        WormServer::tick(self)
-    }
-
-    fn lit_hold(&self, credential: HoldCredential) -> Result<(), WormError> {
-        WormServer::lit_hold(self, credential)
-    }
-
-    fn lit_release(&self, credential: ReleaseCredential) -> Result<(), WormError> {
-        WormServer::lit_release(self, credential)
-    }
-
-    fn keys(&self) -> DeviceKeys {
-        WormServer::keys(self).clone()
-    }
-
-    fn weak_certs(&self) -> Vec<WeakKeyCert> {
-        WormServer::weak_certs(self)
-    }
-
-    fn composite_head(&self) -> Result<CompositeHead, WormError> {
-        WormServer::composite_head(self)
-    }
-
-    fn shard_keys(&self) -> Vec<(DeviceKeys, Vec<WeakKeyCert>)> {
-        vec![(WormServer::keys(self).clone(), WormServer::weak_certs(self))]
-    }
-
-    fn stats_snapshot(&self) -> wormtrace::StatsSnapshot {
-        WormServer::stats_snapshot(self)
-    }
-
-    fn audit(&self) -> &Arc<wormaudit::AuditLog> {
-        WormServer::audit(self)
-    }
-
-    fn trace(&self) -> &Arc<wormtrace::Registry> {
-        WormServer::trace(self)
+impl<D: BlockDevice> IntoLanes<D> for Arc<ShardedWormServer<D>> {
+    fn into_lanes(self) -> Arc<ShardedWormServer<D>> {
+        self
     }
 }
 
-impl<D: BlockDevice> WormBackend for ShardedWormServer<D> {
-    fn write_with(
-        &self,
-        records: &[&[u8]],
-        policy: RetentionPolicy,
-        flags: u32,
-        witness: WitnessMode,
-    ) -> Result<SerialNumber, WormError> {
-        ShardedWormServer::write_with(self, records, policy, flags, witness)
-    }
-
-    fn read_into(&self, sn: SerialNumber, w: &mut WireWriter) -> Result<(), WormError> {
-        ShardedWormServer::read_into(self, sn, w)
-    }
-
-    fn tick(&self) -> Result<(), WormError> {
-        ShardedWormServer::tick(self)
-    }
-
-    fn lit_hold(&self, credential: HoldCredential) -> Result<(), WormError> {
-        ShardedWormServer::lit_hold(self, credential)
-    }
-
-    fn lit_release(&self, credential: ReleaseCredential) -> Result<(), WormError> {
-        ShardedWormServer::lit_release(self, credential)
-    }
-
-    fn keys(&self) -> DeviceKeys {
-        self.coordinator().keys().clone()
-    }
-
-    fn weak_certs(&self) -> Vec<WeakKeyCert> {
-        self.coordinator().weak_certs()
-    }
-
-    fn composite_head(&self) -> Result<CompositeHead, WormError> {
-        ShardedWormServer::composite_head(self)
-    }
-
-    fn shard_keys(&self) -> Vec<(DeviceKeys, Vec<WeakKeyCert>)> {
-        ShardedWormServer::shard_keys(self)
-    }
-
-    fn stats_snapshot(&self) -> wormtrace::StatsSnapshot {
-        ShardedWormServer::stats_snapshot(self)
-    }
-
-    fn audit(&self) -> &Arc<wormaudit::AuditLog> {
-        // All lanes chain into one shared journal; anchors may carry
-        // any lane's key fingerprint.
-        ShardedWormServer::audit(self)
-    }
-
-    fn trace(&self) -> &Arc<wormtrace::Registry> {
-        ShardedWormServer::trace(self)
+impl<D: BlockDevice> IntoLanes<D> for Arc<WormServer<D>> {
+    fn into_lanes(self) -> Arc<ShardedWormServer<D>> {
+        Arc::new(self.into())
     }
 }
 
@@ -361,15 +185,16 @@ impl NetServer {
     ///
     /// Socket errors binding or configuring the listener; resource
     /// errors creating the worker wake pipes or threads.
-    pub fn bind<B, A>(
-        server: Arc<B>,
+    pub fn bind<D, A>(
+        server: impl IntoLanes<D>,
         addr: A,
         config: NetServerConfig,
     ) -> Result<NetServer, NetError>
     where
-        B: WormBackend + 'static,
+        D: BlockDevice + 'static,
         A: ToSocketAddrs,
     {
+        let server = server.into_lanes();
         let listener = TcpListener::bind(addr)?;
         // Non-blocking accept; readiness comes from polling the
         // listener fd, so the loop observes the stop flag promptly
@@ -611,8 +436,8 @@ fn shed_busy(conn: TcpStream, stats: &NetStats, config: &NetServerConfig) {
 ///
 /// [`NetError::FrameTooLarge`] for a response the peer would reject as
 /// oversized; `out` is then exactly as it was.
-pub(crate) fn respond<B: WormBackend>(
-    server: &B,
+pub(crate) fn respond<D: BlockDevice>(
+    server: &ShardedWormServer<D>,
     stats: &NetStats,
     payload: &[u8],
     out: &mut Vec<u8>,
@@ -669,8 +494,8 @@ pub(crate) fn respond<B: WormBackend>(
 
 /// Dispatches one request, writing its response into `w`. On `Err`,
 /// `w` may hold the start of a response; [`respond`] rolls it back.
-fn handle<B: WormBackend>(
-    server: &B,
+fn handle<D: BlockDevice>(
+    server: &ShardedWormServer<D>,
     req: NetRequest,
     w: &mut WireWriter,
 ) -> Result<(), WormError> {
@@ -687,13 +512,14 @@ fn handle<B: WormBackend>(
         }
         NetRequest::Read { sn } => return put_outcome_response(w, |w| server.read_into(sn, w)),
         NetRequest::Delete { sn } => {
-            // Drive maintenance so any due expiry executes, then
-            // return the re-read: the client verifies either the
-            // deletion evidence or — if retention has not lapsed —
-            // proof the record is still intact. No unilateral
-            // delete exists in a WORM store.
-            server.tick()?;
-            return put_outcome_response(w, |w| server.read_into(sn, w));
+            // Drive maintenance on the lane that owns `sn` so any due
+            // expiry executes, then return the re-read: the client
+            // verifies either the deletion evidence or — if retention
+            // has not lapsed — proof the record is still intact. No
+            // unilateral delete exists in a WORM store.
+            let lane = server.owner(sn)?;
+            lane.tick()?;
+            return put_outcome_response(w, |w| lane.read_into(sn, w));
         }
         NetRequest::LitHold(cred) => {
             server.lit_hold(cred)?;
@@ -707,10 +533,13 @@ fn handle<B: WormBackend>(
             server.tick()?;
             NetResponse::Ack
         }
-        NetRequest::GetKeys => NetResponse::Keys {
-            keys: server.keys(),
-            weak_certs: server.weak_certs(),
-        },
+        NetRequest::GetKeys => {
+            let lane0 = server.coordinator();
+            NetResponse::Keys {
+                keys: lane0.keys().clone(),
+                weak_certs: lane0.weak_certs(),
+            }
+        }
         NetRequest::Stats => NetResponse::Stats(server.stats_snapshot()),
         NetRequest::Traces => {
             let flight = server.trace().flight();
@@ -735,21 +564,22 @@ fn handle<B: WormBackend>(
 mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use strongworm::vrdt::VrdtEntry;
-    use strongworm::{RegulatoryAuthority, WormConfig};
+    use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WormConfig};
     use wormstore::Shredder;
 
     use super::*;
     use crate::frame::{append_frame, parse_frame};
     use crate::protocol::{decode_response_shared, encode_request};
 
-    /// A server holding one two-record VR, and what `respond` needs
-    /// beside it.
-    fn fixture() -> (WormServer, SerialNumber, NetStats) {
+    /// A one-lane deployment holding one two-record VR, and what
+    /// `respond` needs beside it.
+    fn fixture() -> (ShardedWormServer, SerialNumber, NetStats) {
         let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x5E1), 512);
-        let server = WormServer::new(
+        let server = ShardedWormServer::new(
             WormConfig::test_small(),
             scpu::VirtualClock::new(),
             regulator.public(),
+            1,
         )
         .unwrap();
         let policy = RetentionPolicy::custom(Duration::from_secs(3600), Shredder::ZeroFill);
@@ -761,7 +591,7 @@ mod tests {
     /// `respond` to a read of `sn`, appended to an output buffer that
     /// already holds an unflushed frame.
     fn respond_to_read(
-        fixture: &(WormServer, SerialNumber, NetStats),
+        fixture: &(ShardedWormServer, SerialNumber, NetStats),
         max_frame: u32,
     ) -> (Result<(), NetError>, Vec<u8>, Vec<u8>) {
         let (server, sn, stats) = fixture;
@@ -791,7 +621,7 @@ mod tests {
         {
             // The second extent now points past the device: the VRD and
             // the first record are in the buffer when the store fails.
-            let (mut vrdt, _) = fixture.0.parts_mut_for_attack();
+            let (mut vrdt, _) = fixture.0.coordinator().parts_mut_for_attack();
             match vrdt.entries_mut_for_attack().get_mut(&fixture.1) {
                 Some(VrdtEntry::Active(vrd)) => vrd.rdl[1].offset = u64::MAX / 2,
                 _ => unreachable!("just written"),

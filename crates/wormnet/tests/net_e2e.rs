@@ -15,7 +15,7 @@ use strongworm::{
     WitnessMode, WormConfig, WormServer,
 };
 use wormnet::frame::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
-use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient, WormBackend};
+use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient};
 use wormstore::Shredder;
 
 const CLIENTS: usize = 4;
@@ -24,17 +24,28 @@ struct Harness {
     net: NetServer,
     /// Retained so tests can inspect gauges and the flight recorder
     /// after `net.shutdown()` (the registry outlives the listener).
-    server: Arc<WormServer>,
+    server: Arc<ShardedWormServer>,
     clock: Arc<VirtualClock>,
     regulator: RegulatoryAuthority,
 }
 
+/// A one-lane deployment on loopback.
 fn boot(config: NetServerConfig) -> Harness {
+    boot_lanes(1, config)
+}
+
+fn boot_lanes(lanes: u32, config: NetServerConfig) -> Harness {
     let clock = VirtualClock::new();
     let mut rng = StdRng::seed_from_u64(7777);
     let regulator = RegulatoryAuthority::generate(&mut rng, 512);
     let server = Arc::new(
-        WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public()).unwrap(),
+        ShardedWormServer::new(
+            WormConfig::test_small(),
+            clock.clone(),
+            regulator.public(),
+            lanes,
+        )
+        .unwrap(),
     );
     let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", config).unwrap();
     Harness {
@@ -121,7 +132,7 @@ fn concurrent_clients_write_read_delete_all_verified() {
 /// The served certificate list begins with the certificate the served keys
 /// already carry. A bootstrapped verifier registers each distinct one once
 /// — so a weak witness has one key to be checked against — before a
-/// weak-key rotation and after it, on one server and per shard lane.
+/// weak-key rotation and after it, at one lane and per lane of two.
 #[test]
 fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
     let h = boot(NetServerConfig::default());
@@ -130,7 +141,7 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
     let (keys, served) = c.fetch_keys().unwrap();
     assert_eq!(served, std::slice::from_ref(&keys.weak_cert));
     let v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
-    assert_eq!(v.weak_certs(), &served[..]);
+    assert_eq!(v.weak_certs(0), &served[..]);
 
     // Past the weak key's lifetime the next deferred write rotates it.
     h.clock.advance(Duration::from_secs(121 * 60));
@@ -147,7 +158,7 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
     assert_eq!(served[0], keys.weak_cert);
     assert_ne!(served[0].key, served[1].key);
     let mut v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
-    assert_eq!(v.weak_certs(), &served[..]);
+    assert_eq!(v.weak_certs(0), &served[..]);
     assert_eq!(
         c.read_verified(sn, &v).unwrap().0,
         ReadVerdict::Intact { sn }
@@ -157,23 +168,23 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
     for cert in served.iter().cloned() {
         v.add_weak_cert(cert).unwrap();
     }
-    assert_eq!(v.weak_certs(), &served[..]);
+    assert_eq!(v.weak_certs(0), &served[..]);
     let mut forged = served[1].clone();
     forged.max_sig_expiry = forged.max_sig_expiry.after(Duration::from_secs(1));
     assert!(v.add_weak_cert(forged).is_err());
-    assert_eq!(v.weak_certs(), &served[..]);
+    assert_eq!(v.weak_certs(0), &served[..]);
 
-    let sharded = boot_sharded(2, NetServerConfig::default());
+    let sharded = boot_lanes(2, NetServerConfig::default());
     let mut c = RemoteWormClient::connect(sharded.net.local_addr()).unwrap();
     let lanes = c.fetch_shard_keys().unwrap();
-    let composite = c
-        .bootstrap_composite_verifier(tolerance, sharded.clock.clone())
+    let v = c
+        .bootstrap_verifier(tolerance, sharded.clock.clone())
         .unwrap();
     assert_eq!(lanes.len(), 2);
-    for (lane, (keys, served)) in lanes.iter().enumerate() {
+    assert_eq!(v.shard_count(), 2);
+    for (lane, (keys, served)) in (0u32..).zip(&lanes) {
         assert_eq!(&served[..], std::slice::from_ref(&keys.weak_cert));
-        let shard = composite.shard(lane as u32).unwrap();
-        assert_eq!(shard.weak_certs(), &served[..]);
+        assert_eq!(v.weak_certs(lane), &served[..]);
     }
     h.net.shutdown();
     sharded.net.shutdown();
@@ -660,40 +671,17 @@ fn flight_recorder_bounds_memory_and_captures_slow_and_failing_requests() {
     h.net.shutdown();
 }
 
-struct ShardedHarness {
-    net: NetServer,
-    server: Arc<ShardedWormServer>,
-    clock: Arc<VirtualClock>,
-}
-
-fn boot_sharded(shards: u32, config: NetServerConfig) -> ShardedHarness {
-    let clock = VirtualClock::new();
-    let mut rng = StdRng::seed_from_u64(4242);
-    let regulator = RegulatoryAuthority::generate(&mut rng, 512);
-    let server = Arc::new(
-        ShardedWormServer::new(
-            WormConfig::test_small(),
-            clock.clone(),
-            regulator.public(),
-            shards,
-        )
-        .unwrap(),
-    );
-    let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", config).unwrap();
-    ShardedHarness { net, server, clock }
-}
-
 #[test]
 fn sharded_writes_fan_out_and_reads_verify_across_lanes() {
-    let h = boot_sharded(3, NetServerConfig::default());
+    let h = boot_lanes(3, NetServerConfig::default());
     let addr = h.net.local_addr();
 
-    // Bootstrap one composite verifier over the wire: per-shard keys in
-    // lane order, coordinator first.
+    // Bootstrap one verifier over the wire: per-lane keys in lane order,
+    // lane 0 first.
     let verifier = {
         let mut c = RemoteWormClient::connect(addr).unwrap();
         Arc::new(
-            c.bootstrap_composite_verifier(Duration::from_secs(300), h.clock.clone())
+            c.bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
                 .unwrap(),
         )
     };
@@ -762,10 +750,10 @@ fn sharded_writes_fan_out_and_reads_verify_across_lanes() {
 
 #[test]
 fn tampered_composite_head_fails_verification_without_dropping_connection() {
-    let h = boot_sharded(2, NetServerConfig::default());
+    let h = boot_lanes(2, NetServerConfig::default());
     let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
     let verifier = client
-        .bootstrap_composite_verifier(Duration::from_secs(300), h.clock.clone())
+        .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
         .unwrap();
 
     let sn = client.write(&[b"cross-checked"], policy(100_000)).unwrap();
@@ -794,13 +782,14 @@ fn tampered_composite_head_fails_verification_without_dropping_connection() {
 }
 
 #[test]
-fn single_server_answers_shard_aware_requests_degenerately() {
-    // A client that only speaks the shard-aware bootstrap still works
-    // against a single-SCPU server: one lane, degenerate composite.
+fn a_one_lane_deployment_serves_the_cached_composite() {
+    // One lane runs the composite code eight do: the head is minted once
+    // per refresh interval and served from the cache in between, and a
+    // doctored cache is caught.
     let h = boot(NetServerConfig::default());
     let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
     let verifier = client
-        .bootstrap_composite_verifier(Duration::from_secs(300), h.clock.clone())
+        .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
         .unwrap();
     assert_eq!(verifier.shard_count(), 1);
     let sn = client.write(&[b"one lane"], policy(3600)).unwrap();
@@ -808,7 +797,106 @@ fn single_server_answers_shard_aware_requests_degenerately() {
     assert_eq!(verdict, ReadVerdict::Intact { sn });
     let composite = client.composite_head_verified(&verifier).unwrap();
     assert_eq!(composite.binding.shard_count, 1);
+    h.clock.advance(Duration::from_secs(1));
+    assert_eq!(
+        client.composite_head_verified(&verifier).unwrap(),
+        composite
+    );
+
+    h.server.tamper_composite_for_test();
+    assert!(matches!(
+        client.composite_head_verified(&verifier),
+        Err(NetError::Verify(_))
+    ));
+    h.clock.advance(Duration::from_secs(10_000));
+    let fresh = client.composite_head_verified(&verifier).unwrap();
+    assert_ne!(fresh.binding.issued_at, composite.binding.issued_at);
     h.net.shutdown();
+}
+
+#[test]
+fn an_sn_outside_every_lane_gets_one_answer_at_one_and_three_lanes() {
+    for lanes in [1, 3] {
+        let h = boot_lanes(lanes, NetServerConfig::default());
+        let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
+        let verifier = client
+            .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
+            .unwrap();
+        let sn = client.write(&[b"in lane 0"], policy(3600)).unwrap();
+        let foreign = SerialNumber(SerialNumber::lane_origin(7) + 1);
+        // The server routes it nowhere, for a read and for a delete.
+        for answer in [client.read_raw(foreign), client.delete(foreign)] {
+            match answer {
+                Err(NetError::Remote { message, .. }) => {
+                    assert!(message.contains("lane 7"), "{lanes} lanes: {message}");
+                }
+                other => panic!("{lanes} lanes: expected a remote error, got {other:?}"),
+            }
+        }
+        // A client refuses whatever a host answers for it.
+        let honest = client.read_raw(sn).unwrap();
+        assert!(matches!(
+            verifier.verify_read(foreign, &honest),
+            Err(strongworm::VerifyError::ShardNotBound { lane: 7 })
+        ));
+        // The connection still serves verified reads.
+        let (verdict, _) = client.read_verified(sn, &verifier).unwrap();
+        assert_eq!(verdict, ReadVerdict::Intact { sn });
+        h.net.shutdown();
+    }
+}
+
+/// What the benchmark relies on when it serves a `WormServer`: the lane's
+/// own registry carries the network and audit instruments, its kill
+/// switch stops the network layer's instruments, and once the front-end
+/// has shut down the caller holds the only handle again.
+#[test]
+fn a_bound_worm_server_is_a_lane_its_caller_still_owns() {
+    let clock = VirtualClock::new();
+    let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(7777), 512);
+    let server = Arc::new(
+        WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public()).unwrap(),
+    );
+    let net = NetServer::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        NetServerConfig {
+            workers: 1,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = RemoteWormClient::connect(net.local_addr()).unwrap();
+    let verifier = client
+        .bootstrap_verifier(Duration::from_secs(300), clock)
+        .unwrap();
+    let sn = client.write(&[b"benchmarked"], policy(3600)).unwrap();
+    client.read_verified(sn, &verifier).unwrap();
+
+    let snap = server.stats_snapshot();
+    let registered = |name: &str| snap.counters.iter().any(|(n, _)| n == name);
+    assert!(registered("net.conn_shed"));
+    assert!(snap.counter("net.bytes_out") > 0);
+    assert!(snap.counter("audit.emitted") > 0);
+    assert_eq!(snap.op("net.request").map(|o| o.total()), Some(3));
+
+    server.trace().set_enabled(false);
+    for _ in 0..3 {
+        client.read_verified(sn, &verifier).unwrap();
+    }
+    let quiet = server.stats_snapshot();
+    assert_eq!(quiet.op("net.request").map(|o| o.total()), Some(3));
+    assert_eq!(
+        quiet.counter("net.frames_in"),
+        snap.counter("net.frames_in") + 3
+    );
+
+    drop(client);
+    net.shutdown();
+    assert!(
+        Arc::try_unwrap(server).is_ok(),
+        "the front-end let go of its lane"
+    );
 }
 
 #[test]
@@ -840,9 +928,9 @@ fn queue_depth_gauge_drains_to_zero_after_connection_storm_and_shutdown() {
 /// is an `AdmissionShed` event in the audit chain an admitted client
 /// then fetches over the wire. `while_full` runs against the address
 /// while the cap is still full. Returns how many sheds were audited.
-fn shed_is_announced_and_audited<B: WormBackend>(
+fn shed_is_announced_and_audited(
     net: NetServer,
-    server: &B,
+    server: &ShardedWormServer,
     while_full: impl FnOnce(SocketAddr),
 ) -> usize {
     // The diagnostics switch must not reach the audit chain.
@@ -941,7 +1029,7 @@ fn shed_connections_receive_a_busy_frame_not_silent_eof() {
         panic!("eight sheds in a row lost their busy frame to a reset");
     });
     assert!(sheds >= 2);
-    let sharded = boot_sharded(2, capped);
+    let sharded = boot_lanes(2, capped);
     shed_is_announced_and_audited(sharded.net, sharded.server.as_ref(), |_| {});
 }
 
@@ -1411,6 +1499,7 @@ fn wire_bytes_match_owned_encoding(
 
 #[test]
 fn streamed_wire_responses_equal_the_owned_encoding_on_both_backends() {
+    // One lane and two.
     let h = boot(NetServerConfig::default());
     wire_bytes_match_owned_encoding(
         h.net.local_addr(),
@@ -1420,7 +1509,7 @@ fn streamed_wire_responses_equal_the_owned_encoding_on_both_backends() {
     );
     h.net.shutdown();
 
-    let h = boot_sharded(2, NetServerConfig::default());
+    let h = boot_lanes(2, NetServerConfig::default());
     wire_bytes_match_owned_encoding(
         h.net.local_addr(),
         &h.clock,

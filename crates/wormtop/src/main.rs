@@ -28,7 +28,7 @@ use rand::SeedableRng;
 use scpu::{Clock, VirtualClock};
 use strongworm::{
     DaemonConfig, RegulatoryAuthority, RetentionDaemon, RetentionPolicy, ShardedWormServer,
-    WormConfig, WormServer,
+    WormConfig,
 };
 use wormnet::{NetServer, NetServerConfig, RemoteWormClient};
 use wormstore::Shredder;
@@ -47,9 +47,8 @@ OPTIONS:
     --once               Poll once and print one JSON line, then exit
     --self-test          Boot an in-process server with sample traffic
                          and monitor that instead of --addr
-    --shards N           With --self-test: boot a sharded witness plane
-                         of N SCPUs with per-shard retention daemons
-                         (default 1, the single-SCPU server)
+    --shards N           With --self-test: boot N SCPU lanes, each with
+                         its own retention daemon (default 1)
     -h, --help           Show this help
 ";
 
@@ -289,60 +288,43 @@ impl AuditView {
 struct SelfTest {
     net: NetServer,
     addr: SocketAddr,
-    /// Per-shard retention daemons (sharded self-test only) — held so
-    /// their health gauges stay live while the monitor polls.
+    /// Per-lane retention daemons — held so their health gauges stay
+    /// live while the monitor polls.
     _daemons: Vec<RetentionDaemon>,
 }
 
-/// Boots a loopback server and drives sample traffic through it:
-/// writes, verified reads, and one rejected litigation hold, with the
-/// flight-recorder threshold dropped to zero so every request's span
-/// tree is captured. The monitor then has live data in every panel.
-/// With `shards > 1` the server is a sharded witness plane — writes fan
-/// out across lanes, reads are verified under a composite verifier, and
-/// one retention daemon runs per shard so the shard panel has health
-/// rows.
+/// Boots a loopback deployment of `shards` lanes and drives sample
+/// traffic through it: writes (fanned out across lanes), verified reads,
+/// and one rejected litigation hold, with the flight-recorder threshold
+/// dropped to zero so every request's span tree is captured. One
+/// retention daemon runs per lane, so the monitor has live data in every
+/// panel (the shard panel from two lanes up).
 fn self_test_boot(shards: u32) -> SelfTest {
     let clock = VirtualClock::new();
     let mut rng = StdRng::seed_from_u64(42);
     let regulator = RegulatoryAuthority::generate(&mut rng, 512);
-    let config = NetServerConfig::default();
-    let (net, _daemons) = if shards > 1 {
-        let server = Arc::new(
-            ShardedWormServer::new(
-                WormConfig::test_small(),
-                clock.clone(),
-                regulator.public(),
-                shards,
-            )
-            .expect("self-test sharded server boots"),
-        );
-        server.trace().flight().set_slow_threshold_ns(0);
-        let daemons = server.spawn_daemons(DaemonConfig {
-            interval: Duration::from_millis(100),
-            ..DaemonConfig::default()
-        });
-        let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", config)
-            .expect("self-test server binds a loopback port");
-        (net, daemons)
-    } else {
-        let server = Arc::new(
-            WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public())
-                .expect("self-test server boots"),
-        );
-        server.trace().flight().set_slow_threshold_ns(0);
-        let net = NetServer::bind(Arc::clone(&server), "127.0.0.1:0", config)
-            .expect("self-test server binds a loopback port");
-        (net, Vec::new())
-    };
+    let server = Arc::new(
+        ShardedWormServer::new(
+            WormConfig::test_small(),
+            clock.clone(),
+            regulator.public(),
+            shards,
+        )
+        .expect("self-test server boots"),
+    );
+    server.trace().flight().set_slow_threshold_ns(0);
+    let _daemons = server.spawn_daemons(DaemonConfig {
+        interval: Duration::from_millis(100),
+        ..DaemonConfig::default()
+    });
+    let net = NetServer::bind(server, "127.0.0.1:0", NetServerConfig::default())
+        .expect("self-test server binds a loopback port");
     let addr = net.local_addr();
 
     let mut client = RemoteWormClient::connect(addr).expect("self-test client connects");
     client.set_request_tracing(true);
-    // The composite bootstrap works against both deployment shapes (a
-    // single server answers with one degenerate lane).
     let verifier = client
-        .bootstrap_composite_verifier(Duration::from_secs(300), clock.clone())
+        .bootstrap_verifier(Duration::from_secs(300), clock.clone())
         .expect("self-test verifier bootstraps");
     let policy = RetentionPolicy::custom(Duration::from_secs(3600), Shredder::ZeroFill);
     let sns: Vec<_> = (0..8)
@@ -383,9 +365,10 @@ fn self_test_boot(shards: u32) -> SelfTest {
 // Shard panel
 // ---------------------------------------------------------------------
 
-/// One shard lane's health, extracted from the merged snapshot's
-/// `shard{i}.`-prefixed instruments (a single-SCPU server publishes no
-/// such prefixes, so the panel is empty there).
+/// One lane's health, extracted from the merged snapshot: lane 0's
+/// instruments are unprefixed, lane `i ≥ 1`'s carry a `shard{i}.`
+/// prefix (a one-lane deployment publishes no such prefixes, so the
+/// panel is empty there).
 #[derive(Debug, PartialEq, Eq)]
 struct ShardRow {
     lane: u32,
@@ -397,16 +380,16 @@ struct ShardRow {
 }
 
 /// Splits a `shard{i}.rest` instrument name into its lane and the
-/// unprefixed name. Names without the prefix (router- or net-level
-/// instruments) return `None`.
+/// unprefixed name. Names without the prefix (lane 0's and the network
+/// layer's) return `None`.
 fn shard_split(name: &str) -> Option<(u32, &str)> {
     let rest = name.strip_prefix("shard")?;
     let (lane, op) = rest.split_once('.')?;
     Some((lane.parse().ok()?, op))
 }
 
-/// Per-shard rows in lane order, from the shard-prefixed instruments of
-/// a merged snapshot.
+/// Per-lane rows in lane order, lane 0 first, when the merged snapshot
+/// has lanes beyond lane 0.
 fn shard_rows(stats: &StatsSnapshot) -> Vec<ShardRow> {
     let mut lanes: Vec<u32> = stats
         .ops
@@ -416,21 +399,21 @@ fn shard_rows(stats: &StatsSnapshot) -> Vec<ShardRow> {
         .chain(stats.counters.iter().map(|(n, _)| n.as_str()))
         .filter_map(|n| shard_split(n).map(|(lane, _)| lane))
         .collect();
+    if lanes.is_empty() {
+        return Vec::new();
+    }
+    lanes.push(0);
     lanes.sort_unstable();
     lanes.dedup();
     lanes
         .into_iter()
         .map(|lane| {
-            let op_total = |name: &str| {
-                stats
-                    .op(&format!("shard{lane}.{name}"))
-                    .map_or(0, |o| o.total())
+            let name_in = |name: &str| match lane {
+                0 => name.to_string(),
+                _ => format!("shard{lane}.{name}"),
             };
-            let gauge = |name: &str| {
-                stats
-                    .gauge(&format!("shard{lane}.{name}"))
-                    .unwrap_or_default()
-            };
+            let op_total = |name: &str| stats.op(&name_in(name)).map_or(0, |o| o.total());
+            let gauge = |name: &str| stats.gauge(&name_in(name)).unwrap_or_default();
             ShardRow {
                 lane,
                 writes: op_total("server.write"),
@@ -551,8 +534,9 @@ fn render(
     }
     out.push('\n');
 
-    // Sharded deployments: one health row per shard lane, extracted
-    // from the merged snapshot's `shard{i}.` prefixes.
+    // Deployments of two lanes or more: one health row per lane, lane 0
+    // from the unprefixed instruments, the rest from their `shard{i}.`
+    // prefixes.
     let rows = shard_rows(stats);
     if !rows.is_empty() {
         out.push_str(&format!(
@@ -971,17 +955,18 @@ mod tests {
             ..Default::default()
         };
         StatsSnapshot {
+            // Lane 0 unprefixed, lane 2 under its prefix.
             ops: vec![
+                ("daemon.pass".to_string(), op(4, 0)),
                 ("net.request".to_string(), op(9, 0)),
-                ("shard0.daemon.pass".to_string(), op(4, 0)),
-                ("shard0.server.read".to_string(), op(2, 1)),
-                ("shard0.server.write".to_string(), op(5, 0)),
+                ("server.read".to_string(), op(2, 1)),
+                ("server.write".to_string(), op(5, 0)),
                 ("shard2.server.write".to_string(), op(7, 0)),
             ],
             counters: Vec::new(),
             gauges: vec![
+                ("daemon.backoff_ms".to_string(), 250),
                 ("net.queue_depth".to_string(), 3),
-                ("shard0.daemon.backoff_ms".to_string(), 250),
                 ("shard2.daemon.consecutive_failures".to_string(), 1),
             ],
         }
