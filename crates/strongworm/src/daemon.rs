@@ -27,9 +27,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
 use wormaudit::AuditClass;
 use wormstore::BlockDevice;
+use wormtrace::sync::{Mutex, Rank};
 
 use crate::error::WormError;
 use crate::server::WormServer;
@@ -63,12 +63,22 @@ impl Default for DaemonConfig {
 }
 
 /// Failure counters and last-error slot shared with the daemon thread.
-#[derive(Default)]
 struct DaemonStatus {
     last_error: Mutex<Option<String>>,
     consecutive_failures: AtomicU32,
     total_failures: AtomicU64,
     passes: AtomicU64,
+}
+
+impl Default for DaemonStatus {
+    fn default() -> Self {
+        DaemonStatus {
+            last_error: Mutex::new(Rank::DaemonStatus, None),
+            consecutive_failures: AtomicU32::default(),
+            total_failures: AtomicU64::default(),
+            passes: AtomicU64::default(),
+        }
+    }
 }
 
 /// Handle to a running maintenance daemon.
@@ -108,6 +118,7 @@ impl RetentionDaemon {
                     // Sleep until the next pass or an orderly shutdown.
                     // After a failure the sleep is the current backoff
                     // instead of the regular interval.
+                    wormtrace::sync::blocking("the daemon's pause between passes");
                     if rx.recv_timeout(backoff).is_ok() {
                         return Ok(());
                     }
@@ -194,9 +205,13 @@ impl RetentionDaemon {
     pub fn stop(mut self) -> Result<(), WormError> {
         let _ = self.shutdown.send(());
         match self.handle.take() {
-            Some(h) => h
-                .join()
-                .unwrap_or_else(|_| Err(WormError::Firmware("daemon panicked".into()))),
+            Some(h) => {
+                // It waits out at most one pass, which takes the witness
+                // lock: the caller must hold no lock itself.
+                wormtrace::sync::blocking("joining the retention daemon");
+                h.join()
+                    .unwrap_or_else(|_| Err(WormError::Firmware("daemon panicked".into())))
+            }
             None => Ok(()),
         }
     }

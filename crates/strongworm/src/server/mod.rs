@@ -31,13 +31,13 @@ pub use witness::WitnessPlane;
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use scpu::{Clock, Device, Meter};
 use wormaudit::{AuditClass, AuditLog};
 use wormcrypt::RsaPublicKey;
 use wormstore::{
     BlockDevice, DiskJournal, DurableLog, MemDisk, Partition, RecordDescriptor, RecordStore,
 };
+use wormtrace::sync::{Mutex, MutexGuard, Rank, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wormtrace::Plane;
 
 use crate::codec::put_read_outcome;
@@ -245,7 +245,7 @@ impl<D: BlockDevice> WormServer<D> {
             );
         }
         let ops = ServerOps::new(&trace);
-        let vrdt = Arc::new(RwLock::new(vrdt));
+        let vrdt = Arc::new(RwLock::new(Rank::Vrdt, vrdt));
         let store = Arc::new(store);
         let read_plane = ReadPlane::new(
             Arc::clone(&vrdt),
@@ -267,7 +267,7 @@ impl<D: BlockDevice> WormServer<D> {
         WormServer {
             keys,
             read_plane,
-            witness: Mutex::new(witness),
+            witness: Mutex::new(Rank::Witness, witness),
             trace,
             audit,
             ops,
@@ -603,7 +603,6 @@ impl<D: BlockDevice> WormServer<D> {
         shard_count: u32,
         root: Vec<u8>,
     ) -> Result<CompositeBinding, WormError> {
-        // lock-order: ShardedWormServer.composite -> WormServer.witness; the composite head orders before every lane's witness device
         let mut w = self.witness.lock();
         match execute(
             &mut w.device,

@@ -18,9 +18,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use scpu::{Clock, Timestamp};
 use wormstore::{BlockDevice, RecordStore};
+use wormtrace::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::WormError;
 use crate::proofs::{HeadCert, Resolved};

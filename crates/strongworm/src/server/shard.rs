@@ -26,11 +26,11 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use scpu::Clock;
 use wormaudit::AuditLog;
 use wormcrypt::RsaPublicKey;
 use wormstore::{BlockDevice, MemDisk, RecordStore};
+use wormtrace::sync::{Rank, RwLock};
 
 use crate::codec::composite_root;
 use crate::config::{WitnessMode, WormConfig};
@@ -143,7 +143,7 @@ impl<D: BlockDevice> ShardedWormServer<D> {
         ShardedWormServer {
             shards,
             cursor: AtomicU32::new(0),
-            composite: RwLock::new(None),
+            composite: RwLock::new(Rank::Composite, None),
         }
     }
 
@@ -750,6 +750,82 @@ mod tests {
         assert_eq!(writes("shard1.server.write"), 1);
         assert!(stats.op("shard0.server.write").is_none());
         assert!(stats.counter("audit.emitted") > 0);
+    }
+
+    /// A medium that notes which ranked locks its callers hold.
+    #[derive(Clone)]
+    struct Probe {
+        disk: Arc<MemDisk>,
+        seen: Arc<std::sync::Mutex<Vec<Vec<wormtrace::sync::Rank>>>>,
+    }
+
+    impl Probe {
+        fn note(&self) {
+            self.seen.lock().unwrap().push(wormtrace::sync::held());
+        }
+
+        fn saw(&self, ranks: &[wormtrace::sync::Rank]) -> bool {
+            self.seen.lock().unwrap().iter().any(|held| held == ranks)
+        }
+    }
+
+    impl BlockDevice for Probe {
+        fn capacity(&self) -> u64 {
+            self.disk.capacity()
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), wormstore::BlockError> {
+            self.note();
+            self.disk.read_at(offset, buf)
+        }
+
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), wormstore::BlockError> {
+            self.note();
+            self.disk.write_at(offset, data)
+        }
+
+        fn stats(&self) -> wormstore::IoStats {
+            self.disk.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.disk.reset_stats()
+        }
+    }
+
+    /// The two deepest nestings the serving path has pass the rank
+    /// check: a hot read copies the record out under the VRDT guard,
+    /// and a composite head journals each stale lane head under the
+    /// composite, witness and VRDT locks. (Release builds track no
+    /// ranks, so there the probe sees none.)
+    #[test]
+    fn hot_reads_and_composite_heads_take_locks_in_rank_order() {
+        use wormtrace::sync::Rank;
+        let clock = VirtualClock::starting_at_millis(1000);
+        let probe = Probe {
+            disk: Arc::new(MemDisk::unmetered(1 << 20)),
+            seen: Arc::default(),
+        };
+        let lane = WormServer::with_durable(
+            probe.clone(),
+            256 << 10,
+            WormConfig::test_small(),
+            clock.clone(),
+            regulator().public(),
+        )
+        .unwrap();
+        let server = ShardedWormServer::from(Arc::new(lane));
+        let sn = server.write(&[b"hot"], policy()).unwrap();
+
+        probe.seen.lock().unwrap().clear();
+        server.read_into(sn, &mut WireWriter::new()).unwrap();
+        assert!(probe.saw(&[Rank::Vrdt]) || !cfg!(debug_assertions));
+
+        clock.advance(Duration::from_secs(10_000));
+        server.composite_head().unwrap();
+        assert!(
+            probe.saw(&[Rank::Composite, Rank::Witness, Rank::Vrdt]) || !cfg!(debug_assertions)
+        );
     }
 
     #[test]

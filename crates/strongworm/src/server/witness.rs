@@ -17,12 +17,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Clock, Device, Meter, Op, Timestamp};
 use wormaudit::{AuditClass, AuditLog};
 use wormstore::{BlockDevice, RecordDescriptor, RecordStore, Shredder};
+use wormtrace::sync::RwLock;
 
 use crate::config::{HashMode, WitnessMode, WormConfig};
 use crate::error::WormError;
@@ -257,7 +257,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
             metasig: receipt.metasig,
             datasig: receipt.datasig,
         };
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         self.vrdt.write().insert(vrd)?;
         if let Some(seal) = receipt.vexp_seal {
             self.spilled.push(SpilledVexp {
@@ -279,7 +278,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
     /// configured interval. Re-checks staleness here (under the witness
     /// lock) so racing readers trigger at most one device round-trip.
     pub(crate) fn ensure_fresh_head(&mut self) -> Result<(), WormError> {
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         let stale = match self.vrdt.read().head() {
             None => true,
             Some(h) => self.clock.now().since(h.issued_at) > self.config.head_refresh_interval,
@@ -295,7 +293,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
     }
 
     pub(crate) fn ensure_fresh_base(&mut self) -> Result<BaseCert, WormError> {
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         let stale = match self.vrdt.read().base() {
             None => true,
             Some(b) => b.expires_at <= self.clock.now(),
@@ -305,7 +302,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         }
         // Defensive: this sits on the read path (below-base evidence), so
         // a missing base after a refresh is an error, not a panic.
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         self.vrdt.read().base().cloned().ok_or_else(|| {
             WormError::Firmware("no base certificate installed after refresh".into())
         })
@@ -316,7 +312,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
             WormResponse::Head(h) => {
                 self.audit
                     .emit(AuditClass::HeadRefresh, None, "head refreshed");
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 self.vrdt.write().set_head(h)?;
                 Ok(())
             }
@@ -327,7 +322,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
     pub(crate) fn refresh_base(&mut self) -> Result<(), WormError> {
         match execute(&mut self.device, WormRequest::RefreshBase)? {
             WormResponse::Base(b) => {
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 self.vrdt.write().set_base(b)?;
                 Ok(())
             }
@@ -340,7 +334,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         credential: crate::authority::HoldCredential,
     ) -> Result<(), WormError> {
         let sn = credential.sn;
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         let vrd = match self.vrdt.read().lookup(sn) {
             Lookup::Active(v) => v.clone(),
             _ => return Err(WormError::NotActive(sn)),
@@ -357,7 +350,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 let mut updated = vrd;
                 updated.attr = attr;
                 updated.metasig = metasig;
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 self.vrdt.write().replace(updated)?;
                 Ok(())
             }
@@ -370,7 +362,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         credential: crate::authority::ReleaseCredential,
     ) -> Result<(), WormError> {
         let sn = credential.sn;
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         let vrd = match self.vrdt.read().lookup(sn) {
             Lookup::Active(v) => v.clone(),
             _ => return Err(WormError::NotActive(sn)),
@@ -387,7 +378,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 let mut updated = vrd;
                 updated.attr = attr;
                 updated.metasig = metasig;
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 self.vrdt.write().replace(updated)?;
                 Ok(())
             }
@@ -449,7 +439,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         // exhausted secure memory.
         let mut still_pending = Vec::new();
         for sn in std::mem::take(&mut self.resync) {
-            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             let vrd = match self.vrdt.read().lookup(sn) {
                 Lookup::Active(v) => v.clone(),
                 _ => continue, // deleted meanwhile
@@ -468,7 +457,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         // Submit pending audits.
         let to_audit: Vec<SerialNumber> = self.unaudited.iter().copied().take(16).collect();
         for sn in to_audit {
-            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             let rdl = match self.vrdt.read().lookup(sn) {
                 Lookup::Active(v) => Some(v.rdl.clone()),
                 _ => None,
@@ -507,14 +495,12 @@ impl<D: BlockDevice> WitnessPlane<D> {
     pub(crate) fn compact(&mut self) -> Result<usize, WormError> {
         let runs = self
             .vrdt
-            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             .read()
             .expired_runs(self.config.min_compaction_run);
         let mut created = 0;
         for (lo, hi) in runs {
             match execute(&mut self.device, WormRequest::CompactWindow { lo, hi })? {
                 WormResponse::Window(w) => {
-                    // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                     self.vrdt.write().compact(w)?;
                     created += 1;
                 }
@@ -542,10 +528,8 @@ impl<D: BlockDevice> WitnessPlane<D> {
             shredder
                 .write_pass(self.store.device(), &rd, &mut self.rng, pass)
                 .map_err(wormstore::StoreError::from)?;
-            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             self.vrdt.write().note_shred_pass(rd.offset, pass)?;
         }
-        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
         self.vrdt.write().note_shred_done(rd.offset)?;
         self.store.note_shredded(&rd);
         self.store.release(&rd);
@@ -604,7 +588,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         // draining from the top frees contiguous space at the tail of
         // the region.
         let mut extents: Vec<(SerialNumber, RecordDescriptor)> = {
-            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             let vrdt = self.vrdt.read();
             vrdt.iter_active()
                 .flat_map(|vrd| vrd.rdl.iter().map(|rd| (vrd.sn, *rd)))
@@ -618,7 +601,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
             };
             // Point the owning VRD at the copy; its shredder destroys the
             // vacated bytes.
-            // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
             let owner = match self.vrdt.read().lookup(sn) {
                 Lookup::Active(v) => Some(v.clone()),
                 _ => None,
@@ -639,7 +621,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 next_pass: 0,
             };
             {
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 let mut vrdt = self.vrdt.write();
                 vrdt.stage_replace(&owner)?;
                 vrdt.stage_shred_begin(&state)?;
@@ -681,7 +662,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                     // resumes every pending shred — never a deleted record
                     // whose plaintext quietly survives.
                     let to_shred = {
-                        // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                         let mut vrdt = self.vrdt.write();
                         let to_shred: Vec<ShredState> = match vrdt.lookup(proof.sn) {
                             Lookup::Active(v) => v
@@ -710,7 +690,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 }
                 OutboxItem::Strengthened { sn, field, witness } => {
                     self.stats.strengthened.inc();
-                    // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                     let mut vrdt = self.vrdt.write();
                     let updated = match vrdt.lookup(sn) {
                         Lookup::Active(v) => {
@@ -727,12 +706,10 @@ impl<D: BlockDevice> WitnessPlane<D> {
                         vrdt.replace(updated)?;
                     }
                 }
-                // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                 OutboxItem::NewBase(b) => self.vrdt.write().set_base(b)?,
                 OutboxItem::NewHead(h) => {
                     self.audit
                         .emit(AuditClass::HeadRemint, None, "head re-minted on heartbeat");
-                    // lock-order: witness -> vrdt; the shared VRDT table is taken only under the owning witness plane
                     self.vrdt.write().set_head(h)?;
                 }
                 OutboxItem::NewWeakKey(cert) => {

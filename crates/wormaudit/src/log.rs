@@ -1,9 +1,10 @@
 //! The bounded, hash-chained audit journal.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use wormtrace::{sync, Counter, Gauge, Registry};
+use wormtrace::sync::{Mutex, Rank};
+use wormtrace::{Counter, Gauge, Registry};
 
 use crate::codec::{event_hash, MAX_DETAIL_BYTES, MAX_PAGE_ANCHORS, MAX_PAGE_EVENTS};
 use crate::event::{AuditAnchor, AuditClass, AuditEvent};
@@ -87,13 +88,16 @@ impl AuditLog {
     /// `registry`.
     pub fn new(capacity: usize, registry: &Registry, clock: Box<ClockFn>) -> Self {
         AuditLog {
-            inner: Mutex::new(LogInner {
-                events: VecDeque::new(),
-                anchors: VecDeque::new(),
-                next_seq: 0,
-                last_hash: [0u8; 32],
-                last_anchor_seq: None,
-            }),
+            inner: Mutex::new(
+                Rank::Audit,
+                LogInner {
+                    events: VecDeque::new(),
+                    anchors: VecDeque::new(),
+                    next_seq: 0,
+                    last_hash: [0u8; 32],
+                    last_anchor_seq: None,
+                },
+            ),
             clock,
             capacity: capacity.max(1),
             anchor_capacity: DEFAULT_ANCHOR_CAPACITY,
@@ -109,8 +113,7 @@ impl AuditLog {
     /// deniable evidence.
     pub fn emit(&self, class: AuditClass, sn: Option<u64>, detail: &str) {
         let at_ms = (self.clock)();
-        // lock-order: AuditLog.inner is a terminal leaf; emitters may hold witness/vrdt and no lock is taken under it
-        let mut inner = sync::lock(&self.inner);
+        let mut inner = self.inner.lock();
         let event = AuditEvent {
             seq: inner.next_seq,
             at_ms,
@@ -134,8 +137,7 @@ impl AuditLog {
     /// event — when it is not already covered by the newest anchor.
     /// `None` when the journal is empty or the tip is anchored.
     pub fn needs_anchor(&self) -> Option<(u64, [u8; 32])> {
-        // lock-order: AuditLog.inner is a terminal leaf; emitters may hold witness/vrdt and no lock is taken under it
-        let inner = sync::lock(&self.inner);
+        let inner = self.inner.lock();
         if inner.next_seq == 0 {
             return None;
         }
@@ -150,8 +152,7 @@ impl AuditLog {
     /// [`AuditLog::needs_anchor`]. Anchors are kept in a bounded list
     /// (oldest evicted first).
     pub fn install_anchor(&self, anchor: AuditAnchor) {
-        // lock-order: AuditLog.inner is a terminal leaf; emitters may hold witness/vrdt and no lock is taken under it
-        let mut inner = sync::lock(&self.inner);
+        let mut inner = self.inner.lock();
         inner.last_anchor_seq = Some(anchor.seq);
         if inner.anchors.len() == self.anchor_capacity {
             inner.anchors.pop_front();
@@ -165,7 +166,7 @@ impl AuditLog {
     /// wire page bound), plus every retained anchor.
     pub fn page(&self, from_seq: u64, max: usize) -> AuditPage {
         let max = max.clamp(1, MAX_PAGE_EVENTS);
-        let inner = sync::lock(&self.inner);
+        let inner = self.inner.lock();
         let events = inner
             .events
             .iter()
@@ -181,17 +182,17 @@ impl AuditLog {
 
     /// Sequence number the next event will take (= chain height).
     pub fn height(&self) -> u64 {
-        sync::lock(&self.inner).next_seq
+        self.inner.lock().next_seq
     }
 
     /// Oldest retained sequence number, if any event is retained.
     pub fn first_retained_seq(&self) -> Option<u64> {
-        sync::lock(&self.inner).events.front().map(|e| e.seq)
+        self.inner.lock().events.front().map(|e| e.seq)
     }
 
     /// Sequence of the last anchored event, if any anchor exists.
     pub fn last_anchor_seq(&self) -> Option<u64> {
-        sync::lock(&self.inner).last_anchor_seq
+        self.inner.lock().last_anchor_seq
     }
 
     /// Flips one byte of a retained event's stored detail — an
@@ -201,7 +202,7 @@ impl AuditLog {
     /// `seq` is not retained.
     #[doc(hidden)]
     pub fn tamper_event_for_test(&self, seq: u64) {
-        let mut inner = sync::lock(&self.inner);
+        let mut inner = self.inner.lock();
         if let Some(e) = inner.events.iter_mut().find(|e| e.seq == seq) {
             // Flip the low bit of the timestamp: a minimal, detail-free
             // mutation that must still break the chain.

@@ -284,6 +284,7 @@ impl Ubig {
     /// # Panics
     ///
     /// Panics if `other > self`.
+    #[allow(clippy::expect_used)]
     pub fn sub(&self, other: &Ubig) -> Ubig {
         self.checked_sub(other)
             // wormlint: allow(panic) -- documented contract (see `# Panics`): callers guarantee other <= self

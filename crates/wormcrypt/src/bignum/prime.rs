@@ -153,6 +153,7 @@ fn trailing_zeros(n: &Ubig) -> usize {
             return i * 64 + l.trailing_zeros() as usize;
         }
     }
+    // wormlint: allow(panic) -- documented contract: callers pass a nonzero n (debug-asserted above)
     unreachable!("nonzero Ubig with all-zero limbs")
 }
 

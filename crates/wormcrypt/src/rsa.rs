@@ -293,6 +293,7 @@ impl RsaPublicKey {
     }
 }
 
+#[allow(clippy::expect_used)]
 fn read_len_prefixed(bytes: &[u8]) -> Result<(&[u8], &[u8]), CryptoError> {
     if bytes.len() < 4 {
         return Err(CryptoError::Malformed("short length prefix"));
@@ -312,6 +313,7 @@ impl RsaPrivateKey {
     /// # Panics
     ///
     /// Panics if `bits < 64` or `bits` is odd.
+    #[allow(clippy::expect_used)]
     pub fn generate<R: rand::RngCore + ?Sized>(rng: &mut R, bits: usize) -> Self {
         assert!(bits >= 64, "modulus below 64 bits cannot encode a digest");
         assert!(bits.is_multiple_of(2), "modulus width must be even");

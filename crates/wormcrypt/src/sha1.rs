@@ -90,6 +90,7 @@ impl Digest for Sha1 {
 }
 
 impl Sha1 {
+    #[allow(clippy::expect_used)]
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {

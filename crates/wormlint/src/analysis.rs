@@ -14,9 +14,6 @@ pub const ALLOW_MARKER: &str = "wormlint: allow";
 /// comment, so documentation discussing "ordering:" in passing cannot
 /// accidentally justify an adjacent atomic.
 pub const ORDERING_MARKER: &str = "ordering:";
-/// Marker introducing a nested-lock-acquisition justification (L5).
-/// Same adjacency rules as `// ordering:`.
-pub const LOCK_ORDER_MARKER: &str = "lock-order:";
 
 /// Strips comment sigils (`//`, `///`, `//!`, `/*`, `/**`) and leading
 /// whitespace, yielding the comment's payload text.
@@ -30,15 +27,7 @@ fn comment_payload(text: &str) -> &str {
 }
 
 /// Rule names accepted inside `wormlint: allow(...)`.
-pub const KNOWN_RULES: &[&str] = &[
-    "panic",
-    "index",
-    "cast",
-    "codec",
-    "blocking",
-    "panic-reach",
-    "count-bomb",
-];
+pub const KNOWN_RULES: &[&str] = &["panic", "index", "cast", "codec", "blocking", "count-bomb"];
 
 /// A parsed, well-formed allow comment.
 #[derive(Clone, Debug)]
@@ -72,14 +61,9 @@ pub struct SourceFile {
     /// Lines fully covered by comments/whitespace (no code tokens) but
     /// carrying comment text.
     comment_only_lines: Vec<bool>,
-    /// Concatenated comment text per line.
-    comment_text: BTreeMap<u32, String>,
     /// Lines opening an `// ordering:` justification comment, mapped to
     /// the justification text.
     ordering_notes: BTreeMap<u32, String>,
-    /// Lines opening a `// lock-order:` justification comment, mapped
-    /// to the justification text.
-    lock_order_notes: BTreeMap<u32, String>,
     pub allows: Vec<Allow>,
     pub bad_allows: Vec<BadAllow>,
 }
@@ -94,34 +78,23 @@ impl SourceFile {
                 *slot = true;
             }
         }
-        let mut comment_text: BTreeMap<u32, String> = BTreeMap::new();
         let mut ordering_notes: BTreeMap<u32, String> = BTreeMap::new();
-        let mut lock_order_notes: BTreeMap<u32, String> = BTreeMap::new();
+        let mut comment_only_lines = vec![false; nlines + 1];
         for c in &lexed.comments {
-            // A block comment's text is attributed to every line it
-            // touches, so adjacency checks see it wherever it appears.
-            let text = c.text(&src);
+            // A block comment counts on every line it touches, so
+            // adjacency checks see it wherever it appears.
             for line in c.line..=c.end_line {
-                comment_text.entry(line).or_default().push_str(text);
+                let l = line as usize;
+                if l < comment_only_lines.len() && !code_lines[l] {
+                    comment_only_lines[l] = true;
+                }
             }
+            let text = c.text(&src);
             if let Some(rest) = comment_payload(text).strip_prefix(ORDERING_MARKER) {
                 let note = rest.trim().trim_end_matches("*/").trim();
                 if !note.is_empty() {
                     ordering_notes.insert(c.line, note.to_string());
                 }
-            }
-            if let Some(rest) = comment_payload(text).strip_prefix(LOCK_ORDER_MARKER) {
-                let note = rest.trim().trim_end_matches("*/").trim();
-                if !note.is_empty() {
-                    lock_order_notes.insert(c.line, note.to_string());
-                }
-            }
-        }
-        let mut comment_only_lines = vec![false; nlines + 1];
-        for &line in comment_text.keys() {
-            let l = line as usize;
-            if l < comment_only_lines.len() && !code_lines[l] {
-                comment_only_lines[l] = true;
             }
         }
         let test_lines = find_test_regions(&src, &lexed.tokens, nlines);
@@ -132,9 +105,7 @@ impl SourceFile {
             lexed,
             test_lines,
             comment_only_lines,
-            comment_text,
             ordering_notes,
-            lock_order_notes,
             allows,
             bad_allows,
         }
@@ -153,22 +124,11 @@ impl SourceFile {
             .position(|a| a.target_line == line && a.rules.iter().any(|r| r == rule))
     }
 
-    /// Comment text on `line`, if any.
-    pub fn comment_on(&self, line: u32) -> Option<&str> {
-        self.comment_text.get(&line).map(String::as_str)
-    }
-
     /// Finds an adjacent `// ordering:` justification for a use at
     /// `line`: on the same line, or in the contiguous run of
     /// comment-only lines immediately above.
     pub fn ordering_justification(&self, line: u32) -> Option<String> {
         self.adjacent_note(&self.ordering_notes, line)
-    }
-
-    /// Finds an adjacent `// lock-order:` justification for a nested
-    /// acquisition at `line` (same adjacency rules as `// ordering:`).
-    pub fn lock_order_justification(&self, line: u32) -> Option<String> {
-        self.adjacent_note(&self.lock_order_notes, line)
     }
 
     fn adjacent_note(&self, notes: &BTreeMap<u32, String>, line: u32) -> Option<String> {

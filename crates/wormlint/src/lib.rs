@@ -14,13 +14,20 @@
 //!   each exercised by roundtrip/fuzz tests; wire opcodes are unique,
 //!   decoded, and documented in `docs/PROTOCOL.md`.
 //! * **L4** — codec/frame paths never use bare `as` numeric casts.
+//! * **L6** — every blocking call in serving code is declared by a
+//!   `wormtrace::sync::blocking` call just before it, which asserts at
+//!   run time that its thread may block.
+//! * **L8** — wire-read counts are bounded before they size an
+//!   allocation.
+//!
+//! Lock order is not checked here: every serving lock is a ranked
+//! `wormtrace::sync` lock, which checks its own order where it is
+//! taken.
 //!
 //! See `docs/LINTS.md` for the rule catalogue and the escape-hatch
 //! grammar (`// wormlint: allow(<rule>) -- <reason>`).
 
 pub mod analysis;
-pub mod graph;
-pub mod interp;
 pub mod lexer;
 pub mod rules;
 pub mod selftest;
@@ -33,7 +40,8 @@ use analysis::SourceFile;
 use rules::{CodecContext, Scope};
 
 /// Crates whose non-test code must be panic-free (L1): everything on
-/// the serving path from socket to SCPU.
+/// the serving path from socket to SCPU, and the crypto it verifies
+/// and encodes with.
 pub const SERVING_CRATES: &[&str] = &[
     "strongworm",
     "wormnet",
@@ -41,11 +49,8 @@ pub const SERVING_CRATES: &[&str] = &[
     "wormtrace",
     "wormaudit",
     "scpu",
+    "wormcrypt",
 ];
-
-/// Files outside [`SERVING_CRATES`] held to the same rules: the
-/// canonical wire encoding every serving codec is written in.
-pub const SERVING_FILES: &[&str] = &["crates/wormcrypt/src/wire.rs"];
 
 /// File names treated as canonical codec / wire-facing modules, where
 /// the `index` sub-rule and L4's cast ban additionally apply.
@@ -58,8 +63,7 @@ pub struct Diag {
     pub lint: &'static str,
     /// Machine-readable rule name (`panic`, `index`, `ordering`,
     /// `codec-pair`, `codec-test`, `opcode`, `cast`, `allow-syntax`,
-    /// `allow-unused`, `lock-order`, `lock-cycle`, `hold-blocking`,
-    /// `reactor-blocking`, `panic-reach`, `count-bomb`).
+    /// `allow-unused`, `blocking`, `count-bomb`).
     pub rule: &'static str,
     pub file: String,
     pub line: u32,
@@ -112,8 +116,6 @@ pub struct AtomicSite {
 pub struct Report {
     pub diags: Vec<Diag>,
     pub atomic_sites: Vec<AtomicSite>,
-    /// L5's lock inventory (`results/LOCK_AUDIT.json`).
-    pub lock_audit: interp::LockAudit,
     /// Source files linted.
     pub files_linted: usize,
 }
@@ -177,7 +179,7 @@ pub fn scope_for(rel_path: &str) -> Scope {
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .unwrap_or("");
-    let serving = SERVING_CRATES.contains(&crate_name) || SERVING_FILES.contains(&rel_path);
+    let serving = SERVING_CRATES.contains(&crate_name);
     let file_name = rel_path.rsplit('/').next().unwrap_or("");
     Scope {
         serving,
@@ -239,10 +241,10 @@ pub fn run_workspace(root: &Path) -> Report {
 
     let protocol_doc = std::fs::read_to_string(root.join("docs/PROTOCOL.md")).ok();
 
-    // Parse in parallel: files are independent until the graph pass,
-    // and lexing dominates wall-clock on a cold run. Workers take
-    // disjoint chunks of a preallocated slot vector, so results stay
-    // in deterministic file order with no locking.
+    // Parse in parallel: files are independent, and lexing dominates
+    // wall-clock on a cold run. Workers take disjoint chunks of a
+    // preallocated slot vector, so results stay in deterministic file
+    // order with no locking.
     type Slot = Option<Result<(SourceFile, Scope), (String, String)>>;
     let mut slots: Vec<Slot> = Vec::new();
     slots.resize_with(lint_files.len(), || None);
@@ -290,7 +292,6 @@ pub fn run_workspace(root: &Path) -> Report {
         protocol_doc: protocol_doc.as_deref(),
     };
 
-    let mut file_reports: Vec<rules::FileReport> = Vec::new();
     for (f, scope) in &parsed {
         let file_report = rules::lint_file(f, *scope);
         rules::l3_test_coverage(&f.path, &file_report.encode_fns, &ctx, &mut report.diags);
@@ -298,51 +299,8 @@ pub fn run_workspace(root: &Path) -> Report {
             rules::l3_opcodes(f, &ctx, &mut report.diags);
         }
         report.files_linted += 1;
-        file_reports.push(file_report);
-    }
-
-    // Interprocedural pass (L5-L8) over the serving crates plus the
-    // crypto core they call into.
-    let mut gfiles: Vec<graph::GraphFile<'_>> = Vec::new();
-    for (i, (f, scope)) in parsed.iter().enumerate() {
-        let krate = f
-            .path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("")
-            .to_string();
-        let file_name = f.path.rsplit('/').next().unwrap_or("");
-        if !graph::GRAPH_CRATES.contains(&krate.as_str())
-            || graph::GRAPH_EXCLUDE_FILES.contains(&file_name)
-        {
-            continue;
-        }
-        gfiles.push(graph::GraphFile {
-            sf: f,
-            krate,
-            serving: scope.serving,
-            codec: scope.codec_path,
-            orig: i,
-        });
-    }
-    let gr = graph::build(gfiles);
-    let iout = interp::check(&gr);
-    for (gi, gf) in gr.files.iter().enumerate() {
-        file_reports[gf.orig]
-            .used_allows
-            .extend(iout.used_allows[gi].iter().copied());
-    }
-    report.diags.extend(iout.diags);
-    report.lock_audit = iout.audit;
-
-    // Allow-staleness (L0) judged only after every consumer — the
-    // per-file rules and the interprocedural pass — has run.
-    for ((f, _), fr) in parsed.iter().zip(file_reports) {
-        report
-            .diags
-            .extend(rules::unused_allows(f, &fr.used_allows));
-        report.diags.extend(fr.diags);
-        report.atomic_sites.extend(fr.atomic_sites);
+        report.diags.extend(file_report.diags);
+        report.atomic_sites.extend(file_report.atomic_sites);
     }
 
     report
@@ -381,11 +339,10 @@ pub fn justification_status(rule: &str) -> &'static str {
         "allow-syntax" => "malformed",
         // The escape hatch no longer suppresses anything.
         "allow-unused" => "stale",
-        // Silenced by an adjacent `// ordering:` / `// lock-order:`.
-        "ordering" | "lock-order" => "missing-comment",
+        // Silenced by an adjacent `// ordering:`.
+        "ordering" => "missing-comment",
         // Silenced by a `wormlint: allow(<rule>)` with a reason.
-        "panic" | "index" | "cast" | "codec" | "hold-blocking" | "reactor-blocking"
-        | "panic-reach" | "count-bomb" => "missing-allow",
+        "panic" | "index" | "cast" | "codec" | "blocking" | "count-bomb" => "missing-allow",
         // Structural findings with no per-site escape hatch.
         _ => "n/a",
     }

@@ -9,14 +9,13 @@ const USAGE: &str = "\
 wormlint — WORM-invariant static analysis
 
 USAGE:
-    wormlint --workspace [--json] [--audit-out PATH] [--lock-audit-out PATH] [--root PATH]
+    wormlint --workspace [--json] [--audit-out PATH] [--root PATH]
     wormlint --self-test
 
 OPTIONS:
-    --workspace             Lint every workspace crate (L1-L8)
+    --workspace             Lint every workspace crate (L0-L4, L6, L8)
     --json                  Emit diagnostics as wormlint.diag.v2 JSON
     --audit-out PATH        Also write the wormlint.atomics.v1 inventory
-    --lock-audit-out PATH   Also write the wormlint.locks.v1 lock-order audit
     --root PATH             Workspace root (default: discovered from cwd)
     --self-test             Run the embedded fixture corpus and exit
 
@@ -32,7 +31,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut self_test = false;
     let mut audit_out: Option<PathBuf> = None;
-    let mut lock_audit_out: Option<PathBuf> = None;
     let mut root_arg: Option<PathBuf> = None;
 
     let mut i = 0;
@@ -41,14 +39,13 @@ fn main() -> ExitCode {
             "--workspace" => workspace = true,
             "--json" => json = true,
             "--self-test" => self_test = true,
-            "--audit-out" | "--lock-audit-out" | "--root" => {
+            "--audit-out" | "--root" => {
                 let Some(v) = args.get(i + 1) else {
                     eprintln!("missing value for {}\n\n{USAGE}", args[i]);
                     return ExitCode::from(2);
                 };
                 match args[i].as_str() {
                     "--audit-out" => audit_out = Some(PathBuf::from(v)),
-                    "--lock-audit-out" => lock_audit_out = Some(PathBuf::from(v)),
                     _ => root_arg = Some(PathBuf::from(v)),
                 }
                 i += 1;
@@ -118,30 +115,6 @@ fn main() -> ExitCode {
                     .iter()
                     .filter(|s| s.justification.is_some())
                     .count(),
-                path.display()
-            );
-        }
-    }
-
-    if let Some(path) = lock_audit_out {
-        let doc = wormlint::interp::locks_to_json(&report.lock_audit);
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !json {
-            println!(
-                "lock audit: {} sites, {} order edges ({}) -> {}",
-                report.lock_audit.sites.len(),
-                report.lock_audit.edges.len(),
-                if report.lock_audit.cycle.is_empty() {
-                    "acyclic"
-                } else {
-                    "CYCLIC"
-                },
                 path.display()
             );
         }

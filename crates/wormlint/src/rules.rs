@@ -10,6 +10,14 @@
 //!   decoded, and documented.
 //! * **L4 `cast`** — no bare `as` numeric conversions in codec/frame
 //!   paths; use `From`/`try_from`/checked helpers.
+//! * **L6 `blocking`** — every call that can wait unboundedly in
+//!   serving code is declared by a `wormtrace::sync::blocking(..)` call
+//!   just before it, which asserts at run time that the thread may
+//!   block.
+//! * **L8 `count-bomb`** — in codec files, allocation sizes derived
+//!   from wire-read counts must be bounded (compared against a limit
+//!   or clamped with `.min(..)`) before reaching
+//!   `with_capacity`/`reserve`/`vec![..; n]`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,10 +28,10 @@ use crate::{AtomicSite, Diag};
 /// Which rule families apply to a file.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
-    /// Crate is part of the serving/trusted base: L1 applies.
+    /// Crate is part of the serving/trusted base: L1 and L6 apply.
     pub serving: bool,
     /// File is a canonical codec / frame / wire module: L1's `index`
-    /// sub-rule and L4 apply.
+    /// sub-rule, L4 and L8 apply.
     pub codec_path: bool,
 }
 
@@ -33,6 +41,37 @@ const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"]
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 /// Atomic ordering variants inventoried by L2.
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+/// Blocking calls recognized in method position with zero arguments
+/// only (with arguments, `join`/`recv` etc. are ordinary data methods).
+const BLOCKING_ZERO_ARG: &[&str] = &["join", "recv", "park", "accept"];
+/// Blocking calls recognized at any arity. Positional file I/O
+/// (`read_exact_at`/`write_all_at`) is deliberately absent: the paper
+/// charges bounded device I/O to the storage layer, while these names
+/// mark unbounded *stream* waits.
+const BLOCKING_ANY_ARG: &[&str] = &[
+    "sleep",
+    "wait",
+    "wait_timeout",
+    "recv_timeout",
+    "read_exact",
+    "read_to_end",
+    "read_to_string",
+    "write_all",
+];
+/// Qualifiers that make a `connect` call a blocking socket dial.
+const SOCKET_TYPES: &[&str] = &["TcpStream", "TcpListener", "UnixStream", "UnixListener"];
+/// Wire-read accessors whose value, unbounded, sizes an allocation.
+const L8_SOURCES: &[&str] = &[
+    "get_count",
+    "get_u16",
+    "get_u32",
+    "get_u64",
+    "from_be_bytes",
+];
+/// Allocation sinks taking an element count.
+const L8_SINKS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];
+/// Idents inside a sink argument that bound the count.
+const L8_CLAMPS: &[&str] = &["min", "remaining", "len"];
 /// Numeric types an `as` cast can silently truncate into.
 const NUMERIC_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
@@ -46,13 +85,10 @@ pub struct FileReport {
     pub atomic_sites: Vec<AtomicSite>,
     /// Names of non-test `fn encode_*` items defined in this file.
     pub encode_fns: Vec<(String, u32)>,
-    /// Indices into `SourceFile::allows` consumed by the per-file
-    /// rules. The interprocedural pass (L5-L8) consumes more before
-    /// [`unused_allows`] judges staleness.
-    pub used_allows: BTreeSet<usize>,
 }
 
-/// Runs every per-file rule on `f` under `scope`.
+/// Runs every per-file rule on `f` under `scope`, then judges which of
+/// its allow comments suppressed nothing.
 pub fn lint_file(f: &SourceFile, scope: Scope) -> FileReport {
     let mut report = FileReport::default();
     let mut used_allows: BTreeSet<usize> = BTreeSet::new();
@@ -69,25 +105,26 @@ pub fn lint_file(f: &SourceFile, scope: Scope) -> FileReport {
 
     if scope.serving {
         l1_panics(f, scope, &mut report, &mut used_allows);
+        l6_blocking(f, &mut report, &mut used_allows);
     }
     l2_atomics(f, &mut report);
     l3_codec_pairs(f, &mut report, &mut used_allows);
     if scope.codec_path {
         l4_casts(f, &mut report, &mut used_allows);
+        l8_count_bombs(f, &mut report, &mut used_allows);
     }
 
-    report.used_allows = used_allows;
+    unused_allows(f, &used_allows, &mut report);
     report
 }
 
 /// L0's staleness check: every allow comment must have suppressed
-/// something across *all* rule passes (per-file and interprocedural).
-/// Run after both have recorded consumption into `used`.
-pub fn unused_allows(f: &SourceFile, used: &BTreeSet<usize>) -> Vec<Diag> {
-    let mut diags = Vec::new();
+/// something. Run after every rule has recorded consumption into
+/// `used`.
+fn unused_allows(f: &SourceFile, used: &BTreeSet<usize>, report: &mut FileReport) {
     for (i, a) in f.allows.iter().enumerate() {
         if !used.contains(&i) {
-            diags.push(Diag::new(
+            report.diags.push(Diag::new(
                 "L0",
                 "allow-unused",
                 &f.path,
@@ -100,7 +137,6 @@ pub fn unused_allows(f: &SourceFile, used: &BTreeSet<usize>) -> Vec<Diag> {
             ));
         }
     }
-    diags
 }
 
 /// Looks up and consumes an allow for `rule` at `line`; returns true
@@ -341,6 +377,224 @@ fn l4_casts(f: &SourceFile, report: &mut FileReport, used_allows: &mut BTreeSet<
                 ),
             ));
         }
+    }
+}
+
+/// L6: a call that can wait unboundedly — a sleep, a join, a socket
+/// dial or stream I/O — is declared by a `sync::blocking(..)` call
+/// that ends on the line before it or on its own line. That call is
+/// the run-time half: it asserts the thread holds no guard and is no
+/// reactor worker, so what the lint sees declared is also checked when
+/// it runs. A call that cannot actually wait (a non-blocking socket)
+/// takes an `allow(blocking)` comment saying why instead.
+fn l6_blocking(f: &SourceFile, report: &mut FileReport, used_allows: &mut BTreeSet<usize>) {
+    let toks = &f.lexed.tokens;
+    let ident = |i: usize| {
+        toks.get(i)
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.ident_text(&f.src))
+    };
+    let qualifier = |i: usize| {
+        i.checked_sub(3)
+            .filter(|&q| toks[q + 1].is_punct(b':') && toks[q + 2].is_punct(b':'))
+            .and_then(ident)
+    };
+    let calls = |i: usize| toks.get(i + 1).is_some_and(|n| n.is_punct(b'('));
+    // The lines on which a `sync::blocking(..)` call ends.
+    let declared: BTreeSet<u32> = (0..toks.len())
+        .filter(|&i| ident(i) == Some("blocking") && calls(i) && qualifier(i) == Some("sync"))
+        .filter_map(|i| {
+            let mut depth = 0i64;
+            toks.iter().skip(i + 1).find_map(|u| {
+                depth += i64::from(u.is_punct(b'(')) - i64::from(u.is_punct(b')'));
+                (depth == 0).then_some(u.line)
+            })
+        })
+        .collect();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident || f.in_test(t.line) || !calls(i) {
+            continue;
+        }
+        let name = t.ident_text(&f.src);
+        let before = i.checked_sub(1).and_then(|j| toks.get(j));
+        let method = before.is_some_and(|p| p.is_punct(b'.'));
+        let qualifier = qualifier(i);
+        let blocking = (method
+            && toks.get(i + 2).is_some_and(|n| n.is_punct(b')'))
+            && BLOCKING_ZERO_ARG.contains(&name))
+            || (BLOCKING_ANY_ARG.contains(&name) && i.checked_sub(1).and_then(ident) != Some("fn"))
+            || (name == "connect" && qualifier.is_some_and(|q| SOCKET_TYPES.contains(&q)));
+        let is_declared =
+            declared.contains(&t.line) || declared.contains(&t.line.saturating_sub(1));
+        if blocking && !is_declared && !consume_allow(f, "blocking", t.line, used_allows) {
+            let what = match qualifier {
+                Some(q) => format!("{q}::{name}"),
+                None => format!(".{name}()"),
+            };
+            report.diags.push(Diag::new(
+                "L6",
+                "blocking",
+                &f.path,
+                t.line,
+                format!(
+                    "`{what}` can block: declare it on the line before with \
+                     `wormtrace::sync::blocking(\"<what>\")`, which asserts at run time \
+                     that the thread holds no lock and is no reactor worker"
+                ),
+            ));
+        }
+    }
+}
+
+/// L8: in a codec file, a count read off the wire reaches an
+/// allocation only once compared against a limit or clamped. Taint is
+/// tracked through `let` bindings within one function.
+fn l8_count_bombs(f: &SourceFile, report: &mut FileReport, used_allows: &mut BTreeSet<usize>) {
+    let toks = &f.lexed.tokens;
+    let src = &f.src;
+    let mut tainted: BTreeSet<String> = BTreeSet::new();
+    let mut k = 0usize;
+    while k < toks.len() {
+        let t = &toks[k];
+        if t.kind != TokKind::Ident || f.in_test(t.line) {
+            k += 1;
+            continue;
+        }
+        let name = t.ident_text(src);
+        match name {
+            "fn" => {
+                // Taint does not cross function boundaries.
+                tainted.clear();
+            }
+            "let" => {
+                // `let [mut] v = <rhs>;` — v is tainted iff the rhs
+                // reads a wire count.
+                let mut j = k + 1;
+                if toks
+                    .get(j)
+                    .is_some_and(|t| t.kind == TokKind::Ident && t.ident_text(src) == "mut")
+                {
+                    j += 1;
+                }
+                let Some(vt) = toks.get(j).filter(|t| t.kind == TokKind::Ident) else {
+                    k += 1;
+                    continue;
+                };
+                if !toks.get(j + 1).is_some_and(|t| t.is_punct(b'=')) {
+                    k += 1;
+                    continue;
+                }
+                let var = vt.ident_text(src).to_string();
+                let mut has_source = false;
+                let mut m = j + 2;
+                let mut depth = 0i64;
+                while m < toks.len() {
+                    let u = &toks[m];
+                    if u.is_punct(b'(') || u.is_punct(b'[') || u.is_punct(b'{') {
+                        depth += 1;
+                    } else if u.is_punct(b')') || u.is_punct(b']') || u.is_punct(b'}') {
+                        depth -= 1;
+                    } else if u.is_punct(b';') && depth <= 0 {
+                        break;
+                    } else if u.kind == TokKind::Ident {
+                        let n = u.ident_text(src);
+                        if L8_SOURCES.contains(&n) || tainted.contains(n) {
+                            has_source = true;
+                        }
+                        if L8_CLAMPS.contains(&n) {
+                            has_source = false;
+                            break;
+                        }
+                    }
+                    m += 1;
+                }
+                if has_source {
+                    tainted.insert(var);
+                } else {
+                    tainted.remove(&var);
+                }
+            }
+            _ if tainted.contains(name) => {
+                // A comparison against the value counts as bounding it
+                // (the `if n > MAX { return Err }` idiom).
+                let cmp = toks
+                    .get(k + 1)
+                    .is_some_and(|n| n.is_punct(b'<') || n.is_punct(b'>'))
+                    || (k > 0 && (toks[k - 1].is_punct(b'<') || toks[k - 1].is_punct(b'>')));
+                if cmp {
+                    tainted.remove(name);
+                }
+            }
+            _ if L8_SINKS.contains(&name) && toks.get(k + 1).is_some_and(|n| n.is_punct(b'(')) => {
+                if let Some(what) = unbounded_count(f, k + 1, false, &tainted) {
+                    count_bomb(f, t.line, &format!("{name}({what})"), report, used_allows);
+                }
+            }
+            "vec" if toks.get(k + 1).is_some_and(|n| n.is_punct(b'!')) => {
+                if let Some(what) = unbounded_count(f, k + 2, true, &tainted) {
+                    count_bomb(f, t.line, &format!("vec![..; {what}]"), report, used_allows);
+                }
+            }
+            _ => {}
+        }
+        k += 1;
+    }
+}
+
+/// The first unbounded wire count inside the bracketed arguments that
+/// open at token `open` (for `vec![elem; n]`, `after_semi`: only the
+/// length after the `;`), unless a clamp bounds them.
+fn unbounded_count(
+    f: &SourceFile,
+    open: usize,
+    after_semi: bool,
+    tainted: &BTreeSet<String>,
+) -> Option<String> {
+    let toks = &f.lexed.tokens;
+    let mut depth = 0i64;
+    let mut counting = !after_semi;
+    let mut bad: Option<String> = None;
+    for u in toks.iter().skip(open) {
+        if u.is_punct(b'(') || u.is_punct(b'[') || u.is_punct(b'{') {
+            depth += 1;
+        } else if u.is_punct(b')') || u.is_punct(b']') || u.is_punct(b'}') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        } else if u.is_punct(b';') && depth == 1 {
+            counting = true;
+        } else if counting && u.kind == TokKind::Ident {
+            let n = u.ident_text(&f.src);
+            if L8_CLAMPS.contains(&n) {
+                return None; // `n.min(r.remaining())` and friends
+            }
+            if bad.is_none() && (tainted.contains(n) || L8_SOURCES.contains(&n)) {
+                bad = Some(n.to_string());
+            }
+        }
+    }
+    bad
+}
+
+fn count_bomb(
+    f: &SourceFile,
+    line: u32,
+    what: &str,
+    report: &mut FileReport,
+    used_allows: &mut BTreeSet<usize>,
+) {
+    if !consume_allow(f, "count-bomb", line, used_allows) {
+        report.diags.push(Diag::new(
+            "L8",
+            "count-bomb",
+            &f.path,
+            line,
+            format!(
+                "{what} sizes an allocation from an unbounded wire count — \
+                 compare against a limit or clamp with `.min(..)` first"
+            ),
+        ));
     }
 }
 

@@ -4,34 +4,30 @@
 //! Runs from the embedded copies, so `wormlint --self-test` works from
 //! any directory (and in CI before the test harness).
 //!
-//! Every fixture runs the *full* pipeline a workspace file would see:
-//! the per-file rules (L0-L4), the interprocedural pass (L5-L8) over a
-//! single-file call graph, and the allow-staleness check afterwards —
-//! so fixtures can pin down cross-function findings and escape-hatch
-//! hygiene alike.
+//! Every fixture stands in for a workspace file, and runs the pipeline
+//! that file would see: the rule scope its path gets, every rule, and
+//! the allow-staleness check afterwards.
 
 use std::time::Instant;
 
 use crate::analysis::SourceFile;
-use crate::graph::{self, GraphFile};
-use crate::interp;
-use crate::rules::{lint_file, unused_allows, Scope};
+use crate::rules::lint_file;
+use crate::scope_for;
 
-const SERVING: Scope = Scope {
-    serving: true,
-    codec_path: false,
-};
-const CODEC: Scope = Scope {
-    serving: true,
-    codec_path: true,
-};
+/// A serving-crate file: L1, L6 and the universal rules apply.
+const SERVING: &str = "crates/strongworm/src/fixture.rs";
+/// A serving codec file: additionally L1 `index`, L4 and L8.
+const CODEC: &str = "crates/wormnet/src/codec.rs";
+/// The crypto core, a serving crate like any other.
+const CRYPTO: &str = "crates/wormcrypt/src/rsa.rs";
 
 /// Hard wall-clock budget for the whole corpus: the self-test gates
 /// CI and pre-commit runs, so it must stay interactive.
 const BUDGET_SECS: u64 = 5;
 
-/// The embedded fixture corpus: (name, scope, source).
-pub const FIXTURES: &[(&str, Scope, &str)] = &[
+/// The embedded fixture corpus: (name, the workspace path it stands
+/// for, source).
+pub const FIXTURES: &[(&str, &str, &str)] = &[
     (
         "l0_bad.rs",
         SERVING,
@@ -46,6 +42,11 @@ pub const FIXTURES: &[(&str, Scope, &str)] = &[
         "l1_good.rs",
         SERVING,
         include_str!("../tests/fixtures/l1_good.rs"),
+    ),
+    (
+        "l1_crypto_bad.rs",
+        CRYPTO,
+        include_str!("../tests/fixtures/l1_crypto_bad.rs"),
     ),
     (
         "l1_index_bad.rs",
@@ -88,44 +89,14 @@ pub const FIXTURES: &[(&str, Scope, &str)] = &[
         include_str!("../tests/fixtures/l4_good.rs"),
     ),
     (
-        "l5_nested_bad.rs",
+        "l6_bad.rs",
         SERVING,
-        include_str!("../tests/fixtures/l5_nested_bad.rs"),
-    ),
-    (
-        "l5_cycle_bad.rs",
-        SERVING,
-        include_str!("../tests/fixtures/l5_cycle_bad.rs"),
-    ),
-    (
-        "l5_good.rs",
-        SERVING,
-        include_str!("../tests/fixtures/l5_good.rs"),
-    ),
-    (
-        "l6_hold_bad.rs",
-        SERVING,
-        include_str!("../tests/fixtures/l6_hold_bad.rs"),
-    ),
-    (
-        "l6_reactor_bad.rs",
-        SERVING,
-        include_str!("../tests/fixtures/l6_reactor_bad.rs"),
+        include_str!("../tests/fixtures/l6_bad.rs"),
     ),
     (
         "l6_good.rs",
         SERVING,
         include_str!("../tests/fixtures/l6_good.rs"),
-    ),
-    (
-        "l7_panic_bad.rs",
-        SERVING,
-        include_str!("../tests/fixtures/l7_panic_bad.rs"),
-    ),
-    (
-        "l7_conc_good.rs",
-        SERVING,
-        include_str!("../tests/fixtures/l7_conc_good.rs"),
     ),
     (
         "l8_bad.rs",
@@ -151,11 +122,7 @@ const MARKER_RULES: &[&str] = &[
     "cast",
     "allow-syntax",
     "allow-unused",
-    "lock-order",
-    "lock-cycle",
-    "hold-blocking",
-    "reactor-blocking",
-    "panic-reach",
+    "blocking",
     "count-bomb",
 ];
 
@@ -176,27 +143,15 @@ fn expectations(src: &str) -> Result<Vec<(String, u32)>, String> {
     Ok(out)
 }
 
-/// Runs one fixture through the same passes a workspace file gets:
-/// per-file rules, the single-file interprocedural graph, and the
-/// allow-staleness check over the combined consumption set.
-fn check_fixture(name: &str, scope: Scope, src: &str) -> Vec<(String, u32)> {
+/// Runs one fixture through the passes its stand-in path gets.
+fn check_fixture(name: &str, path: &str, src: &str) -> Vec<(String, u32)> {
     let f = SourceFile::parse(name, src.to_string());
-    let mut report = lint_file(&f, scope);
-    let gr = graph::build(vec![GraphFile {
-        sf: &f,
-        krate: "fixture".to_string(),
-        serving: scope.serving,
-        codec: scope.codec_path,
-        orig: 0,
-    }]);
-    let iout = interp::check(&gr);
-    report
-        .used_allows
-        .extend(iout.used_allows[0].iter().copied());
-    let mut diags = report.diags;
-    diags.extend(iout.diags);
-    diags.extend(unused_allows(&f, &report.used_allows));
-    let mut got: Vec<(String, u32)> = diags.iter().map(|d| (d.rule.to_string(), d.line)).collect();
+    let report = lint_file(&f, scope_for(path));
+    let mut got: Vec<(String, u32)> = report
+        .diags
+        .iter()
+        .map(|d| (d.rule.to_string(), d.line))
+        .collect();
     got.sort();
     got
 }
@@ -207,8 +162,8 @@ pub fn run() -> Result<String, String> {
     let started = Instant::now();
     let mut failures = Vec::new();
     let mut checked = 0usize;
-    for (name, scope, src) in FIXTURES {
-        let got = check_fixture(name, *scope, src);
+    for (name, path, src) in FIXTURES {
+        let got = check_fixture(name, path, src);
         let want = match expectations(src) {
             Ok(w) => w,
             Err(e) => {

@@ -8,7 +8,6 @@
 
 use std::path::Path;
 
-use wormlint::interp::locks_to_json;
 use wormlint::{atomics_to_json, diags_to_json, find_workspace_root, run_workspace};
 
 fn repo_root() -> std::path::PathBuf {
@@ -73,42 +72,4 @@ fn json_documents_carry_schema_versions() {
     let audit = atomics_to_json(&report);
     assert!(audit.contains("\"version\": \"wormlint.atomics.v1\""));
     assert!(audit.contains("\"total_sites\""));
-    let locks = locks_to_json(&report.lock_audit);
-    assert!(locks.contains("\"schema\": \"wormlint.locks.v1\""));
-    assert!(locks.contains("\"acyclic\": true"));
-    assert!(locks.contains("\"sites\""));
-    assert!(locks.contains("\"edges\""));
-}
-
-#[test]
-fn lock_order_is_acyclic_and_justified_at_head() {
-    let report = run_workspace(&repo_root());
-    let audit = &report.lock_audit;
-    assert!(
-        audit.cycle.is_empty(),
-        "lock acquisition-order cycle through: {}",
-        audit.cycle.join(", ")
-    );
-    // The inventory must actually see the workspace's lock plane (a
-    // graph-scope bug would make the audit vacuously acyclic).
-    assert!(
-        audit.sites.len() > 50,
-        "suspiciously few lock sites inventoried: {}",
-        audit.sites.len()
-    );
-    assert!(
-        !audit.edges.is_empty(),
-        "no nesting edges observed — held-set propagation is broken"
-    );
-    let unjustified: Vec<String> = audit
-        .sites
-        .iter()
-        .filter(|s| s.nested && s.justification.is_none())
-        .map(|s| format!("{}:{} ({})", s.file, s.line, s.lock))
-        .collect();
-    assert!(
-        unjustified.is_empty(),
-        "nested acquisitions without `// lock-order:` justifications:\n{}",
-        unjustified.join("\n")
-    );
 }

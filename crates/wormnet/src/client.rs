@@ -76,6 +76,7 @@ impl RemoteWormClient {
         timeout: Duration,
         max_frame: u32,
     ) -> Result<Self, NetError> {
+        wormtrace::sync::blocking("connecting to a server");
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
@@ -138,6 +139,7 @@ impl RemoteWormClient {
         if self.outbuf.is_empty() {
             return Ok(());
         }
+        wormtrace::sync::blocking("sending requests");
         let sent = self.stream.write_all(&self.outbuf);
         self.outbuf.clear();
         self.desynced |= sent.is_err();
@@ -530,6 +532,7 @@ impl Pipeline<'_> {
         if self.in_flight <= self.depth {
             return Ok(None);
         }
+        wormtrace::sync::blocking("collecting a pipelined response");
         self.recv()
     }
 
@@ -598,6 +601,7 @@ impl Pipeline<'_> {
     /// [`RemoteWormClient::pipeline`]).
     pub fn finish(mut self) -> Result<Vec<NetResponse>, NetError> {
         let mut responses = Vec::with_capacity(self.in_flight);
+        wormtrace::sync::blocking("draining a pipeline");
         while let Some(resp) = self.recv()? {
             responses.push(resp);
         }

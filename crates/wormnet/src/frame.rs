@@ -23,7 +23,9 @@ pub const DEFAULT_MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// window of responses.
 const RECV_BUF: usize = READ_BUDGET;
 
-/// Writes one frame: 4-byte big-endian length, then the payload.
+/// Writes one frame: 4-byte big-endian length, then the payload, in one
+/// write. Blocks, so never on a reactor worker: its callers are clients
+/// and the acceptor shedding a connection.
 ///
 /// # Errors
 ///
@@ -31,9 +33,10 @@ const RECV_BUF: usize = READ_BUDGET;
 /// side refuses to emit frames its peer would reject); socket errors
 /// otherwise.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max: u32) -> Result<(), NetError> {
-    let len = checked_len(payload.len(), max)?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload, max)?;
+    wormtrace::sync::blocking("write_frame");
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

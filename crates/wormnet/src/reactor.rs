@@ -268,6 +268,9 @@ pub(crate) fn worker_loop<D: BlockDevice>(
     live: &AtomicUsize,
     config: &NetServerConfig,
 ) {
+    // Nothing on this thread may wait: one stalled call stalls every
+    // connection the worker serves.
+    wormtrace::sync::mark_reactor();
     let wstats = WorkerStats {
         conns: stats.trace.gauge(&format!("net.worker{idx}.conns")),
         frames: stats.trace.counter(&format!("net.worker{idx}.frames")),

@@ -303,12 +303,15 @@ impl NetServer {
         // Acceptor first, so no new connections race into worker
         // inboxes after the workers drain them.
         if let Some(h) = self.acceptor.take() {
+            // It exits within one poll interval.
+            wormtrace::sync::blocking("joining the acceptor");
             let _ = h.join();
         }
         for w in &self.wakers {
             w.wake();
         }
         for h in self.workers.drain(..) {
+            wormtrace::sync::blocking("joining a reactor worker, just woken");
             let _ = h.join();
         }
     }
@@ -331,6 +334,7 @@ fn accept_loop(
     // ordering: polls the one-shot shutdown flag; SeqCst pairs with the store in
     // `shutdown` on a path that waits in `poll` anyway.
     while !stop.load(Ordering::SeqCst) {
+        // wormlint: allow(blocking) -- the listener is non-blocking: accept returns WouldBlock at once
         match listener.accept() {
             Ok((conn, _peer)) => {
                 error_streak = 0;
@@ -351,6 +355,7 @@ fn accept_loop(
                 // retry immediately; only a persistent streak backs off,
                 // and never indefinitely.
                 if error_streak >= ACCEPT_ERROR_STREAK {
+                    wormtrace::sync::blocking("backing off after accept errors");
                     std::thread::sleep(SHUTDOWN_POLL);
                 }
             }
@@ -481,6 +486,9 @@ pub(crate) fn respond<D: BlockDevice>(
             put_response(w, &NetResponse::Error { code, message });
         }
     });
+    // A response too large to frame is never sent: the reactor closes
+    // the connection, so the request failed.
+    let ok = ok && framed.is_ok();
     let elapsed = observed.finish(ok, None);
     // Tail capture: the flight recorder keeps the span tree of every
     // errored or over-threshold request, bounded memory.
@@ -653,5 +661,9 @@ mod tests {
             Err(NetError::FrameTooLarge { max: 512, .. })
         ));
         assert_eq!(out, pending);
+        // The reactor closes the connection over it: booked as failed.
+        let stats = fixture.0.stats_snapshot();
+        let request = stats.op("net.request").unwrap();
+        assert_eq!((request.ok, request.err), (0, 1));
     }
 }

@@ -16,11 +16,12 @@
 //! the medium behind a reader-writer lock, the accounting in atomics.
 
 use bytes::Bytes;
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use wormtrace::sync::{Rank, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Latency profile charged per access.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -221,7 +222,7 @@ impl MemDisk {
     /// Device of `capacity` bytes with the given latency profile.
     pub fn new(capacity: usize, profile: DiskProfile) -> Self {
         MemDisk {
-            data: RwLock::new(vec![0u8; capacity]),
+            data: RwLock::new(Rank::Data, vec![0u8; capacity]),
             capacity: capacity as u64,
             profile,
             stats: AtomicIoStats::default(),
@@ -274,7 +275,6 @@ impl BlockDevice for MemDisk {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), BlockError> {
         let range = self.range(offset, buf.len())?;
-        // lock-order: MemDisk.data is a device leaf below witness/vrdt; IO takes no further lock
         let data = self.data.read();
         // The range was validated against the fixed capacity, which
         // equals the medium length by construction; `get` keeps even a
@@ -294,7 +294,6 @@ impl BlockDevice for MemDisk {
         // Validate the whole range BEFORE taking the write lock: either
         // every byte of `data` lands on the medium or none does.
         let range = self.range(offset, data.len())?;
-        // lock-order: MemDisk.data is a device leaf below witness/vrdt; IO takes no further lock
         let mut medium = self.data.write();
         let dst = medium.get_mut(range).ok_or(BlockError::OutOfRange {
             offset,

@@ -11,8 +11,8 @@
 //! witness plane appends and shreds.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::RngCore;
+use wormtrace::sync::{Mutex, Rank};
 
 use crate::block::{BlockDevice, BlockError};
 use crate::record::{RecordDescriptor, RecordId};
@@ -212,12 +212,15 @@ impl<D: BlockDevice> RecordStore<D> {
     pub fn new(dev: D) -> Self {
         RecordStore {
             dev,
-            alloc: Mutex::new(AllocState {
-                next_id: 1,
-                watermark: 0,
-                free_list: Vec::new(),
-                lifetime: StoreLifetime::default(),
-            }),
+            alloc: Mutex::new(
+                Rank::Alloc,
+                AllocState {
+                    next_id: 1,
+                    watermark: 0,
+                    free_list: Vec::new(),
+                    lifetime: StoreLifetime::default(),
+                },
+            ),
         }
     }
 
@@ -280,12 +283,15 @@ impl<D: BlockDevice> RecordStore<D> {
         };
         Ok(RecordStore {
             dev,
-            alloc: Mutex::new(AllocState {
-                next_id,
-                watermark,
-                free_list,
-                lifetime,
-            }),
+            alloc: Mutex::new(
+                Rank::Alloc,
+                AllocState {
+                    next_id,
+                    watermark,
+                    free_list,
+                    lifetime,
+                },
+            ),
         })
     }
 
@@ -315,7 +321,6 @@ impl<D: BlockDevice> RecordStore<D> {
     fn write_inner(&self, data: &[u8]) -> Result<RecordDescriptor, StoreError> {
         let len = data.len() as u64;
         let (offset, id) = {
-            // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
             let mut alloc = self.alloc.lock();
             let offset = alloc.allocate(len, self.dev.capacity())?;
             let id = RecordId(alloc.next_id);
@@ -324,7 +329,6 @@ impl<D: BlockDevice> RecordStore<D> {
         };
         self.dev.write_at(offset, data)?;
         {
-            // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
             let mut alloc = self.alloc.lock();
             alloc.lifetime.bytes_written += len;
             alloc.lifetime.records_written += 1;
@@ -384,7 +388,6 @@ impl<D: BlockDevice> RecordStore<D> {
         let result = shredder.shred(&self.dev, rd, rng).map_err(StoreError::from);
         wormtrace::span::finish(span, result.is_ok(), None);
         result?;
-        // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
         let mut alloc = self.alloc.lock();
         alloc.lifetime.bytes_shredded += rd.len;
         alloc.lifetime.records_shredded += 1;
@@ -400,7 +403,6 @@ impl<D: BlockDevice> RecordStore<D> {
     /// compaction that vacates a relocation source after its `replace`
     /// record committed.
     pub fn release(&self, rd: &RecordDescriptor) {
-        // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
         self.alloc.lock().release(rd.offset, rd.len);
     }
 
@@ -409,7 +411,6 @@ impl<D: BlockDevice> RecordStore<D> {
     /// [`crate::Shredder::write_pass`] itself so it can persist progress
     /// markers between passes).
     pub fn note_shredded(&self, rd: &RecordDescriptor) {
-        // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
         let mut alloc = self.alloc.lock();
         alloc.lifetime.bytes_shredded += rd.len;
         alloc.lifetime.records_shredded += 1;
@@ -460,7 +461,6 @@ impl<D: BlockDevice> RecordStore<D> {
             return Ok(None);
         }
         let target = {
-            // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
             let mut alloc = self.alloc.lock();
             let slot = alloc
                 .free_list
@@ -484,7 +484,6 @@ impl<D: BlockDevice> RecordStore<D> {
             self.dev.read_at(rd.offset, &mut buf)?;
             self.dev.write_at(target, &buf)
         })();
-        // lock-order: RecordStore.alloc follows witness/vrdt and is dropped before device IO
         let mut alloc = self.alloc.lock();
         if let Err(e) = copy {
             // Hand the slot back; the medium may hold a torn copy but the

@@ -21,8 +21,9 @@
 //! Everything is deterministically seeded so a failing cut point replays
 //! bit-identically.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
+
+use wormtrace::sync::{Mutex, Rank};
 
 use crate::block::{BlockDevice, BlockError, IoStats};
 
@@ -126,11 +127,14 @@ impl<D: BlockDevice> TornDisk<D> {
         TornDisk {
             state: Arc::new(TornState {
                 inner,
-                ctl: Mutex::new(TornCtl {
-                    writes: 0,
-                    armed: None,
-                    dead: None,
-                }),
+                ctl: Mutex::new(
+                    Rank::Ctl,
+                    TornCtl {
+                        writes: 0,
+                        armed: None,
+                        dead: None,
+                    },
+                ),
             }),
         }
     }
@@ -216,7 +220,6 @@ impl<D: BlockDevice> BlockDevice for TornDisk<D> {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        // lock-order: TornState.ctl is a device leaf below witness/vrdt; the fault injector takes no further lock
         if let Some(at_write) = self.state.ctl.lock().dead {
             return Err(BlockError::PowerLost { at_write });
         }
@@ -225,7 +228,6 @@ impl<D: BlockDevice> BlockDevice for TornDisk<D> {
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), BlockError> {
         let fired = {
-            // lock-order: TornState.ctl is a device leaf below witness/vrdt; the fault injector takes no further lock
             let mut ctl = self.state.ctl.lock();
             if let Some(at_write) = ctl.dead {
                 return Err(BlockError::PowerLost { at_write });

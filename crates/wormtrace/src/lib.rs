@@ -29,6 +29,10 @@
 //!   [`FlightRecorder`]: a bounded ring retaining the complete span
 //!   tree of any request that errors or exceeds a configurable latency
 //!   threshold.
+//! * [`sync`] — the ranked, poison-tolerant `Mutex`/`RwLock` every
+//!   serving crate locks with: the `Rank` enum is the workspace's one
+//!   lock order, checked at each acquisition in debug builds, beside
+//!   the `blocking` assert.
 //!
 //! ## Hot-path budget
 //!

@@ -3,13 +3,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::metrics::{Counter, Gauge, OpStats};
 use crate::snapshot::StatsSnapshot;
 use crate::span::{self, FlightRecorder, OpenSpan, Plane, DEFAULT_FLIGHT_CAPACITY};
-use crate::sync;
+use crate::sync::{Rank, RwLock};
 
 /// A process-wide (or server-wide) collection of named instruments.
 ///
@@ -29,9 +29,9 @@ pub struct Registry {
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            ops: RwLock::new(BTreeMap::new()),
-            counters: RwLock::new(BTreeMap::new()),
-            gauges: RwLock::new(BTreeMap::new()),
+            ops: RwLock::new(Rank::RegistryOps, BTreeMap::new()),
+            counters: RwLock::new(Rank::RegistryCounters, BTreeMap::new()),
+            gauges: RwLock::new(Rank::RegistryGauges, BTreeMap::new()),
             flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
             enabled: AtomicBool::new(true),
         }
@@ -74,10 +74,10 @@ impl Registry {
     }
 
     fn get_or_insert<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-        if let Some(found) = sync::read(map).get(name) {
+        if let Some(found) = map.read().get(name) {
             return Arc::clone(found);
         }
-        let mut write = sync::write(map);
+        let mut write = map.write();
         Arc::clone(write.entry(name.to_string()).or_default())
     }
 
@@ -107,17 +107,21 @@ impl Registry {
     /// makes the snapshot's canonical encoding deterministic.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            ops: sync::read(&self.ops)
+            ops: self
+                .ops
+                .read()
                 .iter()
                 .map(|(name, op)| (name.clone(), op.snapshot()))
                 .collect(),
-            // lock-order: Registry.ops -> counters; snapshot reads the instrument maps in declaration order
-            counters: sync::read(&self.counters)
+            counters: self
+                .counters
+                .read()
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
                 .collect(),
-            // lock-order: Registry.counters -> gauges; snapshot reads the instrument maps in declaration order
-            gauges: sync::read(&self.gauges)
+            gauges: self
+                .gauges
+                .read()
                 .iter()
                 .map(|(name, g)| (name.clone(), g.get()))
                 .collect(),

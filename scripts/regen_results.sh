@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The only writer of results/: regenerates every committed evaluation
-# artifact. Each is a worm-bench paper-artifact bin's stdout or a
-# wormlint audit; wall-clock numbers about the running system are not
-# here, they come from `bash bench/run.sh`.
+# artifact. Each is a worm-bench paper-artifact bin's stdout or the
+# wormlint atomics audit; wall-clock numbers about the running system
+# are not here, they come from `bash bench/run.sh`.
 #
 # Usage: scripts/regen_results.sh [--check]
 #   --check  regenerate into a temporary directory instead and fail on
@@ -20,13 +20,10 @@ case "${1:-}" in
 esac
 
 # ATOMICS_AUDIT.json (wormlint.atomics.v1: every atomic Ordering site
-# and its justification) and LOCK_AUDIT.json (wormlint.locks.v1: every
-# lock acquisition, the observed nesting edges, and the —
-# required-empty — cycle set). Exits nonzero on any lint violation.
-echo ">> wormlint atomics + lock-order audits"
+# and its justification). Exits nonzero on any lint violation.
+echo ">> wormlint atomics audit"
 cargo run --release -q -p wormlint -- --workspace \
-  --audit-out "$out/ATOMICS_AUDIT.json" \
-  --lock-audit-out "$out/LOCK_AUDIT.json"
+  --audit-out "$out/ATOMICS_AUDIT.json"
 
 # run <artifact> <bin> [--json]: the bin's stdout is the artifact. The
 # bins' own assertions (shard_scaling: monotone per tier; powerfail:
