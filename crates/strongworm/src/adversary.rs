@@ -132,8 +132,10 @@ impl<D: BlockDevice> Mallory<'_, D> {
     /// before its retention elapsed) with a forged signature.
     pub fn forge_deletion(&mut self, sn: SerialNumber) -> ReadOutcome {
         let (vrdt, _) = self.server.parts_mut_for_attack();
-        #[allow(clippy::expect_used)]
-        // wormlint: allow(panic) -- attack-harness precondition: `WormServer::boot` installs a head before any adversary is constructed, and a broken harness must fail loudly, not model a different attack
+        #[expect(
+            clippy::expect_used,
+            reason = "attack-harness precondition: `WormServer::boot` installs a head before any adversary is constructed, and a broken harness must fail loudly, not model a different attack"
+        )]
         let head = vrdt.head().cloned().expect("head installed at boot");
         let deleted_at = head.issued_at;
         let proof = DeletionProof {

@@ -5,6 +5,7 @@
 //! attributes". They are covered by `metasig`, so they have a canonical
 //! encoding and any bit of post-hoc tampering invalidates the SCPU
 //! signature.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::as_conversions))]
 
 use scpu::Timestamp;
 use wormstore::Shredder;

@@ -4,6 +4,7 @@
 //! persisted structure — witnesses, VRDs, proofs — a canonical byte form
 //! for the journal. Decoding is defensive: all of this lives on untrusted
 //! storage, so malformed input yields an error, never a panic.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::as_conversions))]
 
 use bytes::Bytes;
 use scpu::Timestamp;
@@ -105,7 +106,7 @@ pub fn decode_vrd(bytes: &[u8]) -> Result<Vrd, WireError> {
     let sn = SerialNumber(r.get_u64()?);
     let attr = RecordAttributes::decode(r.get_bytes()?)?;
     let n = r.get_count_within(MAX_LIST_LEN, "sane rdl length")?;
-    let mut rdl = Vec::with_capacity(n);
+    let mut rdl = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         rdl.push(RecordDescriptor {
             id: RecordId(r.get_u64()?),
@@ -266,7 +267,7 @@ pub fn encode_composite_head(c: &CompositeHead) -> Vec<u8> {
 pub fn decode_composite_head(bytes: &[u8]) -> Result<CompositeHead, WireError> {
     let mut r = WireReader::tagged(bytes, "strongworm.compositehead.v1", "composite head tag")?;
     let n = r.get_count_within(MAX_LIST_LEN, "shard head count within bounds")?;
-    let mut heads = Vec::with_capacity(n);
+    let mut heads = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         heads.push(get_head_fields(&mut r)?);
     }
@@ -702,10 +703,10 @@ fn put_histogram(w: &mut WireWriter, h: &wormtrace::HistogramSnapshot) {
     // buckets, so (index, count) pairs beat 32 fixed u64s on the wire.
     let nonzero = h.buckets.iter().filter(|&&c| c != 0).count();
     w.put_count(nonzero);
-    for (i, &count) in h.buckets.iter().enumerate() {
+    // NUM_BUCKETS = 32, so every bucket index fits the u8 slot.
+    for (i, &count) in (0u8..).zip(&h.buckets) {
         if count != 0 {
-            // wormlint: allow(cast) -- i indexes h.buckets, so i < NUM_BUCKETS = 32 always fits u8
-            w.put_u8(i as u8);
+            w.put_u8(i);
             w.put_u64(count);
         }
     }

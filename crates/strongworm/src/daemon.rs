@@ -96,7 +96,10 @@ impl RetentionDaemon {
     /// Spawns the maintenance loop over a shared server. Maintenance
     /// passes contend only on the witness plane; concurrent readers are
     /// never blocked by a pass.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "one thread spawned once at startup; failure means OS resource exhaustion before the server ever served, and the caller cannot run without its retention daemon"
+    )]
     pub fn spawn<D>(server: Arc<WormServer<D>>, config: DaemonConfig) -> Self
     where
         D: BlockDevice + 'static,
@@ -170,7 +173,6 @@ impl RetentionDaemon {
                         .set(thread_status.consecutive_failures.load(Ordering::Relaxed) as u64);
                 }
             })
-            // wormlint: allow(panic) -- one thread spawned once at startup; failure means OS resource exhaustion before the server ever served, and the caller cannot run without its retention daemon
             .expect("daemon thread spawns");
         RetentionDaemon {
             shutdown,

@@ -123,8 +123,10 @@ impl WormFirmware {
                     // between, so it cannot fail — and a deletion schedule
                     // must never be dropped silently, so assert it.
                     let r = self.vexp.insert(env.memory(), sn, hold_until, shredder);
-                    #[allow(clippy::expect_used)]
-                    // wormlint: allow(panic) -- re-reserves exactly the bytes pop_due just released, so failure is impossible; silently dropping a deletion schedule would violate the retention contract
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "re-reserves exactly the bytes pop_due just released, so failure is impossible; silently dropping a deletion schedule would violate the retention contract"
+                    )]
                     r.expect("re-reserving bytes released by pop_due");
                     continue;
                 }

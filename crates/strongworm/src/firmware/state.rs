@@ -80,9 +80,11 @@ impl WormFirmware {
     /// first, and the alarm/idle hooks return early while `state` is
     /// `None`. A `None` here is firmware memory corruption, and the
     /// enclosure halts rather than fabricate evidence.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "reachable only behind a `booted()?` gate or an explicit `state.is_none()` early return (see doc); a `None` here must halt the enclosure"
+    )]
     pub(crate) fn booted_invariant(&self) -> &BootedState {
-        // wormlint: allow(panic) -- reachable only behind a `booted()?` gate or an explicit `state.is_none()` early return (see doc); a `None` here must halt the enclosure
         self.state.as_ref().expect("booted invariant")
     }
 

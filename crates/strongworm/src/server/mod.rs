@@ -196,9 +196,10 @@ impl<D: BlockDevice> WormServer<D> {
     /// `shared_audit` hands a deployment's lane ≥ 1 the journal of its
     /// lane 0; a standalone server (lane 0) builds its own against its
     /// own registry.
-    // One-time assembly wiring; bundling the handles would just move the
-    // list (same shape as `WitnessPlane::new`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one-time assembly wiring; bundling the handles would just move the list (same shape as `WitnessPlane::new`)"
+    )]
     fn assemble(
         vrdt: Vrdt,
         store: RecordStore<D>,
@@ -314,6 +315,10 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Panics if shared handles to the planes' state still exist outside
     /// this server (impossible through the public API).
+    #[expect(
+        clippy::unreachable,
+        reason = "see \"# Panics\": unreachable through the public API, and leaking a live VRDT or store handle across a restart boundary must halt, not limp"
+    )]
     pub fn into_parts(self) -> (Device<WormFirmware>, RecordStore<D>, wormstore::Journal) {
         let WormServer {
             read_plane,
@@ -325,18 +330,18 @@ impl<D: BlockDevice> WormServer<D> {
         drop(read_plane);
         let (device, vrdt, store) = witness.into_inner().into_shared_parts();
         let vrdt = Arc::try_unwrap(vrdt)
-            // wormlint: allow(panic) -- see "# Panics": unreachable through the public API, and leaking a live VRDT handle across a restart boundary must halt, not limp
             .unwrap_or_else(|_| unreachable!("read plane dropped; sole VRDT handle remains"))
             .into_inner();
         let store = Arc::try_unwrap(store)
-            // wormlint: allow(panic) -- as above: both planes were just consumed, so a surviving store handle means a broken caller, not a recoverable state
             .unwrap_or_else(|_| unreachable!("read plane dropped; sole store handle remains"));
         let journal = wormstore::Journal::from_bytes(vrdt.journal().as_bytes().to_vec());
         (device, store, journal)
     }
 
     /// Resumes operation after a host crash: rebuilds the VRDT from its
-    /// journal and re-arms every active record's expiration inside the
+    /// journal and the store's allocation map from the VRDT, then runs
+    /// the recovery every restart shares ([`WormServer::recover_durable`]
+    /// is the other): re-arms every active record's expiration inside the
     /// SCPU from its own signed attributes (`SyncVexpFromAttr`) — the
     /// firmware verifies each metasig, so a malicious "recovery" cannot
     /// shorten retentions.
@@ -351,27 +356,76 @@ impl<D: BlockDevice> WormServer<D> {
     ///
     /// Journal corruption, device failures, or store failures.
     pub fn resume(
-        mut device: Device<WormFirmware>,
+        device: Device<WormFirmware>,
         store: RecordStore<D>,
         journal: wormstore::Journal,
         config: WormConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, WormError> {
+        let written = store.watermark();
         let vrdt = Vrdt::recover(journal)?;
-        let keys = match execute(&mut device, WormRequest::GetKeys)? {
-            WormResponse::Keys(k) => k,
-            other => return Err(unexpected(other)),
+        let store = Self::recover_store(&vrdt, store.into_device(), written)?;
+        Self::recover(vrdt, store, device, config, clock, 0x4058).map_err(|(e, _)| e)
+    }
+
+    /// The host phase of every recovery. The journal is the authority on
+    /// occupied space: live extents survive, pending-shred extents stay
+    /// reserved for their remaining passes, and everything else below the
+    /// rebuilt watermark and below `written` (see
+    /// [`RecordStore::recover`]) returns to the free list. Reclaimed
+    /// extents (a record whose journal frame was lost, rolled-back data
+    /// writes, abandoned relocation copies) may hold plaintext; they are
+    /// zeroed, so plaintext exists only inside live extents.
+    fn recover_store(vrdt: &Vrdt, data: D, written: u64) -> Result<RecordStore<D>, WormError> {
+        let live: Vec<RecordDescriptor> = vrdt
+            .iter_active()
+            .flat_map(|vrd| vrd.rdl.iter().copied())
+            .collect();
+        let reserved: Vec<RecordDescriptor> =
+            vrdt.pending_shreds().values().map(|s| s.rd).collect();
+        let store = RecordStore::recover(data, &live, &reserved, written)?;
+        store.scrub_free()?;
+        Ok(store)
+    }
+
+    /// The SCPU phase of every recovery: assembles the server around the
+    /// recovered host state, finishes every half-done shred from its
+    /// persisted pass marker, re-arms expirations inside the SCPU and
+    /// republishes the head and base. On failure the battery-backed
+    /// `device` is handed back alongside the error.
+    #[expect(
+        clippy::result_large_err,
+        reason = "the SCPU device rides in the error variant so a caller can retry; recovery is cold-path, so the large Err is irrelevant to perf"
+    )]
+    fn recover(
+        vrdt: Vrdt,
+        store: RecordStore<D>,
+        mut device: Device<WormFirmware>,
+        config: WormConfig,
+        clock: Arc<dyn Clock>,
+        rng_seed: u64,
+    ) -> Result<Self, (WormError, Device<WormFirmware>)> {
+        let keys = match execute(&mut device, WormRequest::GetKeys) {
+            Ok(WormResponse::Keys(k)) => k,
+            Ok(other) => return Err((unexpected(other), device)),
+            Err(e) => return Err((e, device)),
         };
-        let server = Self::assemble(vrdt, store, device, keys, config, clock, 0x4058, None);
-        {
+        let server = Self::assemble(vrdt, store, device, keys, config, clock, rng_seed, None);
+        // The device now lives inside the server, so failures decompose
+        // it to hand it back.
+        let post = (|| -> Result<(), WormError> {
             let mut w = server.witness.lock();
             w.rebuild_after_recovery();
             w.complete_pending_shreds()?;
             w.refresh_head()?;
             w.refresh_base()?;
             w.drain_outbox()?;
+            Ok(())
+        })();
+        match post {
+            Ok(()) => Ok(server),
+            Err(e) => Err((e, server.into_parts().0)),
         }
-        Ok(server)
     }
 
     /// Device public keys and certificates for client distribution.
@@ -819,19 +873,20 @@ where
     /// Journal corruption (including tampering signatures such as a plain
     /// frame inside a staged transaction), device failures, or an
     /// inconsistent descriptor set.
-    // The SCPU device rides in the error variant by design (see above);
-    // recovery is cold-path, so the large Err is irrelevant to perf.
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "the SCPU device rides in the error variant by design (see above); recovery is cold-path, so the large Err is irrelevant to perf"
+    )]
     pub fn recover_durable(
         dev: D,
         journal_bytes: u64,
-        mut device: Device<WormFirmware>,
+        device: Device<WormFirmware>,
         config: WormConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, (WormError, Device<WormFirmware>)> {
-        // Phase 1: host-side state only; the SCPU is untouched, so any
-        // failure hands it straight back.
-        let host = (|| -> Result<(Vrdt, RecordStore<Partition<D>>), WormError> {
+        // The host phase; the SCPU is untouched, so any failure hands it
+        // straight back.
+        let host = (|| -> Result<(RecordStore<Partition<D>>, Vrdt), WormError> {
             let store_bytes = Self::layout(&dev, journal_bytes)?;
             let (disk_journal, journal, scan) =
                 DiskJournal::open(dev.clone(), 0, journal_bytes).map_err(WormError::from)?;
@@ -844,51 +899,13 @@ where
             vrdt.attach_sink(Box::new(disk_journal))?;
             let data = Partition::new(dev, journal_bytes, store_bytes)
                 .map_err(wormstore::StoreError::from)?;
-            // The journal is the authority on occupied space: live
-            // extents survive, pending-shred extents stay reserved for
-            // their remaining passes, everything else returns to the
-            // free list.
-            let live: Vec<RecordDescriptor> = vrdt
-                .iter_active()
-                .flat_map(|vrd| vrd.rdl.iter().copied())
-                .collect();
-            let reserved: Vec<RecordDescriptor> =
-                vrdt.pending_shreds().values().map(|s| s.rd).collect();
-            let store = RecordStore::recover(data, &live, &reserved)?;
-            // Reclaimed extents (rolled-back data writes, abandoned
-            // relocation copies) may hold live-record plaintext; zero
-            // them so plaintext exists only inside live extents.
-            store.scrub_free()?;
-            Ok((vrdt, store))
+            // A power cut lost the previous watermark: what it wrote
+            // above the rebuilt one stays as it is.
+            Ok((Self::recover_store(&vrdt, data, 0)?, vrdt))
         })();
-        let (vrdt, store) = match host {
-            Ok(parts) => parts,
-            Err(e) => return Err((e, device)),
-        };
-        // Phase 2: the SCPU round-trip.
-        let keys = match execute(&mut device, WormRequest::GetKeys) {
-            Ok(WormResponse::Keys(k)) => k,
-            Ok(other) => return Err((unexpected(other), device)),
-            Err(e) => return Err((e, device)),
-        };
-        let server = Self::assemble(vrdt, store, device, keys, config, clock, 0x4059, None);
-        // Phase 3: post-assembly recovery work; the device now lives
-        // inside the server, so failures decompose it to hand it back.
-        let post = (|| -> Result<(), WormError> {
-            let mut w = server.witness.lock();
-            w.rebuild_after_recovery();
-            w.complete_pending_shreds()?;
-            w.refresh_head()?;
-            w.refresh_base()?;
-            w.drain_outbox()?;
-            Ok(())
-        })();
-        match post {
-            Ok(()) => Ok(server),
-            Err(e) => {
-                let (device, _, _) = server.into_parts();
-                Err((e, device))
-            }
+        match host {
+            Ok((store, vrdt)) => Self::recover(vrdt, store, device, config, clock, 0x4059),
+            Err(e) => Err((e, device)),
         }
     }
 }

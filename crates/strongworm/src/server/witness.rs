@@ -107,9 +107,10 @@ pub struct WitnessPlane<D: BlockDevice> {
 }
 
 impl<D: BlockDevice> WitnessPlane<D> {
-    // One-time assembly wiring: every argument is a distinct shared
-    // handle, and bundling them into a struct would just move the list.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one-time assembly wiring: every argument is a distinct shared handle, and bundling them into a struct would just move the list"
+    )]
     pub(crate) fn new(
         config: WormConfig,
         clock: Arc<dyn Clock>,

@@ -65,12 +65,14 @@ impl Signature {
     /// to hold a SHA-256 digest, so signing cannot fail. A failure here
     /// means the key material itself is corrupt, and the enclosure must
     /// halt rather than emit unsigned evidence.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "every signing key is minted with a modulus sized for a SHA-256 digest (see doc); failure means corrupt key material and must halt the enclosure"
+    )]
     pub fn sign(key: &RsaPrivateKey, msg: &[u8]) -> Signature {
         let sig = key.sign(msg, HashAlg::Sha256);
         Signature {
             key_id: key.public().fingerprint(),
-            // wormlint: allow(panic) -- every signing key is minted with a modulus sized for a SHA-256 digest (see doc); failure means corrupt key material and must halt the enclosure
             bytes: sig.expect("modulus sized for SHA-256"),
         }
     }
@@ -80,10 +82,12 @@ impl Signature {
     /// takes a pair (`RsaPrivateKey::sign_pair`). The constructs the paper
     /// issues in twos go through here: `metasig` with `datasig` (Table 1)
     /// and the two bounds of a deleted window (§4.2.1).
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "as in `sign`: every signing key is minted with a modulus sized for a SHA-256 digest; failure means corrupt key material and must halt the enclosure"
+    )]
     pub fn sign_pair(key: &RsaPrivateKey, a: &[u8], b: &[u8]) -> [Signature; 2] {
         let sigs = key.sign_pair([a, b], HashAlg::Sha256);
-        // wormlint: allow(panic) -- as in `sign`: every signing key is minted with a modulus sized for a SHA-256 digest; failure means corrupt key material and must halt the enclosure
         sigs.expect("modulus sized for SHA-256")
             .map(|bytes| Signature {
                 key_id: key.public().fingerprint(),

@@ -8,6 +8,7 @@
 //! allocate unboundedly — and reject trailing bytes, so any single
 //! flipped byte in a page either fails decoding outright or surfaces
 //! as a chain/anchor divergence during [`crate::verify_chain`].
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::as_conversions))]
 
 use wormcrypt::wire::{WireError, WireReader, WireWriter};
 use wormcrypt::Sha256;

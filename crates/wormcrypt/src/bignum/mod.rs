@@ -14,10 +14,10 @@
 //! assert_eq!(a, Ubig::from_u64(11)); // 7^5 = 16807 = 11 (mod 13)
 //! ```
 
-// Multi-precision arithmetic propagates carries/borrows across parallel
-// limb arrays; explicit indexing is the established idiom and clearer than
-// zipped iterator chains here.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "multi-precision arithmetic propagates carries/borrows across parallel limb arrays; explicit indexing is the established idiom and clearer than zipped iterator chains here"
+)]
 
 mod div;
 mod gcd;
@@ -284,10 +284,12 @@ impl Ubig {
     /// # Panics
     ///
     /// Panics if `other > self`.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract (see `# Panics`): callers guarantee other <= self"
+    )]
     pub fn sub(&self, other: &Ubig) -> Ubig {
         self.checked_sub(other)
-            // wormlint: allow(panic) -- documented contract (see `# Panics`): callers guarantee other <= self
             .expect("Ubig::sub underflow: subtrahend exceeds minuend")
     }
 

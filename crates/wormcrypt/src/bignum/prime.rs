@@ -146,6 +146,10 @@ impl Ubig {
 }
 
 /// Number of trailing zero bits (input must be nonzero).
+#[expect(
+    clippy::unreachable,
+    reason = "documented contract: callers pass a nonzero n (debug-asserted above)"
+)]
 fn trailing_zeros(n: &Ubig) -> usize {
     debug_assert!(!n.is_zero());
     for (i, &l) in n.limbs.iter().enumerate() {
@@ -153,7 +157,6 @@ fn trailing_zeros(n: &Ubig) -> usize {
             return i * 64 + l.trailing_zeros() as usize;
         }
     }
-    // wormlint: allow(panic) -- documented contract: callers pass a nonzero n (debug-asserted above)
     unreachable!("nonzero Ubig with all-zero limbs")
 }
 

@@ -293,12 +293,11 @@ impl RsaPublicKey {
     }
 }
 
-#[allow(clippy::expect_used)]
+#[expect(clippy::expect_used, reason = "bytes.len() >= 4 checked above")]
 fn read_len_prefixed(bytes: &[u8]) -> Result<(&[u8], &[u8]), CryptoError> {
     if bytes.len() < 4 {
         return Err(CryptoError::Malformed("short length prefix"));
     }
-    // wormlint: allow(panic) -- bytes.len() >= 4 checked above
     let len = u32::from_be_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
     if bytes.len() < 4 + len {
         return Err(CryptoError::Malformed("length prefix exceeds buffer"));
@@ -313,7 +312,10 @@ impl RsaPrivateKey {
     /// # Panics
     ///
     /// Panics if `bits < 64` or `bits` is odd.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the inverse of e exists (gcd(e, phi) == 1 checked), q is invertible mod p (distinct primes), and gen_prime returns odd primes of bits / 2 >= 32 bits"
+    )]
     pub fn generate<R: rand::RngCore + ?Sized>(rng: &mut R, bits: usize) -> Self {
         assert!(bits >= 64, "modulus below 64 bits cannot encode a digest");
         assert!(bits.is_multiple_of(2), "modulus width must be even");
@@ -337,14 +339,11 @@ impl RsaPrivateKey {
             if !e.gcd(&phi).is_one() {
                 continue;
             }
-            // wormlint: allow(panic) -- the inverse exists: gcd(e, phi) == 1 checked above
             let d = e.mod_inverse(&phi).expect("gcd(e, phi) == 1");
             let dp = d.rem(&p1);
             let dq = d.rem(&q1);
-            // wormlint: allow(panic) -- p and q are distinct primes, so q is invertible mod p
             let qinv = q.mod_inverse(&p).expect("p, q distinct primes");
             let lanes = prime_lanes(&p).zip(prime_lanes(&q)).map(<[_; 2]>::from);
-            // wormlint: allow(panic) -- gen_prime returns odd primes of bits / 2 >= 32 bits
             let [p, q] = [p, q].map(|f| Montgomery::new(&f).expect("odd prime"));
             return RsaPrivateKey {
                 public: RsaPublicKey::new(n, e),

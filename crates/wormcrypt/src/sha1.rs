@@ -90,11 +90,10 @@ impl Digest for Sha1 {
 }
 
 impl Sha1 {
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "chunks_exact(4) yields exactly 4 bytes")]
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
-            // wormlint: allow(panic) -- chunks_exact(4) yields exactly 4 bytes
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
         for i in 16..80 {

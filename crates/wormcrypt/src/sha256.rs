@@ -115,24 +115,22 @@ impl Sha256 {
     /// hardware SHA extensions (via the vendored safe `shani` shim —
     /// this crate itself stays `forbid(unsafe_code)`) and falling back
     /// to the portable scalar rounds when the CPU lacks them.
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "chunks_exact(64) yields 64-byte chunks")]
     fn compress_blocks(&mut self, blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0);
         if shani::sha256_compress(&mut self.state, blocks) {
             return;
         }
         for block in blocks.chunks_exact(64) {
-            // wormlint: allow(panic) -- chunks_exact(64) yields exactly 64 bytes
             let b: &[u8; 64] = block.try_into().expect("64-byte chunk");
             self.compress(b);
         }
     }
 
-    #[allow(clippy::expect_used)]
+    #[expect(clippy::expect_used, reason = "chunks_exact(4) yields exactly 4 bytes")]
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
-            // wormlint: allow(panic) -- chunks_exact(4) yields exactly 4 bytes
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
         for i in 16..64 {

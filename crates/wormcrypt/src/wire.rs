@@ -9,14 +9,14 @@
 //! variable-length byte strings with `u32` length prefixes, in a fixed
 //! field order defined by each caller. This is the stack's only
 //! implementation of it (`strongworm::wire` is a re-export).
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::as_conversions))]
 
 use std::ops::Range;
 
 /// Largest byte string a `u32` length prefix can describe. Encoders must
 /// reject anything longer — `v.len() as u32` would silently wrap and
 /// produce a *valid-looking but corrupt* canonical encoding.
-// wormlint: allow(cast) -- lossless u32→u64 widening; `u64::from` is not usable in const context
-pub const MAX_WIRE_BYTES: u64 = u32::MAX as u64;
+pub const MAX_WIRE_BYTES: u64 = 0xFFFF_FFFF;
 
 /// Canonical encoder.
 #[derive(Clone, Debug, Default)]
@@ -72,9 +72,11 @@ impl WireWriter {
     /// truncated into a corrupt encoding. Callers encoding data whose
     /// size is not already bounded should use
     /// [`WireWriter::try_put_bytes_with`].
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented contract above: encoders feeding unbounded data must use try_put_bytes_with; silently truncating a length prefix would mint a corrupt canonical encoding"
+    )]
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        // wormlint: allow(panic) -- the documented contract above: encoders feeding unbounded data must use try_put_bytes_with; silently truncating a length prefix would mint a corrupt canonical encoding
         let len = u32::try_from(v.len()).expect("byte string exceeds the u32 length prefix");
         self.put_u32(len);
         self.buf.extend_from_slice(v);
@@ -93,9 +95,11 @@ impl WireWriter {
     /// Panics if `n` exceeds `u32::MAX` — mirrors [`WireWriter::put_bytes`]:
     /// a count the prefix cannot represent must never wrap into a
     /// valid-looking but corrupt canonical encoding.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract above: a count above u32::MAX must halt rather than wrap into a corrupt canonical encoding, and every in-memory collection this stack encodes sits orders of magnitude below that bound"
+    )]
     pub fn put_count(&mut self, n: usize) -> &mut Self {
-        // wormlint: allow(panic) -- documented contract above: a count above u32::MAX must halt rather than wrap into a corrupt canonical encoding, and every in-memory collection this stack encodes sits orders of magnitude below that bound
         self.put_u32(u32::try_from(n).expect("collection count exceeds the u32 wire slot"))
     }
 
@@ -129,7 +133,10 @@ impl WireWriter {
     /// # Panics
     ///
     /// As [`WireWriter::put_nested`].
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "mirrors the put_bytes contract: a nested body the u32 prefix cannot represent must halt rather than mint a corrupt canonical encoding"
+    )]
     pub fn try_put_nested<E>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<(), E>,
@@ -141,7 +148,6 @@ impl WireWriter {
             return Err(e);
         }
         let body_len = self.buf.len() - at - 4;
-        // wormlint: allow(panic) -- mirrors the put_bytes contract: a nested body the u32 prefix cannot represent must halt rather than mint a corrupt canonical encoding
         let prefix = u32::try_from(body_len).expect("nested body exceeds u32 prefix");
         if let Some(slot) = self.buf.get_mut(at..at + 4) {
             slot.copy_from_slice(&prefix.to_be_bytes());

@@ -391,7 +391,6 @@ impl RemoteWormClient {
     /// # Errors
     ///
     /// Transport failures or a server-reported error.
-    #[allow(clippy::type_complexity)]
     pub fn fetch_shard_keys(&mut self) -> Result<Vec<(DeviceKeys, Vec<WeakKeyCert>)>, NetError> {
         match self.call(&NetRequest::GetShardKeys)? {
             NetResponse::ShardKeys(shards) => Ok(shards),

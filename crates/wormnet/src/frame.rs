@@ -4,6 +4,7 @@
 //! by the payload. The length is checked against a cap *before* any
 //! allocation, so a hostile peer announcing a 4 GiB frame costs the
 //! receiver four header bytes, not four gigabytes.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::as_conversions))]
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -83,11 +84,14 @@ pub(crate) fn put_frame(
 }
 
 /// `len` as a frame header, if it is within `max`.
+#[expect(
+    clippy::as_conversions,
+    reason = "lossless usize→u64 widening on every supported target"
+)]
 fn checked_len(len: usize, max: u32) -> Result<u32, NetError> {
     match u32::try_from(len) {
         Ok(len) if len <= max => Ok(len),
         _ => Err(NetError::FrameTooLarge {
-            // wormlint: allow(cast) -- lossless usize→u64 widening on every supported target
             len: len as u64,
             max: u64::from(max),
         }),
@@ -101,6 +105,10 @@ fn checked_len(len: usize, max: u32) -> Result<u32, NetError> {
 ///
 /// [`NetError::FrameTooLarge`] the moment a header announces a payload
 /// beyond `max`.
+#[expect(
+    clippy::as_conversions,
+    reason = "lossless u32→usize widening on the ≥32-bit targets this server supports; len is already capped at `max`"
+)]
 fn frame_size(buf: &[u8], max: u32) -> Result<Option<usize>, NetError> {
     let Some(header) = buf.first_chunk::<4>() else {
         return Ok(None);
@@ -112,7 +120,6 @@ fn frame_size(buf: &[u8], max: u32) -> Result<Option<usize>, NetError> {
             max: u64::from(max),
         });
     }
-    // wormlint: allow(cast) -- lossless u32→usize widening on the ≥32-bit targets this server supports; len is already capped at `max`
     Ok(Some(4 + len as usize))
 }
 

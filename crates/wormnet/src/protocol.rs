@@ -8,6 +8,7 @@
 //! Decoding is defensive throughout: both sides treat the peer as
 //! hostile, and malformed input yields an error, never a panic or an
 //! unbounded allocation.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::as_conversions))]
 
 use bytes::Bytes;
 use strongworm::authority::{HoldCredential, ReleaseCredential};

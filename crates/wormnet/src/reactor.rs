@@ -257,7 +257,10 @@ struct WorkerStats {
 /// The worker body: an event loop over every connection assigned to
 /// this worker, woken by readiness, the acceptor's hand-off pipe, or
 /// the shutdown flag's poll interval.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one shared handle the acceptor hands its workers; bundling them would just move the list"
+)]
 pub(crate) fn worker_loop<D: BlockDevice>(
     idx: usize,
     rx: &Receiver<TcpStream>,

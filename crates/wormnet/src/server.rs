@@ -334,7 +334,7 @@ fn accept_loop(
     // ordering: polls the one-shot shutdown flag; SeqCst pairs with the store in
     // `shutdown` on a path that waits in `poll` anyway.
     while !stop.load(Ordering::SeqCst) {
-        // wormlint: allow(blocking) -- the listener is non-blocking: accept returns WouldBlock at once
+        // not blocking: the listener is non-blocking, so accept returns WouldBlock at once
         match listener.accept() {
             Ok((conn, _peer)) => {
                 error_streak = 0;

@@ -8,11 +8,22 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use strongworm::{RetentionPolicy, SerialNumber, WitnessMode};
+use scpu::Timestamp;
+use strongworm::firmware::{DeviceKeys, WeakKeyCert};
+use strongworm::proofs::{DeletionProof, HeadCert};
+use strongworm::wire::WireReader;
+use strongworm::witness::{Signature, Witness};
+use strongworm::{
+    CompositeBinding, CompositeHead, DeletionEvidence, HoldCredential, ReadOutcome,
+    ReleaseCredential, RetentionPolicy, SerialNumber, Vrd, WitnessMode,
+};
 use wormnet::frame::{append_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME};
-use wormnet::protocol::{decode_request, decode_response_shared, encode_request, NetRequest};
+use wormnet::protocol::{
+    decode_request, decode_request_traced, decode_response_shared, encode_request,
+    encode_request_traced, encode_response, NetRequest, NetResponse,
+};
 use wormnet::NetError;
-use wormstore::Shredder;
+use wormstore::{RecordDescriptor, RecordId, Shredder};
 
 fn arb_policy() -> impl Strategy<Value = RetentionPolicy> {
     (any::<u32>(), 0u8..4).prop_map(|(secs, kind)| {
@@ -25,41 +36,287 @@ fn arb_policy() -> impl Strategy<Value = RetentionPolicy> {
     })
 }
 
-fn arb_request() -> impl Strategy<Value = NetRequest> {
-    prop_oneof![
-        (
-            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..5),
-            arb_policy(),
-            any::<u32>(),
-            0u8..3,
-        )
-            .prop_map(|(records, policy, flags, w)| NetRequest::Write {
-                records: records.into_iter().map(Bytes::from).collect(),
-                policy,
-                flags,
-                witness: match w {
-                    0 => WitnessMode::Strong,
-                    1 => WitnessMode::Deferred,
-                    _ => WitnessMode::Hmac,
+/// The variant a request is, numbered. The match is exhaustive, so a
+/// variant added to `NetRequest` does not compile until it has a number
+/// here; `REQUEST_VARIANTS` is one past the last number, every number
+/// below it is drawn by `arb_request`, and the roundtrip property fails
+/// for a number `request_of` does not build.
+fn request_variant(req: &NetRequest) -> usize {
+    match req {
+        NetRequest::Write { .. } => 0,
+        NetRequest::Read { .. } => 1,
+        NetRequest::Delete { .. } => 2,
+        NetRequest::LitHold(_) => 3,
+        NetRequest::LitRelease(_) => 4,
+        NetRequest::Tick => 5,
+        NetRequest::GetKeys => 6,
+        NetRequest::Stats => 7,
+        NetRequest::Traces => 8,
+        NetRequest::GetCompositeHead => 9,
+        NetRequest::GetShardKeys => 10,
+        NetRequest::FetchAuditEvents { .. } => 11,
+    }
+}
+
+const REQUEST_VARIANTS: usize = 12;
+
+/// The variant a response is, numbered; as `request_variant`.
+fn response_variant(resp: &NetResponse) -> usize {
+    match resp {
+        NetResponse::Error { .. } => 0,
+        NetResponse::Written { .. } => 1,
+        NetResponse::Outcome(_) => 2,
+        NetResponse::Ack => 3,
+        NetResponse::Keys { .. } => 4,
+        NetResponse::Stats(_) => 5,
+        NetResponse::Traces(_) => 6,
+        NetResponse::CompositeHead(_) => 7,
+        NetResponse::ShardKeys(_) => 8,
+        NetResponse::AuditEvents(_) => 9,
+    }
+}
+
+const RESPONSE_VARIANTS: usize = 10;
+
+/// Random material a sample is built from.
+#[derive(Clone, Debug)]
+struct Parts {
+    n: u64,
+    m: u32,
+    bytes: Vec<u8>,
+    records: Vec<Vec<u8>>,
+    policy: RetentionPolicy,
+}
+
+fn arb_parts() -> impl Strategy<Value = Parts> {
+    (
+        any::<u64>(),
+        any::<u32>(),
+        proptest::collection::vec(any::<u8>(), 0..72),
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..5),
+        arb_policy(),
+    )
+        .prop_map(|(n, m, bytes, records, policy)| Parts {
+            n,
+            m,
+            bytes,
+            records,
+            policy,
+        })
+}
+
+impl Parts {
+    fn sig(&self) -> Signature {
+        Signature {
+            key_id: self.n.to_be_bytes(),
+            bytes: self.bytes.clone(),
+        }
+    }
+
+    fn ts(&self) -> Timestamp {
+        Timestamp::from_millis(self.n)
+    }
+
+    /// A structurally valid public key (decoding checks only that n and
+    /// e are non-zero).
+    fn key(&self, salt: u8) -> wormcrypt::RsaPublicKey {
+        let mut raw = 8u32.to_be_bytes().to_vec();
+        raw.extend_from_slice(&(self.n | 1).to_be_bytes());
+        raw.extend_from_slice(&1u32.to_be_bytes());
+        raw.push(salt | 1);
+        wormcrypt::RsaPublicKey::from_bytes(&raw).expect("valid key bytes")
+    }
+
+    fn weak_cert(&self) -> WeakKeyCert {
+        WeakKeyCert {
+            key: self.key(3),
+            max_sig_expiry: self.ts(),
+            sig: self.sig(),
+        }
+    }
+
+    fn device_keys(&self) -> DeviceKeys {
+        DeviceKeys {
+            sign: self.key(5),
+            delete: self.key(7),
+            weak_cert: self.weak_cert(),
+        }
+    }
+
+    fn head(&self) -> HeadCert {
+        HeadCert {
+            sn_current: SerialNumber(self.n),
+            issued_at: self.ts(),
+            sig: self.sig(),
+        }
+    }
+
+    fn outcome(&self) -> ReadOutcome {
+        match self.m % 3 {
+            0 => ReadOutcome::Data {
+                vrd: Vrd {
+                    sn: SerialNumber(self.n),
+                    attr: strongworm::attr::RecordAttributes {
+                        created_at: self.ts(),
+                        retention_until: self.ts(),
+                        regulation: self.policy.regulation,
+                        shredder: self.policy.shredder,
+                        litigation_hold: None,
+                        flags: self.m,
+                    },
+                    rdl: vec![RecordDescriptor {
+                        id: RecordId(self.n),
+                        offset: self.n / 2,
+                        len: u64::from(self.m),
+                    }],
+                    metasig: Witness::Strong(self.sig()),
+                    datasig: Witness::Mac {
+                        tag: self.bytes.clone(),
+                    },
                 },
-            }),
-        any::<u64>().prop_map(|sn| NetRequest::Read {
-            sn: SerialNumber(sn)
+                records: self.records.iter().cloned().map(Bytes::from).collect(),
+                head: self.head(),
+            },
+            1 => ReadOutcome::Deleted {
+                evidence: DeletionEvidence::Proof(DeletionProof {
+                    sn: SerialNumber(self.n),
+                    deleted_at: self.ts(),
+                    sig: self.sig(),
+                }),
+                head: self.head(),
+            },
+            _ => ReadOutcome::NeverExisted { head: self.head() },
+        }
+    }
+}
+
+/// The request of variant `v`, built from `p`.
+fn request_of(v: usize, p: &Parts) -> NetRequest {
+    match v {
+        0 => NetRequest::Write {
+            records: p.records.iter().cloned().map(Bytes::from).collect(),
+            policy: p.policy,
+            flags: p.m,
+            witness: match p.m % 3 {
+                0 => WitnessMode::Strong,
+                1 => WitnessMode::Deferred,
+                _ => WitnessMode::Hmac,
+            },
+        },
+        1 => NetRequest::Read {
+            sn: SerialNumber(p.n),
+        },
+        2 => NetRequest::Delete {
+            sn: SerialNumber(p.n),
+        },
+        3 => NetRequest::LitHold(HoldCredential {
+            sn: SerialNumber(p.n),
+            issued_at: p.ts(),
+            litigation_id: u64::from(p.m),
+            hold_until: p.ts(),
+            sig: p.sig(),
         }),
-        any::<u64>().prop_map(|sn| NetRequest::Delete {
-            sn: SerialNumber(sn)
+        4 => NetRequest::LitRelease(ReleaseCredential {
+            sn: SerialNumber(p.n),
+            issued_at: p.ts(),
+            litigation_id: u64::from(p.m),
+            sig: p.sig(),
         }),
-        Just(NetRequest::Tick),
-        Just(NetRequest::GetKeys),
-        Just(NetRequest::GetCompositeHead),
-        Just(NetRequest::GetShardKeys),
-        (any::<u64>(), any::<u32>()).prop_map(|(from_seq, max_events)| {
-            NetRequest::FetchAuditEvents {
-                from_seq,
-                max_events,
-            }
-        }),
-    ]
+        5 => NetRequest::Tick,
+        6 => NetRequest::GetKeys,
+        7 => NetRequest::Stats,
+        8 => NetRequest::Traces,
+        9 => NetRequest::GetCompositeHead,
+        10 => NetRequest::GetShardKeys,
+        11 => NetRequest::FetchAuditEvents {
+            from_seq: p.n,
+            max_events: p.m,
+        },
+        _ => panic!("no request is built for variant {v}"),
+    }
+}
+
+/// The response of variant `v`, built from `p` and `page`.
+fn response_of(v: usize, p: &Parts, page: wormaudit::AuditPage) -> NetResponse {
+    match v {
+        0 => NetResponse::Error {
+            code: p.bytes.first().copied().unwrap_or(0),
+            message: String::from_utf8_lossy(&p.bytes).into_owned(),
+        },
+        1 => NetResponse::Written {
+            sn: SerialNumber(p.n),
+        },
+        2 => NetResponse::Outcome(p.outcome()),
+        3 => NetResponse::Ack,
+        4 => NetResponse::Keys {
+            keys: p.device_keys(),
+            weak_certs: vec![p.weak_cert(); p.records.len()],
+        },
+        5 => {
+            let reg = wormtrace::Registry::new();
+            reg.op("server.read").record(p.n, p.m.is_multiple_of(2));
+            reg.counter("net.frames_in").add(u64::from(p.m));
+            NetResponse::Stats(reg.snapshot())
+        }
+        6 => NetResponse::Traces(vec![wormtrace::CapturedTrace {
+            trace_id: p.n,
+            trigger: wormtrace::TraceTrigger::Error,
+            total_ns: u64::from(p.m),
+            truncated_spans: 0,
+            spans: vec![wormtrace::SpanRecord {
+                span_id: 1,
+                parent_span: 0,
+                op: "net.request".into(),
+                plane: wormtrace::Plane::Net,
+                start_ns: 0,
+                duration_ns: u64::from(p.m),
+                sn: Some(p.n),
+                ok: false,
+            }],
+        }]),
+        7 => {
+            let heads = vec![p.head(); p.records.len()];
+            NetResponse::CompositeHead(CompositeHead {
+                binding: CompositeBinding {
+                    shard_count: p.m,
+                    root: strongworm::codec::composite_root(&heads),
+                    issued_at: p.ts(),
+                    sig: p.sig(),
+                },
+                heads,
+            })
+        }
+        8 => NetResponse::ShardKeys(vec![
+            (p.device_keys(), vec![p.weak_cert()]);
+            p.records.len()
+        ]),
+        9 => NetResponse::AuditEvents(page),
+        _ => panic!("no response is built for variant {v}"),
+    }
+}
+
+fn arb_request() -> impl Strategy<Value = NetRequest> {
+    (0..REQUEST_VARIANTS, arb_parts()).prop_map(|(v, p)| request_of(v, &p))
+}
+
+/// The opcodes `docs/PROTOCOL.md`'s request table has a row for.
+fn documented_opcodes() -> Vec<u8> {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/PROTOCOL.md"
+    ))
+    .expect("docs/PROTOCOL.md");
+    doc.lines()
+        .filter_map(|l| l.strip_prefix("| ")?.split(" |").next()?.parse().ok())
+        .collect()
+}
+
+/// The byte after a message's tag: a request's opcode, a response's
+/// discriminant.
+fn opcode(enc: &[u8]) -> u8 {
+    let mut r = WireReader::new(enc);
+    r.get_str().expect("tag");
+    r.get_u8().expect("opcode")
 }
 
 fn arb_audit_event() -> impl Strategy<Value = wormaudit::AuditEvent> {
@@ -122,13 +379,44 @@ proptest! {
         let _ = decode_response_shared(&Bytes::from(bytes));
     }
 
-    /// Valid requests roundtrip exactly; every strict prefix fails.
+    /// Requests of every variant roundtrip exactly, bare and in the
+    /// trace-context envelope, under an opcode `docs/PROTOCOL.md`
+    /// documents; every strict prefix fails. Two variants sharing an
+    /// opcode fail here: one of them decodes as the other.
     #[test]
-    fn requests_roundtrip_and_reject_prefixes(req in arb_request()) {
+    fn requests_roundtrip_and_reject_prefixes(v in 0..REQUEST_VARIANTS, p in arb_parts()) {
+        let req = request_of(v, &p);
+        prop_assert_eq!(request_variant(&req), v);
+        let documented = documented_opcodes();
         let enc = encode_request(&req);
-        prop_assert_eq!(decode_request(&enc).unwrap(), req);
+        prop_assert_eq!(decode_request(&enc).unwrap(), req.clone());
+        prop_assert!(documented.contains(&opcode(&enc)), "opcode {} has no row", opcode(&enc));
         for cut in 0..enc.len() {
             prop_assert!(decode_request(&enc[..cut]).is_err());
+        }
+        let ctx = wormtrace::TraceContext { trace_id: p.n, parent_span: u64::from(p.m) };
+        let traced = encode_request_traced(&req, ctx);
+        prop_assert_eq!(decode_request_traced(&traced).unwrap(), (req, Some(ctx)));
+        prop_assert!(documented.contains(&opcode(&traced)), "opcode {} has no row", opcode(&traced));
+    }
+
+    /// Responses of every variant roundtrip to the same bytes and the
+    /// same variant; every strict prefix fails. Two variants sharing a
+    /// discriminant fail here: one of them decodes as the other.
+    #[test]
+    fn responses_roundtrip_and_reject_prefixes(
+        v in 0..RESPONSE_VARIANTS,
+        p in arb_parts(),
+        page in arb_audit_page(),
+    ) {
+        let resp = response_of(v, &p, page);
+        prop_assert_eq!(response_variant(&resp), v);
+        let enc = Bytes::from(encode_response(&resp));
+        let decoded = decode_response_shared(&enc).unwrap();
+        prop_assert_eq!(response_variant(&decoded), v);
+        prop_assert_eq!(encode_response(&decoded), enc.to_vec());
+        for cut in 0..enc.len() {
+            prop_assert!(decode_response_shared(&enc.slice(..cut)).is_err());
         }
     }
 

@@ -229,12 +229,15 @@ impl<D: BlockDevice> RecordStore<D> {
     ///
     /// `live` are the extents that must survive; `reserved` are extents
     /// that are *not* readable records but must not be reallocated yet
-    /// (pending shreds still owed their remaining passes). Everything
-    /// else below the rebuilt watermark — leaked pre-commit data writes,
-    /// vacated compaction sources, rolled-back transaction extents — is
-    /// reclaimed onto the free list. This is the paper's commitment rule
-    /// made operational: only descriptors the journal committed define
-    /// occupied space.
+    /// (pending shreds still owed their remaining passes). `written` is
+    /// how far the previous run may have written the medium — its
+    /// watermark when the host knows it, 0 when a power cut lost it.
+    /// Everything else below the rebuilt watermark and below `written` —
+    /// leaked pre-commit data writes, vacated compaction sources,
+    /// rolled-back transaction extents, records whose journal frames were
+    /// lost — is reclaimed onto the free list. This is the paper's
+    /// commitment rule made operational: only descriptors the journal
+    /// committed define occupied space.
     ///
     /// # Errors
     ///
@@ -244,6 +247,7 @@ impl<D: BlockDevice> RecordStore<D> {
         dev: D,
         live: &[RecordDescriptor],
         reserved: &[RecordDescriptor],
+        written: u64,
     ) -> Result<Self, StoreError> {
         let capacity = dev.capacity();
         let mut extents: Vec<&RecordDescriptor> = live.iter().chain(reserved.iter()).collect();
@@ -277,6 +281,12 @@ impl<D: BlockDevice> RecordStore<D> {
             cursor = end;
             watermark = end;
         }
+        let written = written.min(capacity);
+        if written > cursor {
+            free_list.push((cursor, written - cursor));
+            reclaimed += written - cursor;
+            watermark = written;
+        }
         let lifetime = StoreLifetime {
             bytes_reclaimed: reclaimed,
             ..StoreLifetime::default()
@@ -298,6 +308,13 @@ impl<D: BlockDevice> RecordStore<D> {
     /// The underlying device (e.g., for I/O statistics).
     pub fn device(&self) -> &D {
         &self.dev
+    }
+
+    /// The underlying device, dropping the allocator state: how a host
+    /// restart rebuilds the store from its journal
+    /// ([`RecordStore::recover`]).
+    pub fn into_device(self) -> D {
+        self.dev
     }
 
     /// Bytes currently un-allocatable past the bump pointer.
@@ -560,6 +577,9 @@ mod tests {
         dev.write_at(0, b"live-one").unwrap();
         dev.write_at(8, b"LEAKED-PLAINTEXT").unwrap();
         dev.write_at(24, b"live-two").unwrap();
+        // A record whose journal frame was lost sits above the last live
+        // extent, below what the previous run had written.
+        dev.write_at(32, b"LOST-TAIL").unwrap();
         let live = [
             RecordDescriptor {
                 id: RecordId(1),
@@ -572,11 +592,19 @@ mod tests {
                 len: 8,
             },
         ];
-        let s = RecordStore::recover(dev, &live, &[]).unwrap();
-        assert_eq!(s.scrub_free().unwrap(), 16);
+        let s = RecordStore::recover(dev, &live, &[], 41).unwrap();
+        assert_eq!(s.free_bytes(), 16 + 9);
+        assert_eq!(s.scrub_free().unwrap(), 16 + 9);
         let mut gap = [0u8; 16];
         s.device().read_at(8, &mut gap).unwrap();
         assert_eq!(gap, [0u8; 16], "reclaimed gap must be zeroed");
+        let mut tail = [0u8; 9];
+        s.device().read_at(32, &mut tail).unwrap();
+        assert_eq!(tail, [0u8; 9], "the lost record's extent must be zeroed");
+        // Its extent is allocatable again.
+        assert_eq!(s.write(b"reused").unwrap().offset, 8);
+        assert_eq!(s.write(&[1u8; 10]).unwrap().offset, 14);
+        assert_eq!(s.write(b"tail").unwrap().offset, 32);
         // Live extents are untouched.
         assert_eq!(&s.read(&live[0]).unwrap()[..], b"live-one");
         assert_eq!(&s.read(&live[1]).unwrap()[..], b"live-two");
@@ -680,7 +708,7 @@ mod tests {
                 len: 8,
             },
         ];
-        let s = RecordStore::recover(dev, &live, &[]).unwrap();
+        let s = RecordStore::recover(dev, &live, &[], 0).unwrap();
         // Gaps [0,32) and [40,96) are free; watermark sits at 104.
         assert_eq!(s.watermark(), 104);
         assert_eq!(s.free_extents(), 2);
@@ -708,7 +736,7 @@ mod tests {
             offset: 16,
             len: 16,
         }];
-        let s = RecordStore::recover(dev, &live, &pending).unwrap();
+        let s = RecordStore::recover(dev, &live, &pending, 0).unwrap();
         // The pending-shred extent must not be handed out.
         let rd = s.write(&[1u8; 16]).unwrap();
         assert_eq!(rd.offset, 32);
@@ -734,7 +762,7 @@ mod tests {
             },
         ];
         assert!(matches!(
-            RecordStore::recover(MemDisk::unmetered(64), &overlapping, &[]),
+            RecordStore::recover(MemDisk::unmetered(64), &overlapping, &[], 0),
             Err(StoreError::InvalidDescriptor { id: 2, .. })
         ));
         let oob = [RecordDescriptor {
@@ -743,7 +771,7 @@ mod tests {
             len: 16,
         }];
         assert!(matches!(
-            RecordStore::recover(dev, &oob, &[]),
+            RecordStore::recover(dev, &oob, &[], 0),
             Err(StoreError::InvalidDescriptor { id: 1, .. })
         ));
     }

@@ -79,12 +79,15 @@ mod check {
         HELD.with(|h| h.borrow().iter().copied().max())
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the check itself, debug builds only: an inversion must fail the test that reaches it, before it can deadlock"
+    )]
     pub(super) fn acquire(rank: Rank) {
         // A lock taken while unwinding (a `Drop` that locks) must not
         // panic again: that would abort the process.
         if let Some(top) = top().filter(|&top| top >= rank) {
             if !std::thread::panicking() {
-                // wormlint: allow(panic) -- the check itself, debug builds only: an inversion must fail the test that reaches it, before it can deadlock
                 panic!(
                     "lock order violated: taking {rank:?} while holding {top:?} \
                      (ranks must strictly increase; see wormtrace::sync::Rank)"
@@ -109,13 +112,12 @@ mod check {
         held
     }
 
+    #[expect(clippy::panic, reason = "the assert itself, debug builds only")]
     pub(super) fn blocking(what: &str) {
         if let Some(top) = top() {
-            // wormlint: allow(panic) -- the assert itself, debug builds only
             panic!("blocking {what} while holding {top:?}");
         }
         if REACTOR.with(Cell::get) {
-            // wormlint: allow(panic) -- the assert itself, debug builds only
             panic!("blocking {what} on a reactor worker thread");
         }
     }

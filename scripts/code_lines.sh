@@ -6,7 +6,9 @@
 # A line counts unless it is blank or a `//` comment (doc comments
 # included). A file ends at its trailing `#[cfg(test)] mod`; a
 # `#[cfg(test)]` on anything else (`rsa.rs`'s `scalar_only`) cuts
-# nothing. `tests/`, `examples/`, `bench/` and `vendor/` are not counted.
+# nothing; `tests/declared_sites.rs` reads code by the same cut.
+# `tests/`, `examples/`, `bench/` and `vendor/` are not counted, and no
+# first-party lint crate is left to count.
 #
 # Usage: scripts/code_lines.sh [<repo root>]   (default: this checkout)
 set -euo pipefail

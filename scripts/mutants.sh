@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The mutant corpus: each mutants/NN-name.patch reintroduces one defect.
 # For each patch this applies it to a scratch copy of a checkout, runs
-# tier-1 (every test binary, then the doc tests) and `wormlint
-# --workspace`, and prints one markdown table row naming what killed
-# it: the failing tests (binary::test), the tests that hung, the lint
-# rules that fired. A mutant nothing kills is a SURVIVOR.
+# tier-1 (every test binary, then the doc tests) and `cargo clippy
+# --workspace --all-targets -- -D warnings`, and prints one markdown
+# table row naming what killed it: the failing tests (binary::test), the
+# tests that hung, the clippy lints that fired. A mutant nothing kills
+# is a SURVIVOR.
 #
 # Usage: scripts/mutants.sh [<checkout> [<scratch dir>]]
 #   <checkout>     the code to mutate (default: this one); the patches
@@ -59,11 +60,22 @@ for line in sys.stdin:
   sed -n 's/^test \(.*\) \.\.\. FAILED$/doc::\1/p' "$log"
 }
 
-# wormlint over the workspace: prints each rule that fired, where, and
-# how often.
+# Clippy over the workspace, as CI runs it: prints each lint that fired,
+# where, and how often.
 lint() {
-  (cd "$tree" && cargo run -q --release -p wormlint -- --workspace 2>/dev/null || true) \
-    | sed -n 's/^\([^:]*:[0-9]*\): \[\([^]]*\)\].*/\2 \1/p' \
+  (cd "$tree" && cargo clippy -q --workspace --all-targets --message-format=json \
+      -- -D warnings 2>/dev/null || true) \
+    | python3 -c '
+import json, sys
+for line in sys.stdin:
+    m = json.loads(line)
+    if m.get("reason") != "compiler-message" or m["message"]["level"] != "error":
+        continue
+    msg, code = m["message"], m["message"].get("code") or {}
+    span = next((s for s in msg["spans"] if s["is_primary"]), None)
+    if span and code.get("code"):
+        print(code["code"], "%s:%d" % (span["file_name"], span["line_start"]))' \
+    | sort -u \
     | awk '{ n[$1]++; if (!($1 in at)) at[$1] = $2 }
            END { for (r in n) print r " " at[r] (n[r] > 1 ? " and " n[r] - 1 " more" : "") }' \
     | sort
@@ -75,9 +87,9 @@ cell() { paste -sd, - | sed -e 's/,/, /g' -e 's/^$/-/'; }
 echo "checkout: $src ($(git -C "$src" rev-parse --short HEAD)$(git -C "$src" diff --quiet HEAD || echo ', with uncommitted changes'))"
 base_tests=$(tier1 | cell)
 base_lint=$(lint | cell)
-echo "baseline: tier-1 $base_tests; wormlint $base_lint"
+echo "baseline: tier-1 $base_tests; clippy $base_lint"
 echo
-echo "| mutant | tier-1 | wormlint | verdict |"
+echo "| mutant | tier-1 | clippy | verdict |"
 echo "|---|---|---|---|"
 for patch in "$here"/mutants/*.patch; do
   name=$(basename "$patch" .patch)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The only writer of results/: regenerates every committed evaluation
-# artifact. Each is a worm-bench paper-artifact bin's stdout or the
-# wormlint atomics audit; wall-clock numbers about the running system
-# are not here, they come from `bash bench/run.sh`.
+# artifact. Each is a worm-bench paper-artifact bin's stdout; wall-clock
+# numbers about the running system are not here, they come from
+# `bash bench/run.sh`. No lint runs here: the source rules are clippy's
+# and tier-1's (`tests/declared_sites.rs`), see docs/LINTS.md.
 #
 # Usage: scripts/regen_results.sh [--check]
 #   --check  regenerate into a temporary directory instead and fail on
@@ -18,12 +19,6 @@ case "${1:-}" in
   --check) out=$(mktemp -d); trap 'rm -rf "$out"' EXIT ;;
   *) echo "usage: $0 [--check]" >&2; exit 2 ;;
 esac
-
-# ATOMICS_AUDIT.json (wormlint.atomics.v1: every atomic Ordering site
-# and its justification). Exits nonzero on any lint violation.
-echo ">> wormlint atomics audit"
-cargo run --release -q -p wormlint -- --workspace \
-  --audit-out "$out/ATOMICS_AUDIT.json"
 
 # run <artifact> <bin> [--json]: the bin's stdout is the artifact. The
 # bins' own assertions (shard_scaling: monotone per tier; powerfail:

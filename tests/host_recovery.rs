@@ -13,7 +13,7 @@ use common::{regulator, server, short_policy, verifier};
 use scpu::{Clock, VirtualClock};
 use strongworm::powerfail::{is_power_cut, TornMedium, TornServer};
 use strongworm::{ReadVerdict, SerialNumber, Verifier, WormConfig, WormServer};
-use wormstore::{CutPlan, CutStyle, Journal, MemDisk, TornDisk};
+use wormstore::{BlockDevice, CutPlan, CutStyle, Journal, MemDisk, TornDisk};
 
 /// Crash the host and bring it back from the surviving parts.
 fn crash_and_resume(
@@ -112,7 +112,11 @@ fn litigation_holds_survive_recovery() {
 fn recovery_from_torn_journal_matches_device_head() {
     let (srv, clock) = server();
     srv.write(&[b"committed"], short_policy(10_000)).unwrap();
-    srv.write(&[b"torn-away"], short_policy(10_000)).unwrap();
+    let lost = srv.write(&[b"torn-away"], short_policy(10_000)).unwrap();
+    let lost_rd = match srv.vrdt().lookup(lost) {
+        strongworm::vrdt::Lookup::Active(vrd) => vrd.rdl[0],
+        _ => panic!("record 2 is active"),
+    };
 
     let (device, store, journal) = srv.into_parts();
     // Tear the final journal frames: the host loses record 2's VRD.
@@ -129,6 +133,21 @@ fn recovery_from_torn_journal_matches_device_head() {
     assert_eq!(srv.vrdt().check_complete(), Err(SerialNumber(2)));
     // Record 1 is unaffected.
     assert_eq!(srv.read(SerialNumber(1)).unwrap().kind(), "data");
+    // The store is rebuilt from the journal, as after a power cut: the
+    // lost record's plaintext is gone and its extent is free again.
+    let (_vrdt, store) = srv.parts_mut_for_attack();
+    let mut bytes = vec![0xAA; lost_rd.len as usize];
+    store.device().read_at(lost_rd.offset, &mut bytes).unwrap();
+    assert!(
+        bytes.iter().all(|&b| b == 0),
+        "the lost record's bytes survive recovery: {bytes:?}"
+    );
+    assert!(
+        store.free_bytes() >= lost_rd.len,
+        "the lost record's extent stays allocated: free {} B, watermark {} B",
+        store.free_bytes(),
+        store.watermark()
+    );
 }
 
 #[test]
