@@ -72,20 +72,9 @@ impl RecordAttributes {
         w.put_u64(self.created_at.as_millis());
         w.put_u64(self.retention_until.as_millis());
         w.put_u8(self.regulation.code());
-        match self.shredder {
-            Shredder::ZeroFill => {
-                w.put_u8(0);
-                w.put_u8(0);
-            }
-            Shredder::MultiPass { passes } => {
-                w.put_u8(1);
-                w.put_u8(passes);
-            }
-            Shredder::RandomPass => {
-                w.put_u8(2);
-                w.put_u8(0);
-            }
-        }
+        let (kind, arg) = self.shredder.code();
+        w.put_u8(kind);
+        w.put_u8(arg);
         match &self.litigation_hold {
             None => {
                 w.put_u8(0);
@@ -112,20 +101,9 @@ impl RecordAttributes {
         let regulation = Regulation::from_code(r.get_u8()?).ok_or(WireError {
             expected: "regulation code",
         })?;
-        let shred_kind = r.get_u8()?;
-        let shred_arg = r.get_u8()?;
-        // Canonical decoding: argument-less shredders must carry a zero
-        // argument byte, so no two distinct encodings decode equal.
-        let shredder = match (shred_kind, shred_arg) {
-            (0, 0) => Shredder::ZeroFill,
-            (1, passes) => Shredder::MultiPass { passes },
-            (2, 0) => Shredder::RandomPass,
-            _ => {
-                return Err(WireError {
-                    expected: "shredder code",
-                })
-            }
-        };
+        let shredder = Shredder::from_code(r.get_u8()?, r.get_u8()?).ok_or(WireError {
+            expected: "shredder code",
+        })?;
         let litigation_hold = match r.get_u8()? {
             0 => None,
             1 => Some(LitigationHold {

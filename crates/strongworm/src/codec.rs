@@ -325,21 +325,9 @@ pub fn encode_shred_state(s: &ShredState) -> Vec<u8> {
     w.put_u64(s.rd.id.0);
     w.put_u64(s.rd.offset);
     w.put_u64(s.rd.len);
-    // Same canonical (kind, arg) pair as `RecordAttributes::encode`.
-    match s.shredder {
-        Shredder::ZeroFill => {
-            w.put_u8(0);
-            w.put_u8(0);
-        }
-        Shredder::MultiPass { passes } => {
-            w.put_u8(1);
-            w.put_u8(passes);
-        }
-        Shredder::RandomPass => {
-            w.put_u8(2);
-            w.put_u8(0);
-        }
-    }
+    let (kind, arg) = s.shredder.code();
+    w.put_u8(kind);
+    w.put_u8(arg);
     w.put_u32(s.next_pass);
     w.finish()
 }
@@ -356,20 +344,9 @@ pub fn decode_shred_state(bytes: &[u8]) -> Result<ShredState, WireError> {
         offset: r.get_u64()?,
         len: r.get_u64()?,
     };
-    let shred_kind = r.get_u8()?;
-    let shred_arg = r.get_u8()?;
-    // Canonical decoding: argument-less shredders must carry a zero
-    // argument byte, so no two distinct encodings decode equal.
-    let shredder = match (shred_kind, shred_arg) {
-        (0, 0) => Shredder::ZeroFill,
-        (1, passes) => Shredder::MultiPass { passes },
-        (2, 0) => Shredder::RandomPass,
-        _ => {
-            return Err(WireError {
-                expected: "shredder code",
-            })
-        }
-    };
+    let shredder = Shredder::from_code(r.get_u8()?, r.get_u8()?).ok_or(WireError {
+        expected: "shredder code",
+    })?;
     let next_pass = r.get_u32()?;
     r.expect_end()?;
     Ok(ShredState {

@@ -55,6 +55,10 @@ use crate::wire::WireWriter;
 use read_plane::ReadStep;
 use witness::{execute, unexpected};
 
+/// Lane 0's handles a deployment's lane ≥ 1 boots with: its own
+/// `shard{i}.` handle into lane 0's registry, and lane 0's journal.
+type LaneZero = (Arc<wormtrace::Registry>, Arc<AuditLog>);
+
 /// The WORM storage server: a concurrent [`ReadPlane`] plus a serialized
 /// [`WitnessPlane`] behind one `&self` facade (see module docs).
 pub struct WormServer<D: BlockDevice = MemDisk> {
@@ -128,9 +132,9 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     /// Shared boot path: initializes the SCPU, wires the planes, and
-    /// publishes the initial head and base. `shared_audit` is the
-    /// journal of a deployment's lane 0, which every further lane chains
-    /// into (see [`ShardedWormServer`]).
+    /// publishes the initial head and base. `lane0` is what a
+    /// deployment's lane ≥ 1 records into: its handle into lane 0's
+    /// registry and lane 0's journal (see [`ShardedWormServer`]).
     ///
     /// When a durable journal `sink` is supplied it is attached to the
     /// fresh VRDT *before* assembly — the head/base refresh below already
@@ -142,7 +146,7 @@ impl<D: BlockDevice> WormServer<D> {
         clock: Arc<dyn Clock>,
         regulator: &RsaPublicKey,
         sink: Option<Box<dyn DurableLog>>,
-        shared_audit: Option<Arc<AuditLog>>,
+        lane0: Option<LaneZero>,
     ) -> Result<Self, WormError> {
         let firmware = WormFirmware::new(FirmwareConfig {
             strong_bits: config.strong_bits,
@@ -168,16 +172,7 @@ impl<D: BlockDevice> WormServer<D> {
         if let Some(sink) = sink {
             vrdt.attach_sink(sink)?;
         }
-        let server = Self::assemble(
-            vrdt,
-            store,
-            device,
-            keys,
-            config,
-            clock,
-            0x4057,
-            shared_audit,
-        );
+        let server = Self::assemble(vrdt, store, device, keys, config, clock, 0x4057, lane0);
         // Publish the initial head and base so clients always have
         // freshness evidence.
         {
@@ -189,13 +184,12 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     /// Wires the two planes around the shared VRDT and store, and
-    /// creates the server's trace registry (attached to the device so
-    /// SCPU commands record their virtual-time cost alongside the host
-    /// planes' wall-clock timings).
+    /// attaches the server's trace registry to the device so SCPU
+    /// commands record their virtual-time cost alongside the host
+    /// planes' wall-clock timings.
     ///
-    /// `shared_audit` hands a deployment's lane ≥ 1 the journal of its
-    /// lane 0; a standalone server (lane 0) builds its own against its
-    /// own registry.
+    /// A standalone server (lane 0) creates the registry and its audit
+    /// journal; a deployment's lane ≥ 1 records into lane 0's (`lane0`).
     #[expect(
         clippy::too_many_arguments,
         reason = "one-time assembly wiring; bundling the handles would just move the list (same shape as `WitnessPlane::new`)"
@@ -208,18 +202,19 @@ impl<D: BlockDevice> WormServer<D> {
         config: WormConfig,
         clock: Arc<dyn Clock>,
         rng_seed: u64,
-        shared_audit: Option<Arc<AuditLog>>,
+        lane0: Option<LaneZero>,
     ) -> Self {
-        let trace = Arc::new(wormtrace::Registry::new());
-        device.attach_trace(Arc::clone(&trace));
-        let audit = shared_audit.unwrap_or_else(|| {
+        let (trace, audit) = lane0.unwrap_or_else(|| {
+            let trace = Arc::new(wormtrace::Registry::new());
             let audit_clock = Arc::clone(&clock);
-            Arc::new(AuditLog::new(
+            let audit = Arc::new(AuditLog::new(
                 wormaudit::DEFAULT_JOURNAL_CAPACITY,
                 &trace,
                 Box::new(move || audit_clock.now().as_millis()),
-            ))
+            ));
+            (trace, audit)
         });
+        device.attach_trace(Arc::clone(&trace));
         let recovery = vrdt.recovery_stats();
         trace.counter("recovery.replayed").add(recovery.replayed);
         trace
@@ -278,7 +273,8 @@ impl<D: BlockDevice> WormServer<D> {
     /// The server's trace registry: per-op latency histograms and
     /// outcome counters, subsystem counters/gauges, and the flight
     /// recorder. Handed to the retention daemon and network layer so
-    /// the whole stack reports into one snapshot.
+    /// the whole stack reports into one snapshot. A deployment's lane
+    /// ≥ 1 holds a handle into lane 0's, naming under `shard{i}.`.
     pub fn trace(&self) -> &Arc<wormtrace::Registry> {
         &self.trace
     }
@@ -301,8 +297,9 @@ impl<D: BlockDevice> WormServer<D> {
         self.witness.lock().anchor_audit()
     }
 
-    /// A point-in-time, name-sorted copy of every instrument (what the
-    /// network layer serves for `Stats` requests).
+    /// A point-in-time, name-sorted copy of every instrument in the
+    /// registry this server records into (for a deployment's lane, the
+    /// deployment's).
     pub fn stats_snapshot(&self) -> wormtrace::StatsSnapshot {
         self.trace.snapshot()
     }

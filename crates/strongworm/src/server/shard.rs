@@ -97,8 +97,9 @@ impl<D: BlockDevice> From<Arc<WormServer<D>>> for ShardedWormServer<D> {
 impl<D: BlockDevice> ShardedWormServer<D> {
     /// Boots one lane per caller-supplied record store (store `i` backs
     /// lane `i`). Lane 0 boots exactly as a standalone server, with its
-    /// own trace registry and audit journal; every other lane chains its
-    /// integrity events into lane 0's journal.
+    /// own trace registry and audit journal; every other lane records
+    /// into lane 0's registry under `shard{i}.` and chains its integrity
+    /// events into lane 0's journal.
     ///
     /// # Errors
     ///
@@ -125,14 +126,18 @@ impl<D: BlockDevice> ShardedWormServer<D> {
             lane_config.sn_origin = lane << SHARD_LANE_BITS;
             lane_config.device.serial = config.device.serial.wrapping_add(lane);
             lane_config.device.rng_seed = config.device.rng_seed.wrapping_add(lane);
-            let journal = lanes.first().map(|lane0| Arc::clone(lane0.audit()));
+            let lane0 = lanes.first().map(|lane0| {
+                let prefix = format!("shard{lane}.");
+                let trace = wormtrace::Registry::prefixed(lane0.trace(), &prefix);
+                (Arc::new(trace), Arc::clone(lane0.audit()))
+            });
             lanes.push(Arc::new(WormServer::boot(
                 store,
                 lane_config,
                 clock.clone(),
                 regulator,
                 None,
-                journal,
+                lane0,
             )?));
         }
         Ok(Self::over(lanes))
@@ -147,9 +152,10 @@ impl<D: BlockDevice> ShardedWormServer<D> {
         }
     }
 
-    /// Lane 0's trace registry, which is the deployment's: a network
-    /// front-end registers its instruments there, its kill switch is the
-    /// one the front-end obeys, and its flight recorder serves `Traces`.
+    /// Lane 0's trace registry, which is the deployment's: every lane
+    /// and a network front-end register their instruments there, its
+    /// kill switch is the only one, and its flight recorder serves
+    /// `Traces`.
     pub fn trace(&self) -> &Arc<wormtrace::Registry> {
         self.coordinator().trace()
     }
@@ -389,38 +395,12 @@ impl<D: BlockDevice> ShardedWormServer<D> {
             .collect()
     }
 
-    /// A merged point-in-time stats snapshot: lane 0's instruments (the
-    /// deployment's registry) unprefixed, plus each further lane's under
-    /// a `shard{i}.` prefix, so per-lane op rates and daemon health stay
-    /// distinguishable after the merge. At one lane it is lane 0's
-    /// snapshot as it stands.
+    /// A point-in-time copy of the deployment's registry: lane 0's
+    /// instruments (and a network front-end's) unprefixed, each further
+    /// lane's under `shard{i}.`, so per-lane op rates and daemon health
+    /// stay distinguishable.
     pub fn stats_snapshot(&self) -> wormtrace::StatsSnapshot {
-        let mut merged = self.coordinator().stats_snapshot();
-        for (i, shard) in self.shards.iter().enumerate().skip(1) {
-            let snap = shard.stats_snapshot();
-            let prefix = format!("shard{i}.");
-            // A constant prefix preserves each snapshot's sorted name
-            // order, which `merge` relies on.
-            let prefixed = wormtrace::StatsSnapshot {
-                ops: snap
-                    .ops
-                    .into_iter()
-                    .map(|(n, v)| (format!("{prefix}{n}"), v))
-                    .collect(),
-                counters: snap
-                    .counters
-                    .into_iter()
-                    .map(|(n, v)| (format!("{prefix}{n}"), v))
-                    .collect(),
-                gauges: snap
-                    .gauges
-                    .into_iter()
-                    .map(|(n, v)| (format!("{prefix}{n}"), v))
-                    .collect(),
-            };
-            merged.merge(&prefixed);
-        }
-        merged
+        self.trace().snapshot()
     }
 
     /// Poisons the cached composite head by flipping a bit in its signed
@@ -750,6 +730,31 @@ mod tests {
         assert_eq!(writes("shard1.server.write"), 1);
         assert!(stats.op("shard0.server.write").is_none());
         assert!(stats.counter("audit.emitted") > 0);
+    }
+
+    #[test]
+    fn the_kill_switch_reaches_every_lane() {
+        let (server, _clock, _verifier) = deployment(2);
+        server.trace().set_enabled(false);
+        let sns = [b"a", b"b"].map(|body| server.write(&[body], policy()).unwrap());
+        assert_eq!(sns.map(SerialNumber::lane), [0, 1]);
+        for sn in sns {
+            server.read(sn).unwrap();
+        }
+        let stats = server.stats_snapshot();
+        for lane in ["", "shard1."] {
+            for op in ["server.write", "server.read"] {
+                let name = format!("{lane}{op}");
+                assert_eq!(stats.op(&name).map(|o| o.total()), Some(0), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_lane_shares_the_deployments_flight_recorder() {
+        let (server, _clock, _verifier) = deployment(2);
+        let lane1 = server.shard(1).unwrap().trace();
+        assert!(std::ptr::eq(lane1.flight(), server.trace().flight()));
     }
 
     /// A medium that notes which ranked locks its callers hold.

@@ -24,6 +24,7 @@ use wormaudit::{AuditClass, AuditLog};
 use wormstore::{BlockDevice, RecordDescriptor, RecordStore, Shredder};
 use wormtrace::sync::RwLock;
 
+use crate::attr::RecordAttributes;
 use crate::config::{HashMode, WitnessMode, WormConfig};
 use crate::error::WormError;
 use crate::firmware::{
@@ -34,6 +35,7 @@ use crate::proofs::BaseCert;
 use crate::sn::SerialNumber;
 use crate::vrd::Vrd;
 use crate::vrdt::{Lookup, ShredState, Vrdt};
+use crate::witness::Witness;
 
 /// A VEXP entry the firmware spilled to the host, awaiting re-submission.
 #[derive(Clone, Debug)]
@@ -334,52 +336,42 @@ impl<D: BlockDevice> WitnessPlane<D> {
         &mut self,
         credential: crate::authority::HoldCredential,
     ) -> Result<(), WormError> {
-        let sn = credential.sn;
-        let vrd = match self.vrdt.read().lookup(sn) {
-            Lookup::Active(v) => v.clone(),
-            _ => return Err(WormError::NotActive(sn)),
-        };
-        match execute(
-            &mut self.device,
-            WormRequest::LitHold {
-                attr: vrd.attr.clone(),
-                metasig: vrd.metasig.clone(),
-                credential,
-            },
-        )? {
-            WormResponse::AttrUpdated { attr, metasig } => {
-                let mut updated = vrd;
-                updated.attr = attr;
-                updated.metasig = metasig;
-                self.vrdt.write().replace(updated)?;
-                Ok(())
-            }
-            other => Err(unexpected(other)),
-        }
+        self.litigate(credential.sn, |attr, metasig| WormRequest::LitHold {
+            attr,
+            metasig,
+            credential,
+        })
     }
 
     pub(crate) fn lit_release(
         &mut self,
         credential: crate::authority::ReleaseCredential,
     ) -> Result<(), WormError> {
-        let sn = credential.sn;
-        let vrd = match self.vrdt.read().lookup(sn) {
+        self.litigate(credential.sn, |attr, metasig| WormRequest::LitRelease {
+            attr,
+            metasig,
+            credential,
+        })
+    }
+
+    /// Sends the active record `sn`'s attributes and `metasig` to the
+    /// SCPU in the litigation request `request` builds, and installs the
+    /// re-signed attributes it answers with.
+    fn litigate(
+        &mut self,
+        sn: SerialNumber,
+        request: impl FnOnce(RecordAttributes, Witness) -> WormRequest,
+    ) -> Result<(), WormError> {
+        let mut vrd = match self.vrdt.read().lookup(sn) {
             Lookup::Active(v) => v.clone(),
             _ => return Err(WormError::NotActive(sn)),
         };
-        match execute(
-            &mut self.device,
-            WormRequest::LitRelease {
-                attr: vrd.attr.clone(),
-                metasig: vrd.metasig.clone(),
-                credential,
-            },
-        )? {
+        let req = request(vrd.attr.clone(), vrd.metasig.clone());
+        match execute(&mut self.device, req)? {
             WormResponse::AttrUpdated { attr, metasig } => {
-                let mut updated = vrd;
-                updated.attr = attr;
-                updated.metasig = metasig;
-                self.vrdt.write().replace(updated)?;
+                vrd.attr = attr;
+                vrd.metasig = metasig;
+                self.vrdt.write().replace(vrd)?;
                 Ok(())
             }
             other => Err(unexpected(other)),

@@ -62,7 +62,7 @@ fn diverge(report: &mut ChainReport, seq: u64, reason: String) {
 }
 
 /// Replays a fetched page against the SCPU keys `keys` (the permanent
-/// witnessing keys of every shard, from `GetKeys`/`GetShardKeys`).
+/// witnessing keys of every lane, from `GetShardKeys`).
 ///
 /// Checks, in order of the chain:
 ///

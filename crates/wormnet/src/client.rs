@@ -369,24 +369,10 @@ impl RemoteWormClient {
         }
     }
 
-    /// Fetches lane 0's published keys and all its weak-key
-    /// certificates. The bytes are untrusted until validated against
-    /// CA-issued certificates (see
+    /// Fetches every lane's published keys and all its weak-key
+    /// certificates, in lane order (lane 0 first). The bytes are
+    /// untrusted until validated against CA-issued certificates (see
     /// [`strongworm::Verifier::from_certificates`]).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or a server-reported error.
-    pub fn fetch_keys(&mut self) -> Result<(DeviceKeys, Vec<WeakKeyCert>), NetError> {
-        match self.call(&NetRequest::GetKeys)? {
-            NetResponse::Keys { keys, weak_certs } => Ok((keys, weak_certs)),
-            _ => Err(NetError::Protocol("expected Keys response")),
-        }
-    }
-
-    /// Fetches every lane's published keys and weak-key certificates, in
-    /// lane order. Untrusted until validated, exactly like
-    /// [`RemoteWormClient::fetch_keys`].
     ///
     /// # Errors
     ///

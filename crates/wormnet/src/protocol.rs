@@ -75,9 +75,6 @@ pub enum NetRequest {
     /// Drive due device alarms (Retention Monitor wake-ups, head
     /// heartbeats).
     Tick,
-    /// Fetch lane 0's published keys and weak-key certificates. The
-    /// bytes are untrusted until validated against CA certificates.
-    GetKeys,
     /// Fetch a point-in-time snapshot of the server's trace registry:
     /// per-op latency histograms, outcome counters, and subsystem
     /// gauges. Observability only — nothing in it is signed, so it is
@@ -92,8 +89,9 @@ pub enum NetRequest {
     /// the same way with one head.
     GetCompositeHead,
     /// Fetch every lane's published keys and weak-key certificates, in
-    /// lane order, for bootstrapping a [`strongworm::Verifier`].
-    /// Untrusted until validated, exactly like `GetKeys`.
+    /// lane order (lane 0 first), for bootstrapping a
+    /// [`strongworm::Verifier`]. The bytes are untrusted until validated
+    /// against CA certificates.
     GetShardKeys,
     /// Fetch a page of the tamper-evident audit journal, cursor-based:
     /// events with `seq >= from_seq`, at most `max_events` of them,
@@ -134,14 +132,6 @@ pub enum NetResponse {
     ),
     /// The request succeeded with nothing to return.
     Ack,
-    /// The device's published keys.
-    Keys {
-        /// Permanent keys plus the current weak-key certificate.
-        keys: DeviceKeys,
-        /// All weak-key certificates issued so far (deferred witnesses
-        /// may be signed under rotated-out keys).
-        weak_certs: Vec<WeakKeyCert>,
-    },
     /// A stats snapshot, in its canonical encoding.
     Stats(
         /// Every instrument registered server-side, name-sorted.
@@ -200,11 +190,7 @@ pub const CODE_BUSY: u8 = 7;
 fn put_policy(w: &mut WireWriter, p: &RetentionPolicy) {
     w.put_u8(p.regulation.code());
     w.put_u64(u64::try_from(p.retention.as_millis()).unwrap_or(u64::MAX));
-    let (kind, arg) = match p.shredder {
-        Shredder::ZeroFill => (0, 0),
-        Shredder::MultiPass { passes } => (1, passes),
-        Shredder::RandomPass => (2, 0),
-    };
+    let (kind, arg) = p.shredder.code();
     w.put_u8(kind);
     w.put_u8(arg);
 }
@@ -214,18 +200,9 @@ fn get_policy(r: &mut WireReader<'_>) -> Result<RetentionPolicy, WireError> {
         expected: "regulation code",
     })?;
     let retention = std::time::Duration::from_millis(r.get_u64()?);
-    let kind = r.get_u8()?;
-    let arg = r.get_u8()?;
-    let shredder = match kind {
-        0 => Shredder::ZeroFill,
-        1 => Shredder::MultiPass { passes: arg },
-        2 => Shredder::RandomPass,
-        _ => {
-            return Err(WireError {
-                expected: "shredder kind",
-            })
-        }
-    };
+    let shredder = Shredder::from_code(r.get_u8()?, r.get_u8()?).ok_or(WireError {
+        expected: "shredder code",
+    })?;
     Ok(RetentionPolicy {
         regulation,
         retention,
@@ -234,7 +211,7 @@ fn get_policy(r: &mut WireReader<'_>) -> Result<RetentionPolicy, WireError> {
 }
 
 /// One lane's published keys: the device keys, then every weak-key
-/// certificate. `Keys` carries one of these, `ShardKeys` a list.
+/// certificate. `ShardKeys` carries one of these per lane.
 fn put_lane_keys(w: &mut WireWriter, keys: &DeviceKeys, weak_certs: &[WeakKeyCert]) {
     w.put_bytes(&encode_device_keys(keys));
     w.put_count(weak_certs.len());
@@ -340,9 +317,6 @@ pub(crate) fn put_request(
         NetRequest::Tick => {
             w.put_u8(6);
         }
-        NetRequest::GetKeys => {
-            w.put_u8(7);
-        }
         NetRequest::Stats => {
             w.put_u8(8);
         }
@@ -443,7 +417,6 @@ fn decode_request_inner(
         4 => NetRequest::LitHold(decode_hold_credential(r.get_bytes()?)?),
         5 => NetRequest::LitRelease(decode_release_credential(r.get_bytes()?)?),
         6 => NetRequest::Tick,
-        7 => NetRequest::GetKeys,
         8 => NetRequest::Stats,
         10 => NetRequest::Traces,
         11 => NetRequest::GetCompositeHead,
@@ -488,10 +461,6 @@ pub(crate) fn put_response(w: &mut WireWriter, resp: &NetResponse) {
         }
         NetResponse::Ack => {
             w.put_u8(3);
-        }
-        NetResponse::Keys { keys, weak_certs } => {
-            w.put_u8(4);
-            put_lane_keys(w, keys, weak_certs);
         }
         NetResponse::Stats(snapshot) => {
             w.put_u8(5);
@@ -558,10 +527,6 @@ pub fn decode_response_shared(src: &Bytes) -> Result<NetResponse, WireError> {
         },
         2 => NetResponse::Outcome(decode_read_outcome_shared(&src.slice(r.get_range()?))?),
         3 => NetResponse::Ack,
-        4 => {
-            let (keys, weak_certs) = get_lane_keys(&mut r)?;
-            NetResponse::Keys { keys, weak_certs }
-        }
         5 => NetResponse::Stats(decode_stats_snapshot(r.get_bytes()?)?),
         6 => NetResponse::Traces(decode_captured_traces(r.get_bytes()?)?),
         7 => NetResponse::CompositeHead(decode_composite_head(r.get_bytes()?)?),
@@ -636,7 +601,6 @@ mod tests {
                 sig: sig(2),
             }),
             NetRequest::Tick,
-            NetRequest::GetKeys,
             NetRequest::Stats,
             NetRequest::Traces,
             NetRequest::GetCompositeHead,
@@ -748,10 +712,42 @@ mod tests {
     }
 
     #[test]
+    fn a_policy_shredder_decodes_only_from_its_canonical_pair() {
+        let write = |kind: u8, arg: u8| {
+            let mut w = WireWriter::tagged(REQ_TAG);
+            w.put_u8(1);
+            w.put_count(0);
+            w.put_u8(Regulation::Custom.code());
+            w.put_u64(30_000);
+            w.put_u8(kind);
+            w.put_u8(arg);
+            w.put_u32(0);
+            w.put_u8(witness_code(WitnessMode::Strong));
+            decode_request(&w.finish())
+        };
+        assert!(write(0, 5).is_err());
+        assert!(write(2, 5).is_err());
+        for passes in [0, 5, u8::MAX] {
+            match write(1, passes).unwrap() {
+                NetRequest::Write { policy, .. } => {
+                    assert_eq!(policy.shredder, Shredder::MultiPass { passes });
+                }
+                other => panic!("wrong variant: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn unknown_opcode_and_tag_rejected() {
-        let mut w = WireWriter::tagged("wormnet.req.v1");
-        w.put_u8(200);
-        assert!(decode_request(&w.finish()).is_err());
+        // 7 (`GetKeys`) and response 4 (`Keys`) are retired.
+        for opcode in [7, 200] {
+            let mut w = WireWriter::tagged(REQ_TAG);
+            w.put_u8(opcode);
+            assert!(decode_request(&w.finish()).is_err());
+        }
+        let mut w = WireWriter::tagged(RESP_TAG);
+        w.put_u8(4);
+        assert!(decode_plain(&w.finish()).is_err());
         let mut w = WireWriter::tagged("wormnet.resp.v2");
         w.put_u8(3);
         assert!(decode_plain(&w.finish()).is_err());

@@ -541,13 +541,6 @@ fn handle<D: BlockDevice>(
             server.tick()?;
             NetResponse::Ack
         }
-        NetRequest::GetKeys => {
-            let lane0 = server.coordinator();
-            NetResponse::Keys {
-                keys: lane0.keys().clone(),
-                weak_certs: lane0.weak_certs(),
-            }
-        }
         NetRequest::Stats => NetResponse::Stats(server.stats_snapshot()),
         NetRequest::Traces => {
             let flight = server.trace().flight();

@@ -49,16 +49,15 @@ fn request_variant(req: &NetRequest) -> usize {
         NetRequest::LitHold(_) => 3,
         NetRequest::LitRelease(_) => 4,
         NetRequest::Tick => 5,
-        NetRequest::GetKeys => 6,
-        NetRequest::Stats => 7,
-        NetRequest::Traces => 8,
-        NetRequest::GetCompositeHead => 9,
-        NetRequest::GetShardKeys => 10,
-        NetRequest::FetchAuditEvents { .. } => 11,
+        NetRequest::Stats => 6,
+        NetRequest::Traces => 7,
+        NetRequest::GetCompositeHead => 8,
+        NetRequest::GetShardKeys => 9,
+        NetRequest::FetchAuditEvents { .. } => 10,
     }
 }
 
-const REQUEST_VARIANTS: usize = 12;
+const REQUEST_VARIANTS: usize = 11;
 
 /// The variant a response is, numbered; as `request_variant`.
 fn response_variant(resp: &NetResponse) -> usize {
@@ -67,16 +66,15 @@ fn response_variant(resp: &NetResponse) -> usize {
         NetResponse::Written { .. } => 1,
         NetResponse::Outcome(_) => 2,
         NetResponse::Ack => 3,
-        NetResponse::Keys { .. } => 4,
-        NetResponse::Stats(_) => 5,
-        NetResponse::Traces(_) => 6,
-        NetResponse::CompositeHead(_) => 7,
-        NetResponse::ShardKeys(_) => 8,
-        NetResponse::AuditEvents(_) => 9,
+        NetResponse::Stats(_) => 4,
+        NetResponse::Traces(_) => 5,
+        NetResponse::CompositeHead(_) => 6,
+        NetResponse::ShardKeys(_) => 7,
+        NetResponse::AuditEvents(_) => 8,
     }
 }
 
-const RESPONSE_VARIANTS: usize = 10;
+const RESPONSE_VARIANTS: usize = 9;
 
 /// Random material a sample is built from.
 #[derive(Clone, Debug)]
@@ -223,12 +221,11 @@ fn request_of(v: usize, p: &Parts) -> NetRequest {
             sig: p.sig(),
         }),
         5 => NetRequest::Tick,
-        6 => NetRequest::GetKeys,
-        7 => NetRequest::Stats,
-        8 => NetRequest::Traces,
-        9 => NetRequest::GetCompositeHead,
-        10 => NetRequest::GetShardKeys,
-        11 => NetRequest::FetchAuditEvents {
+        6 => NetRequest::Stats,
+        7 => NetRequest::Traces,
+        8 => NetRequest::GetCompositeHead,
+        9 => NetRequest::GetShardKeys,
+        10 => NetRequest::FetchAuditEvents {
             from_seq: p.n,
             max_events: p.m,
         },
@@ -248,17 +245,13 @@ fn response_of(v: usize, p: &Parts, page: wormaudit::AuditPage) -> NetResponse {
         },
         2 => NetResponse::Outcome(p.outcome()),
         3 => NetResponse::Ack,
-        4 => NetResponse::Keys {
-            keys: p.device_keys(),
-            weak_certs: vec![p.weak_cert(); p.records.len()],
-        },
-        5 => {
+        4 => {
             let reg = wormtrace::Registry::new();
             reg.op("server.read").record(p.n, p.m.is_multiple_of(2));
             reg.counter("net.frames_in").add(u64::from(p.m));
             NetResponse::Stats(reg.snapshot())
         }
-        6 => NetResponse::Traces(vec![wormtrace::CapturedTrace {
+        5 => NetResponse::Traces(vec![wormtrace::CapturedTrace {
             trace_id: p.n,
             trigger: wormtrace::TraceTrigger::Error,
             total_ns: u64::from(p.m),
@@ -274,7 +267,7 @@ fn response_of(v: usize, p: &Parts, page: wormaudit::AuditPage) -> NetResponse {
                 ok: false,
             }],
         }]),
-        7 => {
+        6 => {
             let heads = vec![p.head(); p.records.len()];
             NetResponse::CompositeHead(CompositeHead {
                 binding: CompositeBinding {
@@ -286,11 +279,11 @@ fn response_of(v: usize, p: &Parts, page: wormaudit::AuditPage) -> NetResponse {
                 heads,
             })
         }
-        8 => NetResponse::ShardKeys(vec![
+        7 => NetResponse::ShardKeys(vec![
             (p.device_keys(), vec![p.weak_cert()]);
             p.records.len()
         ]),
-        9 => NetResponse::AuditEvents(page),
+        8 => NetResponse::AuditEvents(page),
         _ => panic!("no response is built for variant {v}"),
     }
 }

@@ -138,7 +138,7 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
     let h = boot(NetServerConfig::default());
     let mut c = RemoteWormClient::connect(h.net.local_addr()).unwrap();
     let tolerance = Duration::from_secs(300);
-    let (keys, served) = c.fetch_keys().unwrap();
+    let (keys, served) = c.fetch_shard_keys().unwrap().remove(0);
     assert_eq!(served, std::slice::from_ref(&keys.weak_cert));
     let v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
     assert_eq!(v.weak_certs(0), &served[..]);
@@ -153,7 +153,7 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
             WitnessMode::Deferred,
         )
         .unwrap();
-    let (keys, served) = c.fetch_keys().unwrap();
+    let (keys, served) = c.fetch_shard_keys().unwrap().remove(0);
     assert_eq!(served.len(), 2);
     assert_eq!(served[0], keys.weak_cert);
     assert_ne!(served[0].key, served[1].key);
@@ -899,6 +899,28 @@ fn a_bound_worm_server_is_a_lane_its_caller_still_owns() {
     );
 }
 
+/// A deployment has one kill switch: with it off, a read lane 1 serves
+/// moves no `shard1.` instrument in the `Stats` a client fetches, as a
+/// read lane 0 serves moves none of lane 0's.
+#[test]
+fn the_kill_switch_reaches_every_lane_over_the_wire() {
+    let h = boot_lanes(2, NetServerConfig::default());
+    h.server.trace().set_enabled(false);
+    let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
+    let sns: Vec<SerialNumber> = (0..2u8)
+        .map(|i| client.write(&[&[i]], policy(3600)).unwrap())
+        .collect();
+    assert_eq!(sns.iter().map(|sn| sn.lane()).collect::<Vec<_>>(), [0, 1]);
+    for &sn in &sns {
+        client.read_raw(sn).unwrap();
+    }
+    let stats = client.stats().unwrap();
+    for name in ["net.request", "server.read", "shard1.server.read"] {
+        assert_eq!(stats.op(name).map(|o| o.total()), Some(0), "{name}");
+    }
+    h.net.shutdown();
+}
+
 #[test]
 fn queue_depth_gauge_drains_to_zero_after_connection_storm_and_shutdown() {
     let h = boot(NetServerConfig {
@@ -1190,7 +1212,7 @@ fn malformed_frame_mid_pipeline_kills_only_that_connection() {
     for _ in 0..2 {
         wormnet::frame::append_frame(
             &mut burst,
-            &wormnet::protocol::encode_request(&wormnet::NetRequest::GetKeys),
+            &wormnet::protocol::encode_request(&wormnet::NetRequest::GetShardKeys),
             DEFAULT_MAX_FRAME,
         )
         .unwrap();
@@ -1209,7 +1231,7 @@ fn malformed_frame_mid_pipeline_kills_only_that_connection() {
         let payload = responses.next_frame().unwrap().unwrap();
         assert!(matches!(
             wormnet::protocol::decode_response_shared(&payload).unwrap(),
-            wormnet::protocol::NetResponse::Keys { .. }
+            wormnet::protocol::NetResponse::ShardKeys(_)
         ));
     }
     assert!(matches!(responses.next_frame(), Ok(None) | Err(_)));
@@ -1233,7 +1255,7 @@ fn malformed_frame_mid_pipeline_kills_only_that_connection() {
 fn audit_chain_paginates_over_the_wire_and_verifies() {
     let h = boot(NetServerConfig::default());
     let mut client = RemoteWormClient::connect(h.net.local_addr()).unwrap();
-    let (keys, _) = client.fetch_keys().unwrap();
+    let (keys, _) = client.fetch_shard_keys().unwrap().remove(0);
 
     // Generate a spread of integrity events, then anchor via Tick.
     for i in 0..4u8 {
@@ -1284,7 +1306,7 @@ fn tampered_audit_chain_is_detected_and_the_connection_survives() {
     let verifier = client
         .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
         .unwrap();
-    let (keys, _) = client.fetch_keys().unwrap();
+    let (keys, _) = client.fetch_shard_keys().unwrap().remove(0);
 
     let sn = client.write(&[b"audited"], policy(3600)).unwrap();
     client.tick().unwrap();
@@ -1332,7 +1354,7 @@ fn audit_events_span_a_recovery_cycle_over_the_wire() {
     let net = NetServer::bind(Arc::clone(&srv), "127.0.0.1:0", NetServerConfig::default()).unwrap();
 
     let mut client = RemoteWormClient::connect(net.local_addr()).unwrap();
-    let (keys, _) = client.fetch_keys().unwrap();
+    let (keys, _) = client.fetch_shard_keys().unwrap().remove(0);
     client.tick().unwrap();
     let page = client.audit_events(0, 4096).unwrap();
     assert!(

@@ -28,6 +28,29 @@ pub enum Shredder {
 }
 
 impl Shredder {
+    /// The (kind, argument) byte pair every encoding of a shredder
+    /// carries: the wire's policies, record attributes (under
+    /// `metasig`) and journalled shred states.
+    pub fn code(self) -> (u8, u8) {
+        match self {
+            Shredder::ZeroFill => (0, 0),
+            Shredder::MultiPass { passes } => (1, passes),
+            Shredder::RandomPass => (2, 0),
+        }
+    }
+
+    /// Decodes a (kind, argument) pair. Canonical: an argument-less
+    /// shredder must carry a zero argument byte, so no two distinct
+    /// pairs decode equal.
+    pub fn from_code(kind: u8, arg: u8) -> Option<Self> {
+        Some(match (kind, arg) {
+            (0, 0) => Shredder::ZeroFill,
+            (1, passes) => Shredder::MultiPass { passes },
+            (2, 0) => Shredder::RandomPass,
+            _ => return None,
+        })
+    }
+
     /// Total device writes this discipline performs per extent.
     pub fn pass_count(&self) -> u32 {
         match self {
@@ -133,6 +156,22 @@ mod tests {
     use crate::record::RecordId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn codes_roundtrip_and_are_canonical() {
+        for s in [
+            Shredder::ZeroFill,
+            Shredder::MultiPass { passes: 0 },
+            Shredder::MultiPass { passes: 7 },
+            Shredder::RandomPass,
+        ] {
+            let (kind, arg) = s.code();
+            assert_eq!(Shredder::from_code(kind, arg), Some(s));
+        }
+        for (kind, arg) in [(0, 5), (2, 5), (3, 0)] {
+            assert_eq!(Shredder::from_code(kind, arg), None, "({kind}, {arg})");
+        }
+    }
 
     fn setup() -> (MemDisk, RecordDescriptor, StdRng) {
         let dev = MemDisk::unmetered(256);

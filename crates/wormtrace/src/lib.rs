@@ -15,8 +15,10 @@
 //!   updated together, so `ok + err == histogram count` is an invariant
 //!   tests can assert under arbitrary concurrency.
 //! * [`Registry`] — get-or-register named metrics behind a read-mostly
-//!   lock. Subsystems resolve their handles **once** at construction;
-//!   the hot path never touches the registry lock.
+//!   lock, one per deployment: lane 0 owns it, and each further lane
+//!   records into it through a [`Registry::prefixed`] handle. Subsystems
+//!   resolve their handles **once** at construction; the hot path never
+//!   touches the registry lock.
 //! * [`Observed`] — the guard every instrumented operation runs under
 //!   ([`Registry::observe`]): one measurement feeds the op's
 //!   [`OpStats`] and, when a request trace is attached to the thread,

@@ -11,14 +11,39 @@ use crate::snapshot::StatsSnapshot;
 use crate::span::{self, FlightRecorder, OpenSpan, Plane, DEFAULT_FLIGHT_CAPACITY};
 use crate::sync::{Rank, RwLock};
 
-/// A process-wide (or server-wide) collection of named instruments.
+/// A deployment's one collection of named instruments, or a lane's
+/// handle into it.
 ///
-/// Registration takes a write lock; lookup takes a read lock. The
-/// intended pattern is for each subsystem to resolve `Arc` handles to
-/// its instruments **once** at construction and record through the
-/// handles thereafter, so steady-state recording is pure atomics.
+/// A deployment has one table of instruments, one kill switch and one
+/// flight recorder. The root ([`Registry::new`]) owns them: lane 0 of a
+/// deployment, which is a standalone server. Every further lane records
+/// through a handle from [`Registry::prefixed`], which registers each
+/// instrument under its prefix (`shard{i}.`) in the root's table and
+/// shares everything else, so a lane's registration code does not know
+/// which lane it is.
+///
+/// Registration takes a write lock; lookup takes a read lock and, on a
+/// hit, allocates nothing. The intended pattern is for each subsystem to
+/// resolve `Arc` handles to its instruments **once** at construction and
+/// record through the handles thereafter, so steady-state recording is
+/// pure atomics.
 #[derive(Debug)]
 pub struct Registry {
+    home: Home,
+}
+
+#[derive(Debug)]
+enum Home {
+    Root(Instruments),
+    /// A handle into `root`'s instruments, naming under `prefix`.
+    Prefixed {
+        root: Arc<Registry>,
+        prefix: String,
+    },
+}
+
+#[derive(Debug)]
+struct Instruments {
     ops: RwLock<BTreeMap<String, Arc<OpStats>>>,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
@@ -26,37 +51,70 @@ pub struct Registry {
     enabled: AtomicBool,
 }
 
+/// Longest prefixed name a lookup assembles on the stack; a longer one
+/// still resolves, through the registering path.
+const NAME_BUF: usize = 128;
+
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            ops: RwLock::new(Rank::RegistryOps, BTreeMap::new()),
-            counters: RwLock::new(Rank::RegistryCounters, BTreeMap::new()),
-            gauges: RwLock::new(Rank::RegistryGauges, BTreeMap::new()),
-            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
-            enabled: AtomicBool::new(true),
+            home: Home::Root(Instruments {
+                ops: RwLock::new(Rank::RegistryOps, BTreeMap::new()),
+                counters: RwLock::new(Rank::RegistryCounters, BTreeMap::new()),
+                gauges: RwLock::new(Rank::RegistryGauges, BTreeMap::new()),
+                flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
+                enabled: AtomicBool::new(true),
+            }),
         }
     }
 }
 
 impl Registry {
-    /// An empty, enabled registry.
+    /// An empty, enabled root registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A handle into `root`'s instruments that registers every name
+    /// under `prefix` (after `root`'s own, if it is a handle). Its kill
+    /// switch, flight recorder and snapshot are the root's.
+    pub fn prefixed(root: &Arc<Registry>, prefix: &str) -> Registry {
+        Registry {
+            home: Home::Prefixed {
+                root: Arc::clone(root),
+                prefix: format!("{}{prefix}", root.prefix()),
+            },
+        }
+    }
+
+    fn instruments(&self) -> &Instruments {
+        match &self.home {
+            Home::Root(own) => own,
+            Home::Prefixed { root, .. } => root.instruments(),
+        }
+    }
+
+    fn prefix(&self) -> &str {
+        match &self.home {
+            Home::Root(_) => "",
+            Home::Prefixed { prefix, .. } => prefix,
+        }
     }
 
     /// Whether guards from [`Registry::observe`] are live.
     pub fn enabled(&self) -> bool {
         // ordering: advisory on/off flag; a stale read just records (or
         // skips) a few more operations, no data is guarded by it.
-        self.enabled.load(Ordering::Relaxed)
+        self.instruments().enabled.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables recording. Disabling makes
-    /// [`Registry::observe`] return inert guards; direct counter/gauge
-    /// handles keep working (they are too cheap to gate).
+    /// Enables or disables recording, for the root and every handle
+    /// into it. Disabling makes [`Registry::observe`] return inert
+    /// guards; direct counter/gauge handles keep working (they are too
+    /// cheap to gate).
     pub fn set_enabled(&self, enabled: bool) {
         // ordering: see `enabled()` — the flag publishes nothing.
-        self.enabled.store(enabled, Ordering::Relaxed);
+        self.instruments().enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Begins observing one operation: until the guard finishes (or
@@ -73,53 +131,66 @@ impl Registry {
         Observed { op, live }
     }
 
-    fn get_or_insert<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-        if let Some(found) = map.read().get(name) {
-            return Arc::clone(found);
+    /// Get-or-register `prefix` + `name` in `map`.
+    fn get_or_insert<T: Default>(
+        map: &RwLock<BTreeMap<String, Arc<T>>>,
+        prefix: &str,
+        name: &str,
+    ) -> Arc<T> {
+        let mut buf = [0u8; NAME_BUF];
+        let full = if prefix.is_empty() {
+            Some(name)
+        } else {
+            join(&mut buf, prefix, name)
+        };
+        if let Some(found) = full.and_then(|full| map.read().get(full).cloned()) {
+            return found;
         }
         let mut write = map.write();
-        Arc::clone(write.entry(name.to_string()).or_default())
+        Arc::clone(write.entry(format!("{prefix}{name}")).or_default())
     }
 
     /// Get-or-register the [`OpStats`] called `name`.
     pub fn op(&self, name: &str) -> Arc<OpStats> {
-        Self::get_or_insert(&self.ops, name)
+        Self::get_or_insert(&self.instruments().ops, self.prefix(), name)
     }
 
     /// Get-or-register the [`Counter`] called `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Self::get_or_insert(&self.counters, name)
+        Self::get_or_insert(&self.instruments().counters, self.prefix(), name)
     }
 
     /// Get-or-register the [`Gauge`] called `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Self::get_or_insert(&self.gauges, name)
+        Self::get_or_insert(&self.instruments().gauges, self.prefix(), name)
     }
 
     /// The span-tree flight recorder: captured slow/error request
     /// traces (see [`crate::span`]).
     pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+        &self.instruments().flight
     }
 
-    /// A point-in-time, name-sorted copy of every registered
-    /// instrument. Sorted order comes for free from the `BTreeMap`s and
-    /// makes the snapshot's canonical encoding deterministic.
+    /// A point-in-time, name-sorted copy of every registered instrument,
+    /// every handle's included. Sorted order comes for free from the
+    /// `BTreeMap`s and makes the snapshot's canonical encoding
+    /// deterministic.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let own = self.instruments();
         StatsSnapshot {
-            ops: self
+            ops: own
                 .ops
                 .read()
                 .iter()
                 .map(|(name, op)| (name.clone(), op.snapshot()))
                 .collect(),
-            counters: self
+            counters: own
                 .counters
                 .read()
                 .iter()
                 .map(|(name, c)| (name.clone(), c.get()))
                 .collect(),
-            gauges: self
+            gauges: own
                 .gauges
                 .read()
                 .iter()
@@ -127,6 +198,15 @@ impl Registry {
                 .collect(),
         }
     }
+}
+
+/// `prefix` + `name` written into `buf`, or `None` when it does not fit.
+fn join<'b>(buf: &'b mut [u8], prefix: &str, name: &str) -> Option<&'b str> {
+    let full = buf.get_mut(..prefix.len() + name.len())?;
+    let (head, tail) = full.split_at_mut(prefix.len());
+    head.copy_from_slice(prefix.as_bytes());
+    tail.copy_from_slice(name.as_bytes());
+    std::str::from_utf8(full).ok()
 }
 
 /// One operation under observation (see [`Registry::observe`]).
@@ -255,6 +335,29 @@ mod tests {
             .is_some());
         assert_eq!(op.snapshot().total(), 1);
         assert_eq!(span_count(), 1);
+    }
+
+    #[test]
+    fn a_prefixed_handle_names_into_the_root_and_shares_the_rest() {
+        let root = Arc::new(Registry::new());
+        let lane = Registry::prefixed(&root, "shard1.");
+        lane.op("server.read").record(5, true);
+        lane.counter("c").add(2);
+        assert!(Arc::ptr_eq(
+            &lane.op("server.read"),
+            &root.op("shard1.server.read")
+        ));
+        let long = "x".repeat(NAME_BUF);
+        assert!(Arc::ptr_eq(&lane.gauge(&long), &lane.gauge(&long)));
+        let snap = root.snapshot();
+        assert_eq!(snap.op("shard1.server.read").unwrap().ok, 1);
+        assert!(snap.op("server.read").is_none());
+        assert_eq!(snap.counter("shard1.c"), 2);
+        assert_eq!(lane.snapshot(), snap);
+        // One kill switch and one flight recorder.
+        lane.set_enabled(false);
+        assert!(!root.enabled());
+        assert!(std::ptr::eq(lane.flight(), root.flight()));
     }
 
     #[test]

@@ -348,7 +348,6 @@ fn requests() -> Vec<NetRequest> {
         NetRequest::LitHold(hold()),
         NetRequest::LitRelease(release()),
         NetRequest::Tick,
-        NetRequest::GetKeys,
         NetRequest::Stats,
         NetRequest::Traces,
         NetRequest::GetCompositeHead,
@@ -370,10 +369,6 @@ fn responses() -> Vec<NetResponse> {
             sn: SerialNumber(9),
         },
         NetResponse::Ack,
-        NetResponse::Keys {
-            keys: device_keys(),
-            weak_certs: vec![weak_cert(13), weak_cert(17)],
-        },
         NetResponse::Stats(stats()),
         NetResponse::Traces(traces()),
         NetResponse::CompositeHead(composite()),
