@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use scpu::Timestamp;
 use wormcrypt::{Digest, RsaPublicKey, Sha256};
-use wormstore::{RecordDescriptor, RecordId, Shredder};
+use wormstore::{RecordDescriptor, RecordId};
 
 use crate::attr::RecordAttributes;
 use crate::authority::{HoldCredential, ReleaseCredential};
@@ -20,7 +20,6 @@ use crate::proofs::{
 };
 use crate::sn::SerialNumber;
 use crate::vrd::Vrd;
-use crate::vrdt::ShredState;
 use crate::wire::{WireError, WireReader, WireWriter};
 use crate::witness::{Signature, Witness};
 
@@ -314,45 +313,6 @@ pub fn decode_base_cert(bytes: &[u8]) -> Result<BaseCert, WireError> {
         sn_base,
         expires_at,
         sig,
-    })
-}
-
-/// Encodes an in-flight shred's progress state (journal `SHRED_BEGIN`
-/// payload): the doomed extent, its overwrite discipline, and the next
-/// pass to run.
-pub fn encode_shred_state(s: &ShredState) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.shredstate.v1");
-    w.put_u64(s.rd.id.0);
-    w.put_u64(s.rd.offset);
-    w.put_u64(s.rd.len);
-    let (kind, arg) = s.shredder.code();
-    w.put_u8(kind);
-    w.put_u8(arg);
-    w.put_u32(s.next_pass);
-    w.finish()
-}
-
-/// Decodes a journalled shred progress state.
-///
-/// # Errors
-///
-/// [`WireError`] on truncation, unknown shredder codes, or trailing bytes.
-pub fn decode_shred_state(bytes: &[u8]) -> Result<ShredState, WireError> {
-    let mut r = WireReader::tagged(bytes, "strongworm.shredstate.v1", "shred state tag")?;
-    let rd = RecordDescriptor {
-        id: RecordId(r.get_u64()?),
-        offset: r.get_u64()?,
-        len: r.get_u64()?,
-    };
-    let shredder = Shredder::from_code(r.get_u8()?, r.get_u8()?).ok_or(WireError {
-        expected: "shredder code",
-    })?;
-    let next_pass = r.get_u32()?;
-    r.expect_end()?;
-    Ok(ShredState {
-        rd,
-        shredder,
-        next_pass,
     })
 }
 
@@ -989,52 +949,6 @@ mod tests {
     fn vrd_roundtrip() {
         let v = sample_vrd();
         assert_eq!(decode_vrd(&encode_vrd(&v)).unwrap(), v);
-    }
-
-    #[test]
-    fn shred_state_roundtrip() {
-        for shredder in [
-            Shredder::ZeroFill,
-            Shredder::MultiPass { passes: 3 },
-            Shredder::RandomPass,
-        ] {
-            let s = ShredState {
-                rd: RecordDescriptor {
-                    id: RecordId(9),
-                    offset: 4096,
-                    len: 128,
-                },
-                shredder,
-                next_pass: 2,
-            };
-            assert_eq!(decode_shred_state(&encode_shred_state(&s)).unwrap(), s);
-        }
-    }
-
-    #[test]
-    fn shred_state_decode_rejects_corruption() {
-        let s = ShredState {
-            rd: RecordDescriptor {
-                id: RecordId(1),
-                offset: 64,
-                len: 32,
-            },
-            shredder: Shredder::ZeroFill,
-            next_pass: 0,
-        };
-        let enc = encode_shred_state(&s);
-        assert!(decode_shred_state(&enc[..enc.len() - 1]).is_err());
-        assert!(decode_shred_state(b"").is_err());
-        let mut trailing = enc.clone();
-        trailing.push(0);
-        assert!(decode_shred_state(&trailing).is_err());
-        // Non-canonical zero-arg shredder (kind 2, arg 1) must not decode.
-        let mut bad = enc;
-        let kind_at = bad.len() - 6; // tail is [kind:1][arg:1][next_pass:4]
-        assert_eq!(bad[kind_at], 0);
-        bad[kind_at] = 2;
-        bad[kind_at + 1] = 1;
-        assert!(decode_shred_state(&bad).is_err());
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct WormConfig {
     /// How often the SCPU re-issues the timestamped head certificate even
     /// without updates (paper: "every few minutes").
     pub head_refresh_interval: Duration,
-    /// Maximum head-certificate age clients accept.
-    pub freshness_tolerance: Duration,
     /// Validity period of base certificates (anti-replay expiry).
     pub base_cert_lifetime: Duration,
     /// Default hashing model for writes.
@@ -71,7 +69,6 @@ impl Default for WormConfig {
             weak_bits: 512,
             weak_lifetime: Duration::from_secs(120 * 60),
             head_refresh_interval: Duration::from_secs(120),
-            freshness_tolerance: Duration::from_secs(300),
             base_cert_lifetime: Duration::from_secs(24 * 60 * 60),
             hash_mode: HashMode::ScpuHashes,
             default_witness: WitnessMode::Strong,

@@ -17,10 +17,6 @@ pub enum WormError {
     Firmware(String),
     /// The serial number does not name an active record.
     NotActive(SerialNumber),
-    /// A staged VRDT transaction is open: plain (self-committing) table
-    /// mutations are refused until commit or abort, so crash rollback is
-    /// always a pure journal-suffix truncation.
-    TxnOpen,
     /// A persisted structure failed to decode.
     Wire(WireError),
     /// The serial number's shard lane is outside this deployment (no
@@ -41,9 +37,6 @@ impl std::fmt::Display for WormError {
             WormError::Journal(e) => write!(f, "durable journal failure: {e}"),
             WormError::Firmware(msg) => write!(f, "firmware rejected request: {msg}"),
             WormError::NotActive(sn) => write!(f, "{sn} is not an active record"),
-            WormError::TxnOpen => {
-                f.write_str("a staged transaction is open; commit or abort it first")
-            }
             WormError::Wire(e) => write!(f, "persisted structure corrupt: {e}"),
             WormError::NoSuchShard { lane, shard_count } => write!(
                 f,

@@ -16,7 +16,6 @@ use scpu::{Env, SecureMemory, SecureMemoryExhausted, Timestamp};
 use wormcrypt::{ct_eq, Hmac, Sha256};
 use wormstore::Shredder;
 
-use super::signer::shredder_code;
 use super::{reject, FirmwareError, OutboxItem, WormFirmware, WormResponse};
 use crate::proofs::DeletionProof;
 use crate::sn::SerialNumber;
@@ -165,9 +164,9 @@ impl WormFirmware {
     /// embedded in the attributes are re-armed as well.
     ///
     /// If the monitor has already expired the record (the host crashed
-    /// after the proof was signed but before its deletion transaction
-    /// committed, then rolled back), the deletion is re-driven through
-    /// the outbox so host and monitor converge instead of wedging.
+    /// after the proof was signed but before its expiry frame reached
+    /// the journal), the deletion is re-driven through the outbox so host
+    /// and monitor converge instead of wedging.
     pub(crate) fn sync_vexp_from_attr(
         &mut self,
         env: &mut Env,
@@ -230,8 +229,7 @@ impl WormFirmware {
         seal: Vec<u8>,
     ) -> Result<WormResponse, FirmwareError> {
         let s = self.booted()?;
-        let mut payload = crate::witness::sealed_expiry_payload(sn, expires_at);
-        payload.push(shredder_code(shredder));
+        let payload = crate::witness::sealed_expiry_payload(sn, expires_at, shredder);
         let expect = Hmac::<Sha256>::mac(&s.seal_key, &payload);
         if !ct_eq(&expect, &seal) {
             return reject("invalid vexp seal");

@@ -104,7 +104,6 @@ impl WormFirmware {
         // Schedule expiration; on secure-memory exhaustion, seal the entry
         // out to the host instead (§4.2.2: VEXP "subject to secure storage
         // space").
-        let shred_code = shredder_code(policy.shredder);
         let vexp_seal =
             match self
                 .vexp
@@ -113,7 +112,7 @@ impl WormFirmware {
                 Ok(()) => None,
                 Err(_) => {
                     self.spilled += 1;
-                    Some(self.seal_expiry(sn, attr.retention_until, shred_code))
+                    Some(self.seal_expiry(sn, attr.retention_until, policy.shredder))
                 }
             };
 
@@ -337,14 +336,5 @@ impl WormFirmware {
             self.outbox.push(OutboxItem::AuditFailure { sn });
         }
         Ok(WormResponse::Audited(ok))
-    }
-}
-
-/// Stable shredder code used inside sealed expiry tokens.
-pub(crate) fn shredder_code(s: wormstore::Shredder) -> u8 {
-    match s {
-        wormstore::Shredder::ZeroFill => 0,
-        wormstore::Shredder::MultiPass { passes } => 0x10 | passes,
-        wormstore::Shredder::RandomPass => 1,
     }
 }

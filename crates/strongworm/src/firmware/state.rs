@@ -384,11 +384,10 @@ impl WormFirmware {
         &self,
         sn: SerialNumber,
         expires_at: Timestamp,
-        shredder_code: u8,
+        shredder: wormstore::Shredder,
     ) -> Vec<u8> {
         let s = self.booted_invariant();
-        let mut payload = crate::witness::sealed_expiry_payload(sn, expires_at);
-        payload.push(shredder_code);
+        let payload = crate::witness::sealed_expiry_payload(sn, expires_at, shredder);
         Hmac::<Sha256>::mac(&s.seal_key, &payload)
     }
 }

@@ -111,7 +111,7 @@ pub fn is_power_cut(e: &WormError) -> bool {
 ///
 /// Order matters: victims are written *below* keepers so their shredded
 /// extents open free space that compaction relocates the keepers into,
-/// exercising the full relocate-replace-shred transaction.
+/// exercising the full relocate-replace-shred sequence.
 #[derive(Clone, Copy, Debug)]
 pub struct Scenario {
     /// Short-retention records written first, then expired and shredded.

@@ -220,24 +220,11 @@ impl<D: BlockDevice> WormServer<D> {
         trace
             .counter("recovery.torn_tail")
             .add(u64::from(recovery.torn_tail));
-        trace
-            .counter("recovery.rolled_back")
-            .add(recovery.rolled_back);
         if recovery.torn_tail {
             audit.emit(
                 AuditClass::RecoveryTornTail,
                 None,
                 "crash recovery discarded a torn journal tail",
-            );
-        }
-        if recovery.rolled_back > 0 {
-            audit.emit(
-                AuditClass::RecoveryRollback,
-                None,
-                &format!(
-                    "crash recovery rolled back {} unwitnessed frame(s)",
-                    recovery.rolled_back
-                ),
             );
         }
         let ops = ServerOps::new(&trace);
@@ -370,9 +357,9 @@ impl<D: BlockDevice> WormServer<D> {
     /// reserved for their remaining passes, and everything else below the
     /// rebuilt watermark and below `written` (see
     /// [`RecordStore::recover`]) returns to the free list. Reclaimed
-    /// extents (a record whose journal frame was lost, rolled-back data
-    /// writes, abandoned relocation copies) may hold plaintext; they are
-    /// zeroed, so plaintext exists only inside live extents.
+    /// extents (a record whose journal frame was lost, abandoned
+    /// relocation copies) may hold plaintext; they are zeroed, so
+    /// plaintext exists only inside live extents.
     fn recover_store(vrdt: &Vrdt, data: D, written: u64) -> Result<RecordStore<D>, WormError> {
         let live: Vec<RecordDescriptor> = vrdt
             .iter_active()
@@ -762,9 +749,10 @@ impl<D: BlockDevice> WormServer<D> {
     /// deleted windows.) Returns how many extents moved. Intended for
     /// idle periods.
     ///
-    /// Each relocation is journaled as one staged transaction, so a power
-    /// cut mid-compaction never loses a record and never leaves relocated
-    /// plaintext unshredded (see [`WitnessPlane`] internals).
+    /// Each relocation is one journal frame that also dooms the vacated
+    /// extent, so a power cut mid-compaction never loses a record and
+    /// never leaves relocated plaintext unshredded (see [`WitnessPlane`]
+    /// internals).
     ///
     /// # Errors
     ///
@@ -854,10 +842,11 @@ where
     }
 
     /// Recovers a crash-atomic server from its medium after a power cut:
-    /// scans the journal region, replays the valid frame prefix (rolling
-    /// any uncommitted staged transaction back — durably), rebuilds the
+    /// scans the journal region, replays the valid frame prefix (one frame
+    /// is one whole mutation, so a torn tail frame is a mutation that
+    /// never happened, and its bytes are erased durably), rebuilds the
     /// store's allocation map from the recovered descriptor set (leaked
-    /// pre-commit extents return to free space; pending-shred extents
+    /// extents no frame names return to free space; pending-shred extents
     /// stay reserved), finishes every half-done shred from its persisted
     /// pass marker, and re-arms expirations inside the SCPU.
     ///
@@ -867,8 +856,8 @@ where
     ///
     /// # Errors
     ///
-    /// Journal corruption (including tampering signatures such as a plain
-    /// frame inside a staged transaction), device failures, or an
+    /// Journal corruption (including tampering signatures such as a
+    /// valid-CRC frame with an unknown opcode), device failures, or an
     /// inconsistent descriptor set.
     #[expect(
         clippy::result_large_err,
@@ -892,7 +881,7 @@ where
                 vrdt.mark_torn_tail();
             }
             // Attaching the sink truncates + erases the region tail,
-            // making any in-memory rollback durable before we serve.
+            // making the discarded torn tail durable before we serve.
             vrdt.attach_sink(Box::new(disk_journal))?;
             let data = Partition::new(dev, journal_bytes, store_bytes)
                 .map_err(wormstore::StoreError::from)?;

@@ -371,8 +371,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
             WormResponse::AttrUpdated { attr, metasig } => {
                 vrd.attr = attr;
                 vrd.metasig = metasig;
-                self.vrdt.write().replace(vrd)?;
-                Ok(())
+                self.replace(vrd)
             }
             other => Err(unexpected(other)),
         }
@@ -565,17 +564,27 @@ impl<D: BlockDevice> WitnessPlane<D> {
         Ok(n)
     }
 
+    /// Replaces an active VRD and runs the shreds its frame started (the
+    /// extents it vacated; see [`Vrdt::replace`]).
+    fn replace(&mut self, vrd: Vrd) -> Result<(), WormError> {
+        let doomed = self.vrdt.write().replace(vrd)?;
+        for state in doomed {
+            self.run_shred(state)?;
+        }
+        Ok(())
+    }
+
     /// Compacts the record store: copies live extents into lower free
     /// space and shreds the vacated originals, reclaiming contiguous room
     /// at the top of the region. Returns how many extents moved.
     ///
-    /// Each relocation commits as ONE staged journal transaction — the
-    /// owning VRD's descriptor swap plus the shred intent for the old
-    /// extent — so a crash either rolls the whole move back (old extent
-    /// still live, leaked copy reclaimed by the next recover) or replays
-    /// it and resumes destroying the vacated bytes. A relocated record's
-    /// old plaintext is exactly as sensitive as its current bytes: leaving
-    /// it unshredded would survive the record's eventual deletion.
+    /// Each relocation is ONE journal frame — the owning VRD's `REPLACE`,
+    /// which dooms the vacated extent in the same frame — so a crash
+    /// either leaves the move undone (old extent still live, the copy
+    /// reclaimed by the next recover) or replays it and resumes
+    /// destroying the vacated bytes. A relocated record's old plaintext
+    /// is exactly as sensitive as its current bytes: leaving it
+    /// unshredded would survive the record's eventual deletion.
     pub(crate) fn compact_store(&mut self) -> Result<usize, WormError> {
         // Live extents with the VR that owns each, highest offset first:
         // draining from the top frees contiguous space at the tail of
@@ -608,18 +617,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
             for rd in owner.rdl.iter_mut().filter(|rd| **rd == old) {
                 *rd = new_rd;
             }
-            let state = ShredState {
-                rd: old,
-                shredder: owner.attr.shredder,
-                next_pass: 0,
-            };
-            {
-                let mut vrdt = self.vrdt.write();
-                vrdt.stage_replace(&owner)?;
-                vrdt.stage_shred_begin(&state)?;
-                vrdt.commit_txn()?;
-            }
-            self.run_shred(state)?;
+            self.replace(owner)?;
             self.stats.compact_relocations.inc();
             moved += 1;
         }
@@ -642,49 +640,26 @@ impl<D: BlockDevice> WitnessPlane<D> {
         for item in items {
             match item {
                 OutboxItem::Deleted { proof, shredder } => {
-                    // Expire under the write lock FIRST, collecting the
-                    // VR's extents; shred after the lock is dropped.
-                    // Readers holding the read lock have finished their
-                    // store reads before we got the write lock; later
-                    // readers see the deletion proof.
+                    // Expire under the write lock FIRST; shred after the
+                    // lock is dropped. Readers holding the read lock have
+                    // finished their store reads before we got the write
+                    // lock; later readers see the deletion proof.
                     //
-                    // The expiration and every shred intent commit as ONE
-                    // staged journal transaction: a crash either rolls the
-                    // whole group back (record still active, nothing
-                    // destroyed) or replays past the commit marker and
+                    // The expiry frame dooms every extent of the record
+                    // it removes: a crash either loses the frame (record
+                    // still active, nothing destroyed) or replays it and
                     // resumes every pending shred — never a deleted record
                     // whose plaintext quietly survives.
-                    let to_shred = {
-                        let mut vrdt = self.vrdt.write();
-                        let to_shred: Vec<ShredState> = match vrdt.lookup(proof.sn) {
-                            Lookup::Active(v) => v
-                                .rdl
-                                .iter()
-                                .map(|&rd| ShredState {
-                                    rd,
-                                    shredder,
-                                    next_pass: 0,
-                                })
-                                .collect(),
-                            _ => Vec::new(),
-                        };
-                        self.unaudited.remove(&proof.sn);
-                        vrdt.stage_expire(&proof)?;
-                        for state in &to_shred {
-                            vrdt.stage_shred_begin(state)?;
-                        }
-                        vrdt.commit_txn()?;
-                        to_shred
-                    };
-                    for state in to_shred {
+                    self.unaudited.remove(&proof.sn);
+                    let doomed = self.vrdt.write().expire(proof, shredder)?;
+                    for state in doomed {
                         self.run_shred(state)?;
                     }
                     self.stats.deletion_proofs.inc();
                 }
                 OutboxItem::Strengthened { sn, field, witness } => {
                     self.stats.strengthened.inc();
-                    let mut vrdt = self.vrdt.write();
-                    let updated = match vrdt.lookup(sn) {
+                    let updated = match self.vrdt.read().lookup(sn) {
                         Lookup::Active(v) => {
                             let mut updated = v.clone();
                             match field {
@@ -696,7 +671,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
                         _ => None,
                     };
                     if let Some(updated) = updated {
-                        vrdt.replace(updated)?;
+                        self.replace(updated)?;
                     }
                 }
                 OutboxItem::NewBase(b) => self.vrdt.write().set_base(b)?,

@@ -7,21 +7,23 @@
 //! signed deleted-window bound pairs, and everything below `SN_base` is
 //! dropped entirely.
 //!
-//! Every mutation is journaled ([`wormstore::Journal`]) so a host crash
-//! between the data write and the table update recovers to a consistent
-//! prefix. When a durable [`DurableLog`] sink is attached, each frame is
-//! committed to the device *before* the in-memory table mutates, so memory
-//! never runs ahead of disk.
+//! Every mutation is exactly one journal frame ([`wormstore::Journal`]),
+//! and a frame is the unit of crash atomicity: it is CRC-checked and
+//! written whole, so a torn frame never replays and a host crash recovers
+//! to a prefix of whole mutations. When a durable [`DurableLog`] sink is
+//! attached, each frame is committed to the device *before* the in-memory
+//! table mutates, so memory never runs ahead of disk.
 //!
-//! Multi-frame units (a deletion's expire + shred-begin, a compaction's
-//! relocations) are journaled as *staged* frames ([`OP_STAGE`]) followed
-//! by a single commit marker ([`OP_COMMIT`]): the whole unit applies
-//! atomically at the marker, and recovery rolls an uncommitted staged
-//! suffix back by truncating it — crash-atomicity for transactions that
-//! span several journal appends. In-flight media shreds persist their
-//! per-pass progress ([`OP_SHRED_BEGIN`] / [`OP_SHRED_PASS`] /
-//! [`OP_SHRED_DONE`]) so a crash mid-shred resumes at the right pass with
-//! the pass *order* preserved.
+//! One rule lives in the apply step the live path and replay share: **an
+//! extent leaves the table only into shredding, in the frame that removes
+//! it.** An [`OP_EXPIRE`] of an active record makes each of its extents a
+//! pending shred under the shredder the SCPU named; an [`OP_REPLACE`]
+//! makes a pending shred of each old extent the new VRD no longer lists
+//! (a relocation). So a crash leaves a record either live or deleted with
+//! every extent on its way to destruction — never deleted with its
+//! plaintext orphaned. Shreds persist their per-pass progress
+//! ([`OP_SHRED_PASS`] / [`OP_SHRED_DONE`]) so a crash mid-shred resumes
+//! at the right pass with the pass *order* preserved.
 //!
 //! The journal protects against *accidents*; malicious edits are caught by
 //! clients verifying the SCPU signatures, not here.
@@ -62,21 +64,15 @@ pub enum Lookup<'a> {
     Unknown,
 }
 
-/// Journal opcodes.
+// Journal opcodes, one frame per mutation; 7, 8 and 9 are retired and
+// replay as unknown opcodes.
 const OP_INSERT: u8 = 1;
+/// A deletion: the encoded proof, then the shredder's two code bytes.
 const OP_EXPIRE: u8 = 2;
 const OP_COMPACT: u8 = 3;
 const OP_HEAD: u8 = 4;
 const OP_BASE: u8 = 5;
 const OP_REPLACE: u8 = 6;
-/// A staged frame: `[inner opcode][inner payload]`, accumulated but not
-/// applied until the transaction's commit marker.
-const OP_STAGE: u8 = 7;
-/// Commit marker: payload is the staged-frame count (`u32`, big-endian);
-/// applies every staged frame atomically.
-const OP_COMMIT: u8 = 8;
-/// An extent entered shredding: payload is an encoded [`ShredState`].
-const OP_SHRED_BEGIN: u8 = 9;
 /// One shred pass completed: payload is `(extent offset, pass)`.
 const OP_SHRED_PASS: u8 = 10;
 /// Every pass applied; the extent may be reclaimed: payload is the offset.
@@ -103,15 +99,11 @@ pub struct ShredState {
 /// as the `recovery.*` counters in the server's trace registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Valid journal frames whose effect survived into the table
-    /// (staged frames count once committed, plus their commit marker).
+    /// Valid journal frames replayed into the table.
     pub replayed: u64,
     /// Whether the log ended in a torn or corrupt tail that replay
     /// discarded (the expected signature of a mid-append crash).
     pub torn_tail: bool,
-    /// Staged frames of an uncommitted transaction that recovery rolled
-    /// back (truncated off the journal).
-    pub rolled_back: u64,
 }
 
 /// The host-side table of virtual record descriptors.
@@ -130,11 +122,6 @@ pub struct Vrdt {
     journal: Journal,
     /// Durable mirror of the journal; frames reach it before memory.
     sink: Option<Box<dyn DurableLog>>,
-    /// Frames of the open transaction: `(inner opcode, inner payload)`.
-    staged: Vec<(u8, Vec<u8>)>,
-    /// Journal byte offset of the open transaction's first staged frame
-    /// (rollback truncation point).
-    txn_start: Option<usize>,
     /// In-flight shreds by extent offset.
     pending_shreds: BTreeMap<u64, ShredState>,
     recovery: RecoveryStats,
@@ -149,8 +136,6 @@ impl std::fmt::Debug for Vrdt {
             .field("base", &self.base)
             .field("journal", &self.journal)
             .field("sink", &self.sink.as_ref().map(|_| "DurableLog"))
-            .field("staged", &self.staged.len())
-            .field("txn_start", &self.txn_start)
             .field("pending_shreds", &self.pending_shreds)
             .field("recovery", &self.recovery)
             .finish()
@@ -164,112 +149,55 @@ impl Vrdt {
     }
 
     /// Rebuilds a table by replaying a journal (crash recovery). Torn or
-    /// corrupt tail entries are ignored, and an *uncommitted staged
-    /// suffix* — a transaction that crashed before its commit marker — is
-    /// rolled back by truncating it off the journal, yielding the last
-    /// transactionally consistent state.
+    /// corrupt tail frames are ignored and cut off the journal, so
+    /// post-recovery appends never land behind damage.
     ///
     /// # Errors
     ///
     /// [`WireError`] if a *valid-CRC* frame contains a malformed payload
-    /// (indicates a software bug or deliberate tampering rather than a
-    /// crash).
-    pub fn recover(journal: Journal) -> Result<Self, WireError> {
+    /// or an unknown opcode (indicates a software bug or deliberate
+    /// tampering rather than a crash).
+    pub fn recover(mut journal: Journal) -> Result<Self, WireError> {
         let mut t = Vrdt::new();
         let mut replay = journal.replay();
-        let mut frames: Vec<(usize, Vec<u8>)> = Vec::new();
-        loop {
-            let at = replay.consumed_bytes();
-            match replay.next() {
-                Some(frame) => frames.push((at, frame)),
-                None => break,
-            }
-        }
-        let consumed = replay.consumed_bytes();
-        let torn_tail = journal.recovered_torn_tail() || consumed < journal.len_bytes();
-        let mut staged: Vec<(u8, Vec<u8>)> = Vec::new();
-        let mut txn_start: Option<usize> = None;
-        let mut applied = 0u64;
-        for (at, frame) in frames {
+        let mut replayed = 0u64;
+        for frame in replay.by_ref() {
             let (&op, payload) = frame.split_first().ok_or(WireError {
                 expected: "journal opcode",
             })?;
-            match op {
-                OP_STAGE => {
-                    let (&inner, inner_payload) = payload.split_first().ok_or(WireError {
-                        expected: "staged opcode",
-                    })?;
-                    txn_start.get_or_insert(at);
-                    staged.push((inner, inner_payload.to_vec()));
-                }
-                OP_COMMIT => {
-                    let count: [u8; 4] = payload.try_into().map_err(|_| WireError {
-                        expected: "commit count",
-                    })?;
-                    let n = u32::from_be_bytes(count);
-                    if n as usize != staged.len() {
-                        return Err(WireError {
-                            expected: "commit count matching staged frames",
-                        });
-                    }
-                    for (iop, ipay) in std::mem::take(&mut staged) {
-                        t.apply_op(iop, &ipay)?;
-                    }
-                    txn_start = None;
-                    applied += 1 + n as u64;
-                }
-                // The runtime refuses plain ops while a transaction is
-                // open (so rollback is a pure suffix truncation); a plain
-                // frame between stage and commit is tampering.
-                _ if txn_start.is_some() => {
-                    return Err(WireError {
-                        expected: "staged frame or commit marker",
-                    });
-                }
-                OP_SHRED_PASS => {
-                    let (offset, pass) = codec::decode_shred_pass(payload)?;
-                    if let Some(s) = t.pending_shreds.get_mut(&offset) {
-                        s.next_pass = pass + 1;
-                    }
-                    applied += 1;
-                }
-                OP_SHRED_DONE => {
-                    let offset = codec::decode_shred_done(payload)?;
-                    t.pending_shreds.remove(&offset);
-                    applied += 1;
-                }
-                _ => {
-                    t.apply_op(op, payload)?;
-                    applied += 1;
-                }
-            }
+            t.replay_frame(op, payload)?;
+            replayed += 1;
         }
-        let mut journal = journal;
-        let rolled_back = staged.len() as u64;
-        // Keep only replayable state: an uncommitted staged suffix rolls
-        // back, and a torn tail (however the journal was handed over) is
-        // discarded so post-recovery appends never land behind damage.
-        let keep = txn_start.unwrap_or(consumed).min(consumed);
-        journal.truncate_tail(journal.len_bytes() - keep);
+        let consumed = replay.consumed_bytes();
+        let torn_tail = journal.recovered_torn_tail() || consumed < journal.len_bytes();
+        journal.truncate_tail(journal.len_bytes() - consumed);
         t.recovery = RecoveryStats {
-            replayed: applied,
+            replayed,
             torn_tail,
-            rolled_back,
         };
         t.journal = journal;
         Ok(t)
     }
 
-    /// Applies one (already committed) journal operation to the table.
-    fn apply_op(&mut self, op: u8, payload: &[u8]) -> Result<(), WireError> {
+    /// Decodes one journal frame and applies it through the same steps
+    /// the live mutators use.
+    fn replay_frame(&mut self, op: u8, payload: &[u8]) -> Result<(), WireError> {
         match op {
-            OP_INSERT | OP_REPLACE => {
+            OP_INSERT => {
                 let vrd = codec::decode_vrd(payload)?;
                 self.entries.insert(vrd.sn, VrdtEntry::Active(vrd));
             }
+            OP_REPLACE => {
+                self.apply_replace(codec::decode_vrd(payload)?);
+            }
             OP_EXPIRE => {
-                let p = codec::decode_deletion_proof(payload)?;
-                self.entries.insert(p.sn, VrdtEntry::Expired(p));
+                let (proof, &[kind, arg]) = payload.split_last_chunk().ok_or(WireError {
+                    expected: "expiry shredder code",
+                })?;
+                let shredder = Shredder::from_code(kind, arg).ok_or(WireError {
+                    expected: "shredder code",
+                })?;
+                self.apply_expire(codec::decode_deletion_proof(proof)?, shredder);
             }
             OP_COMPACT => {
                 let w = codec::decode_window_proof(payload)?;
@@ -282,9 +210,13 @@ impl Vrdt {
                 let b = codec::decode_base_cert(payload)?;
                 self.apply_base(&b);
             }
-            OP_SHRED_BEGIN => {
-                let s = codec::decode_shred_state(payload)?;
-                self.pending_shreds.insert(s.rd.offset, s);
+            OP_SHRED_PASS => {
+                let (offset, pass) = codec::decode_shred_pass(payload)?;
+                self.apply_shred_pass(offset, pass);
+            }
+            OP_SHRED_DONE => {
+                let offset = codec::decode_shred_done(payload)?;
+                self.pending_shreds.remove(&offset);
             }
             _ => {
                 return Err(WireError {
@@ -303,7 +235,7 @@ impl Vrdt {
     /// Attaches a durable sink: every subsequent frame is committed to it
     /// *before* the in-memory journal and table mutate. The sink's logical
     /// tail is first aligned to the in-memory journal and everything past
-    /// it erased, so a rolled-back on-disk suffix can never replay.
+    /// it erased, so a torn on-disk suffix can never replay.
     ///
     /// # Errors
     ///
@@ -329,25 +261,11 @@ impl Vrdt {
         self.recovery
     }
 
-    /// Whether a staged transaction is open (frames staged, no commit
-    /// marker yet).
-    pub fn has_open_txn(&self) -> bool {
-        self.txn_start.is_some()
-    }
-
     /// In-flight shreds (begun, not yet `SHRED_DONE`) by extent offset.
     /// After recovery these extents must stay reserved in the store until
     /// their remaining passes run.
     pub fn pending_shreds(&self) -> &BTreeMap<u64, ShredState> {
         &self.pending_shreds
-    }
-
-    fn ensure_no_txn(&self) -> Result<(), WormError> {
-        if self.txn_start.is_some() {
-            Err(WormError::TxnOpen)
-        } else {
-            Ok(())
-        }
     }
 
     /// Journals one frame, durably first when a sink is attached. The
@@ -364,44 +282,89 @@ impl Vrdt {
         res.map(|_| ()).map_err(WormError::from)
     }
 
-    /// Inserts a freshly written VRD. A single insert is self-committing:
-    /// the one frame *is* the atomic unit.
+    /// Inserts a freshly written VRD.
     ///
     /// # Errors
     ///
-    /// [`WormError::TxnOpen`] during a staged transaction;
     /// [`WormError::Journal`] if the durable append fails (the table is
     /// left unchanged).
     pub fn insert(&mut self, vrd: Vrd) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
         self.log(OP_INSERT, &codec::encode_vrd(&vrd))?;
         self.entries.insert(vrd.sn, VrdtEntry::Active(vrd));
         Ok(())
     }
 
     /// Replaces an active VRD (litigation-hold updates, strengthened
-    /// witnesses). No-op on the entry map if the SN is not active.
+    /// witnesses, relocated extents). Each extent of the old VRD that the
+    /// new one no longer lists becomes a pending shred under the record's
+    /// shredder, in the same frame; those shreds are returned for the
+    /// caller to run. Holds and strengthening keep the extents and doom
+    /// nothing.
     ///
     /// # Errors
     ///
     /// As [`Vrdt::insert`].
-    pub fn replace(&mut self, vrd: Vrd) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
+    pub fn replace(&mut self, vrd: Vrd) -> Result<Vec<ShredState>, WormError> {
         self.log(OP_REPLACE, &codec::encode_vrd(&vrd))?;
-        self.entries.insert(vrd.sn, VrdtEntry::Active(vrd));
-        Ok(())
+        Ok(self.apply_replace(vrd))
     }
 
-    /// Replaces an entry with its deletion proof (record expired).
+    fn apply_replace(&mut self, vrd: Vrd) -> Vec<ShredState> {
+        let vacated: Vec<RecordDescriptor> = match self.entries.get(&vrd.sn) {
+            Some(VrdtEntry::Active(old)) => old
+                .rdl
+                .iter()
+                .filter(|rd| !vrd.rdl.contains(rd))
+                .copied()
+                .collect(),
+            _ => Vec::new(),
+        };
+        let shredder = vrd.attr.shredder;
+        self.entries.insert(vrd.sn, VrdtEntry::Active(vrd));
+        self.doom(vacated, shredder)
+    }
+
+    /// Replaces an entry with its deletion proof (record expired). If the
+    /// record was active, each of its extents becomes a pending shred
+    /// under `shredder` (the one the SCPU's deletion order names), in the
+    /// same frame; those shreds are returned for the caller to run.
     ///
     /// # Errors
     ///
     /// As [`Vrdt::insert`].
-    pub fn expire(&mut self, proof: DeletionProof) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
-        self.log(OP_EXPIRE, &codec::encode_deletion_proof(&proof))?;
-        self.entries.insert(proof.sn, VrdtEntry::Expired(proof));
-        Ok(())
+    pub fn expire(
+        &mut self,
+        proof: DeletionProof,
+        shredder: Shredder,
+    ) -> Result<Vec<ShredState>, WormError> {
+        let mut payload = codec::encode_deletion_proof(&proof);
+        let (kind, arg) = shredder.code();
+        payload.extend_from_slice(&[kind, arg]);
+        self.log(OP_EXPIRE, &payload)?;
+        Ok(self.apply_expire(proof, shredder))
+    }
+
+    fn apply_expire(&mut self, proof: DeletionProof, shredder: Shredder) -> Vec<ShredState> {
+        match self.entries.insert(proof.sn, VrdtEntry::Expired(proof)) {
+            Some(VrdtEntry::Active(vrd)) => self.doom(vrd.rdl, shredder),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Makes each extent a pending shred, from its first pass.
+    fn doom(&mut self, extents: Vec<RecordDescriptor>, shredder: Shredder) -> Vec<ShredState> {
+        extents
+            .into_iter()
+            .map(|rd| {
+                let state = ShredState {
+                    rd,
+                    shredder,
+                    next_pass: 0,
+                };
+                self.pending_shreds.insert(rd.offset, state);
+                state
+            })
+            .collect()
     }
 
     /// Installs a deleted-window proof, expelling the per-record deletion
@@ -411,7 +374,6 @@ impl Vrdt {
     ///
     /// As [`Vrdt::insert`].
     pub fn compact(&mut self, window: WindowProof) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
         self.log(OP_COMPACT, &codec::encode_window_proof(&window))?;
         self.apply_compact(&window);
         Ok(())
@@ -438,7 +400,6 @@ impl Vrdt {
     ///
     /// As [`Vrdt::insert`].
     pub fn set_head(&mut self, head: HeadCert) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
         self.log(OP_HEAD, &codec::encode_head_cert(&head))?;
         self.head = Some(head);
         Ok(())
@@ -452,7 +413,6 @@ impl Vrdt {
     ///
     /// As [`Vrdt::insert`].
     pub fn set_base(&mut self, base: BaseCert) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
         self.log(OP_BASE, &codec::encode_base_cert(&base))?;
         self.apply_base(&base);
         Ok(())
@@ -472,97 +432,6 @@ impl Vrdt {
         self.base = Some(base.clone());
     }
 
-    /// Stages one frame of an open transaction: journaled now (durably,
-    /// with a sink), applied only at [`Vrdt::commit_txn`].
-    fn stage(&mut self, inner_op: u8, inner: Vec<u8>) -> Result<(), WormError> {
-        let mut payload = Vec::with_capacity(inner.len() + 1);
-        payload.push(inner_op);
-        payload.extend_from_slice(&inner);
-        let at = self.journal.len_bytes();
-        self.log(OP_STAGE, &payload)?;
-        self.txn_start.get_or_insert(at);
-        self.staged.push((inner_op, inner));
-        Ok(())
-    }
-
-    /// Stages a VRD replacement into the open transaction.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::Journal`] if the durable append fails.
-    pub fn stage_replace(&mut self, vrd: &Vrd) -> Result<(), WormError> {
-        self.stage(OP_REPLACE, codec::encode_vrd(vrd))
-    }
-
-    /// Stages a record expiry into the open transaction.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::Journal`] if the durable append fails.
-    pub fn stage_expire(&mut self, proof: &DeletionProof) -> Result<(), WormError> {
-        self.stage(OP_EXPIRE, codec::encode_deletion_proof(proof))
-    }
-
-    /// Stages a shred-begin (extent entering its overwrite passes) into
-    /// the open transaction.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::Journal`] if the durable append fails.
-    pub fn stage_shred_begin(&mut self, state: &ShredState) -> Result<(), WormError> {
-        self.stage(OP_SHRED_BEGIN, codec::encode_shred_state(state))
-    }
-
-    /// Commits the open transaction: journals the commit marker (the
-    /// commitment point — durable before anything applies), then applies
-    /// every staged frame. A crash before the marker rolls the whole unit
-    /// back at recovery; a crash after replays it in full.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::Journal`] if the marker append fails (the transaction
-    /// stays open — retry or [`Vrdt::abort_txn`]).
-    pub fn commit_txn(&mut self) -> Result<(), WormError> {
-        if self.staged.is_empty() {
-            self.txn_start = None;
-            return Ok(());
-        }
-        let n = u32::try_from(self.staged.len()).map_err(|_| {
-            WormError::Wire(WireError {
-                expected: "staged count within u32",
-            })
-        })?;
-        self.log(OP_COMMIT, &n.to_be_bytes())?;
-        self.txn_start = None;
-        for (op, payload) in std::mem::take(&mut self.staged) {
-            self.apply_op(op, &payload).map_err(WormError::Wire)?;
-        }
-        Ok(())
-    }
-
-    /// Aborts the open transaction: truncates its staged frames off the
-    /// journal (and the durable sink) without applying them — the same
-    /// rollback a crash-recovery would perform.
-    ///
-    /// # Errors
-    ///
-    /// [`WormError::Journal`] if erasing the sink tail fails; the
-    /// transaction is logically gone regardless (any surviving staged
-    /// frames on disk are uncommitted and roll back at the next
-    /// recovery).
-    pub fn abort_txn(&mut self) -> Result<(), WormError> {
-        let Some(start) = self.txn_start.take() else {
-            return Ok(());
-        };
-        self.staged.clear();
-        self.journal.truncate_tail(self.journal.len_bytes() - start);
-        if let Some(sink) = self.sink.as_mut() {
-            sink.truncate_to(start as u64);
-            sink.erase_tail()?;
-        }
-        Ok(())
-    }
-
     /// Journals completion of shred pass `pass` (0-based) for the pending
     /// extent at `offset`, advancing its resume point. The marker goes to
     /// the journal *after* the pass bytes hit the medium: a crash between
@@ -572,12 +441,15 @@ impl Vrdt {
     ///
     /// As [`Vrdt::insert`].
     pub fn note_shred_pass(&mut self, offset: u64, pass: u32) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
         self.log(OP_SHRED_PASS, &codec::encode_shred_pass(offset, pass))?;
-        if let Some(s) = self.pending_shreds.get_mut(&offset) {
-            s.next_pass = pass + 1;
-        }
+        self.apply_shred_pass(offset, pass);
         Ok(())
+    }
+
+    fn apply_shred_pass(&mut self, offset: u64, pass: u32) {
+        if let Some(s) = self.pending_shreds.get_mut(&offset) {
+            s.next_pass = pass.saturating_add(1);
+        }
     }
 
     /// Journals completion of the whole shred at `offset`; the extent may
@@ -587,7 +459,6 @@ impl Vrdt {
     ///
     /// As [`Vrdt::insert`].
     pub fn note_shred_done(&mut self, offset: u64) -> Result<(), WormError> {
-        self.ensure_no_txn()?;
         self.log(OP_SHRED_DONE, &codec::encode_shred_done(offset))?;
         self.pending_shreds.remove(&offset);
         Ok(())
@@ -779,17 +650,23 @@ mod tests {
         }
     }
 
-    fn shred_state(offset: u64) -> ShredState {
-        ShredState {
-            rd: RecordDescriptor {
-                id: RecordId(7),
-                offset,
-                len: 64,
-            },
-            shredder: Shredder::MultiPass { passes: 2 },
-            next_pass: 0,
+    fn extent(offset: u64) -> RecordDescriptor {
+        RecordDescriptor {
+            id: RecordId(7),
+            offset,
+            len: 64,
         }
     }
+
+    /// An active VRD whose records sit at `offsets`.
+    fn vrd_at(sn: u64, offsets: &[u64]) -> Vrd {
+        Vrd {
+            rdl: offsets.iter().map(|&o| extent(o)).collect(),
+            ..vrd(sn)
+        }
+    }
+
+    const TWO_PASS: Shredder = Shredder::MultiPass { passes: 2 };
 
     #[test]
     fn insert_and_lookup() {
@@ -806,7 +683,7 @@ mod tests {
     fn expire_replaces_entry() {
         let mut t = Vrdt::new();
         t.insert(vrd(1)).unwrap();
-        t.expire(del(1)).unwrap();
+        t.expire(del(1), Shredder::ZeroFill).unwrap();
         assert!(matches!(t.lookup(SerialNumber(1)), Lookup::Expired(_)));
         assert_eq!(t.iter_active().count(), 0);
         assert_eq!(t.iter_expired().count(), 1);
@@ -819,7 +696,7 @@ mod tests {
             t.insert(vrd(i)).unwrap();
         }
         for i in 2..=4 {
-            t.expire(del(i)).unwrap();
+            t.expire(del(i), Shredder::ZeroFill).unwrap();
         }
         assert_eq!(t.resident_entries(), 6);
         t.compact(window(99, 2, 4)).unwrap();
@@ -841,8 +718,8 @@ mod tests {
         for i in 1..=5 {
             t.insert(vrd(i)).unwrap();
         }
-        t.expire(del(2)).unwrap();
-        t.expire(del(4)).unwrap();
+        t.expire(del(2), Shredder::ZeroFill).unwrap();
+        t.expire(del(4), Shredder::ZeroFill).unwrap();
         // Window covering 2..=4 where 3 is still active: 3 survives.
         t.compact(window(7, 2, 4)).unwrap();
         assert!(matches!(t.lookup(SerialNumber(3)), Lookup::Active(_)));
@@ -855,7 +732,7 @@ mod tests {
             t.insert(vrd(i)).unwrap();
         }
         for i in 1..=3 {
-            t.expire(del(i)).unwrap();
+            t.expire(del(i), Shredder::ZeroFill).unwrap();
         }
         t.set_base(BaseCert {
             sn_base: SerialNumber(4),
@@ -875,7 +752,7 @@ mod tests {
             t.insert(vrd(i)).unwrap();
         }
         for i in (5..=10).chain(15..=20) {
-            t.expire(del(i)).unwrap();
+            t.expire(del(i), Shredder::ZeroFill).unwrap();
         }
         t.compact(window(1, 5, 10)).unwrap();
         t.compact(window(2, 15, 20)).unwrap();
@@ -891,7 +768,7 @@ mod tests {
             t.insert(vrd(i)).unwrap();
         }
         for i in [2u64, 3, 4, 6, 8, 9, 10, 11] {
-            t.expire(del(i)).unwrap();
+            t.expire(del(i), Shredder::ZeroFill).unwrap();
         }
         let runs = t.expired_runs(3);
         assert_eq!(
@@ -925,7 +802,7 @@ mod tests {
             t.insert(vrd(i)).unwrap();
         }
         for i in 2..=5 {
-            t.expire(del(i)).unwrap();
+            t.expire(del(i), Shredder::ZeroFill).unwrap();
         }
         t.compact(window(3, 2, 5)).unwrap();
         t.set_head(head(8)).unwrap();
@@ -946,7 +823,7 @@ mod tests {
             let b = format!("{:?}", recovered.lookup(SerialNumber(i)));
             assert_eq!(a, b, "sn {i}");
         }
-        assert_eq!(recovered.recovery_stats().rolled_back, 0);
+        assert_eq!(recovered.recovery_stats().replayed, 15);
     }
 
     #[test]
@@ -966,77 +843,104 @@ mod tests {
 
     #[test]
     fn recovery_rejects_garbage_opcode() {
-        let mut j = Journal::new();
-        j.append(&[200, 1, 2, 3]).unwrap();
-        assert!(Vrdt::recover(j).is_err());
+        // An unknown opcode, and expiry frames too short for a shredder.
+        for frame in [&[200, 1, 2, 3][..], &[OP_EXPIRE], &[OP_EXPIRE, 0]] {
+            let mut j = Journal::new();
+            j.append(frame).unwrap();
+            assert!(Vrdt::recover(j).is_err(), "{frame:?}");
+        }
     }
 
     #[test]
-    fn staged_txn_applies_only_on_commit() {
-        let mut t = Vrdt::new();
-        t.insert(vrd(1)).unwrap();
-        t.stage_expire(&del(1)).unwrap();
-        t.stage_shred_begin(&shred_state(128)).unwrap();
-        assert!(t.has_open_txn());
-        // Nothing applied yet.
-        assert!(matches!(t.lookup(SerialNumber(1)), Lookup::Active(_)));
-        assert!(t.pending_shreds().is_empty());
-        // Plain mutations are refused mid-transaction.
-        assert!(matches!(t.insert(vrd(2)), Err(WormError::TxnOpen)));
-        assert!(matches!(t.set_head(head(1)), Err(WormError::TxnOpen)));
-        assert!(matches!(t.note_shred_done(128), Err(WormError::TxnOpen)));
-        t.commit_txn().unwrap();
-        assert!(!t.has_open_txn());
-        assert!(matches!(t.lookup(SerialNumber(1)), Lookup::Expired(_)));
-        assert_eq!(t.pending_shreds().len(), 1);
-        assert_eq!(t.pending_shreds()[&128].next_pass, 0);
+    fn recovery_rejects_the_retired_transaction_opcodes() {
+        // 7, 8 and 9 framed a staged transaction (stage, commit, shred
+        // begin); a one-frame journal never writes them.
+        for op in [7u8, 8, 9] {
+            let mut frame = vec![op];
+            frame.extend_from_slice(&codec::encode_vrd(&vrd(1)));
+            let mut j = Journal::new();
+            j.append(&frame).unwrap();
+            assert!(Vrdt::recover(j).is_err(), "opcode {op}");
+        }
     }
 
     #[test]
-    fn recovery_rolls_back_uncommitted_staged_suffix() {
+    fn an_expiry_dooms_every_extent_in_its_one_frame() {
         let mut t = Vrdt::new();
-        t.insert(vrd(1)).unwrap();
-        t.insert(vrd(2)).unwrap();
-        t.stage_expire(&del(1)).unwrap();
-        t.stage_shred_begin(&shred_state(64)).unwrap();
-        // Crash before the commit marker: recover from the raw bytes.
-        let crashed = Journal::from_bytes(t.journal().as_bytes().to_vec());
-        let pre_txn_len = crashed.len_bytes();
-        let r = Vrdt::recover(crashed).unwrap();
-        assert!(matches!(r.lookup(SerialNumber(1)), Lookup::Active(_)));
-        assert!(r.pending_shreds().is_empty());
-        let stats = r.recovery_stats();
-        assert_eq!(stats.rolled_back, 2);
-        assert_eq!(stats.replayed, 2); // the two plain inserts
-                                       // The staged suffix was truncated off the journal.
-        assert!(r.journal().len_bytes() < pre_txn_len);
-        // And the table keeps working post-rollback.
-        let mut r = r;
-        r.expire(del(2)).unwrap();
-        assert!(matches!(r.lookup(SerialNumber(2)), Lookup::Expired(_)));
-    }
-
-    #[test]
-    fn committed_txn_replays_atomically() {
-        let mut t = Vrdt::new();
-        t.insert(vrd(1)).unwrap();
-        t.stage_expire(&del(1)).unwrap();
-        t.stage_shred_begin(&shred_state(96)).unwrap();
-        t.commit_txn().unwrap();
+        t.insert(vrd_at(1, &[128, 192])).unwrap();
+        let before = t.journal().len_bytes();
+        let doomed = t.expire(del(1), TWO_PASS).unwrap();
+        assert_eq!(
+            doomed.iter().map(|s| s.rd.offset).collect::<Vec<_>>(),
+            [128, 192]
+        );
+        assert!(doomed
+            .iter()
+            .all(|s| s.shredder == TWO_PASS && s.next_pass == 0));
+        assert_eq!(t.pending_shreds().len(), 2);
+        // One frame, no larger than the record's INSERT, and replay
+        // rebuilds the same pending set from it.
+        let j = Journal::from_bytes(t.journal().as_bytes()[before..].to_vec());
+        assert_eq!(j.replay().count(), 1);
+        assert!(j.len_bytes() <= before);
         let r = Vrdt::recover(Journal::from_bytes(t.journal().as_bytes().to_vec())).unwrap();
         assert!(matches!(r.lookup(SerialNumber(1)), Lookup::Expired(_)));
+        assert_eq!(r.pending_shreds(), t.pending_shreds());
+        // Expiring a record that is not active dooms nothing.
+        assert!(t.expire(del(1), TWO_PASS).unwrap().is_empty());
+        assert!(t.expire(del(9), TWO_PASS).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_torn_expiry_leaves_the_record_active_with_no_pending_shred() {
+        let mut t = Vrdt::new();
+        t.insert(vrd_at(1, &[128])).unwrap();
+        let before = t.journal().len_bytes();
+        t.expire(del(1), TWO_PASS).unwrap();
+        let whole = t.journal().len_bytes();
+        // Every cut inside the expiry frame recovers the pre-expiry table.
+        for keep in before..whole {
+            let mut j = Journal::from_bytes(t.journal().as_bytes().to_vec());
+            j.truncate_tail(whole - keep);
+            let r = Vrdt::recover(j).unwrap();
+            assert!(
+                matches!(r.lookup(SerialNumber(1)), Lookup::Active(_)),
+                "cut at {keep}"
+            );
+            assert!(r.pending_shreds().is_empty(), "cut at {keep}");
+            assert_eq!(r.recovery_stats().replayed, 1, "cut at {keep}");
+            assert_eq!(r.journal().len_bytes(), before, "cut at {keep}");
+        }
+    }
+
+    #[test]
+    fn a_replayed_relocation_dooms_exactly_the_vacated_extent() {
+        let mut t = Vrdt::new();
+        t.insert(vrd_at(1, &[128, 192])).unwrap();
+        // A litigation hold or a strengthened witness keeps the extents.
+        assert!(t.replace(vrd_at(1, &[128, 192])).unwrap().is_empty());
+        // A relocation moves the extent at 192 down to 64.
+        let doomed = t.replace(vrd_at(1, &[128, 64])).unwrap();
+        assert_eq!(doomed.len(), 1);
+        let r = Vrdt::recover(Journal::from_bytes(t.journal().as_bytes().to_vec())).unwrap();
         assert_eq!(r.pending_shreds().len(), 1);
-        let stats = r.recovery_stats();
-        assert_eq!(stats.rolled_back, 0);
-        // 1 insert + 2 staged + 1 commit marker.
-        assert_eq!(stats.replayed, 4);
+        let s = r.pending_shreds()[&192];
+        assert_eq!(
+            (s.rd, s.shredder, s.next_pass),
+            (extent(192), Shredder::ZeroFill, 0)
+        );
+        assert_eq!(doomed[0], s);
+        match r.lookup(SerialNumber(1)) {
+            Lookup::Active(v) => assert_eq!(v.rdl, [extent(128), extent(64)]),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn shred_markers_recover_resume_state() {
         let mut t = Vrdt::new();
-        t.stage_shred_begin(&shred_state(256)).unwrap();
-        t.commit_txn().unwrap();
+        t.insert(vrd_at(1, &[256])).unwrap();
+        t.expire(del(1), TWO_PASS).unwrap();
         t.note_shred_pass(256, 0).unwrap();
         t.note_shred_pass(256, 1).unwrap();
         let r = Vrdt::recover(Journal::from_bytes(t.journal().as_bytes().to_vec())).unwrap();
@@ -1049,81 +953,18 @@ mod tests {
     }
 
     #[test]
-    fn abort_txn_truncates_journal() {
-        let mut t = Vrdt::new();
-        t.insert(vrd(1)).unwrap();
-        let before = t.journal().len_bytes();
-        t.stage_expire(&del(1)).unwrap();
-        t.abort_txn().unwrap();
-        assert!(!t.has_open_txn());
-        assert_eq!(t.journal().len_bytes(), before);
-        assert!(matches!(t.lookup(SerialNumber(1)), Lookup::Active(_)));
-        // Table keeps working after the abort.
-        t.expire(del(1)).unwrap();
-        assert!(matches!(t.lookup(SerialNumber(1)), Lookup::Expired(_)));
-    }
-
-    #[test]
-    fn recovery_rejects_commit_count_mismatch() {
-        // Hand-craft: one staged frame, commit marker claiming two.
-        let mut j = Journal::new();
-        let mut frame = vec![OP_STAGE, OP_INSERT];
-        frame.extend_from_slice(&codec::encode_vrd(&vrd(1)));
-        j.append(&frame).unwrap();
-        let mut commit = vec![OP_COMMIT];
-        commit.extend_from_slice(&2u32.to_be_bytes());
-        j.append(&commit).unwrap();
-        assert!(Vrdt::recover(j).is_err());
-    }
-
-    #[test]
-    fn recovery_rejects_plain_frame_inside_txn() {
-        // A plain frame between stage and commit can only be tampering:
-        // the runtime refuses plain ops while a transaction is open.
-        let mut j = Journal::new();
-        let mut frame = vec![OP_STAGE, OP_INSERT];
-        frame.extend_from_slice(&codec::encode_vrd(&vrd(1)));
-        j.append(&frame).unwrap();
-        let mut plain = vec![OP_INSERT];
-        plain.extend_from_slice(&codec::encode_vrd(&vrd(2)));
-        j.append(&plain).unwrap();
-        assert!(Vrdt::recover(j).is_err());
-    }
-
-    #[test]
     fn sink_mirrors_appends_durably() {
         let dev = Arc::new(MemDisk::unmetered(16 * 1024));
         let dj = DiskJournal::create(dev.clone(), 0, 8 * 1024).unwrap();
         let mut t = Vrdt::new();
         t.attach_sink(Box::new(dj)).unwrap();
-        t.insert(vrd(1)).unwrap();
-        t.stage_expire(&del(1)).unwrap();
-        t.stage_shred_begin(&shred_state(512)).unwrap();
-        t.commit_txn().unwrap();
+        t.insert(vrd_at(1, &[512])).unwrap();
+        t.expire(del(1), TWO_PASS).unwrap();
         // Reopen from the device alone.
         let (_, j, scan) = DiskJournal::open(dev, 0, 8 * 1024).unwrap();
         assert!(!scan.torn_tail);
         let r = Vrdt::recover(j).unwrap();
         assert!(matches!(r.lookup(SerialNumber(1)), Lookup::Expired(_)));
         assert_eq!(r.pending_shreds().len(), 1);
-    }
-
-    #[test]
-    fn abort_txn_erases_sink_tail() {
-        let dev = Arc::new(MemDisk::unmetered(16 * 1024));
-        let dj = DiskJournal::create(dev.clone(), 0, 8 * 1024).unwrap();
-        let mut t = Vrdt::new();
-        t.attach_sink(Box::new(dj)).unwrap();
-        t.insert(vrd(1)).unwrap();
-        t.stage_expire(&del(1)).unwrap();
-        t.abort_txn().unwrap();
-        let (_, j, scan) = DiskJournal::open(dev, 0, 8 * 1024).unwrap();
-        assert!(
-            !scan.torn_tail,
-            "aborted frames must be erased, not just dropped"
-        );
-        let r = Vrdt::recover(j).unwrap();
-        assert!(matches!(r.lookup(SerialNumber(1)), Lookup::Active(_)));
-        assert_eq!(r.recovery_stats().rolled_back, 0);
     }
 }

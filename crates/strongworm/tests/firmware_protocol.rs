@@ -367,9 +367,9 @@ fn forged_vexp_seal_is_rejected_at_the_device() {
     assert!(matches!(&resp, Err(e) if e.0.contains("seal")));
 }
 
-#[test]
-fn valid_seal_with_tampered_fields_is_rejected() {
-    // Force a spill, then try to replay its seal with an earlier expiry.
+/// A device with almost no secure memory, and the first write under
+/// `policy` whose VEXP entry it spilled: `(device, sn, expiry, seal)`.
+fn spilled_write(policy: RetentionPolicy) -> (Fw, SerialNumber, scpu::Timestamp, Vec<u8>) {
     let clock = VirtualClock::starting_at_millis(5_000);
     let mut dev = Device::new(
         WormFirmware::new(fw_config()),
@@ -379,7 +379,7 @@ fn valid_seal_with_tampered_fields_is_rejected() {
             serial: 1,
             rng_seed: 9,
         },
-        clock.clone(),
+        clock,
     );
     let reg = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(55), 512);
     dev.execute(WormRequest::Init {
@@ -387,11 +387,10 @@ fn valid_seal_with_tampered_fields_is_rejected() {
     })
     .unwrap()
     .unwrap();
-
-    let (sn, retention_until, seal) = loop {
+    loop {
         match dev
             .execute(WormRequest::Write {
-                policy: policy(1000),
+                policy,
                 flags: 0,
                 data: WriteData::Full(vec![b"x".to_vec()]),
                 witness: WitnessMode::Strong,
@@ -401,12 +400,18 @@ fn valid_seal_with_tampered_fields_is_rejected() {
         {
             WormResponse::Written(r) => {
                 if let Some(seal) = r.vexp_seal {
-                    break (r.sn, r.attr.retention_until, seal);
+                    return (dev, r.sn, r.attr.retention_until, seal);
                 }
             }
             other => panic!("unexpected {other:?}"),
         }
-    };
+    }
+}
+
+#[test]
+fn valid_seal_with_tampered_fields_is_rejected() {
+    // Force a spill, then try to replay its seal with an earlier expiry.
+    let (mut dev, sn, retention_until, seal) = spilled_write(policy(1000));
 
     // Earlier expiry with the legitimate seal: rejected (early deletion
     // attempt).
@@ -430,6 +435,30 @@ fn valid_seal_with_tampered_fields_is_rejected() {
         })
         .unwrap();
     assert!(matches!(&resp, Err(e) if e.0.contains("seal")));
+}
+
+#[test]
+fn a_seal_binds_the_multipass_count() {
+    // Seventeen passes and one pass must not seal alike: a host that
+    // re-submits the spilled entry with the weaker shredder is refused.
+    let strong = Shredder::MultiPass { passes: 17 };
+    let (mut dev, sn, expires_at, seal) =
+        spilled_write(RetentionPolicy::custom(Duration::from_secs(1000), strong));
+    let mut sync = |shredder| {
+        dev.execute(WormRequest::SyncVexp {
+            sn,
+            expires_at,
+            shredder,
+            seal: seal.clone(),
+        })
+        .unwrap()
+    };
+    let resp = sync(Shredder::MultiPass { passes: 1 });
+    assert!(matches!(&resp, Err(e) if e.0.contains("seal")), "{resp:?}");
+    // The shredder it was sealed with passes the seal (and then meets the
+    // still-full secure memory).
+    let resp = sync(strong);
+    assert!(matches!(&resp, Err(e) if !e.0.contains("seal")), "{resp:?}");
 }
 
 #[test]

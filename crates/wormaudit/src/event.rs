@@ -23,8 +23,6 @@ pub enum AuditClass {
     /// The retention daemon exhausted its failure budget and stopped —
     /// retention enforcement is no longer running.
     RetentionGiveUp,
-    /// Crash recovery rolled back one or more unwitnessed records.
-    RecoveryRollback,
     /// Crash recovery discarded a torn journal tail.
     RecoveryTornTail,
     /// An interrupted shred was resumed after a crash.
@@ -44,7 +42,6 @@ pub const ALL_CLASSES: &[AuditClass] = &[
     AuditClass::HeadRefresh,
     AuditClass::HeadRemint,
     AuditClass::RetentionGiveUp,
-    AuditClass::RecoveryRollback,
     AuditClass::RecoveryTornTail,
     AuditClass::ShredResume,
     AuditClass::ShredComplete,
@@ -61,7 +58,6 @@ impl AuditClass {
             AuditClass::HeadRefresh => 3,
             AuditClass::HeadRemint => 4,
             AuditClass::RetentionGiveUp => 5,
-            AuditClass::RecoveryRollback => 6,
             AuditClass::RecoveryTornTail => 7,
             AuditClass::ShredResume => 8,
             AuditClass::ShredComplete => 9,
@@ -70,7 +66,8 @@ impl AuditClass {
         }
     }
 
-    /// The class for a wire code, if known.
+    /// The class for a wire code, if known. Code 6 (a staged-transaction
+    /// rollback at recovery) is retired.
     pub fn from_code(code: u8) -> Option<AuditClass> {
         match code {
             1 => Some(AuditClass::VerifyFailure),
@@ -78,7 +75,6 @@ impl AuditClass {
             3 => Some(AuditClass::HeadRefresh),
             4 => Some(AuditClass::HeadRemint),
             5 => Some(AuditClass::RetentionGiveUp),
-            6 => Some(AuditClass::RecoveryRollback),
             7 => Some(AuditClass::RecoveryTornTail),
             8 => Some(AuditClass::ShredResume),
             9 => Some(AuditClass::ShredComplete),
@@ -96,7 +92,6 @@ impl AuditClass {
             AuditClass::HeadRefresh => "head-refresh",
             AuditClass::HeadRemint => "head-remint",
             AuditClass::RetentionGiveUp => "retention-giveup",
-            AuditClass::RecoveryRollback => "recovery-rollback",
             AuditClass::RecoveryTornTail => "recovery-torn-tail",
             AuditClass::ShredResume => "shred-resume",
             AuditClass::ShredComplete => "shred-complete",
@@ -183,8 +178,10 @@ mod tests {
             assert!(seen.insert(c.code()), "duplicate code {}", c.code());
             assert!(!c.as_str().is_empty());
         }
-        assert_eq!(AuditClass::from_code(0), None);
-        assert_eq!(AuditClass::from_code(255), None);
+        // 6 (`recovery-rollback`) is retired.
+        for code in [0, 6, 255] {
+            assert_eq!(AuditClass::from_code(code), None, "code {code}");
+        }
     }
 
     #[test]

@@ -233,9 +233,8 @@ impl<D: BlockDevice> RecordStore<D> {
     /// how far the previous run may have written the medium — its
     /// watermark when the host knows it, 0 when a power cut lost it.
     /// Everything else below the rebuilt watermark and below `written` —
-    /// leaked pre-commit data writes, vacated compaction sources,
-    /// rolled-back transaction extents, records whose journal frames were
-    /// lost — is reclaimed onto the free list. This is the paper's
+    /// leaked pre-commit data writes, vacated compaction sources, records
+    /// whose journal frames were lost — is reclaimed onto the free list. This is the paper's
     /// commitment rule made operational: only descriptors the journal
     /// committed define occupied space.
     ///
@@ -437,7 +436,7 @@ impl<D: BlockDevice> RecordStore<D> {
     /// scrubbed.
     ///
     /// Crash recovery reclaims extents the journal never committed —
-    /// rolled-back transaction data, leaked relocation copies — onto the
+    /// data whose frame never landed, leaked relocation copies — onto the
     /// free list, but reclaiming is bookkeeping only: the *bytes* of a
     /// live record's abandoned copy would otherwise survive until some
     /// future write happens to land there, outliving even the record's

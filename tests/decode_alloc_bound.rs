@@ -18,7 +18,6 @@ use strongworm::attr::RecordAttributes;
 use strongworm::codec::*;
 use strongworm::firmware::{DeviceKeys, WeakKeyCert};
 use strongworm::proofs::{BaseCert, DeletionProof, HeadCert, WindowProof};
-use strongworm::vrdt::ShredState;
 use strongworm::witness::{Signature, Witness};
 use strongworm::{
     CompositeBinding, CompositeHead, DeletionEvidence, HoldCredential, ReadOutcome, Regulation,
@@ -421,15 +420,6 @@ fn no_decoder_sizes_an_allocation_from_a_hostile_count() {
             "decode_base_cert",
             Box::new(|b| discard(decode_base_cert(b))),
             encode_base_cert(&base_cert()),
-        ),
-        (
-            "decode_shred_state",
-            Box::new(|b| discard(decode_shred_state(b))),
-            encode_shred_state(&ShredState {
-                rd: rd(9),
-                shredder: Shredder::RandomPass,
-                next_pass: 0,
-            }),
         ),
         (
             "decode_shred_pass",

@@ -13,7 +13,7 @@ use common::{regulator, server, short_policy, verifier};
 use scpu::{Clock, VirtualClock};
 use strongworm::powerfail::{is_power_cut, TornMedium, TornServer};
 use strongworm::{ReadVerdict, SerialNumber, Verifier, WormConfig, WormServer};
-use wormstore::{BlockDevice, CutPlan, CutStyle, Journal, MemDisk, TornDisk};
+use wormstore::{BlockDevice, CutPlan, CutStyle, DiskJournal, Journal, MemDisk, TornDisk};
 
 /// Crash the host and bring it back from the surviving parts.
 fn crash_and_resume(
@@ -267,59 +267,123 @@ fn cut_tick_and_recover(plan: CutPlan) -> (TornServer, Arc<VirtualClock>) {
     (srv, clock)
 }
 
-#[test]
-fn deletion_txn_counters_are_exact_at_every_cut_point() {
+/// `(recovery.replayed, recovery.resumed_shreds)` after a cut at each
+/// write boundary of the expiry tick, in order.
+fn counters_across_the_tick() -> Vec<(u64, u64)> {
     let (w0, w1) = tick_window();
     assert!(w1 > w0, "the expiry tick must hit the disk");
-    let mut rolled = Vec::new();
-    let mut resumed = Vec::new();
-    for at in (w0 + 1)..=w1 {
-        let (srv, _clock) = cut_tick_and_recover(CutPlan {
-            at_write: at,
-            style: CutStyle::Drop,
-            seed: 0xC0DE ^ at,
-        });
-        let stats = srv.stats_snapshot();
-        rolled.push(stats.counter("recovery.rolled_back"));
-        resumed.push(stats.counter("recovery.resumed_shreds"));
-        // A dropped write never tears a frame: the journal always ends
-        // on a clean boundary.
-        assert_eq!(stats.counter("recovery.torn_tail"), 0, "cut at {at}");
-        // Whatever the cut point, recovery itself converges: the anchor
-        // is intact, and the victim's deletion — rolled back and then
-        // re-driven by the monitor, or rolled forward and resumed — is
-        // complete before the server accepts traffic.
-        assert_eq!(
-            srv.read(SerialNumber(1)).unwrap().kind(),
-            "data",
-            "cut at {at}"
-        );
-        assert_eq!(
-            srv.read(SerialNumber(2)).unwrap().kind(),
-            "deleted",
-            "cut at {at}"
-        );
-    }
-    // The deletion transaction stages exactly two frames (expire +
-    // shred-begin) before its commit marker, so the sweep sees an exact
-    // staircase: one boundary catches one staged frame, the next catches
-    // both, and everywhere else the journal is transactionally clean.
-    let c = rolled
+    ((w0 + 1)..=w1)
+        .map(|at| {
+            let (srv, _clock) = cut_tick_and_recover(CutPlan {
+                at_write: at,
+                style: CutStyle::Drop,
+                seed: 0xC0DE ^ at,
+            });
+            let stats = srv.stats_snapshot();
+            // A dropped write never tears a frame: the journal always ends
+            // on a clean boundary.
+            assert_eq!(stats.counter("recovery.torn_tail"), 0, "cut at {at}");
+            // Whatever the cut point, recovery itself converges: the anchor
+            // is intact, and the victim's deletion — lost with its frame
+            // and re-driven by the monitor, or replayed and resumed — is
+            // complete before the server accepts traffic.
+            assert_eq!(
+                srv.read(SerialNumber(1)).unwrap().kind(),
+                "data",
+                "cut at {at}"
+            );
+            assert_eq!(
+                srv.read(SerialNumber(2)).unwrap().kind(),
+                "deleted",
+                "cut at {at}"
+            );
+            (
+                stats.counter("recovery.replayed"),
+                stats.counter("recovery.resumed_shreds"),
+            )
+        })
+        .collect()
+}
+
+/// Index into [`counters_across_the_tick`] of the first cut that finds
+/// the victim's expiry frame on the medium: it drops the first shred pass.
+fn first_resumed(counters: &[(u64, u64)]) -> usize {
+    counters
         .iter()
-        .position(|&r| r == 2)
-        .unwrap_or_else(|| panic!("no cut rolled back the full txn: {rolled:?}"));
-    let mut want = vec![0u64; rolled.len()];
-    want[c - 1] = 1;
-    want[c] = 2;
-    assert_eq!(rolled, want, "rolled_back staircase");
-    // Once the commit marker lands, rollback is off the table and the
-    // pending shred resumes instead: one pass write, one pass marker,
-    // one done marker — exactly three boundaries with a shred to resume.
+        .position(|&(_, resumed)| resumed == 1)
+        .unwrap_or_else(|| panic!("no cut left a shred to resume: {counters:?}"))
+}
+
+#[test]
+fn deletion_txn_counters_are_exact_at_every_cut_point() {
+    let counters = counters_across_the_tick();
+    let c = first_resumed(&counters);
+    assert!(c > 0, "the tick writes nothing before the expiry frame");
+    // The deletion is one frame: the cut before it recovers the record
+    // live, the cut after it recovers the record deleted, and between
+    // the two exactly one more frame replays.
+    assert_eq!(
+        counters[c].0,
+        counters[c - 1].0 + 1,
+        "frames of the deletion unit: {counters:?}"
+    );
+    // From that frame on the pending shred resumes: one pass write, one
+    // pass marker, one done marker — exactly three boundaries with a
+    // shred to resume.
+    let resumed: Vec<u64> = counters.iter().map(|&(_, r)| r).collect();
     let mut want = vec![0u64; resumed.len()];
-    for slot in want.iter_mut().skip(c + 1).take(3) {
+    for slot in want.iter_mut().skip(c).take(3) {
         *slot = 1;
     }
     assert_eq!(resumed, want, "resumed_shreds run");
+}
+
+#[test]
+fn a_deletion_journals_one_frame_before_its_first_pass_write() {
+    const VICTIM: &[u8] = b"doomed victim";
+    let frames_on = |dev: &TornMedium| {
+        let (_, journal, _) =
+            DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
+        journal.replay().count()
+    };
+    let plaintext_on =
+        |dev: &TornMedium| dev.inner().raw().windows(VICTIM.len()).any(|w| w == VICTIM);
+    // Past the victim's retention, short of the head's refresh interval:
+    // the tick journals the deletion and nothing else.
+    let past_retention = Duration::from_secs(110);
+    let (srv, dev, clock) = victim_rig();
+    let before = frames_on(&dev);
+    assert!(plaintext_on(&dev));
+    clock.advance(past_retention);
+    let w0 = dev.writes_seen();
+    srv.tick().expect("clean tick");
+    let w1 = dev.writes_seen();
+    assert!(!plaintext_on(&dev), "the tick shreds the victim");
+    // Cut the tick at each boundary in turn: the last cut that still
+    // finds the victim's plaintext dropped the first pass write, and
+    // every frame on the medium then was journaled before it.
+    let mut before_first_pass = None;
+    for at in (w0 + 1)..=w1 {
+        let (srv, dev, clock) = victim_rig();
+        clock.advance(past_retention);
+        dev.arm(CutPlan {
+            at_write: at,
+            style: CutStyle::Drop,
+            seed: at,
+        });
+        assert!(srv.tick().is_err(), "the armed cut fires inside the tick");
+        dev.revive();
+        if !plaintext_on(&dev) {
+            break;
+        }
+        before_first_pass = Some(frames_on(&dev));
+    }
+    let before_first_pass = before_first_pass.expect("the tick shreds the victim");
+    assert_eq!(
+        before_first_pass - before,
+        1,
+        "frames before the first pass"
+    );
 }
 
 #[test]
@@ -327,6 +391,7 @@ fn torn_tail_counter_is_exact_under_injected_cuts() {
     // Profile the victim write: its final device write is the record's
     // VRD journal frame (data extents land first, the frame seals them).
     let (srv, dev, _clock) = anchor_rig();
+    let before = srv.vrdt().journal().replay().count() as u64;
     srv.write(&[b"doomed victim"], short_policy(100))
         .expect("victim");
     let frame_at = dev.writes_seen();
@@ -354,7 +419,9 @@ fn torn_tail_counter_is_exact_under_injected_cuts() {
         // a dropped frame is a clean boundary. Exactly one or zero —
         // never more, no matter the style.
         assert_eq!(stats.counter("recovery.torn_tail"), want_torn, "{style}");
-        assert_eq!(stats.counter("recovery.rolled_back"), 0, "no txn open");
+        // The lost frame was one whole unit: recovery replays exactly
+        // what the journal held before the write.
+        assert_eq!(stats.counter("recovery.replayed"), before, "{style}");
         replayed.push(stats.counter("recovery.replayed"));
         assert_eq!(srv.read(SerialNumber(1)).unwrap().kind(), "data");
     }
@@ -365,82 +432,79 @@ fn torn_tail_counter_is_exact_under_injected_cuts() {
 
 #[test]
 fn rollback_counts_repeat_exactly_when_recovery_itself_crashes() {
-    // Locate the commit-marker boundary: the unique cut that leaves both
-    // staged frames on disk with no commit marker.
-    let (w0, w1) = tick_window();
-    let mut commit_at = None;
-    for at in (w0 + 1)..=w1 {
-        let (srv, _clock) = cut_tick_and_recover(CutPlan {
+    // Two cuts around the victim's expiry frame: the one that loses it
+    // (the deletion rolls back to nothing and the monitor re-drives it)
+    // and the one that keeps it but drops the first shred pass.
+    let counters = counters_across_the_tick();
+    let c = first_resumed(&counters);
+    let (w0, _) = tick_window();
+    for i in [c - 1, c] {
+        let at = w0 + 1 + i as u64;
+        let (srv, dev, clock) = victim_rig();
+        clock.advance(Duration::from_secs(150));
+        dev.arm(CutPlan {
             at_write: at,
             style: CutStyle::Drop,
-            seed: 0xBEEF ^ at,
+            seed: 1,
         });
-        if srv.stats_snapshot().counter("recovery.rolled_back") == 2 {
-            commit_at = Some(at);
-            break;
-        }
+        let err = srv.tick().expect_err("the armed cut fires inside the tick");
+        assert!(is_power_cut(&err), "unexpected tick failure: {err}");
+        let (device, _, _) = srv.into_parts();
+
+        // Second cut: kill recovery on its very first device write.
+        dev.revive();
+        dev.arm(CutPlan {
+            at_write: 1,
+            style: CutStyle::Drop,
+            seed: 2,
+        });
+        let device = match TornServer::recover_durable(
+            dev.clone(),
+            TORN_JOURNAL,
+            device,
+            WormConfig::test_small(),
+            clock.clone(),
+        ) {
+            Ok(_) => panic!("recovery must hit the armed cut"),
+            Err((e, device)) => {
+                assert!(is_power_cut(&e), "unexpected recovery failure: {e}");
+                device
+            }
+        };
+
+        // Recovery wrote nothing that counts, so the second recovery sees
+        // the same journal and reports exactly what an uninterrupted one
+        // reports after the same tick cut.
+        dev.revive();
+        let srv = TornServer::recover_durable(
+            dev,
+            TORN_JOURNAL,
+            device,
+            WormConfig::test_small(),
+            clock.clone(),
+        )
+        .map_err(|(e, _)| e)
+        .expect("second recovery succeeds");
+        let stats = srv.stats_snapshot();
+        assert_eq!(
+            (
+                stats.counter("recovery.replayed"),
+                stats.counter("recovery.resumed_shreds")
+            ),
+            counters[i],
+            "cut at {at}"
+        );
+        assert_eq!(stats.counter("recovery.torn_tail"), 0);
+        // And it converges: the deletion is complete, and the anchor
+        // still verifies end-to-end.
+        assert_eq!(srv.read(SerialNumber(2)).unwrap().kind(), "deleted");
+        let v = Verifier::new(srv.keys(), Duration::from_secs(300), clock).expect("verifier");
+        let sn = SerialNumber(1);
+        assert_eq!(
+            v.verify_read(sn, &srv.read(sn).unwrap()).unwrap(),
+            ReadVerdict::Intact { sn }
+        );
     }
-    let commit_at = commit_at.expect("commit boundary exists in the window");
-
-    // First cut: drop the commit marker mid-deletion-transaction.
-    let (srv, dev, clock) = victim_rig();
-    clock.advance(Duration::from_secs(150));
-    dev.arm(CutPlan {
-        at_write: commit_at,
-        style: CutStyle::Drop,
-        seed: 1,
-    });
-    let err = srv.tick().expect_err("the armed cut fires inside the tick");
-    assert!(is_power_cut(&err), "unexpected tick failure: {err}");
-    let (device, _, _) = srv.into_parts();
-
-    // Second cut: kill recovery on its very first device write — the
-    // journal-tail erase that would have made the rollback durable.
-    dev.revive();
-    dev.arm(CutPlan {
-        at_write: 1,
-        style: CutStyle::Drop,
-        seed: 2,
-    });
-    let device = match TornServer::recover_durable(
-        dev.clone(),
-        TORN_JOURNAL,
-        device,
-        WormConfig::test_small(),
-        clock.clone(),
-    ) {
-        Ok(_) => panic!("recovery must hit the armed cut"),
-        Err((e, device)) => {
-            assert!(is_power_cut(&e), "unexpected recovery failure: {e}");
-            device
-        }
-    };
-
-    // The rollback never became durable, so the second recovery sees the
-    // SAME two staged frames and reports rolling them back again —
-    // exactly two, exactly like the first attempt would have.
-    dev.revive();
-    let srv = TornServer::recover_durable(
-        dev,
-        TORN_JOURNAL,
-        device,
-        WormConfig::test_small(),
-        clock.clone(),
-    )
-    .map_err(|(e, _)| e)
-    .expect("second recovery succeeds");
-    let stats = srv.stats_snapshot();
-    assert_eq!(stats.counter("recovery.rolled_back"), 2);
-    assert_eq!(stats.counter("recovery.torn_tail"), 0);
-    // And it converges: the monitor re-drives the deletion during
-    // recovery, and the anchor still verifies end-to-end.
-    assert_eq!(srv.read(SerialNumber(2)).unwrap().kind(), "deleted");
-    let v = Verifier::new(srv.keys(), Duration::from_secs(300), clock).expect("verifier");
-    let sn = SerialNumber(1);
-    assert_eq!(
-        v.verify_read(sn, &srv.read(sn).unwrap()).unwrap(),
-        ReadVerdict::Intact { sn }
-    );
 }
 
 #[test]
