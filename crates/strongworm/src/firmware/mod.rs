@@ -103,10 +103,10 @@ pub struct WriteReceipt {
     pub metasig: Witness,
     /// Witness over `(SN, Hash(data))`.
     pub datasig: Witness,
-    /// Sealing token handed back when secure memory had no room for the
-    /// VEXP entry; the host must re-submit it via
-    /// [`WormRequest::SyncVexp`] during an idle period.
-    pub vexp_seal: Option<Vec<u8>>,
+    /// Secure memory had no room for the record's VEXP entry: the host
+    /// re-arms it later from `attr` and `metasig` via
+    /// [`WormRequest::SyncVexpFromAttr`].
+    pub vexp_spilled: bool,
 }
 
 /// Items the firmware pushes out for the host to apply.
@@ -216,7 +216,8 @@ pub enum WormRequest {
         credential: ReleaseCredential,
     },
     /// Re-schedules a record's expiration from its SCPU-signed attributes
-    /// (host-crash recovery; the firmware re-verifies `metasig`).
+    /// (a spilled VEXP entry, or host-crash recovery; the firmware
+    /// re-verifies `metasig`).
     SyncVexpFromAttr {
         /// Serial number of the record.
         sn: SerialNumber,
@@ -224,17 +225,6 @@ pub enum WormRequest {
         attr: RecordAttributes,
         /// The metasig witness covering them.
         metasig: Witness,
-    },
-    /// Re-submits a spilled VEXP entry with its sealing token.
-    SyncVexp {
-        /// Serial number of the record.
-        sn: SerialNumber,
-        /// Its sealed expiration time.
-        expires_at: Timestamp,
-        /// Its sealed shredding discipline code.
-        shredder: Shredder,
-        /// The token issued at write time.
-        seal: Vec<u8>,
     },
     /// Submits full record data for audit of a trust-host-hash write.
     AuditData {
@@ -347,7 +337,7 @@ pub struct WormFirmware {
     pub(crate) pending_audits: BTreeMap<SerialNumber, Vec<u8>>,
     /// Items for the host to collect.
     pub(crate) outbox: Vec<OutboxItem>,
-    /// Count of records whose VEXP entry was spilled to the host.
+    /// Count of writes whose VEXP entry did not fit in secure memory.
     pub(crate) spilled: u64,
 }
 
@@ -376,7 +366,7 @@ impl WormFirmware {
         self.pending.len()
     }
 
-    /// Number of writes whose VEXP entry was spilled to the host.
+    /// Number of writes whose VEXP entry did not fit in secure memory.
     pub fn spilled_count(&self) -> u64 {
         self.spilled
     }
@@ -417,12 +407,6 @@ impl WormFirmware {
             WormRequest::SyncVexpFromAttr { sn, attr, metasig } => {
                 self.sync_vexp_from_attr(env, sn, attr, metasig)
             }
-            WormRequest::SyncVexp {
-                sn,
-                expires_at,
-                shredder,
-                seal,
-            } => self.sync_vexp(env, sn, expires_at, shredder, seal),
             WormRequest::AuditData { sn, data } => self.audit_data(env, sn, data),
             WormRequest::DrainOutbox => Ok(WormResponse::Outbox(std::mem::take(&mut self.outbox))),
         }
@@ -449,7 +433,7 @@ impl Applet for WormFirmware {
             WormRequest::CompactWindow { .. } => "scpu.compact_window",
             WormRequest::LitHold { .. } => "scpu.lit_hold",
             WormRequest::LitRelease { .. } => "scpu.lit_release",
-            WormRequest::SyncVexpFromAttr { .. } | WormRequest::SyncVexp { .. } => "scpu.sync_vexp",
+            WormRequest::SyncVexpFromAttr { .. } => "scpu.sync_vexp",
             WormRequest::AuditData { .. } => "scpu.audit",
             WormRequest::DrainOutbox => "scpu.drain_outbox",
         }

@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use scpu::{Env, SecureMemory, SecureMemoryExhausted, Timestamp};
-use wormcrypt::{ct_eq, Hmac, Sha256};
 use wormstore::Shredder;
 
 use super::{reject, FirmwareError, OutboxItem, WormFirmware, WormResponse};
@@ -158,7 +157,8 @@ impl WormFirmware {
     }
 
     /// `SyncVexpFromAttr`: re-schedules a record's expiration from its own
-    /// SCPU-signed attributes — the host-crash recovery path. The firmware
+    /// SCPU-signed attributes — the one re-arm path, for an entry spilled
+    /// at write time and after a host crash alike. The firmware
     /// verifies `metasig` with its own keys, so the host cannot shorten
     /// the retention or change the shredding discipline; litigation holds
     /// embedded in the attributes are re-armed as well.
@@ -214,32 +214,6 @@ impl WormFirmware {
         {
             Ok(()) => Ok(WormResponse::Synced),
             Err(e) => reject(format!("secure memory exhausted: {e}")),
-        }
-    }
-
-    /// `SyncVexp`: re-admits a spilled expiration entry. The sealing token
-    /// (HMAC under the firmware-internal key) stops the host from altering
-    /// the expiry or the shredding discipline.
-    pub(crate) fn sync_vexp(
-        &mut self,
-        env: &mut Env,
-        sn: SerialNumber,
-        expires_at: Timestamp,
-        shredder: Shredder,
-        seal: Vec<u8>,
-    ) -> Result<WormResponse, FirmwareError> {
-        let s = self.booted()?;
-        let payload = crate::witness::sealed_expiry_payload(sn, expires_at, shredder);
-        let expect = Hmac::<Sha256>::mac(&s.seal_key, &payload);
-        if !ct_eq(&expect, &seal) {
-            return reject("invalid vexp seal");
-        }
-        if self.vexp.contains(sn) {
-            return Ok(WormResponse::Synced);
-        }
-        match self.vexp.insert(env.memory(), sn, expires_at, shredder) {
-            Ok(()) => Ok(WormResponse::Synced),
-            Err(e) => reject(format!("secure memory still exhausted: {e}")),
         }
     }
 }

@@ -101,27 +101,23 @@ impl WormFirmware {
             }
         }
 
-        // Schedule expiration; on secure-memory exhaustion, seal the entry
-        // out to the host instead (§4.2.2: VEXP "subject to secure storage
-        // space").
-        let vexp_seal =
-            match self
-                .vexp
-                .insert(env.memory(), sn, attr.retention_until, policy.shredder)
-            {
-                Ok(()) => None,
-                Err(_) => {
-                    self.spilled += 1;
-                    Some(self.seal_expiry(sn, attr.retention_until, policy.shredder))
-                }
-            };
+        // Schedule expiration; on secure-memory exhaustion the host keeps
+        // the entry instead and re-arms it from the signed attributes
+        // (§4.2.2: VEXP "subject to secure storage space").
+        let vexp_spilled = self
+            .vexp
+            .insert(env.memory(), sn, attr.retention_until, policy.shredder)
+            .is_err();
+        if vexp_spilled {
+            self.spilled += 1;
+        }
 
         Ok(WormResponse::Written(WriteReceipt {
             sn,
             attr,
             metasig,
             datasig,
-            vexp_seal,
+            vexp_spilled,
         }))
     }
 

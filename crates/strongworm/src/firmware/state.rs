@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use scpu::{Env, Op, Timestamp};
-use wormcrypt::{Hmac, RsaPrivateKey, RsaPublicKey, Sha256};
+use wormcrypt::{RsaPrivateKey, RsaPublicKey};
 
 use crate::proofs::{BaseCert, CompositeBinding, HeadCert, WindowProof};
 use crate::sn::SerialNumber;
@@ -45,8 +45,6 @@ pub(crate) struct BootedState {
     pub weak_history: Vec<RsaPublicKey>,
     /// HMAC witnessing key (never leaves the device).
     pub hmac_key: [u8; 32],
-    /// Key sealing spilled VEXP entries to the host.
-    pub seal_key: [u8; 32],
     /// Regulator public key for litigation credentials.
     pub regulator: RsaPublicKey,
     /// Highest issued serial number.
@@ -105,8 +103,6 @@ impl WormFirmware {
         let weak_key = RsaPrivateKey::generate(env.rng(), weak_bits);
         let mut hmac_key = [0u8; 32];
         env.rng().fill(&mut hmac_key);
-        let mut seal_key = [0u8; 32];
-        env.rng().fill(&mut seal_key);
 
         let max_sig_expiry = now.after(2 * self.cfg.weak_lifetime);
         let weak_cert = Self::make_weak_cert(env, &sign_key, weak_key.public(), max_sig_expiry);
@@ -119,7 +115,6 @@ impl WormFirmware {
             weak_rotate_after: now.after(self.cfg.weak_lifetime),
             weak_history: Vec::new(),
             hmac_key,
-            seal_key,
             regulator,
             // Boot the counter at the configured origin: 0 for a lone
             // SCPU, or the shard's lane origin `i·2^56` in a sharded
@@ -376,18 +371,5 @@ impl WormFirmware {
             lo_sig,
             hi_sig,
         }))
-    }
-
-    /// Seals a spilled VEXP entry so the host can re-submit it later
-    /// without being able to alter the expiry or shredder.
-    pub(crate) fn seal_expiry(
-        &self,
-        sn: SerialNumber,
-        expires_at: Timestamp,
-        shredder: wormstore::Shredder,
-    ) -> Vec<u8> {
-        let s = self.booted_invariant();
-        let payload = crate::witness::sealed_expiry_payload(sn, expires_at, shredder);
-        Hmac::<Sha256>::mac(&s.seal_key, &payload)
     }
 }

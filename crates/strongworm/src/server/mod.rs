@@ -461,7 +461,9 @@ impl<D: BlockDevice> WormServer<D> {
         self.witness.lock().audit_failures.clone()
     }
 
-    /// Number of spilled VEXP entries awaiting re-submission.
+    /// Number of active records whose expiry the SCPU does not hold —
+    /// spilled at write time, or not re-armed since recovery — awaiting
+    /// re-arming from their signed attributes at an idle with room.
     pub fn spilled_vexp(&self) -> usize {
         self.witness.lock().spilled_vexp()
     }
@@ -711,7 +713,7 @@ impl<D: BlockDevice> WormServer<D> {
     }
 
     /// Grants the SCPU an idle budget (virtual nanoseconds) for deferred
-    /// work: strengthening witnesses, re-admitting spilled VEXP entries,
+    /// work: strengthening witnesses, re-arming spilled VEXP entries,
     /// and auditing trust-host-hash writes (§4.3).
     ///
     /// # Errors
@@ -880,7 +882,7 @@ where
             if scan.torn_tail {
                 vrdt.mark_torn_tail();
             }
-            // Attaching the sink truncates + erases the region tail,
+            // Attaching the sink cuts the region tail,
             // making the discarded torn tail durable before we serve.
             vrdt.attach_sink(Box::new(disk_journal))?;
             let data = Partition::new(dev, journal_bytes, store_bytes)

@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scpu::{Clock, Device, Meter, Op, Timestamp};
+use scpu::{Clock, Device, Meter, Op};
 use wormaudit::{AuditClass, AuditLog};
-use wormstore::{BlockDevice, RecordDescriptor, RecordStore, Shredder};
+use wormstore::{BlockDevice, RecordDescriptor, RecordStore};
 use wormtrace::sync::RwLock;
 
 use crate::attr::RecordAttributes;
@@ -36,15 +36,6 @@ use crate::sn::SerialNumber;
 use crate::vrd::Vrd;
 use crate::vrdt::{Lookup, ShredState, Vrdt};
 use crate::witness::Witness;
-
-/// A VEXP entry the firmware spilled to the host, awaiting re-submission.
-#[derive(Clone, Debug)]
-struct SpilledVexp {
-    sn: SerialNumber,
-    expires_at: Timestamp,
-    shredder: Shredder,
-    seal: Vec<u8>,
-}
 
 /// Witness-plane instrument handles, resolved once at construction so
 /// the outbox-drain loop records through pure atomics.
@@ -86,8 +77,10 @@ pub struct WitnessPlane<D: BlockDevice> {
     /// All weak-key certificates published so far (clients need the
     /// history to verify not-yet-strengthened witnesses).
     pub(crate) weak_certs: Vec<WeakKeyCert>,
-    /// Spilled VEXP entries to re-submit during idle periods.
-    spilled: Vec<SpilledVexp>,
+    /// Active records whose expiry the SCPU does not hold: spilled at
+    /// write time, or not yet re-armed since recovery. [`Self::rearm`]
+    /// re-submits them.
+    spilled: BTreeSet<SerialNumber>,
     /// Trust-host-hash writes not yet audited by the SCPU.
     unaudited: BTreeSet<SerialNumber>,
     /// Records the SCPU flagged during audit (host lied about a hash).
@@ -96,9 +89,6 @@ pub struct WitnessPlane<D: BlockDevice> {
     pub(crate) host_meter: Meter,
     host_model: scpu::CostModel,
     rng: StdRng,
-    /// Records whose expiration scheduling must be retried (crash
-    /// recovery with exhausted secure memory).
-    resync: Vec<SerialNumber>,
     /// Trace instrument handles (see [`WitnessStats`]).
     stats: WitnessStats,
     /// The tamper-evident integrity-event journal. Witness-path events
@@ -131,13 +121,12 @@ impl<D: BlockDevice> WitnessPlane<D> {
             vrdt,
             store,
             weak_certs: vec![initial_weak_cert],
-            spilled: Vec::new(),
+            spilled: BTreeSet::new(),
             unaudited: BTreeSet::new(),
             audit_failures: Vec::new(),
             host_meter: Meter::new(),
             host_model: scpu::CostModel::host_p4(),
             rng: StdRng::seed_from_u64(rng_seed),
-            resync: Vec::new(),
             stats: WitnessStats::new(trace),
             audit,
         }
@@ -146,29 +135,43 @@ impl<D: BlockDevice> WitnessPlane<D> {
     /// Rebuilds the audit queue and the SCPU's expiration schedule from
     /// recovered state (crash recovery; see `WormServer::resume`).
     pub(crate) fn rebuild_after_recovery(&mut self) {
-        let active: Vec<Vrd> = self.vrdt.read().iter_active().cloned().collect();
+        let active: Vec<SerialNumber> = self.vrdt.read().iter_active().map(|v| v.sn).collect();
         // Trust-host-hash deployments: the firmware's pending-audit set
         // survives in the device, but the host's submission queue does
         // not — re-enqueue every active record. Already-audited records
         // are rejected by the firmware and drained harmlessly.
         if self.config.hash_mode == HashMode::TrustHostHash {
-            for vrd in &active {
-                self.unaudited.insert(vrd.sn);
-            }
+            self.unaudited.extend(active.iter().copied());
         }
-        // Re-arm expirations inside the SCPU (idempotent: entries already
-        // resident in battery-backed VEXP are acknowledged as synced).
-        for vrd in active {
-            let req = WormRequest::SyncVexpFromAttr {
-                sn: vrd.sn,
-                attr: vrd.attr.clone(),
-                metasig: vrd.metasig.clone(),
-            };
-            match execute(&mut self.device, req) {
-                Ok(WormResponse::Synced) => {}
-                _ => self.resync.push(vrd.sn),
-            }
-        }
+        // Re-arm every expiration inside the SCPU (idempotent: entries
+        // already resident in battery-backed VEXP are acknowledged as
+        // synced).
+        self.spilled.extend(active);
+        self.rearm();
+    }
+
+    /// Re-arms every expiry in [`Self::spilled`] from the record's current
+    /// attributes and `metasig`, which the SCPU verifies with its own keys
+    /// — so the host cannot re-arm one earlier or with a weaker shredder.
+    /// An SN the device refuses (secure memory still full) stays for the
+    /// next pass; one no longer active leaves.
+    fn rearm(&mut self) {
+        let pending = std::mem::take(&mut self.spilled);
+        self.spilled = pending
+            .into_iter()
+            .filter(|&sn| {
+                let req = match self.vrdt.read().lookup(sn) {
+                    Lookup::Active(vrd) => WormRequest::SyncVexpFromAttr {
+                        sn,
+                        attr: vrd.attr.clone(),
+                        metasig: vrd.metasig.clone(),
+                    },
+                    _ => return false,
+                };
+                !matches!(execute(&mut self.device, req), Ok(WormResponse::Synced))
+            })
+            .collect();
+        self.stats.spilled_vexp.set(self.spilled.len() as u64);
     }
 
     pub(crate) fn spilled_vexp(&self) -> usize {
@@ -252,7 +255,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
             other => return Err(unexpected(other)),
         };
         // 3. Host assembles the VRD and commits it to the VRDT.
-        let retention_until = receipt.attr.retention_until;
         let vrd = Vrd {
             sn: receipt.sn,
             attr: receipt.attr,
@@ -261,13 +263,8 @@ impl<D: BlockDevice> WitnessPlane<D> {
             datasig: receipt.datasig,
         };
         self.vrdt.write().insert(vrd)?;
-        if let Some(seal) = receipt.vexp_seal {
-            self.spilled.push(SpilledVexp {
-                sn: receipt.sn,
-                expires_at: retention_until,
-                shredder: policy.shredder,
-                seal,
-            });
+        if receipt.vexp_spilled {
+            self.spilled.insert(receipt.sn);
             self.stats.spilled_vexp.set(self.spilled.len() as u64);
         }
         if self.config.hash_mode == HashMode::TrustHostHash {
@@ -408,44 +405,9 @@ impl<D: BlockDevice> WitnessPlane<D> {
     pub(crate) fn idle(&mut self, budget_ns: u64) -> Result<(), WormError> {
         self.device.idle(budget_ns)?;
         self.drain_outbox()?;
-        // Re-submit spilled VEXP entries while memory allows.
-        let mut remaining = Vec::new();
-        for entry in std::mem::take(&mut self.spilled) {
-            let res = execute(
-                &mut self.device,
-                WormRequest::SyncVexp {
-                    sn: entry.sn,
-                    expires_at: entry.expires_at,
-                    shredder: entry.shredder,
-                    seal: entry.seal.clone(),
-                },
-            );
-            match res {
-                Ok(WormResponse::Synced) => {}
-                _ => remaining.push(entry),
-            }
-        }
-        self.spilled = remaining;
-        self.stats.spilled_vexp.set(self.spilled.len() as u64);
-        // Retry crash-recovery expiration re-arming that previously hit
-        // exhausted secure memory.
-        let mut still_pending = Vec::new();
-        for sn in std::mem::take(&mut self.resync) {
-            let vrd = match self.vrdt.read().lookup(sn) {
-                Lookup::Active(v) => v.clone(),
-                _ => continue, // deleted meanwhile
-            };
-            let req = WormRequest::SyncVexpFromAttr {
-                sn,
-                attr: vrd.attr,
-                metasig: vrd.metasig,
-            };
-            match execute(&mut self.device, req) {
-                Ok(WormResponse::Synced) => {}
-                _ => still_pending.push(sn),
-            }
-        }
-        self.resync = still_pending;
+        // Re-arm spilled expiries while memory allows, from attributes
+        // the drain above may just have strengthened.
+        self.rearm();
         // Submit pending audits.
         let to_audit: Vec<SerialNumber> = self.unaudited.iter().copied().take(16).collect();
         for sn in to_audit {

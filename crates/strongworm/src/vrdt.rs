@@ -233,16 +233,15 @@ impl Vrdt {
     }
 
     /// Attaches a durable sink: every subsequent frame is committed to it
-    /// *before* the in-memory journal and table mutate. The sink's logical
-    /// tail is first aligned to the in-memory journal and everything past
+    /// *before* the in-memory journal and table mutate. The sink's tail is
+    /// first cut back to the in-memory journal's end and everything past
     /// it erased, so a torn on-disk suffix can never replay.
     ///
     /// # Errors
     ///
     /// [`WormError::Journal`] if the tail erase fails.
     pub fn attach_sink(&mut self, mut sink: Box<dyn DurableLog>) -> Result<(), WormError> {
-        sink.truncate_to(self.journal.len_bytes() as u64);
-        sink.erase_tail()?;
+        sink.cut_tail(self.journal.len_bytes() as u64)?;
         self.sink = Some(sink);
         Ok(())
     }

@@ -277,23 +277,6 @@ pub fn weak_wrap(payload: &[u8], expires_at: Timestamp) -> Vec<u8> {
     w.finish()
 }
 
-/// Payload sealed (HMAC) by the firmware when VEXP memory overflows: lets
-/// the host later re-submit an expiration entry without being able to
-/// forge an earlier expiry or a weaker shredder.
-pub fn sealed_expiry_payload(
-    sn: SerialNumber,
-    expires_at: Timestamp,
-    shredder: wormstore::Shredder,
-) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.vexpseal.v1");
-    w.put_u64(sn.get());
-    w.put_u64(expires_at.as_millis());
-    let (kind, arg) = shredder.code();
-    w.put_u8(kind);
-    w.put_u8(arg);
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +335,6 @@ mod tests {
             window_payload(1, sn, WindowSide::Lower),
             window_payload(1, sn, WindowSide::Upper),
             deletion_payload(sn, t),
-            sealed_expiry_payload(sn, t, wormstore::Shredder::ZeroFill),
             composite_payload(1, b"x", t),
         ];
         for i in 0..payloads.len() {

@@ -9,9 +9,11 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Applet, Clock, Device, DeviceConfig, VirtualClock};
+use strongworm::attr::RecordAttributes;
 use strongworm::firmware::{
-    FirmwareConfig, OutboxItem, WormFirmware, WormRequest, WormResponse, WriteData,
+    FirmwareConfig, FirmwareError, OutboxItem, WormFirmware, WormRequest, WormResponse, WriteData,
 };
+use strongworm::witness::{Signature, Witness};
 use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
 use wormstore::Shredder;
 
@@ -202,7 +204,7 @@ fn attributes_are_stamped_with_trusted_time() {
                 clock.now().after(Duration::from_secs(500))
             );
             assert_eq!(r.attr.flags, 7);
-            assert!(r.vexp_seal.is_none());
+            assert!(!r.vexp_spilled);
         }
         other => panic!("unexpected {other:?}"),
     }
@@ -351,25 +353,9 @@ fn deletion_orders_carry_the_records_shredder() {
     assert_eq!(deleted.1, Shredder::MultiPass { passes: 3 });
 }
 
-#[test]
-fn forged_vexp_seal_is_rejected_at_the_device() {
-    let (mut dev, _clock, _reg) = booted();
-    let sn = write(&mut dev, 1000);
-    // A seal the firmware never issued.
-    let resp = dev
-        .execute(WormRequest::SyncVexp {
-            sn,
-            expires_at: scpu::Timestamp::from_millis(1), // "expire immediately"
-            shredder: Shredder::ZeroFill,
-            seal: vec![0u8; 32],
-        })
-        .unwrap();
-    assert!(matches!(&resp, Err(e) if e.0.contains("seal")));
-}
-
 /// A device with almost no secure memory, and the first write under
-/// `policy` whose VEXP entry it spilled: `(device, sn, expiry, seal)`.
-fn spilled_write(policy: RetentionPolicy) -> (Fw, SerialNumber, scpu::Timestamp, Vec<u8>) {
+/// `policy` whose VEXP entry it spilled: `(device, sn, attr, metasig)`.
+fn spilled_write(policy: RetentionPolicy) -> (Fw, SerialNumber, RecordAttributes, Witness) {
     let clock = VirtualClock::starting_at_millis(5_000);
     let mut dev = Device::new(
         WormFirmware::new(fw_config()),
@@ -398,67 +384,90 @@ fn spilled_write(policy: RetentionPolicy) -> (Fw, SerialNumber, scpu::Timestamp,
             .unwrap()
             .unwrap()
         {
-            WormResponse::Written(r) => {
-                if let Some(seal) = r.vexp_seal {
-                    return (dev, r.sn, r.attr.retention_until, seal);
-                }
+            WormResponse::Written(r) if r.vexp_spilled => {
+                return (dev, r.sn, r.attr, r.metasig);
             }
+            WormResponse::Written(_) => {}
             other => panic!("unexpected {other:?}"),
         }
     }
 }
 
-#[test]
-fn valid_seal_with_tampered_fields_is_rejected() {
-    // Force a spill, then try to replay its seal with an earlier expiry.
-    let (mut dev, sn, retention_until, seal) = spilled_write(policy(1000));
+/// Presents `(sn, attr, metasig)` to re-arm a spilled expiry.
+fn rearm(
+    dev: &mut Fw,
+    sn: SerialNumber,
+    attr: RecordAttributes,
+    metasig: Witness,
+) -> Result<WormResponse, FirmwareError> {
+    dev.execute(WormRequest::SyncVexpFromAttr { sn, attr, metasig })
+        .unwrap()
+}
 
-    // Earlier expiry with the legitimate seal: rejected (early deletion
-    // attempt).
-    let resp = dev
-        .execute(WormRequest::SyncVexp {
-            sn,
-            expires_at: retention_until.before(Duration::from_secs(500)),
-            shredder: Shredder::ZeroFill,
-            seal: seal.clone(),
-        })
-        .unwrap();
-    assert!(matches!(&resp, Err(e) if e.0.contains("seal")));
-
-    // Different shredder with the legitimate seal: rejected.
-    let resp = dev
-        .execute(WormRequest::SyncVexp {
-            sn,
-            expires_at: retention_until,
-            shredder: Shredder::RandomPass,
-            seal,
-        })
-        .unwrap();
-    assert!(matches!(&resp, Err(e) if e.0.contains("seal")));
+/// A refusal that names the metasig: the device re-verified the
+/// presented attributes and they failed, before secure memory mattered.
+fn refused_by_metasig(resp: &Result<WormResponse, FirmwareError>) -> bool {
+    matches!(resp, Err(e) if e.0.contains("metasig"))
 }
 
 #[test]
-fn a_seal_binds_the_multipass_count() {
-    // Seventeen passes and one pass must not seal alike: a host that
-    // re-submits the spilled entry with the weaker shredder is refused.
-    let strong = Shredder::MultiPass { passes: 17 };
-    let (mut dev, sn, expires_at, seal) =
-        spilled_write(RetentionPolicy::custom(Duration::from_secs(1000), strong));
-    let mut sync = |shredder| {
-        dev.execute(WormRequest::SyncVexp {
-            sn,
-            expires_at,
-            shredder,
-            seal: seal.clone(),
-        })
-        .unwrap()
+fn a_metasig_the_device_never_issued_is_rejected_at_the_device() {
+    let (mut dev, sn, attr, metasig) = spilled_write(policy(1000));
+    let Witness::Strong(sig) = metasig else {
+        panic!("a strong write's metasig is a signature")
     };
-    let resp = sync(Shredder::MultiPass { passes: 1 });
-    assert!(matches!(&resp, Err(e) if e.0.contains("seal")), "{resp:?}");
-    // The shredder it was sealed with passes the seal (and then meets the
+    // "Expire immediately", under a signature the firmware never made.
+    let mut early = attr.clone();
+    early.retention_until = scpu::Timestamp::from_millis(1);
+    let forged = Witness::Strong(Signature {
+        key_id: sig.key_id,
+        bytes: vec![0u8; sig.bytes.len()],
+    });
+    assert!(refused_by_metasig(&rearm(
+        &mut dev,
+        sn,
+        early,
+        forged.clone()
+    )));
+    assert!(refused_by_metasig(&rearm(&mut dev, sn, attr, forged)));
+}
+
+#[test]
+fn a_legitimate_metasig_with_tampered_attributes_is_rejected() {
+    let (mut dev, sn, attr, metasig) = spilled_write(policy(1000));
+
+    // Earlier expiry with the legitimate metasig: rejected (early
+    // deletion attempt).
+    let mut early = attr.clone();
+    early.retention_until = attr.retention_until.before(Duration::from_secs(500));
+    let resp = rearm(&mut dev, sn, early, metasig.clone());
+    assert!(refused_by_metasig(&resp), "{resp:?}");
+
+    // Different shredder with the legitimate metasig: rejected.
+    let mut weaker = attr;
+    weaker.shredder = Shredder::RandomPass;
+    let resp = rearm(&mut dev, sn, weaker, metasig);
+    assert!(refused_by_metasig(&resp), "{resp:?}");
+}
+
+#[test]
+fn a_metasig_binds_the_multipass_count() {
+    // Seventeen passes and one pass must not verify alike: a host that
+    // re-arms the spilled entry with the weaker shredder is refused.
+    let strong = Shredder::MultiPass { passes: 17 };
+    let (mut dev, sn, attr, metasig) =
+        spilled_write(RetentionPolicy::custom(Duration::from_secs(1000), strong));
+    let mut weaker = attr.clone();
+    weaker.shredder = Shredder::MultiPass { passes: 1 };
+    let resp = rearm(&mut dev, sn, weaker, metasig.clone());
+    assert!(refused_by_metasig(&resp), "{resp:?}");
+    // The attributes it signed pass the metasig (and then meet the
     // still-full secure memory).
-    let resp = sync(strong);
-    assert!(matches!(&resp, Err(e) if !e.0.contains("seal")), "{resp:?}");
+    let resp = rearm(&mut dev, sn, attr, metasig);
+    assert!(
+        matches!(&resp, Err(e) if e.0.contains("secure memory")),
+        "{resp:?}"
+    );
 }
 
 #[test]

@@ -23,15 +23,16 @@
 //!   bogus `len` can never send replay chasing bytes that accidentally
 //!   CRC-match.
 //! * `epoch` — bumped once per recovery ([`Journal::from_bytes`]). Replay
-//!   requires epochs to be non-decreasing: when a rolled-back tail is
-//!   partially overwritten by post-recovery appends, any stale
-//!   still-intact frame beyond the new tail carries an older epoch and
-//!   stops replay instead of resurrecting rolled-back state.
+//!   requires epochs to be non-decreasing: when a tail recovery discarded
+//!   (past a torn or corrupt frame) is partially overwritten by
+//!   post-recovery appends, any stale still-intact frame beyond the new
+//!   tail carries an older epoch and stops replay instead of resurrecting
+//!   discarded state.
 //!
 //! [`DiskJournal`] binds a journal to a [`BlockDevice`] region: each
 //! append is a single `write_at` (one power-cut boundary), recovery scans
-//! the region for the valid prefix, and [`DurableLog::erase_tail`] makes
-//! a rollback durable by zeroing everything past the logical tail.
+//! the region for the valid prefix, and [`DurableLog::cut_tail`] makes
+//! the discard durable by zeroing everything past the valid prefix.
 
 use crate::block::{BlockDevice, BlockError};
 
@@ -218,8 +219,8 @@ impl Journal {
         }
     }
 
-    /// Simulates a crash that tore off the last `bytes` of the log (also
-    /// used by recovery to roll back an uncommitted staged tail).
+    /// Drops the last `bytes` of the log: a simulated crash tearing the
+    /// tail, or recovery discarding what follows the valid prefix.
     pub fn truncate_tail(&mut self, bytes: usize) {
         let keep = self.log.len().saturating_sub(bytes);
         self.log.truncate(keep);
@@ -283,7 +284,7 @@ impl Iterator for Replay<'_> {
         if len > MAX_ENTRY_LEN || body.len() < len {
             return None; // absurd or torn
         }
-        // Stale frame beyond a rolled-back, partially overwritten tail.
+        // Stale frame beyond a discarded, partially overwritten tail.
         if epoch < self.max_epoch {
             return None;
         }
@@ -304,16 +305,12 @@ pub trait DurableLog: Send + Sync {
     /// single device write so a power cut tears at most this one frame.
     fn append_frame(&mut self, frame: &[u8]) -> Result<(), JournalError>;
 
-    /// Moves the logical tail back to `tail_bytes` (rollback of an
-    /// uncommitted staged suffix). Logical only — pair with
-    /// [`DurableLog::erase_tail`] to make it durable.
-    fn truncate_to(&mut self, tail_bytes: u64);
-
-    /// Zeroes the region past the logical tail so rolled-back frames can
-    /// never be replayed again. A power cut during the erase is safe: the
-    /// next recovery either rolls the surviving staged frames back again
-    /// (idempotent) or stops at the partially zeroed bytes.
-    fn erase_tail(&mut self) -> Result<(), JournalError>;
+    /// Moves the logical tail back to `tail_bytes` (never forward) and
+    /// zeroes the region past it, so a torn or corrupt suffix recovery
+    /// discarded can never replay. A power cut during the erase is safe:
+    /// the next recovery stops at the first unzeroed torn frame, as this
+    /// one did, and erases again.
+    fn cut_tail(&mut self, tail_bytes: u64) -> Result<(), JournalError>;
 }
 
 /// Outcome of scanning a journal region during [`DiskJournal::open`].
@@ -322,7 +319,7 @@ pub struct RegionScan {
     /// Valid entries found in the prefix.
     pub entries: u64,
     /// Non-zero bytes followed the valid prefix — a torn or corrupt tail
-    /// (or the remnant of a rolled-back one) was discarded.
+    /// (or the remnant of an interrupted erase) was discarded.
     pub torn_tail: bool,
 }
 
@@ -416,11 +413,8 @@ impl<D: BlockDevice + Send + Sync> DurableLog for DiskJournal<D> {
         Ok(())
     }
 
-    fn truncate_to(&mut self, tail_bytes: u64) {
+    fn cut_tail(&mut self, tail_bytes: u64) -> Result<(), JournalError> {
         self.tail = self.tail.min(tail_bytes);
-    }
-
-    fn erase_tail(&mut self) -> Result<(), JournalError> {
         let zeros = vec![0u8; (self.cap - self.tail) as usize];
         if !zeros.is_empty() {
             self.dev.write_at(self.base + self.tail, &zeros)?;
@@ -662,7 +656,7 @@ mod tests {
         assert_eq!(dj2.tail(), keep);
         assert_eq!(j2.replay().count(), 1);
         // Erasing the tail makes the next open clean.
-        dj2.erase_tail().unwrap();
+        dj2.cut_tail(keep).unwrap();
         let (_, _, scan) = DiskJournal::open(dev, 0, 512).unwrap();
         assert_eq!(
             scan,

@@ -8,12 +8,6 @@ use crate::metrics::OpSnapshot;
 /// canonical wire encoding (in `strongworm::codec`) deterministic, so
 /// two equal snapshots always encode to identical bytes. All entry
 /// lists are sorted by name, strictly ascending (no duplicates).
-///
-/// Snapshots merge ([`StatsSnapshot::merge`]): ops and counters add,
-/// histograms merge bucket-wise, gauges keep the maximum (a merged
-/// gauge answers "how high did the level get anywhere"). Merging is
-/// associative and commutative and never loses counts, so per-node
-/// snapshots aggregate exactly.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Per-operation stats, sorted by op name.
@@ -22,53 +16,6 @@ pub struct StatsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauges (last observed level), sorted by name.
     pub gauges: Vec<(String, u64)>,
-}
-
-fn merge_sorted<T: Clone>(
-    ours: &mut Vec<(String, T)>,
-    theirs: &[(String, T)],
-    mut combine: impl FnMut(&mut T, &T),
-) {
-    let mut merged: Vec<(String, T)> = Vec::with_capacity(ours.len() + theirs.len());
-    let mut a = std::mem::take(ours).into_iter();
-    let mut b = theirs.iter();
-    // One-element lookahead per side, consumed by `take()` and refilled
-    // from its iterator — the ownership never needs a fallible unwrap.
-    let mut next_a = a.next();
-    let mut next_b = b.next();
-    loop {
-        match (next_a.take(), next_b.take()) {
-            (Some(x), Some(y)) => match x.0.cmp(&y.0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(x);
-                    next_a = a.next();
-                    next_b = Some(y);
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((y.0.clone(), y.1.clone()));
-                    next_a = Some(x);
-                    next_b = b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    let (n, mut v) = x;
-                    combine(&mut v, &y.1);
-                    merged.push((n, v));
-                    next_a = a.next();
-                    next_b = b.next();
-                }
-            },
-            (Some(x), None) => {
-                merged.push(x);
-                next_a = a.next();
-            }
-            (None, Some(y)) => {
-                merged.push((y.0.clone(), y.1.clone()));
-                next_b = b.next();
-            }
-            (None, None) => break,
-        }
-    }
-    *ours = merged;
 }
 
 impl StatsSnapshot {
@@ -109,53 +56,11 @@ impl StatsSnapshot {
             .ok()
             .map(|i| self.gauges[i].1)
     }
-
-    /// Folds `other` into `self` (see the type docs for semantics).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        merge_sorted(&mut self.ops, &other.ops, |a, b| a.merge(b));
-        merge_sorted(&mut self.counters, &other.counters, |a, b| {
-            *a = a.saturating_add(*b);
-        });
-        merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a = (*a).max(*b));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snap(entries: &[(&str, u64)]) -> StatsSnapshot {
-        StatsSnapshot {
-            counters: entries.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-            ..StatsSnapshot::default()
-        }
-    }
-
-    #[test]
-    fn merge_interleaves_names() {
-        let mut a = snap(&[("a", 1), ("c", 3)]);
-        let b = snap(&[("b", 2), ("c", 4)]);
-        a.merge(&b);
-        assert_eq!(
-            a.counters,
-            vec![("a".into(), 1), ("b".into(), 2), ("c".into(), 7)]
-        );
-        assert_eq!(a.counter("c"), 7);
-        assert_eq!(a.counter("missing"), 0);
-    }
-
-    #[test]
-    fn gauges_merge_as_max() {
-        let mut a = StatsSnapshot {
-            gauges: vec![("q".into(), 5)],
-            ..StatsSnapshot::default()
-        };
-        a.merge(&StatsSnapshot {
-            gauges: vec![("q".into(), 3)],
-            ..StatsSnapshot::default()
-        });
-        assert_eq!(a.gauge("q"), Some(5));
-    }
 
     #[test]
     fn quantile_helpers_mirror_histogram_estimates() {

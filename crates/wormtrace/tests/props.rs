@@ -1,12 +1,10 @@
-//! Property tests for snapshot merging: merge must behave like
+//! Property tests for histogram merging: merge must behave like
 //! multiset union of the recorded samples — associative, commutative,
-//! and never losing a count — or per-node snapshots would not
+//! and never losing a count — or per-lane histograms would not
 //! aggregate exactly.
 
 use proptest::prelude::*;
-use wormtrace::{
-    bucket_index, HistogramSnapshot, OpSnapshot, Registry, StatsSnapshot, NUM_BUCKETS,
-};
+use wormtrace::{bucket_index, HistogramSnapshot, Registry, NUM_BUCKETS};
 
 /// Bucket counts bounded well below `u64::MAX` so three-way merges
 /// never saturate (saturation is a separate, deliberate behavior).
@@ -22,57 +20,7 @@ fn arb_hist() -> impl Strategy<Value = HistogramSnapshot> {
         })
 }
 
-fn arb_op() -> impl Strategy<Value = OpSnapshot> {
-    (0u64..(1 << 40), 0u64..(1 << 40), arb_hist()).prop_map(|(ok, err, latency)| OpSnapshot {
-        ok,
-        err,
-        latency,
-    })
-}
-
-/// Short sorted unique name lists, overlapping across instances often
-/// (a tiny alphabet) so merges exercise the equal-name path.
-fn arb_names() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::vec("[a-d]{1,2}", 0..4).prop_map(|mut v| {
-        v.sort();
-        v.dedup();
-        v
-    })
-}
-
-fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
-    (
-        arb_names(),
-        arb_names(),
-        proptest::collection::vec(arb_op(), 4),
-        proptest::collection::vec(0u64..(1 << 40), 4),
-    )
-        .prop_map(|(op_names, counter_names, ops, vals)| StatsSnapshot {
-            ops: op_names
-                .iter()
-                .zip(ops.iter())
-                .map(|(n, o)| (n.clone(), o.clone()))
-                .collect(),
-            counters: counter_names
-                .iter()
-                .zip(vals.iter())
-                .map(|(n, &v)| (n.clone(), v))
-                .collect(),
-            gauges: counter_names
-                .iter()
-                .zip(vals.iter().rev())
-                .map(|(n, &v)| (n.clone(), v))
-                .collect(),
-        })
-}
-
 fn merged_h(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut m = a.clone();
-    m.merge(b);
-    m
-}
-
-fn merged_s(a: &StatsSnapshot, b: &StatsSnapshot) -> StatsSnapshot {
     let mut m = a.clone();
     m.merge(b);
     m
@@ -139,47 +87,6 @@ proptest! {
         }
         let merged = merged_h(&left.snapshot(), &right.snapshot());
         prop_assert_eq!(merged, one.snapshot());
-    }
-
-    #[test]
-    fn stats_merge_commutes_and_associates(
-        a in arb_stats(),
-        b in arb_stats(),
-        c in arb_stats(),
-    ) {
-        prop_assert_eq!(merged_s(&a, &b), merged_s(&b, &a));
-        prop_assert_eq!(
-            merged_s(&merged_s(&a, &b), &c),
-            merged_s(&a, &merged_s(&b, &c))
-        );
-    }
-
-    #[test]
-    fn stats_merge_never_loses_instruments(a in arb_stats(), b in arb_stats()) {
-        let m = merged_s(&a, &b);
-        // Every name from either side survives, with the right combine.
-        for (name, op) in a.ops.iter().chain(b.ops.iter()) {
-            prop_assert!(m.op(name).is_some());
-            prop_assert!(m.op(name).unwrap().total() >= op.total());
-        }
-        for (name, v) in a.counters.iter().chain(b.counters.iter()) {
-            prop_assert!(m.counter(name) >= *v);
-        }
-        for (name, v) in a.gauges.iter().chain(b.gauges.iter()) {
-            prop_assert!(m.gauge(name).unwrap() >= *v, "gauge merge keeps the max");
-        }
-        // Shared counter names add exactly.
-        for (name, v) in &a.counters {
-            prop_assert_eq!(m.counter(name), v + b.counter(name));
-        }
-        // Merged lists stay sorted strictly ascending (the canonical-
-        // codec precondition).
-        for w in m.ops.windows(2) {
-            prop_assert!(w[0].0 < w[1].0);
-        }
-        for w in m.counters.windows(2) {
-            prop_assert!(w[0].0 < w[1].0);
-        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 # --workspace --all-targets -- -D warnings`, and prints one markdown
 # table row naming what killed it: the failing tests (binary::test), the
 # tests that hung, the clippy lints that fired. A mutant nothing kills
-# is a SURVIVOR.
+# is a SURVIVOR. A patch that no longer applies is a STALE row, and the
+# script then exits non-zero: a stale mutant measures nothing, so it is
+# regenerated against the code or retired, never skipped.
 #
 # Usage: scripts/mutants.sh [<checkout> [<scratch dir>]]
 #   <checkout>     the code to mutate (default: this one); the patches
@@ -91,10 +93,12 @@ echo "baseline: tier-1 $base_tests; clippy $base_lint"
 echo
 echo "| mutant | tier-1 | clippy | verdict |"
 echo "|---|---|---|---|"
+stale=0
 for patch in "$here"/mutants/*.patch; do
   name=$(basename "$patch" .patch)
   if ! git -C "$tree" apply "$patch"; then
-    echo "| $name | does not apply | | |"
+    echo "| $name | does not apply | | STALE |"
+    stale=$((stale + 1))
     continue
   fi
   tests=$(tier1 | cell)
@@ -104,3 +108,7 @@ for patch in "$here"/mutants/*.patch; do
   echo "| $name | $tests | $rules | $verdict |"
   git -C "$tree" checkout -q -- . && git -C "$tree" clean -fdq
 done
+if (( stale > 0 )); then
+  echo "$stale stale mutant(s): regenerate each against the code or retire it" >&2
+  exit 1
+fi

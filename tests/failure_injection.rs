@@ -8,7 +8,7 @@ use std::time::Duration;
 use common::{regulator, server, server_with, short_policy, verifier};
 use scpu::{Clock, TamperCause};
 use strongworm::vrdt::Vrdt;
-use strongworm::{ReadVerdict, SerialNumber, WormConfig, WormError};
+use strongworm::{ReadVerdict, SerialNumber, WitnessMode, WormConfig, WormError, WormServer};
 use wormstore::Journal;
 
 #[test]
@@ -99,7 +99,7 @@ fn vexp_overflow_spills_and_readmits() {
 }
 
 #[test]
-fn forged_vexp_seal_is_rejected() {
+fn spilled_entries_stay_while_secure_memory_is_full() {
     let mut cfg = WormConfig::test_small();
     cfg.device.secure_memory_bytes = 96;
     let (srv, clock) = server_with(cfg);
@@ -108,14 +108,92 @@ fn forged_vexp_seal_is_rejected() {
             .unwrap();
     }
     assert!(srv.spilled_vexp() > 0);
-    // Direct firmware probing: a seal for different parameters must fail.
-    // (Exercised through the public API: the server resubmits honestly, so
-    // here we check the firmware state stays consistent even with memory
-    // still exhausted — entries remain spilled rather than accepted.)
+    // Idle re-arms each spilled expiry from the record's signed
+    // attributes; with memory still full of pending VEXP entries the
+    // device refuses, and the host keeps every refused SN for later.
     clock.advance(Duration::from_secs(1));
     srv.idle(1_000).unwrap();
-    // Memory still full of pending VEXP entries → spilled entries remain.
     assert!(srv.spilled_vexp() > 0);
+}
+
+/// The host's spilled set is what the device lacks, across a restart:
+/// recovery re-arms every active record, the battery-backed device
+/// acknowledges the entries it still holds, and the rest stay counted.
+#[test]
+fn resume_counts_the_expiries_the_device_lacks() {
+    let mut cfg = WormConfig::test_small();
+    cfg.device.secure_memory_bytes = 96;
+    let (srv, clock) = server_with(cfg.clone());
+    for i in 0..6u64 {
+        srv.write(&[format!("r{i}").as_bytes()], short_policy(100_000))
+            .unwrap();
+    }
+    let resident = srv.firmware_for_test().vexp_len();
+    let lacking = 6 - resident;
+    assert!(lacking > 0, "some entries must have spilled");
+    assert_eq!(srv.spilled_vexp(), lacking);
+
+    let (device, store, journal) = srv.into_parts();
+    let srv = WormServer::resume(device, store, journal, cfg, clock).unwrap();
+    assert_eq!(srv.firmware_for_test().vexp_len(), resident);
+    assert_eq!(srv.spilled_vexp(), lacking);
+    assert_eq!(
+        srv.stats_snapshot().gauge("witness.spilled_vexp"),
+        Some(lacking as u64)
+    );
+}
+
+/// In every witness tier, a spilled record is re-armed from its signed
+/// attributes at the first idle with room, and deleted once its own
+/// retention passes — not before.
+#[test]
+fn a_spilled_record_is_rearmed_at_the_first_idle_with_room() {
+    for mode in [
+        WitnessMode::Strong,
+        WitnessMode::Deferred,
+        WitnessMode::Hmac,
+    ] {
+        let mut cfg = WormConfig::test_small();
+        cfg.device.secure_memory_bytes = 96;
+        cfg.default_witness = mode;
+        let (srv, clock) = server_with(cfg);
+        // Short-lived fillers until one spills, then a longer-lived record
+        // that spills too.
+        let mut short = Vec::new();
+        while srv.spilled_vexp() == 0 {
+            assert!(short.len() < 16, "{mode:?}: nothing spilled");
+            short.push(srv.write(&[b"filler"], short_policy(50)).unwrap());
+        }
+        let long = srv.write(&[b"long"], short_policy(500)).unwrap();
+        assert_eq!(srv.spilled_vexp(), 2, "{mode:?}");
+        let spilled_short = *short.last().unwrap();
+
+        // The resident fillers expire and free their memory; the spilled
+        // one, whose expiry the device does not hold, is still active.
+        clock.advance(Duration::from_secs(60));
+        srv.tick().unwrap();
+        assert_eq!(srv.read(short[0]).unwrap().kind(), "deleted", "{mode:?}");
+        assert_eq!(srv.read(spilled_short).unwrap().kind(), "data", "{mode:?}");
+
+        srv.idle(1_000_000_000).unwrap();
+        assert_eq!(srv.spilled_vexp(), 0, "{mode:?}");
+        assert_eq!(
+            srv.stats_snapshot().gauge("witness.spilled_vexp"),
+            Some(0),
+            "{mode:?}"
+        );
+        srv.tick().unwrap();
+        assert_eq!(
+            srv.read(spilled_short).unwrap().kind(),
+            "deleted",
+            "{mode:?}"
+        );
+        assert_eq!(srv.read(long).unwrap().kind(), "data", "{mode:?}");
+
+        clock.advance(Duration::from_secs(500));
+        srv.tick().unwrap();
+        assert_eq!(srv.read(long).unwrap().kind(), "deleted", "{mode:?}");
+    }
 }
 
 #[test]
