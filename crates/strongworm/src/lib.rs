@@ -29,7 +29,9 @@
 //!   management, litigation holds, deferred-strength signing.
 //! * [`Verifier`] — the client: checks every read against the public
 //!   keys of the SCPU whose lane issued it and a fresh head certificate.
-//! * [`adversary::Mallory`] — the threat model as an executable harness.
+//!
+//! The threat model's insider and the power-cut sweep live outside the
+//! product, in the `wormsim` crate the tests and `worm-bench` use.
 //!
 //! ## Quickstart
 //!
@@ -64,7 +66,6 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-pub mod adversary;
 pub mod attr;
 pub mod authority;
 pub mod codec;
@@ -72,7 +73,6 @@ pub mod daemon;
 pub mod firmware;
 pub mod offline;
 pub mod policy;
-pub mod powerfail;
 pub mod proofs;
 pub mod vrd;
 pub mod vrdt;

@@ -18,7 +18,7 @@
 //! witness plane writes, deletes, and strengthens in the background.
 //!
 //! Nothing in this module is trusted. A dishonest host can mutate any of
-//! this state (see [`crate::adversary`]); the guarantee is that clients
+//! this state (`wormsim`'s `Mallory` does); the guarantee is that clients
 //! detect it.
 
 mod read_plane;
@@ -770,7 +770,8 @@ impl<D: BlockDevice> WormServer<D> {
         result
     }
 
-    /// Test/adversary access to internal state; see [`crate::adversary`].
+    /// Test/adversary access to internal state: the seam `wormsim`'s
+    /// `Mallory` attacks through.
     /// The VRDT write guard blocks the read plane while held.
     #[doc(hidden)]
     pub fn parts_mut_for_attack(&self) -> (RwLockWriteGuard<'_, Vrdt>, &RecordStore<D>) {

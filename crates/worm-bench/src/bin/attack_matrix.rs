@@ -15,6 +15,7 @@ use strongworm::{
     RegulatoryAuthority, RetentionPolicy, Verifier, VerifyError, WormConfig, WormServer,
 };
 use worm_bench::json_record;
+use wormsim::Mallory;
 use wormstore::Shredder;
 
 struct Row {
@@ -62,7 +63,7 @@ fn main() {
 
         let (strong, v, _clock) = strong_fixture();
         let sn = strong.write(&[PAYLOAD], policy()).unwrap();
-        strong.mallory().corrupt_record_data(sn);
+        Mallory::new(&strong).corrupt_record_data(sn);
         let strong_verdict = match v.verify_read(sn, &strong.read(sn).unwrap()) {
             Err(VerifyError::DataHashMismatch) => "DETECTED (datasig)",
             _ => "undetected",
@@ -87,7 +88,7 @@ fn main() {
         let (strong, v, _clock) = strong_fixture();
         let sn = strong.write(&[PAYLOAD], policy()).unwrap();
         strong.refresh_head().unwrap();
-        let denial = strong.mallory().deny_existence(sn).unwrap();
+        let denial = Mallory::new(&strong).deny_existence().unwrap();
         let strong_verdict = match v.verify_read(sn, &denial) {
             Err(VerifyError::HiddenRecord) => "DETECTED (head certificate)",
             _ => "undetected",
@@ -113,7 +114,7 @@ fn main() {
         let (strong, v, _clock) = strong_fixture();
         let sn = strong.write(&[PAYLOAD], policy()).unwrap();
         strong.refresh_head().unwrap();
-        let forged = strong.mallory().forge_deletion(sn);
+        let forged = Mallory::new(&strong).forge_deletion(sn);
         let strong_verdict = match v.verify_read(sn, &forged) {
             Err(VerifyError::BadSignature("deletion proof")) => "DETECTED (needs key d)",
             _ => "undetected",
@@ -133,8 +134,8 @@ fn main() {
 
         let (strong, v, _clock) = strong_fixture();
         let sn = strong.write(&[PAYLOAD], policy()).unwrap();
-        strong.mallory().rewrite_attributes(sn, |attr| {
-            attr.retention_until = scpu::Timestamp::from_millis(0);
+        Mallory::new(&strong).edit_vrd(sn, |vrd| {
+            vrd.attr.retention_until = scpu::Timestamp::from_millis(0);
         });
         let strong_verdict = match v.verify_read(sn, &strong.read(sn).unwrap()) {
             Err(VerifyError::BadSignature("metasig")) => "DETECTED (metasig)",

@@ -1,6 +1,6 @@
 //! Power-fail torture at benchmark scale.
 //!
-//! Drives `strongworm::powerfail::Torture` over a scenario an order of
+//! Drives `wormsim::Torture` over a scenario an order of
 //! magnitude larger than the exhaustive-but-small integration test:
 //! dozens of expiring and surviving records, the full deletion + shred +
 //! compaction lifecycle, and a cut at *every* write boundary in all four
@@ -23,9 +23,8 @@
 
 use std::time::Instant;
 
-use strongworm::powerfail::{Scenario, Torture};
 use worm_bench::{json_record, to_json_lines};
-use wormstore::{CutPlan, CutStyle};
+use wormsim::{CutStyle, Scenario, Torture};
 
 /// Cut-point floor the summary row is held to.
 const MIN_CUT_POINTS: u64 = 1_000;
@@ -51,13 +50,6 @@ json_record!(PowerfailPoint {
     gate_min_cut_points,
     gate_pass,
 });
-
-/// Cut points explored in one style, and how many recovered clean.
-struct Tally {
-    style: CutStyle,
-    cut_points: u64,
-    clean: u64,
-}
 
 fn point(mode: &str, cut_points: u64, clean: u64) -> PowerfailPoint {
     PowerfailPoint {
@@ -95,42 +87,35 @@ fn main() {
     );
 
     let started = Instant::now();
-    let mut tallies: Vec<Tally> = CutStyle::ALL
-        .iter()
-        .map(|&style| Tally {
-            style,
-            cut_points: 0,
-            clean: 0,
-        })
-        .collect();
+    // Per style, in `CutStyle::ALL` order: cut points explored, and how
+    // many recovered clean.
+    let mut tallies = [(0u64, 0u64); CutStyle::ALL.len()];
     let mut recovery_ns: Vec<u64> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for at in range.first..=range.last {
-        for tally in &mut tallies {
-            let plan = CutPlan {
-                at_write: at,
-                style: tally.style,
-                seed: 0x5EED ^ at,
-            };
-            tally.cut_points += 1;
-            match rig.torture(&sc, plan, None) {
-                Ok(out) => {
-                    tally.clean += 1;
-                    recovery_ns.push(out.recovery_nanos);
-                }
-                Err(e) => failures.push(format!("cut at write {at} ({}): {e}", tally.style)),
+    for plan in range.plans(0x5EED) {
+        let (cut_points, clean) = &mut tallies[plan.style as usize];
+        *cut_points += 1;
+        match rig.torture(&sc, plan, None) {
+            Ok(out) => {
+                *clean += 1;
+                recovery_ns.push(out.recovery_nanos);
             }
+            Err(e) => failures.push(format!(
+                "cut at write {} ({}): {e}",
+                plan.at_write, plan.style
+            )),
         }
     }
 
-    let mut points: Vec<PowerfailPoint> = tallies
+    let mut points: Vec<PowerfailPoint> = CutStyle::ALL
         .iter()
-        .map(|t| point(&t.style.to_string(), t.cut_points, t.clean))
+        .zip(tallies)
+        .map(|(style, (cut_points, clean))| point(&style.to_string(), cut_points, clean))
         .collect();
     let mut summary = point(
         "summary",
-        tallies.iter().map(|t| t.cut_points).sum(),
-        tallies.iter().map(|t| t.clean).sum(),
+        tallies.iter().map(|t| t.0).sum(),
+        tallies.iter().map(|t| t.1).sum(),
     );
     summary.gate_pass =
         summary.clean_recoveries == summary.cut_points && summary.cut_points >= MIN_CUT_POINTS;

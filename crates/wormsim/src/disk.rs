@@ -1,31 +1,18 @@
-//! Deterministic power-fail injection.
+//! A medium that loses power at an exact write boundary.
 //!
-//! The paper's Theorems 1/2 assume the untrusted host can lose power at
-//! any instant without forging or silently losing committed WORM state.
-//! [`TornDisk`] makes that assumption testable: it wraps any
-//! [`BlockDevice`] and cuts power at an exact write boundary, optionally
-//! applying the in-flight write *partially* — the torn-sector behaviours
-//! real disks exhibit. After the cut every access fails with
-//! [`BlockError::PowerLost`] until the harness "reboots the host" via
-//! [`TornDisk::revive`] and runs recovery against the same medium.
-//!
-//! The harness workflow is two-phase:
-//!
-//! 1. **Profile**: run the scenario against an unarmed `TornDisk` and ask
-//!    [`TornDisk::writes_seen`] how many write boundaries it crossed.
-//! 2. **Enumerate**: for every boundary `n` in `1..=writes` and every
-//!    [`CutStyle`], re-run the scenario on a fresh medium with
-//!    [`CutPlan`]`{ at_write: n, .. }` armed, recover, and re-verify the
-//!    WORM invariants.
-//!
-//! Everything is deterministically seeded so a failing cut point replays
-//! bit-identically.
+//! [`TornDisk`] wraps any [`BlockDevice`] and cuts power at a chosen
+//! write, optionally applying the write in flight *partially* — the
+//! torn-sector behaviours real disks exhibit. After the cut every access
+//! fails with [`BlockError::PowerLost`] until the rig "reboots the host"
+//! with [`TornDisk::revive`] and runs recovery against the same medium.
+//! [`TornDisk::writes_seen`] counts the boundaries an unarmed run
+//! crosses, which is what a sweep enumerates.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use wormtrace::sync::{Mutex, Rank};
+use wormstore::{BlockDevice, BlockError, IoStats};
 
-use crate::block::{BlockDevice, BlockError, IoStats};
+use crate::mix;
 
 /// How much of the in-flight write reaches the medium when the cut fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,7 +32,8 @@ pub enum CutStyle {
 }
 
 impl CutStyle {
-    /// Every style, in enumeration order for torture sweeps.
+    /// Every style, in declaration order (so `style as usize` indexes
+    /// it), which is the order a sweep enumerates them in.
     pub const ALL: [CutStyle; 4] = [
         CutStyle::Drop,
         CutStyle::Prefix,
@@ -79,12 +67,13 @@ pub struct CutPlan {
 }
 
 /// Control block: one mutex keeps the boundary count, the armed plan and
-/// the dead flag mutually consistent without any atomics to audit.
+/// the dead flag mutually consistent without any atomics to audit. It is
+/// a leaf: nothing is locked while it is held.
 #[derive(Debug)]
 struct TornCtl {
     writes: u64,
     armed: Option<CutPlan>,
-    /// `Some(boundary)` once the cut fired (or [`TornDisk::kill`] ran).
+    /// `Some(boundary)` once the cut fired.
     dead: Option<u64>,
 }
 
@@ -112,31 +101,29 @@ impl<D> Clone for TornDisk<D> {
     }
 }
 
-/// xorshift64* — tiny deterministic generator for torn-byte decisions
-/// (no dependency on the `rand` stand-in, stable across platforms).
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 impl<D: BlockDevice> TornDisk<D> {
     /// Wraps `inner` with no cut armed.
     pub fn new(inner: D) -> Self {
         TornDisk {
             state: Arc::new(TornState {
                 inner,
-                ctl: Mutex::new(
-                    Rank::Ctl,
-                    TornCtl {
-                        writes: 0,
-                        armed: None,
-                        dead: None,
-                    },
-                ),
+                ctl: Mutex::new(TornCtl {
+                    writes: 0,
+                    armed: None,
+                    dead: None,
+                }),
             }),
         }
+    }
+
+    /// The control block, entered through the poison: nothing that runs
+    /// while it is held can panic, so a poisoned block is still
+    /// consistent.
+    fn ctl(&self) -> MutexGuard<'_, TornCtl> {
+        self.state
+            .ctl
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The wrapped device (raw-medium inspection after a crash).
@@ -146,33 +133,25 @@ impl<D: BlockDevice> TornDisk<D> {
 
     /// Arms a power cut. Replaces any previously armed plan.
     pub fn arm(&self, plan: CutPlan) {
-        self.state.ctl.lock().armed = Some(plan);
+        self.ctl().armed = Some(plan);
     }
 
     /// Write boundaries crossed so far (profiling an unarmed run). The
     /// torn write itself counts.
     pub fn writes_seen(&self) -> u64 {
-        self.state.ctl.lock().writes
+        self.ctl().writes
     }
 
     /// The boundary the cut fired at, if it fired.
     pub fn cut_fired(&self) -> Option<u64> {
-        self.state.ctl.lock().dead
-    }
-
-    /// Cuts power immediately without tearing a write (external kill —
-    /// e.g. "the operator pulled the plug between operations").
-    pub fn kill(&self) {
-        let mut ctl = self.state.ctl.lock();
-        let at = ctl.writes;
-        ctl.dead = Some(at);
+        self.ctl().dead
     }
 
     /// Reboots the host: accesses work again, the armed plan (if it has
     /// not fired) is discarded, and the boundary counter restarts so a
     /// recovery run can be profiled and cut independently.
     pub fn revive(&self) {
-        let mut ctl = self.state.ctl.lock();
+        let mut ctl = self.ctl();
         ctl.dead = None;
         ctl.armed = None;
         ctl.writes = 0;
@@ -220,7 +199,7 @@ impl<D: BlockDevice> BlockDevice for TornDisk<D> {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        if let Some(at_write) = self.state.ctl.lock().dead {
+        if let Some(at_write) = self.ctl().dead {
             return Err(BlockError::PowerLost { at_write });
         }
         self.state.inner.read_at(offset, buf)
@@ -228,7 +207,7 @@ impl<D: BlockDevice> BlockDevice for TornDisk<D> {
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), BlockError> {
         let fired = {
-            let mut ctl = self.state.ctl.lock();
+            let mut ctl = self.ctl();
             if let Some(at_write) = ctl.dead {
                 return Err(BlockError::PowerLost { at_write });
             }
@@ -264,7 +243,7 @@ impl<D: BlockDevice> BlockDevice for TornDisk<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::MemDisk;
+    use wormstore::MemDisk;
 
     fn plan(at: u64, style: CutStyle) -> CutPlan {
         CutPlan {
@@ -351,12 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn kill_and_clone_share_state() {
+    fn a_cut_armed_on_a_clone_fires_on_every_handle() {
         let d = TornDisk::new(MemDisk::unmetered(64));
         let handle = d.clone();
         d.write_at(0, b"x").unwrap();
-        handle.kill();
+        handle.arm(plan(2, CutStyle::Drop));
         assert!(d.write_at(1, b"y").is_err());
+        assert_eq!(handle.cut_fired(), Some(2));
         handle.revive();
         d.write_at(1, b"y").unwrap();
         assert_eq!(d.writes_seen(), 1, "revive restarts the boundary count");

@@ -6,9 +6,9 @@
 //! executable check: it runs a canonical lifecycle [`Scenario`] (write,
 //! expire-and-shred, compact, write again) against a durable server on a
 //! [`TornDisk`], cuts power at an exact write boundary with one of the
-//! four [`wormstore::CutStyle`] torn-sector behaviours, recovers via
-//! [`WormServer::recover_durable`], and re-verifies the invariants
-//! end-to-end through a client [`Verifier`]:
+//! four [`CutStyle`] torn-sector behaviours, recovers through
+//! [`Torture::recover`], and re-verifies the invariants end-to-end
+//! through a client [`Verifier`]:
 //!
 //! * **No committed record lost** — every acknowledged write reads back
 //!   byte-identical and verifier-accepted (Theorem 1).
@@ -24,11 +24,10 @@
 //! between.
 //!
 //! The harness is two-phase: [`Torture::profile`] counts the write
-//! boundaries an unarmed run crosses, then the caller enumerates every
-//! boundary and style via [`Torture::torture`] — optionally arming a
-//! *second* cut during recovery itself (recover-then-crash-again).
-//! Everything is deterministically seeded, so a failing cut point replays
-//! bit-identically.
+//! boundaries an unarmed run crosses, then the caller runs
+//! [`Torture::torture`] on every plan [`CutRange::plans`] enumerates —
+//! optionally arming a *second* cut during recovery itself
+//! (recover-then-crash-again).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,19 +35,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::VirtualClock;
-use wormstore::{
-    BlockDevice, BlockError, CutPlan, JournalError, MemDisk, Partition, Shredder, StoreError,
-    TornDisk,
+use strongworm::proofs::ReadOutcome;
+use strongworm::{
+    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, Verifier, VerifyError,
+    WormConfig, WormError, WormServer,
 };
+use wormstore::{BlockDevice, BlockError, JournalError, MemDisk, Partition, Shredder, StoreError};
 
-use crate::authority::RegulatoryAuthority;
-use crate::client::{ReadVerdict, Verifier};
-use crate::config::WormConfig;
-use crate::error::{VerifyError, WormError};
-use crate::policy::RetentionPolicy;
-use crate::proofs::ReadOutcome;
-use crate::server::WormServer;
-use crate::sn::SerialNumber;
+use crate::disk::{CutPlan, CutStyle, TornDisk};
+use crate::mix;
 
 /// The fault-injected medium the harness tortures.
 pub type TornMedium = TornDisk<MemDisk>;
@@ -137,18 +132,18 @@ impl Default for Scenario {
 
 /// What the scenario had acknowledged before the cut fired — the ground
 /// truth the recovered server is checked against.
-#[derive(Clone, Debug, Default)]
-pub struct Acked {
+#[derive(Default)]
+struct Acked {
     /// Acked writes never deleted: must read back `Intact` with exactly
     /// these bytes, present exactly once on the medium.
-    pub must_live: Vec<(SerialNumber, Vec<u8>)>,
+    must_live: Vec<(SerialNumber, Vec<u8>)>,
     /// Acked writes whose deletion was also acked: must read back
     /// `ConfirmedDeleted`, bytes absent from the medium.
-    pub must_be_dead: Vec<(SerialNumber, Vec<u8>)>,
+    must_be_dead: Vec<(SerialNumber, Vec<u8>)>,
     /// Acked writes whose deletion was in flight (or merely scheduled)
     /// when the cut hit: either intact or proven-deleted is legal, but
     /// nothing in between.
-    pub limbo: Vec<(SerialNumber, Vec<u8>)>,
+    limbo: Vec<(SerialNumber, Vec<u8>)>,
 }
 
 /// Outcome of one survived cut point.
@@ -177,19 +172,41 @@ pub struct CutRange {
     pub last: u64,
 }
 
-/// xorshift64* for deterministic record patterns (independent of the
-/// `rand` stand-in so patterns are stable across the workspace).
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+impl CutRange {
+    /// The sweep: a cut at every boundary of the range in every
+    /// [`CutStyle`], boundary by boundary, the cut at boundary `at`
+    /// seeded `salt ^ at`.
+    pub fn plans(self, salt: u64) -> impl Iterator<Item = CutPlan> {
+        (self.first..=self.last).flat_map(move |at| {
+            CutStyle::ALL.map(|style| CutPlan {
+                at_write: at,
+                style,
+                seed: salt ^ at,
+            })
+        })
+    }
+}
+
+/// A server [`Torture::recover`] brought back, and what its recovery
+/// crossed.
+pub struct Recovered {
+    /// The recovered server.
+    pub server: TornServer,
+    /// Write boundaries the first recovery attempt crossed — the
+    /// enumeration range for recover-then-crash-again plans.
+    pub writes: u64,
+    /// Whether the armed recovery cut fired, so that a second, unarmed
+    /// recovery brought the server back.
+    pub recut: bool,
+    /// Wall-clock nanoseconds from the first recovery attempt to a
+    /// booted server.
+    pub nanos: u64,
 }
 
 /// A 48-byte record payload unique to `tag` — long and entropic enough
 /// that a raw-medium scan cannot false-positive on journal frames,
 /// shred noise, or torn garbage.
-pub fn pattern(tag: u64) -> Vec<u8> {
+fn pattern(tag: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(48);
     let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ tag.wrapping_mul(0xD134_2543_DE82_EF95);
     for _ in 0..6 {
@@ -199,7 +216,10 @@ pub fn pattern(tag: u64) -> Vec<u8> {
     out
 }
 
-fn count_occurrences(haystack: &[u8], needle: &[u8]) -> usize {
+/// How many times `needle` occurs in `haystack`, overlapping
+/// occurrences included: the raw-medium scan for plaintext a record left
+/// behind. An empty needle occurs nowhere.
+pub fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
     if needle.is_empty() || haystack.len() < needle.len() {
         return 0;
     }
@@ -207,6 +227,14 @@ fn count_occurrences(haystack: &[u8], needle: &[u8]) -> usize {
         .windows(needle.len())
         .filter(|w| *w == needle)
         .count()
+}
+
+/// Whether `outcome` serves exactly `pat` as its first record.
+fn serves(outcome: &ReadOutcome, pat: &[u8]) -> bool {
+    match outcome {
+        ReadOutcome::Data { records, .. } => records.first().map(|b| b.as_ref()) == Some(pat),
+        _ => false,
+    }
 }
 
 /// The torture rig: one regulator key pair (the slow part) reused across
@@ -235,7 +263,13 @@ impl Torture {
         Torture::new(1 << 17, 1 << 15)
     }
 
-    fn boot(&self) -> Result<(TornServer, TornMedium, Arc<VirtualClock>), TortureError> {
+    /// Boots a durable server on a fresh, unarmed torn medium, its
+    /// virtual clock at 1,000 s.
+    ///
+    /// # Errors
+    ///
+    /// The server failing to boot on a healthy medium.
+    pub fn boot(&self) -> Result<(TornServer, TornMedium, Arc<VirtualClock>), TortureError> {
         let clock = VirtualClock::starting_at_millis(1_000_000);
         let torn = TornDisk::new(MemDisk::unmetered(self.capacity as usize));
         let srv = WormServer::with_durable(
@@ -341,48 +375,65 @@ impl Torture {
             Err(e) => return Err(TortureError::Scenario(e)),
         }
         let cut_fired = torn.cut_fired().is_some();
-        // The host dies; only the battery-backed SCPU and the medium
-        // survive. (When the plan lay beyond the scenario, this is a
-        // clean-shutdown crash of fully committed state.)
+        let recovered = self.recover(srv, &torn, &clock, recovery_plan)?;
+        self.verify(&recovered.server, &torn, &clock, &acked)?;
+        Ok(CutOutcome {
+            cut_fired,
+            recovery_writes: recovered.writes,
+            recovery_nanos: recovered.nanos,
+        })
+    }
+
+    /// The host dies and comes back: only the battery-backed SCPU and
+    /// the medium survive `srv`. Revives `torn` and recovers from it.
+    /// When `recovery_plan` is armed and fires, the recovery itself is
+    /// cut, and a second, unarmed recovery must then succeed.
+    ///
+    /// # Errors
+    ///
+    /// [`TortureError::Recovery`]: a recovery failed other than by the
+    /// armed cut.
+    pub fn recover(
+        &self,
+        srv: TornServer,
+        torn: &TornMedium,
+        clock: &Arc<VirtualClock>,
+        recovery_plan: Option<CutPlan>,
+    ) -> Result<Recovered, TortureError> {
         let (device, _store, _journal) = srv.into_parts();
         torn.revive();
         if let Some(rp) = recovery_plan {
             torn.arm(rp);
         }
-        let recovery_started = Instant::now();
-        let recovered = WormServer::recover_durable(
-            torn.clone(),
-            self.journal_bytes,
-            device,
-            self.config.clone(),
-            clock.clone(),
-        );
-        let (srv, recovery_writes) = match recovered {
-            Ok(s) => (s, torn.writes_seen()),
+        #[expect(
+            clippy::result_large_err,
+            reason = "`recover_durable` hands the SCPU device back in its error for the retry"
+        )]
+        let recover = |device| {
+            WormServer::recover_durable(
+                torn.clone(),
+                self.journal_bytes,
+                device,
+                self.config.clone(),
+                clock.clone(),
+            )
+        };
+        let started = Instant::now();
+        let (server, writes, recut) = match recover(device) {
+            Ok(server) => (server, torn.writes_seen(), false),
             Err((e, device)) if is_power_cut(&e) && recovery_plan.is_some() => {
-                // Crash during recovery: reboot once more; the second
-                // recovery must succeed unarmed.
-                let first_recovery_writes = torn.writes_seen();
+                let writes = torn.writes_seen();
                 torn.revive();
-                match WormServer::recover_durable(
-                    torn.clone(),
-                    self.journal_bytes,
-                    device,
-                    self.config.clone(),
-                    clock.clone(),
-                ) {
-                    Ok(s) => (s, first_recovery_writes),
-                    Err((e, _)) => return Err(TortureError::Recovery(e)),
-                }
+                let server = recover(device).map_err(|(e, _)| TortureError::Recovery(e))?;
+                (server, writes, true)
             }
             Err((e, _)) => return Err(TortureError::Recovery(e)),
         };
-        let recovery_nanos = recovery_started.elapsed().as_nanos() as u64;
-        self.verify(&srv, &torn, &clock, &acked)?;
-        Ok(CutOutcome {
-            cut_fired,
-            recovery_writes,
-            recovery_nanos,
+        Ok(Recovered {
+            server,
+            writes,
+            recut,
+            nanos: started.elapsed().as_nanos() as u64,
         })
     }
 
@@ -425,18 +476,12 @@ impl Torture {
                     "committed {sn} lost: verdict {verdict:?}"
                 )));
             }
-            let matches_bytes = match &outcome {
-                ReadOutcome::Data { records, .. } => {
-                    records.first().map(|b| b.as_ref()) == Some(pat.as_slice())
-                }
-                _ => false,
-            };
-            if !matches_bytes {
+            if !serves(&outcome, pat) {
                 return Err(invariant(format!(
                     "committed {sn}: recovered bytes differ from committed bytes"
                 )));
             }
-            let copies = count_occurrences(&raw, pat);
+            let copies = occurrences(&raw, pat);
             if copies != 1 {
                 return Err(invariant(format!(
                     "committed {sn}: plaintext appears {copies} times on the medium \
@@ -451,7 +496,7 @@ impl Torture {
                     "acked-deleted {sn} resurfaced: verdict {verdict:?}"
                 )));
             }
-            if count_occurrences(&raw, pat) != 0 {
+            if occurrences(&raw, pat) != 0 {
                 return Err(invariant(format!(
                     "shredded {sn}: plaintext survives on the medium"
                 )));
@@ -461,20 +506,14 @@ impl Torture {
             let (outcome, verdict) = self.read_verified(srv, &verifier, *sn)?;
             match verdict {
                 ReadVerdict::Intact { .. } => {
-                    let matches_bytes = match &outcome {
-                        ReadOutcome::Data { records, .. } => {
-                            records.first().map(|b| b.as_ref()) == Some(pat.as_slice())
-                        }
-                        _ => false,
-                    };
-                    if !matches_bytes {
+                    if !serves(&outcome, pat) {
                         return Err(invariant(format!(
                             "limbo {sn} rolled back with corrupted bytes"
                         )));
                     }
                 }
                 ReadVerdict::ConfirmedDeleted { .. } => {
-                    if count_occurrences(&raw, pat) != 0 {
+                    if occurrences(&raw, pat) != 0 {
                         return Err(invariant(format!(
                             "limbo {sn} proven deleted but plaintext survives"
                         )));
@@ -506,7 +545,6 @@ impl Torture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormstore::CutStyle;
 
     #[test]
     fn patterns_are_unique_and_entropic() {
@@ -520,10 +558,10 @@ mod tests {
 
     #[test]
     fn counts_overlapping_occurrences() {
-        assert_eq!(count_occurrences(b"abcabcab", b"abc"), 2);
-        assert_eq!(count_occurrences(b"aaaa", b"aa"), 3);
-        assert_eq!(count_occurrences(b"abc", b""), 0);
-        assert_eq!(count_occurrences(b"ab", b"abc"), 0);
+        assert_eq!(occurrences(b"abcabcab", b"abc"), 2);
+        assert_eq!(occurrences(b"aaaa", b"aa"), 3);
+        assert_eq!(occurrences(b"abc", b""), 0);
+        assert_eq!(occurrences(b"ab", b"abc"), 0);
     }
 
     #[test]

@@ -131,9 +131,9 @@ pub enum BlockError {
     },
     /// Underlying OS-level I/O failure (file-backed devices).
     Io(std::io::Error),
-    /// The device lost power mid-operation (fault injection — see
-    /// [`crate::TornDisk`]). Every access fails with this until the
-    /// "host" reboots and revives the device for recovery.
+    /// The device lost power mid-operation (fault injection: `wormsim`'s
+    /// `TornDisk`). Every access fails with this until the "host"
+    /// reboots and revives the device for recovery.
     PowerLost {
         /// Which write boundary the cut fired at (1-based count of
         /// writes issued to the device, including the torn one).

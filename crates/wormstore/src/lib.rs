@@ -28,7 +28,6 @@ mod journal;
 mod record;
 mod shred;
 mod store;
-mod torn;
 
 pub use block::{
     read_bytes, BlockDevice, BlockError, DiskProfile, FileDisk, IoStats, MemDisk, Partition,
@@ -39,4 +38,3 @@ pub use journal::{
 pub use record::{RecordDescriptor, RecordId};
 pub use shred::Shredder;
 pub use store::{RecordStore, StoreError, StoreLifetime};
-pub use torn::{CutPlan, CutStyle, TornDisk};

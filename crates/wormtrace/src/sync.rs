@@ -43,8 +43,6 @@ pub enum Rank {
     Vrdt,
     /// `RecordStore`'s extent allocator.
     Alloc,
-    /// `TornDisk`'s fault-injection control block.
-    Ctl,
     /// `MemDisk`'s medium.
     Data,
     /// The audit journal.

@@ -17,6 +17,7 @@ use strongworm::{
     ReadVerdict, RegulatoryAuthority, RetentionPolicy, Verifier, VerifyError, WormConfig,
     WormServer,
 };
+use wormsim::Mallory;
 use wormstore::Shredder;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -35,8 +36,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("Alice stored {b2}; the SCPU witnessed it with metasig+datasig");
 
     // Attack 1: edit the bytes on the disk platter.
+    let mallory = Mallory::new(&server);
     println!("\n[attack 1] Mallory edits the record bytes directly on the medium");
-    assert!(server.mallory().corrupt_record_data(b2));
+    assert!(mallory.corrupt_record_data(b2));
     match bob.verify_read(b2, &server.read(b2)?) {
         Err(VerifyError::DataHashMismatch) => {
             println!("  -> Bob: datasig does not cover these bytes. DETECTED");
@@ -44,7 +46,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         other => panic!("unexpected: {other:?}"),
     }
     // Restore by flipping the byte back for the next scenarios.
-    assert!(server.mallory().corrupt_record_data(b2));
+    assert!(mallory.corrupt_record_data(b2));
     assert_eq!(
         bob.verify_read(b2, &server.read(b2)?)?,
         ReadVerdict::Intact { sn: b2 }
@@ -56,8 +58,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         strongworm::ReadOutcome::Data { vrd, .. } => vrd.attr.retention_until,
         _ => unreachable!(),
     };
-    server.mallory().rewrite_attributes(b2, |attr| {
-        attr.retention_until = scpu::Timestamp::from_millis(0);
+    mallory.edit_vrd(b2, |vrd| {
+        vrd.attr.retention_until = scpu::Timestamp::from_millis(0);
     });
     match bob.verify_read(b2, &server.read(b2)?) {
         Err(VerifyError::BadSignature("metasig")) => {
@@ -65,13 +67,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         other => panic!("unexpected: {other:?}"),
     }
-    server.mallory().rewrite_attributes(b2, |attr| {
-        attr.retention_until = original_until;
+    mallory.edit_vrd(b2, |vrd| {
+        vrd.attr.retention_until = original_until;
     });
 
     // Attack 3: claim b2 never existed.
     println!("\n[attack 3] Mallory answers 'no such record'");
-    let denial = server.mallory().deny_existence(b2).expect("head exists");
+    let denial = mallory.deny_existence().expect("head exists");
     match bob.verify_read(b2, &denial) {
         Err(VerifyError::HiddenRecord) => {
             println!("  -> Bob: the fresh head covers {b2}; denial is a lie. DETECTED");
@@ -83,9 +85,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("\n[attack 4] Mallory replays a pre-b2 head certificate");
     let old_head = server.vrdt().head().unwrap().clone();
     clock.advance(Duration::from_secs(600)); // time passes; the head goes stale
-    let replay = server
-        .mallory()
-        .deny_existence_with_replayed_head(b2, old_head);
+    let replay = mallory.deny_existence_with_replayed_head(old_head);
     match bob.verify_read(b2, &replay) {
         Err(VerifyError::StaleHead { age_ms }) => {
             println!("  -> Bob: head is {age_ms} ms old, beyond tolerance. DETECTED");
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Attack 5: forge a deletion proof.
     println!("\n[attack 5] Mallory fabricates a 'rightfully deleted' proof");
     server.refresh_head()?; // keep the head fresh for the evidence check
-    let forged = server.mallory().forge_deletion(b2);
+    let forged = mallory.forge_deletion(b2);
     match bob.verify_read(b2, &forged) {
         Err(VerifyError::BadSignature("deletion proof")) => {
             println!("  -> Bob: only the SCPU's deletion key d can sign that. DETECTED");

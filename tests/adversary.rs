@@ -17,6 +17,7 @@ use common::{paper_widths, sequential_verdict, server, server_with, short_policy
 use scpu::Timestamp;
 use strongworm::proofs::{DeletionEvidence, HeadCert, ReadOutcome};
 use strongworm::{ReadVerdict, SerialNumber, VerifyError, WormConfig};
+use wormsim::Mallory;
 
 /// Theorem 1: direct modification of record bytes on the medium.
 #[test]
@@ -27,7 +28,7 @@ fn tampered_record_data_is_detected() {
         .write(&[b"incriminating email"], short_policy(3600))
         .unwrap();
 
-    assert!(srv.mallory().corrupt_record_data(sn));
+    assert!(Mallory::new(&srv).corrupt_record_data(sn));
 
     let outcome = srv.read(sn).unwrap();
     assert_eq!(
@@ -44,9 +45,9 @@ fn rewritten_attributes_are_detected() {
     let v = verifier(&srv, clock.clone());
     let sn = srv.write(&[b"contract"], short_policy(100_000)).unwrap();
 
-    assert!(srv.mallory().rewrite_attributes(sn, |attr| {
+    assert!(Mallory::new(&srv).edit_vrd(sn, |vrd| {
         // Make the record expire immediately.
-        attr.retention_until = Timestamp::from_millis(0);
+        vrd.attr.retention_until = Timestamp::from_millis(0);
     }));
 
     let outcome = srv.read(sn).unwrap();
@@ -64,7 +65,7 @@ fn witness_transplant_is_detected() {
     let a = srv.write(&[b"record a"], short_policy(3600)).unwrap();
     let b = srv.write(&[b"record b"], short_policy(7200)).unwrap();
 
-    assert!(srv.mallory().swap_witnesses(a, b));
+    assert!(Mallory::new(&srv).swap_witnesses(a, b));
 
     for sn in [a, b] {
         let outcome = srv.read(sn).unwrap();
@@ -89,18 +90,11 @@ fn record_substitution_is_detected() {
         .unwrap();
 
     // Mallory points a's descriptor list at b's extents.
-    {
-        let (mut vrdt, _) = srv.parts_mut_for_attack();
-        let b_rdl = match vrdt.lookup(b) {
-            strongworm::vrdt::Lookup::Active(v) => v.rdl.clone(),
-            _ => unreachable!(),
-        };
-        if let Some(strongworm::vrdt::VrdtEntry::Active(va)) =
-            vrdt.entries_mut_for_attack().get_mut(&a)
-        {
-            va.rdl = b_rdl;
-        }
-    }
+    let b_rdl = match srv.read(b).unwrap() {
+        ReadOutcome::Data { vrd, .. } => vrd.rdl,
+        other => panic!("b is active: {other:?}"),
+    };
+    assert!(Mallory::new(&srv).edit_vrd(a, |va| va.rdl = b_rdl));
 
     let outcome = srv.read(a).unwrap();
     assert_eq!(
@@ -118,14 +112,7 @@ fn reordered_records_are_detected() {
     let sn = srv
         .write(&[b"first", b"second"], short_policy(1000))
         .unwrap();
-    {
-        let (mut vrdt, _) = srv.parts_mut_for_attack();
-        if let Some(strongworm::vrdt::VrdtEntry::Active(vrd)) =
-            vrdt.entries_mut_for_attack().get_mut(&sn)
-        {
-            vrd.rdl.reverse();
-        }
-    }
+    assert!(Mallory::new(&srv).edit_vrd(sn, |vrd| vrd.rdl.reverse()));
     assert_eq!(
         v.verify_read(sn, &srv.read(sn).unwrap()),
         Err(VerifyError::DataHashMismatch)
@@ -141,7 +128,7 @@ fn denial_of_existing_record_is_detected() {
     let sn = srv.write(&[b"exists"], short_policy(3600)).unwrap();
     srv.refresh_head().unwrap();
 
-    let denial = srv.mallory().deny_existence(sn).unwrap();
+    let denial = Mallory::new(&srv).deny_existence().unwrap();
     assert_eq!(v.verify_read(sn, &denial), Err(VerifyError::HiddenRecord));
 }
 
@@ -161,9 +148,7 @@ fn stale_head_replay_is_detected() {
     let sn = srv.write(&[b"regretted"], short_policy(3600)).unwrap();
 
     // Mallory denies it with the replayed head.
-    let denial = srv
-        .mallory()
-        .deny_existence_with_replayed_head(sn, old_head);
+    let denial = Mallory::new(&srv).deny_existence_with_replayed_head(old_head);
     match v.verify_read(sn, &denial) {
         Err(VerifyError::StaleHead { age_ms }) => assert!(age_ms >= 400_000),
         other => panic!("expected stale-head rejection, got {other:?}"),
@@ -178,7 +163,7 @@ fn forged_deletion_proof_is_detected() {
     let sn = srv.write(&[b"to bury"], short_policy(100_000)).unwrap();
     srv.refresh_head().unwrap();
 
-    let fake = srv.mallory().forge_deletion(sn);
+    let fake = Mallory::new(&srv).forge_deletion(sn);
     assert_eq!(
         v.verify_read(sn, &fake),
         Err(VerifyError::BadSignature("deletion proof"))
@@ -210,7 +195,7 @@ fn replayed_deletion_proof_is_detected() {
     };
 
     // Replay it as evidence that `target` was deleted.
-    let replayed = srv.mallory().replay_deletion_proof(proof).unwrap();
+    let replayed = Mallory::new(&srv).replay_deletion_proof(proof).unwrap();
     assert_eq!(
         v.verify_read(target, &replayed),
         Err(VerifyError::EvidenceDoesNotCoverSn)
@@ -265,9 +250,9 @@ fn spliced_window_bounds_are_detected_at(config: WormConfig) {
 
     // Splice w1.lo with w2.hi: covers `active` numerically, but the hi
     // bound's signature was issued under w2's window id.
-    let spliced = srv.mallory().splice_windows(&w1, &w2);
+    let spliced = Mallory::new(&srv).splice_windows(&w1, &w2);
     assert!(spliced.contains(active));
-    let malicious = srv.mallory().claim_in_window(active, spliced).unwrap();
+    let malicious = Mallory::new(&srv).claim_in_window(spliced).unwrap();
     let rejected = Err(VerifyError::BadSignature("window bound"));
     assert_eq!(v.verify_read(active, &malicious), rejected);
     // One good bound, one bad: a verifier that has seen both windows and
@@ -304,7 +289,7 @@ fn wrong_window_evidence_is_detected() {
         } => w,
         other => panic!("expected window, got {other:?}"),
     };
-    let malicious = srv.mallory().claim_in_window(active, w).unwrap();
+    let malicious = Mallory::new(&srv).claim_in_window(w).unwrap();
     assert_eq!(
         v.verify_read(active, &malicious),
         Err(VerifyError::EvidenceDoesNotCoverSn)
@@ -322,7 +307,7 @@ fn dropped_vrdt_entry_breaks_completeness() {
     srv.refresh_head().unwrap();
     srv.vrdt().check_complete().unwrap();
 
-    assert!(srv.mallory().drop_entry(SerialNumber(3)));
+    assert!(Mallory::new(&srv).drop_entry(SerialNumber(3)));
     assert_eq!(srv.vrdt().check_complete(), Err(SerialNumber(3)));
     // An honest read path cannot fabricate evidence for the hole.
     assert!(srv.read(SerialNumber(3)).is_err());
@@ -357,7 +342,7 @@ fn resurrection_after_deletion_is_distinguishable() {
 
     // Mallory resurrects the entry. The data itself was shredded, so the
     // resurrected VRD no longer matches the medium.
-    srv.mallory().resurrect_entry(captured);
+    Mallory::new(&srv).resurrect_entry(captured);
     let outcome = srv.read(sn).unwrap();
     assert_eq!(
         v.verify_read(sn, &outcome),

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use common::{server, short_policy};
 use strongworm::{DaemonConfig, RetentionDaemon, ShardedWormServer, WormConfig, WormServer};
 use wormaudit::{verify_chain, AuditClass};
+use wormsim::Mallory;
 use wormstore::Journal;
 
 #[test]
@@ -85,10 +86,7 @@ fn failed_reads_are_promoted_into_the_chain() {
     srv.trace().set_enabled(false);
     // A dishonest host erases the record's table entry: the SN is at or
     // below the signed head, so no honest evidence exists for it.
-    {
-        let (mut vrdt, _store) = srv.parts_mut_for_attack();
-        assert!(vrdt.entries_mut_for_attack().remove(&sn).is_some());
-    }
+    assert!(Mallory::new(&srv).drop_entry(sn));
     let before = srv.audit().height();
     assert!(srv.read(sn).is_err());
     let page = srv.audit().page(before, 4096);

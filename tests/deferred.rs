@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use common::{server, server_with, short_policy, verifier};
 use strongworm::{HashMode, ReadOutcome, ReadVerdict, VerifyError, WitnessMode, WormConfig};
+use wormsim::Mallory;
 
 #[test]
 fn weak_witness_verifies_within_lifetime() {
@@ -212,16 +213,11 @@ fn forged_weak_expiry_does_not_verify() {
         )
         .unwrap();
 
-    {
-        let (mut vrdt, _) = srv.parts_mut_for_attack();
-        if let Some(strongworm::vrdt::VrdtEntry::Active(vrd)) =
-            vrdt.entries_mut_for_attack().get_mut(&sn)
-        {
-            if let strongworm::witness::Witness::Weak { expires_at, .. } = &mut vrd.metasig {
-                *expires_at = expires_at.after(Duration::from_secs(100 * 60 * 60));
-            }
+    assert!(Mallory::new(&srv).edit_vrd(sn, |vrd| {
+        if let strongworm::witness::Witness::Weak { expires_at, .. } = &mut vrd.metasig {
+            *expires_at = expires_at.after(Duration::from_secs(100 * 60 * 60));
         }
-    }
+    }));
 
     let outcome = srv.read(sn).unwrap();
     assert_eq!(
@@ -258,7 +254,7 @@ fn trust_host_hash_audit_catches_data_swap() {
 
     let sn = srv.write(&[b"original"], short_policy(10_000)).unwrap();
     // Mallory swaps the on-disk bytes before the audit runs.
-    assert!(srv.mallory().corrupt_record_data(sn));
+    assert!(Mallory::new(&srv).corrupt_record_data(sn));
 
     srv.idle(1_000_000_000).unwrap();
     assert_eq!(srv.audit_failures(), &[sn]);

@@ -9,6 +9,7 @@ use common::{regulator, server, server_with, short_policy, verifier};
 use scpu::{Clock, TamperCause};
 use strongworm::vrdt::Vrdt;
 use strongworm::{ReadVerdict, SerialNumber, WitnessMode, WormConfig, WormError, WormServer};
+use wormsim::occurrences;
 use wormstore::Journal;
 
 #[test]
@@ -256,11 +257,7 @@ fn refused_writes_leave_no_extent_and_no_plaintext() {
     let (srv, _clock) = server_with(cfg);
     srv.write(&[b"pre"], short_policy(100_000)).unwrap();
     let usage = || (srv.store().watermark(), srv.store().free_bytes());
-    let copies = || {
-        let (_vrdt, store) = srv.parts_mut_for_attack();
-        let raw = store.device().raw();
-        raw.windows(REFUSED.len()).filter(|w| *w == REFUSED).count()
-    };
+    let copies = || occurrences(&srv.store().device().raw(), REFUSED);
     let before = usage();
 
     // The store takes the first record and has no room for the second.

@@ -8,6 +8,7 @@ use std::time::Duration;
 use common::{regulator, short_policy};
 use scpu::VirtualClock;
 use strongworm::{ReadVerdict, Verifier, WormConfig, WormServer};
+use wormsim::occurrences;
 use wormstore::{DiskProfile, FileDisk, RecordStore};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -47,21 +48,18 @@ fn full_lifecycle_on_file_backed_disk() {
 
     // The plaintext is physically in the file while retained...
     let raw = std::fs::read(&path).unwrap();
-    assert!(contains(&raw, b"SECRET-MARKER-0xDEAD"));
+    assert!(occurrences(&raw, b"SECRET-MARKER-0xDEAD") > 0);
 
     // ...and physically gone after retention + shredding.
     clock.advance(Duration::from_secs(70));
     srv.tick().unwrap();
     assert_eq!(srv.read(sn).unwrap().kind(), "deleted");
     let raw = std::fs::read(&path).unwrap();
-    assert!(
-        !contains(&raw, b"SECRET-MARKER-0xDEAD"),
+    assert_eq!(
+        occurrences(&raw, b"SECRET-MARKER-0xDEAD"),
+        0,
         "shredding must reach the backing file"
     );
 
     std::fs::remove_file(&path).ok();
-}
-
-fn contains(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
 }

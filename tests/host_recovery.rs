@@ -5,15 +5,16 @@
 
 mod common;
 
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-use std::sync::Arc;
 
 use common::{regulator, server, short_policy, verifier};
 use scpu::{Clock, VirtualClock};
-use strongworm::powerfail::{is_power_cut, TornMedium, TornServer};
 use strongworm::{ReadVerdict, SerialNumber, Verifier, WormConfig, WormServer};
-use wormstore::{BlockDevice, CutPlan, CutStyle, DiskJournal, Journal, MemDisk, TornDisk};
+use wormsim::{
+    is_power_cut, occurrences, CutPlan, CutStyle, Mallory, TornMedium, TornServer, Torture,
+};
+use wormstore::{BlockDevice, DiskJournal, Journal};
 
 /// Crash the host and bring it back from the surviving parts.
 fn crash_and_resume(
@@ -135,7 +136,7 @@ fn recovery_from_torn_journal_matches_device_head() {
     assert_eq!(srv.read(SerialNumber(1)).unwrap().kind(), "data");
     // The store is rebuilt from the journal, as after a power cut: the
     // lost record's plaintext is gone and its extent is free again.
-    let (_vrdt, store) = srv.parts_mut_for_attack();
+    let store = srv.store();
     let mut bytes = vec![0xAA; lost_rd.len as usize];
     store.device().read_at(lost_rd.offset, &mut bytes).unwrap();
     assert!(
@@ -199,28 +200,25 @@ fn recovery_counters_report_torn_tail_and_replay() {
 
 // ---------------------------------------------------------------------------
 // Exact-count counter assertions on the durable (on-disk journal) path,
-// with power cuts injected at precise write boundaries via `TornDisk`.
-// Unlike the torture sweep (which asserts the Theorem 1/2 invariants),
-// these pin the *accounting*: each recovery reports exactly what the cut
-// destroyed — nothing more, nothing less.
+// with power cuts injected at precise write boundaries by the power-cut
+// rig. Unlike the torture sweep (which asserts the Theorem 1/2
+// invariants), these pin the *accounting*: each recovery reports exactly
+// what the cut destroyed — nothing more, nothing less.
 // ---------------------------------------------------------------------------
 
-const TORN_CAP: usize = 1 << 17;
+/// The journal region of [`Torture::small`]'s medium.
 const TORN_JOURNAL: u64 = 1 << 15;
+
+/// This binary's one power-cut rig (its regulator key is the slow part).
+fn rig() -> &'static Torture {
+    static RIG: OnceLock<Torture> = OnceLock::new();
+    RIG.get_or_init(Torture::small)
+}
 
 /// Boots a durable server on a fresh torn medium with one long-lived
 /// anchor record already committed.
 fn anchor_rig() -> (TornServer, TornMedium, Arc<VirtualClock>) {
-    let clock = VirtualClock::starting_at_millis(1_000_000);
-    let dev = TornDisk::new(MemDisk::unmetered(TORN_CAP));
-    let srv = TornServer::with_durable(
-        dev.clone(),
-        TORN_JOURNAL,
-        WormConfig::test_small(),
-        clock.clone(),
-        regulator().public(),
-    )
-    .expect("durable boot");
+    let (srv, dev, clock) = rig().boot().expect("durable boot");
     srv.write(&[b"anchor"], short_policy(1_000_000))
         .expect("anchor");
     (srv, dev, clock)
@@ -245,26 +243,18 @@ fn tick_window() -> (u64, u64) {
 }
 
 /// Replays the deterministic victim scenario with `plan` armed over the
-/// expiry tick, then revives the medium and recovers.
-fn cut_tick_and_recover(plan: CutPlan) -> (TornServer, Arc<VirtualClock>) {
+/// expiry tick, then recovers.
+fn cut_tick_and_recover(plan: CutPlan) -> TornServer {
     let (srv, dev, clock) = victim_rig();
     clock.advance(Duration::from_secs(150));
     dev.arm(plan);
     if let Err(e) = srv.tick() {
         assert!(is_power_cut(&e), "unexpected tick failure: {e}");
     }
-    let (device, _, _) = srv.into_parts();
-    dev.revive();
-    let srv = TornServer::recover_durable(
-        dev,
-        TORN_JOURNAL,
-        device,
-        WormConfig::test_small(),
-        clock.clone(),
-    )
-    .map_err(|(e, _)| e)
-    .expect("recovery succeeds");
-    (srv, clock)
+    rig()
+        .recover(srv, &dev, &clock, None)
+        .expect("recovery succeeds")
+        .server
 }
 
 /// `(recovery.replayed, recovery.resumed_shreds)` after a cut at each
@@ -274,7 +264,7 @@ fn counters_across_the_tick() -> Vec<(u64, u64)> {
     assert!(w1 > w0, "the expiry tick must hit the disk");
     ((w0 + 1)..=w1)
         .map(|at| {
-            let (srv, _clock) = cut_tick_and_recover(CutPlan {
+            let srv = cut_tick_and_recover(CutPlan {
                 at_write: at,
                 style: CutStyle::Drop,
                 seed: 0xC0DE ^ at,
@@ -346,8 +336,7 @@ fn a_deletion_journals_one_frame_before_its_first_pass_write() {
             DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
         journal.replay().count()
     };
-    let plaintext_on =
-        |dev: &TornMedium| dev.inner().raw().windows(VICTIM.len()).any(|w| w == VICTIM);
+    let plaintext_on = |dev: &TornMedium| occurrences(&dev.inner().raw(), VICTIM) > 0;
     // Past the victim's retention, short of the head's refresh interval:
     // the tick journals the deletion and nothing else.
     let past_retention = Duration::from_secs(110);
@@ -408,12 +397,10 @@ fn torn_tail_counter_is_exact_under_injected_cuts() {
             .write(&[b"doomed victim"], short_policy(100))
             .expect_err("the armed cut fires inside the write");
         assert!(is_power_cut(&err), "unexpected write failure: {err}");
-        let (device, _, _) = srv.into_parts();
-        dev.revive();
-        let srv =
-            TornServer::recover_durable(dev, TORN_JOURNAL, device, WormConfig::test_small(), clock)
-                .map_err(|(e, _)| e)
-                .expect("recovery succeeds");
+        let srv = rig()
+            .recover(srv, &dev, &clock, None)
+            .expect("recovery succeeds")
+            .server;
         let stats = srv.stats_snapshot();
         // Garbage in the frame's sectors is a detectable torn tail;
         // a dropped frame is a clean boundary. Exactly one or zero —
@@ -449,42 +436,26 @@ fn rollback_counts_repeat_exactly_when_recovery_itself_crashes() {
         });
         let err = srv.tick().expect_err("the armed cut fires inside the tick");
         assert!(is_power_cut(&err), "unexpected tick failure: {err}");
-        let (device, _, _) = srv.into_parts();
 
         // Second cut: kill recovery on its very first device write.
-        dev.revive();
-        dev.arm(CutPlan {
-            at_write: 1,
-            style: CutStyle::Drop,
-            seed: 2,
-        });
-        let device = match TornServer::recover_durable(
-            dev.clone(),
-            TORN_JOURNAL,
-            device,
-            WormConfig::test_small(),
-            clock.clone(),
-        ) {
-            Ok(_) => panic!("recovery must hit the armed cut"),
-            Err((e, device)) => {
-                assert!(is_power_cut(&e), "unexpected recovery failure: {e}");
-                device
-            }
-        };
+        let recovered = rig()
+            .recover(
+                srv,
+                &dev,
+                &clock,
+                Some(CutPlan {
+                    at_write: 1,
+                    style: CutStyle::Drop,
+                    seed: 2,
+                }),
+            )
+            .expect("second recovery succeeds");
+        assert!(recovered.recut, "recovery must hit the armed cut");
 
         // Recovery wrote nothing that counts, so the second recovery sees
         // the same journal and reports exactly what an uninterrupted one
         // reports after the same tick cut.
-        dev.revive();
-        let srv = TornServer::recover_durable(
-            dev,
-            TORN_JOURNAL,
-            device,
-            WormConfig::test_small(),
-            clock.clone(),
-        )
-        .map_err(|(e, _)| e)
-        .expect("second recovery succeeds");
+        let srv = recovered.server;
         let stats = srv.stats_snapshot();
         assert_eq!(
             (
@@ -519,7 +490,7 @@ fn pre_crash_host_hash_lies_are_audited_after_resume() {
         .write(&[b"burst record"], short_policy(100_000))
         .unwrap();
     // Mallory swaps the data, then "crashes" the host before any idle.
-    assert!(srv.mallory().corrupt_record_data(sn));
+    assert!(Mallory::new(&srv).corrupt_record_data(sn));
 
     let srv = crash_and_resume(srv, cfg, clock);
     srv.idle(1_000_000_000).unwrap();

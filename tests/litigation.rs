@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::Clock;
 use strongworm::{ReadOutcome, ReadVerdict, RegulatoryAuthority, SerialNumber, WormError};
+use wormsim::Mallory;
 
 #[test]
 fn hold_prevents_deletion_past_retention() {
@@ -194,8 +195,8 @@ fn held_attr_changes_are_scpu_signed() {
     );
 
     // Mallory silently strips the hold from the VRDT.
-    assert!(srv.mallory().rewrite_attributes(sn, |attr| {
-        attr.litigation_hold = None;
+    assert!(Mallory::new(&srv).edit_vrd(sn, |vrd| {
+        vrd.attr.litigation_hold = None;
     }));
     let outcome = srv.read(sn).unwrap();
     assert!(v.verify_read(sn, &outcome).is_err());

@@ -7,18 +7,17 @@ use std::time::Duration;
 
 use common::{server, short_policy, verifier};
 use strongworm::{audit_journal, VerifyError};
+use wormsim::Mallory;
 use wormstore::Journal;
 
 /// Runs the offline audit against a server's current journal + medium.
 fn run_audit(
-    srv: &mut strongworm::WormServer,
+    srv: &strongworm::WormServer,
     v: &strongworm::Verifier,
 ) -> strongworm::OfflineAuditReport {
     let journal = Journal::from_bytes(srv.vrdt().journal().as_bytes().to_vec());
-    let (_vrdt, store) = srv.parts_mut_for_attack();
     // Bob reads extents straight off the seized medium.
-    let mut snapshot = store.device().raw().to_vec();
-    let _ = &mut snapshot;
+    let snapshot = srv.store().device().raw().to_vec();
     audit_journal(&journal, v, |rd| {
         let start = rd.offset as usize;
         let end = start + rd.len as usize;
@@ -31,7 +30,7 @@ fn run_audit(
 
 #[test]
 fn honest_store_audits_clean() {
-    let (mut srv, clock) = server();
+    let (srv, clock) = server();
     let v = verifier(&srv, clock.clone());
     srv.write(&[b"anchor"], short_policy(1_000_000)).unwrap();
     for i in 0..5 {
@@ -45,7 +44,7 @@ fn honest_store_audits_clean() {
     srv.tick().unwrap();
     srv.refresh_head().unwrap();
 
-    let report = run_audit(&mut srv, &v);
+    let report = run_audit(&srv, &v);
     assert!(report.is_clean(), "failures: {:?}", report.failures);
     assert_eq!(report.verified, 6);
     assert_eq!(report.expired, 2);
@@ -54,16 +53,16 @@ fn honest_store_audits_clean() {
 
 #[test]
 fn audit_pinpoints_tampered_record() {
-    let (mut srv, clock) = server();
+    let (srv, clock) = server();
     let v = verifier(&srv, clock.clone());
     srv.write(&[b"fine-1"], short_policy(1_000_000)).unwrap();
     let victim = srv.write(&[b"target"], short_policy(1_000_000)).unwrap();
     srv.write(&[b"fine-2"], short_policy(1_000_000)).unwrap();
     srv.refresh_head().unwrap();
 
-    assert!(srv.mallory().corrupt_record_data(victim));
+    assert!(Mallory::new(&srv).corrupt_record_data(victim));
 
-    let report = run_audit(&mut srv, &v);
+    let report = run_audit(&srv, &v);
     assert_eq!(report.verified, 2);
     assert_eq!(report.failures.len(), 1);
     assert_eq!(report.failures[0].0, victim);
@@ -80,7 +79,7 @@ fn audit_pinpoints_dropped_entries_as_holes() {
     }
     srv.refresh_head().unwrap();
     let gone = strongworm::SerialNumber(2);
-    assert!(srv.mallory().drop_entry(gone));
+    assert!(Mallory::new(&srv).drop_entry(gone));
 
     // Mallory also has to fake the journal; dropping the entry from the
     // in-memory table alone leaves the journal intact, so rebuild a
@@ -96,8 +95,7 @@ fn audit_pinpoints_dropped_entries_as_holes() {
             filtered.append(&frame).expect("append");
         }
     }
-    let (_vrdt, store) = srv.parts_mut_for_attack();
-    let snapshot = store.device().raw().to_vec();
+    let snapshot = srv.store().device().raw().to_vec();
     let report = audit_journal(&filtered, &v, |rd| {
         let start = rd.offset as usize;
         snapshot
@@ -128,10 +126,10 @@ fn audit_rejects_unreadable_extents() {
 
 #[test]
 fn audit_of_empty_store_is_clean() {
-    let (mut srv, clock) = server();
+    let (srv, clock) = server();
     let v = verifier(&srv, clock.clone());
     srv.refresh_head().unwrap();
-    let report = run_audit(&mut srv, &v);
+    let report = run_audit(&srv, &v);
     assert!(report.is_clean());
     assert_eq!(report.verified, 0);
 }

@@ -7,20 +7,8 @@
 //! itself* and recovers again.
 //!
 //! Deterministically seeded: a failing cut point replays bit-identically.
-//! `POWERFAIL_STRIDE=n` subsamples every n-th boundary (CI bound); the
-//! default is exhaustive.
 
-use strongworm::powerfail::{Scenario, Torture};
-use wormstore::{CutPlan, CutStyle};
-
-/// Boundary stride: 1 (exhaustive) unless CI bounds the budget.
-fn stride() -> u64 {
-    std::env::var("POWERFAIL_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
+use wormsim::{CutPlan, CutRange, CutStyle, Scenario, Torture};
 
 #[test]
 fn every_cut_point_of_the_lifecycle_recovers_and_verifies() {
@@ -32,20 +20,11 @@ fn every_cut_point_of_the_lifecycle_recovers_and_verifies() {
         "scenario too small to be interesting ({range:?})"
     );
     let mut explored = 0u64;
-    let mut at = range.first;
-    while at <= range.last {
-        for style in CutStyle::ALL {
-            let plan = CutPlan {
-                at_write: at,
-                style,
-                seed: 0x5EED ^ at,
-            };
-            if let Err(e) = rig.torture(&sc, plan, None) {
-                panic!("cut at write {at} ({style}): {e}");
-            }
-            explored += 1;
+    for plan in range.plans(0x5EED) {
+        if let Err(e) = rig.torture(&sc, plan, None) {
+            panic!("cut at write {} ({}): {e}", plan.at_write, plan.style);
         }
-        at += stride();
+        explored += 1;
     }
     assert!(explored >= 4, "explored {explored} cut points");
 }
@@ -78,19 +57,17 @@ fn crash_during_recovery_still_recovers() {
         assert!(out.cut_fired, "candidate {first_cut} must fire");
         assert!(out.recovery_writes > 0, "recovery must journal work");
         // Now cut the recovery at every one of its own boundaries.
-        let mut rat = 1;
-        while rat <= out.recovery_writes {
-            for style in CutStyle::ALL {
-                let rp = CutPlan {
-                    at_write: rat,
-                    style,
-                    seed: 0x2ECC ^ rat,
-                };
-                if let Err(e) = rig.torture(&sc, plan, Some(rp)) {
-                    panic!("first cut {first_cut}, recovery cut {rat} ({style}): {e}");
-                }
+        let recovery = CutRange {
+            first: 1,
+            last: out.recovery_writes,
+        };
+        for rp in recovery.plans(0x2ECC) {
+            if let Err(e) = rig.torture(&sc, plan, Some(rp)) {
+                panic!(
+                    "first cut {first_cut}, recovery cut {} ({}): {e}",
+                    rp.at_write, rp.style
+                );
             }
-            rat += stride();
         }
     }
 }

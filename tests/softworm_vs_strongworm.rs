@@ -11,6 +11,7 @@ use common::{server, short_policy, verifier};
 use scpu::VirtualClock;
 use softworm::{attack, SoftWormError, SoftWormStore};
 use strongworm::VerifyError;
+use wormsim::Mallory;
 
 const ORIGINAL: &[u8] = b"WIRE $1,000,000 TO ACCOUNT X-999 (CEO)";
 const FORGED: &[u8] = b"WIRE $100 TO THE CHARITY FUND ACCOUNT";
@@ -34,7 +35,7 @@ fn rewrite_attack_softworm_fooled_strongworm_detects() {
     // Mallory rewrites the record bytes on the raw medium. She can also
     // rewrite anything else on the host — but not produce the SCPU's
     // signature over the new content.
-    assert!(strong.mallory().corrupt_record_data(sn));
+    assert!(Mallory::new(&strong).corrupt_record_data(sn));
     assert_eq!(
         v.verify_read(sn, &strong.read(sn).unwrap()),
         Err(VerifyError::DataHashMismatch),
@@ -64,14 +65,14 @@ fn erase_attack_softworm_fooled_strongworm_detects() {
     let v = verifier(&strong, clock.clone());
     let sn = strong.write(&[ORIGINAL], short_policy(1_000_000)).unwrap();
     strong.refresh_head().unwrap();
-    let denial = strong.mallory().deny_existence(sn).unwrap();
+    let denial = Mallory::new(&strong).deny_existence().unwrap();
     assert_eq!(
         v.verify_read(sn, &denial),
         Err(VerifyError::HiddenRecord),
         "strong WORM proves the record exists"
     );
     // Even crude VRDT destruction cannot manufacture evidence.
-    assert!(strong.mallory().drop_entry(sn));
+    assert!(Mallory::new(&strong).drop_entry(sn));
     assert!(strong.read(sn).is_err());
     assert_eq!(strong.vrdt().check_complete(), Err(sn));
 }
@@ -94,7 +95,7 @@ fn early_deletion_softworm_only_software_checks_strongworm_needs_scpu() {
     let v = verifier(&strong, clock.clone());
     let sn = strong.write(&[ORIGINAL], short_policy(1_000_000)).unwrap();
     strong.refresh_head().unwrap();
-    let forged = strong.mallory().forge_deletion(sn);
+    let forged = Mallory::new(&strong).forge_deletion(sn);
     assert_eq!(
         v.verify_read(sn, &forged),
         Err(VerifyError::BadSignature("deletion proof"))
