@@ -10,7 +10,7 @@
 //!   modular exponentiation and Miller–Rabin primality.
 //! * [`RsaPrivateKey`] / [`RsaPublicKey`] — PKCS#1 v1.5 signatures at the
 //!   512/1024/2048-bit widths the paper's deferred-strength scheme uses;
-//!   on a CPU with AVX-512 IFMA the private operation runs in four lanes,
+//!   on a CPU with AVX-512 IFMA the private operation runs in eight lanes,
 //!   [`RsaPrivateKey::sign_pair`] signs two messages for the price of one,
 //!   and [`RsaPublicKey::verify_pair`] checks two signatures in one pass.
 //! * [`Sha1`] and [`Sha256`] — FIPS 180-4 hashes ([`Sha1`] matches the

@@ -10,17 +10,19 @@
 //! There are two engines. [`Montgomery::pow`] is the scalar one: it runs on
 //! every CPU and key width and is the reference the tests compare against.
 //! Where the CPU has AVX-512 IFMA, a key also carries its moduli prepared
-//! for `shani::ifma52`, whose vectors hold four lanes of 52-bit digits. On
-//! the private side (keys 512, 1024 or 2048 bits wide) a number takes one
-//! lane: the CRT halves of one signature fill two, those of two signatures
-//! under one key ([`RsaPrivateKey::sign_pair`]) all four. On the public side
-//! (a one-limb exponent) a number spreads over the lanes there are: the two
-//! signatures a record carries are checked in one pass of two lanes each
-//! ([`RsaPublicKey::verify_pair`]), a lone signature in four
-//! ([`RsaPublicKey::verify`]; not at 512 bits, whose ten digits do not
-//! split in four). Which engine runs is fixed when the key is built, from
-//! the CPU and the width alone; PKCS#1 v1.5 is deterministic, so both give
-//! the same bytes and the same verdicts.
+//! for `shani::ifma52`, whose vectors hold eight lanes of 52-bit digits. On
+//! the private side (keys 512, 1024 or 2048 bits wide) the CRT halves of
+//! two signatures under one key ([`RsaPrivateKey::sign_pair`]) fill the
+//! vector: two lanes each at 2048 bits, and at 512 and 1024 one lane each
+//! beside one for its squares; one signature leaves half of it idle. On
+//! the public side (a one-limb exponent) a number spreads over as many
+//! lanes as its digits split into: the two signatures a record carries are
+//! checked in one pass of four lanes each ([`RsaPublicKey::verify_pair`];
+//! two each at 512 bits), a lone signature in eight at 2048 bits and four
+//! at 1024 ([`RsaPublicKey::verify`]; not at 512 bits, whose ten digits do
+//! not split in four). Which engine runs is fixed when the key is built,
+//! from the CPU and the width alone; PKCS#1 v1.5 is deterministic, so both
+//! give the same bytes and the same verdicts.
 
 use std::fmt;
 
@@ -110,7 +112,7 @@ pub struct RsaPrivateKey {
     dp: Ubig,
     dq: Ubig,
     qinv: Ubig,
-    /// `p` and `q` prepared for the four-lane engine; `None` on a CPU
+    /// `p` and `q` prepared for the lane engine; `None` on a CPU
     /// without it or for a width it has no kernel for.
     lanes: Option<[ifma52::Modulus; 2]>,
 }
@@ -182,8 +184,8 @@ impl RsaPublicKey {
     ///
     /// Returns `false` for any malformed, truncated, or mismatching
     /// signature — verification never panics on attacker-controlled input.
-    /// The exponentiation spreads over four lanes where the key carries them
-    /// and its digits split in four (1024 and 2048 bits).
+    /// The exponentiation spreads over the lanes its digits split into where
+    /// the key carries them: four at 1024 bits, eight at 2048.
     pub fn verify(&self, msg: &[u8], sig: &[u8], alg: HashAlg) -> bool {
         let Some(s) = self.signature_value(sig) else {
             return false;
@@ -203,8 +205,8 @@ impl RsaPublicKey {
     /// Verifies two PKCS#1 v1.5 signatures, each under its own key: exactly
     /// `[keys[0].verify(msgs[0], sigs[0], alg), keys[1].verify(msgs[1],
     /// sigs[1], alg)]`, and where both keys carry lanes of one width the two
-    /// exponentiations are one pass, two lanes each. A half that is
-    /// malformed is `false` and costs the other one `verify`.
+    /// exponentiations are one pass, four lanes each (two at 512 bits). A
+    /// half that is malformed is `false` and costs the other one `verify`.
     pub fn verify_pair(
         keys: [&RsaPublicKey; 2],
         msgs: [&[u8]; 2],
@@ -257,7 +259,7 @@ impl RsaPublicKey {
         emsa_pkcs1_v15(msg, k, alg).is_ok_and(|expected| em.to_bytes_be_padded(k) == expected)
     }
 
-    /// This key as built on a CPU without the four-lane engine.
+    /// This key as built on a CPU without the lane engine.
     #[cfg(test)]
     fn scalar_only(&self) -> Self {
         RsaPublicKey {
@@ -378,7 +380,7 @@ impl RsaPrivateKey {
 
     /// Signs two messages with PKCS#1 v1.5: byte for byte
     /// `[sign(msgs[0]), sign(msgs[1])]`, and where the key carries lanes
-    /// both signatures cost one four-lane exponentiation.
+    /// both signatures cost one exponentiation in the lanes.
     ///
     /// # Errors
     ///
@@ -391,8 +393,8 @@ impl RsaPrivateKey {
     }
 
     /// The private operation on one or two values: every CRT half in one
-    /// four-lane call (two lanes idle for one value) where the key carries
-    /// lanes, one scalar [`Self::raw_decrypt`] per value otherwise.
+    /// call to the lanes where the key carries them (for one value, half of
+    /// them idle), one scalar [`Self::raw_decrypt`] per value otherwise.
     fn private_ops<const N: usize>(&self, ms: [&Ubig; N]) -> [Ubig; N] {
         match self.crt_halves_in_lanes(&ms) {
             Some(halves) => {
@@ -446,7 +448,7 @@ impl RsaPrivateKey {
         &self.d
     }
 
-    /// This key as built on a CPU without the four-lane engine.
+    /// This key as built on a CPU without the lane engine.
     #[cfg(test)]
     fn scalar_only(&self) -> Self {
         RsaPrivateKey {
@@ -456,7 +458,7 @@ impl RsaPrivateKey {
     }
 }
 
-/// `prime` prepared for the four-lane engine, if this CPU has it and the
+/// `prime` prepared for the lane engine, if this CPU has it and the
 /// prime is that of a 512, 1024 or 2048-bit key (5, 10 or 20 digits of 52
 /// bits, two bits to spare).
 fn prime_lanes(prime: &Ubig) -> Option<ifma52::Modulus> {
@@ -731,6 +733,28 @@ mod tests {
             RsaPublicKey::verify_pair(keys, [a, b], sigs, alg),
             [false; 2]
         );
+        // The lanes' exponentiations on random values below n, which no
+        // honest signer produces, as a pair and alone, against the scalar
+        // engine.
+        let mut rng = StdRng::seed_from_u64(0x1f3a);
+        for key in lane_width_keys().each_ref().map(RsaPrivateKey::public) {
+            let Some(lanes) = key.lanes.as_deref() else {
+                continue;
+            };
+            let (n, e) = (key.n(), key.e());
+            let ctx = Montgomery::new(n).unwrap();
+            for _ in 0..8 {
+                let values = [0, 1].map(|_| Ubig::random_bits(&mut rng, n.bit_len()).rem(n));
+                let want = values.each_ref().map(|s| ctx.pow(s, e));
+                let limbs = values.each_ref().map(|s| &s.limbs[..]);
+                let got = ifma52::pow_short([lanes; 2], limbs, [e.low_u64(); 2]).unwrap();
+                assert_eq!(got.map(Ubig::from_limbs), want, "{key:?} pair");
+                // 512 bits has no one-number kernel: `verify` is scalar.
+                if let Some([one]) = ifma52::pow_short([lanes], [limbs[0]], [e.low_u64()]) {
+                    assert_eq!(Ubig::from_limbs(one), want[0], "{key:?} single");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,26 @@
 //! byte-identical to the entry originally appended at that position — a
 //! torn or forged frame is dropped, never surfaced. An exhaustive sweep
 //! covers every byte offset of a fixed log; proptest then randomizes the
-//! journal shape itself.
+//! journal shape itself. The frame checksum, `crc32`, is held to the
+//! bit-at-a-time definition, so the on-disk format cannot drift.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use wormstore::Journal;
+use wormstore::{crc32, Journal};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) one bit at a time: the
+/// definition the table-driven `crc32` must equal on every input.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
 
 fn build(payloads: &[Vec<u8>]) -> Journal {
     let mut j = Journal::new();
@@ -59,6 +74,11 @@ fn every_truncation_and_every_byte_flip_yields_an_exact_prefix() {
 }
 
 proptest! {
+    #[test]
+    fn crc32_equals_the_bitwise_definition(data in vec(any::<u8>(), 0..1024)) {
+        prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+    }
+
     #[test]
     fn truncation_never_panics_and_never_tears(
         payloads in vec(vec(any::<u8>(), 0..64), 0..12),
