@@ -66,6 +66,19 @@ pub enum WriteData {
     },
 }
 
+/// One write of a `Write` command (§4.2.2).
+#[derive(Clone, Debug)]
+pub struct WriteItem {
+    /// Retention policy for the new record.
+    pub policy: RetentionPolicy,
+    /// Free-form flag bits stored in `attr`.
+    pub flags: u32,
+    /// Record data (full or host-hashed).
+    pub data: WriteData,
+    /// Requested witnessing tier.
+    pub witness: WitnessMode,
+}
+
 /// A weak (short-lived) key certificate chained off the permanent key `s`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WeakKeyCert {
@@ -154,17 +167,9 @@ pub enum WormRequest {
     },
     /// Returns the public keys / certificates for client distribution.
     GetKeys,
-    /// Commits a new virtual record.
-    Write {
-        /// Retention policy for the new record.
-        policy: RetentionPolicy,
-        /// Free-form flag bits stored in `attr`.
-        flags: u32,
-        /// Record data (full or host-hashed).
-        data: WriteData,
-        /// Requested witnessing tier.
-        witness: WitnessMode,
-    },
+    /// Commits new virtual records, one per item, serial numbers issued
+    /// in item order: a host's run of writes in one command.
+    Write(Vec<WriteItem>),
     /// Re-issues the timestamped head certificate.
     RefreshHead,
     /// Re-issues the base certificate.
@@ -244,8 +249,8 @@ pub enum WormResponse {
     Ready,
     /// Public keys for clients.
     Keys(DeviceKeys),
-    /// Write receipt.
-    Written(WriteReceipt),
+    /// Write receipts, one per item, in item order.
+    Written(Vec<WriteReceipt>),
     /// Fresh head certificate.
     Head(HeadCert),
     /// Fresh base certificate.
@@ -379,12 +384,7 @@ impl WormFirmware {
         match request {
             WormRequest::Init { regulator } => self.init(env, regulator),
             WormRequest::GetKeys => self.get_keys(),
-            WormRequest::Write {
-                policy,
-                flags,
-                data,
-                witness,
-            } => self.write(env, policy, flags, data, witness),
+            WormRequest::Write(items) => self.write(env, items),
             WormRequest::RefreshHead => self.refresh_head(env).map(WormResponse::Head),
             WormRequest::RefreshBase => self.refresh_base(env).map(WormResponse::Base),
             WormRequest::SignComposite { shard_count, root } => self
@@ -425,7 +425,7 @@ impl Applet for WormFirmware {
         match request {
             WormRequest::Init { .. } => "scpu.init",
             WormRequest::GetKeys => "scpu.get_keys",
-            WormRequest::Write { .. } => "scpu.write",
+            WormRequest::Write(_) => "scpu.write",
             WormRequest::RefreshHead => "scpu.refresh_head",
             WormRequest::RefreshBase => "scpu.refresh_base",
             WormRequest::SignComposite { .. } => "scpu.sign_composite",

@@ -11,13 +11,12 @@ use wormcrypt::{ct_eq, Hmac, Sha256};
 
 use crate::attr::RecordAttributes;
 use crate::config::WitnessMode;
-use crate::policy::RetentionPolicy;
 use crate::sn::SerialNumber;
 use crate::witness::{data_payload, meta_payload, weak_wrap, Signature, Witness};
 
 use super::{
     reject, FirmwareError, OutboxItem, WitnessField, WormFirmware, WormResponse, WriteData,
-    WriteReceipt,
+    WriteItem, WriteReceipt,
 };
 
 /// Secure-memory estimate per pending-strengthen entry (payload + keys).
@@ -41,128 +40,173 @@ impl WitnessField {
     }
 }
 
+/// One write of a `Write` command between its serial number and its
+/// witnesses.
+struct Issued {
+    sn: SerialNumber,
+    attr: RecordAttributes,
+    /// `(SN, attr)`, which `metasig` covers.
+    meta: Vec<u8>,
+    /// `(SN, Hash(data))`, which `datasig` covers.
+    data: Vec<u8>,
+    witness: WitnessMode,
+    /// The host's claimed chain hash, queued for audit (trust-host-hash).
+    audit: Option<Vec<u8>>,
+}
+
 impl WormFirmware {
-    /// `Write` (§4.2.2): issues the next serial number, stamps trusted
-    /// attributes, and witnesses `(SN, attr)` and `(SN, Hash(data))` at
-    /// the requested strength tier.
+    /// `Write` (§4.2.2): for each item, in request order, issues the next
+    /// serial number, stamps trusted attributes, and witnesses `(SN,
+    /// attr)` and `(SN, Hash(data))` at the item's tier. Each item is
+    /// charged what a lone write is — its DMA, its hash and two signatures
+    /// — and yields the receipt a lone write would: the RSA tiers sign
+    /// every item's pair in one `sign_many`, four signatures a lane pass.
+    /// An item the firmware refuses refuses the whole command before any
+    /// serial number is issued.
     pub(crate) fn write(
         &mut self,
         env: &mut Env,
-        policy: RetentionPolicy,
-        flags: u32,
-        data: WriteData,
-        witness: WitnessMode,
+        items: Vec<WriteItem>,
     ) -> Result<WormResponse, FirmwareError> {
         self.booted()?;
-        if witness == WitnessMode::Deferred {
+        let short_hash = |item: &WriteItem| match &item.data {
+            WriteData::HostHash { chain_hash, .. } => chain_hash.len() != 32,
+            WriteData::Full(_) => false,
+        };
+        if items.iter().any(short_hash) {
+            return reject("host-provided data hash must be 32 bytes");
+        }
+        if items
+            .iter()
+            .any(|item| item.witness == WitnessMode::Deferred)
+        {
             self.maybe_rotate_weak_key(env);
         }
         let now = env.now();
 
-        // Compute (or accept) the chained data hash (Table 1).
-        let (chain_hash, audit_pending) = match &data {
-            WriteData::Full(records) => {
-                let total: usize = records.iter().map(|r| r.len()).sum();
-                env.charge(Op::DmaIn { bytes: total });
-                env.charge(Op::Sha256 { bytes: total });
-                let digest = crate::vrd::data_chain_hash(records.iter().map(|r| r.as_slice()));
-                (digest, false)
-            }
-            WriteData::HostHash { chain_hash, .. } => {
-                if chain_hash.len() != 32 {
-                    return reject("host-provided data hash must be 32 bytes");
+        let mut issued = Vec::with_capacity(items.len());
+        for WriteItem {
+            policy,
+            flags,
+            data,
+            witness,
+        } in items
+        {
+            // Compute (or accept) the chained data hash (Table 1).
+            let (chain_hash, audit) = match data {
+                WriteData::Full(records) => {
+                    let total: usize = records.iter().map(|r| r.len()).sum();
+                    env.charge(Op::DmaIn { bytes: total });
+                    env.charge(Op::Sha256 { bytes: total });
+                    let digest = crate::vrd::data_chain_hash(records.iter().map(|r| r.as_slice()));
+                    (digest, None)
                 }
-                env.charge(Op::DmaIn { bytes: 32 });
-                (chain_hash.clone(), true)
-            }
-        };
-
-        let attr = {
+                WriteData::HostHash { chain_hash, .. } => {
+                    env.charge(Op::DmaIn { bytes: 32 });
+                    (chain_hash.clone(), Some(chain_hash))
+                }
+            };
             let s = self.booted_mut()?;
             s.sn_current = s.sn_current.next();
-            RecordAttributes {
+            let sn = s.sn_current;
+            let attr = RecordAttributes {
                 created_at: now,
                 retention_until: now.after(policy.retention),
                 regulation: policy.regulation,
                 shredder: policy.shredder,
                 litigation_hold: None,
                 flags,
-            }
-        };
-        let sn = self.booted()?.sn_current;
-        let meta = meta_payload(sn, &attr.encode());
-        let datap = data_payload(sn, &chain_hash);
-
-        let [metasig, datasig] = self.issue_witnesses(env, sn, &meta, &datap, witness)?;
-
-        if audit_pending {
-            if let WriteData::HostHash { chain_hash, .. } = data {
-                self.pending_audits.insert(sn, chain_hash);
-            }
+            };
+            issued.push(Issued {
+                sn,
+                meta: meta_payload(sn, &attr.encode()),
+                data: data_payload(sn, &chain_hash),
+                attr,
+                witness,
+                audit,
+            });
         }
 
-        // Schedule expiration; on secure-memory exhaustion the host keeps
-        // the entry instead and re-arms it from the signed attributes
-        // (§4.2.2: VEXP "subject to secure storage space").
-        let vexp_spilled = self
-            .vexp
-            .insert(env.memory(), sn, attr.retention_until, policy.shredder)
-            .is_err();
-        if vexp_spilled {
-            self.spilled += 1;
+        let mut witnesses = self.issue_witnesses(env, &issued)?.into_iter();
+        let mut receipts = Vec::with_capacity(issued.len());
+        for item in issued {
+            let (Some(metasig), Some(datasig)) = (witnesses.next(), witnesses.next()) else {
+                return reject("fewer witnesses than writes");
+            };
+            if item.witness != WitnessMode::Strong {
+                self.register_pending(env, item.sn, WitnessField::Meta, &item.meta);
+                self.register_pending(env, item.sn, WitnessField::Data, &item.data);
+            }
+            if let Some(chain_hash) = item.audit {
+                self.pending_audits.insert(item.sn, chain_hash);
+            }
+            // Schedule expiration; on secure-memory exhaustion the host
+            // keeps the entry instead and re-arms it from the signed
+            // attributes (§4.2.2: VEXP "subject to secure storage space").
+            let vexp_spilled = self
+                .vexp
+                .insert(
+                    env.memory(),
+                    item.sn,
+                    item.attr.retention_until,
+                    item.attr.shredder,
+                )
+                .is_err();
+            if vexp_spilled {
+                self.spilled += 1;
+            }
+            receipts.push(WriteReceipt {
+                sn: item.sn,
+                attr: item.attr,
+                metasig,
+                datasig,
+                vexp_spilled,
+            });
         }
-
-        Ok(WormResponse::Written(WriteReceipt {
-            sn,
-            attr,
-            metasig,
-            datasig,
-            vexp_spilled,
-        }))
+        Ok(WormResponse::Written(receipts))
     }
 
-    /// Issues `metasig` and `datasig` at the requested tier, registering
-    /// deferred tiers for idle-time strengthening. The two go out under one
-    /// key, so an RSA tier signs them as one pair; the device is charged
-    /// two signatures all the same.
+    /// `metasig` and `datasig` of every write, in order, at each write's
+    /// tier: two signatures charged a write on an RSA tier, every payload
+    /// of a tier signed in one `sign_many`. The deferred tiers' entries
+    /// for idle-time strengthening are the caller's to register.
     fn issue_witnesses(
         &mut self,
         env: &mut Env,
-        sn: SerialNumber,
-        meta: &[u8],
-        data: &[u8],
-        mode: WitnessMode,
-    ) -> Result<[Witness; 2], FirmwareError> {
-        let witnesses = match mode {
-            WitnessMode::Strong => return Ok(self.sign_strong_pair(env, meta, data)),
-            WitnessMode::Deferred => {
-                let (weak_bits, lifetime) = (self.cfg.weak_bits, self.cfg.weak_lifetime);
-                env.charge(Op::RsaSign { bits: weak_bits });
-                env.charge(Op::RsaSign { bits: weak_bits });
-                let s = self.booted()?;
-                let expires_at = env.now().after(lifetime).min(s.weak_cert.max_sig_expiry);
-                Signature::sign_pair(
-                    &s.weak_key,
-                    &weak_wrap(meta, expires_at),
-                    &weak_wrap(data, expires_at),
-                )
-                .map(|sig| Witness::Weak { sig, expires_at })
-            }
-            WitnessMode::Hmac => {
-                let s = self.booted()?;
-                [meta, data].map(|payload| {
-                    env.charge(Op::Hmac {
-                        bytes: payload.len(),
-                    });
-                    Witness::Mac {
-                        tag: Hmac::<Sha256>::mac(&s.hmac_key, payload),
-                    }
-                })
-            }
+        issued: &[Issued],
+    ) -> Result<Vec<Witness>, FirmwareError> {
+        let payloads_at = |mode: WitnessMode| -> Vec<&[u8]> {
+            issued
+                .iter()
+                .filter(|w| w.witness == mode)
+                .flat_map(|w| [&w.meta[..], &w.data[..]])
+                .collect()
         };
-        self.register_pending(env, sn, WitnessField::Meta, meta);
-        self.register_pending(env, sn, WitnessField::Data, data);
-        Ok(witnesses)
+        let mut strong = self
+            .sign_strong_many(env, &payloads_at(WitnessMode::Strong))
+            .into_iter();
+        let mut weak = self
+            .sign_weak_many(env, &payloads_at(WitnessMode::Deferred))?
+            .into_iter();
+        let mut out = Vec::with_capacity(2 * issued.len());
+        for w in issued {
+            match w.witness {
+                WitnessMode::Strong => out.extend(strong.by_ref().take(2)),
+                WitnessMode::Deferred => out.extend(weak.by_ref().take(2)),
+                WitnessMode::Hmac => {
+                    let s = self.booted()?;
+                    for payload in [&w.meta, &w.data] {
+                        env.charge(Op::Hmac {
+                            bytes: payload.len(),
+                        });
+                        out.push(Witness::Mac {
+                            tag: Hmac::<Sha256>::mac(&s.hmac_key, payload),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Signs `payload` with the permanent key `s`.
@@ -174,14 +218,39 @@ impl WormFirmware {
         Witness::Strong(Signature::sign(&s.sign_key, payload))
     }
 
-    /// Signs two payloads with the permanent key `s` in one private-key
-    /// operation, charged as the two signatures they are.
-    fn sign_strong_pair(&mut self, env: &mut Env, a: &[u8], b: &[u8]) -> [Witness; 2] {
+    /// Signs each of `payloads` with the permanent key `s`, up to four in
+    /// one private-key pass, charged as the signatures they are.
+    fn sign_strong_many(&mut self, env: &mut Env, payloads: &[&[u8]]) -> Vec<Witness> {
         let bits = self.cfg.strong_bits;
-        env.charge(Op::RsaSign { bits });
-        env.charge(Op::RsaSign { bits });
+        for _ in payloads {
+            env.charge(Op::RsaSign { bits });
+        }
         let s = self.booted_invariant();
-        Signature::sign_pair(&s.sign_key, a, b).map(Witness::Strong)
+        Signature::sign_many(&s.sign_key, payloads)
+            .into_iter()
+            .map(Witness::Strong)
+            .collect()
+    }
+
+    /// Signs each of `payloads`, wrapped with one expiry, with the current
+    /// short-lived key, charged as the signatures they are.
+    fn sign_weak_many(
+        &mut self,
+        env: &mut Env,
+        payloads: &[&[u8]],
+    ) -> Result<Vec<Witness>, FirmwareError> {
+        let (bits, lifetime) = (self.cfg.weak_bits, self.cfg.weak_lifetime);
+        for _ in payloads {
+            env.charge(Op::RsaSign { bits });
+        }
+        let s = self.booted()?;
+        let expires_at = env.now().after(lifetime).min(s.weak_cert.max_sig_expiry);
+        let wrapped: Vec<Vec<u8>> = payloads.iter().map(|p| weak_wrap(p, expires_at)).collect();
+        let wrapped: Vec<&[u8]> = wrapped.iter().map(Vec::as_slice).collect();
+        Ok(Signature::sign_many(&s.weak_key, &wrapped)
+            .into_iter()
+            .map(|sig| Witness::Weak { sig, expires_at })
+            .collect())
     }
 
     /// Signs a deletion payload with the deletion key `d`.
@@ -261,9 +330,13 @@ impl WormFirmware {
                 Some(data) => {
                     env.memory().release(data.reserved);
                     spent += per_sig;
-                    let [meta, data] = self.sign_strong_pair(env, &entry.payload, &data.payload);
-                    self.push_strengthened(sn, WitnessField::Meta, meta);
-                    self.push_strengthened(sn, WitnessField::Data, data);
+                    let pair = self.sign_strong_many(env, &[&entry.payload, &data.payload]);
+                    for (field, witness) in [WitnessField::Meta, WitnessField::Data]
+                        .into_iter()
+                        .zip(pair)
+                    {
+                        self.push_strengthened(sn, field, witness);
+                    }
                 }
                 None => {
                     let field = if code == WitnessField::Meta.code() {

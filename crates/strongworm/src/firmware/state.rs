@@ -351,11 +351,14 @@ impl WormFirmware {
         env.charge(Op::RsaSign { bits });
         env.charge(Op::RsaSign { bits });
         let s = self.booted_mut()?;
-        let [lo_sig, hi_sig] = Signature::sign_pair(
-            &s.sign_key,
-            &window_payload(window_id, lo, WindowSide::Lower),
-            &window_payload(window_id, hi, WindowSide::Upper),
-        );
+        let bounds = [
+            window_payload(window_id, lo, WindowSide::Lower),
+            window_payload(window_id, hi, WindowSide::Upper),
+        ];
+        let mut sigs = Signature::sign_many(&s.sign_key, &[&bounds[0], &bounds[1]]).into_iter();
+        let (Some(lo_sig), Some(hi_sig)) = (sigs.next(), sigs.next()) else {
+            return reject("fewer signatures than window bounds");
+        };
         // Externalize: per-SN knowledge is replaced by the interval.
         let mut sn = lo;
         while sn <= hi {

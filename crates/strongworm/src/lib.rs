@@ -92,7 +92,7 @@ pub use error::{VerifyError, WormError};
 pub use offline::{audit_journal, OfflineAuditReport};
 pub use policy::{Regulation, RetentionPolicy};
 pub use proofs::{CompositeBinding, CompositeHead, DeletionEvidence, ReadOutcome};
-pub use server::{ReadPlane, ShardedWormServer, WitnessPlane, WormServer};
+pub use server::{ReadPlane, RecordWrite, ShardedWormServer, WitnessPlane, WormServer};
 pub use sn::{SerialNumber, MAX_SHARDS, SHARD_LANE_BITS};
 pub use vrd::Vrd;
 pub use vrdt::RecoveryStats;

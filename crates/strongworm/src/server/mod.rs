@@ -59,6 +59,28 @@ use witness::{execute, unexpected};
 /// `shard{i}.` handle into lane 0's registry, and lane 0's journal.
 type LaneZero = (Arc<wormtrace::Registry>, Arc<AuditLog>);
 
+/// One write of a run for [`WormServer::write_many`] and
+/// [`ShardedWormServer::write_many`]: what [`WormServer::write_with`]
+/// takes.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordWrite<'a> {
+    /// The data records of the virtual record, in order.
+    pub records: &'a [&'a [u8]],
+    /// Retention policy for the record.
+    pub policy: RetentionPolicy,
+    /// Free-form flag bits stored in `attr`.
+    pub flags: u32,
+    /// Witness tier.
+    pub witness: WitnessMode,
+}
+
+/// The verdict of a run of one.
+fn only(mut results: Vec<Result<SerialNumber, WormError>>) -> Result<SerialNumber, WormError> {
+    results
+        .pop()
+        .unwrap_or_else(|| Err(WormError::Firmware("a write got no verdict".into())))
+}
+
 /// The WORM storage server: a concurrent [`ReadPlane`] plus a serialized
 /// [`WitnessPlane`] behind one `&self` facade (see module docs).
 pub struct WormServer<D: BlockDevice = MemDisk> {
@@ -496,15 +518,35 @@ impl<D: BlockDevice> WormServer<D> {
         flags: u32,
         witness: WitnessMode,
     ) -> Result<SerialNumber, WormError> {
+        only(self.write_many(&[RecordWrite {
+            records,
+            policy,
+            flags,
+            witness,
+        }]))
+    }
+
+    /// Writes a run of virtual records in one SCPU command: serial
+    /// numbers in run order, each write witnessed, journaled and answered
+    /// exactly as [`Self::write_with`] would have done it alone, and up to
+    /// two writes' four signatures in one pass of the lane engine. Every
+    /// write is one sample of `server.write`, timed over the run.
+    pub fn write_many(&self, writes: &[RecordWrite<'_>]) -> Vec<Result<SerialNumber, WormError>> {
         let observed = self
             .trace
             .observe(&self.ops.write, "server.write", Plane::Witness);
-        let result = self
-            .witness
-            .lock()
-            .write_inner(records, policy, flags, witness);
-        observed.finish(result.is_ok(), result.as_ref().ok().map(|sn| sn.0));
-        result
+        let results = self.witness.lock().write_many(writes);
+        let first = results.first();
+        let elapsed = observed.finish(
+            first.is_some_and(Result::is_ok),
+            first.and_then(|r| r.as_ref().ok()).map(|sn| sn.0),
+        );
+        if let Some(ns) = elapsed {
+            for r in results.iter().skip(1) {
+                self.ops.write.record(ns, r.is_ok());
+            }
+        }
+        results
     }
 
     /// Reads a record by serial number — main-CPU cycles only (§4.2.2),

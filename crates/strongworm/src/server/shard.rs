@@ -42,7 +42,7 @@ use crate::proofs::{CompositeHead, HeadCert, ReadOutcome};
 use crate::sn::{SerialNumber, MAX_SHARDS, SHARD_LANE_BITS};
 use crate::wire::WireWriter;
 
-use super::WormServer;
+use super::{RecordWrite, WormServer};
 
 /// N ≥ 1 lane [`WormServer`]s behind one `&self` facade: the one
 /// deployment shape, whatever the lane count.
@@ -254,6 +254,33 @@ impl<D: BlockDevice> ShardedWormServer<D> {
     ) -> Result<SerialNumber, WormError> {
         self.next_writer()
             .write_with(records, policy, flags, witness)
+    }
+
+    /// Writes a run of virtual records: each write goes to the lane
+    /// round-robin gives it, as [`Self::write_with`] would send it, and
+    /// each lane's share of the run is one [`WormServer::write_many`] —
+    /// one SCPU command — taken in the order the lanes first appear.
+    /// The verdicts come back in run order.
+    pub fn write_many(&self, writes: &[RecordWrite<'_>]) -> Vec<Result<SerialNumber, WormError>> {
+        let lanes: Vec<&Arc<WormServer<D>>> = writes.iter().map(|_| self.next_writer()).collect();
+        let mut results: Vec<Option<Result<SerialNumber, WormError>>> =
+            writes.iter().map(|_| None).collect();
+        for (i, lane) in lanes.iter().enumerate() {
+            if results[i].is_some() {
+                continue;
+            }
+            let mine: Vec<usize> = (i..writes.len())
+                .filter(|&j| Arc::ptr_eq(lanes[j], lane))
+                .collect();
+            let run: Vec<RecordWrite<'_>> = mine.iter().map(|&j| writes[j]).collect();
+            for (j, result) in mine.into_iter().zip(lane.write_many(&run)) {
+                results[j] = Some(result);
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(WormError::Firmware("a write got no verdict".into()))))
+            .collect()
     }
 
     /// Reads a record by serial number — routed to its owning lane,
@@ -484,6 +511,54 @@ mod tests {
             let outcome = server.read(*sn).unwrap();
             let verdict = verifier.verify_read(*sn, &outcome).unwrap();
             assert_eq!(verdict, crate::ReadVerdict::Intact { sn: *sn });
+        }
+    }
+
+    /// A run lands each write on the lane round-robin gives it, one
+    /// command a lane, and answers in run order with what one write at a
+    /// time gets.
+    #[test]
+    fn a_run_lands_on_the_lanes_round_robin_picks() {
+        let (alone, _, _) = deployment(2);
+        let (together, _, verifier) = deployment(2);
+        let records: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 40]).collect();
+        let views: Vec<[&[u8]; 1]> = records.iter().map(|r| [&r[..]]).collect();
+        // The cursor starts one write in, so the run starts on lane 1.
+        alone.write(&[b"skew"], policy()).unwrap();
+        together.write(&[b"skew"], policy()).unwrap();
+        let want: Vec<SerialNumber> = views
+            .iter()
+            .map(|v| alone.write(v, policy()).unwrap())
+            .collect();
+        let before = together.shard(1).unwrap().device_meter().count("command");
+        let run: Vec<RecordWrite<'_>> = views
+            .iter()
+            .map(|records| RecordWrite {
+                records,
+                policy: policy(),
+                flags: 0,
+                witness: WitnessMode::Strong,
+            })
+            .collect();
+        let got: Vec<SerialNumber> = together
+            .write_many(&run)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            got.iter().map(|sn| sn.lane()).collect::<Vec<_>>(),
+            [1, 0, 1, 0, 1]
+        );
+        // Lane 1's three writes: one `Write` and one outbox drain.
+        let after = together.shard(1).unwrap().device_meter().count("command");
+        assert_eq!(after - before, 2);
+        for sn in got {
+            let outcome = together.read(sn).unwrap();
+            assert_eq!(
+                verifier.verify_read(sn, &outcome).unwrap(),
+                crate::ReadVerdict::Intact { sn }
+            );
         }
     }
 

@@ -21,17 +21,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Clock, Device, Meter, Op};
 use wormaudit::{AuditClass, AuditLog};
-use wormstore::{BlockDevice, RecordDescriptor, RecordStore};
+use wormstore::{BlockDevice, RecordDescriptor, RecordStore, Shredder};
 use wormtrace::sync::RwLock;
 
 use crate::attr::RecordAttributes;
-use crate::config::{HashMode, WitnessMode, WormConfig};
+use crate::config::{HashMode, WormConfig};
 use crate::error::WormError;
 use crate::firmware::{
     OutboxItem, WeakKeyCert, WitnessField, WormFirmware, WormRequest, WormResponse, WriteData,
+    WriteItem, WriteReceipt,
 };
-use crate::policy::RetentionPolicy;
 use crate::proofs::BaseCert;
+use crate::server::RecordWrite;
 use crate::sn::SerialNumber;
 use crate::vrd::Vrd;
 use crate::vrdt::{Lookup, ShredState, Vrdt};
@@ -178,13 +179,78 @@ impl<D: BlockDevice> WitnessPlane<D> {
         self.spilled.len()
     }
 
-    pub(crate) fn write_inner(
+    /// Writes a run of virtual records through one SCPU `Write` command:
+    /// each write's extents reach the store, the device issues the run's
+    /// serial numbers in run order and witnesses them, and each VRD goes
+    /// into the VRDT in a journal frame of its own, as a lone write's
+    /// does. Each write gets the verdict it would get alone, in run order;
+    /// the run's last write to reach the VRDT also reports a failure to
+    /// apply the outbox the command left.
+    pub(crate) fn write_many(
         &mut self,
-        records: &[&[u8]],
-        policy: RetentionPolicy,
-        flags: u32,
-        witness: WitnessMode,
-    ) -> Result<SerialNumber, WormError> {
+        writes: &[RecordWrite<'_>],
+    ) -> Vec<Result<SerialNumber, WormError>> {
+        // 1. Host writes each write's data records to the store.
+        let mut items = Vec::with_capacity(writes.len());
+        let mut staged = Vec::with_capacity(writes.len());
+        for write in writes {
+            staged.push(self.stage(write).map(|(rdl, item)| {
+                items.push(item);
+                (rdl, write.policy.shredder)
+            }));
+        }
+        // 2. Host messages the SCPU with every staged write at once.
+        let count = items.len();
+        let mut receipts = match count {
+            0 => Ok(Vec::new().into_iter()),
+            _ => match execute(&mut self.device, WormRequest::Write(items)) {
+                Ok(WormResponse::Written(r)) if r.len() == count => Ok(r.into_iter()),
+                Ok(other) => Err(unexpected(other)),
+                Err(e) => Err(e),
+            },
+        };
+        // 3. Host assembles each VRD and commits it to the VRDT. The VRD
+        // takes its extents just before its journal append, which may be
+        // durable even when it reports failure — from there recovery
+        // decides (replay, or reclaim and scrub). Without receipts no VRD
+        // owns what reached the store, so nothing would ever shred it:
+        // destroy and release it here.
+        let mut results = Vec::with_capacity(staged.len());
+        for s in staged {
+            results.push(s.and_then(|(rdl, shredder)| match &mut receipts {
+                Ok(receipts) => match receipts.next() {
+                    Some(receipt) => self.commit(receipt, rdl),
+                    None => Err(WormError::Firmware("fewer receipts than writes".into())),
+                },
+                Err(e) => {
+                    self.scrub(&rdl, shredder);
+                    Err(duplicate(e))
+                }
+            }));
+        }
+        if count > 0 && receipts.is_ok() {
+            if let Err(e) = self.drain_outbox() {
+                if let Some(last) = results.iter_mut().rev().find(|r| r.is_ok()) {
+                    *last = Err(e);
+                }
+            }
+        }
+        results
+    }
+
+    /// A write's half before the device: the wire-limit check, then its
+    /// extents in the store, and the command item that names them. What
+    /// reached the store before a failure is scrubbed.
+    fn stage(
+        &mut self,
+        write: &RecordWrite<'_>,
+    ) -> Result<(Vec<RecordDescriptor>, WriteItem), WormError> {
+        let RecordWrite {
+            records,
+            policy,
+            flags,
+            witness,
+        } = *write;
         // Records end up in length-prefixed wire encodings (journal VRDs,
         // network read responses); reject anything the u32 prefix cannot
         // represent at the API boundary instead of panicking deep in the
@@ -199,35 +265,15 @@ impl<D: BlockDevice> WitnessPlane<D> {
             )));
         }
         let mut rdl = Vec::with_capacity(records.len());
-        let written = self.write_witnessed(records, policy, flags, witness, &mut rdl);
-        if written.is_err() {
-            // No VRD owns what reached the store, so nothing would ever
-            // shred it: destroy and release it here. The write's own
-            // error is the one reported.
-            for rd in &rdl {
-                let _ = self.store.shred(rd, policy.shredder, &mut self.rng);
+        for r in records {
+            match self.store.write(r) {
+                Ok(rd) => rdl.push(rd),
+                Err(e) => {
+                    self.scrub(&rdl, policy.shredder);
+                    return Err(e.into());
+                }
             }
         }
-        written
-    }
-
-    /// The write proper. `rdl` holds the extents written so far for as
-    /// long as no VRD names them; the VRD takes them just before its
-    /// journal append, which may be durable even when it reports failure
-    /// — from there recovery decides (replay, or reclaim and scrub).
-    fn write_witnessed(
-        &mut self,
-        records: &[&[u8]],
-        policy: RetentionPolicy,
-        flags: u32,
-        witness: WitnessMode,
-        rdl: &mut Vec<RecordDescriptor>,
-    ) -> Result<SerialNumber, WormError> {
-        // 1. Host writes the data records to the store.
-        for r in records {
-            rdl.push(self.store.write(r)?);
-        }
-        // 2. Host messages the SCPU with the record content (or its hash).
         let data = match self.config.hash_mode {
             HashMode::ScpuHashes => WriteData::Full(records.iter().map(|r| r.to_vec()).collect()),
             HashMode::TrustHostHash => {
@@ -242,23 +288,33 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 }
             }
         };
-        let receipt = match execute(
-            &mut self.device,
-            WormRequest::Write {
-                policy,
-                flags,
-                data,
-                witness,
-            },
-        )? {
-            WormResponse::Written(r) => r,
-            other => return Err(unexpected(other)),
+        let item = WriteItem {
+            policy,
+            flags,
+            data,
+            witness,
         };
-        // 3. Host assembles the VRD and commits it to the VRDT.
+        Ok((rdl, item))
+    }
+
+    /// Destroys and releases extents no VRD owns. The failure that left
+    /// them is the one reported.
+    fn scrub(&mut self, rdl: &[RecordDescriptor], shredder: Shredder) {
+        for rd in rdl {
+            let _ = self.store.shred(rd, shredder, &mut self.rng);
+        }
+    }
+
+    /// Journals the VRD of a witnessed write in its own `INSERT` frame.
+    fn commit(
+        &mut self,
+        receipt: WriteReceipt,
+        rdl: Vec<RecordDescriptor>,
+    ) -> Result<SerialNumber, WormError> {
         let vrd = Vrd {
             sn: receipt.sn,
             attr: receipt.attr,
-            rdl: std::mem::take(rdl),
+            rdl,
             metasig: receipt.metasig,
             datasig: receipt.datasig,
         };
@@ -270,7 +326,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         if self.config.hash_mode == HashMode::TrustHostHash {
             self.unaudited.insert(receipt.sn);
         }
-        self.drain_outbox()?;
         Ok(receipt.sn)
     }
 
@@ -675,6 +730,17 @@ pub(crate) fn execute(
         Ok(Ok(resp)) => Ok(resp),
         Ok(Err(fw)) => Err(WormError::Firmware(fw.0)),
         Err(dev) => Err(WormError::Device(dev)),
+    }
+}
+
+/// The error a device command failed with, for each write the command
+/// carried: a device or firmware error is the only kind [`execute`] and
+/// [`unexpected`] give.
+fn duplicate(e: &WormError) -> WormError {
+    match e {
+        WormError::Device(d) => WormError::Device(d.clone()),
+        WormError::Firmware(msg) => WormError::Firmware(msg.clone()),
+        other => WormError::Firmware(other.to_string()),
     }
 }
 

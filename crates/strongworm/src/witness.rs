@@ -77,22 +77,25 @@ impl Signature {
         }
     }
 
-    /// Signs two messages with one `key`: `[sign(key, a), sign(key, b)]`
-    /// byte for byte, in one private-key operation where the key's engine
-    /// takes a pair (`RsaPrivateKey::sign_pair`). The constructs the paper
-    /// issues in twos go through here: `metasig` with `datasig` (Table 1)
-    /// and the two bounds of a deleted window (§4.2.1).
+    /// Signs each of `msgs` with one `key`: one [`Signature::sign`] each,
+    /// byte for byte, with up to four in one private-key pass where the
+    /// key's engine takes them (`RsaPrivateKey::sign_many`). The
+    /// constructs the paper issues in twos go through here — `metasig`
+    /// with `datasig` (Table 1) and the two bounds of a deleted window
+    /// (§4.2.1) — and so do the records of one `Write` command.
     #[expect(
         clippy::expect_used,
         reason = "as in `sign`: every signing key is minted with a modulus sized for a SHA-256 digest; failure means corrupt key material and must halt the enclosure"
     )]
-    pub fn sign_pair(key: &RsaPrivateKey, a: &[u8], b: &[u8]) -> [Signature; 2] {
-        let sigs = key.sign_pair([a, b], HashAlg::Sha256);
+    pub fn sign_many(key: &RsaPrivateKey, msgs: &[&[u8]]) -> Vec<Signature> {
+        let sigs = key.sign_many(msgs, HashAlg::Sha256);
         sigs.expect("modulus sized for SHA-256")
+            .into_iter()
             .map(|bytes| Signature {
                 key_id: key.public().fingerprint(),
                 bytes,
             })
+            .collect()
     }
 
     /// Verifies this signature over `msg` with `key`, also checking the
@@ -105,7 +108,7 @@ impl Signature {
     /// key: `[sigs[0].verify(keys[0], msgs[0]), sigs[1].verify(keys[1],
     /// msgs[1])]` exactly, in one pass where the keys' engine takes a pair
     /// (`RsaPublicKey::verify_pair`). The counterpart of
-    /// [`Signature::sign_pair`] for the client that reads what it issued.
+    /// [`Signature::sign_many`] for the client that reads what it issued.
     pub fn verify_pair(
         sigs: [&Signature; 2],
         keys: [&RsaPublicKey; 2],
@@ -316,9 +319,9 @@ mod tests {
             meta_payload(SerialNumber(1), b"attrs"),
             data_payload(SerialNumber(1), b"h"),
         );
-        let [sa, sb] = Signature::sign_pair(k, &a, &b);
-        assert_eq!(sa, Signature::sign(k, &a));
-        assert_eq!(sb, Signature::sign(k, &b));
+        let sigs = Signature::sign_many(k, &[&a, &b, &b]);
+        assert_eq!(sigs, [0, 1, 1].map(|i| Signature::sign(k, [&a, &b][i])));
+        let (sa, sb) = (&sigs[0], &sigs[1]);
         assert!(sa.verify(k.public(), &a) && sb.verify(k.public(), &b));
         assert!(!sa.verify(k.public(), &b));
     }

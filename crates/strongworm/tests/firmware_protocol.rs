@@ -12,6 +12,7 @@ use scpu::{Applet, Clock, Device, DeviceConfig, VirtualClock};
 use strongworm::attr::RecordAttributes;
 use strongworm::firmware::{
     FirmwareConfig, FirmwareError, OutboxItem, WormFirmware, WormRequest, WormResponse, WriteData,
+    WriteItem,
 };
 use strongworm::witness::{Signature, Witness};
 use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
@@ -63,16 +64,16 @@ fn policy(secs: u64) -> RetentionPolicy {
 
 fn write(dev: &mut Fw, secs: u64) -> SerialNumber {
     match dev
-        .execute(WormRequest::Write {
+        .execute(WormRequest::Write(vec![WriteItem {
             policy: policy(secs),
             flags: 0,
             data: WriteData::Full(vec![b"payload".to_vec()]),
             witness: WitnessMode::Strong,
-        })
+        }]))
         .unwrap()
         .unwrap()
     {
-        WormResponse::Written(r) => r.sn,
+        WormResponse::Written(r) => r[0].sn,
         other => panic!("unexpected {other:?}"),
     }
 }
@@ -95,12 +96,12 @@ fn commands_before_init_are_rejected() {
             lo: SerialNumber(1),
             hi: SerialNumber(5),
         },
-        WormRequest::Write {
+        WormRequest::Write(vec![WriteItem {
             policy: policy(10),
             flags: 0,
             data: WriteData::Full(vec![]),
             witness: WitnessMode::Strong,
-        },
+        }]),
         WormRequest::SignAuditAnchor {
             seq: 0,
             chain_hash: vec![0u8; 32],
@@ -188,16 +189,17 @@ fn attributes_are_stamped_with_trusted_time() {
     let (mut dev, clock, _reg) = booted();
     clock.advance(Duration::from_secs(100));
     match dev
-        .execute(WormRequest::Write {
+        .execute(WormRequest::Write(vec![WriteItem {
             policy: policy(500),
             flags: 7,
             data: WriteData::Full(vec![b"x".to_vec()]),
             witness: WitnessMode::Strong,
-        })
+        }]))
         .unwrap()
         .unwrap()
     {
         WormResponse::Written(r) => {
+            let r = &r[0];
             assert_eq!(r.attr.created_at, clock.now());
             assert_eq!(
                 r.attr.retention_until,
@@ -214,7 +216,7 @@ fn attributes_are_stamped_with_trusted_time() {
 fn host_hash_must_be_32_bytes() {
     let (mut dev, _clock, _reg) = booted();
     let resp = dev
-        .execute(WormRequest::Write {
+        .execute(WormRequest::Write(vec![WriteItem {
             policy: policy(10),
             flags: 0,
             data: WriteData::HostHash {
@@ -222,7 +224,7 @@ fn host_hash_must_be_32_bytes() {
                 total_len: 3,
             },
             witness: WitnessMode::Strong,
-        })
+        }]))
         .unwrap();
     assert!(matches!(&resp, Err(e) if e.0.contains("32 bytes")));
 }
@@ -331,12 +333,12 @@ fn window_ids_are_unique_per_compaction() {
 #[test]
 fn deletion_orders_carry_the_records_shredder() {
     let (mut dev, clock, _reg) = booted();
-    dev.execute(WormRequest::Write {
+    dev.execute(WormRequest::Write(vec![WriteItem {
         policy: RetentionPolicy::custom(Duration::from_secs(10), Shredder::MultiPass { passes: 3 }),
         flags: 0,
         data: WriteData::Full(vec![b"x".to_vec()]),
         witness: WitnessMode::Strong,
-    })
+    }]))
     .unwrap()
     .unwrap();
     clock.advance(Duration::from_secs(11));
@@ -375,16 +377,17 @@ fn spilled_write(policy: RetentionPolicy) -> (Fw, SerialNumber, RecordAttributes
     .unwrap();
     loop {
         match dev
-            .execute(WormRequest::Write {
+            .execute(WormRequest::Write(vec![WriteItem {
                 policy,
                 flags: 0,
                 data: WriteData::Full(vec![b"x".to_vec()]),
                 witness: WitnessMode::Strong,
-            })
+            }]))
             .unwrap()
             .unwrap()
         {
-            WormResponse::Written(r) if r.vexp_spilled => {
+            WormResponse::Written(mut r) if r[0].vexp_spilled => {
+                let r = r.remove(0);
                 return (dev, r.sn, r.attr, r.metasig);
             }
             WormResponse::Written(_) => {}
@@ -542,16 +545,16 @@ fn metered() -> (Fw, Arc<VirtualClock>) {
 
 fn write_as(dev: &mut Fw, witness: WitnessMode) -> strongworm::firmware::WriteReceipt {
     match dev
-        .execute(WormRequest::Write {
+        .execute(WormRequest::Write(vec![WriteItem {
             policy: policy(1_000_000),
             flags: 0,
             data: WriteData::Full(vec![b"payload".to_vec()]),
             witness,
-        })
+        }]))
         .unwrap()
         .unwrap()
     {
-        WormResponse::Written(r) => r,
+        WormResponse::Written(mut r) => r.remove(0),
         other => panic!("unexpected {other:?}"),
     }
 }

@@ -53,7 +53,7 @@ fn main() {
         // and `datasig`), as signatures per second. The models charge a
         // pair as two signatures.
         let pair = measure_ns(ITERS, || {
-            key.sign_pair([msg, msg], HashAlg::Sha256)
+            key.sign_many(&[msg, msg], HashAlg::Sha256)
                 .expect("modulus sized");
         });
         for (function, ns) in [("RSA sig.", mine), ("RSA sig., pair", pair / 2.0)] {

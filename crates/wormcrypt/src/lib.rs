@@ -11,7 +11,7 @@
 //! * [`RsaPrivateKey`] / [`RsaPublicKey`] — PKCS#1 v1.5 signatures at the
 //!   512/1024/2048-bit widths the paper's deferred-strength scheme uses;
 //!   on a CPU with AVX-512 IFMA the private operation runs in eight lanes,
-//!   [`RsaPrivateKey::sign_pair`] signs two messages for the price of one,
+//!   [`RsaPrivateKey::sign_many`] signs four messages in one pass of them,
 //!   and [`RsaPublicKey::verify_pair`] checks two signatures in one pass.
 //! * [`Sha1`] and [`Sha256`] — FIPS 180-4 hashes ([`Sha1`] matches the
 //!   IBM 4764 benchmark rows in Table 2; [`Sha256`] is the default hash).

@@ -10,19 +10,21 @@
 //! There are two engines. [`Montgomery::pow`] is the scalar one: it runs on
 //! every CPU and key width and is the reference the tests compare against.
 //! Where the CPU has AVX-512 IFMA, a key also carries its moduli prepared
-//! for `shani::ifma52`, whose vectors hold eight lanes of 52-bit digits. On
-//! the private side (keys 512, 1024 or 2048 bits wide) the CRT halves of
-//! two signatures under one key ([`RsaPrivateKey::sign_pair`]) fill the
-//! vector: two lanes each at 2048 bits, and at 512 and 1024 one lane each
-//! beside one for its squares; one signature leaves half of it idle. On
-//! the public side (a one-limb exponent) a number spreads over as many
-//! lanes as its digits split into: the two signatures a record carries are
-//! checked in one pass of four lanes each ([`RsaPublicKey::verify_pair`];
-//! two each at 512 bits), a lone signature in eight at 2048 bits and four
-//! at 1024 ([`RsaPublicKey::verify`]; not at 512 bits, whose ten digits do
-//! not split in four). Which engine runs is fixed when the key is built,
-//! from the CPU and the width alone; PKCS#1 v1.5 is deterministic, so both
-//! give the same bytes and the same verdicts.
+//! for `shani::ifma52`, whose vectors hold eight lanes of 52-bit digits.
+//! Which kernel a call takes follows from the entry, the key width and how
+//! many numbers it raises:
+//!
+//! | entry | numbers | 512 bits | 1024 bits | 2048 bits |
+//! |---|---|---|---|---|
+//! | [`RsaPrivateKey::sign`], a last one or two of [`RsaPrivateKey::sign_many`] | 2 or 4 CRT halves | `pow4`: a lane each, squares beside | `pow4`: a lane each, squares beside | `pow4`: two lanes each, windows |
+//! | [`RsaPrivateKey::sign_many`], three or four at a time | 6 or 8 CRT halves | `pow8`: a lane each, windows | `pow8`: a lane each, windows | two `pow4` calls |
+//! | [`RsaPublicKey::verify_pair`] | 2 signatures | `pow_short`: two lanes each | `pow_short`: four lanes each | `pow_short`: four lanes each |
+//! | [`RsaPublicKey::verify`] | 1 signature | scalar (ten digits do not split in four) | `pow_short`: four lanes | `pow_short`: eight lanes |
+//!
+//! A shape that leaves lanes over fills them with numbers whose results
+//! are dropped. Which engine runs is fixed when the key is built, from the
+//! CPU and the width alone; PKCS#1 v1.5 is deterministic, so both give the
+//! same bytes and the same verdicts.
 
 use std::fmt;
 
@@ -372,53 +374,73 @@ impl RsaPrivateKey {
     /// Returns [`CryptoError::ModulusTooSmall`] if the modulus cannot hold
     /// the `DigestInfo` encoding for `alg`.
     pub fn sign(&self, msg: &[u8], alg: HashAlg) -> Result<Vec<u8>, CryptoError> {
-        let k = self.public.modulus_bytes();
-        let m = Ubig::from_bytes_be(&emsa_pkcs1_v15(msg, k, alg)?);
-        let [s] = self.private_ops([&m]);
-        Ok(s.to_bytes_be_padded(k))
+        let mut sigs = self.sign_many(&[msg], alg)?;
+        Ok(sigs.pop().unwrap_or_default())
     }
 
-    /// Signs two messages with PKCS#1 v1.5: byte for byte
-    /// `[sign(msgs[0]), sign(msgs[1])]`, and where the key carries lanes
-    /// both signatures cost one exponentiation in the lanes.
+    /// Signs each of `msgs` with PKCS#1 v1.5: byte for byte one
+    /// [`Self::sign`] each, in order. Where the key carries lanes, four
+    /// signatures share one exponentiation in all eight lanes (three take
+    /// the same pass), and a last two or one take the pass a lone
+    /// signature takes.
     ///
     /// # Errors
     ///
-    /// As [`RsaPrivateKey::sign`].
-    pub fn sign_pair(&self, msgs: [&[u8]; 2], alg: HashAlg) -> Result<[Vec<u8>; 2], CryptoError> {
+    /// As [`RsaPrivateKey::sign`], for any of the messages.
+    pub fn sign_many(&self, msgs: &[&[u8]], alg: HashAlg) -> Result<Vec<Vec<u8>>, CryptoError> {
         let k = self.public.modulus_bytes();
-        let a = Ubig::from_bytes_be(&emsa_pkcs1_v15(msgs[0], k, alg)?);
-        let b = Ubig::from_bytes_be(&emsa_pkcs1_v15(msgs[1], k, alg)?);
-        Ok(self.private_ops([&a, &b]).map(|s| s.to_bytes_be_padded(k)))
+        let encoded = msgs
+            .iter()
+            .map(|msg| emsa_pkcs1_v15(msg, k, alg).map(|em| Ubig::from_bytes_be(&em)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut sigs = Vec::with_capacity(encoded.len());
+        for ms in encoded.chunks(4) {
+            sigs.extend(self.private_ops(ms).iter().map(|s| s.to_bytes_be_padded(k)));
+        }
+        Ok(sigs)
     }
 
-    /// The private operation on one or two values: every CRT half in one
-    /// call to the lanes where the key carries them (for one value, half of
-    /// them idle), one scalar [`Self::raw_decrypt`] per value otherwise.
-    fn private_ops<const N: usize>(&self, ms: [&Ubig; N]) -> [Ubig; N] {
-        match self.crt_halves_in_lanes(&ms) {
-            Some(halves) => {
-                std::array::from_fn(|i| self.crt_combine(&halves[2 * i], &halves[2 * i + 1]))
-            }
-            None => ms.map(|m| self.raw_decrypt(m)),
+    /// The private operation on up to four values: every CRT half in one
+    /// call to the lanes where the key carries them — one or two values'
+    /// in [`ifma52::pow4`], three or four in [`ifma52::pow8`] — one scalar
+    /// [`Self::raw_decrypt`] per value otherwise.
+    fn private_ops(&self, ms: &[Ubig]) -> Vec<Ubig> {
+        let halves = if ms.len() <= 2 {
+            self.crt_halves(ms, ifma52::pow4)
+        } else {
+            self.crt_halves(ms, ifma52::pow8)
+        };
+        match halves {
+            Some(halves) => halves
+                .chunks(2)
+                .map(|h| self.crt_combine(&h[0], &h[1]))
+                .collect(),
+            None => ms.iter().map(|m| self.raw_decrypt(m)).collect(),
         }
     }
 
-    /// `[m mod p ^ dp, m mod q ^ dq]` for each of up to two values `m`,
-    /// side by side. `None` without lanes.
-    fn crt_halves_in_lanes(&self, ms: &[&Ubig]) -> Option<[Ubig; 4]> {
-        let [p, q] = self.lanes.as_ref()?;
-        let bases: [Ubig; 4] = std::array::from_fn(|lane| {
+    /// `[m mod p ^ dp, m mod q ^ dq]` for each value `m` of `ms`, side by
+    /// side through `pow`, which takes `L / 2` values' halves; lanes past
+    /// the last value raise zero. `None` without lanes.
+    fn crt_halves<const L: usize>(&self, ms: &[Ubig], pow: LanePow<L>) -> Option<Vec<Ubig>> {
+        let primes = self.lanes.as_ref()?;
+        let exps = [&self.dp.limbs[..], &self.dq.limbs[..]];
+        let bases: [Ubig; L] = std::array::from_fn(|lane| {
             let prime = [&self.p, &self.q][lane % 2].modulus();
             ms.get(lane / 2).map_or_else(Ubig::zero, |m| m.rem(prime))
         });
-        let (dp, dq) = (&self.dp.limbs[..], &self.dq.limbs[..]);
-        let powers = ifma52::pow4(
-            [p, q, p, q],
+        let powers = pow(
+            std::array::from_fn(|lane| &primes[lane % 2]),
             bases.each_ref().map(|b| &b.limbs[..]),
-            [dp, dq, dp, dq],
+            std::array::from_fn(|lane| exps[lane % 2]),
         )?;
-        Some(powers.map(Ubig::from_limbs))
+        Some(
+            powers
+                .into_iter()
+                .take(2 * ms.len())
+                .map(Ubig::from_limbs)
+                .collect(),
+        )
     }
 
     /// RSA private operation via the Chinese Remainder Theorem, on the
@@ -457,6 +479,10 @@ impl RsaPrivateKey {
         }
     }
 }
+
+/// An entry of the lane engine that raises `L` numbers at once.
+type LanePow<const L: usize> =
+    fn([&ifma52::Modulus; L], [&[u64]; L], [&[u64]; L]) -> Option<[Vec<u64>; L]>;
 
 /// `prime` prepared for the lane engine, if this CPU has it and the
 /// prime is that of a 512, 1024 or 2048-bit key (5, 10 or 20 digits of 52
@@ -722,7 +748,7 @@ mod tests {
             assert_eq!(in_lanes(keys), ifma52::available().then_some([true; 2]));
         }
         // The hash algorithm reaches both halves.
-        let sha1 = k1024.sign_pair([a, b], HashAlg::Sha1).unwrap();
+        let sha1 = k1024.sign_many(&[a, b], HashAlg::Sha1).unwrap();
         let keys = [k1024.public(); 2];
         let sigs = [&sha1[0][..], &sha1[1][..]];
         assert_eq!(
@@ -758,29 +784,37 @@ mod tests {
     }
 
     #[test]
-    fn sign_pair_is_byte_identical_to_two_scalar_signatures() {
+    fn sign_many_is_byte_identical_to_scalar_signatures() {
         let long = vec![0xA5u8; 4096];
-        let messages: [&[u8]; 3] = [b"", b"x", &long];
+        let messages: [&[u8]; 9] = [b"", b"x", &long, b"y", b"", b"zz", &long[1..], b"w", b"v"];
         for key in lane_width_keys() {
             let k = key.public().modulus_bytes();
-            // With lanes where this CPU has them, and as built without.
+            let want: Vec<Vec<u8>> = messages.iter().map(|m| scalar_signature(key, m)).collect();
+            // With lanes where this CPU has them, and as built without;
+            // every count a pass of four, a pass of three and a pass of
+            // one or two make up.
             for key in [key.clone(), key.scalar_only()] {
-                for a in messages {
-                    for b in messages {
-                        let pair = key.sign_pair([a, b], HashAlg::Sha256).unwrap();
-                        assert_eq!(pair[0], scalar_signature(&key, a), "k={k}");
-                        assert_eq!(pair[1], scalar_signature(&key, b), "k={k}");
-                        assert!(key.public().verify(a, &pair[0], HashAlg::Sha256));
-                        assert!(key.public().verify(b, &pair[1], HashAlg::Sha256));
-                    }
-                    assert_eq!(
-                        key.sign(a, HashAlg::Sha256).unwrap(),
-                        scalar_signature(&key, a),
-                        "k={k}"
-                    );
+                for n in 0..=messages.len() {
+                    let sigs = key.sign_many(&messages[..n], HashAlg::Sha256).unwrap();
+                    assert_eq!(sigs, want[..n], "k={k} n={n}");
                 }
-                let sha1 = key.sign_pair([b"one", b"two"], HashAlg::Sha1).unwrap();
+                for (msg, sig) in messages.iter().zip(&want) {
+                    assert_eq!(&key.sign(msg, HashAlg::Sha256).unwrap(), sig, "k={k}");
+                    assert!(key.public().verify(msg, sig, HashAlg::Sha256));
+                }
+                // Each message in each position of a pass of four.
+                for shift in 0..4 {
+                    let four: [&[u8]; 4] = std::array::from_fn(|i| messages[(i + shift) % 4]);
+                    let sigs = key.sign_many(&four, HashAlg::Sha256).unwrap();
+                    for (i, sig) in sigs.iter().enumerate() {
+                        assert_eq!(*sig, want[(i + shift) % 4], "k={k} shift={shift}");
+                    }
+                }
+                let sha1 = key
+                    .sign_many(&[b"one", b"two", b"three"], HashAlg::Sha1)
+                    .unwrap();
                 assert_eq!(sha1[0], key.sign(b"one", HashAlg::Sha1).unwrap());
+                assert_eq!(sha1[2], key.sign(b"three", HashAlg::Sha1).unwrap());
                 assert!(key.public().verify(b"two", &sha1[1], HashAlg::Sha1));
             }
         }
@@ -789,10 +823,16 @@ mod tests {
     #[test]
     fn sign_pair_reports_a_modulus_too_small_for_either_message() {
         let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(44), 256);
-        assert!(matches!(
-            key.sign_pair([b"a", b"b"], HashAlg::Sha256),
-            Err(CryptoError::ModulusTooSmall { have: 32, .. })
-        ));
+        for msgs in [&[&b"a"[..], b"b"][..], &[b"a", b"b", b"c", b"d", b"e"]] {
+            assert!(matches!(
+                key.sign_many(msgs, HashAlg::Sha256),
+                Err(CryptoError::ModulusTooSmall { have: 32, .. })
+            ));
+        }
+        assert_eq!(
+            key.sign_many(&[], HashAlg::Sha256).unwrap(),
+            Vec::<Vec<u8>>::new()
+        );
     }
 
     /// No RSA key has an even modulus, but `from_bytes` accepts one and

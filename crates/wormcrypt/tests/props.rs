@@ -202,9 +202,10 @@ proptest! {
 
     // --- RSA ---------------------------------------------------------------
 
-    /// A pair signature is the two single signatures, and each is the one
-    /// plain exponentiation `EM^d mod n` over the whole modulus — no CRT,
-    /// no lanes — of an encoding assembled here.
+    /// A pair signature is the two single signatures, a pass of four is
+    /// four, and each is the one plain exponentiation `EM^d mod n` over
+    /// the whole modulus — no CRT, no lanes — of an encoding assembled
+    /// here.
     #[test]
     fn sign_pair_matches_plain_exponentiation(
         a in proptest::collection::vec(any::<u8>(), 0..300),
@@ -226,9 +227,13 @@ proptest! {
                 .pow_mod(key.d(), key.public().n())
                 .to_bytes_be_padded(128)
         };
-        let pair = key.sign_pair([&a, &b], HashAlg::Sha256).unwrap();
-        prop_assert_eq!(&pair[0], &plain(&a));
-        prop_assert_eq!(&pair[1], &plain(&b));
+        let pair = key.sign_many(&[&a[..], &b[..]], HashAlg::Sha256).unwrap();
+        let (plain_a, plain_b) = (plain(&a), plain(&b));
+        prop_assert_eq!(&pair[0], &plain_a);
+        prop_assert_eq!(&pair[1], &plain_b);
+        // Four messages fill a pass of eight lanes.
+        let four = key.sign_many(&[&b[..], &a[..], &a[..], &b[..]], HashAlg::Sha256).unwrap();
+        prop_assert_eq!(four, vec![plain_b.clone(), plain_a.clone(), plain_a, plain_b]);
         prop_assert_eq!(&pair[0], &key.sign(&a, HashAlg::Sha256).unwrap());
         prop_assert_eq!(&pair[1], &key.sign(&b, HashAlg::Sha256).unwrap());
         prop_assert!(key.public().verify(&a, &pair[0], HashAlg::Sha256));

@@ -366,6 +366,25 @@ pub fn decode_request_traced(
     decode_request_inner(bytes, true)
 }
 
+/// Whether a request frame payload is a `Write`, bare or inside a trace
+/// envelope: its opcodes read off, its records left undecoded. What is
+/// not, undecodable payloads included, is `false`.
+pub(crate) fn is_write(bytes: &[u8]) -> bool {
+    let opcode = |bytes| -> Result<u8, WireError> {
+        let mut r = WireReader::tagged(bytes, REQ_TAG, "request tag")?;
+        match r.get_u8()? {
+            9 => {
+                r.get_u64()?;
+                r.get_u64()?;
+                let mut inner = WireReader::tagged(r.get_bytes()?, REQ_TAG, "request tag")?;
+                inner.get_u8()
+            }
+            opcode => Ok(opcode),
+        }
+    };
+    opcode(bytes) == Ok(1)
+}
+
 fn decode_request_inner(
     bytes: &[u8],
     allow_envelope: bool,

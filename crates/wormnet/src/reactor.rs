@@ -13,6 +13,12 @@
 //! * **Deferred flush** — responses for a readiness burst accumulate in
 //!   a per-connection write buffer and leave in one coalesced write,
 //!   not one flush per frame.
+//! * **Runs of writes** — a `Write` frame and the complete `Write`
+//!   frames already buffered behind it (bare or in a trace envelope, up
+//!   to the burst cap) go to the deployment together, one SCPU command a
+//!   lane, so consecutive writes share the device's lane passes; the
+//!   loop never waits for a run to grow, any other opcode ends it, and
+//!   each frame still gets its own response in request order.
 //! * **Fairness caps** — a connection serves at most [`BURST_FRAMES`]
 //!   requests per iteration and reads at most [`READ_BUDGET`] bytes per
 //!   wakeup, so one firehose connection cannot starve its neighbours;
@@ -34,7 +40,8 @@ use strongworm::ShardedWormServer;
 use wormstore::BlockDevice;
 
 use crate::frame::parse_frame;
-use crate::server::{respond, NetServerConfig, NetStats, SHUTDOWN_POLL};
+use crate::protocol::is_write;
+use crate::server::{respond, respond_writes, NetServerConfig, NetStats, SHUTDOWN_POLL};
 
 /// Cap on requests served from one connection per loop iteration.
 pub(crate) const BURST_FRAMES: usize = 64;
@@ -146,7 +153,11 @@ impl Conn {
 
     /// Parses and serves every complete buffered frame, up to the burst
     /// cap and the write-buffer watermark. Each response is written in
-    /// place at the end of `wbuf`. Returns how many frames were served.
+    /// place at the end of `wbuf`. A `Write` frame and every complete
+    /// `Write` frame buffered right behind it, up to the cap, are served
+    /// as one run ([`respond_writes`]); any other frame ends the run, and
+    /// it and a write with no other behind it are served alone
+    /// ([`respond`]). Returns how many frames were served.
     fn serve<D: BlockDevice>(
         &mut self,
         server: &ShardedWormServer<D>,
@@ -154,8 +165,8 @@ impl Conn {
         config: &NetServerConfig,
     ) -> u64 {
         let mut consumed = 0usize;
-        let mut frames = 0u64;
-        for _ in 0..BURST_FRAMES {
+        let mut frames = 0usize;
+        while frames < BURST_FRAMES {
             if self.wbuf.len() - self.wpos >= WBUF_PAUSE {
                 break;
             }
@@ -163,17 +174,26 @@ impl Conn {
             match parse_frame(unparsed, config.max_frame) {
                 Ok(Some((payload, frame_len))) => {
                     let before = self.wbuf.len();
-                    let framed = respond(server, stats, payload, &mut self.wbuf, config.max_frame);
-                    frames += 1;
+                    let (run, taken) = if is_write(payload) {
+                        write_run(unparsed, BURST_FRAMES - frames, config.max_frame)
+                    } else {
+                        (Vec::new(), frame_len)
+                    };
+                    let framed = match run.len() {
+                        0 | 1 => respond(server, stats, payload, &mut self.wbuf, config.max_frame),
+                        _ => respond_writes(server, stats, &run, &mut self.wbuf, config.max_frame),
+                    };
+                    let served = run.len().max(1);
+                    frames += served;
                     if framed.is_err() {
                         // A response the peer would reject as oversized:
                         // nothing sane to send; drop the connection.
                         self.close = Some(Close::Error);
-                        return frames;
+                        return frames as u64;
                     }
-                    stats.frames_out.inc();
+                    stats.frames_out.add(served as u64);
                     stats.bytes_out.add((self.wbuf.len() - before) as u64);
-                    consumed += frame_len;
+                    consumed += taken;
                 }
                 Ok(None) => break,
                 Err(_) => {
@@ -191,7 +211,7 @@ impl Conn {
         if self.rbuf.is_empty() && self.rbuf.capacity() > BUF_SHRINK {
             self.rbuf.shrink_to(READ_CHUNK);
         }
-        frames
+        frames as u64
     }
 
     /// Pushes pending output to the socket: one coalesced write per
@@ -245,6 +265,22 @@ impl Conn {
             self.close = Some(Close::Timeout);
         }
     }
+}
+
+/// The complete `Write` frames at the start of `buf`, at most `room` of
+/// them, and the bytes they take: what is buffered now, never more.
+fn write_run(buf: &[u8], room: usize, max_frame: u32) -> (Vec<&[u8]>, usize) {
+    let (mut run, mut taken) = (Vec::new(), 0);
+    while run.len() < room {
+        match parse_frame(buf.get(taken..).unwrap_or_default(), max_frame) {
+            Ok(Some((payload, len))) if is_write(payload) => {
+                run.push(payload);
+                taken += len;
+            }
+            _ => break,
+        }
+    }
+    (run, taken)
 }
 
 /// Per-worker gauge/counter rows (`net.worker{i}.*`), rendered by

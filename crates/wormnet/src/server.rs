@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
-use strongworm::wire::WireWriter;
-use strongworm::{ShardedWormServer, WormError, WormServer};
+use strongworm::wire::{WireError, WireWriter};
+use strongworm::{RecordWrite, SerialNumber, ShardedWormServer, WormError, WormServer};
 use wormstore::BlockDevice;
 
 use crate::frame::{put_frame, write_frame, DEFAULT_MAX_FRAME};
@@ -448,11 +448,98 @@ pub(crate) fn respond<D: BlockDevice>(
     out: &mut Vec<u8>,
     max_frame: u32,
 ) -> Result<(), NetError> {
-    stats.frames_in.inc();
-    stats
-        .bytes_in
-        .add(payload.len() as u64 + FRAME_HEADER_BYTES);
     let decoded = decode_request_traced(payload);
+    serve(stats, payload.len(), decoded, out, max_frame, |req, w| {
+        handle(server, req, w)
+    })
+}
+
+/// Serves a run of two or more consecutive `Write` frames
+/// ([`crate::protocol::is_write`]) as [`respond`] serves each, in request
+/// order, except that the first one served hands every decodable write of
+/// the run to [`ShardedWormServer::write_many`] — one SCPU command a lane
+/// — and each then answers with its own verdict. The command's spans land in the
+/// first request's trace, and its time in the first request's
+/// `net.request` sample.
+///
+/// # Errors
+///
+/// As [`respond`], for the first response that cannot be framed; the
+/// responses after it are not written.
+pub(crate) fn respond_writes<D: BlockDevice>(
+    server: &ShardedWormServer<D>,
+    stats: &NetStats,
+    payloads: &[&[u8]],
+    out: &mut Vec<u8>,
+    max_frame: u32,
+) -> Result<(), NetError> {
+    // Each frame's place among the run's writes, or why it is none.
+    let mut run = Vec::with_capacity(payloads.len());
+    let decoded: Vec<_> = payloads
+        .iter()
+        .map(|payload| match decode_request_traced(payload)? {
+            (
+                NetRequest::Write {
+                    records,
+                    policy,
+                    flags,
+                    witness,
+                },
+                ctx,
+            ) => {
+                run.push((records, policy, flags, witness));
+                Ok((run.len() - 1, ctx))
+            }
+            // `is_write` read the opcode the decoder dispatches on.
+            _ => Err(WireError {
+                expected: "a write request",
+            }),
+        })
+        .collect();
+    let mut verdicts: Vec<Option<Result<SerialNumber, WormError>>> = Vec::new();
+    let mut answer = |at: usize, w: &mut WireWriter| {
+        if verdicts.is_empty() {
+            let views: Vec<Vec<&[u8]>> = run
+                .iter()
+                .map(|(records, ..)| records.iter().map(|b| b.as_ref()).collect())
+                .collect();
+            let writes: Vec<RecordWrite<'_>> = run
+                .iter()
+                .zip(&views)
+                .map(|(&(_, policy, flags, witness), records)| RecordWrite {
+                    records,
+                    policy,
+                    flags,
+                    witness,
+                })
+                .collect();
+            verdicts = server.write_many(&writes).into_iter().map(Some).collect();
+        }
+        let verdict = verdicts.get_mut(at).and_then(Option::take);
+        let sn =
+            verdict.unwrap_or_else(|| Err(WormError::Firmware("a write got no verdict".into())))?;
+        put_response(w, &NetResponse::Written { sn });
+        Ok(())
+    };
+    for (payload, decoded) in payloads.iter().zip(decoded) {
+        serve(stats, payload.len(), decoded, out, max_frame, &mut answer)?;
+    }
+    Ok(())
+}
+
+/// The per-request half of [`respond`]: accounting, the request's trace
+/// and `net.request` sample around `handle`, and the response (or the
+/// error `handle` or the decoder gave) framed at the end of `out`.
+fn serve<T>(
+    stats: &NetStats,
+    payload_len: usize,
+    decoded: Result<(T, Option<wormtrace::TraceContext>), WireError>,
+    out: &mut Vec<u8>,
+    max_frame: u32,
+    handle: impl FnOnce(T, &mut WireWriter) -> Result<(), WormError>,
+) -> Result<(), NetError> {
+    stats.frames_in.inc();
+    stats.bytes_in.add(payload_len as u64 + FRAME_HEADER_BYTES);
     // A trace is collected per decodable request whenever the registry
     // is live: attached to this thread, so the guard below opens its
     // root span and every span the planes/SCPU/store open lands under
@@ -475,7 +562,7 @@ pub(crate) fn respond<D: BlockDevice>(
     let framed = put_frame(out, max_frame, |w| {
         let body = w.len();
         let handled = match decoded {
-            Ok((req, _)) => handle(server, req, w).map_err(|e| (error_code(&e), e.to_string())),
+            Ok((req, _)) => handle(req, w).map_err(|e| (error_code(&e), e.to_string())),
             Err(e) => Err((CODE_BAD_REQUEST, format!("undecodable request: {e}"))),
         };
         if let Err((code, message)) = handled {

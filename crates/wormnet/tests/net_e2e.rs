@@ -1621,3 +1621,113 @@ fn per_worker_frame_counters_sum_to_frames_in() {
     // client settles into: four sessions multiplexed on each event loop.
     pipelined_readers_partition_frames_in(8, 8, 1000);
 }
+
+/// A connection's buffered run of writes is one SCPU command a run, and
+/// each write still answers for itself: a pipelined `W W R W W W W` sent
+/// in one segment, the sixth over the store's room and the fifth in a
+/// trace envelope, gets seven responses in request order, SNs
+/// consecutive in request order, the oversized write the error it gets
+/// alone, and its neighbours witnessed — with the read splitting the
+/// writes into two commands.
+#[test]
+fn a_buffered_run_of_writes_is_one_command_answered_in_request_order() {
+    use wormnet::protocol::{decode_response_shared, encode_request, encode_request_traced};
+    use wormnet::{NetRequest, NetResponse};
+
+    let clock = VirtualClock::new();
+    let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(7777), 512);
+    let config = WormConfig {
+        store_capacity: 32 << 10,
+        ..WormConfig::test_small()
+    };
+    let server =
+        Arc::new(ShardedWormServer::new(config, clock.clone(), regulator.public(), 1).unwrap());
+    let net = NetServer::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let addr = net.local_addr();
+    let mut client = RemoteWormClient::connect(addr).unwrap();
+    let verifier = client
+        .bootstrap_verifier(Duration::from_secs(300), clock.clone())
+        .unwrap();
+    let first = client.write(&[b"before the burst"], policy(3600)).unwrap();
+
+    let write = |bytes: &[u8]| NetRequest::Write {
+        records: vec![bytes::Bytes::from(bytes.to_vec())],
+        policy: policy(3600),
+        flags: 0,
+        witness: WitnessMode::Strong,
+    };
+    let oversized = vec![0x5A; 40 << 10];
+    let traced = wormtrace::TraceContext {
+        trace_id: 0x51,
+        parent_span: 7,
+    };
+    let frames = [
+        encode_request(&write(b"w1")),
+        encode_request(&write(b"w2")),
+        encode_request(&NetRequest::Read { sn: first }),
+        encode_request(&write(b"w4")),
+        encode_request_traced(&write(b"w5"), traced),
+        encode_request(&write(&oversized)),
+        encode_request(&write(b"w7")),
+    ];
+    let mut burst = Vec::new();
+    for frame in &frames {
+        wormnet::frame::append_frame(&mut burst, frame, DEFAULT_MAX_FRAME).unwrap();
+    }
+    let commands = || {
+        server
+            .stats_snapshot()
+            .op("scpu.write")
+            .map_or(0, |o| o.total())
+    };
+    let before = commands();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    {
+        use std::io::Write as _;
+        raw.write_all(&burst).unwrap();
+    }
+    let mut reader = FrameReader::new(&mut raw, DEFAULT_MAX_FRAME);
+    let responses: Vec<NetResponse> = (0..frames.len())
+        .map(|_| decode_response_shared(&reader.next_frame().unwrap().unwrap()).unwrap())
+        .collect();
+
+    let sn_of = |i: usize| match &responses[i] {
+        NetResponse::Written { sn } => *sn,
+        other => panic!("response {i}: expected a write receipt, got {other:?}"),
+    };
+    let written: Vec<SerialNumber> = [0, 1, 3, 4, 6].map(sn_of).into();
+    let want: Vec<SerialNumber> = (1..=5).map(|k| SerialNumber(first.0 + k)).collect();
+    assert_eq!(written, want, "SNs in request order");
+    match &responses[2] {
+        NetResponse::Outcome(outcome) => assert_eq!(
+            verifier.verify_read(first, outcome).unwrap(),
+            ReadVerdict::Intact { sn: first }
+        ),
+        other => panic!("expected the read's outcome, got {other:?}"),
+    }
+    let NetResponse::Error { code, .. } = &responses[5] else {
+        panic!("the oversized write must fail, got {:?}", responses[5]);
+    };
+    // The read ends the first run; the second carries the rest.
+    assert_eq!(commands() - before, 2);
+
+    // Alone, the oversized write gets the same class of error.
+    match client.write(&[&oversized], policy(3600)) {
+        Err(NetError::Remote { code: alone, .. }) => assert_eq!(alone, *code),
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+    // Every write around it is witnessed.
+    for sn in written {
+        assert_eq!(
+            client.read_verified(sn, &verifier).unwrap().0,
+            ReadVerdict::Intact { sn }
+        );
+    }
+    net.shutdown();
+}

@@ -375,6 +375,66 @@ fn a_deletion_journals_one_frame_before_its_first_pass_write() {
     );
 }
 
+/// A cut inside a two-record command, after the SCPU answered and
+/// between the two `INSERT` frames, leaves what the same cut leaves
+/// after a lone write: the first record served, and the second SN issued
+/// and signed with no frame behind it, which `check_complete` reports.
+///
+/// ROADMAP item 1 closes that hole with a per-lane device entry that
+/// recovery re-issues. A command witnesses all its records before the
+/// host journals the first, so that entry must cover the whole last
+/// command — up to its count of records — not the last write alone.
+#[test]
+fn a_cut_between_the_inserts_of_one_command_loses_only_the_second_record() {
+    let frames_on = |dev: &TornMedium| {
+        let (_, journal, _) =
+            DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
+        journal.replay().count()
+    };
+    let pair = |srv: &TornServer| {
+        let policy = short_policy(1_000_000);
+        let records: [&[u8]; 2] = [b"first of the command", b"second of the command"];
+        let writes = [&records[..1], &records[1..]].map(|records| strongworm::RecordWrite {
+            records,
+            policy,
+            flags: 0,
+            witness: strongworm::WitnessMode::Strong,
+        });
+        srv.write_many(&writes)
+    };
+    // Unarmed: two extents, then the command, then one `INSERT` frame a
+    // record — the last device write is the second frame.
+    let (srv, dev, _) = anchor_rig();
+    let (w0, f0) = (dev.writes_seen(), frames_on(&dev));
+    let sns: Vec<SerialNumber> = pair(&srv).into_iter().map(Result::unwrap).collect();
+    assert_eq!(sns, [SerialNumber(2), SerialNumber(3)]);
+    let w1 = dev.writes_seen();
+    assert_eq!((w1 - w0, frames_on(&dev) - f0), (4, 2));
+
+    let (srv, dev, clock) = anchor_rig();
+    dev.arm(CutPlan {
+        at_write: w1,
+        style: CutStyle::Drop,
+        seed: w1,
+    });
+    let results = pair(&srv);
+    assert_eq!(results[0].as_ref().ok(), Some(&SerialNumber(2)));
+    assert!(matches!(&results[1], Err(e) if is_power_cut(e)));
+    let srv = rig()
+        .recover(srv, &dev, &clock, None)
+        .expect("recovery succeeds")
+        .server;
+    srv.refresh_head().unwrap();
+    assert_eq!(srv.vrdt().head().unwrap().sn_current, SerialNumber(3));
+    let v = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone()).unwrap();
+    let first = SerialNumber(2);
+    assert_eq!(
+        v.verify_read(first, &srv.read(first).unwrap()).unwrap(),
+        ReadVerdict::Intact { sn: first }
+    );
+    assert_eq!(srv.vrdt().check_complete(), Err(SerialNumber(3)));
+}
+
 #[test]
 fn torn_tail_counter_is_exact_under_injected_cuts() {
     // Profile the victim write: its final device write is the record's

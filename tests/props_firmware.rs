@@ -16,7 +16,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Device, DeviceConfig, VirtualClock};
-use strongworm::firmware::{FirmwareConfig, WormFirmware, WormRequest, WormResponse, WriteData};
+use strongworm::firmware::{
+    FirmwareConfig, WormFirmware, WormRequest, WormResponse, WriteData, WriteItem,
+};
 use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
 use wormstore::Shredder;
 
@@ -66,7 +68,7 @@ proptest! {
         let (mut dev, clock) = boot();
         for (i, r) in retentions.iter().enumerate() {
             let resp = dev
-                .execute(WormRequest::Write {
+                .execute(WormRequest::Write(vec![WriteItem {
                     policy: RetentionPolicy::custom(
                         Duration::from_secs(*r),
                         Shredder::ZeroFill,
@@ -74,7 +76,7 @@ proptest! {
                     flags: i as u32,
                     data: WriteData::Full(vec![format!("r{i}").into_bytes()]),
                     witness: WitnessMode::Strong,
-                })
+                }]))
                 .unwrap();
             prop_assert!(resp.is_ok());
         }
@@ -128,12 +130,12 @@ proptest! {
     ) {
         let (mut dev, clock) = boot();
         for (i, r) in retentions.iter().enumerate() {
-            dev.execute(WormRequest::Write {
+            dev.execute(WormRequest::Write(vec![WriteItem {
                 policy: RetentionPolicy::custom(Duration::from_secs(*r), Shredder::ZeroFill),
                 flags: i as u32,
                 data: WriteData::Full(vec![format!("r{i}").into_bytes()]),
                 witness: WitnessMode::Strong,
-            })
+            }]))
             .unwrap()
             .unwrap();
         }
