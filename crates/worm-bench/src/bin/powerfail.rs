@@ -1,30 +1,28 @@
 //! Power-fail torture at benchmark scale.
 //!
-//! Drives `wormsim::Torture` over a scenario an order of
-//! magnitude larger than the exhaustive-but-small integration test:
-//! dozens of expiring and surviving records, the full deletion + shred +
-//! compaction lifecycle, and a cut at *every* write boundary in all four
-//! torn-sector styles. Each cut recovers with `recover_durable` and
-//! re-verifies the Theorem 1/2 invariants end-to-end, so a single dirty
-//! recovery fails the run.
+//! Drives `wormsim::Torture` over a lifecycle schedule an order of
+//! magnitude larger than the integration test's — dozens of expiring and
+//! surviving records through deletion, shred and compaction — with a cut
+//! at *every* write boundary in all four torn-sector styles. Each cut
+//! recovers and runs the model's check (`wormsim::model`), the
+//! interrupted write included, so one dirty recovery fails the run.
 //!
 //! Prints one row per cut style plus a summary row carrying the gates —
-//!
-//! * ≥ 1000 distinct cut points explored (the acceptance floor), and
-//! * 100% clean recovery across all of them
-//!
-//! — and exits nonzero if either fails. The rows hold counts only, so
-//! the output repeats byte for byte (`results/BENCH_powerfail.json` is
-//! the `--json` output); how long the recoveries took on this machine
-//! goes to stderr, and the recovery time of record is
-//! `wormstore.recover_s` in `bench/`.
+//! at least 1000 cut points, all of them clean — and exits nonzero if
+//! either fails. The rows hold counts only, so the output repeats byte
+//! for byte (`results/BENCH_powerfail.json` is the `--json` output). How
+//! long the recoveries took and how many cuts left a hole (an interrupted
+//! write's SN issued with nothing behind it, ROADMAP item 1) go to
+//! stderr; the recovery time of record is `wormstore.recover_s` in
+//! `bench/`.
 //!
 //! Usage: `powerfail [--json]`
 
 use std::time::Instant;
 
 use worm_bench::{json_record, to_json_lines};
-use wormsim::{CutStyle, Scenario, Torture};
+use wormsim::model::{Schedule, State};
+use wormsim::{CutStyle, Torture};
 
 /// Cut-point floor the summary row is held to.
 const MIN_CUT_POINTS: u64 = 1_000;
@@ -73,12 +71,8 @@ fn main() {
     let rig = Torture::new(1 << 20, 1 << 18);
     // Sized so the sweep clears the 1000-cut-point floor with ~30%
     // headroom while a full run stays in low single-digit minutes.
-    let sc = Scenario {
-        victims: 26,
-        keepers: 8,
-        compact: true,
-        tail_writes: 3,
-    };
+    let (victims, keepers, tail_writes) = (26, 8, 3);
+    let sc = Schedule::lifecycle(victims, keepers, true, tail_writes);
     let range = rig.profile(&sc).expect("scenario profiles cleanly");
     eprintln!(
         "powerfail: {} write boundaries x {} styles",
@@ -91,6 +85,7 @@ fn main() {
     // many recovered clean.
     let mut tallies = [(0u64, 0u64); CutStyle::ALL.len()];
     let mut recovery_ns: Vec<u64> = Vec::new();
+    let mut holes = 0u64;
     let mut failures: Vec<String> = Vec::new();
     for plan in range.plans(0x5EED) {
         let (cut_points, clean) = &mut tallies[plan.style as usize];
@@ -98,7 +93,8 @@ fn main() {
         match rig.torture(&sc, plan, None) {
             Ok(out) => {
                 *clean += 1;
-                recovery_ns.push(out.recovery_nanos);
+                holes += u64::from(out.states.contains(&State::Hole));
+                recovery_ns.push(out.recovery.1);
             }
             Err(e) => failures.push(format!(
                 "cut at write {} ({}): {e}",
@@ -129,6 +125,7 @@ fn main() {
         recovery_ns.len(),
         started.elapsed().as_secs_f64()
     );
+    eprintln!("powerfail: {holes} clean cuts left a hole (ROADMAP item 1)");
 
     if json {
         println!("{}", to_json_lines(&points));
@@ -136,7 +133,7 @@ fn main() {
         println!("Power-fail sweep — a cut at every write boundary of a full record lifecycle");
         println!(
             "scenario: {} expiring + {} surviving records, shred + compaction, {} tail writes",
-            sc.victims, sc.keepers, sc.tail_writes
+            victims, keepers, tail_writes
         );
         println!();
         println!(

@@ -66,6 +66,17 @@ pub struct CutPlan {
     pub seed: u64,
 }
 
+impl CutPlan {
+    /// A cut at the `at_write`-th write, torn per `style` from `seed`.
+    pub const fn new(at_write: u64, style: CutStyle, seed: u64) -> Self {
+        CutPlan {
+            at_write,
+            style,
+            seed,
+        }
+    }
+}
+
 /// Control block: one mutex keeps the boundary count, the armed plan and
 /// the dead flag mutually consistent without any atomics to audit. It is
 /// a leaf: nothing is locked while it is held.
@@ -134,6 +145,11 @@ impl<D: BlockDevice> TornDisk<D> {
     /// Arms a power cut. Replaces any previously armed plan.
     pub fn arm(&self, plan: CutPlan) {
         self.ctl().armed = Some(plan);
+    }
+
+    /// Drops an armed plan that has not fired.
+    pub(crate) fn disarm(&self) {
+        self.ctl().armed = None;
     }
 
     /// Write boundaries crossed so far (profiling an unarmed run). The
@@ -245,14 +261,6 @@ mod tests {
     use super::*;
     use wormstore::MemDisk;
 
-    fn plan(at: u64, style: CutStyle) -> CutPlan {
-        CutPlan {
-            at_write: at,
-            style,
-            seed: 0x5EED,
-        }
-    }
-
     #[test]
     fn unarmed_passthrough_counts_boundaries() {
         let d = TornDisk::new(MemDisk::unmetered(64));
@@ -268,7 +276,7 @@ mod tests {
     #[test]
     fn drop_cut_applies_nothing_and_kills_device() {
         let d = TornDisk::new(MemDisk::unmetered(64));
-        d.arm(plan(2, CutStyle::Drop));
+        d.arm(CutPlan::new(2, CutStyle::Drop, 0x5EED));
         d.write_at(0, b"first").unwrap();
         assert!(matches!(
             d.write_at(16, b"second"),
@@ -286,14 +294,20 @@ mod tests {
         assert_eq!(&buf, &[0u8; 6]);
     }
 
-    #[test]
-    fn prefix_cut_applies_strict_prefix() {
+    /// What a first write of 32 × `0xFF`, cut per `style`, leaves.
+    fn torn_write(style: CutStyle) -> [u8; 32] {
         let d = TornDisk::new(MemDisk::unmetered(64));
-        d.arm(plan(1, CutStyle::Prefix));
+        d.arm(CutPlan::new(1, style, 0x5EED));
         assert!(d.write_at(0, &[0xFF; 32]).is_err());
         d.revive();
         let mut buf = [0u8; 32];
         d.read_at(0, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn prefix_cut_applies_strict_prefix() {
+        let buf = torn_write(CutStyle::Prefix);
         let applied = buf.iter().take_while(|&&b| b == 0xFF).count();
         assert!(applied < 32, "prefix cut must not complete the write");
         assert!(
@@ -304,12 +318,7 @@ mod tests {
 
     #[test]
     fn suffix_cut_applies_strict_suffix() {
-        let d = TornDisk::new(MemDisk::unmetered(64));
-        d.arm(plan(1, CutStyle::Suffix));
-        assert!(d.write_at(0, &[0xFF; 32]).is_err());
-        d.revive();
-        let mut buf = [0u8; 32];
-        d.read_at(0, &mut buf).unwrap();
+        let buf = torn_write(CutStyle::Suffix);
         let tail = buf.iter().rev().take_while(|&&b| b == 0xFF).count();
         assert!(tail < 32);
         assert!(buf[..32 - tail].iter().all(|&b| b == 0));
@@ -317,16 +326,8 @@ mod tests {
 
     #[test]
     fn garbage_cut_is_deterministic() {
-        let run = || {
-            let d = TornDisk::new(MemDisk::unmetered(64));
-            d.arm(plan(1, CutStyle::Garbage));
-            let _ = d.write_at(0, &[0xFF; 32]);
-            d.revive();
-            let mut buf = [0u8; 32];
-            d.read_at(0, &mut buf).unwrap();
-            buf
-        };
-        assert_eq!(run(), run(), "same seed must tear identically");
+        let (a, b) = (torn_write(CutStyle::Garbage), torn_write(CutStyle::Garbage));
+        assert_eq!(a, b, "same seed must tear identically");
     }
 
     #[test]
@@ -334,7 +335,7 @@ mod tests {
         let d = TornDisk::new(MemDisk::unmetered(64));
         let handle = d.clone();
         d.write_at(0, b"x").unwrap();
-        handle.arm(plan(2, CutStyle::Drop));
+        handle.arm(CutPlan::new(2, CutStyle::Drop, 0x5EED));
         assert!(d.write_at(1, b"y").is_err());
         assert_eq!(handle.cut_fired(), Some(2));
         handle.revive();
@@ -345,7 +346,7 @@ mod tests {
     #[test]
     fn zero_length_write_cut() {
         let d = TornDisk::new(MemDisk::unmetered(8));
-        d.arm(plan(1, CutStyle::Garbage));
+        d.arm(CutPlan::new(1, CutStyle::Garbage, 0x5EED));
         assert!(d.write_at(0, b"").is_err());
     }
 }

@@ -9,9 +9,11 @@
 //!   forged answers she would serve instead of honest ones.
 //! * [`TornDisk`] — a medium that loses power at an exact write
 //!   boundary, tearing the write in flight per [`CutStyle`].
-//! * [`Torture`] — the power-cut rig: boots a durable server on a
-//!   `TornDisk`, runs a lifecycle [`Scenario`], cuts, recovers through
-//!   [`Torture::recover`] and checks the Theorem 1/2 invariants.
+//! * [`model`] — the WORM contract as one executable model, and the one
+//!   runner that holds a durable server to it through a schedule of steps.
+//! * [`Torture`] — the power-cut rig: runs a schedule on a `TornDisk`,
+//!   cuts, recovers through [`Torture::recover`] and runs the model's
+//!   check.
 //! * [`occurrences`] — the one raw-medium scan.
 //!
 //! Everything is deterministically seeded, so a failing cut point
@@ -22,13 +24,13 @@
 
 mod disk;
 mod mallory;
+pub mod model;
 mod powerfail;
 
 pub use disk::{CutPlan, CutStyle, TornDisk};
 pub use mallory::Mallory;
 pub use powerfail::{
-    is_power_cut, occurrences, CutOutcome, CutRange, Recovered, Scenario, TornMedium, TornServer,
-    Torture, TortureError,
+    is_power_cut, occurrences, CutRange, Recovered, TornMedium, TornServer, Torture, TortureError,
 };
 
 /// xorshift64* — the rigs' deterministic mixer, independent of the

@@ -140,16 +140,6 @@ impl<'a, D: BlockDevice> Mallory<'a, D> {
         }
     }
 
-    /// Replays a legitimate deletion proof of record `victim` as evidence
-    /// that a *different* record was deleted.
-    pub fn replay_deletion_proof(&self, victim_proof: DeletionProof) -> Option<ReadOutcome> {
-        let head = self.head()?;
-        Some(ReadOutcome::Deleted {
-            evidence: DeletionEvidence::Proof(victim_proof),
-            head,
-        })
-    }
-
     /// Splices the lower bound of one signed window with the upper bound
     /// of another, fabricating a wider "deleted" window (the attack the
     /// correlated window ids prevent, §4.2.1).
@@ -163,14 +153,12 @@ impl<'a, D: BlockDevice> Mallory<'a, D> {
         }
     }
 
-    /// Claims an active record is covered by an existing (legitimate)
-    /// deleted window.
-    pub fn claim_in_window(&self, window: WindowProof) -> Option<ReadOutcome> {
+    /// Claims an active record was deleted, with legitimate `evidence`
+    /// that belongs to other records: another record's deletion proof, or
+    /// a deleted window that does not cover it.
+    pub fn claim_deleted(&self, evidence: DeletionEvidence) -> Option<ReadOutcome> {
         let head = self.head()?;
-        Some(ReadOutcome::Deleted {
-            evidence: DeletionEvidence::InWindow(window),
-            head,
-        })
+        Some(ReadOutcome::Deleted { evidence, head })
     }
 
     /// Removes a record's VRDT entry outright (the crude "lost it" play).

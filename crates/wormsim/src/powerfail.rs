@@ -1,49 +1,22 @@
-//! Deterministic power-fail torture harness.
-//!
-//! The paper's Theorems 1 and 2 assume the untrusted host can lose power
-//! at any instant without silently losing committed WORM state or
-//! resurrecting shredded bytes. This module makes that assumption an
-//! executable check: it runs a canonical lifecycle [`Scenario`] (write,
-//! expire-and-shred, compact, write again) against a durable server on a
-//! [`TornDisk`], cuts power at an exact write boundary with one of the
-//! four [`CutStyle`] torn-sector behaviours, recovers through
-//! [`Torture::recover`], and re-verifies the invariants end-to-end
-//! through a client [`Verifier`]:
-//!
-//! * **No committed record lost** — every acknowledged write reads back
-//!   byte-identical and verifier-accepted (Theorem 1).
-//! * **No shredded record recoverable** — every acknowledged deletion's
-//!   plaintext is absent from a raw scan of the whole medium (Theorem 2).
-//! * **No forged state accepted** — whatever the recovered host serves,
-//!   the verifier either accepts it as exactly the committed state or
-//!   rejects it; torn garbage is never verifier-approved.
-//!
-//! Operations the cut interrupted *without* an acknowledgement are in
-//! limbo: they may have rolled back (still active, bytes intact) or
-//! committed (deletion proven, bytes destroyed) — but never anything in
-//! between.
-//!
-//! The harness is two-phase: [`Torture::profile`] counts the write
-//! boundaries an unarmed run crosses, then the caller runs
-//! [`Torture::torture`] on every plan [`CutRange::plans`] enumerates —
-//! optionally arming a *second* cut during recovery itself
-//! (recover-then-crash-again).
+//! Deterministic power-fail torture harness: [`Torture::profile`] counts
+//! the write boundaries an unarmed run of a [`Schedule`] crosses, and
+//! [`Torture::torture`] cuts power at one of them in one [`CutStyle`] —
+//! optionally cutting the recovery too — recovers through
+//! [`Torture::recover`], writes one more record and runs the model's
+//! check ([`crate::model`]) once, the write the cut interrupted included.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::VirtualClock;
-use strongworm::proofs::ReadOutcome;
-use strongworm::{
-    ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, Verifier, VerifyError,
-    WormConfig, WormError, WormServer,
-};
-use wormstore::{BlockDevice, BlockError, JournalError, MemDisk, Partition, Shredder, StoreError};
+use strongworm::{RegulatoryAuthority, WormConfig, WormError, WormServer};
+use wormstore::{BlockError, JournalError, MemDisk, Partition, StoreError};
 
 use crate::disk::{CutPlan, CutStyle, TornDisk};
 use crate::mix;
+use crate::model::{Report, Schedule, Sim, Step};
 
 /// The fault-injected medium the harness tortures.
 pub type TornMedium = TornDisk<MemDisk>;
@@ -53,15 +26,12 @@ pub type TornServer = WormServer<Partition<TornMedium>>;
 /// A torture verdict: what went wrong at a cut point.
 #[derive(Debug)]
 pub enum TortureError {
-    /// The scenario failed with an error that is not a power cut — a
-    /// real bug in the serving path, independent of crash atomicity.
+    /// A step failed other than by the cut: a bug in the serving path.
     Scenario(WormError),
     /// Recovery failed on a revived medium (it must always succeed).
     Recovery(WormError),
-    /// A Theorem 1/2 invariant did not survive the cut.
+    /// The server left what the model does not allow.
     Invariant(String),
-    /// The client verifier rejected state the recovered server served.
-    Verify(VerifyError),
 }
 
 impl std::fmt::Display for TortureError {
@@ -70,24 +40,11 @@ impl std::fmt::Display for TortureError {
             TortureError::Scenario(e) => write!(f, "scenario failed outside the cut: {e}"),
             TortureError::Recovery(e) => write!(f, "recovery failed on a revived medium: {e}"),
             TortureError::Invariant(what) => write!(f, "invariant violated: {what}"),
-            TortureError::Verify(e) => write!(f, "verifier rejected recovered state: {e}"),
         }
     }
 }
 
-impl std::error::Error for TortureError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TortureError::Scenario(e) | TortureError::Recovery(e) => Some(e),
-            TortureError::Verify(e) => Some(e),
-            TortureError::Invariant(_) => None,
-        }
-    }
-}
-
-fn invariant(what: String) -> TortureError {
-    TortureError::Invariant(what)
-}
+impl std::error::Error for TortureError {}
 
 /// True when `e` is the device reporting the armed power cut (the one
 /// error class the torture loop expects and absorbs).
@@ -101,74 +58,13 @@ pub fn is_power_cut(e: &WormError) -> bool {
     }
 }
 
-/// The canonical lifecycle workload, sized by the caller (the torture
-/// test runs it small and exhaustively; the bench runs it large).
-///
-/// Order matters: victims are written *below* keepers so their shredded
-/// extents open free space that compaction relocates the keepers into,
-/// exercising the full relocate-replace-shred sequence.
-#[derive(Clone, Copy, Debug)]
-pub struct Scenario {
-    /// Short-retention records written first, then expired and shredded.
-    pub victims: usize,
-    /// Long-lived multi-pass-shredder records written above the victims.
-    pub keepers: usize,
-    /// Run store compaction after the deletions.
-    pub compact: bool,
-    /// Records written after the churn.
-    pub tail_writes: usize,
-}
-
-impl Default for Scenario {
-    fn default() -> Self {
-        Scenario {
-            victims: 2,
-            keepers: 2,
-            compact: true,
-            tail_writes: 1,
-        }
-    }
-}
-
-/// What the scenario had acknowledged before the cut fired — the ground
-/// truth the recovered server is checked against.
-#[derive(Default)]
-struct Acked {
-    /// Acked writes never deleted: must read back `Intact` with exactly
-    /// these bytes, present exactly once on the medium.
-    must_live: Vec<(SerialNumber, Vec<u8>)>,
-    /// Acked writes whose deletion was also acked: must read back
-    /// `ConfirmedDeleted`, bytes absent from the medium.
-    must_be_dead: Vec<(SerialNumber, Vec<u8>)>,
-    /// Acked writes whose deletion was in flight (or merely scheduled)
-    /// when the cut hit: either intact or proven-deleted is legal, but
-    /// nothing in between.
-    limbo: Vec<(SerialNumber, Vec<u8>)>,
-}
-
-/// Outcome of one survived cut point.
-#[derive(Clone, Copy, Debug)]
-pub struct CutOutcome {
-    /// Whether the armed cut actually fired (false when `at_write` lay
-    /// beyond the scenario's writes: the run degenerates to a clean-
-    /// shutdown crash).
-    pub cut_fired: bool,
-    /// Write boundaries the (first) recovery crossed — the enumeration
-    /// range for recover-then-crash-again plans.
-    pub recovery_writes: u64,
-    /// Wall-clock nanoseconds from the first recovery attempt to a
-    /// booted server (spans both attempts when the recovery itself was
-    /// cut; excludes invariant verification).
-    pub recovery_nanos: u64,
-}
-
-/// Write-boundary range a scenario's cuts enumerate (1-based, inclusive;
-/// boundaries below `first` belong to server boot).
+/// The write boundaries a schedule crosses (1-based, inclusive; those
+/// below `first` are the server's boot).
 #[derive(Clone, Copy, Debug)]
 pub struct CutRange {
-    /// First boundary the scenario itself crosses.
+    /// First boundary the schedule itself crosses.
     pub first: u64,
-    /// Last boundary of the scenario (from [`TornDisk::writes_seen`]).
+    /// Last boundary of the schedule (from [`TornDisk::writes_seen`]).
     pub last: u64,
 }
 
@@ -177,13 +73,8 @@ impl CutRange {
     /// [`CutStyle`], boundary by boundary, the cut at boundary `at`
     /// seeded `salt ^ at`.
     pub fn plans(self, salt: u64) -> impl Iterator<Item = CutPlan> {
-        (self.first..=self.last).flat_map(move |at| {
-            CutStyle::ALL.map(|style| CutPlan {
-                at_write: at,
-                style,
-                seed: salt ^ at,
-            })
-        })
+        (self.first..=self.last)
+            .flat_map(move |at| CutStyle::ALL.map(|style| CutPlan::new(at, style, salt ^ at)))
     }
 }
 
@@ -192,21 +83,18 @@ impl CutRange {
 pub struct Recovered {
     /// The recovered server.
     pub server: TornServer,
-    /// Write boundaries the first recovery attempt crossed — the
-    /// enumeration range for recover-then-crash-again plans.
+    /// Write boundaries the first recovery attempt crossed.
     pub writes: u64,
-    /// Whether the armed recovery cut fired, so that a second, unarmed
-    /// recovery brought the server back.
+    /// Whether the armed recovery cut fired, and a second recovery ran.
     pub recut: bool,
-    /// Wall-clock nanoseconds from the first recovery attempt to a
-    /// booted server.
+    /// Wall-clock nanoseconds from the first attempt to a booted server.
     pub nanos: u64,
 }
 
 /// A 48-byte record payload unique to `tag` — long and entropic enough
 /// that a raw-medium scan cannot false-positive on journal frames,
 /// shred noise, or torn garbage.
-fn pattern(tag: u64) -> Vec<u8> {
+pub(crate) fn pattern(tag: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(48);
     let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ tag.wrapping_mul(0xD134_2543_DE82_EF95);
     for _ in 0..6 {
@@ -220,28 +108,33 @@ fn pattern(tag: u64) -> Vec<u8> {
 /// occurrences included: the raw-medium scan for plaintext a record left
 /// behind. An empty needle occurs nowhere.
 pub fn occurrences(haystack: &[u8], needle: &[u8]) -> usize {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return 0;
-    }
-    haystack
-        .windows(needle.len())
-        .filter(|w| *w == needle)
-        .count()
+    occurrences_of(haystack, &[needle])[0]
 }
 
-/// Whether `outcome` serves exactly `pat` as its first record.
-fn serves(outcome: &ReadOutcome, pat: &[u8]) -> bool {
-    match outcome {
-        ReadOutcome::Data { records, .. } => records.first().map(|b| b.as_ref()) == Some(pat),
-        _ => false,
+/// [`occurrences`] of each needle, in one pass over `haystack`.
+pub(crate) fn occurrences_of(haystack: &[u8], needles: &[&[u8]]) -> Vec<usize> {
+    let mut by_first: [Vec<usize>; 256] = std::array::from_fn(|_| Vec::new());
+    for (i, needle) in needles.iter().enumerate() {
+        if let Some(&b) = needle.first() {
+            by_first[usize::from(b)].push(i);
+        }
     }
+    let mut counts = vec![0; needles.len()];
+    for (at, &b) in haystack.iter().enumerate() {
+        for &i in &by_first[usize::from(b)] {
+            if haystack[at..].starts_with(needles[i]) {
+                counts[i] += 1;
+            }
+        }
+    }
+    counts
 }
 
 /// The torture rig: one regulator key pair (the slow part) reused across
 /// every cut point, plus the medium geometry.
 pub struct Torture {
     config: WormConfig,
-    regulator: RegulatoryAuthority,
+    pub(crate) regulator: RegulatoryAuthority,
     capacity: u64,
     journal_bytes: u64,
 }
@@ -283,78 +176,27 @@ impl Torture {
         Ok((srv, torn, clock))
     }
 
-    /// Runs the scenario, recording acknowledgements as they happen.
-    /// Returns the acked ground truth plus how the run ended.
-    fn run_scenario(
-        &self,
-        srv: &TornServer,
-        clock: &Arc<VirtualClock>,
-        sc: &Scenario,
-    ) -> (Acked, Result<(), WormError>) {
-        let mut acked = Acked::default();
-        for i in 0..sc.victims {
-            let pat = pattern(0x2000 + i as u64);
-            let policy = RetentionPolicy::custom(Duration::from_secs(100), Shredder::ZeroFill);
-            match srv.write(&[&pat], policy) {
-                // Until its deletion is acked too, an expiring record is
-                // in limbo: recovery may complete a scheduled expiry.
-                Ok(sn) => acked.limbo.push((sn, pat)),
-                Err(e) => return (acked, Err(e)),
-            }
-        }
-        for i in 0..sc.keepers {
-            let pat = pattern(0x1000 + i as u64);
-            let policy = RetentionPolicy::custom(
-                Duration::from_secs(1_000_000),
-                Shredder::MultiPass { passes: 2 },
-            );
-            match srv.write(&[&pat], policy) {
-                Ok(sn) => acked.must_live.push((sn, pat)),
-                Err(e) => return (acked, Err(e)),
-            }
-        }
-        clock.advance(Duration::from_secs(150));
-        match srv.tick() {
-            Ok(()) => acked.must_be_dead.append(&mut acked.limbo),
-            Err(e) => return (acked, Err(e)),
-        }
-        if sc.compact {
-            if let Err(e) = srv.compact_store() {
-                return (acked, Err(e));
-            }
-        }
-        for i in 0..sc.tail_writes {
-            let pat = pattern(0x3000 + i as u64);
-            let policy =
-                RetentionPolicy::custom(Duration::from_secs(1_000_000), Shredder::ZeroFill);
-            match srv.write(&[&pat], policy) {
-                Ok(sn) => acked.must_live.push((sn, pat)),
-                Err(e) => return (acked, Err(e)),
-            }
-        }
-        (acked, Ok(()))
-    }
-
-    /// Phase 1: the write-boundary range an unarmed run of `sc` crosses.
+    /// Phase 1: the write-boundary range an unarmed run of `schedule`
+    /// crosses.
     ///
     /// # Errors
     ///
-    /// The scenario failing on a healthy medium.
-    pub fn profile(&self, sc: &Scenario) -> Result<CutRange, TortureError> {
-        let (srv, torn, clock) = self.boot()?;
-        let boot_writes = torn.writes_seen();
-        let (_, end) = self.run_scenario(&srv, &clock, sc);
-        end.map_err(TortureError::Scenario)?;
+    /// A step failing on a healthy medium.
+    pub fn profile(&self, schedule: &Schedule) -> Result<CutRange, TortureError> {
+        let mut sim = Sim::boot(self)?;
+        let first = sim.torn.writes_seen() + 1;
+        for step in &schedule.steps {
+            sim.apply(step)?;
+        }
         Ok(CutRange {
-            first: boot_writes + 1,
-            last: torn.writes_seen(),
+            first,
+            last: sim.torn.writes_seen(),
         })
     }
 
-    /// Phase 2: cut power per `plan`, recover, and verify. When
-    /// `recovery_plan` is armed, the *recovery itself* is cut at that
-    /// boundary and a second recovery must then succeed (recover-then-
-    /// crash-again).
+    /// Phase 2: cut power per `plan` (past the last boundary: a clean
+    /// crash), recover — cut again per `recovery_plan`, if armed — write
+    /// one record and run the model's check.
     ///
     /// # Errors
     ///
@@ -362,32 +204,33 @@ impl Torture {
     /// atomicity.
     pub fn torture(
         &self,
-        sc: &Scenario,
+        schedule: &Schedule,
         plan: CutPlan,
         recovery_plan: Option<CutPlan>,
-    ) -> Result<CutOutcome, TortureError> {
-        let (srv, torn, clock) = self.boot()?;
-        torn.arm(plan);
-        let (acked, end) = self.run_scenario(&srv, &clock, sc);
-        match end {
-            Ok(()) => {}
-            Err(e) if is_power_cut(&e) => {}
-            Err(e) => return Err(TortureError::Scenario(e)),
+    ) -> Result<Report, TortureError> {
+        let mut sim = Sim::boot(self)?;
+        sim.torn.arm(plan);
+        sim.recovery_cut = recovery_plan;
+        let mut fired = false;
+        for step in &schedule.steps {
+            fired = sim.apply(step)?;
+            if fired {
+                break;
+            }
         }
-        let cut_fired = torn.cut_fired().is_some();
-        let recovered = self.recover(srv, &torn, &clock, recovery_plan)?;
-        self.verify(&recovered.server, &torn, &clock, &acked)?;
-        Ok(CutOutcome {
-            cut_fired,
-            recovery_writes: recovered.writes,
-            recovery_nanos: recovered.nanos,
-        })
+        if !fired {
+            sim.apply(&Step::Restart)?;
+        }
+        // Liveness: the recovered server still accepts and serves.
+        sim.apply(&Step::write(1_000_000))?;
+        sim.check()?;
+        Ok(sim.into_report())
     }
 
     /// The host dies and comes back: only the battery-backed SCPU and
-    /// the medium survive `srv`. Revives `torn` and recovers from it.
-    /// When `recovery_plan` is armed and fires, the recovery itself is
-    /// cut, and a second, unarmed recovery must then succeed.
+    /// the medium survive `srv`. When `recovery_plan` fires, a second,
+    /// unarmed recovery must succeed; when it does not, it is disarmed
+    /// before the server is handed back.
     ///
     /// # Errors
     ///
@@ -429,6 +272,7 @@ impl Torture {
             }
             Err((e, _)) => return Err(TortureError::Recovery(e)),
         };
+        torn.disarm();
         Ok(Recovered {
             server,
             writes,
@@ -436,115 +280,12 @@ impl Torture {
             nanos: started.elapsed().as_nanos() as u64,
         })
     }
-
-    fn read_verified(
-        &self,
-        srv: &TornServer,
-        verifier: &Verifier,
-        sn: SerialNumber,
-    ) -> Result<(ReadOutcome, ReadVerdict), TortureError> {
-        let outcome = srv
-            .read(sn)
-            .map_err(|e| invariant(format!("read of acked {sn} failed after recovery: {e}")))?;
-        let verdict = verifier
-            .verify_read(sn, &outcome)
-            .map_err(TortureError::Verify)?;
-        Ok((outcome, verdict))
-    }
-
-    /// Checks the Theorem 1/2 invariants of a recovered server against
-    /// the acked ground truth, then proves the server still serves by
-    /// writing and verifying a probe record.
-    fn verify(
-        &self,
-        srv: &TornServer,
-        torn: &TornMedium,
-        clock: &Arc<VirtualClock>,
-        acked: &Acked,
-    ) -> Result<(), TortureError> {
-        let verifier = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone())
-            .map_err(TortureError::Verify)?;
-        let mut raw = vec![0u8; self.capacity as usize];
-        torn.inner()
-            .read_at(0, &mut raw)
-            .map_err(|e| invariant(format!("raw medium scan failed: {e}")))?;
-
-        for (sn, pat) in &acked.must_live {
-            let (outcome, verdict) = self.read_verified(srv, &verifier, *sn)?;
-            if !matches!(verdict, ReadVerdict::Intact { .. }) {
-                return Err(invariant(format!(
-                    "committed {sn} lost: verdict {verdict:?}"
-                )));
-            }
-            if !serves(&outcome, pat) {
-                return Err(invariant(format!(
-                    "committed {sn}: recovered bytes differ from committed bytes"
-                )));
-            }
-            let copies = occurrences(&raw, pat);
-            if copies != 1 {
-                return Err(invariant(format!(
-                    "committed {sn}: plaintext appears {copies} times on the medium \
-                     (want exactly 1 — relocation must shred or scrub the source)"
-                )));
-            }
-        }
-        for (sn, pat) in &acked.must_be_dead {
-            let (_, verdict) = self.read_verified(srv, &verifier, *sn)?;
-            if !matches!(verdict, ReadVerdict::ConfirmedDeleted { .. }) {
-                return Err(invariant(format!(
-                    "acked-deleted {sn} resurfaced: verdict {verdict:?}"
-                )));
-            }
-            if occurrences(&raw, pat) != 0 {
-                return Err(invariant(format!(
-                    "shredded {sn}: plaintext survives on the medium"
-                )));
-            }
-        }
-        for (sn, pat) in &acked.limbo {
-            let (outcome, verdict) = self.read_verified(srv, &verifier, *sn)?;
-            match verdict {
-                ReadVerdict::Intact { .. } => {
-                    if !serves(&outcome, pat) {
-                        return Err(invariant(format!(
-                            "limbo {sn} rolled back with corrupted bytes"
-                        )));
-                    }
-                }
-                ReadVerdict::ConfirmedDeleted { .. } => {
-                    if occurrences(&raw, pat) != 0 {
-                        return Err(invariant(format!(
-                            "limbo {sn} proven deleted but plaintext survives"
-                        )));
-                    }
-                }
-                other => {
-                    return Err(invariant(format!(
-                        "limbo {sn} neither intact nor proven deleted: {other:?}"
-                    )));
-                }
-            }
-        }
-        // Liveness: the recovered server must still accept and serve.
-        let probe = pattern(0x4000);
-        let policy = RetentionPolicy::custom(Duration::from_secs(1_000_000), Shredder::ZeroFill);
-        let sn = srv
-            .write(&[&probe], policy)
-            .map_err(|e| invariant(format!("recovered server refuses new writes: {e}")))?;
-        let (_, verdict) = self.read_verified(srv, &verifier, sn)?;
-        if !matches!(verdict, ReadVerdict::Intact { .. }) {
-            return Err(invariant(format!(
-                "post-recovery probe write does not verify: {verdict:?}"
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::State::{Deleted, Live};
 
     #[test]
     fn patterns_are_unique_and_entropic() {
@@ -562,6 +303,7 @@ mod tests {
         assert_eq!(occurrences(b"aaaa", b"aa"), 3);
         assert_eq!(occurrences(b"abc", b""), 0);
         assert_eq!(occurrences(b"ab", b"abc"), 0);
+        assert_eq!(occurrences_of(b"abcab", &[b"ab", b"b", b"ca"]), [2, 2, 1]);
     }
 
     #[test]
@@ -575,28 +317,36 @@ mod tests {
     #[test]
     fn clean_run_profiles_and_survives_unfired_cut() {
         let rig = Torture::small();
-        let sc = Scenario {
-            victims: 1,
-            keepers: 1,
-            compact: true,
-            tail_writes: 1,
-        };
-        let range = rig.profile(&sc).expect("clean scenario runs");
-        assert!(range.last > range.first, "scenario must cross boundaries");
+        let schedule = Schedule::lifecycle(1, 1, true, 1);
+        let range = rig.profile(&schedule).expect("clean schedule runs");
+        assert!(range.last > range.first, "schedule must cross boundaries");
         // A plan beyond the last boundary never fires: clean-shutdown
         // crash, everything committed, everything verifies.
+        let plan = CutPlan::new(range.last + 100, CutStyle::Drop, 1);
         let out = rig
-            .torture(
-                &sc,
-                CutPlan {
-                    at_write: range.last + 100,
-                    style: CutStyle::Drop,
-                    seed: 1,
-                },
-                None,
-            )
+            .torture(&schedule, plan, None)
             .expect("clean shutdown recovers");
-        assert!(!out.cut_fired);
-        assert!(out.recovery_writes > 0, "recovery journals its own work");
+        assert_eq!(out.cuts_fired, 0);
+        assert!(out.recovery.0 > 0, "recovery journals its own work");
+        assert_eq!(out.states, [Deleted, Live, Live, Live]);
+    }
+
+    #[test]
+    fn a_recovery_cut_that_does_not_fire_is_disarmed() {
+        let rig = Torture::small();
+        // A fresh boot's recovery, armed at `cut`: it must not fire.
+        let restart = |cut| {
+            let mut sim = Sim::boot(&rig).expect("boot");
+            sim.recovery_cut = cut;
+            assert!(!sim.apply(&Step::Restart).expect("recovers"));
+            sim
+        };
+        let past = restart(None).report.recovery.0 + 1;
+        let mut sim = restart(Some(CutPlan::new(past, CutStyle::Drop, 1)));
+        let fired = sim.apply(&Step::write(100)).expect("writes");
+        assert!(
+            !fired,
+            "the recovery's cut outlived it and fired in the next write"
+        );
     }
 }

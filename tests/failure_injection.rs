@@ -8,8 +8,9 @@ use std::time::Duration;
 use common::{regulator, server, server_with, short_policy, verifier};
 use scpu::{Clock, TamperCause};
 use strongworm::vrdt::Vrdt;
-use strongworm::{ReadVerdict, SerialNumber, WitnessMode, WormConfig, WormError, WormServer};
-use wormsim::occurrences;
+use strongworm::{ReadVerdict, WitnessMode, WormConfig, WormError, WormServer};
+use wormsim::model::{run, Schedule, State, Step};
+use wormsim::{occurrences, CutStyle, Torture};
 use wormstore::Journal;
 
 #[test]
@@ -32,29 +33,17 @@ fn vrdt_journal_recovers_identical_state_after_crash() {
     recovered.check_complete().unwrap();
 }
 
+/// The third write's `INSERT` frame is torn: the first two records stay,
+/// and the device's head still counts SN 3, a hole any client sees (the
+/// paper's completeness guarantee).
 #[test]
 fn torn_final_frame_loses_only_last_operation() {
-    let (srv, _clock) = server();
-    srv.write(&[b"committed-1"], short_policy(1000)).unwrap();
-    srv.write(&[b"committed-2"], short_policy(1000)).unwrap();
-    let full_len = srv.vrdt().journal().len_bytes();
-    srv.write(&[b"torn"], short_policy(1000)).unwrap();
-
-    let mut journal = Journal::from_bytes(srv.vrdt().journal().as_bytes().to_vec());
-    let torn_frame_len = journal.len_bytes() - full_len;
-    journal.truncate_tail(torn_frame_len / 2); // rip half the final frame
-
-    let recovered = Vrdt::recover(journal).unwrap();
-    assert!(matches!(
-        recovered.lookup(SerialNumber(2)),
-        strongworm::vrdt::Lookup::Active(_)
-    ));
-    assert!(matches!(
-        recovered.lookup(SerialNumber(3)),
-        strongworm::vrdt::Lookup::Unknown
-    ));
-    // The SCPU still knows SN 3 was issued: a fresh head exposes the loss
-    // to any client asking for it (the paper's completeness guarantee).
+    let (write, torn) = (Step::write(1000), Step::Cut(2, CutStyle::Prefix));
+    let report = run(
+        &Torture::small(),
+        &Schedule::fixed([write, write, torn, write]),
+    );
+    assert_eq!(report.states, [State::Live, State::Live, State::Hole]);
 }
 
 #[test]

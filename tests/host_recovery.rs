@@ -8,9 +8,12 @@ mod common;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use common::{regulator, server, short_policy, verifier};
-use scpu::{Clock, VirtualClock};
+use common::{server, short_policy, verifier};
+use scpu::VirtualClock;
 use strongworm::{ReadVerdict, SerialNumber, Verifier, WormConfig, WormServer};
+use wormsim::model::State::{Deleted, Live};
+use wormsim::model::Step::{self, Advance, Hold, Restart, Tick};
+use wormsim::model::{run, Schedule};
 use wormsim::{
     is_power_cut, occurrences, CutPlan, CutStyle, Mallory, TornMedium, TornServer, Torture,
 };
@@ -28,85 +31,41 @@ fn crash_and_resume(
 
 #[test]
 fn records_survive_host_crash_and_verify() {
-    let (srv, clock) = server();
-    let v = verifier(&srv, clock.clone());
-    let a = srv
-        .write(&[b"pre-crash record A"], short_policy(10_000))
-        .unwrap();
-    let b = srv
-        .write(&[b"pre-crash record B"], short_policy(10_000))
-        .unwrap();
-
-    let srv = crash_and_resume(srv, WormConfig::test_small(), clock.clone());
-
-    // Old records verify with the SAME verifier (device keys survived).
-    for sn in [a, b] {
-        let outcome = srv.read(sn).unwrap();
-        assert_eq!(
-            v.verify_read(sn, &outcome).unwrap(),
-            ReadVerdict::Intact { sn }
-        );
-    }
-    // New writes continue the serial-number sequence.
-    let c = srv
-        .write(&[b"post-crash record"], short_policy(10_000))
-        .unwrap();
-    assert_eq!(c, SerialNumber(3));
-    assert_eq!(
-        v.verify_read(c, &srv.read(c).unwrap()).unwrap(),
-        ReadVerdict::Intact { sn: c }
-    );
+    // Both records verify `Intact` with their bytes under the verifier of
+    // before the crash (the device keys survive); the next write is SN 3.
+    let kept = Step::write(10_000);
+    let report = run(rig(), &Schedule::fixed([kept, kept, Restart, kept]));
+    assert_eq!(report.states, [Live; 3]);
 }
 
 #[test]
 fn expirations_still_fire_after_crash() {
-    let (srv, clock) = server();
-    srv.write(&[b"anchor"], short_policy(1_000_000)).unwrap();
-    let dies = srv.write(&[b"fleeting"], short_policy(100)).unwrap();
-
-    let srv = crash_and_resume(srv, WormConfig::test_small(), clock.clone());
-
-    clock.advance(Duration::from_secs(150));
-    srv.tick().unwrap();
-    assert_eq!(srv.read(dies).unwrap().kind(), "deleted");
+    let (anchor, fleeting) = (Step::write(1_000_000), Step::write(100));
+    let steps = [anchor, fleeting, Restart, Advance(150), Tick];
+    assert_eq!(run(rig(), &Schedule::fixed(steps)).states, [Live, Deleted]);
 }
 
 #[test]
 fn crash_during_retention_does_not_extend_it() {
-    // Even if Mallory "crashes" the host hoping recovery resets timers,
-    // the retention deadline is inside the signed attributes.
-    let (srv, clock) = server();
-    srv.write(&[b"anchor"], short_policy(1_000_000)).unwrap();
-    let sn = srv.write(&[b"fleeting"], short_policy(100)).unwrap();
-
-    clock.advance(Duration::from_secs(50)); // halfway through retention
-    let srv = crash_and_resume(srv, WormConfig::test_small(), clock.clone());
-
-    clock.advance(Duration::from_secs(60)); // total 110 > 100
-    srv.tick().unwrap();
-    assert_eq!(srv.read(sn).unwrap().kind(), "deleted");
+    // Even if Mallory "crashes" the host halfway through the retention
+    // hoping recovery resets timers, the deadline is inside the signed
+    // attributes: 50 + 60 > 100 s.
+    let (anchor, fleeting) = (Step::write(1_000_000), Step::write(100));
+    let steps = [anchor, fleeting, Advance(50), Restart, Advance(60), Tick];
+    assert_eq!(run(rig(), &Schedule::fixed(steps)).states, [Live, Deleted]);
 }
 
 #[test]
 fn litigation_holds_survive_recovery() {
-    let (srv, clock) = server();
-    srv.write(&[b"anchor"], short_policy(1_000_000)).unwrap();
-    let sn = srv.write(&[b"disputed"], short_policy(100)).unwrap();
-    let hold_until = clock.now().after(Duration::from_secs(10_000));
-    srv.lit_hold(regulator().issue_hold(sn, clock.now(), 88, hold_until))
-        .unwrap();
-
-    let srv = crash_and_resume(srv, WormConfig::test_small(), clock.clone());
-
-    // Retention elapses post-crash, but the (signed) hold still protects.
-    clock.advance(Duration::from_secs(500));
-    srv.tick().unwrap();
-    assert_eq!(srv.read(sn).unwrap().kind(), "data");
-
-    // After the hold lapses, deletion proceeds.
-    clock.advance(Duration::from_secs(10_000));
-    srv.tick().unwrap();
-    assert_eq!(srv.read(sn).unwrap().kind(), "deleted");
+    // The hold picks SN 2. Its retention elapses after the crash, but the
+    // (signed) hold still protects it: the model requires `Intact` until
+    // the hold lapses, and a deletion after.
+    let (anchor, disputed, hold) = (Step::write(1_000_000), Step::write(100), Hold(1, 10_000));
+    let crash = [anchor, disputed, hold, Restart];
+    let lapse = [Advance(500), Tick, Advance(10_000), Tick];
+    let report = run(rig(), &Schedule::fixed([crash, lapse].concat()));
+    assert!(report.ran.contains(&hold), "the hold applies");
+    assert_eq!(report.states, [Live, Deleted]);
 }
 
 #[test]
@@ -224,6 +183,12 @@ fn anchor_rig() -> (TornServer, TornMedium, Arc<VirtualClock>) {
     (srv, dev, clock)
 }
 
+/// The whole frames on the journal region of `dev`.
+fn frames_on(dev: &TornMedium) -> usize {
+    let (_, journal, _) = DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
+    journal.replay().count()
+}
+
 /// `anchor_rig` plus a victim record with 100-second retention.
 fn victim_rig() -> (TornServer, TornMedium, Arc<VirtualClock>) {
     let (srv, dev, clock) = anchor_rig();
@@ -242,6 +207,14 @@ fn tick_window() -> (u64, u64) {
     (before, dev.writes_seen())
 }
 
+/// The host crashes and [`rig`] recovers it, unarmed.
+fn recover(srv: TornServer, dev: &TornMedium, clock: &Arc<VirtualClock>) -> TornServer {
+    rig()
+        .recover(srv, dev, clock, None)
+        .expect("recovery succeeds")
+        .server
+}
+
 /// Replays the deterministic victim scenario with `plan` armed over the
 /// expiry tick, then recovers.
 fn cut_tick_and_recover(plan: CutPlan) -> TornServer {
@@ -251,10 +224,7 @@ fn cut_tick_and_recover(plan: CutPlan) -> TornServer {
     if let Err(e) = srv.tick() {
         assert!(is_power_cut(&e), "unexpected tick failure: {e}");
     }
-    rig()
-        .recover(srv, &dev, &clock, None)
-        .expect("recovery succeeds")
-        .server
+    recover(srv, &dev, &clock)
 }
 
 /// `(recovery.replayed, recovery.resumed_shreds)` after a cut at each
@@ -264,11 +234,7 @@ fn counters_across_the_tick() -> Vec<(u64, u64)> {
     assert!(w1 > w0, "the expiry tick must hit the disk");
     ((w0 + 1)..=w1)
         .map(|at| {
-            let srv = cut_tick_and_recover(CutPlan {
-                at_write: at,
-                style: CutStyle::Drop,
-                seed: 0xC0DE ^ at,
-            });
+            let srv = cut_tick_and_recover(CutPlan::new(at, CutStyle::Drop, 0xC0DE ^ at));
             let stats = srv.stats_snapshot();
             // A dropped write never tears a frame: the journal always ends
             // on a clean boundary.
@@ -331,11 +297,6 @@ fn deletion_txn_counters_are_exact_at_every_cut_point() {
 #[test]
 fn a_deletion_journals_one_frame_before_its_first_pass_write() {
     const VICTIM: &[u8] = b"doomed victim";
-    let frames_on = |dev: &TornMedium| {
-        let (_, journal, _) =
-            DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
-        journal.replay().count()
-    };
     let plaintext_on = |dev: &TornMedium| occurrences(&dev.inner().raw(), VICTIM) > 0;
     // Past the victim's retention, short of the head's refresh interval:
     // the tick journals the deletion and nothing else.
@@ -355,11 +316,7 @@ fn a_deletion_journals_one_frame_before_its_first_pass_write() {
     for at in (w0 + 1)..=w1 {
         let (srv, dev, clock) = victim_rig();
         clock.advance(past_retention);
-        dev.arm(CutPlan {
-            at_write: at,
-            style: CutStyle::Drop,
-            seed: at,
-        });
+        dev.arm(CutPlan::new(at, CutStyle::Drop, at));
         assert!(srv.tick().is_err(), "the armed cut fires inside the tick");
         dev.revive();
         if !plaintext_on(&dev) {
@@ -386,11 +343,6 @@ fn a_deletion_journals_one_frame_before_its_first_pass_write() {
 /// command — up to its count of records — not the last write alone.
 #[test]
 fn a_cut_between_the_inserts_of_one_command_loses_only_the_second_record() {
-    let frames_on = |dev: &TornMedium| {
-        let (_, journal, _) =
-            DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
-        journal.replay().count()
-    };
     let pair = |srv: &TornServer| {
         let policy = short_policy(1_000_000);
         let records: [&[u8]; 2] = [b"first of the command", b"second of the command"];
@@ -412,18 +364,11 @@ fn a_cut_between_the_inserts_of_one_command_loses_only_the_second_record() {
     assert_eq!((w1 - w0, frames_on(&dev) - f0), (4, 2));
 
     let (srv, dev, clock) = anchor_rig();
-    dev.arm(CutPlan {
-        at_write: w1,
-        style: CutStyle::Drop,
-        seed: w1,
-    });
+    dev.arm(CutPlan::new(w1, CutStyle::Drop, w1));
     let results = pair(&srv);
     assert_eq!(results[0].as_ref().ok(), Some(&SerialNumber(2)));
     assert!(matches!(&results[1], Err(e) if is_power_cut(e)));
-    let srv = rig()
-        .recover(srv, &dev, &clock, None)
-        .expect("recovery succeeds")
-        .server;
+    let srv = recover(srv, &dev, &clock);
     srv.refresh_head().unwrap();
     assert_eq!(srv.vrdt().head().unwrap().sn_current, SerialNumber(3));
     let v = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone()).unwrap();
@@ -448,19 +393,12 @@ fn torn_tail_counter_is_exact_under_injected_cuts() {
     let mut replayed = Vec::new();
     for (style, want_torn) in [(CutStyle::Garbage, 1), (CutStyle::Drop, 0)] {
         let (srv, dev, clock) = anchor_rig();
-        dev.arm(CutPlan {
-            at_write: frame_at,
-            style,
-            seed: 0x7EA2,
-        });
+        dev.arm(CutPlan::new(frame_at, style, 0x7EA2));
         let err = srv
             .write(&[b"doomed victim"], short_policy(100))
             .expect_err("the armed cut fires inside the write");
         assert!(is_power_cut(&err), "unexpected write failure: {err}");
-        let srv = rig()
-            .recover(srv, &dev, &clock, None)
-            .expect("recovery succeeds")
-            .server;
+        let srv = recover(srv, &dev, &clock);
         let stats = srv.stats_snapshot();
         // Garbage in the frame's sectors is a detectable torn tail;
         // a dropped frame is a clean boundary. Exactly one or zero —
@@ -489,26 +427,13 @@ fn rollback_counts_repeat_exactly_when_recovery_itself_crashes() {
         let at = w0 + 1 + i as u64;
         let (srv, dev, clock) = victim_rig();
         clock.advance(Duration::from_secs(150));
-        dev.arm(CutPlan {
-            at_write: at,
-            style: CutStyle::Drop,
-            seed: 1,
-        });
+        dev.arm(CutPlan::new(at, CutStyle::Drop, 1));
         let err = srv.tick().expect_err("the armed cut fires inside the tick");
         assert!(is_power_cut(&err), "unexpected tick failure: {err}");
 
         // Second cut: kill recovery on its very first device write.
         let recovered = rig()
-            .recover(
-                srv,
-                &dev,
-                &clock,
-                Some(CutPlan {
-                    at_write: 1,
-                    style: CutStyle::Drop,
-                    seed: 2,
-                }),
-            )
+            .recover(srv, &dev, &clock, Some(CutPlan::new(1, CutStyle::Drop, 2)))
             .expect("second recovery succeeds");
         assert!(recovered.recut, "recovery must hit the armed cut");
 
