@@ -258,26 +258,20 @@ struct Lane {
 }
 
 impl Lane {
-    /// A lane over keys the caller has established, its first weak-key
-    /// certificate checked.
-    fn over(
-        sign_key: &RsaPublicKey,
-        del_key: &RsaPublicKey,
-        weak_cert: WeakKeyCert,
-    ) -> Result<Self, VerifyError> {
-        let mut lane = Lane {
+    /// A lane over keys the caller has established, no weak-key
+    /// certificate registered yet.
+    fn over(sign_key: &RsaPublicKey, del_key: &RsaPublicKey) -> Self {
+        Lane {
             sign_key: sign_key.clone(),
             del_key: del_key.clone(),
             weak_certs: Vec::new(),
-        };
-        lane.add_weak_cert(weak_cert)?;
-        Ok(lane)
+        }
     }
 
     fn add_weak_cert(&mut self, cert: WeakKeyCert) -> Result<(), VerifyError> {
-        // A server publishes its whole list, the certificate this lane
-        // was built from included: one that is registered stays registered
-        // once, so a weak witness has one key to be checked against.
+        // A refreshing client registers the device's whole list each
+        // time: one that is registered stays registered once, so a weak
+        // witness has one key to be checked against.
         if self.weak_certs.contains(&cert) {
             return Ok(());
         }
@@ -291,19 +285,19 @@ impl Lane {
 }
 
 impl Verifier {
-    /// Builds a one-lane verifier directly from the device's published
-    /// keys.
+    /// Builds a one-lane verifier directly from the device's permanent
+    /// keys. A weak witness verifies once its certificate is registered
+    /// with [`Verifier::add_weak_cert`].
     ///
     /// # Errors
     ///
-    /// [`VerifyError::BadSignature`] if the weak-key certificate does not
-    /// chain to the signing key.
+    /// None: the permanent keys carry nothing to check.
     pub fn new(
         keys: &DeviceKeys,
         tolerance: Duration,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, VerifyError> {
-        let lane = Lane::over(&keys.sign, &keys.delete, keys.weak_cert.clone())?;
+        let lane = Lane::over(&keys.sign, &keys.delete);
         Ok(Self::over(lane, tolerance, clock))
     }
 
@@ -330,7 +324,6 @@ impl Verifier {
         ca: &RsaPublicKey,
         sign_cert: &KeyCertificate,
         del_cert: &KeyCertificate,
-        weak_cert: WeakKeyCert,
         tolerance: Duration,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, VerifyError> {
@@ -340,21 +333,14 @@ impl Verifier {
         if del_cert.role != KeyRole::Delete || !del_cert.verify(ca) {
             return Err(VerifyError::BadSignature("delete key certificate"));
         }
-        let lane = Lane::over(&sign_cert.key, &del_cert.key, weak_cert)?;
+        let lane = Lane::over(&sign_cert.key, &del_cert.key);
         Ok(Self::over(lane, tolerance, clock))
     }
 
     /// Adds the next lane — index [`Verifier::shard_count`] — from that
-    /// lane's SCPU's published keys.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::BadSignature`] if the weak-key certificate does not
-    /// chain to the signing key; the verifier is then as it was.
-    pub fn add_lane(&mut self, keys: &DeviceKeys) -> Result<(), VerifyError> {
-        let lane = Lane::over(&keys.sign, &keys.delete, keys.weak_cert.clone())?;
-        self.lanes.push(lane);
-        Ok(())
+    /// lane's SCPU's permanent keys.
+    pub fn add_lane(&mut self, keys: &DeviceKeys) {
+        self.lanes.push(Lane::over(&keys.sign, &keys.delete));
     }
 
     /// Number of lanes this verifier holds keys for.
@@ -732,7 +718,9 @@ mod tests {
         let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x3E30), 512);
         let srv =
             WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public()).unwrap();
-        let v = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone()).unwrap();
+        let mut v = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone()).unwrap();
+        v.add_weak_cert(srv.weak_certs().unwrap().remove(0))
+            .unwrap();
         let policy = RetentionPolicy::custom(
             Duration::from_secs(10_000_000),
             wormstore::Shredder::ZeroFill,

@@ -548,30 +548,13 @@ pub fn decode_release_credential(bytes: &[u8]) -> Result<ReleaseCredential, Wire
     })
 }
 
-fn put_weak_cert(w: &mut WireWriter, c: &WeakKeyCert) {
-    w.put_bytes(&c.key.to_bytes());
-    w.put_u64(c.max_sig_expiry.as_millis());
-    put_signature(w, &c.sig);
-}
-
-fn get_weak_cert(r: &mut WireReader<'_>) -> Result<WeakKeyCert, WireError> {
-    let key = RsaPublicKey::from_bytes(r.get_bytes()?).map_err(|_| WireError {
-        expected: "rsa public key",
-    })?;
-    let max_sig_expiry = Timestamp::from_millis(r.get_u64()?);
-    let sig = get_signature(r)?;
-    Ok(WeakKeyCert {
-        key,
-        max_sig_expiry,
-        sig,
-    })
-}
-
 /// Encodes a weak-key certificate (network key bootstrap; §4.3 deferred
 /// witnesses are signed under these short-lived keys).
 pub fn encode_weak_key_cert(c: &WeakKeyCert) -> Vec<u8> {
     let mut w = WireWriter::tagged("strongworm.weakcert.v1");
-    put_weak_cert(&mut w, c);
+    w.put_bytes(&c.key.to_bytes());
+    w.put_u64(c.max_sig_expiry.as_millis());
+    put_signature(&mut w, &c.sig);
     w.finish()
 }
 
@@ -582,21 +565,26 @@ pub fn encode_weak_key_cert(c: &WeakKeyCert) -> Vec<u8> {
 /// [`WireError`] on malformed input or an unparsable RSA key.
 pub fn decode_weak_key_cert(bytes: &[u8]) -> Result<WeakKeyCert, WireError> {
     let mut r = WireReader::tagged(bytes, "strongworm.weakcert.v1", "weak key cert tag")?;
-    let cert = get_weak_cert(&mut r)?;
+    let key = RsaPublicKey::from_bytes(r.get_bytes()?).map_err(|_| WireError {
+        expected: "rsa public key",
+    })?;
+    let max_sig_expiry = Timestamp::from_millis(r.get_u64()?);
+    let sig = get_signature(&mut r)?;
     r.expect_end()?;
-    Ok(cert)
+    Ok(WeakKeyCert {
+        key,
+        max_sig_expiry,
+        sig,
+    })
 }
 
-/// Encodes the device's published keys and certificates — what a client
-/// bootstrapping over the network receives (and then validates against
-/// CA-issued certificates; the bytes themselves are untrusted).
+/// Encodes the device's permanent keys — what a client bootstrapping
+/// over the network receives (and then validates against CA-issued
+/// certificates; the bytes themselves are untrusted).
 pub fn encode_device_keys(k: &DeviceKeys) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.devicekeys.v1");
-    // Reserved (once a data-hash scheme code): always 0.
-    w.put_u8(0);
+    let mut w = WireWriter::tagged("strongworm.devicekeys.v2");
     w.put_bytes(&k.sign.to_bytes());
     w.put_bytes(&k.delete.to_bytes());
-    put_weak_cert(&mut w, &k.weak_cert);
     w.finish()
 }
 
@@ -606,12 +594,7 @@ pub fn encode_device_keys(k: &DeviceKeys) -> Vec<u8> {
 ///
 /// [`WireError`] on malformed input or unparsable RSA keys.
 pub fn decode_device_keys(bytes: &[u8]) -> Result<DeviceKeys, WireError> {
-    let mut r = WireReader::tagged(bytes, "strongworm.devicekeys.v1", "device keys tag")?;
-    if r.get_u8()? != 0 {
-        return Err(WireError {
-            expected: "reserved byte 0",
-        });
-    }
+    let mut r = WireReader::tagged(bytes, "strongworm.devicekeys.v2", "device keys tag")?;
     let rsa = |b: &[u8]| {
         RsaPublicKey::from_bytes(b).map_err(|_| WireError {
             expected: "rsa public key",
@@ -619,13 +602,8 @@ pub fn decode_device_keys(bytes: &[u8]) -> Result<DeviceKeys, WireError> {
     };
     let sign = rsa(r.get_bytes()?)?;
     let delete = rsa(r.get_bytes()?)?;
-    let weak_cert = get_weak_cert(&mut r)?;
     r.expect_end()?;
-    Ok(DeviceKeys {
-        sign,
-        delete,
-        weak_cert,
-    })
+    Ok(DeviceKeys { sign, delete })
 }
 
 /// Sparse histograms never carry more than one entry per bucket.
@@ -1248,27 +1226,21 @@ mod tests {
         let keys = DeviceKeys {
             sign: tiny_key(5),
             delete: tiny_key(7),
-            weak_cert: WeakKeyCert {
-                key: tiny_key(11),
-                max_sig_expiry: Timestamp::from_millis(1234),
-                sig: sig(2),
-            },
         };
         let enc = encode_device_keys(&keys);
         let dec = decode_device_keys(&enc).unwrap();
         assert_eq!(dec.sign.fingerprint(), keys.sign.fingerprint());
         assert_eq!(dec.delete.fingerprint(), keys.delete.fingerprint());
-        assert_eq!(
-            dec.weak_cert.key.fingerprint(),
-            keys.weak_cert.key.fingerprint()
-        );
-        assert_eq!(dec.weak_cert.max_sig_expiry, keys.weak_cert.max_sig_expiry);
-        assert_eq!(dec.weak_cert.sig, keys.weak_cert.sig);
         assert!(decode_device_keys(&enc[..enc.len() - 1]).is_err());
         assert!(decode_device_keys(b"garbage").is_err());
 
-        let wc = encode_weak_key_cert(&keys.weak_cert);
-        assert_eq!(decode_weak_key_cert(&wc).unwrap(), keys.weak_cert);
+        let cert = WeakKeyCert {
+            key: tiny_key(11),
+            max_sig_expiry: Timestamp::from_millis(1234),
+            sig: sig(2),
+        };
+        let wc = encode_weak_key_cert(&cert);
+        assert_eq!(decode_weak_key_cert(&wc).unwrap(), cert);
         assert!(decode_weak_key_cert(&wc[..wc.len() - 1]).is_err());
     }
 

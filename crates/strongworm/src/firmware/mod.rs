@@ -93,15 +93,15 @@ pub struct WeakKeyCert {
     pub sig: Signature,
 }
 
-/// Public keys and certificates the host publishes to clients.
+/// The device's permanent public keys, which never change. Its weak-key
+/// certificates do, and only the device holds them: `GetKeys` answers
+/// both.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeviceKeys {
     /// The permanent witnessing key `s`.
     pub sign: RsaPublicKey,
     /// The deletion-proof key `d`.
     pub delete: RsaPublicKey,
-    /// Currently valid weak-key certificate.
-    pub weak_cert: WeakKeyCert,
 }
 
 /// Receipt returned by a successful write.
@@ -146,8 +146,6 @@ pub enum OutboxItem {
     NewBase(BaseCert),
     /// A periodic head re-issue (freshness heartbeat, §4.2.1).
     NewHead(HeadCert),
-    /// The weak key rotated; publish the new certificate to clients.
-    NewWeakKey(WeakKeyCert),
     /// A trust-host-hash audit failed: the host lied about a data hash.
     AuditFailure {
         /// The record whose claimed hash did not match.
@@ -165,7 +163,8 @@ pub enum WormRequest {
         /// credentials).
         regulator: RsaPublicKey,
     },
-    /// Returns the public keys / certificates for client distribution.
+    /// Returns the permanent public keys and every live weak-key
+    /// certificate, the current one last.
     GetKeys,
     /// Commits new virtual records, one per item, serial numbers issued
     /// in item order: a host's run of writes in one command.
@@ -247,8 +246,9 @@ pub enum WormRequest {
 pub enum WormResponse {
     /// Device initialized.
     Ready,
-    /// Public keys for clients.
-    Keys(DeviceKeys),
+    /// Permanent public keys, and the live weak-key certificates (the
+    /// current one last).
+    Keys(DeviceKeys, Vec<WeakKeyCert>),
     /// Write receipts, one per item, in item order.
     Written(Vec<WriteReceipt>),
     /// Fresh head certificate.

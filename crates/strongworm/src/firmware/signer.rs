@@ -244,7 +244,10 @@ impl WormFirmware {
             env.charge(Op::RsaSign { bits });
         }
         let s = self.booted()?;
-        let expires_at = env.now().after(lifetime).min(s.weak_cert.max_sig_expiry);
+        let Some(cert) = s.weak_certs.last() else {
+            return reject("no weak key certificate");
+        };
+        let expires_at = env.now().after(lifetime).min(cert.max_sig_expiry);
         let wrapped: Vec<Vec<u8>> = payloads.iter().map(|p| weak_wrap(p, expires_at)).collect();
         let wrapped: Vec<&[u8]> = wrapped.iter().map(Vec::as_slice).collect();
         Ok(Signature::sign_many(&s.weak_key, &wrapped)
@@ -356,7 +359,7 @@ impl WormFirmware {
 
     /// Verifies a witness the host presents back to the firmware (e.g.,
     /// the current `metasig` in a litigation request). Uses the device's
-    /// own public keys, the weak-key history, and the HMAC key.
+    /// own public keys, its live weak-key certificates, and the HMAC key.
     pub(crate) fn verify_own_witness(
         &self,
         now: Timestamp,
@@ -374,10 +377,9 @@ impl WormFirmware {
                     return false;
                 }
                 let wrapped = weak_wrap(payload, *expires_at);
-                if sig.verify(s.weak_key.public(), &wrapped) {
-                    return true;
-                }
-                s.weak_history.iter().any(|k| sig.verify(k, &wrapped))
+                s.weak_certs
+                    .iter()
+                    .any(|c| *expires_at <= c.max_sig_expiry && sig.verify(&c.key, &wrapped))
             }
             Witness::Mac { tag } => ct_eq(&Hmac::<Sha256>::mac(&s.hmac_key, payload), tag),
         }

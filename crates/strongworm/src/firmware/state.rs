@@ -2,10 +2,10 @@
 //!
 //! "The SCPU securely maintains two private signature keys, s and d
 //! respectively, that can be verified by WORM data clients" (§4.2.1).
-//! This module owns those keys plus the deferred-strength weak key, the
-//! serial counter, and the in-enclosure view of which serial numbers have
-//! expired — the ground truth behind base certificates and deleted-window
-//! signatures.
+//! This module owns those keys plus the deferred-strength weak key and
+//! its certificates, the serial counter, and the in-enclosure view of
+//! which serial numbers have expired — the ground truth behind base
+//! certificates and deleted-window signatures.
 
 use std::collections::BTreeSet;
 
@@ -19,13 +19,7 @@ use crate::witness::{
     WindowSide,
 };
 
-use super::{
-    reject, DeviceKeys, FirmwareError, OutboxItem, WeakKeyCert, WormFirmware, WormResponse,
-};
-
-/// How many retired weak public keys the firmware remembers so it can
-/// still verify not-yet-strengthened witnesses presented back to it.
-const WEAK_KEY_HISTORY: usize = 8;
+use super::{reject, DeviceKeys, FirmwareError, WeakKeyCert, WormFirmware, WormResponse};
 
 /// State that exists only after `Init`.
 #[derive(Debug)]
@@ -36,13 +30,13 @@ pub(crate) struct BootedState {
     pub del_key: RsaPrivateKey,
     /// Current short-lived burst key.
     pub weak_key: RsaPrivateKey,
-    /// Certificate (by `s`) for the current weak key.
-    pub weak_cert: WeakKeyCert,
+    /// Certificates (by `s`) for every weak key a witness may still
+    /// verify under, the current key's last: the one list clients and
+    /// the firmware itself check weak witnesses against.
+    pub weak_certs: Vec<WeakKeyCert>,
     /// When the weak key must rotate so signatures can keep claiming a
     /// full lifetime.
     pub weak_rotate_after: Timestamp,
-    /// Retired weak public keys (newest last).
-    pub weak_history: Vec<RsaPublicKey>,
     /// HMAC witnessing key (never leaves the device).
     pub hmac_key: [u8; 32],
     /// Regulator public key for litigation credentials.
@@ -111,9 +105,8 @@ impl WormFirmware {
             sign_key,
             del_key,
             weak_key,
-            weak_cert,
+            weak_certs: vec![weak_cert],
             weak_rotate_after: now.after(self.cfg.weak_lifetime),
-            weak_history: Vec::new(),
             hmac_key,
             regulator,
             // Boot the counter at the configured origin: 0 for a lone
@@ -147,7 +140,11 @@ impl WormFirmware {
     }
 
     /// Rotates the weak key if its certificate can no longer cover a full
-    /// signature lifetime. Publishes the new certificate via the outbox.
+    /// signature lifetime, and drops every certificate whose
+    /// `max_sig_expiry` has passed: a weak witness claims no later expiry
+    /// than its certificate and verifies only until that expiry, so no
+    /// witness needs them. Rotating after `L` and certifying to `2L`
+    /// leaves at most two live certificates.
     pub(crate) fn maybe_rotate_weak_key(&mut self, env: &mut Env) {
         let now = env.now();
         let cfg_lifetime = self.cfg.weak_lifetime;
@@ -162,24 +159,20 @@ impl WormFirmware {
         let new_key = RsaPrivateKey::generate(env.rng(), weak_bits);
         let max_sig_expiry = now.after(2 * cfg_lifetime);
         let cert = Self::make_weak_cert(env, &state.sign_key, new_key.public(), max_sig_expiry);
-        let old = std::mem::replace(&mut state.weak_key, new_key);
-        state.weak_history.push(old.public().clone());
-        if state.weak_history.len() > WEAK_KEY_HISTORY {
-            state.weak_history.remove(0);
-        }
-        state.weak_cert = cert.clone();
+        state.weak_key = new_key;
+        state.weak_certs.retain(|c| c.max_sig_expiry >= now);
+        state.weak_certs.push(cert);
         state.weak_rotate_after = now.after(cfg_lifetime);
-        self.outbox.push(OutboxItem::NewWeakKey(cert));
     }
 
-    /// `GetKeys`.
+    /// `GetKeys`: the permanent keys and every live weak-key certificate.
     pub(crate) fn get_keys(&self) -> Result<WormResponse, FirmwareError> {
         let s = self.booted()?;
-        Ok(WormResponse::Keys(DeviceKeys {
+        let keys = DeviceKeys {
             sign: s.sign_key.public().clone(),
             delete: s.del_key.public().clone(),
-            weak_cert: s.weak_cert.clone(),
-        }))
+        };
+        Ok(WormResponse::Keys(keys, s.weak_certs.clone()))
     }
 
     /// Issues a fresh timestamped head certificate.

@@ -187,7 +187,7 @@ impl<D: BlockDevice> WormServer<D> {
             },
         )?;
         let keys = match execute(&mut device, WormRequest::GetKeys)? {
-            WormResponse::Keys(k) => k,
+            WormResponse::Keys(k, _) => k,
             other => return Err(unexpected(other)),
         };
         let mut vrdt = Vrdt::new();
@@ -264,7 +264,6 @@ impl<D: BlockDevice> WormServer<D> {
             device,
             vrdt,
             store,
-            keys.weak_cert.clone(),
             rng_seed,
             &trace,
             Arc::clone(&audit),
@@ -352,12 +351,6 @@ impl<D: BlockDevice> WormServer<D> {
     /// firmware verifies each metasig, so a malicious "recovery" cannot
     /// shorten retentions.
     ///
-    /// Note: the published weak-key certificate history is host state a
-    /// real deployment persists alongside the journal; after resume only
-    /// the device's *current* weak certificate is known, so
-    /// not-yet-strengthened witnesses under retired weak keys should be
-    /// re-verified once the host restores its certificate archive.
-    ///
     /// # Errors
     ///
     /// Journal corruption, device failures, or store failures.
@@ -412,7 +405,7 @@ impl<D: BlockDevice> WormServer<D> {
         rng_seed: u64,
     ) -> Result<Self, (WormError, Device<WormFirmware>)> {
         let keys = match execute(&mut device, WormRequest::GetKeys) {
-            Ok(WormResponse::Keys(k)) => k,
+            Ok(WormResponse::Keys(k, _)) => k,
             Ok(other) => return Err((unexpected(other), device)),
             Err(e) => return Err((e, device)),
         };
@@ -434,14 +427,20 @@ impl<D: BlockDevice> WormServer<D> {
         }
     }
 
-    /// Device public keys and certificates for client distribution.
+    /// The device's permanent public keys, read once at assembly: they
+    /// never change.
     pub fn keys(&self) -> &DeviceKeys {
         &self.keys
     }
 
-    /// All weak-key certificates published so far.
-    pub fn weak_certs(&self) -> Vec<WeakKeyCert> {
-        self.witness.lock().weak_certs.clone()
+    /// The device's live weak-key certificates, the current one last,
+    /// asked of the SCPU on each call: the host holds no copy.
+    ///
+    /// # Errors
+    ///
+    /// Device failures.
+    pub fn weak_certs(&self) -> Result<Vec<WeakKeyCert>, WormError> {
+        self.witness.lock().weak_certs()
     }
 
     /// The concurrent read plane (shared VRDT + store handles).

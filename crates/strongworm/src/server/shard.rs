@@ -399,13 +399,17 @@ impl<D: BlockDevice> ShardedWormServer<D> {
         Ok(composite)
     }
 
-    /// Per-lane published keys and weak-key certificates, in lane
-    /// order — what a client needs to build a
-    /// [`Verifier`](crate::Verifier) over every lane.
-    pub fn shard_keys(&self) -> Vec<(DeviceKeys, Vec<WeakKeyCert>)> {
+    /// Per-lane permanent keys and the live weak-key certificates each
+    /// lane's SCPU answers now, in lane order — what a client needs to
+    /// build a [`Verifier`](crate::Verifier) over every lane.
+    ///
+    /// # Errors
+    ///
+    /// The first lane whose device fails.
+    pub fn shard_keys(&self) -> Result<Vec<(DeviceKeys, Vec<WeakKeyCert>)>, WormError> {
         self.shards
             .iter()
-            .map(|s| (s.keys().clone(), s.weak_certs()))
+            .map(|s| Ok((s.keys().clone(), s.weak_certs()?)))
             .collect()
     }
 
@@ -484,10 +488,10 @@ mod tests {
     /// A verifier over every lane of `server`, each lane's published
     /// weak-key certificates registered.
     fn verifier(server: &ShardedWormServer, clock: Arc<VirtualClock>) -> Verifier {
-        let lanes = server.shard_keys();
+        let lanes = server.shard_keys().unwrap();
         let mut v = Verifier::new(&lanes[0].0, Duration::from_secs(300), clock).unwrap();
         for (keys, _) in &lanes[1..] {
-            v.add_lane(keys).unwrap();
+            v.add_lane(keys);
         }
         for cert in lanes.into_iter().flat_map(|(_, certs)| certs) {
             v.add_weak_cert(cert).unwrap();
@@ -641,7 +645,7 @@ mod tests {
     #[test]
     fn shards_hold_distinct_keys_that_reject_each_others_evidence() {
         let (server, clock, verifier) = deployment(2);
-        let keys = server.shard_keys();
+        let keys = server.shard_keys().unwrap();
         assert_ne!(keys[0].0.sign.fingerprint(), keys[1].0.sign.fingerprint());
         // A lane-1 record verifies under lane 1's keys only: not under a
         // verifier that holds lane 0 alone, nor one whose lanes are
@@ -656,7 +660,7 @@ mod tests {
             Err(crate::VerifyError::ShardNotBound { lane: 1 })
         ));
         let mut swapped = Verifier::new(&keys[1].0, Duration::from_secs(300), clock).unwrap();
-        swapped.add_lane(&keys[0].0).unwrap();
+        swapped.add_lane(&keys[0].0);
         assert!(swapped.verify_read(sn, &outcome).is_err());
         assert!(verifier.verify_read(sn, &outcome).is_ok());
     }
@@ -717,7 +721,10 @@ mod tests {
         let standalone =
             WormServer::new(WormConfig::test_small(), clock, regulator().public()).unwrap();
         let converted = ShardedWormServer::from(Arc::new(standalone));
-        assert_eq!(booted.shard_keys(), converted.shard_keys());
+        assert_eq!(
+            booted.shard_keys().unwrap(),
+            converted.shard_keys().unwrap()
+        );
         for deployment in [&booted, &converted] {
             let sn = deployment.write(&[b"first"], policy()).unwrap();
             assert_eq!(sn, SerialNumber(1));
@@ -739,11 +746,11 @@ mod tests {
                 .write_with(&[b"deferred"], policy(), 0, WitnessMode::Deferred)
                 .unwrap();
         }
-        for (lane, (_, certs)) in (0u32..).zip(server.shard_keys()) {
+        for (lane, (_, certs)) in (0u32..).zip(server.shard_keys().unwrap()) {
             assert_eq!(certs.len(), 2, "lane {lane} rotated");
             verifier.add_weak_cert(certs[1].clone()).unwrap();
         }
-        for (lane, (_, certs)) in (0u32..).zip(server.shard_keys()) {
+        for (lane, (_, certs)) in (0u32..).zip(server.shard_keys().unwrap()) {
             assert_eq!(verifier.weak_certs(lane), &certs[..], "lane {lane}");
         }
 
@@ -751,8 +758,8 @@ mod tests {
         // deployment (an SCPU this verifier holds no lane for), and one
         // of this deployment's with its expiry pushed out.
         let (other, _, _) = deployment(4);
-        let foreign = other.shard(3).unwrap().keys().weak_cert.clone();
-        let mut forged = server.shard_keys()[2].1[1].clone();
+        let foreign = other.shard(3).unwrap().weak_certs().unwrap().remove(0);
+        let mut forged = server.shard_keys().unwrap()[2].1[1].clone();
         forged.max_sig_expiry = forged.max_sig_expiry.after(Duration::from_secs(1));
         let before: Vec<_> = (0..3).map(|lane| verifier.weak_certs(lane).len()).collect();
         for cert in [foreign, forged] {

@@ -44,7 +44,6 @@ struct WitnessStats {
     deletion_proofs: Arc<wormtrace::Counter>,
     strengthened: Arc<wormtrace::Counter>,
     audit_failures: Arc<wormtrace::Counter>,
-    weak_key_rotations: Arc<wormtrace::Counter>,
     spilled_vexp: Arc<wormtrace::Gauge>,
     /// Pending shreds completed during crash recovery.
     resumed_shreds: Arc<wormtrace::Counter>,
@@ -58,7 +57,6 @@ impl WitnessStats {
             deletion_proofs: trace.counter("witness.deletion_proof"),
             strengthened: trace.counter("witness.strengthened"),
             audit_failures: trace.counter("witness.audit_failure"),
-            weak_key_rotations: trace.counter("witness.weak_key_rotation"),
             spilled_vexp: trace.gauge("witness.spilled_vexp"),
             resumed_shreds: trace.counter("recovery.resumed_shreds"),
             compact_relocations: trace.counter("store.compact.relocated"),
@@ -75,9 +73,6 @@ pub struct WitnessPlane<D: BlockDevice> {
     pub(crate) device: Device<WormFirmware>,
     vrdt: Arc<RwLock<Vrdt>>,
     pub(crate) store: Arc<RecordStore<D>>,
-    /// All weak-key certificates published so far (clients need the
-    /// history to verify not-yet-strengthened witnesses).
-    pub(crate) weak_certs: Vec<WeakKeyCert>,
     /// Active records whose expiry the SCPU does not hold: spilled at
     /// write time, or not yet re-armed since recovery. [`Self::rearm`]
     /// re-submits them.
@@ -110,7 +105,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
         device: Device<WormFirmware>,
         vrdt: Arc<RwLock<Vrdt>>,
         store: Arc<RecordStore<D>>,
-        initial_weak_cert: WeakKeyCert,
         rng_seed: u64,
         trace: &wormtrace::Registry,
         audit: Arc<AuditLog>,
@@ -121,7 +115,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
             device,
             vrdt,
             store,
-            weak_certs: vec![initial_weak_cert],
             spilled: BTreeSet::new(),
             unaudited: BTreeSet::new(),
             audit_failures: Vec::new(),
@@ -360,6 +353,15 @@ impl<D: BlockDevice> WitnessPlane<D> {
         self.vrdt.read().base().cloned().ok_or_else(|| {
             WormError::Firmware("no base certificate installed after refresh".into())
         })
+    }
+
+    /// The device's live weak-key certificates (see
+    /// [`super::WormServer::weak_certs`]).
+    pub(crate) fn weak_certs(&mut self) -> Result<Vec<WeakKeyCert>, WormError> {
+        match execute(&mut self.device, WormRequest::GetKeys)? {
+            WormResponse::Keys(_, certs) => Ok(certs),
+            other => Err(unexpected(other)),
+        }
     }
 
     pub(crate) fn refresh_head(&mut self) -> Result<(), WormError> {
@@ -676,14 +678,19 @@ impl<D: BlockDevice> WitnessPlane<D> {
                 }
                 OutboxItem::Strengthened { sn, field, witness } => {
                     self.stats.strengthened.inc();
+                    // A hold or release re-signs `metasig` strongly over new
+                    // attributes; the device's queued payload still names
+                    // the old ones, so a strong witness is never replaced.
                     let updated = match self.vrdt.read().lookup(sn) {
                         Lookup::Active(v) => {
                             let mut updated = v.clone();
-                            match field {
-                                WitnessField::Meta => updated.metasig = witness,
-                                WitnessField::Data => updated.datasig = witness,
-                            }
-                            Some(updated)
+                            let slot = match field {
+                                WitnessField::Meta => &mut updated.metasig,
+                                WitnessField::Data => &mut updated.datasig,
+                            };
+                            let weak = !matches!(slot, Witness::Strong(_));
+                            *slot = witness;
+                            weak.then_some(updated)
                         }
                         _ => None,
                     };
@@ -696,10 +703,6 @@ impl<D: BlockDevice> WitnessPlane<D> {
                     self.audit
                         .emit(AuditClass::HeadRemint, None, "head re-minted on heartbeat");
                     self.vrdt.write().set_head(h)?;
-                }
-                OutboxItem::NewWeakKey(cert) => {
-                    self.stats.weak_key_rotations.inc();
-                    self.weak_certs.push(cert);
                 }
                 OutboxItem::AuditFailure { sn } => {
                     self.stats.audit_failures.inc();

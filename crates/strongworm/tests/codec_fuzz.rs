@@ -613,24 +613,30 @@ fn audit_page_count_bomb_rejected() {
 }
 
 #[test]
-fn device_keys_reserved_byte_must_be_zero() {
-    // The byte after the tag once named a data-hash scheme (0 chained,
-    // 1 multiset). One scheme is left, so the byte is reserved: a default
-    // server still sends tag-then-0, and nothing else decodes.
-    const TAG: &[u8] = b"strongworm.devicekeys.v1";
+fn device_keys_v2_is_the_tag_then_two_keys() {
+    // `strongworm.devicekeys.v2` carries the tag, `sign` and `delete` and
+    // nothing else: v1's reserved byte and weak-key certificate are gone
+    // (certificates travel as their own encodings), and a v1 encoding no
+    // longer decodes.
+    const TAG: &[u8] = b"strongworm.devicekeys.v2";
     let clock = VirtualClock::starting_at_millis(1_000_000);
     let srv = WormServer::new(WormConfig::test_small(), clock, regulator().public()).unwrap();
-    let enc = codec::encode_device_keys(srv.keys());
-    let reserved_at = 4 + TAG.len();
-    assert_eq!(&enc[..4], (TAG.len() as u32).to_be_bytes());
-    assert_eq!(&enc[4..reserved_at], TAG);
-    assert_eq!(enc[reserved_at], 0);
-    assert!(codec::decode_device_keys(&enc).is_ok());
-    for scheme in [1u8, 0xFF] {
-        let mut other = enc.clone();
-        other[reserved_at] = scheme;
-        assert!(codec::decode_device_keys(&other).is_err());
+    let keys = srv.keys();
+    let enc = codec::encode_device_keys(keys);
+    let mut expected = (TAG.len() as u32).to_be_bytes().to_vec();
+    expected.extend_from_slice(TAG);
+    for key in [&keys.sign, &keys.delete] {
+        let bytes = key.to_bytes();
+        expected.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        expected.extend_from_slice(&bytes);
     }
+    assert_eq!(enc, expected);
+    assert_eq!(codec::decode_device_keys(&enc).unwrap(), *keys);
+    let mut v1 = (TAG.len() as u32).to_be_bytes().to_vec();
+    v1.extend_from_slice(b"strongworm.devicekeys.v1");
+    v1.push(0);
+    v1.extend_from_slice(&enc[4 + TAG.len()..]);
+    assert!(codec::decode_device_keys(&v1).is_err());
 }
 
 // ---------------------------------------------------------------------

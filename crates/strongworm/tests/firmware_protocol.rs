@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use scpu::{Applet, Clock, Device, DeviceConfig, VirtualClock};
 use strongworm::attr::RecordAttributes;
 use strongworm::firmware::{
-    FirmwareConfig, FirmwareError, OutboxItem, WormFirmware, WormRequest, WormResponse, WriteData,
-    WriteItem,
+    FirmwareConfig, FirmwareError, OutboxItem, WeakKeyCert, WormFirmware, WormRequest,
+    WormResponse, WriteData, WriteItem,
 };
 use strongworm::witness::{Signature, Witness};
 use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
@@ -147,7 +147,7 @@ fn audit_anchor_requires_a_sha256_hash() {
 fn audit_anchor_signs_and_stamps_trusted_time() {
     let (mut dev, clock, _reg) = booted();
     let keys = match dev.execute(WormRequest::GetKeys).unwrap().unwrap() {
-        WormResponse::Keys(k) => k,
+        WormResponse::Keys(k, _) => k,
         other => panic!("unexpected {other:?}"),
     };
     let chain_hash = vec![7u8; 32];
@@ -559,9 +559,10 @@ fn write_as(dev: &mut Fw, witness: WitnessMode) -> strongworm::firmware::WriteRe
     }
 }
 
-fn device_keys(dev: &mut Fw) -> strongworm::firmware::DeviceKeys {
+/// The device's permanent keys and its live weak-key certificates.
+fn device_keys(dev: &mut Fw) -> (strongworm::firmware::DeviceKeys, Vec<WeakKeyCert>) {
     match dev.execute(WormRequest::GetKeys).unwrap().unwrap() {
-        WormResponse::Keys(k) => k,
+        WormResponse::Keys(k, certs) => (k, certs),
         other => panic!("unexpected {other:?}"),
     }
 }
@@ -577,7 +578,10 @@ fn payload_hash() -> Vec<u8> {
 fn a_write_is_charged_two_signatures_and_both_verify() {
     use strongworm::witness::{data_payload, meta_payload, weak_wrap, Witness};
     let (mut dev, _clock) = metered();
-    let keys = device_keys(&mut dev);
+    let (keys, certs) = device_keys(&mut dev);
+    let [weak] = &certs[..] else {
+        panic!("a device before its first rotation holds one weak certificate")
+    };
     let data_hash = payload_hash();
     for (mode, pending) in [(WitnessMode::Strong, 0), (WitnessMode::Deferred, 2)] {
         dev.reset_meter();
@@ -596,7 +600,7 @@ fn a_write_is_charged_two_signatures_and_both_verify() {
                 }
                 Witness::Weak { sig, expires_at } => {
                     assert_eq!(mode, WitnessMode::Deferred);
-                    assert!(sig.verify(&keys.weak_cert.key, &weak_wrap(payload, *expires_at)));
+                    assert!(sig.verify(&weak.key, &weak_wrap(payload, *expires_at)));
                 }
                 Witness::Mac { .. } => panic!("no HMAC write was made"),
             }
@@ -618,7 +622,7 @@ fn idle_strengthening_pairs_within_budget_and_keeps_queue_order() {
     use strongworm::firmware::WitnessField;
     use strongworm::witness::{data_payload, meta_payload, Witness};
     let (mut dev, _clock) = metered();
-    let keys = device_keys(&mut dev);
+    let (keys, _) = device_keys(&mut dev);
     let receipts = [(); 3].map(|()| write_as(&mut dev, WitnessMode::Deferred));
     assert_eq!(dev.applet_for_test().pending_strengthen(), 6);
     let per_sig = scpu::CostModel::ibm4764().cost_ns(scpu::Op::RsaSign {
@@ -675,7 +679,7 @@ fn idle_strengthening_pairs_within_budget_and_keeps_queue_order() {
 fn window_bounds_are_charged_two_signatures_and_both_verify() {
     use strongworm::witness::{window_payload, WindowSide};
     let (mut dev, clock) = metered();
-    let keys = device_keys(&mut dev);
+    let (keys, _) = device_keys(&mut dev);
     for _ in 0..3 {
         write(&mut dev, 10);
     }

@@ -369,10 +369,12 @@ impl RemoteWormClient {
         }
     }
 
-    /// Fetches every lane's published keys and all its weak-key
-    /// certificates, in lane order (lane 0 first). The bytes are
-    /// untrusted until validated against CA-issued certificates (see
-    /// [`strongworm::Verifier::from_certificates`]).
+    /// Fetches every lane's permanent keys and the live weak-key
+    /// certificates its SCPU answers now, in lane order (lane 0 first).
+    /// The bytes are untrusted until validated against CA-issued
+    /// certificates (see [`strongworm::Verifier::from_certificates`]); a
+    /// client refreshes the certificates by fetching again and
+    /// registering each with [`Verifier::add_weak_cert`].
     ///
     /// # Errors
     ///
@@ -385,9 +387,7 @@ impl RemoteWormClient {
     }
 
     /// Fetches every lane's keys and builds a [`Verifier`] over them,
-    /// registering every published weak-key certificate with its lane.
-    /// The SCPUs are not consulted: the keys are what the host already
-    /// holds.
+    /// registering every live weak-key certificate with its lane.
     ///
     /// Convenience for tests and trusted-bootstrap deployments; when
     /// the server is not trusted to introduce its own keys, fetch the
@@ -409,7 +409,7 @@ impl RemoteWormClient {
             .ok_or(NetError::Protocol("the server published no lanes"))?;
         let mut verifier = Verifier::new(lane0, tolerance, clock)?;
         for (keys, _) in rest {
-            verifier.add_lane(keys)?;
+            verifier.add_lane(keys);
         }
         for cert in lanes.into_iter().flat_map(|(_, certs)| certs) {
             verifier.add_weak_cert(cert)?;

@@ -811,7 +811,6 @@ mod tests {
                 let keys = DeviceKeys {
                     sign: tiny_key(20 + i),
                     delete: tiny_key(40 + i),
-                    weak_cert: weak_cert.clone(),
                 };
                 (keys, vec![weak_cert])
             })

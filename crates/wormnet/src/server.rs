@@ -634,7 +634,7 @@ fn handle<D: BlockDevice>(
             NetResponse::Traces(flight.recent(flight.capacity()))
         }
         NetRequest::GetCompositeHead => NetResponse::CompositeHead(server.composite_head()?),
-        NetRequest::GetShardKeys => NetResponse::ShardKeys(server.shard_keys()),
+        NetRequest::GetShardKeys => NetResponse::ShardKeys(server.shard_keys()?),
         NetRequest::FetchAuditEvents {
             from_seq,
             max_events,

@@ -129,19 +129,20 @@ fn concurrent_clients_write_read_delete_all_verified() {
     h.net.shutdown();
 }
 
-/// The served certificate list begins with the certificate the served keys
-/// already carry. A bootstrapped verifier registers each distinct one once
-/// — so a weak witness has one key to be checked against — before a
-/// weak-key rotation and after it, at one lane and per lane of two.
+/// The served certificate list is the device's: one certificate at boot,
+/// the boot key's and the rotated key's after a rotation. A bootstrapped
+/// verifier registers each distinct one once — so a weak witness has one
+/// key to be checked against — before a weak-key rotation and after it,
+/// at one lane and per lane of two.
 #[test]
 fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
     let h = boot(NetServerConfig::default());
     let mut c = RemoteWormClient::connect(h.net.local_addr()).unwrap();
     let tolerance = Duration::from_secs(300);
-    let (keys, served) = c.fetch_shard_keys().unwrap().remove(0);
-    assert_eq!(served, std::slice::from_ref(&keys.weak_cert));
+    let (_, booted) = c.fetch_shard_keys().unwrap().remove(0);
+    assert_eq!(booted.len(), 1);
     let v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
-    assert_eq!(v.weak_certs(0), &served[..]);
+    assert_eq!(v.weak_certs(0), &booted[..]);
 
     // Past the weak key's lifetime the next deferred write rotates it.
     h.clock.advance(Duration::from_secs(121 * 60));
@@ -153,9 +154,9 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
             WitnessMode::Deferred,
         )
         .unwrap();
-    let (keys, served) = c.fetch_shard_keys().unwrap().remove(0);
+    let (_, served) = c.fetch_shard_keys().unwrap().remove(0);
     assert_eq!(served.len(), 2);
-    assert_eq!(served[0], keys.weak_cert);
+    assert_eq!(served[0], booted[0]);
     assert_ne!(served[0].key, served[1].key);
     let mut v = c.bootstrap_verifier(tolerance, h.clock.clone()).unwrap();
     assert_eq!(v.weak_certs(0), &served[..]);
@@ -182,8 +183,8 @@ fn a_bootstrapped_verifier_holds_each_weak_certificate_once() {
         .unwrap();
     assert_eq!(lanes.len(), 2);
     assert_eq!(v.shard_count(), 2);
-    for (lane, (keys, served)) in (0u32..).zip(&lanes) {
-        assert_eq!(&served[..], std::slice::from_ref(&keys.weak_cert));
+    for (lane, (_, served)) in (0u32..).zip(&lanes) {
+        assert_eq!(served.len(), 1);
         assert_eq!(v.weak_certs(lane), &served[..]);
     }
     h.net.shutdown();

@@ -11,9 +11,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use scpu::{Clock, Timestamp, VirtualClock};
+use scpu::{Clock, Op, Timestamp, VirtualClock};
 use strongworm::proofs::{DeletionEvidence, HeadCert, ReadOutcome};
-use strongworm::{ReadVerdict, RetentionPolicy, SerialNumber, Verifier, VerifyError};
+use strongworm::{ReadVerdict, RetentionPolicy, SerialNumber, Verifier, VerifyError, WitnessMode};
 use wormstore::Shredder;
 
 use crate::disk::{CutPlan, CutStyle};
@@ -26,14 +26,15 @@ const TOLERANCE: Duration = Duration::from_secs(300);
 /// One step of a schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// A client writes a fresh record, kept `.0` seconds and shredded by `.1`.
-    Write(u64, Shredder),
+    /// A client writes a fresh record, kept `.0` seconds, shredded by `.1`
+    /// and witnessed at tier `.2`.
+    Write(u64, Shredder, WitnessMode),
     /// The clock moves `.0` seconds on.
     Advance(u64),
     /// The Retention Monitor runs.
     Tick,
-    /// The device gets idle time.
-    Idle,
+    /// The device gets `.0` ns of idle time to strengthen witnesses in.
+    Idle(u64),
     /// Expired runs become deleted windows.
     Compact,
     /// Live extents move down the store.
@@ -52,9 +53,14 @@ pub enum Step {
 }
 
 impl Step {
-    /// A zero-filled write kept `retention_s` seconds.
+    /// A zero-filled, strongly witnessed write kept `retention_s` seconds.
     pub fn write(retention_s: u64) -> Step {
-        Step::Write(retention_s, Shredder::ZeroFill)
+        Step::Write(retention_s, Shredder::ZeroFill, WitnessMode::Strong)
+    }
+
+    /// As [`Step::write`], witnessed at tier `mode`.
+    pub fn write_as(retention_s: u64, mode: WitnessMode) -> Step {
+        Step::Write(retention_s, Shredder::ZeroFill, mode)
     }
 }
 
@@ -102,7 +108,9 @@ impl Schedule {
         Schedule { seed: None, steps }
     }
 
-    /// `len` steps drawn from `seed`, of every kind.
+    /// `len` steps drawn from `seed`, of every kind. Some advances pass
+    /// the weak key's lifetime, so weak witnesses expire and the weak key
+    /// rotates; some idle budgets strengthen nothing.
     pub fn random(seed: u64, len: usize) -> Self {
         let mut x = seed;
         let mut next = |n: u64| {
@@ -112,12 +120,22 @@ impl Schedule {
         let mut step = || match next(100) {
             0..=29 => {
                 let shredders = [Shredder::ZeroFill, Shredder::MultiPass { passes: 2 }];
+                let modes = [
+                    WitnessMode::Strong,
+                    WitnessMode::Deferred,
+                    WitnessMode::Hmac,
+                ];
                 let retention = [30, 120, 400, 1_000_000][next(4) as usize];
-                Step::Write(retention, shredders[next(2) as usize])
+                Step::Write(
+                    retention,
+                    shredders[next(2) as usize],
+                    modes[next(3) as usize],
+                )
             }
-            30..=44 => Step::Advance(1 + next(200)),
+            30..=41 => Step::Advance(1 + next(200)),
+            42..=44 => Step::Advance(2_000 + next(6_000)),
             45..=54 => Step::Tick,
-            55..=58 => Step::Idle,
+            55..=58 => Step::Idle([0, 300_000, 1_000_000_000][next(3) as usize]),
             59..=63 => Step::Compact,
             64..=67 => Step::CompactStore,
             68..=73 => Step::Hold(next(8), 50 + next(500)),
@@ -136,7 +154,11 @@ impl Schedule {
     /// Victims sit below keepers, so their shredded extents open the space
     /// compaction relocates the keepers into.
     pub fn lifecycle(victims: usize, keepers: usize, compact: bool, tail: usize) -> Self {
-        let keeper = Step::Write(1_000_000, Shredder::MultiPass { passes: 2 });
+        let keeper = Step::Write(
+            1_000_000,
+            Shredder::MultiPass { passes: 2 },
+            WitnessMode::Strong,
+        );
         let mut steps = vec![Step::write(100); victims];
         steps.extend(std::iter::repeat_n(keeper, keepers));
         steps.extend([Step::Advance(150), Step::Tick]);
@@ -159,13 +181,55 @@ pub enum State {
     Hole,
 }
 
+/// What the model knows of a record's witnesses: its `datasig`, which
+/// decides its verdict (a hold re-signs `metasig` strongly, never
+/// `datasig`). A weak witness verifies until `.0` (ms); `None` is an HMAC
+/// tag, which no client can verify.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Witnessed {
+    /// Signed by `s`, at its write or by a strengthening the model saw.
+    Strong,
+    /// Queued in the device for strengthening.
+    Queued(Option<u64>),
+    /// Maybe strengthened already: an idle ran whose budget did not cover
+    /// the queue, or that lost power while installing what it signed —
+    /// then `.1` is false, as the strengthening may be lost for good.
+    Unsure(Option<u64>, bool),
+}
+
+impl Witnessed {
+    /// Whether a data answer may get `verdict` at `now`; an `Intact` only
+    /// a strengthened witness explains makes the witness `Strong`.
+    fn allows(&mut self, now: u64, verdict: &Verdict) -> bool {
+        use VerifyError::{UnverifiableMac, WeakWitnessExpired};
+        let intact = matches!(verdict, Ok(ReadVerdict::Intact { .. }));
+        let (weak, unsure) = match *self {
+            Witnessed::Strong => return intact,
+            Witnessed::Queued(weak) => (weak, false),
+            Witnessed::Unsure(weak, _) => (weak, true),
+        };
+        let as_signed = match (weak, verdict) {
+            (Some(until), Ok(ReadVerdict::Intact { .. })) => now <= until,
+            (Some(until), Err(WeakWitnessExpired { .. })) => now > until,
+            (None, Err(UnverifiableMac { .. })) => true,
+            _ => false,
+        };
+        if !as_signed && unsure && intact {
+            *self = Witnessed::Strong;
+            return true;
+        }
+        as_signed
+    }
+}
+
 /// One SN of the model: its bytes, the earliest and latest time (ms) it
-/// may be deleted, whether it was ever held, and its state.
+/// may be deleted, whether it was ever held, its witnesses and its state.
 struct Record {
     bytes: Vec<u8>,
     earliest: u64,
     latest: u64,
     held: bool,
+    witnessed: Witnessed,
     state: State,
 }
 
@@ -292,12 +356,13 @@ impl<'r> Sim<'r> {
         let srv = self.srv.as_ref().expect("a server between steps");
         let bytes = pattern(self.report.ran.len() as u64);
         let result = match *step {
-            Step::Write(retention, shredder) => {
+            Step::Write(retention, shredder, mode) => {
                 let policy = RetentionPolicy::custom(Duration::from_secs(retention), shredder);
-                srv.write(&[&bytes], policy).map(|acked| sn = Some(acked))
+                let acked = srv.write_with(&[&bytes], policy, 0, mode);
+                acked.map(|acked| sn = Some(acked))
             }
             Step::Tick => srv.tick(),
-            Step::Idle => srv.idle(1_000_000_000),
+            Step::Idle(budget) => srv.idle(budget),
             Step::Compact => srv.compact().map(drop),
             Step::CompactStore => srv.compact_store().map(drop),
             Step::Hold(_, secs) => {
@@ -314,7 +379,7 @@ impl<'r> Sim<'r> {
             Err(e) => return Err(TortureError::Scenario(e)),
         };
         match *step {
-            Step::Write(retention, _) => {
+            Step::Write(retention, _, mode) => {
                 // An interrupted write the device never numbered gives its
                 // SN to the next.
                 let last = self.records.last().map(|r| r.state);
@@ -325,15 +390,23 @@ impl<'r> Sim<'r> {
                 let what = || format!("{sn:?} is not {next}");
                 ensure(sn.is_none_or(|sn| sn == next), what)?;
                 let due = now + retention * 1_000;
+                let weak_until = now + self.rig.config.weak_lifetime.as_millis() as u64;
+                let witnessed = match mode {
+                    WitnessMode::Strong => Witnessed::Strong,
+                    WitnessMode::Deferred => Witnessed::Queued(Some(weak_until)),
+                    WitnessMode::Hmac => Witnessed::Queued(None),
+                };
                 self.records.push(Record {
                     bytes,
                     earliest: due,
                     latest: due,
                     held: false,
+                    witnessed,
                     state: if acked { Live } else { Interrupted },
                 });
             }
             Step::Tick if acked => self.ticked = now,
+            Step::Idle(budget) => self.idled(budget, acked),
             Step::Hold(_, secs) => {
                 let r = &mut self.records[sn.expect("a target").0 as usize - 1];
                 r.held = true;
@@ -360,13 +433,40 @@ impl<'r> Sim<'r> {
         sns.filter(move |(_, r)| r.state == state).map(|(sn, _)| sn)
     }
 
-    /// The `pick`-th record a hold applies to at `now`.
+    /// The `pick`-th record a hold applies to at `now`: one whose
+    /// `metasig` the device surely still accepts.
     fn holdable(&self, now: u64, pick: u64) -> Option<SerialNumber> {
         let r = |sn: &SerialNumber| &self.records[sn.0 as usize - 1];
+        let accepted = |sn: &SerialNumber| match r(sn).witnessed {
+            Witnessed::Queued(Some(until)) | Witnessed::Unsure(Some(until), _) => now <= until,
+            _ => true,
+        };
         let sns = self
             .sns(State::Live)
-            .filter(|sn| !r(sn).held && now < r(sn).earliest);
+            .filter(|sn| !r(sn).held && now < r(sn).earliest && accepted(sn));
         nth(&sns.collect::<Vec<_>>(), pick)
+    }
+
+    /// An idle of `budget` ns ran, to its end if `acked`: it strengthened
+    /// every queued witness if the budget covers them all, and maybe some
+    /// otherwise; one that lost power may have lost what it signed.
+    fn idled(&mut self, budget: u64, acked: bool) {
+        let config = &self.rig.config;
+        let per_sig = config.device.cost_model.cost_ns(Op::RsaSign {
+            bits: config.strong_bits,
+        });
+        let queued = self.records.iter();
+        let queued = queued.filter(|r| r.witnessed != Witnessed::Strong).count() as u64;
+        let covered = acked && budget >= 2 * queued * per_sig;
+        for r in &mut self.records {
+            r.witnessed = match r.witnessed {
+                Witnessed::Queued(_) | Witnessed::Unsure(_, true) if covered => Witnessed::Strong,
+                Witnessed::Queued(weak) | Witnessed::Unsure(weak, true) => {
+                    Witnessed::Unsure(weak, acked)
+                }
+                kept => kept,
+            };
+        }
     }
 
     /// The host crashes and comes back, its recovery armed with
@@ -430,37 +530,48 @@ impl<'r> Sim<'r> {
     }
 
     /// The verdict on `outcome` the long-lived and a fresh verifier share.
-    fn verify(&self, sn: SerialNumber, outcome: &ReadOutcome) -> Result<Verdict, TortureError> {
+    /// Both first register the weak-key certificates the device answers
+    /// now, as a refreshing client does.
+    fn verify(&mut self, sn: SerialNumber, outcome: &ReadOutcome) -> Result<Verdict, TortureError> {
+        let certs = self.srv().weak_certs().map_err(TortureError::Scenario)?;
         let fresh = Verifier::new(self.srv().keys(), TOLERANCE, self.clock.clone());
-        let cold = fresh.and_then(|v| v.verify_read(sn, outcome));
+        let mut fresh = fresh.expect("permanent keys");
+        for cert in certs {
+            let chained = fresh.add_weak_cert(cert.clone());
+            let chained = chained.and_then(|()| self.verifier.add_weak_cert(cert));
+            ensure(chained.is_ok(), || {
+                format!("a weak certificate fails: {chained:?}")
+            })?;
+        }
+        let cold = fresh.verify_read(sn, outcome);
         let warm = self.verifier.verify_read(sn, outcome);
         let what = || format!("{sn}: the long-lived verifier says {warm:?}, a fresh one {cold:?}");
         ensure(warm == cold, what)?;
         Ok(warm)
     }
 
-    /// The server's answer for `sn` and its verdict, which must accept it;
-    /// `None` if it has no answer.
-    fn read(&self, sn: SerialNumber) -> Result<Option<(ReadVerdict, ReadOutcome)>, TortureError> {
+    /// The server's answer for `sn` and its verdict; `None` if it has no
+    /// answer.
+    fn answer(&mut self, sn: SerialNumber) -> Result<Option<(Verdict, ReadOutcome)>, TortureError> {
         let Ok(outcome) = self.srv().read(sn) else {
             return Ok(None);
         };
-        let verdict = self.verify(sn, &outcome)?;
-        let what = || format!("{sn}: an honest answer fails: {verdict:?}");
-        ensure(verdict.is_ok(), what)?;
-        Ok(verdict.ok().map(|v| (v, outcome)))
+        Ok(Some((self.verify(sn, &outcome)?, outcome)))
     }
 
     /// The server proves `sn` never existed.
-    fn never(&self, sn: SerialNumber) -> Result<(), TortureError> {
-        let verdict = self.read(sn)?.map(|(v, _)| v);
+    fn never(&mut self, sn: SerialNumber) -> Result<(), TortureError> {
+        let verdict = self.answer(sn)?.map(|(v, _)| v);
         let what = || format!("{sn} is past the head, yet {verdict:?}");
-        ensure(verdict == Some(ReadVerdict::ConfirmedNeverExisted), what)
+        ensure(
+            verdict == Some(Ok(ReadVerdict::ConfirmedNeverExisted)),
+            what,
+        )
     }
 
     /// The one check: every SN the model holds is served as it allows.
     pub(crate) fn check(&mut self) -> Result<(), TortureError> {
-        use ReadVerdict::{ConfirmedDeleted, Intact};
+        use ReadVerdict::ConfirmedDeleted;
         use State::{Deleted, Hole, Interrupted, Live};
         self.srv().refresh_head().map_err(TortureError::Scenario)?;
         let head = self.srv().vrdt().head().map(|h| h.sn_current);
@@ -479,15 +590,14 @@ impl<'r> Sim<'r> {
         let now = self.clock.now().as_millis();
         for (i, copies) in copies.into_iter().enumerate() {
             let sn = SerialNumber(i as u64 + 1);
-            let answer = self.read(sn)?;
+            let answer = self.answer(sn)?;
             let r = &mut self.records[i];
             let state = r.state;
             let is = |ok: bool, what: &str| ensure(ok, || format!("{sn} ({state:?}): {what}"));
             match (state, answer) {
-                (Live | Interrupted, Some((Intact { .. }, outcome))) => {
-                    let ReadOutcome::Data { records, .. } = outcome else {
-                        unreachable!("an intact answer carries data")
-                    };
+                (Live | Interrupted, Some((verdict, ReadOutcome::Data { records, .. }))) => {
+                    let what = format!("served as {verdict:?} ({:?})", r.witnessed);
+                    is(r.witnessed.allows(now, &verdict), &what)?;
                     let served = records.first().map(|b| &b[..]);
                     is(served == Some(&r.bytes[..]), "served with other bytes")?;
                     is(r.latest > self.ticked, "intact after a tick past its time")?;
@@ -495,7 +605,7 @@ impl<'r> Sim<'r> {
                     r.state = Live;
                 }
                 // A hole's bytes are item 1's to clean.
-                (Live | Deleted | Hole, Some((ConfirmedDeleted { .. }, _))) => {
+                (Live | Deleted | Hole, Some((Ok(ConfirmedDeleted { .. }), _))) => {
                     is(now >= r.earliest, "deleted before its time")?;
                     if state != Hole {
                         is(copies == 0, "deleted, yet its bytes are on the medium")?;

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scpu::VirtualClock;
+use scpu::{CostModel, VirtualClock};
 use strongworm::{RegulatoryAuthority, WormConfig, WormError, WormServer};
 use wormstore::{BlockError, JournalError, MemDisk, Partition, StoreError};
 
@@ -131,9 +131,11 @@ pub(crate) fn occurrences_of(haystack: &[u8], needles: &[&[u8]]) -> Vec<usize> {
 }
 
 /// The torture rig: one regulator key pair (the slow part) reused across
-/// every cut point, plus the medium geometry.
+/// every cut point, plus the medium geometry. Its device charges the
+/// IBM 4764's signing costs, so an idle budget bounds how many witnesses
+/// it strengthens.
 pub struct Torture {
-    config: WormConfig,
+    pub(crate) config: WormConfig,
     pub(crate) regulator: RegulatoryAuthority,
     capacity: u64,
     journal_bytes: u64,
@@ -143,8 +145,10 @@ impl Torture {
     /// Builds a rig with `capacity` bytes of medium, the first
     /// `journal_bytes` of which hold the VRDT journal region.
     pub fn new(capacity: u64, journal_bytes: u64) -> Self {
+        let mut config = WormConfig::test_small();
+        config.device.cost_model = CostModel::ibm4764();
         Torture {
-            config: WormConfig::test_small(),
+            config,
             regulator: RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x70D7), 512),
             capacity,
             journal_bytes,

@@ -34,6 +34,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let archive = WormServer::new(config, clock.clone(), regulator.public())?;
     let mut compliance_officer =
         Verifier::new(archive.keys(), Duration::from_secs(300), clock.clone())?;
+    // Weak witnesses verify under the certificates the SCPU answers.
+    for cert in archive.weak_certs()? {
+        compliance_officer.add_weak_cert(cert)?;
+    }
 
     // --- Morning burst: 500 emails arrive in minutes -----------------------
     let mut sns = Vec::new();
@@ -80,9 +84,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         "host hashes audited clean"
     );
 
-    // Weak-key rotations may have published new certificates.
-    for cert in archive.weak_certs().to_vec() {
-        let _ = compliance_officer.add_weak_cert(cert);
+    // Weak-key rotations may have certified new keys: ask the SCPU.
+    for cert in archive.weak_certs()? {
+        compliance_officer.add_weak_cert(cert)?;
     }
 
     // Six months later the SEC examines a sample — strengthened witnesses

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # First-party non-test code lines, per crate and in total: the count
-# ROADMAP item 9 sets its target against.
+# ROADMAP item 10 sets its target against.
 #
 # Counted: every `.rs` file under `crates/*/src` and the root `src/`.
 # A line counts unless it is blank or a `//` comment (doc comments

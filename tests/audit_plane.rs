@@ -182,7 +182,12 @@ fn sharded_deployment_shares_one_chain_across_lanes() {
     srv.tick().unwrap();
     // Anchors may come from any lane's SCPU; the auditor holds the full
     // key set.
-    let keys: Vec<_> = srv.shard_keys().into_iter().map(|(k, _)| k.sign).collect();
+    let keys: Vec<_> = srv
+        .shard_keys()
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k.sign)
+        .collect();
     let report = verify_chain(&audit.page(0, 4096), &keys);
     assert!(report.is_clean(), "{:?}", report.divergence);
     assert_eq!(report.unattested_tail, 0);

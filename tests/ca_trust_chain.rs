@@ -30,7 +30,6 @@ fn client_bootstraps_from_ca_root_only() {
         ca.public(),
         &sign_cert,
         &del_cert,
-        srv.keys().weak_cert.clone(),
         Duration::from_secs(300),
         clock.clone(),
     )
@@ -56,7 +55,6 @@ fn swapped_role_certificates_are_rejected() {
         ca.public(),
         &del_as_sign, // wrong role in the sign slot
         &sign_cert,
-        srv.keys().weak_cert.clone(),
         Duration::from_secs(300),
         clock.clone(),
     )
@@ -76,7 +74,6 @@ fn certificates_from_a_different_ca_are_rejected() {
         real_ca.public(),
         &sign_cert,
         &del_cert,
-        srv.keys().weak_cert.clone(),
         Duration::from_secs(300),
         clock,
     )
@@ -101,7 +98,6 @@ fn mallory_substituted_device_keys_fail_the_chain() {
         ca.public(),
         &forged,
         &del_cert,
-        srv.keys().weak_cert.clone(),
         Duration::from_secs(300),
         clock,
     )

@@ -38,9 +38,14 @@ pub fn server_with(config: WormConfig) -> (WormServer, Arc<VirtualClock>) {
     (server, clock)
 }
 
-/// A verifier wired to `server`'s published keys.
+/// A verifier wired to `server`'s permanent keys and the weak-key
+/// certificates its SCPU answers now.
 pub fn verifier(server: &WormServer, clock: Arc<VirtualClock>) -> Verifier {
-    Verifier::new(server.keys(), Duration::from_secs(300), clock).expect("weak cert chains")
+    let mut v = Verifier::new(server.keys(), Duration::from_secs(300), clock).expect("keys");
+    for cert in server.weak_certs().expect("device answers") {
+        v.add_weak_cert(cert).expect("weak cert chains");
+    }
+    v
 }
 
 /// A short-retention policy convenient for expiry tests.

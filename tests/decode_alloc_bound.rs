@@ -246,7 +246,6 @@ fn device_keys() -> DeviceKeys {
     DeviceKeys {
         sign: key(5),
         delete: key(7),
-        weak_cert: weak_cert(11),
     }
 }
 
@@ -372,7 +371,7 @@ fn responses() -> Vec<NetResponse> {
         NetResponse::Traces(traces()),
         NetResponse::CompositeHead(composite()),
         NetResponse::ShardKeys(vec![
-            (device_keys(), vec![weak_cert(13)]),
+            (device_keys(), vec![weak_cert(13), weak_cert(17)]),
             (device_keys(), vec![weak_cert(19)]),
         ]),
         NetResponse::AuditEvents(audit_page()),

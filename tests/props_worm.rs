@@ -1,13 +1,14 @@
-//! The random sweep: seeded schedules of client writes, ticks, holds,
-//! compaction, restarts, power cuts and forged answers, run against a
-//! durable server and held to the model of `wormsim::model` after every
-//! step. A failure prints its seed and a minimized schedule; the seeds
-//! are fixed, so it replays.
+//! The random sweep: seeded schedules of client writes at every witness
+//! tier, ticks, idles, holds, compaction, restarts, power cuts and forged
+//! answers, run against a durable server and held to the model of
+//! `wormsim::model` after every step. A failure prints its seed and a
+//! minimized schedule; the seeds are fixed, so it replays.
 
 use std::collections::HashSet;
 use std::mem::discriminant;
 use std::sync::OnceLock;
 
+use strongworm::WitnessMode::{Deferred, Hmac, Strong};
 use wormsim::model::{run, Forgery, Report, Schedule, Step};
 use wormsim::Torture;
 
@@ -30,6 +31,10 @@ fn random_histories_agree_with_oracle() {
     });
     let kinds: HashSet<_> = ran.iter().map(discriminant).collect();
     assert_eq!(kinds.len(), 10, "a step kind never ran");
+    for mode in [Strong, Deferred, Hmac] {
+        let written = |step: &Step| matches!(step, Step::Write(_, _, m) if *m == mode);
+        assert!(ran.iter().any(written), "no {mode:?} write ran");
+    }
     assert_eq!(
         forged.collect::<HashSet<_>>().len(),
         Forgery::ALL.len(),
