@@ -230,6 +230,20 @@ pub enum WormRequest {
         /// The metasig witness covering them.
         metasig: Witness,
     },
+    /// Presents a record's weak or HMAC witness back for strengthening
+    /// (host-crash recovery: the device dequeues a witness when it signs
+    /// it strongly, and the crash may have lost the strong one).
+    RequeueWitness {
+        /// Serial number of the record.
+        sn: SerialNumber,
+        /// Which of its witnesses.
+        field: WitnessField,
+        /// What the field signs besides the SN: the encoded attributes
+        /// for `Meta`, the chained data hash for `Data`.
+        signed: Vec<u8>,
+        /// The witness the host holds.
+        witness: Witness,
+    },
     /// Submits full record data for audit of a trust-host-hash write.
     AuditData {
         /// The record to audit.
@@ -270,6 +284,8 @@ pub enum WormResponse {
     },
     /// VEXP entry accepted.
     Synced,
+    /// The presented witness is queued for strengthening (or already was).
+    Queued,
     /// Audit result for a trust-host-hash record (`true` = hash matched).
     Audited(bool),
     /// Drained outbox items.
@@ -407,6 +423,12 @@ impl WormFirmware {
             WormRequest::SyncVexpFromAttr { sn, attr, metasig } => {
                 self.sync_vexp_from_attr(env, sn, attr, metasig)
             }
+            WormRequest::RequeueWitness {
+                sn,
+                field,
+                signed,
+                witness,
+            } => self.requeue_witness(env, sn, field, &signed, &witness),
             WormRequest::AuditData { sn, data } => self.audit_data(env, sn, data),
             WormRequest::DrainOutbox => Ok(WormResponse::Outbox(std::mem::take(&mut self.outbox))),
         }
@@ -434,6 +456,7 @@ impl Applet for WormFirmware {
             WormRequest::LitHold { .. } => "scpu.lit_hold",
             WormRequest::LitRelease { .. } => "scpu.lit_release",
             WormRequest::SyncVexpFromAttr { .. } => "scpu.sync_vexp",
+            WormRequest::RequeueWitness { .. } => "scpu.requeue_witness",
             WormRequest::AuditData { .. } => "scpu.audit",
             WormRequest::DrainOutbox => "scpu.drain_outbox",
         }

@@ -156,6 +156,17 @@ impl WormFirmware {
         }
     }
 
+    /// Whether the monitor has deleted `sn`, which must have been issued.
+    pub(crate) fn deleted(&self, sn: SerialNumber) -> Result<bool, FirmwareError> {
+        let s = self.booted()?;
+        if sn == SerialNumber(0) || sn > s.sn_current {
+            return reject(format!("{sn} was never issued"));
+        }
+        Ok(sn < s.sn_base
+            || s.expired.contains(&sn)
+            || s.windows.iter().any(|&(lo, hi)| lo <= sn && sn <= hi))
+    }
+
     /// `SyncVexpFromAttr`: re-schedules a record's expiration from its own
     /// SCPU-signed attributes — the one re-arm path, for an entry spilled
     /// at write time and after a host crash alike. The firmware
@@ -174,15 +185,7 @@ impl WormFirmware {
         attr: crate::attr::RecordAttributes,
         metasig: crate::witness::Witness,
     ) -> Result<WormResponse, FirmwareError> {
-        let already_deleted = {
-            let s = self.booted()?;
-            if sn == SerialNumber(0) || sn > s.sn_current {
-                return reject(format!("{sn} was never issued"));
-            }
-            sn < s.sn_base
-                || s.expired.contains(&sn)
-                || s.windows.iter().any(|&(lo, hi)| lo <= sn && sn <= hi)
-        };
+        let already_deleted = self.deleted(sn)?;
         let payload = crate::witness::meta_payload(sn, &attr.encode());
         if !self.verify_own_witness(env.now(), &payload, &metasig) {
             return reject("presented attributes fail metasig verification");

@@ -357,6 +357,38 @@ impl WormFirmware {
         }
     }
 
+    /// `RequeueWitness`: queues a witness the host presents back for
+    /// strengthening. The device builds the payload from `sn`, `field` and
+    /// `signed`, and queues it only if the witness is not strong, is its
+    /// own and still verifies (a weak one has not expired), and the
+    /// record is not deleted. A witness already queued is acknowledged as
+    /// it stands. Strengthening a payload the device already signed
+    /// states nothing new.
+    pub(crate) fn requeue_witness(
+        &mut self,
+        env: &mut Env,
+        sn: SerialNumber,
+        field: WitnessField,
+        signed: &[u8],
+        witness: &Witness,
+    ) -> Result<WormResponse, FirmwareError> {
+        if self.deleted(sn)? {
+            return reject(format!("{sn} is deleted"));
+        }
+        if self.pending.contains_key(&(sn, field.code())) {
+            return Ok(WormResponse::Queued);
+        }
+        let payload = match field {
+            WitnessField::Meta => meta_payload(sn, signed),
+            WitnessField::Data => data_payload(sn, signed),
+        };
+        if witness.is_strong() || !self.verify_own_witness(env.now(), &payload, witness) {
+            return reject("presented witness is no live deferred witness of this device");
+        }
+        self.register_pending(env, sn, field, &payload);
+        Ok(WormResponse::Queued)
+    }
+
     /// Verifies a witness the host presents back to the firmware (e.g.,
     /// the current `metasig` in a litigation request). Uses the device's
     /// own public keys, its live weak-key certificates, and the HMAC key.

@@ -57,7 +57,7 @@ pub fn audit_journal<F>(
 where
     F: FnMut(&RecordDescriptor) -> Option<Bytes>,
 {
-    let table = Vrdt::recover(Journal::from_bytes(journal.as_bytes().to_vec()))?;
+    let table = Vrdt::recover(journal.clone())?;
     let mut report = OfflineAuditReport::default();
 
     let head = match table.head() {

@@ -314,7 +314,10 @@ impl<D: BlockDevice> WormServer<D> {
 
     /// Decomposes the server into the parts that survive a host restart:
     /// the battery-backed secure device (keys, serial counter, VEXP) and
-    /// the on-disk record store and VRDT journal.
+    /// the on-disk record store and VRDT journal. A restart needs only the
+    /// device: [`WormServer::recover_durable`] reads the rest back from the
+    /// medium. The benchmark harness destructures all three parts, so the
+    /// store and journal stay in the tuple until it stops doing so.
     ///
     /// # Panics
     ///
@@ -341,90 +344,6 @@ impl<D: BlockDevice> WormServer<D> {
             .unwrap_or_else(|_| unreachable!("read plane dropped; sole store handle remains"));
         let journal = wormstore::Journal::from_bytes(vrdt.journal().as_bytes().to_vec());
         (device, store, journal)
-    }
-
-    /// Resumes operation after a host crash: rebuilds the VRDT from its
-    /// journal and the store's allocation map from the VRDT, then runs
-    /// the recovery every restart shares ([`WormServer::recover_durable`]
-    /// is the other): re-arms every active record's expiration inside the
-    /// SCPU from its own signed attributes (`SyncVexpFromAttr`) — the
-    /// firmware verifies each metasig, so a malicious "recovery" cannot
-    /// shorten retentions.
-    ///
-    /// # Errors
-    ///
-    /// Journal corruption, device failures, or store failures.
-    pub fn resume(
-        device: Device<WormFirmware>,
-        store: RecordStore<D>,
-        journal: wormstore::Journal,
-        config: WormConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Self, WormError> {
-        let written = store.watermark();
-        let vrdt = Vrdt::recover(journal)?;
-        let store = Self::recover_store(&vrdt, store.into_device(), written)?;
-        Self::recover(vrdt, store, device, config, clock, 0x4058).map_err(|(e, _)| e)
-    }
-
-    /// The host phase of every recovery. The journal is the authority on
-    /// occupied space: live extents survive, pending-shred extents stay
-    /// reserved for their remaining passes, and everything else below the
-    /// rebuilt watermark and below `written` (see
-    /// [`RecordStore::recover`]) returns to the free list. Reclaimed
-    /// extents (a record whose journal frame was lost, abandoned
-    /// relocation copies) may hold plaintext; they are zeroed, so
-    /// plaintext exists only inside live extents.
-    fn recover_store(vrdt: &Vrdt, data: D, written: u64) -> Result<RecordStore<D>, WormError> {
-        let live: Vec<RecordDescriptor> = vrdt
-            .iter_active()
-            .flat_map(|vrd| vrd.rdl.iter().copied())
-            .collect();
-        let reserved: Vec<RecordDescriptor> =
-            vrdt.pending_shreds().values().map(|s| s.rd).collect();
-        let store = RecordStore::recover(data, &live, &reserved, written)?;
-        store.scrub_free()?;
-        Ok(store)
-    }
-
-    /// The SCPU phase of every recovery: assembles the server around the
-    /// recovered host state, finishes every half-done shred from its
-    /// persisted pass marker, re-arms expirations inside the SCPU and
-    /// republishes the head and base. On failure the battery-backed
-    /// `device` is handed back alongside the error.
-    #[expect(
-        clippy::result_large_err,
-        reason = "the SCPU device rides in the error variant so a caller can retry; recovery is cold-path, so the large Err is irrelevant to perf"
-    )]
-    fn recover(
-        vrdt: Vrdt,
-        store: RecordStore<D>,
-        mut device: Device<WormFirmware>,
-        config: WormConfig,
-        clock: Arc<dyn Clock>,
-        rng_seed: u64,
-    ) -> Result<Self, (WormError, Device<WormFirmware>)> {
-        let keys = match execute(&mut device, WormRequest::GetKeys) {
-            Ok(WormResponse::Keys(k, _)) => k,
-            Ok(other) => return Err((unexpected(other), device)),
-            Err(e) => return Err((e, device)),
-        };
-        let server = Self::assemble(vrdt, store, device, keys, config, clock, rng_seed, None);
-        // The device now lives inside the server, so failures decompose
-        // it to hand it back.
-        let post = (|| -> Result<(), WormError> {
-            let mut w = server.witness.lock();
-            w.rebuild_after_recovery();
-            w.complete_pending_shreds()?;
-            w.refresh_head()?;
-            w.refresh_base()?;
-            w.drain_outbox()?;
-            Ok(())
-        })();
-        match post {
-            Ok(()) => Ok(server),
-            Err(e) => Err((e, server.into_parts().0)),
-        }
     }
 
     /// The device's permanent public keys, read once at assembly: they
@@ -885,14 +804,25 @@ where
         )
     }
 
-    /// Recovers a crash-atomic server from its medium after a power cut:
-    /// scans the journal region, replays the valid frame prefix (one frame
-    /// is one whole mutation, so a torn tail frame is a mutation that
-    /// never happened, and its bytes are erased durably), rebuilds the
-    /// store's allocation map from the recovered descriptor set (leaked
-    /// extents no frame names return to free space; pending-shred extents
-    /// stay reserved), finishes every half-done shred from its persisted
-    /// pass marker, and re-arms expirations inside the SCPU.
+    /// Recovers a crash-atomic server from its medium after a power cut or
+    /// a clean stop: the one way a server comes back.
+    ///
+    /// The host phase scans the journal region once and replays the valid
+    /// frame prefix (one frame is one whole mutation, so a torn tail frame
+    /// is a mutation that never happened, and its bytes are erased
+    /// durably). The journal is then the authority on occupied space: live
+    /// extents survive, pending-shred extents stay reserved for their
+    /// remaining passes, and every gap below the rebuilt watermark returns
+    /// to the free list and is zeroed, so plaintext exists only inside
+    /// live extents. A power cut lost the previous watermark, so what it
+    /// wrote above the rebuilt one stays as it is.
+    ///
+    /// The SCPU phase finishes every half-done shred from its persisted
+    /// pass marker, re-arms every active record's expiration from its own
+    /// signed attributes (`SyncVexpFromAttr`: the firmware verifies each
+    /// metasig, so a malicious "recovery" cannot shorten retentions),
+    /// presents every weak or HMAC witness back for strengthening, and
+    /// republishes the head and base.
     ///
     /// The battery-backed `device` survives power cuts on its own; on
     /// failure it is handed back alongside the error so the caller can
@@ -910,32 +840,53 @@ where
     pub fn recover_durable(
         dev: D,
         journal_bytes: u64,
-        device: Device<WormFirmware>,
+        mut device: Device<WormFirmware>,
         config: WormConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, (WormError, Device<WormFirmware>)> {
-        // The host phase; the SCPU is untouched, so any failure hands it
-        // straight back.
-        let host = (|| -> Result<(RecordStore<Partition<D>>, Vrdt), WormError> {
+        // The host phase, and a read of the keys: the SCPU's state is
+        // untouched, so any failure hands it straight back.
+        let host = (|| -> Result<(RecordStore<Partition<D>>, Vrdt, DeviceKeys), WormError> {
             let store_bytes = Self::layout(&dev, journal_bytes)?;
-            let (disk_journal, journal, scan) =
-                DiskJournal::open(dev.clone(), 0, journal_bytes).map_err(WormError::from)?;
+            let (disk_journal, journal) = DiskJournal::open(dev.clone(), 0, journal_bytes)?;
             let mut vrdt = Vrdt::recover(journal)?;
-            if scan.torn_tail {
-                vrdt.mark_torn_tail();
-            }
-            // Attaching the sink cuts the region tail,
-            // making the discarded torn tail durable before we serve.
+            // Attaching the sink cuts the region tail, making the
+            // discarded torn tail durable before we serve.
             vrdt.attach_sink(Box::new(disk_journal))?;
             let data = Partition::new(dev, journal_bytes, store_bytes)
                 .map_err(wormstore::StoreError::from)?;
-            // A power cut lost the previous watermark: what it wrote
-            // above the rebuilt one stays as it is.
-            Ok((Self::recover_store(&vrdt, data, 0)?, vrdt))
+            let live: Vec<RecordDescriptor> = vrdt
+                .iter_active()
+                .flat_map(|vrd| vrd.rdl.iter().copied())
+                .collect();
+            let reserved: Vec<RecordDescriptor> =
+                vrdt.pending_shreds().values().map(|s| s.rd).collect();
+            let store = RecordStore::recover(data, &live, &reserved)?;
+            store.scrub_free()?;
+            match execute(&mut device, WormRequest::GetKeys)? {
+                WormResponse::Keys(keys, _) => Ok((store, vrdt, keys)),
+                other => Err(unexpected(other)),
+            }
         })();
-        match host {
-            Ok((store, vrdt)) => Self::recover(vrdt, store, device, config, clock, 0x4059),
-            Err(e) => Err((e, device)),
+        let (store, vrdt, keys) = match host {
+            Ok(parts) => parts,
+            Err(e) => return Err((e, device)),
+        };
+        let server = Self::assemble(vrdt, store, device, keys, config, clock, 0x4059, None);
+        // The device now lives inside the server, so failures decompose
+        // it to hand it back.
+        let post = (|| -> Result<(), WormError> {
+            let mut w = server.witness.lock();
+            w.rebuild_after_recovery()?;
+            w.complete_pending_shreds()?;
+            w.refresh_head()?;
+            w.refresh_base()?;
+            w.drain_outbox()?;
+            Ok(())
+        })();
+        match post {
+            Ok(()) => Ok(server),
+            Err(e) => Err((e, server.into_parts().0)),
         }
     }
 }

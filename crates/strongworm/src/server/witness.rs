@@ -34,7 +34,7 @@ use crate::firmware::{
 use crate::proofs::BaseCert;
 use crate::server::RecordWrite;
 use crate::sn::SerialNumber;
-use crate::vrd::Vrd;
+use crate::vrd::{data_chain_hash, Vrd};
 use crate::vrdt::{Lookup, ShredState, Vrdt};
 use crate::witness::Witness;
 
@@ -126,9 +126,10 @@ impl<D: BlockDevice> WitnessPlane<D> {
         }
     }
 
-    /// Rebuilds the audit queue and the SCPU's expiration schedule from
-    /// recovered state (crash recovery; see `WormServer::resume`).
-    pub(crate) fn rebuild_after_recovery(&mut self) {
+    /// Rebuilds the audit queue, the SCPU's expiration schedule and its
+    /// strengthening queue from recovered state (crash recovery; see
+    /// [`super::WormServer::recover_durable`]).
+    pub(crate) fn rebuild_after_recovery(&mut self) -> Result<(), WormError> {
         let active: Vec<SerialNumber> = self.vrdt.read().iter_active().map(|v| v.sn).collect();
         // Trust-host-hash deployments: the firmware's pending-audit set
         // survives in the device, but the host's submission queue does
@@ -142,6 +143,47 @@ impl<D: BlockDevice> WitnessPlane<D> {
         // synced).
         self.spilled.extend(active);
         self.rearm();
+        self.requeue_weak()
+    }
+
+    /// Presents every weak or HMAC witness of an active record back to the
+    /// device for strengthening. The device dequeues a witness when it
+    /// signs it strongly, so a crash while the host journaled the strong
+    /// one would otherwise leave the record weak for good. The device
+    /// acknowledges what it still holds queued and refuses what it did
+    /// not sign or what has expired; a refusal leaves the witness as it
+    /// is.
+    fn requeue_weak(&mut self) -> Result<(), WormError> {
+        let weak: Vec<Vrd> = self
+            .vrdt
+            .read()
+            .iter_active()
+            .filter(|v| v.needs_strengthening())
+            .cloned()
+            .collect();
+        for vrd in weak {
+            let records = vrd.rdl.iter().map(|rd| self.store.read(rd));
+            let records = records.collect::<Result<Vec<_>, _>>()?;
+            let hash = data_chain_hash(records.iter().map(|r| &r[..]));
+            let fields = [
+                (WitnessField::Meta, vrd.attr.encode(), vrd.metasig),
+                (WitnessField::Data, hash, vrd.datasig),
+            ];
+            for (field, signed, witness) in fields.into_iter().filter(|f| !f.2.is_strong()) {
+                let sn = vrd.sn;
+                let req = WormRequest::RequeueWitness {
+                    sn,
+                    field,
+                    signed,
+                    witness,
+                };
+                match execute(&mut self.device, req) {
+                    Ok(_) | Err(WormError::Firmware(_)) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Re-arms every expiry in [`Self::spilled`] from the record's current

@@ -148,32 +148,29 @@ impl Vrdt {
         Self::default()
     }
 
-    /// Rebuilds a table by replaying a journal (crash recovery). Torn or
-    /// corrupt tail frames are ignored and cut off the journal, so
-    /// post-recovery appends never land behind damage.
+    /// Rebuilds a table by replaying a journal (crash recovery). The
+    /// journal holds whole frames only — [`Journal::from_bytes`] already
+    /// cut a torn or corrupt tail off and flagged it — so every frame
+    /// replays, and post-recovery appends never land behind damage.
     ///
     /// # Errors
     ///
     /// [`WireError`] if a *valid-CRC* frame contains a malformed payload
     /// or an unknown opcode (indicates a software bug or deliberate
     /// tampering rather than a crash).
-    pub fn recover(mut journal: Journal) -> Result<Self, WireError> {
+    pub fn recover(journal: Journal) -> Result<Self, WireError> {
         let mut t = Vrdt::new();
-        let mut replay = journal.replay();
         let mut replayed = 0u64;
-        for frame in replay.by_ref() {
+        for frame in journal.replay() {
             let (&op, payload) = frame.split_first().ok_or(WireError {
                 expected: "journal opcode",
             })?;
             t.replay_frame(op, payload)?;
             replayed += 1;
         }
-        let consumed = replay.consumed_bytes();
-        let torn_tail = journal.recovered_torn_tail() || consumed < journal.len_bytes();
-        journal.truncate_tail(journal.len_bytes() - consumed);
         t.recovery = RecoveryStats {
             replayed,
-            torn_tail,
+            torn_tail: journal.recovered_torn_tail(),
         };
         t.journal = journal;
         Ok(t)
@@ -227,7 +224,9 @@ impl Vrdt {
         Ok(())
     }
 
-    /// The underlying journal bytes (what a real host would persist).
+    /// The underlying journal bytes: every frame this table has written
+    /// or replayed, kept in host memory. The benchmark harness reads its
+    /// length, so it stays until the harness stops reading it.
     pub fn journal(&self) -> &Journal {
         &self.journal
     }
@@ -244,14 +243,6 @@ impl Vrdt {
         sink.cut_tail(self.journal.len_bytes() as u64)?;
         self.sink = Some(sink);
         Ok(())
-    }
-
-    /// Records that the durable region scan discarded a torn tail (set by
-    /// the server when [`wormstore::DiskJournal::open`] reports one; the
-    /// in-memory replay in [`Vrdt::recover`] only ever sees the already
-    /// cleaned prefix).
-    pub fn mark_torn_tail(&mut self) {
-        self.recovery.torn_tail = true;
     }
 
     /// What the most recent [`Vrdt::recover`] observed (all-zero for a
@@ -278,7 +269,7 @@ impl Vrdt {
             Some(sink) => self.journal.append_via(&frame, |f| sink.append_frame(f)),
             None => self.journal.append(&frame),
         };
-        res.map(|_| ()).map_err(WormError::from)
+        res.map_err(WormError::from)
     }
 
     /// Inserts a freshly written VRD.
@@ -830,10 +821,12 @@ mod tests {
         let mut t = Vrdt::new();
         t.insert(vrd(1)).unwrap();
         t.insert(vrd(2)).unwrap();
-        let mut j = Journal::from_bytes(t.journal().as_bytes().to_vec());
-        j.truncate_tail(7); // tear the second frame
+        let bytes = t.journal().as_bytes();
+        // Tear the second frame.
+        let j = Journal::from_bytes(bytes[..bytes.len() - 7].to_vec());
         let recovered = Vrdt::recover(j).unwrap();
         assert_eq!(recovered.resident_entries(), 1);
+        assert!(recovered.recovery_stats().torn_tail);
         assert!(matches!(
             recovered.lookup(SerialNumber(1)),
             Lookup::Active(_)
@@ -899,8 +892,7 @@ mod tests {
         let whole = t.journal().len_bytes();
         // Every cut inside the expiry frame recovers the pre-expiry table.
         for keep in before..whole {
-            let mut j = Journal::from_bytes(t.journal().as_bytes().to_vec());
-            j.truncate_tail(whole - keep);
+            let j = Journal::from_bytes(t.journal().as_bytes()[..keep].to_vec());
             let r = Vrdt::recover(j).unwrap();
             assert!(
                 matches!(r.lookup(SerialNumber(1)), Lookup::Active(_)),
@@ -960,8 +952,8 @@ mod tests {
         t.insert(vrd_at(1, &[512])).unwrap();
         t.expire(del(1), TWO_PASS).unwrap();
         // Reopen from the device alone.
-        let (_, j, scan) = DiskJournal::open(dev, 0, 8 * 1024).unwrap();
-        assert!(!scan.torn_tail);
+        let (_, j) = DiskJournal::open(dev, 0, 8 * 1024).unwrap();
+        assert!(!j.recovered_torn_tail());
         let r = Vrdt::recover(j).unwrap();
         assert!(matches!(r.lookup(SerialNumber(1)), Lookup::Expired(_)));
         assert_eq!(r.pending_shreds().len(), 1);

@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use scpu::{Applet, Clock, Device, DeviceConfig, VirtualClock};
 use strongworm::attr::RecordAttributes;
 use strongworm::firmware::{
-    FirmwareConfig, FirmwareError, OutboxItem, WeakKeyCert, WormFirmware, WormRequest,
-    WormResponse, WriteData, WriteItem,
+    FirmwareConfig, FirmwareError, OutboxItem, WeakKeyCert, WitnessField, WormFirmware,
+    WormRequest, WormResponse, WriteData, WriteItem,
 };
 use strongworm::witness::{Signature, Witness};
 use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
@@ -705,4 +705,69 @@ fn window_bounds_are_charged_two_signatures_and_both_verify() {
     assert!(w.hi_sig.verify(&keys.sign, &upper));
     assert!(!w.lo_sig.verify(&keys.sign, &upper));
     assert!(!w.hi_sig.verify(&keys.sign, &lower));
+}
+
+/// A deferred write's witnesses, strengthened at an idle whose outbox the
+/// host then lost, are queued again when the host presents them back:
+/// once, and only while the weak witness lives and verifies over what it
+/// signs.
+#[test]
+fn a_weak_witness_presented_back_is_queued_again_once() {
+    let (mut dev, clock, _) = booted();
+    let item = WriteItem {
+        policy: policy(100_000),
+        flags: 0,
+        data: WriteData::Full(vec![b"payload".to_vec()]),
+        witness: WitnessMode::Deferred,
+    };
+    let receipt = match dev
+        .execute(WormRequest::Write(vec![item]))
+        .unwrap()
+        .unwrap()
+    {
+        WormResponse::Written(mut receipts) => receipts.remove(0),
+        other => panic!("unexpected {other:?}"),
+    };
+    let present = |dev: &mut Fw, field, signed: Vec<u8>, witness: &Witness| {
+        let sn = receipt.sn;
+        let witness = witness.clone();
+        let req = WormRequest::RequeueWitness {
+            sn,
+            field,
+            signed,
+            witness,
+        };
+        dev.execute(req).unwrap()
+    };
+    let queued = |dev: &Fw| dev.applet_for_test().pending_strengthen();
+    let (meta, metasig) = (receipt.attr.encode(), &receipt.metasig);
+    // Still queued: acknowledged as it stands.
+    let again = present(&mut dev, WitnessField::Meta, meta.clone(), metasig);
+    assert!(matches!(again, Ok(WormResponse::Queued)));
+    assert_eq!(queued(&dev), 2);
+    // The device signs both strongly, and the host loses what it drained.
+    dev.idle(1_000_000_000).unwrap();
+    assert_eq!(drain(&mut dev).len(), 2);
+    assert_eq!(queued(&dev), 0);
+    // Other attributes, or a witness the device did not make, are refused.
+    let mut held = receipt.attr.clone();
+    held.flags ^= 1;
+    assert!(present(&mut dev, WitnessField::Meta, held.encode(), metasig).is_err());
+    let strong = Witness::Strong(Signature {
+        key_id: [0; 8],
+        bytes: vec![0; 64],
+    });
+    assert!(present(&mut dev, WitnessField::Meta, meta.clone(), &strong).is_err());
+    // The weak witness comes back, once however often it is presented.
+    for _ in 0..2 {
+        let requeued = present(&mut dev, WitnessField::Meta, meta.clone(), metasig);
+        assert!(matches!(requeued, Ok(WormResponse::Queued)));
+        assert_eq!(queued(&dev), 1);
+    }
+    // Past its expiry a weak witness is refused.
+    clock.advance(Duration::from_secs(7201));
+    let hash = strongworm::vrd::data_chain_hash([&b"payload"[..]]);
+    let late = present(&mut dev, WitnessField::Data, hash, &receipt.datasig);
+    assert!(late.is_err());
+    assert_eq!(queued(&dev), 1);
 }

@@ -16,7 +16,7 @@ use strongworm::{
 };
 use wormnet::frame::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
 use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient};
-use wormstore::Shredder;
+use wormstore::{BlockDevice, MemDisk, Shredder};
 
 const CLIENTS: usize = 4;
 
@@ -1336,22 +1336,32 @@ fn tampered_audit_chain_is_detected_and_the_connection_survives() {
 
 #[test]
 fn audit_events_span_a_recovery_cycle_over_the_wire() {
-    // Boot, commit, crash with a torn journal, resume, and serve the
-    // resumed server over TCP: a remote auditor sees the recovery
-    // incident in the chain and the chain still anchors and verifies.
+    // Boot on a journaled medium, commit, stop, leave a torn frame past
+    // the journal region's tail, recover, and serve the recovered server
+    // over TCP: a remote auditor sees the recovery incident in the chain
+    // and the chain still anchors and verifies.
+    const JOURNAL: u64 = 1 << 15;
     let clock = VirtualClock::new();
     let mut rng = StdRng::seed_from_u64(9090);
     let regulator = RegulatoryAuthority::generate(&mut rng, 512);
-    let srv = WormServer::new(WormConfig::test_small(), clock.clone(), regulator.public()).unwrap();
+    let disk = Arc::new(MemDisk::unmetered(1 << 17));
+    let config = WormConfig::test_small();
+    let srv = WormServer::with_durable(
+        Arc::clone(&disk),
+        JOURNAL,
+        config.clone(),
+        clock.clone(),
+        regulator.public(),
+    )
+    .unwrap();
     srv.write(&[b"committed"], policy(10_000)).unwrap();
     srv.write(&[b"torn-away"], policy(10_000)).unwrap();
 
-    let (device, store, journal) = srv.into_parts();
-    let mut torn = wormstore::Journal::from_bytes(journal.as_bytes().to_vec());
-    torn.truncate_tail(40);
-    let srv = Arc::new(
-        WormServer::resume(device, store, torn, WormConfig::test_small(), clock.clone()).unwrap(),
-    );
+    let tail = srv.vrdt().journal().len_bytes() as u64;
+    let device = srv.into_parts().0;
+    disk.write_at(tail, &[0xA5; 40]).unwrap();
+    let recovered = WormServer::recover_durable(disk, JOURNAL, device, config, clock.clone());
+    let srv = Arc::new(recovered.map_err(|(e, _)| e).unwrap());
     let net = NetServer::bind(Arc::clone(&srv), "127.0.0.1:0", NetServerConfig::default()).unwrap();
 
     let mut client = RemoteWormClient::connect(net.local_addr()).unwrap();

@@ -192,9 +192,10 @@ enum Witnessed {
     /// Queued in the device for strengthening.
     Queued(Option<u64>),
     /// Maybe strengthened already: an idle ran whose budget did not cover
-    /// the queue, or that lost power while installing what it signed —
-    /// then `.1` is false, as the strengthening may be lost for good.
-    Unsure(Option<u64>, bool),
+    /// the queue, or that lost power while installing what it signed (the
+    /// recovery presents the weak witness back, and the device queues it
+    /// again).
+    Unsure(Option<u64>),
 }
 
 impl Witnessed {
@@ -206,7 +207,7 @@ impl Witnessed {
         let (weak, unsure) = match *self {
             Witnessed::Strong => return intact,
             Witnessed::Queued(weak) => (weak, false),
-            Witnessed::Unsure(weak, _) => (weak, true),
+            Witnessed::Unsure(weak) => (weak, true),
         };
         let as_signed = match (weak, verdict) {
             (Some(until), Ok(ReadVerdict::Intact { .. })) => now <= until,
@@ -438,7 +439,7 @@ impl<'r> Sim<'r> {
     fn holdable(&self, now: u64, pick: u64) -> Option<SerialNumber> {
         let r = |sn: &SerialNumber| &self.records[sn.0 as usize - 1];
         let accepted = |sn: &SerialNumber| match r(sn).witnessed {
-            Witnessed::Queued(Some(until)) | Witnessed::Unsure(Some(until), _) => now <= until,
+            Witnessed::Queued(Some(until)) | Witnessed::Unsure(Some(until)) => now <= until,
             _ => true,
         };
         let sns = self
@@ -449,7 +450,7 @@ impl<'r> Sim<'r> {
 
     /// An idle of `budget` ns ran, to its end if `acked`: it strengthened
     /// every queued witness if the budget covers them all, and maybe some
-    /// otherwise; one that lost power may have lost what it signed.
+    /// otherwise.
     fn idled(&mut self, budget: u64, acked: bool) {
         let config = &self.rig.config;
         let per_sig = config.device.cost_model.cost_ns(Op::RsaSign {
@@ -460,10 +461,8 @@ impl<'r> Sim<'r> {
         let covered = acked && budget >= 2 * queued * per_sig;
         for r in &mut self.records {
             r.witnessed = match r.witnessed {
-                Witnessed::Queued(_) | Witnessed::Unsure(_, true) if covered => Witnessed::Strong,
-                Witnessed::Queued(weak) | Witnessed::Unsure(weak, true) => {
-                    Witnessed::Unsure(weak, acked)
-                }
+                Witnessed::Queued(_) | Witnessed::Unsure(_) if covered => Witnessed::Strong,
+                Witnessed::Queued(weak) | Witnessed::Unsure(weak) => Witnessed::Unsure(weak),
                 kept => kept,
             };
         }

@@ -106,7 +106,9 @@ fn seal_frame(epoch: u32, payload: &[u8], len: u32) -> Vec<u8> {
     frame
 }
 
-/// Append-only journal over an in-memory byte log.
+/// Append-only journal over an in-memory byte log. It holds whole frames
+/// only: [`Journal::append`] adds one, and [`Journal::from_bytes`] keeps
+/// exactly the valid prefix of what it is handed.
 ///
 /// ```
 /// use wormstore::Journal;
@@ -120,9 +122,6 @@ fn seal_frame(epoch: u32, payload: &[u8], len: u32) -> Vec<u8> {
 #[derive(Clone, Debug, Default)]
 pub struct Journal {
     log: Vec<u8>,
-    /// Cached count of valid entries, so appends are O(payload) instead of
-    /// replaying the whole log for a sequence number.
-    entries: u64,
     /// Epoch stamped on appended frames; bumped past everything seen on
     /// each [`Journal::from_bytes`] recovery.
     epoch: u32,
@@ -143,25 +142,20 @@ impl Journal {
     /// unreachably behind the damage. The append epoch is bumped past
     /// every epoch observed, so frames written after recovery dominate
     /// any stale remnant still present on a durable medium.
-    pub fn from_bytes(log: Vec<u8>) -> Self {
-        let mut j = Journal {
-            log,
-            entries: 0,
-            epoch: 0,
-            torn: false,
+    pub fn from_bytes(mut log: Vec<u8>) -> Self {
+        let mut replay = Replay {
+            log: &log,
+            pos: 0,
+            max_epoch: 0,
         };
-        let mut replay = j.replay();
-        let entries = replay.by_ref().count() as u64;
-        let epoch = replay.max_epoch().saturating_add(1);
-        let consumed = replay.consumed_bytes();
+        replay.by_ref().for_each(drop);
+        let (consumed, epoch) = (replay.pos, replay.max_epoch.saturating_add(1));
         // An all-zero remainder is clean padding (a region read back in
         // full); anything nonzero past the valid prefix is a torn frame
         // or stale garbage.
-        j.torn = j.log[consumed..].iter().any(|&b| b != 0);
-        j.log.truncate(consumed);
-        j.entries = entries;
-        j.epoch = epoch;
-        j
+        let torn = log[consumed..].iter().any(|&b| b != 0);
+        log.truncate(consumed);
+        Journal { log, epoch, torn }
     }
 
     /// Whether the bytes handed to [`Journal::from_bytes`] ended in a
@@ -180,11 +174,11 @@ impl Journal {
         self.epoch
     }
 
-    /// Appends one entry, returning its sequence number (0-based).
+    /// Appends one entry.
     ///
     /// Fails only on an oversized payload; the in-memory log itself
     /// cannot tear.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, JournalError> {
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
         self.append_via(payload, |_| Ok(()))
     }
 
@@ -193,7 +187,7 @@ impl Journal {
     /// a durable mirror (e.g. [`DiskJournal`]) stays in lockstep: on a
     /// sink failure — power cut mid-frame, region full — memory still
     /// matches the last durable state.
-    pub fn append_via<S>(&mut self, payload: &[u8], sink: S) -> Result<u64, JournalError>
+    pub fn append_via<S>(&mut self, payload: &[u8], sink: S) -> Result<(), JournalError>
     where
         S: FnOnce(&[u8]) -> Result<(), JournalError>,
     {
@@ -203,10 +197,8 @@ impl Journal {
             .ok_or(JournalError::PayloadTooLarge { len: payload.len() })?;
         let frame = seal_frame(self.epoch, payload, len);
         sink(&frame)?;
-        let seq = self.entries;
         self.log.extend_from_slice(&frame);
-        self.entries += 1;
-        Ok(seq)
+        Ok(())
     }
 
     /// Iterates over valid entries in order, stopping at the first torn,
@@ -217,14 +209,6 @@ impl Journal {
             pos: 0,
             max_epoch: 0,
         }
-    }
-
-    /// Drops the last `bytes` of the log: a simulated crash tearing the
-    /// tail, or recovery discarding what follows the valid prefix.
-    pub fn truncate_tail(&mut self, bytes: usize) {
-        let keep = self.log.len().saturating_sub(bytes);
-        self.log.truncate(keep);
-        self.entries = self.replay().count() as u64;
     }
 
     /// Total log size in bytes.
@@ -242,17 +226,11 @@ pub struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// Bytes consumed by the valid frames yielded so far. After the
-    /// iterator is exhausted, a value short of
-    /// [`Journal::len_bytes`] means the log ends in a torn or corrupt
-    /// tail that replay skipped.
+    /// Bytes consumed by the valid frames yielded so far. A [`Journal`]
+    /// holds whole frames only, so an exhausted replay has consumed all
+    /// of [`Journal::len_bytes`].
     pub fn consumed_bytes(&self) -> usize {
         self.pos
-    }
-
-    /// Highest epoch among the frames yielded so far.
-    pub fn max_epoch(&self) -> u32 {
-        self.max_epoch
     }
 }
 
@@ -313,16 +291,6 @@ pub trait DurableLog: Send + Sync {
     fn cut_tail(&mut self, tail_bytes: u64) -> Result<(), JournalError>;
 }
 
-/// Outcome of scanning a journal region during [`DiskJournal::open`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegionScan {
-    /// Valid entries found in the prefix.
-    pub entries: u64,
-    /// Non-zero bytes followed the valid prefix — a torn or corrupt tail
-    /// (or the remnant of an interrupted erase) was discarded.
-    pub torn_tail: bool,
-}
-
 /// A journal bound to a fixed region of a [`BlockDevice`].
 ///
 /// Appends go to the device *first* (one `write_at` per frame — the
@@ -366,28 +334,24 @@ impl<D: BlockDevice> DiskJournal<D> {
         })
     }
 
-    /// Opens an existing region after a crash: scans for the valid frame
-    /// prefix and returns the journal handle positioned at its end, the
-    /// rehydrated in-memory [`Journal`] (epoch already bumped), and what
-    /// the scan saw.
-    pub fn open(dev: D, base: u64, cap: u64) -> Result<(Self, Journal, RegionScan), JournalError> {
+    /// Opens an existing region after a crash: scans it once for the valid
+    /// frame prefix and returns the journal handle positioned at its end,
+    /// and the rehydrated in-memory [`Journal`] (epoch already bumped;
+    /// [`Journal::recovered_torn_tail`] says whether nonzero bytes
+    /// followed the prefix — the region's unused remainder is all zeros,
+    /// as `create` leaves it).
+    pub fn open(dev: D, base: u64, cap: u64) -> Result<(Self, Journal), JournalError> {
         Self::check_region(&dev, base, cap)?;
         let mut buf = vec![0u8; cap as usize];
         dev.read_at(base, &mut buf)?;
         let journal = Journal::from_bytes(buf);
-        // `from_bytes` kept exactly the valid prefix and flagged any
-        // nonzero damage past it (the region's unused remainder is all
-        // zeros — `create` zeroes it).
-        let consumed = journal.len_bytes();
-        let entries = journal.replay().count() as u64;
-        let torn_tail = journal.recovered_torn_tail();
         let dj = DiskJournal {
             dev,
             base,
             cap,
-            tail: consumed as u64,
+            tail: journal.len_bytes() as u64,
         };
-        Ok((dj, journal, RegionScan { entries, torn_tail }))
+        Ok((dj, journal))
     }
 
     /// Bytes durably appended (the logical tail).
@@ -496,9 +460,9 @@ mod tests {
     #[test]
     fn append_and_replay() {
         let mut j = Journal::new();
-        assert_eq!(j.append(b"a").unwrap(), 0);
-        assert_eq!(j.append(b"bb").unwrap(), 1);
-        assert_eq!(j.append(b"").unwrap(), 2);
+        for payload in [&b"a"[..], b"bb", b""] {
+            j.append(payload).unwrap();
+        }
         let got: Vec<_> = j.replay().collect();
         assert_eq!(got, vec![b"a".to_vec(), b"bb".to_vec(), vec![]]);
     }
@@ -507,13 +471,15 @@ mod tests {
     fn torn_tail_drops_last_entry_only() {
         let mut j = Journal::new();
         j.append(b"committed").unwrap();
+        let keep = j.len_bytes();
         j.append(b"torn-entry-payload").unwrap();
-        j.truncate_tail(5); // rip bytes off the final frame
-        let mut replay = j.replay();
-        let got: Vec<_> = replay.by_ref().collect();
+        // Rip bytes off the final frame.
+        let j = Journal::from_bytes(j.as_bytes()[..j.len_bytes() - 5].to_vec());
+        let got: Vec<_> = j.replay().collect();
         assert_eq!(got, vec![b"committed".to_vec()]);
-        // The torn frame's bytes are present but unconsumed.
-        assert!(replay.consumed_bytes() < j.len_bytes());
+        // The torn frame's bytes are gone, and flagged.
+        assert_eq!(j.len_bytes(), keep);
+        assert!(j.recovered_torn_tail());
     }
 
     #[test]
@@ -667,14 +633,8 @@ mod tests {
         j.append_via(b"beta", |f| dj.append_frame(f)).unwrap();
         assert_eq!(dj.tail(), j.len_bytes() as u64);
 
-        let (dj2, j2, scan) = DiskJournal::open(dev, 128, 1024).unwrap();
-        assert_eq!(
-            scan,
-            RegionScan {
-                entries: 2,
-                torn_tail: false
-            }
-        );
+        let (dj2, j2) = DiskJournal::open(dev, 128, 1024).unwrap();
+        assert!(!j2.recovered_torn_tail());
         assert_eq!(dj2.tail(), dj.tail());
         let got: Vec<_> = j2.replay().collect();
         assert_eq!(got, vec![b"alpha".to_vec(), b"beta".to_vec()]);
@@ -691,21 +651,15 @@ mod tests {
         j.append_via(b"torn", |f| dj.append_frame(f)).unwrap();
         // Tear the last frame: zero its final 3 bytes on the raw medium.
         dev.write_at(dj.tail() - 3, &[0xEE; 3]).unwrap();
-        let (mut dj2, j2, scan) = DiskJournal::open(dev.clone(), 0, 512).unwrap();
-        assert_eq!(scan.entries, 1);
-        assert!(scan.torn_tail);
+        let (mut dj2, j2) = DiskJournal::open(dev.clone(), 0, 512).unwrap();
+        assert!(j2.recovered_torn_tail());
         assert_eq!(dj2.tail(), keep);
         assert_eq!(j2.replay().count(), 1);
         // Erasing the tail makes the next open clean.
         dj2.cut_tail(keep).unwrap();
-        let (_, _, scan) = DiskJournal::open(dev, 0, 512).unwrap();
-        assert_eq!(
-            scan,
-            RegionScan {
-                entries: 1,
-                torn_tail: false
-            }
-        );
+        let (_, j3) = DiskJournal::open(dev, 0, 512).unwrap();
+        assert!(!j3.recovered_torn_tail());
+        assert_eq!(j3.replay().count(), 1);
     }
 
     #[test]
@@ -732,8 +686,8 @@ mod tests {
         let mut j = Journal::new();
         j.append_via(b"stale", |f| dj.append_frame(f)).unwrap();
         let _fresh = DiskJournal::create(dev.clone(), 0, 1024).unwrap();
-        let (_, j2, scan) = DiskJournal::open(dev, 0, 1024).unwrap();
-        assert_eq!(scan, RegionScan::default());
+        let (_, j2) = DiskJournal::open(dev, 0, 1024).unwrap();
+        assert!(!j2.recovered_torn_tail());
         assert_eq!(j2.replay().count(), 0);
     }
 }

@@ -32,9 +32,7 @@ mod store;
 pub use block::{
     read_bytes, BlockDevice, BlockError, DiskProfile, FileDisk, IoStats, MemDisk, Partition,
 };
-pub use journal::{
-    crc32, DiskJournal, DurableLog, Journal, JournalError, RegionScan, Replay, MAX_ENTRY_LEN,
-};
+pub use journal::{crc32, DiskJournal, DurableLog, Journal, JournalError, Replay, MAX_ENTRY_LEN};
 pub use record::{RecordDescriptor, RecordId};
 pub use shred::Shredder;
 pub use store::{RecordStore, StoreError, StoreLifetime};

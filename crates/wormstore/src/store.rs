@@ -229,14 +229,14 @@ impl<D: BlockDevice> RecordStore<D> {
     ///
     /// `live` are the extents that must survive; `reserved` are extents
     /// that are *not* readable records but must not be reallocated yet
-    /// (pending shreds still owed their remaining passes). `written` is
-    /// how far the previous run may have written the medium — its
-    /// watermark when the host knows it, 0 when a power cut lost it.
-    /// Everything else below the rebuilt watermark and below `written` —
-    /// leaked pre-commit data writes, vacated compaction sources, records
-    /// whose journal frames were lost — is reclaimed onto the free list. This is the paper's
+    /// (pending shreds still owed their remaining passes). Every gap
+    /// below the rebuilt watermark — leaked pre-commit data writes,
+    /// vacated compaction sources, records whose journal frames were
+    /// lost — is reclaimed onto the free list. This is the paper's
     /// commitment rule made operational: only descriptors the journal
-    /// committed define occupied space.
+    /// committed define occupied space. A power cut loses the previous
+    /// run's watermark, so what it wrote above the rebuilt one stays on
+    /// the medium until a write lands there.
     ///
     /// # Errors
     ///
@@ -246,15 +246,14 @@ impl<D: BlockDevice> RecordStore<D> {
         dev: D,
         live: &[RecordDescriptor],
         reserved: &[RecordDescriptor],
-        written: u64,
     ) -> Result<Self, StoreError> {
         let capacity = dev.capacity();
         let mut extents: Vec<&RecordDescriptor> = live.iter().chain(reserved.iter()).collect();
         extents.sort_by_key(|rd| (rd.offset, rd.len));
         let mut next_id = 1u64;
-        let mut watermark = 0u64;
         let mut free_list = Vec::new();
-        let mut cursor = 0u64;
+        // The end of the highest extent so far: the rebuilt watermark.
+        let mut watermark = 0u64;
         let mut reclaimed = 0u64;
         for rd in extents {
             let bad = || StoreError::InvalidDescriptor {
@@ -270,21 +269,14 @@ impl<D: BlockDevice> RecordStore<D> {
             if rd.len == 0 {
                 continue;
             }
-            if rd.offset < cursor {
+            if rd.offset < watermark {
                 return Err(bad()); // overlap with the previous extent
             }
-            if rd.offset > cursor {
-                free_list.push((cursor, rd.offset - cursor));
-                reclaimed += rd.offset - cursor;
+            if rd.offset > watermark {
+                free_list.push((watermark, rd.offset - watermark));
+                reclaimed += rd.offset - watermark;
             }
-            cursor = end;
             watermark = end;
-        }
-        let written = written.min(capacity);
-        if written > cursor {
-            free_list.push((cursor, written - cursor));
-            reclaimed += written - cursor;
-            watermark = written;
         }
         let lifetime = StoreLifetime {
             bytes_reclaimed: reclaimed,
@@ -307,13 +299,6 @@ impl<D: BlockDevice> RecordStore<D> {
     /// The underlying device (e.g., for I/O statistics).
     pub fn device(&self) -> &D {
         &self.dev
-    }
-
-    /// The underlying device, dropping the allocator state: how a host
-    /// restart rebuilds the store from its journal
-    /// ([`RecordStore::recover`]).
-    pub fn into_device(self) -> D {
-        self.dev
     }
 
     /// Bytes currently un-allocatable past the bump pointer.
@@ -576,9 +561,6 @@ mod tests {
         dev.write_at(0, b"live-one").unwrap();
         dev.write_at(8, b"LEAKED-PLAINTEXT").unwrap();
         dev.write_at(24, b"live-two").unwrap();
-        // A record whose journal frame was lost sits above the last live
-        // extent, below what the previous run had written.
-        dev.write_at(32, b"LOST-TAIL").unwrap();
         let live = [
             RecordDescriptor {
                 id: RecordId(1),
@@ -591,16 +573,14 @@ mod tests {
                 len: 8,
             },
         ];
-        let s = RecordStore::recover(dev, &live, &[], 41).unwrap();
-        assert_eq!(s.free_bytes(), 16 + 9);
-        assert_eq!(s.scrub_free().unwrap(), 16 + 9);
+        let s = RecordStore::recover(dev, &live, &[]).unwrap();
+        assert_eq!(s.free_bytes(), 16);
+        assert_eq!(s.scrub_free().unwrap(), 16);
         let mut gap = [0u8; 16];
         s.device().read_at(8, &mut gap).unwrap();
         assert_eq!(gap, [0u8; 16], "reclaimed gap must be zeroed");
-        let mut tail = [0u8; 9];
-        s.device().read_at(32, &mut tail).unwrap();
-        assert_eq!(tail, [0u8; 9], "the lost record's extent must be zeroed");
-        // Its extent is allocatable again.
+        // The gap is allocatable again, and the bump pointer resumes at
+        // the rebuilt watermark.
         assert_eq!(s.write(b"reused").unwrap().offset, 8);
         assert_eq!(s.write(&[1u8; 10]).unwrap().offset, 14);
         assert_eq!(s.write(b"tail").unwrap().offset, 32);
@@ -707,7 +687,7 @@ mod tests {
                 len: 8,
             },
         ];
-        let s = RecordStore::recover(dev, &live, &[], 0).unwrap();
+        let s = RecordStore::recover(dev, &live, &[]).unwrap();
         // Gaps [0,32) and [40,96) are free; watermark sits at 104.
         assert_eq!(s.watermark(), 104);
         assert_eq!(s.free_extents(), 2);
@@ -735,7 +715,7 @@ mod tests {
             offset: 16,
             len: 16,
         }];
-        let s = RecordStore::recover(dev, &live, &pending, 0).unwrap();
+        let s = RecordStore::recover(dev, &live, &pending).unwrap();
         // The pending-shred extent must not be handed out.
         let rd = s.write(&[1u8; 16]).unwrap();
         assert_eq!(rd.offset, 32);
@@ -761,7 +741,7 @@ mod tests {
             },
         ];
         assert!(matches!(
-            RecordStore::recover(MemDisk::unmetered(64), &overlapping, &[], 0),
+            RecordStore::recover(MemDisk::unmetered(64), &overlapping, &[]),
             Err(StoreError::InvalidDescriptor { id: 2, .. })
         ));
         let oob = [RecordDescriptor {
@@ -770,7 +750,7 @@ mod tests {
             len: 16,
         }];
         assert!(matches!(
-            RecordStore::recover(dev, &oob, &[], 0),
+            RecordStore::recover(dev, &oob, &[]),
             Err(StoreError::InvalidDescriptor { id: 1, .. })
         ));
     }

@@ -36,10 +36,20 @@ fn build(payloads: &[Vec<u8>]) -> Journal {
 }
 
 /// Rehydrates `log` and checks the exact-prefix contract against the
-/// `originals` the intact journal held.
+/// `originals` the intact journal held: the journal keeps whole frames
+/// only, so a full replay consumes every byte it holds, and it reports a
+/// torn tail exactly when nonzero bytes followed the prefix it kept.
 fn assert_exact_prefix(log: Vec<u8>, originals: &[Vec<u8>]) {
-    let j = Journal::from_bytes(log);
-    let replayed: Vec<Vec<u8>> = j.replay().collect();
+    let j = Journal::from_bytes(log.clone());
+    let mut replay = j.replay();
+    let replayed: Vec<Vec<u8>> = replay.by_ref().collect();
+    assert_eq!(
+        replay.consumed_bytes(),
+        j.len_bytes(),
+        "the kept prefix holds a partial frame"
+    );
+    let damaged = log[j.len_bytes()..].iter().any(|&b| b != 0);
+    assert_eq!(j.recovered_torn_tail(), damaged, "torn-tail flag");
     assert!(
         replayed.len() <= originals.len(),
         "replay invented {} entries beyond the {} appended",

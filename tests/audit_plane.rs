@@ -7,11 +7,11 @@ mod common;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{server, short_policy};
-use strongworm::{DaemonConfig, RetentionDaemon, ShardedWormServer, WormConfig, WormServer};
+use common::{durable_with, restart, server, short_policy};
+use strongworm::{DaemonConfig, RetentionDaemon, ShardedWormServer, WormConfig};
 use wormaudit::{verify_chain, AuditClass};
 use wormsim::Mallory;
-use wormstore::Journal;
+use wormstore::BlockDevice;
 
 #[test]
 fn boot_emits_head_refresh_and_tick_anchors() {
@@ -135,16 +135,17 @@ fn daemon_give_up_lands_in_the_chain_with_tracing_off() {
 
 #[test]
 fn torn_tail_recovery_is_audited_and_the_chain_still_anchors() {
-    let (srv, clock) = server();
+    let config = WormConfig::test_small();
+    let (srv, disk, clock) = durable_with(config.clone());
     srv.write(&[b"committed"], short_policy(10_000)).unwrap();
     srv.write(&[b"torn-away"], short_policy(10_000)).unwrap();
 
-    // Crash with the journal torn mid-entry; the resumed server starts
-    // a fresh audit chain whose first events record the incident.
-    let (device, store, journal) = srv.into_parts();
-    let mut torn = Journal::from_bytes(journal.as_bytes().to_vec());
-    torn.truncate_tail(40);
-    let srv = WormServer::resume(device, store, torn, WormConfig::test_small(), clock).unwrap();
+    // Crash with a torn frame past the journal's tail; the recovered
+    // server starts a fresh audit chain whose first events record the
+    // incident.
+    let tail = srv.vrdt().journal().len_bytes() as u64;
+    disk.write_at(tail, &[0xA5; 40]).unwrap();
+    let srv = restart(srv, &disk, config, clock);
 
     let page = srv.audit().page(0, 4096);
     let classes: Vec<AuditClass> = page.events.iter().map(|e| e.class).collect();

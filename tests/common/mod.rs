@@ -17,7 +17,7 @@ use strongworm::{
     ReadVerdict, RegulatoryAuthority, RetentionPolicy, SerialNumber, Verifier, VerifyError,
     WormConfig, WormServer,
 };
-use wormstore::Shredder;
+use wormstore::{BlockDevice, MemDisk, Partition, Shredder};
 
 /// One shared regulator (keygen is the slow part of the fixtures).
 pub fn regulator() -> &'static RegulatoryAuthority {
@@ -38,9 +38,45 @@ pub fn server_with(config: WormConfig) -> (WormServer, Arc<VirtualClock>) {
     (server, clock)
 }
 
+/// A crash-atomic server: its VRDT journal is a region of its medium.
+pub type DurableServer = WormServer<Partition<Arc<MemDisk>>>;
+
+/// The journal region of [`durable_with`]'s medium.
+pub const JOURNAL_BYTES: u64 = 1 << 15;
+
+/// A booted crash-atomic server with a custom configuration, on a fresh
+/// in-memory medium of 128 KiB, and the medium itself.
+pub fn durable_with(config: WormConfig) -> (DurableServer, Arc<MemDisk>, Arc<VirtualClock>) {
+    let clock = VirtualClock::starting_at_millis(1_000_000);
+    let disk = Arc::new(MemDisk::unmetered(1 << 17));
+    let server = WormServer::with_durable(
+        Arc::clone(&disk),
+        JOURNAL_BYTES,
+        config,
+        clock.clone(),
+        regulator().public(),
+    )
+    .expect("durable server boots with small keys");
+    (server, disk, clock)
+}
+
+/// The host stops and comes back: only the battery-backed SCPU and the
+/// medium survive `server`.
+pub fn restart(
+    server: DurableServer,
+    disk: &Arc<MemDisk>,
+    config: WormConfig,
+    clock: Arc<VirtualClock>,
+) -> DurableServer {
+    let device = server.into_parts().0;
+    WormServer::recover_durable(Arc::clone(disk), JOURNAL_BYTES, device, config, clock)
+        .map_err(|(e, _)| e)
+        .expect("recovery succeeds")
+}
+
 /// A verifier wired to `server`'s permanent keys and the weak-key
 /// certificates its SCPU answers now.
-pub fn verifier(server: &WormServer, clock: Arc<VirtualClock>) -> Verifier {
+pub fn verifier<D: BlockDevice>(server: &WormServer<D>, clock: Arc<VirtualClock>) -> Verifier {
     let mut v = Verifier::new(server.keys(), Duration::from_secs(300), clock).expect("keys");
     for cert in server.weak_certs().expect("device answers") {
         v.add_weak_cert(cert).expect("weak cert chains");

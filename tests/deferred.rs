@@ -8,9 +8,9 @@ use std::time::Duration;
 use common::{server, server_with, short_policy, verifier};
 use strongworm::{HashMode, ReadOutcome, ReadVerdict, VerifyError, WitnessMode, WormConfig};
 use wormsim::model::State::Live;
-use wormsim::model::Step::{Advance, Idle, Restart};
+use wormsim::model::Step::{Advance, Cut, Idle, Restart};
 use wormsim::model::{run, Schedule, Step};
-use wormsim::{Mallory, Torture};
+use wormsim::{CutStyle, Mallory, Torture};
 
 #[test]
 fn weak_witness_verifies_within_lifetime() {
@@ -340,9 +340,40 @@ fn a_restart_keeps_the_certificate_of_a_retired_weak_key() {
 }
 
 #[test]
+fn a_rotation_keeps_the_witnesses_queued_under_the_retired_key() {
+    // With no restart to queue them again, only the device's own queue
+    // holds the first record's witnesses across the rotation: a full
+    // idle strengthens them, and the record outlives its weak expiry.
+    let lifetime = WormConfig::test_small().weak_lifetime.as_secs();
+    let mut steps = across_a_rotation();
+    steps.extend([Idle(1_000_000_000), Advance(lifetime + 100)]);
+    let report = run(&Torture::small(), &Schedule::fixed(steps));
+    assert_eq!(report.states, [Live, Live]);
+}
+
+#[test]
 fn a_rotation_is_answered_at_once() {
     // With no restart, the rotated key's certificate is what the device
     // answers right after the write that rotated it.
     let report = run(&Torture::small(), &Schedule::fixed(across_a_rotation()));
     assert_eq!(report.states, [Live, Live]);
+}
+
+#[test]
+fn a_cut_while_the_host_installs_strengthened_witnesses_loses_none() {
+    // The device dequeues a witness when it signs it strongly, and the cut
+    // drops the frame that would install the strong one: the recovery
+    // presents the weak witness back, so the next covering idle
+    // strengthens it, and the record outlives its weak expiry.
+    let lifetime = WormConfig::test_small().weak_lifetime.as_secs();
+    let steps = [
+        Step::write_as(1_000_000, WitnessMode::Deferred),
+        Cut(1, CutStyle::Drop),
+        Idle(1_000_000_000),
+        Idle(1_000_000_000),
+        Advance(lifetime + 100),
+    ];
+    let report = run(&Torture::small(), &Schedule::fixed(steps));
+    assert_eq!(report.cuts_fired, 1);
+    assert_eq!(report.states, [Live]);
 }

@@ -5,10 +5,10 @@ mod common;
 
 use std::time::Duration;
 
-use common::{regulator, server, server_with, short_policy, verifier};
+use common::{durable_with, regulator, restart, server, server_with, short_policy, verifier};
 use scpu::{Clock, TamperCause};
 use strongworm::vrdt::Vrdt;
-use strongworm::{ReadVerdict, WitnessMode, WormConfig, WormError, WormServer};
+use strongworm::{ReadVerdict, WitnessMode, WormConfig, WormError};
 use wormsim::model::{run, Schedule, State, Step};
 use wormsim::{occurrences, CutStyle, Torture};
 use wormstore::Journal;
@@ -113,7 +113,7 @@ fn spilled_entries_stay_while_secure_memory_is_full() {
 fn resume_counts_the_expiries_the_device_lacks() {
     let mut cfg = WormConfig::test_small();
     cfg.device.secure_memory_bytes = 96;
-    let (srv, clock) = server_with(cfg.clone());
+    let (srv, disk, clock) = durable_with(cfg.clone());
     for i in 0..6u64 {
         srv.write(&[format!("r{i}").as_bytes()], short_policy(100_000))
             .unwrap();
@@ -123,8 +123,7 @@ fn resume_counts_the_expiries_the_device_lacks() {
     assert!(lacking > 0, "some entries must have spilled");
     assert_eq!(srv.spilled_vexp(), lacking);
 
-    let (device, store, journal) = srv.into_parts();
-    let srv = WormServer::resume(device, store, journal, cfg, clock).unwrap();
+    let srv = restart(srv, &disk, cfg, clock);
     assert_eq!(srv.firmware_for_test().vexp_len(), resident);
     assert_eq!(srv.spilled_vexp(), lacking);
     assert_eq!(

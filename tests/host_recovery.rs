@@ -1,4 +1,4 @@
-//! Host crash and resume: the secure device's battery-backed state (keys,
+//! Host crash and recovery: the secure device's battery-backed state (keys,
 //! serial counter, VEXP) survives; the host rebuilds the VRDT from its
 //! journal and re-arms expirations from the records' own SCPU-signed
 //! attributes.
@@ -8,26 +8,16 @@ mod common;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use common::{server, short_policy, verifier};
+use common::{durable_with, restart, short_policy, verifier};
 use scpu::VirtualClock;
-use strongworm::{ReadVerdict, SerialNumber, Verifier, WormConfig, WormServer};
+use strongworm::{ReadVerdict, SerialNumber, Verifier, WormConfig};
 use wormsim::model::State::{Deleted, Live};
 use wormsim::model::Step::{self, Advance, Hold, Restart, Tick};
 use wormsim::model::{run, Schedule};
 use wormsim::{
     is_power_cut, occurrences, CutPlan, CutStyle, Mallory, TornMedium, TornServer, Torture,
 };
-use wormstore::{BlockDevice, DiskJournal, Journal};
-
-/// Crash the host and bring it back from the surviving parts.
-fn crash_and_resume(
-    srv: WormServer,
-    config: WormConfig,
-    clock: std::sync::Arc<scpu::VirtualClock>,
-) -> WormServer {
-    let (device, store, journal) = srv.into_parts();
-    WormServer::resume(device, store, journal, config, clock).expect("resume succeeds")
-}
+use wormstore::DiskJournal;
 
 #[test]
 fn records_survive_host_crash_and_verify() {
@@ -68,95 +58,6 @@ fn litigation_holds_survive_recovery() {
     assert_eq!(report.states, [Live, Deleted]);
 }
 
-#[test]
-fn recovery_from_torn_journal_matches_device_head() {
-    let (srv, clock) = server();
-    srv.write(&[b"committed"], short_policy(10_000)).unwrap();
-    let lost = srv.write(&[b"torn-away"], short_policy(10_000)).unwrap();
-    let lost_rd = match srv.vrdt().lookup(lost) {
-        strongworm::vrdt::Lookup::Active(vrd) => vrd.rdl[0],
-        _ => panic!("record 2 is active"),
-    };
-
-    let (device, store, journal) = srv.into_parts();
-    // Tear the final journal frames: the host loses record 2's VRD.
-    let mut torn = Journal::from_bytes(journal.as_bytes().to_vec());
-    torn.truncate_tail(40);
-    let srv = WormServer::resume(device, store, torn, WormConfig::test_small(), clock.clone())
-        .expect("resume");
-
-    // The device's head still counts 2 issued records, so the loss is
-    // *visible*: the honest host cannot produce evidence for sn 2.
-    srv.refresh_head().unwrap();
-    assert_eq!(srv.vrdt().head().unwrap().sn_current, SerialNumber(2));
-    assert!(srv.read(SerialNumber(2)).is_err());
-    assert_eq!(srv.vrdt().check_complete(), Err(SerialNumber(2)));
-    // Record 1 is unaffected.
-    assert_eq!(srv.read(SerialNumber(1)).unwrap().kind(), "data");
-    // The store is rebuilt from the journal, as after a power cut: the
-    // lost record's plaintext is gone and its extent is free again.
-    let store = srv.store();
-    let mut bytes = vec![0xAA; lost_rd.len as usize];
-    store.device().read_at(lost_rd.offset, &mut bytes).unwrap();
-    assert!(
-        bytes.iter().all(|&b| b == 0),
-        "the lost record's bytes survive recovery: {bytes:?}"
-    );
-    assert!(
-        store.free_bytes() >= lost_rd.len,
-        "the lost record's extent stays allocated: free {} B, watermark {} B",
-        store.free_bytes(),
-        store.watermark()
-    );
-}
-
-#[test]
-fn recovery_counters_report_torn_tail_and_replay() {
-    let (srv, clock) = server();
-    let v = verifier(&srv, clock.clone());
-    srv.write(&[b"anchor"], short_policy(10_000)).unwrap();
-    let kept = srv
-        .write(&[b"survives the tear"], short_policy(10_000))
-        .unwrap();
-    srv.write(&[b"torn-away"], short_policy(10_000)).unwrap();
-
-    // A clean resume replays everything and reports no torn tail.
-    let srv = crash_and_resume(srv, WormConfig::test_small(), clock.clone());
-    let clean = srv.stats_snapshot();
-    assert!(
-        clean.counter("recovery.replayed") >= 3,
-        "all journal frames replay cleanly"
-    );
-    assert_eq!(clean.counter("recovery.torn_tail"), 0);
-
-    // Crash again, this time tearing the journal mid-entry.
-    let (device, store, journal) = srv.into_parts();
-    let whole_frames = journal.replay().count() as u64;
-    let mut torn = Journal::from_bytes(journal.as_bytes().to_vec());
-    torn.truncate_tail(40);
-    let srv = WormServer::resume(device, store, torn, WormConfig::test_small(), clock.clone())
-        .expect("resume survives a torn tail");
-
-    // The new counters flag the incident: fewer frames replayed than
-    // the intact journal held, and the torn tail detected (the partial
-    // trailing entry was visible but unusable).
-    let stats = srv.stats_snapshot();
-    assert_eq!(stats.counter("recovery.torn_tail"), 1);
-    let replayed = stats.counter("recovery.replayed");
-    assert!(
-        replayed >= 1 && replayed < whole_frames,
-        "torn recovery must replay fewer frames ({replayed} vs {whole_frames})"
-    );
-
-    // And the recovered head still verifies end-to-end.
-    srv.refresh_head().unwrap();
-    let outcome = srv.read(kept).unwrap();
-    assert_eq!(
-        v.verify_read(kept, &outcome).unwrap(),
-        ReadVerdict::Intact { sn: kept }
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Exact-count counter assertions on the durable (on-disk journal) path,
 // with power cuts injected at precise write boundaries by the power-cut
@@ -185,7 +86,7 @@ fn anchor_rig() -> (TornServer, TornMedium, Arc<VirtualClock>) {
 
 /// The whole frames on the journal region of `dev`.
 fn frames_on(dev: &TornMedium) -> usize {
-    let (_, journal, _) = DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
+    let (_, journal) = DiskJournal::open(dev.clone(), 0, TORN_JOURNAL).expect("journal region");
     journal.replay().count()
 }
 
@@ -195,6 +96,92 @@ fn victim_rig() -> (TornServer, TornMedium, Arc<VirtualClock>) {
     srv.write(&[b"doomed victim"], short_policy(100))
         .expect("victim");
     (srv, dev, clock)
+}
+
+/// The write index of the victim's `INSERT` frame after [`anchor_rig`]:
+/// a write's data extents land first, and the frame seals them.
+fn victim_frame_at() -> u64 {
+    let (_srv, dev, _clock) = victim_rig();
+    dev.writes_seen()
+}
+
+/// [`anchor_rig`], then the victim's write cut in `style` at its frame,
+/// then recovery.
+fn cut_victim_and_recover(style: CutStyle) -> (TornServer, Arc<VirtualClock>) {
+    let (srv, dev, clock) = anchor_rig();
+    dev.arm(CutPlan::new(victim_frame_at(), style, 0x7EA2));
+    let err = srv
+        .write(&[b"doomed victim"], short_policy(100))
+        .expect_err("the armed cut fires inside the write");
+    assert!(is_power_cut(&err), "unexpected write failure: {err}");
+    (recover(srv, &dev, &clock), clock)
+}
+
+/// Asserts that `sn` reads back `Intact` under a verifier of `srv`.
+fn assert_intact(srv: &TornServer, clock: Arc<VirtualClock>, sn: SerialNumber) {
+    srv.refresh_head().unwrap();
+    let v = verifier(srv, clock);
+    let outcome = srv.read(sn).unwrap();
+    assert_eq!(
+        v.verify_read(sn, &outcome).unwrap(),
+        ReadVerdict::Intact { sn }
+    );
+}
+
+/// Where the first extent of the active record `sn` sits.
+fn offset_of(srv: &TornServer, sn: SerialNumber) -> u64 {
+    let vrdt = srv.vrdt();
+    match vrdt.lookup(sn) {
+        strongworm::vrdt::Lookup::Active(vrd) => vrd.rdl[0].offset,
+        other => panic!("{sn} is not active: {other:?}"),
+    }
+}
+
+#[test]
+fn recovery_from_torn_journal_matches_device_head() {
+    let (anchor, lost) = (SerialNumber(1), SerialNumber(2));
+    let lost_at = offset_of(&victim_rig().0, lost);
+    // The victim's data extent lands, then its frame tears: the host
+    // loses record 2's VRD.
+    let (srv, clock) = cut_victim_and_recover(CutStyle::Garbage);
+
+    // The device's head still counts 2 issued records, so the loss is
+    // *visible*: the honest host cannot produce evidence for sn 2.
+    srv.refresh_head().unwrap();
+    assert_eq!(srv.vrdt().head().unwrap().sn_current, lost);
+    assert!(srv.read(lost).is_err());
+    assert_eq!(srv.vrdt().check_complete(), Err(lost));
+    // Record 1 is unaffected.
+    assert_intact(&srv, clock, anchor);
+    // The store is rebuilt from the journal: the lost record's extent is
+    // free again, and the next write lands on it. (The power cut lost the
+    // old watermark, so its bytes stay until that write.)
+    let next = srv.write(&[b"next"], short_policy(10_000)).unwrap();
+    assert_eq!(offset_of(&srv, next), lost_at);
+}
+
+#[test]
+fn recovery_counters_report_torn_tail_and_replay() {
+    // A clean recovery replays every frame on the medium and reports no
+    // torn tail.
+    let (srv, dev, clock) = victim_rig();
+    let whole_frames = frames_on(&dev) as u64;
+    let clean = recover(srv, &dev, &clock).stats_snapshot();
+    assert_eq!(clean.counter("recovery.replayed"), whole_frames);
+    assert_eq!(clean.counter("recovery.torn_tail"), 0);
+
+    // The victim's frame torn mid-write: the counters flag the incident,
+    // with fewer frames replayed than the intact journal held.
+    let (srv, clock) = cut_victim_and_recover(CutStyle::Garbage);
+    let stats = srv.stats_snapshot();
+    assert_eq!(stats.counter("recovery.torn_tail"), 1);
+    let replayed = stats.counter("recovery.replayed");
+    assert!(
+        replayed >= 1 && replayed < whole_frames,
+        "torn recovery must replay fewer frames ({replayed} vs {whole_frames})"
+    );
+    // And the recovered head still verifies end-to-end.
+    assert_intact(&srv, clock, SerialNumber(1));
 }
 
 /// The write-index window (exclusive start, inclusive end) spanned by the
@@ -382,23 +369,11 @@ fn a_cut_between_the_inserts_of_one_command_loses_only_the_second_record() {
 
 #[test]
 fn torn_tail_counter_is_exact_under_injected_cuts() {
-    // Profile the victim write: its final device write is the record's
-    // VRD journal frame (data extents land first, the frame seals them).
-    let (srv, dev, _clock) = anchor_rig();
+    let (srv, _dev, _clock) = anchor_rig();
     let before = srv.vrdt().journal().replay().count() as u64;
-    srv.write(&[b"doomed victim"], short_policy(100))
-        .expect("victim");
-    let frame_at = dev.writes_seen();
-
     let mut replayed = Vec::new();
     for (style, want_torn) in [(CutStyle::Garbage, 1), (CutStyle::Drop, 0)] {
-        let (srv, dev, clock) = anchor_rig();
-        dev.arm(CutPlan::new(frame_at, style, 0x7EA2));
-        let err = srv
-            .write(&[b"doomed victim"], short_policy(100))
-            .expect_err("the armed cut fires inside the write");
-        assert!(is_power_cut(&err), "unexpected write failure: {err}");
-        let srv = recover(srv, &dev, &clock);
+        let (srv, _clock) = cut_victim_and_recover(style);
         let stats = srv.stats_snapshot();
         // Garbage in the frame's sectors is a detectable torn tail;
         // a dropped frame is a clean boundary. Exactly one or zero —
@@ -470,14 +445,14 @@ fn pre_crash_host_hash_lies_are_audited_after_resume() {
     // hash lie is still caught.
     let mut cfg = WormConfig::test_small();
     cfg.hash_mode = strongworm::HashMode::TrustHostHash;
-    let (srv, clock) = common::server_with(cfg.clone());
+    let (srv, disk, clock) = durable_with(cfg.clone());
     let sn = srv
         .write(&[b"burst record"], short_policy(100_000))
         .unwrap();
     // Mallory swaps the data, then "crashes" the host before any idle.
     assert!(Mallory::new(&srv).corrupt_record_data(sn));
 
-    let srv = crash_and_resume(srv, cfg, clock);
+    let srv = restart(srv, &disk, cfg, clock);
     srv.idle(1_000_000_000).unwrap();
     assert_eq!(
         srv.audit_failures(),
