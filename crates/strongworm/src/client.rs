@@ -7,12 +7,12 @@
 //! if the read succeeds, or — if it fails — that (ii) it was deleted
 //! according to policy, or (iii) it never existed in this store.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use scpu::{Clock, Timestamp};
-use wormcrypt::{Digest, RsaPublicKey, Sha256};
+use wormcrypt::{HashAlg, RsaPublicKey, Sha256};
 
 use crate::authority::KeyCertificate;
 use crate::codec::composite_root;
@@ -21,94 +21,134 @@ use crate::firmware::{DeviceKeys, WeakKeyCert};
 use crate::proofs::{CompositeHead, DeletionEvidence, HeadCert, ReadOutcome};
 use crate::sn::SerialNumber;
 use crate::vrd::{data_chain_hash, Vrd};
+use crate::wire::WireWriter;
 use crate::witness::{
-    base_payload, composite_payload, data_payload, deletion_payload, head_payload, meta_payload,
-    weak_cert_payload, weak_wrap, window_payload, KeyRole, Signature, WindowSide, Witness,
+    put_weak_wrap, weak_cert_payload, KeyRole, Signature, Statement, WindowSide, Witness,
 };
 
-/// Bound on the verified-signature memo before it resets. 32 bytes per
-/// entry; the cap keeps a long-lived verifier's footprint fixed while
-/// comfortably covering a hot working set of records.
+/// Slots in the verified-signature memo.
 const SIG_MEMO_CAP: usize = 8192;
 
-/// A bounded memo of signature checks that have already *succeeded*.
+/// A fixed table of signature checks that have already *succeeded*.
 ///
 /// RSA verification dominates client-side read cost; real read traffic
 /// re-presents the same signed statements constantly (the head
 /// certificate repeats verbatim between heartbeats, and hot records are
-/// re-read with identical VRDs). Memoizing success is sound because the
-/// memo key is a SHA-256 over the signing key's fingerprint, the exact
-/// payload, and the exact signature bytes: a hit means a byte-identical
-/// check passed before, and producing a *different* (payload, sig) pair
-/// with the same key would be a SHA-256 collision. Nothing
-/// time-dependent is memoized — freshness and expiry checks still run
-/// on every read, only the signature arithmetic is skipped. Failures
-/// are never cached (a host that alternates good and bad bytes gets the
-/// bad ones rejected every time).
+/// re-read with identical VRDs). An entry is keyed by the verifying key's
+/// fingerprint and the digest of the signed payload — the digest the
+/// PKCS#1 check itself takes, so a statement is hashed once — and holds
+/// the signature bytes that verified. A hit needs the presented signature
+/// byte-equal to those. That is sound because PKCS#1 v1.5 verification is
+/// a function of (key, digest, signature) alone: the same three bytes
+/// strings verified before. Nothing time-dependent is memoized —
+/// freshness and expiry checks still run on every read, only the
+/// signature arithmetic is skipped. Failures are never stored (a host
+/// that alternates good and bad bytes gets the bad ones rejected every
+/// time).
+///
+/// The table is allocated once. A digest names one slot; a lookup is that
+/// probe and a compare, and an insert overwrites the slot in place,
+/// reusing its signature buffer. An overwritten entry is only forgotten:
+/// the next presentation of it is checked in full again.
 ///
 /// The last head certificate whose signature verified rides under the
 /// same lock: nearly every response carries that very head, and
-/// comparing it field for field is cheaper than hashing a memo key.
-#[derive(Debug, Default)]
+/// comparing it field for field is cheaper than hashing its payload.
+#[derive(Debug)]
 struct SigMemo {
-    seen: RwLock<SigSeen>,
+    table: RwLock<SigTable>,
 }
 
-#[derive(Debug, Default)]
-struct SigSeen {
-    keys: HashSet<[u8; 32]>,
+#[derive(Debug)]
+struct SigTable {
+    slots: Box<[Option<SigEntry>]>,
     head: Option<HeadCert>,
 }
 
-impl SigMemo {
-    fn key(key_id: [u8; 8], payload: &[u8], sig: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(&key_id);
-        // Length prefix keeps (payload, sig) framing unambiguous.
-        h.update(&(payload.len() as u64).to_be_bytes());
-        h.update(payload);
-        h.update(sig);
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&h.finalize());
-        out
-    }
+/// One signature check that succeeded.
+#[derive(Debug)]
+struct SigEntry {
+    key_id: [u8; 8],
+    digest: [u8; 32],
+    sig: Vec<u8>,
+}
 
-    fn contains(&self, k: &[u8; 32]) -> bool {
-        // A poisoned lock degrades to cache-miss, never to acceptance.
-        self.seen.read().is_ok_and(|s| s.keys.contains(k))
+impl SigEntry {
+    /// Whether `check` is, byte for byte, the check this entry recorded.
+    fn is(&self, check: &SigCheck<'_>) -> bool {
+        self.key_id == check.key.fingerprint()
+            && self.digest == check.digest
+            && self.sig == check.sig.bytes
     }
+}
 
-    fn insert(&self, k: [u8; 32]) {
-        if let Ok(mut s) = self.seen.write() {
-            if s.keys.len() >= SIG_MEMO_CAP {
-                s.keys.clear();
-            }
-            s.keys.insert(k);
+impl Default for SigMemo {
+    fn default() -> Self {
+        SigMemo {
+            table: RwLock::new(SigTable {
+                slots: std::iter::repeat_with(|| None).take(SIG_MEMO_CAP).collect(),
+                head: None,
+            }),
         }
+    }
+}
+
+impl SigMemo {
+    /// The slot a check takes: the digest is uniform, so its low bits are.
+    fn slot(check: &SigCheck<'_>) -> usize {
+        let [a, b, ..] = check.digest;
+        usize::from(u16::from_le_bytes([a, b])) % SIG_MEMO_CAP
+    }
+
+    fn contains(&self, check: &SigCheck<'_>) -> bool {
+        // A poisoned lock degrades to cache-miss, never to acceptance.
+        self.table.read().is_ok_and(|t| {
+            t.slots
+                .get(Self::slot(check))
+                .is_some_and(|slot| slot.as_ref().is_some_and(|e| e.is(check)))
+        })
+    }
+
+    /// Records a check that just succeeded, over whatever its slot held.
+    fn insert(&self, check: &SigCheck<'_>) {
+        let Ok(mut t) = self.table.write() else {
+            return;
+        };
+        let Some(slot) = t.slots.get_mut(Self::slot(check)) else {
+            return;
+        };
+        let e = slot.get_or_insert_with(|| SigEntry {
+            key_id: [0; 8],
+            digest: [0; 32],
+            sig: Vec::new(),
+        });
+        (e.key_id, e.digest) = (check.key.fingerprint(), check.digest);
+        e.sig.clone_from(&check.sig.bytes);
     }
 
     /// Whether `head` is, field for field, the last head whose
     /// signature verified.
     fn is_last_head(&self, head: &HeadCert) -> bool {
-        self.seen
+        self.table
             .read()
-            .is_ok_and(|s| s.head.as_ref() == Some(head))
+            .is_ok_and(|t| t.head.as_ref() == Some(head))
     }
 
     fn set_last_head(&self, head: &HeadCert) {
-        if let Ok(mut s) = self.seen.write() {
-            s.head = Some(head.clone());
+        if let Ok(mut t) = self.table.write() {
+            let last = t.head.get_or_insert_with(|| head.clone());
+            (last.sn_current, last.issued_at) = (head.sn_current, head.issued_at);
+            refill_sig(&mut last.sig, &head.sig);
         }
     }
 }
 
-/// Bound on the record memo before it resets. An entry holds its own
-/// copy of the verified record bytes; at 4 KiB records the cap bounds
-/// the memo near a few MiB.
+/// Slots in the record memo. An entry holds its own copy of the verified
+/// record bytes; at 4 KiB records the table holds a few MiB.
 const CHAIN_MEMO_CAP: usize = 1024;
 
-/// A bounded memo of reads that passed full verification: per serial
-/// number, the VRD, the record bytes and their data-chain hash.
+/// A fixed table of reads that passed full verification: per serial
+/// number's slot, the VRD, the record bytes and their data-chain hash.
 ///
 /// A WORM record is fixed at witness time, so a re-read of a hot record
 /// re-presents the byte-identical (VRD, records) pair. Every check on
@@ -128,18 +168,20 @@ const CHAIN_MEMO_CAP: usize = 1024;
 ///
 /// Only a read that verified is stored, so a host that alternates good
 /// and tampered bytes gets the tampered ones checked (and rejected)
-/// every time and never displaces the good entry. Entries are owned
+/// every time and never displaces the good entry. The table is allocated
+/// once; a serial number names one slot, and a read that verified
+/// overwrites that slot in place, reusing its buffers. Entries are owned
 /// copies: a hit never pins a receive buffer.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RecordMemo {
-    seen: RwLock<HashMap<SerialNumber, RecordEntry>>,
+    slots: RwLock<Box<[Option<RecordEntry>]>>,
 }
 
 #[derive(Debug)]
 struct RecordEntry {
     vrd: Vrd,
     records: Vec<Vec<u8>>,
-    chain: Vec<u8>,
+    chain: [u8; 32],
 }
 
 /// What the record memo knows about a presented (VRD, records) pair.
@@ -147,59 +189,153 @@ enum Remembered {
     /// VRD and records are byte-identical to a read that verified.
     Verified,
     /// The records are; here is their chain hash.
-    Chain(Vec<u8>),
+    Chain([u8; 32]),
     /// Nothing usable.
     Unknown,
 }
 
+impl Default for RecordMemo {
+    fn default() -> Self {
+        RecordMemo {
+            slots: RwLock::new(
+                std::iter::repeat_with(|| None)
+                    .take(CHAIN_MEMO_CAP)
+                    .collect(),
+            ),
+        }
+    }
+}
+
 impl RecordMemo {
+    /// The slot `sn` takes. Fibonacci hashing spreads every lane's dense
+    /// serial numbers over the table; the low bits alone would put each
+    /// lane's `n`-th record in one slot, as lanes start at multiples of
+    /// `2^56`.
+    fn slot(sn: SerialNumber) -> usize {
+        let spread = sn.get().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The product's high half is the well-mixed one.
+        (spread >> 32) as usize % CHAIN_MEMO_CAP
+    }
+
     fn lookup(&self, vrd: &Vrd, records: &[bytes::Bytes]) -> Remembered {
         // A poisoned lock degrades to cache-miss, never to acceptance.
-        let Ok(seen) = self.seen.read() else {
+        let Ok(slots) = self.slots.read() else {
             return Remembered::Unknown;
         };
-        match seen.get(&vrd.sn) {
-            Some(e) if records.iter().eq(e.records.iter()) => {
+        match slots.get(Self::slot(vrd.sn)) {
+            Some(Some(e)) if e.vrd.sn == vrd.sn && records.iter().eq(e.records.iter()) => {
                 if e.vrd == *vrd {
                     Remembered::Verified
                 } else {
-                    Remembered::Chain(e.chain.clone())
+                    Remembered::Chain(e.chain)
                 }
             }
             _ => Remembered::Unknown,
         }
     }
 
-    /// Stores a read that just passed full verification.
-    fn insert(&self, vrd: &Vrd, records: &[bytes::Bytes], chain: Vec<u8>) {
-        if let Ok(mut seen) = self.seen.write() {
-            if seen.len() >= CHAIN_MEMO_CAP && !seen.contains_key(&vrd.sn) {
-                seen.clear();
-            }
-            seen.insert(
-                vrd.sn,
-                RecordEntry {
-                    vrd: vrd.clone(),
-                    records: records.iter().map(|r| r.to_vec()).collect(),
-                    chain,
-                },
-            );
+    /// Stores a read that just passed full verification, over whatever
+    /// its slot held.
+    fn insert(&self, vrd: &Vrd, records: &[bytes::Bytes], chain: [u8; 32]) {
+        let Ok(mut slots) = self.slots.write() else {
+            return;
+        };
+        let Some(slot) = slots.get_mut(Self::slot(vrd.sn)) else {
+            return;
+        };
+        let e = slot.get_or_insert_with(|| RecordEntry {
+            vrd: vrd.clone(),
+            records: Vec::new(),
+            chain,
+        });
+        refill_vrd(&mut e.vrd, vrd);
+        e.records.resize_with(records.len(), Vec::new);
+        for (held, record) in e.records.iter_mut().zip(records) {
+            held.clear();
+            held.extend_from_slice(record);
         }
+        e.chain = chain;
     }
 }
 
+/// Makes `held` equal to `vrd`, reusing the buffers it already has.
+fn refill_vrd(held: &mut Vrd, vrd: &Vrd) {
+    held.sn = vrd.sn;
+    held.attr.clone_from(&vrd.attr);
+    held.rdl.clone_from(&vrd.rdl);
+    refill_witness(&mut held.metasig, &vrd.metasig);
+    refill_witness(&mut held.datasig, &vrd.datasig);
+}
+
+/// Makes `held` equal to `witness`, reusing its signature buffer where
+/// both are of one tier.
+fn refill_witness(held: &mut Witness, witness: &Witness) {
+    match (held, witness) {
+        (Witness::Strong(held), Witness::Strong(sig)) => refill_sig(held, sig),
+        (
+            Witness::Weak {
+                sig: held,
+                expires_at,
+            },
+            Witness::Weak { sig, expires_at: t },
+        ) => {
+            refill_sig(held, sig);
+            *expires_at = *t;
+        }
+        (held, witness) => *held = witness.clone(),
+    }
+}
+
+/// Makes `held` equal to `sig`, reusing its buffer.
+fn refill_sig(held: &mut Signature, sig: &Signature) {
+    held.key_id = sig.key_id;
+    held.bytes.clone_from(&sig.bytes);
+}
+
+thread_local! {
+    /// Where each signed statement's payload is written to be hashed:
+    /// one buffer per thread, reused by every check the thread makes.
+    static PAYLOAD: RefCell<WireWriter> = const { RefCell::new(WireWriter::new()) };
+}
+
+/// SHA-256 of what signed `statement`: its payload, wrapped with the
+/// expiry of a weak witness when `weak` names one. The one hash of a
+/// statement, which both its PKCS#1 check and [`SigMemo`] take.
+fn statement_digest(statement: Statement<'_>, weak: Option<Timestamp>) -> [u8; 32] {
+    PAYLOAD.with_borrow_mut(|w| {
+        w.truncate(0);
+        match weak {
+            None => statement.put(w),
+            Some(expires_at) => put_weak_wrap(w, expires_at, |w| statement.put(w)),
+        }
+        Sha256::digest_array(w.as_bytes())
+    })
+}
+
 /// One signature check an answer needs, resolved to the key its `key_id`
-/// names: everything about the check that is not arithmetic is done.
+/// names and hashed: everything about the check that is not arithmetic
+/// is done.
 struct SigCheck<'a> {
     key: &'a RsaPublicKey,
-    payload: Vec<u8>,
+    digest: [u8; 32],
     sig: &'a Signature,
 }
 
 impl<'a> SigCheck<'a> {
-    /// `sig` over `payload` under `key`, if that is the key `sig` names.
-    fn under(key: &'a RsaPublicKey, payload: Vec<u8>, sig: &'a Signature) -> Option<Self> {
-        (sig.key_id == key.fingerprint()).then_some(SigCheck { key, payload, sig })
+    /// `sig` over `statement` under the permanent key `key`, if that is
+    /// the key `sig` names.
+    fn under(key: &'a RsaPublicKey, statement: Statement<'_>, sig: &'a Signature) -> Option<Self> {
+        (sig.key_id == key.fingerprint()).then(|| SigCheck {
+            key,
+            digest: statement_digest(statement, None),
+            sig,
+        })
+    }
+
+    /// The arithmetic.
+    fn verify(&self) -> bool {
+        self.key
+            .verify_digest(&self.digest, &self.sig.bytes, HashAlg::Sha256)
     }
 }
 
@@ -448,16 +584,13 @@ impl Verifier {
         // order a reader meets them; then both signatures in one pass. What
         // is reported is what checking metasig to the end and only then
         // looking at datasig would report.
-        let meta = meta_payload(vrd.sn, &vrd.attr.encode());
+        let meta = Statement::Meta(vrd.sn, &vrd.attr);
         let meta = self.resolve_witness(lane, meta, &vrd.metasig, "metasig")?;
-        let datap = data_payload(vrd.sn, &chain);
+        let datap = Statement::Data(vrd.sn, &chain);
         let data = self.resolve_witness(lane, datap, &vrd.datasig, "datasig");
         let [meta_ok, data_ok] = match &data {
             Ok(data) => self.verify_memoized_pair([&meta, data]),
-            Err(_) => [
-                self.verify_memoized(meta.key, &meta.payload, meta.sig),
-                false,
-            ],
+            Err(_) => [self.verify_memoized(&meta), false],
         };
         if !meta_ok {
             return Err(VerifyError::BadSignature("metasig"));
@@ -487,19 +620,19 @@ impl Verifier {
         }
     }
 
-    /// Resolves a witness over `payload` to the one signature check it
+    /// Resolves a witness over `statement` to the one signature check it
     /// stands for, making every check that needs no arithmetic: the key the
     /// signature names is one `lane` holds, a weak witness is within its
     /// lifetime and within what its key's certificate may assert.
     fn resolve_witness<'a>(
         &self,
         lane: &'a Lane,
-        payload: Vec<u8>,
+        statement: Statement<'_>,
         witness: &'a Witness,
         field: &'static str,
     ) -> Result<SigCheck<'a>, VerifyError> {
         let check = match witness {
-            Witness::Strong(sig) => SigCheck::under(&lane.sign_key, payload, sig),
+            Witness::Strong(sig) => SigCheck::under(&lane.sign_key, statement, sig),
             Witness::Weak { sig, expires_at } => {
                 self.check_weak_expiry(witness, field)?;
                 // Certificates with one fingerprint carry one key, so the
@@ -509,7 +642,7 @@ impl Verifier {
                 };
                 lane.weak_certs.iter().find(fits).map(|cert| SigCheck {
                     key: &cert.key,
-                    payload: weak_wrap(&payload, *expires_at),
+                    digest: statement_digest(statement, Some(*expires_at)),
                     sig,
                 })
             }
@@ -518,21 +651,27 @@ impl Verifier {
         check.ok_or(VerifyError::BadSignature(field))
     }
 
-    /// Checks `sig` over `payload` under `key`, short-circuiting
-    /// through the verifier's memo of byte-identical checks that
-    /// already succeeded. Failures are computed (and re-computed)
-    /// honestly every time.
-    fn verify_memoized(&self, key: &RsaPublicKey, payload: &[u8], sig: &Signature) -> bool {
-        if sig.key_id != key.fingerprint() {
-            return false;
-        }
-        let k = SigMemo::key(sig.key_id, payload, &sig.bytes);
-        if self.memo.contains(&k) {
+    /// `sig` over `statement` under `key`, through the memo: false if `sig`
+    /// names another key.
+    fn verify_statement(
+        &self,
+        key: &RsaPublicKey,
+        statement: Statement<'_>,
+        sig: &Signature,
+    ) -> bool {
+        SigCheck::under(key, statement, sig).is_some_and(|check| self.verify_memoized(&check))
+    }
+
+    /// Makes `check`, short-circuiting through the verifier's memo of
+    /// byte-identical checks that already succeeded. Failures are
+    /// computed (and re-computed) honestly every time.
+    fn verify_memoized(&self, check: &SigCheck<'_>) -> bool {
+        if self.memo.contains(check) {
             return true;
         }
-        let ok = sig.verify(key, payload);
+        let ok = check.verify();
         if ok {
-            self.memo.insert(k);
+            self.memo.insert(check);
         }
         ok
     }
@@ -542,21 +681,20 @@ impl Verifier {
     /// both — done as one pair. Each half is memoized on its own success
     /// only, as there.
     fn verify_memoized_pair(&self, checks: [&SigCheck<'_>; 2]) -> [bool; 2] {
-        let memo_keys = checks.map(|c| SigMemo::key(c.sig.key_id, &c.payload, &c.sig.bytes));
-        let known = memo_keys.each_ref().map(|k| self.memo.contains(k));
+        let known = checks.map(|c| self.memo.contains(c));
         let [a, b] = checks;
         let ok = match known {
-            [false, false] => {
-                Signature::verify_pair([a.sig, b.sig], [a.key, b.key], [&a.payload, &b.payload])
-            }
-            _ => [
-                known[0] || a.sig.verify(a.key, &a.payload),
-                known[1] || b.sig.verify(b.key, &b.payload),
-            ],
+            [false, false] => RsaPublicKey::verify_pair_digests(
+                [a.key, b.key],
+                [&a.digest, &b.digest],
+                [&a.sig.bytes, &b.sig.bytes],
+                HashAlg::Sha256,
+            ),
+            _ => [known[0] || a.verify(), known[1] || b.verify()],
         };
-        for (i, memo_key) in memo_keys.into_iter().enumerate() {
+        for (i, check) in checks.into_iter().enumerate() {
             if ok[i] && !known[i] {
-                self.memo.insert(memo_key);
+                self.memo.insert(check);
             }
         }
         ok
@@ -574,8 +712,8 @@ impl Verifier {
                 if p.sn != requested {
                     return Err(VerifyError::EvidenceDoesNotCoverSn);
                 }
-                let payload = deletion_payload(p.sn, p.deleted_at);
-                if !self.verify_memoized(&lane.del_key, &payload, &p.sig) {
+                let statement = Statement::Deletion(p.sn, p.deleted_at);
+                if !self.verify_statement(&lane.del_key, statement, &p.sig) {
                     return Err(VerifyError::BadSignature("deletion proof"));
                 }
                 Ok(ReadVerdict::ConfirmedDeleted {
@@ -586,8 +724,8 @@ impl Verifier {
                 if base.expires_at <= self.clock.now() {
                     return Err(VerifyError::ExpiredCertificate("base"));
                 }
-                let payload = base_payload(base.sn_base, base.expires_at);
-                if !self.verify_memoized(&lane.sign_key, &payload, &base.sig) {
+                let statement = Statement::Base(base.sn_base, base.expires_at);
+                if !self.verify_statement(&lane.sign_key, statement, &base.sig) {
                     return Err(VerifyError::BadSignature("base certificate"));
                 }
                 if requested >= base.sn_base {
@@ -602,10 +740,13 @@ impl Verifier {
                 // Both bounds must verify under the *same* window id —
                 // this is what stops bound-splicing across windows
                 // (§4.2.1).
-                let lo_payload = window_payload(w.window_id, w.lo, WindowSide::Lower);
-                let hi_payload = window_payload(w.window_id, w.hi, WindowSide::Upper);
-                let bounds = SigCheck::under(&lane.sign_key, lo_payload, &w.lo_sig)
-                    .zip(SigCheck::under(&lane.sign_key, hi_payload, &w.hi_sig));
+                let lo = Statement::Window(w.window_id, w.lo, WindowSide::Lower);
+                let hi = Statement::Window(w.window_id, w.hi, WindowSide::Upper);
+                let bounds = SigCheck::under(&lane.sign_key, lo, &w.lo_sig).zip(SigCheck::under(
+                    &lane.sign_key,
+                    hi,
+                    &w.hi_sig,
+                ));
                 match bounds.map(|(lo, hi)| self.verify_memoized_pair([&lo, &hi])) {
                     Some([true, true]) => Ok(ReadVerdict::ConfirmedDeleted { deleted_at: None }),
                     _ => Err(VerifyError::BadSignature("window bound")),
@@ -631,8 +772,8 @@ impl Verifier {
         let remembered =
             head.sig.key_id == lane.sign_key.fingerprint() && self.memo.is_last_head(head);
         if !remembered {
-            let payload = head_payload(head.sn_current, head.issued_at);
-            if !self.verify_memoized(&lane.sign_key, &payload, &head.sig) {
+            let statement = Statement::Head(head.sn_current, head.issued_at);
+            if !self.verify_statement(&lane.sign_key, statement, &head.sig) {
                 return Err(VerifyError::BadSignature("head certificate"));
             }
             self.memo.set_last_head(head);
@@ -662,8 +803,8 @@ impl Verifier {
         if usize::try_from(binding.shard_count).ok() != Some(self.lanes.len()) {
             return Err(VerifyError::BadSignature("composite shard count"));
         }
-        let payload = composite_payload(binding.shard_count, &binding.root, binding.issued_at);
-        if !self.verify_memoized(&coordinator.sign_key, &payload, &binding.sig) {
+        let statement = Statement::Composite(binding.shard_count, &binding.root, binding.issued_at);
+        if !self.verify_statement(&coordinator.sign_key, statement, &binding.sig) {
             return Err(VerifyError::BadSignature("composite binding"));
         }
         let age = self.clock.now().since(binding.issued_at);
@@ -696,13 +837,15 @@ mod tests {
     use scpu::VirtualClock;
 
     use super::*;
+    use crate::witness::{data_payload, meta_payload, window_payload};
     use crate::{RegulatoryAuthority, RetentionPolicy, WitnessMode, WormConfig, WormServer};
     use wormstore::Shredder;
 
     /// The VRD the record memo holds for `sn`.
     fn remembered(v: &Verifier, sn: SerialNumber) -> Option<Vrd> {
-        let seen = v.record_memo.seen.read().unwrap();
-        seen.get(&sn).map(|e| e.vrd.clone())
+        let slots = v.record_memo.slots.read().unwrap();
+        let entry = slots[RecordMemo::slot(sn)].as_ref();
+        entry.filter(|e| e.vrd.sn == sn).map(|e| e.vrd.clone())
     }
 
     fn data(outcome: &ReadOutcome) -> (&Vrd, &[bytes::Bytes]) {
@@ -773,10 +916,19 @@ mod tests {
         }
     }
 
-    /// Whether `sig` over `payload` is in the verifier's signature memo.
-    fn memoized(v: &Verifier, payload: &[u8], sig: &Signature) -> bool {
-        v.memo
-            .contains(&SigMemo::key(sig.key_id, payload, &sig.bytes))
+    /// Whether `sig` over `payload` under `key` is in the verifier's
+    /// signature memo.
+    fn memoized(v: &Verifier, key: &RsaPublicKey, payload: &[u8], sig: &Signature) -> bool {
+        v.memo.contains(&check(key, payload, sig))
+    }
+
+    /// `sig` over `payload` under `key`, hashed as the verifier hashes.
+    fn check<'a>(key: &'a RsaPublicKey, payload: &[u8], sig: &'a Signature) -> SigCheck<'a> {
+        SigCheck {
+            key,
+            digest: Sha256::digest_array(payload),
+            sig,
+        }
     }
 
     fn strong(witness: &mut Witness) -> &mut Signature {
@@ -839,8 +991,9 @@ mod tests {
                     assert_eq!(remembered(&v, sn), None);
                     // The half that verified is remembered, as it would
                     // be had it arrived alone.
-                    assert_eq!(memoized(&v, &payloads[0], &sigs[0]), !bad_meta);
-                    assert_eq!(memoized(&v, &payloads[1], &sigs[1]), !bad_data);
+                    let key = &srv.keys().sign;
+                    assert_eq!(memoized(&v, key, &payloads[0], &sigs[0]), !bad_meta);
+                    assert_eq!(memoized(&v, key, &payloads[1], &sigs[1]), !bad_data);
                 }
                 assert_eq!(v.verify_read(sn, &honest), Ok(ReadVerdict::Intact { sn }));
                 assert_eq!(remembered(&v, sn).as_ref(), Some(data(&honest).0));
@@ -885,8 +1038,9 @@ mod tests {
                         v.verify_read(inside, &tampered),
                         Err(VerifyError::BadSignature("window bound"))
                     );
-                    assert_eq!(memoized(&v, &payloads[0], &w.lo_sig), !bad_lo);
-                    assert_eq!(memoized(&v, &payloads[1], &w.hi_sig), !bad_hi);
+                    let key = &srv.keys().sign;
+                    assert_eq!(memoized(&v, key, &payloads[0], &w.lo_sig), !bad_lo);
+                    assert_eq!(memoized(&v, key, &payloads[1], &w.hi_sig), !bad_hi);
                 }
                 assert_eq!(
                     v.verify_read(inside, &honest),
@@ -896,10 +1050,173 @@ mod tests {
         }
     }
 
+    /// A one-lane server at test size whose device draws from `seed`,
+    /// with a verifier over its keys and weak certificate.
+    fn lane_with(seed: u64, clock: &Arc<VirtualClock>) -> (WormServer, Verifier) {
+        let regulator = RegulatoryAuthority::generate(&mut StdRng::seed_from_u64(0x3E32), 512);
+        let mut config = WormConfig::test_small();
+        config.device.rng_seed = seed;
+        let srv = WormServer::new(config, clock.clone(), regulator.public()).unwrap();
+        let mut v = Verifier::new(srv.keys(), Duration::from_secs(300), clock.clone()).unwrap();
+        v.add_weak_cert(srv.weak_certs().unwrap().remove(0))
+            .unwrap();
+        (srv, v)
+    }
+
+    /// A statement the memo holds, presented again with any one byte of
+    /// its signature flipped, is checked in full and rejected — metasig,
+    /// datasig and the head alike — and the honest bytes still pass from
+    /// the memo.
     #[test]
-    fn the_record_memo_clears_when_full_but_not_for_a_serial_it_holds() {
-        let memo = RecordMemo::default();
-        let vrd_for = |sn: u64| Vrd {
+    fn a_memoized_statement_with_a_flipped_signature_byte_is_rechecked_and_rejected() {
+        let clock = VirtualClock::starting_at_millis(1_000_000);
+        let (srv, v) = lane_with(0x5eed, &clock);
+        let long = RetentionPolicy::custom(Duration::from_secs(1_000_000), Shredder::ZeroFill);
+        let sn = srv.write(&[b"kept"], long).unwrap();
+        let honest = srv.read(sn).unwrap();
+        assert_eq!(v.verify_read(sn, &honest), Ok(ReadVerdict::Intact { sn }));
+        let (vrd, records) = data(&honest);
+        let chain = data_chain_hash(records.iter().map(|r| r.as_ref()));
+        let key = &srv.keys().sign;
+        let mut metasig = vrd.metasig.clone();
+        let metasig = strong(&mut metasig).clone();
+        let meta = meta_payload(sn, &vrd.attr.encode());
+        assert!(memoized(&v, key, &meta, &metasig));
+        for at in 0..metasig.bytes.len() {
+            let mut flipped = metasig.clone();
+            flipped.bytes[at] ^= 0x01;
+            // The memo alone, then a whole read whose VRD carries it: the
+            // record memo does not hold that VRD, so the check runs.
+            assert!(!memoized(&v, key, &meta, &flipped), "byte {at}");
+            let mut tampered = honest.clone();
+            let ReadOutcome::Data { vrd, .. } = &mut tampered else {
+                unreachable!()
+            };
+            vrd.metasig = Witness::Strong(flipped);
+            assert_eq!(
+                v.verify_read(sn, &tampered),
+                Err(VerifyError::BadSignature("metasig")),
+                "byte {at}"
+            );
+        }
+        let mut datasig = vrd.datasig.clone();
+        let mut flipped = strong(&mut datasig).clone();
+        flipped.bytes[7] ^= 0x80;
+        assert!(memoized(
+            &v,
+            key,
+            &data_payload(sn, &chain),
+            strong(&mut datasig)
+        ));
+        let mut tampered = honest.clone();
+        if let ReadOutcome::Data { vrd, .. } = &mut tampered {
+            vrd.datasig = Witness::Strong(flipped);
+        }
+        assert_eq!(
+            v.verify_read(sn, &tampered),
+            Err(VerifyError::DataHashMismatch)
+        );
+        let mut head = honest.head().clone();
+        head.sig.bytes[0] ^= 0x01;
+        assert_eq!(
+            v.check_head(&head),
+            Err(VerifyError::BadSignature("head certificate"))
+        );
+        assert_eq!(v.verify_read(sn, &honest), Ok(ReadVerdict::Intact { sn }));
+    }
+
+    /// An entry names the key that verified it: the same digest and
+    /// signature bytes never hit under another key — a lane's strong key
+    /// against its weak or deletion key, or one lane's key against
+    /// another's.
+    #[test]
+    fn a_memo_entry_under_one_key_never_answers_for_another() {
+        let clock = VirtualClock::starting_at_millis(1_000_000);
+        let (srv0, v) = lane_with(0x5eed, &clock);
+        let (srv1, _) = lane_with(0x5eee, &clock);
+        let weak = srv0.weak_certs().unwrap().remove(0).key;
+        let keys = [
+            &srv0.keys().sign,
+            &weak,
+            &srv0.keys().delete,
+            &srv1.keys().sign,
+        ];
+        assert_ne!(keys[0].fingerprint(), keys[3].fingerprint());
+        let payload = Statement::Head(SerialNumber(5), Timestamp::from_millis(9)).payload();
+        for (i, under) in keys.iter().enumerate() {
+            let sig = Signature {
+                key_id: under.fingerprint(),
+                bytes: vec![0x42; under.modulus_bytes()],
+            };
+            v.memo.insert(&check(under, &payload, &sig));
+            for (j, other) in keys.iter().enumerate() {
+                let presented = Signature {
+                    key_id: other.fingerprint(),
+                    ..sig.clone()
+                };
+                assert_eq!(memoized(&v, other, &payload, &presented), i == j, "{i} {j}");
+            }
+        }
+    }
+
+    /// A slot another check overwrote answers for neither the old entry
+    /// nor any mix of the two, so a rejected answer stays rejected and the
+    /// honest one is checked in full again.
+    #[test]
+    fn an_overwritten_slot_never_turns_a_rejected_answer_into_an_accepted_one() {
+        let clock = VirtualClock::starting_at_millis(1_000_000);
+        let (srv, v) = lane_with(0x5eed, &clock);
+        let long = RetentionPolicy::custom(Duration::from_secs(1_000_000), Shredder::ZeroFill);
+        let sn = srv.write(&[b"kept"], long).unwrap();
+        let honest = srv.read(sn).unwrap();
+        let (vrd, _) = data(&honest);
+        let key = &srv.keys().sign;
+        let mut metasig = vrd.metasig.clone();
+        let metasig = strong(&mut metasig).clone();
+        let meta = meta_payload(sn, &vrd.attr.encode());
+        let mut tampered = honest.clone();
+        if let ReadOutcome::Data { vrd, .. } = &mut tampered {
+            strong(&mut vrd.metasig).bytes[5] ^= 0x04;
+        }
+        let weak = srv.weak_certs().unwrap().remove(0).key;
+        let honest_check = check(key, &meta, &metasig);
+        let slot = SigMemo::slot(&honest_check);
+        // Another payload whose digest takes the same slot, signed (as far
+        // as the memo knows) under the weak key with other bytes.
+        let rival = (0u64..)
+            .map(|i| Statement::Head(SerialNumber(i), Timestamp::from_millis(1)).payload())
+            .find(|p| SigMemo::slot(&check(key, p, &metasig)) == slot)
+            .unwrap();
+        let rival_sig = Signature {
+            key_id: weak.fingerprint(),
+            bytes: vec![0x24; weak.modulus_bytes()],
+        };
+        for round in 0..3 {
+            assert_eq!(v.verify_read(sn, &honest), Ok(ReadVerdict::Intact { sn }));
+            assert!(memoized(&v, key, &meta, &metasig), "round {round}");
+            v.memo.insert(&check(&weak, &rival, &rival_sig));
+            assert!(memoized(&v, &weak, &rival, &rival_sig));
+            // Neither the entry it displaced nor a mix of the two hits.
+            assert!(!memoized(&v, key, &meta, &metasig));
+            assert!(!memoized(&v, key, &meta, &rival_sig));
+            assert!(!memoized(&v, &weak, &meta, &rival_sig));
+            assert!(!memoized(&v, &weak, &rival, &metasig));
+            // The record memo's slot goes to a rival serial number too.
+            let rival_sn = (sn.get() + 1..)
+                .find(|&other| RecordMemo::slot(SerialNumber(other)) == RecordMemo::slot(sn))
+                .unwrap();
+            v.record_memo.insert(&vrd_for(rival_sn), &[], [0; 32]);
+            assert_eq!(remembered(&v, sn), None);
+            assert_eq!(
+                v.verify_read(sn, &tampered),
+                Err(VerifyError::BadSignature("metasig"))
+            );
+            assert!(!memoized(&v, key, &meta, &metasig));
+        }
+    }
+
+    fn vrd_for(sn: u64) -> Vrd {
+        Vrd {
             sn: SerialNumber(sn),
             attr: crate::attr::RecordAttributes {
                 created_at: Timestamp::from_millis(1),
@@ -912,17 +1229,76 @@ mod tests {
             rdl: Vec::new(),
             metasig: Witness::Mac { tag: Vec::new() },
             datasig: Witness::Mac { tag: Vec::new() },
-        };
-        let cap = CHAIN_MEMO_CAP as u64;
-        for sn in 1..=cap {
-            memo.insert(&vrd_for(sn), &[], Vec::new());
         }
-        assert_eq!(memo.seen.read().unwrap().len(), CHAIN_MEMO_CAP);
-        // Re-inserting a serial number it holds replaces in place ...
-        memo.insert(&vrd_for(cap), &[], Vec::new());
-        assert_eq!(memo.seen.read().unwrap().len(), CHAIN_MEMO_CAP);
-        // ... and a new one past the cap starts the memo over.
-        memo.insert(&vrd_for(cap + 1), &[], Vec::new());
-        assert_eq!(memo.seen.read().unwrap().len(), 1);
+    }
+
+    /// The serial numbers the record memo holds, in slot order.
+    fn held(memo: &RecordMemo) -> Vec<u64> {
+        let slots = memo.slots.read().unwrap();
+        slots.iter().flatten().map(|e| e.vrd.sn.get()).collect()
+    }
+
+    /// A store overwrites the one slot its serial number names and no
+    /// other: the table never empties, never holds more than its slots,
+    /// and a serial number it holds is replaced in place.
+    #[test]
+    fn the_record_memo_overwrites_only_the_slot_of_the_serial_it_stores() {
+        let memo = RecordMemo::default();
+        let cap = CHAIN_MEMO_CAP as u64;
+        // Dense serial numbers, and lane 1's from its origin, spread over
+        // the table rather than landing in a few slots.
+        for lane in [0, 1] {
+            let origin = SerialNumber::lane_origin(lane);
+            let slots: std::collections::HashSet<usize> = (1..=cap)
+                .map(|sn| RecordMemo::slot(SerialNumber(origin + sn)))
+                .collect();
+            assert!(
+                slots.len() > CHAIN_MEMO_CAP / 2,
+                "lane {lane}: {}",
+                slots.len()
+            );
+        }
+        for sn in 1..=4 * cap {
+            let before = held(&memo);
+            memo.insert(&vrd_for(sn), &[], [0; 32]);
+            let after = held(&memo);
+            assert!(after.len() <= CHAIN_MEMO_CAP && after.len() >= before.len());
+            assert!(after.contains(&sn));
+            // Every other slot kept what it held.
+            let slot = RecordMemo::slot(SerialNumber(sn));
+            let slots = memo.slots.read().unwrap();
+            for (i, e) in slots.iter().enumerate().filter(|(i, _)| *i != slot) {
+                let was = e.as_ref().map(|e| e.vrd.sn.get());
+                assert!(was.is_none() || before.contains(&was.unwrap()), "slot {i}");
+            }
+        }
+        let full = held(&memo);
+        // Re-storing a serial number it holds replaces it in place.
+        let sn = full[0];
+        let mut replaced = vrd_for(sn);
+        replaced.attr.flags = 7;
+        memo.insert(&replaced, &[bytes::Bytes::from_static(b"r")], [1; 32]);
+        assert_eq!(held(&memo), full);
+        assert!(matches!(
+            memo.lookup(&replaced, &[bytes::Bytes::from_static(b"r")]),
+            Remembered::Verified
+        ));
+        assert!(matches!(
+            memo.lookup(&vrd_for(sn), &[bytes::Bytes::from_static(b"r")]),
+            Remembered::Chain(chain) if chain == [1; 32]
+        ));
+        // Another serial number of the same slot displaces it, and the
+        // displaced one is unknown: only forgotten, never mistaken.
+        let slot = RecordMemo::slot(SerialNumber(sn));
+        let rival = (4 * cap + 1..)
+            .find(|&other| RecordMemo::slot(SerialNumber(other)) == slot)
+            .unwrap();
+        memo.insert(&vrd_for(rival), &[bytes::Bytes::from_static(b"r")], [2; 32]);
+        assert_eq!(held(&memo).len(), full.len());
+        assert!(held(&memo).contains(&rival) && !held(&memo).contains(&sn));
+        assert!(matches!(
+            memo.lookup(&replaced, &[bytes::Bytes::from_static(b"r")]),
+            Remembered::Unknown
+        ));
     }
 }

@@ -99,7 +99,7 @@ impl WormFirmware {
                     env.charge(Op::DmaIn { bytes: total });
                     env.charge(Op::Sha256 { bytes: total });
                     let digest = crate::vrd::data_chain_hash(records.iter().map(|r| r.as_slice()));
-                    (digest, None)
+                    (digest.to_vec(), None)
                 }
                 WriteData::HostHash { chain_hash, .. } => {
                     env.charge(Op::DmaIn { bytes: 32 });

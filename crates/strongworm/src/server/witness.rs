@@ -167,7 +167,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
             let hash = data_chain_hash(records.iter().map(|r| &r[..]));
             let fields = [
                 (WitnessField::Meta, vrd.attr.encode(), vrd.metasig),
-                (WitnessField::Data, hash, vrd.datasig),
+                (WitnessField::Data, hash.to_vec(), vrd.datasig),
             ];
             for (field, signed, witness) in fields.into_iter().filter(|f| !f.2.is_strong()) {
                 let sn = vrd.sn;
@@ -318,7 +318,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
                     self.host_model.cost_ns(Op::Sha256 { bytes: total }),
                 );
                 WriteData::HostHash {
-                    chain_hash: crate::vrd::data_chain_hash(records.iter().copied()),
+                    chain_hash: crate::vrd::data_chain_hash(records.iter().copied()).to_vec(),
                     total_len: total as u64,
                 }
             }

@@ -48,7 +48,7 @@ impl Vrd {
 
 /// Computes the chained hash of an ordered record list — the `Hash(data)`
 /// that `datasig` covers (Table 1).
-pub fn data_chain_hash<'a, I>(records: I) -> Vec<u8>
+pub fn data_chain_hash<'a, I>(records: I) -> [u8; 32]
 where
     I: IntoIterator<Item = &'a [u8]>,
 {

@@ -232,15 +232,21 @@ impl Vrdt {
     }
 
     /// Attaches a durable sink: every subsequent frame is committed to it
-    /// *before* the in-memory journal and table mutate. The sink's tail is
-    /// first cut back to the in-memory journal's end and everything past
-    /// it erased, so a torn on-disk suffix can never replay.
+    /// *before* the in-memory journal and table mutate. The sink holds
+    /// this journal's frames and zeros past them — a fresh region is
+    /// zeroed when it is created, and a clean stop leaves nothing past its
+    /// tail — except after a recovery that cut a torn tail off
+    /// ([`Journal::recovered_torn_tail`]): then the sink's tail is cut
+    /// back to the journal's end and everything past it erased, so the
+    /// torn suffix can never replay.
     ///
     /// # Errors
     ///
     /// [`WormError::Journal`] if the tail erase fails.
     pub fn attach_sink(&mut self, mut sink: Box<dyn DurableLog>) -> Result<(), WormError> {
-        sink.cut_tail(self.journal.len_bytes() as u64)?;
+        if self.journal.recovered_torn_tail() {
+            sink.cut_tail(self.journal.len_bytes() as u64)?;
+        }
         self.sink = Some(sink);
         Ok(())
     }

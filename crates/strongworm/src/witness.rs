@@ -18,6 +18,7 @@
 use scpu::Timestamp;
 use wormcrypt::{HashAlg, RsaPrivateKey, RsaPublicKey};
 
+use crate::attr::RecordAttributes;
 use crate::sn::SerialNumber;
 use crate::wire::WireWriter;
 
@@ -103,30 +104,6 @@ impl Signature {
     pub fn verify(&self, key: &RsaPublicKey, msg: &[u8]) -> bool {
         key.fingerprint() == self.key_id && key.verify(msg, &self.bytes, HashAlg::Sha256)
     }
-
-    /// Verifies two signatures, each over its own message with its own
-    /// key: `[sigs[0].verify(keys[0], msgs[0]), sigs[1].verify(keys[1],
-    /// msgs[1])]` exactly, in one pass where the keys' engine takes a pair
-    /// (`RsaPublicKey::verify_pair`). The counterpart of
-    /// [`Signature::sign_many`] for the client that reads what it issued.
-    pub fn verify_pair(
-        sigs: [&Signature; 2],
-        keys: [&RsaPublicKey; 2],
-        msgs: [&[u8]; 2],
-    ) -> [bool; 2] {
-        if sigs[0].key_id != keys[0].fingerprint() || sigs[1].key_id != keys[1].fingerprint() {
-            return [
-                sigs[0].verify(keys[0], msgs[0]),
-                sigs[1].verify(keys[1], msgs[1]),
-            ];
-        }
-        RsaPublicKey::verify_pair(
-            keys,
-            msgs,
-            [&sigs[0].bytes, &sigs[1].bytes],
-            HashAlg::Sha256,
-        )
-    }
 }
 
 /// One witnessing construct at one of the three strength tiers.
@@ -171,39 +148,115 @@ impl Witness {
     }
 }
 
-/// Payload of `metasig`: binds a serial number to its attributes.
-pub fn meta_payload(sn: SerialNumber, attr_bytes: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.meta.v1");
+/// A statement the SCPU signs, by its fields. Each is one canonical
+/// payload: [`Statement::payload`] builds it (what the `*_payload`
+/// function of the same name returns) and [`Statement::put`] writes it in
+/// place, which is how a verifier hashes a statement in a buffer it
+/// reuses.
+#[derive(Clone, Copy, Debug)]
+pub enum Statement<'a> {
+    /// `metasig`'s: binds a serial number to its attributes.
+    Meta(SerialNumber, &'a RecordAttributes),
+    /// `datasig`'s: binds a serial number to the chained hash of its data
+    /// records.
+    Data(SerialNumber, &'a [u8]),
+    /// The head certificate `S_s(SN_current, t)` (§4.2.1 freshness
+    /// mechanism (ii)).
+    Head(SerialNumber, Timestamp),
+    /// The base certificate `S_s(SN_base)` with its anti-replay expiration
+    /// time (§4.2.1).
+    Base(SerialNumber, Timestamp),
+    /// The composite freshness head binding: shard count, root, time.
+    Composite(u32, &'a [u8], Timestamp),
+    /// One deleted-window bound: window id, bound, side.
+    Window(u64, SerialNumber, WindowSide),
+    /// A deletion proof `S_d(SN)` with the trusted deletion time.
+    Deletion(SerialNumber, Timestamp),
+}
+
+impl Statement<'_> {
+    /// Writes this statement's canonical payload into `w`.
+    pub fn put(&self, w: &mut WireWriter) {
+        match *self {
+            Statement::Meta(sn, attr) => put_meta(w, sn, |w| attr.encode_into(w)),
+            Statement::Data(sn, data_hash) => {
+                w.put_str("strongworm.data.v1");
+                w.put_u64(sn.get());
+                w.put_bytes(data_hash);
+            }
+            Statement::Head(sn_current, issued_at) => {
+                w.put_str("strongworm.head.v1");
+                w.put_u64(sn_current.get());
+                w.put_u64(issued_at.as_millis());
+            }
+            Statement::Base(sn_base, expires_at) => {
+                w.put_str("strongworm.base.v1");
+                w.put_u64(sn_base.get());
+                w.put_u64(expires_at.as_millis());
+            }
+            Statement::Composite(shard_count, root, issued_at) => {
+                w.put_str("strongworm.composite.v1");
+                w.put_u32(shard_count);
+                w.put_bytes(root);
+                w.put_u64(issued_at.as_millis());
+            }
+            Statement::Window(window_id, bound, side) => {
+                w.put_str("strongworm.window.v1");
+                w.put_u64(window_id);
+                w.put_u8(match side {
+                    WindowSide::Lower => 0,
+                    WindowSide::Upper => 1,
+                });
+                w.put_u64(bound.get());
+            }
+            Statement::Deletion(sn, deleted_at) => {
+                w.put_str("strongworm.del.v1");
+                w.put_u64(sn.get());
+                w.put_u64(deleted_at.as_millis());
+            }
+        }
+    }
+
+    /// This statement's canonical payload.
+    pub fn payload(&self) -> Vec<u8> {
+        WireWriter::encoded(|w| self.put(w))
+    }
+}
+
+/// `metasig`'s payload with the attributes' encoding written by `attr`:
+/// the one layout both [`Statement::Meta`] and [`meta_payload`] use.
+fn put_meta(w: &mut WireWriter, sn: SerialNumber, attr: impl FnOnce(&mut WireWriter)) {
+    w.put_str("strongworm.meta.v1");
     w.put_u64(sn.get());
-    w.put_bytes(attr_bytes);
-    w.finish()
+    w.put_nested(attr);
+}
+
+/// Payload of `metasig` over attributes already encoded
+/// ([`RecordAttributes::encode`]): [`Statement::Meta`]'s bytes.
+pub fn meta_payload(sn: SerialNumber, attr_bytes: &[u8]) -> Vec<u8> {
+    WireWriter::encoded(|w| {
+        put_meta(w, sn, |w| {
+            w.put_raw(attr_bytes);
+        });
+    })
 }
 
 /// Payload of `datasig`: binds a serial number to the chained hash of its
 /// data records.
 pub fn data_payload(sn: SerialNumber, data_hash: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.data.v1");
-    w.put_u64(sn.get());
-    w.put_bytes(data_hash);
-    w.finish()
+    Statement::Data(sn, data_hash).payload()
 }
 
 /// Payload of the head certificate `S_s(SN_current, t)` (§4.2.1 freshness
 /// mechanism (ii)).
 pub fn head_payload(sn_current: SerialNumber, issued_at: Timestamp) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.head.v1");
-    w.put_u64(sn_current.get());
-    w.put_u64(issued_at.as_millis());
-    w.finish()
+    Statement::Head(sn_current, issued_at).payload()
 }
 
 /// Payload of the base certificate `S_s(SN_base)` with its anti-replay
 /// expiration time (§4.2.1).
 pub fn base_payload(sn_base: SerialNumber, expires_at: Timestamp) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.base.v1");
-    w.put_u64(sn_base.get());
-    w.put_u64(expires_at.as_millis());
-    w.finish()
+    Statement::Base(sn_base, expires_at).payload()
 }
 
 /// Payload of the composite freshness head binding: the coordinator
@@ -212,11 +265,7 @@ pub fn base_payload(sn_base: SerialNumber, expires_at: Timestamp) -> Vec<u8> {
 /// different instants (or hide a shard entirely) without forging a
 /// signature — cross-shard equivocation becomes provable, not trusted.
 pub fn composite_payload(shard_count: u32, root: &[u8], issued_at: Timestamp) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.composite.v1");
-    w.put_u32(shard_count);
-    w.put_bytes(root);
-    w.put_u64(issued_at.as_millis());
-    w.finish()
+    Statement::Composite(shard_count, root, issued_at).payload()
 }
 
 /// Which end of a deleted window a bound signature covers.
@@ -232,22 +281,12 @@ pub enum WindowSide {
 /// correlates the two bounds so the host cannot "combine two unrelated
 /// window bounds and thus in effect construct arbitrary windows" (§4.2.1).
 pub fn window_payload(window_id: u64, bound: SerialNumber, side: WindowSide) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.window.v1");
-    w.put_u64(window_id);
-    w.put_u8(match side {
-        WindowSide::Lower => 0,
-        WindowSide::Upper => 1,
-    });
-    w.put_u64(bound.get());
-    w.finish()
+    Statement::Window(window_id, bound, side).payload()
 }
 
 /// Payload of a deletion proof `S_d(SN)` with the trusted deletion time.
 pub fn deletion_payload(sn: SerialNumber, deleted_at: Timestamp) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.del.v1");
-    w.put_u64(sn.get());
-    w.put_u64(deleted_at.as_millis());
-    w.finish()
+    Statement::Deletion(sn, deleted_at).payload()
 }
 
 /// Payload of a key certificate: the CA binds a public key to a role.
@@ -274,10 +313,22 @@ pub fn weak_cert_payload(key: &RsaPublicKey, max_sig_expiry: Timestamp) -> Vec<u
 /// signature's own expiration time, so the expiry cannot be forged by the
 /// host after the fact.
 pub fn weak_wrap(payload: &[u8], expires_at: Timestamp) -> Vec<u8> {
-    let mut w = WireWriter::tagged("strongworm.weakwrap.v1");
-    w.put_bytes(payload);
+    WireWriter::encoded(|w| {
+        put_weak_wrap(w, expires_at, |w| {
+            w.put_raw(payload);
+        });
+    })
+}
+
+/// [`weak_wrap`] in place, around the payload `payload` writes.
+pub(crate) fn put_weak_wrap(
+    w: &mut WireWriter,
+    expires_at: Timestamp,
+    payload: impl FnOnce(&mut WireWriter),
+) {
+    w.put_str("strongworm.weakwrap.v1");
+    w.put_nested(payload);
     w.put_u64(expires_at.as_millis());
-    w.finish()
 }
 
 #[cfg(test)]
@@ -346,6 +397,36 @@ mod tests {
                     assert_ne!(payloads[i], payloads[j], "payload {i} vs {j}");
                 }
             }
+        }
+    }
+
+    /// `metasig`'s payload written in place from the attributes is the
+    /// one built from their encoding, with a hold and without, and so is a
+    /// weak wrap written around it.
+    #[test]
+    fn a_statement_written_in_place_is_the_payload_built_from_its_encoding() {
+        let mut attr = RecordAttributes {
+            created_at: Timestamp::from_millis(1),
+            retention_until: Timestamp::from_millis(2),
+            regulation: crate::policy::Regulation::Custom,
+            shredder: wormstore::Shredder::ZeroFill,
+            litigation_hold: None,
+            flags: 3,
+        };
+        let sn = SerialNumber(9);
+        let t = Timestamp::from_millis(77);
+        for hold in [None, Some(vec![5u8; 64])] {
+            attr.litigation_hold = hold.map(|credential| crate::attr::LitigationHold {
+                litigation_id: 4,
+                hold_until: t,
+                credential,
+            });
+            let built = meta_payload(sn, &attr.encode());
+            assert_eq!(Statement::Meta(sn, &attr).payload(), built);
+            let wrapped = WireWriter::encoded(|w| {
+                put_weak_wrap(w, t, |w| Statement::Meta(sn, &attr).put(w));
+            });
+            assert_eq!(wrapped, weak_wrap(&built, t));
         }
     }
 

@@ -569,7 +569,7 @@ fn device_keys(dev: &mut Fw) -> (strongworm::firmware::DeviceKeys, Vec<WeakKeyCe
 
 /// What `datasig` covers for the one record `write_as` sends.
 fn payload_hash() -> Vec<u8> {
-    strongworm::vrd::data_chain_hash([b"payload".as_slice()])
+    strongworm::vrd::data_chain_hash([b"payload".as_slice()]).to_vec()
 }
 
 /// `metasig` and `datasig` come out of one pair call; the device is still
@@ -766,7 +766,7 @@ fn a_weak_witness_presented_back_is_queued_again_once() {
     }
     // Past its expiry a weak witness is refused.
     clock.advance(Duration::from_secs(7201));
-    let hash = strongworm::vrd::data_chain_hash([&b"payload"[..]]);
+    let hash = strongworm::vrd::data_chain_hash([&b"payload"[..]]).to_vec();
     let late = present(&mut dev, WitnessField::Data, hash, &receipt.datasig);
     assert!(late.is_err());
     assert_eq!(queued(&dev), 1);

@@ -10,8 +10,13 @@
 use crate::digest::Digest;
 use crate::Sha256;
 
-/// Domain-separation tag for the first link of a chain.
-const CHAIN_INIT_TAG: &[u8] = b"strongworm.chain.v1";
+/// `h_0 = H("strongworm.chain.v1")`, the domain-separated constant every
+/// chain starts from, computed once here rather than on each chain
+/// (`empty_chain_is_tag_digest` holds it to the tag).
+const CHAIN_INIT: [u8; 32] = [
+    0xc2, 0x07, 0x89, 0x9e, 0x21, 0x9a, 0x8c, 0x5f, 0x92, 0xca, 0xba, 0x31, 0x8d, 0x3b, 0x5d, 0xa9,
+    0x93, 0x34, 0x1f, 0xcf, 0x8b, 0xc1, 0xdd, 0x57, 0xd4, 0x0b, 0xb2, 0x2b, 0x2d, 0x49, 0x77, 0xfe,
+];
 
 /// Chained hash over an ordered sequence of data records.
 ///
@@ -27,7 +32,7 @@ const CHAIN_INIT_TAG: &[u8] = b"strongworm.chain.v1";
 /// ```
 #[derive(Clone, Debug)]
 pub struct ChainHash {
-    state: Vec<u8>,
+    state: [u8; 32],
     count: u64,
 }
 
@@ -41,7 +46,7 @@ impl ChainHash {
     /// Starts a new chain.
     pub fn new() -> Self {
         ChainHash {
-            state: Sha256::digest(CHAIN_INIT_TAG),
+            state: CHAIN_INIT,
             count: 0,
         }
     }
@@ -53,7 +58,7 @@ impl ChainHash {
         h.update(&self.count.to_be_bytes());
         h.update(&(record.len() as u64).to_be_bytes());
         h.update(record);
-        self.state = h.finalize();
+        self.state = h.finalize_array();
         self.count += 1;
     }
 
@@ -76,8 +81,8 @@ impl ChainHash {
         self.count
     }
 
-    /// Returns the chain digest (32 bytes).
-    pub fn finalize(self) -> Vec<u8> {
+    /// Returns the chain digest.
+    pub fn finalize(self) -> [u8; 32] {
         self.state
     }
 
@@ -87,7 +92,7 @@ impl ChainHash {
     }
 
     /// One-shot digest of an ordered record list.
-    pub fn digest_records<'a, I>(records: I) -> Vec<u8>
+    pub fn digest_records<'a, I>(records: I) -> [u8; 32]
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
@@ -123,7 +128,7 @@ impl ChainRecordWriter<'_> {
     pub fn finish(self) {
         let mut h = self.hasher;
         h.update(&self.len.to_be_bytes());
-        self.chain.state = h.finalize();
+        self.chain.state = h.finalize_array();
         self.chain.count += 1;
     }
 }
@@ -132,11 +137,14 @@ impl ChainRecordWriter<'_> {
 mod tests {
     use super::*;
 
+    /// Domain-separation tag for the first link of a chain.
+    const CHAIN_INIT_TAG: &[u8] = b"strongworm.chain.v1";
+
     #[test]
     fn empty_chain_is_tag_digest() {
         let c = ChainHash::new();
         assert_eq!(c.count(), 0);
-        assert_eq!(c.finalize(), Sha256::digest(CHAIN_INIT_TAG));
+        assert_eq!(c.finalize(), Sha256::digest_array(CHAIN_INIT_TAG));
     }
 
     #[test]

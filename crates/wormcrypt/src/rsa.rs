@@ -18,11 +18,13 @@
 //! |---|---|---|---|---|
 //! | [`RsaPrivateKey::sign`], a last one or two of [`RsaPrivateKey::sign_many`] | 2 or 4 CRT halves | `pow4`: a lane each, squares beside | `pow4`: a lane each, squares beside | `pow4`: two lanes each, windows |
 //! | [`RsaPrivateKey::sign_many`], three or four at a time | 6 or 8 CRT halves | `pow8`: a lane each, windows | `pow8`: a lane each, windows | two `pow4` calls |
-//! | [`RsaPublicKey::verify_pair`] | 2 signatures | `pow_short`: two lanes each | `pow_short`: four lanes each | `pow_short`: four lanes each |
-//! | [`RsaPublicKey::verify`] | 1 signature | scalar (ten digits do not split in four) | `pow_short`: four lanes | `pow_short`: eight lanes |
+//! | [`RsaPublicKey::verify_pair_digests`] | 2 signatures | `pow_short`: two lanes each | `pow_short`: four lanes each | `pow_short`: four lanes each |
+//! | [`RsaPublicKey::verify_digest`] | 1 signature | scalar (ten digits do not split in four) | `pow_short`: four lanes | `pow_short`: eight lanes |
 //!
-//! A shape that leaves lanes over fills them with numbers whose results
-//! are dropped. Which engine runs is fixed when the key is built, from the
+//! `verify` and `verify_pair` hash, then take the digest entries: there is
+//! one check, and it compares `s^e mod n` with the encoding a digest has
+//! where the number's limbs hold it. A shape that leaves lanes over fills
+//! them with numbers whose results are dropped. Which engine runs is fixed when the key is built, from the
 //! CPU and the width alone; PKCS#1 v1.5 is deterministic, so both give the
 //! same bytes and the same verdicts.
 
@@ -64,6 +66,14 @@ impl HashAlg {
         match self {
             HashAlg::Sha1 => Sha1::digest(msg),
             HashAlg::Sha256 => Sha256::digest(msg),
+        }
+    }
+
+    /// Length of this algorithm's digest in bytes.
+    fn digest_len(self) -> usize {
+        match self {
+            HashAlg::Sha1 => Sha1::OUT_LEN,
+            HashAlg::Sha256 => Sha256::OUT_LEN,
         }
     }
 }
@@ -182,13 +192,22 @@ impl RsaPublicKey {
         self.fingerprint
     }
 
-    /// Verifies a PKCS#1 v1.5 signature over `msg`.
+    /// Verifies a PKCS#1 v1.5 signature over `msg`: hashes it, then
+    /// [`Self::verify_digest`].
     ///
     /// Returns `false` for any malformed, truncated, or mismatching
     /// signature — verification never panics on attacker-controlled input.
-    /// The exponentiation spreads over the lanes its digits split into where
-    /// the key carries them: four at 1024 bits, eight at 2048.
     pub fn verify(&self, msg: &[u8], sig: &[u8], alg: HashAlg) -> bool {
+        self.verify_digest(&alg.hash(msg), sig, alg)
+    }
+
+    /// Verifies a PKCS#1 v1.5 signature over a message whose `alg` digest
+    /// is `digest`: the check [`Self::verify`] makes once it has hashed,
+    /// for a caller that already holds the digest. A digest of the wrong
+    /// length is `false`. The exponentiation spreads over the lanes its
+    /// digits split into where the key carries them: four at 1024 bits,
+    /// eight at 2048.
+    pub fn verify_digest(&self, digest: &[u8], sig: &[u8], alg: HashAlg) -> bool {
         let Some(s) = self.signature_value(sig) else {
             return false;
         };
@@ -196,34 +215,48 @@ impl RsaPublicKey {
             .lanes
             .as_deref()
             .and_then(|n| ifma52::pow_short([n], [&s.limbs], [self.e.low_u64()]));
-        let em = match (lanes, &self.ctx) {
-            (Some([em]), _) => Ubig::from_limbs(em),
-            (None, Some(ctx)) => ctx.pow(&s, &self.e),
-            (None, None) => s.pow_mod(&self.e, &self.n),
-        };
-        self.is_encoding_of(&em, msg, alg)
+        match (lanes, &self.ctx) {
+            (Some([em]), _) => self.is_encoding_of(&em, digest, alg),
+            (None, Some(ctx)) => self.is_encoding_of(&ctx.pow(&s, &self.e).limbs, digest, alg),
+            (None, None) => self.is_encoding_of(&s.pow_mod(&self.e, &self.n).limbs, digest, alg),
+        }
     }
 
     /// Verifies two PKCS#1 v1.5 signatures, each under its own key: exactly
     /// `[keys[0].verify(msgs[0], sigs[0], alg), keys[1].verify(msgs[1],
-    /// sigs[1], alg)]`, and where both keys carry lanes of one width the two
-    /// exponentiations are one pass, four lanes each (two at 512 bits). A
-    /// half that is malformed is `false` and costs the other one `verify`.
+    /// sigs[1], alg)]`. Hashes both, then [`Self::verify_pair_digests`].
     pub fn verify_pair(
         keys: [&RsaPublicKey; 2],
         msgs: [&[u8]; 2],
         sigs: [&[u8]; 2],
         alg: HashAlg,
     ) -> [bool; 2] {
-        Self::verify_pair_in_lanes(keys, msgs, sigs, alg)
-            .unwrap_or_else(|| [0, 1].map(|i| keys[i].verify(msgs[i], sigs[i], alg)))
+        let digests = msgs.map(|msg| alg.hash(msg));
+        Self::verify_pair_digests(keys, [&digests[0], &digests[1]], sigs, alg)
     }
 
-    /// [`Self::verify_pair`] where both keys carry lanes of one width and
-    /// both signatures are values the lanes may be given; `None` otherwise.
+    /// [`Self::verify_digest`] for two signatures, each under its own key:
+    /// exactly `[keys[0].verify_digest(digests[0], sigs[0], alg),
+    /// keys[1].verify_digest(digests[1], sigs[1], alg)]`, and where both
+    /// keys carry lanes of one width the two exponentiations are one pass,
+    /// four lanes each (two at 512 bits). A half that is malformed is
+    /// `false` and costs the other one `verify_digest`.
+    pub fn verify_pair_digests(
+        keys: [&RsaPublicKey; 2],
+        digests: [&[u8]; 2],
+        sigs: [&[u8]; 2],
+        alg: HashAlg,
+    ) -> [bool; 2] {
+        Self::verify_pair_in_lanes(keys, digests, sigs, alg)
+            .unwrap_or_else(|| [0, 1].map(|i| keys[i].verify_digest(digests[i], sigs[i], alg)))
+    }
+
+    /// [`Self::verify_pair_digests`] where both keys carry lanes of one
+    /// width and both signatures are values the lanes may be given; `None`
+    /// otherwise.
     fn verify_pair_in_lanes(
         keys: [&RsaPublicKey; 2],
-        msgs: [&[u8]; 2],
+        digests: [&[u8]; 2],
         sigs: [&[u8]; 2],
         alg: HashAlg,
     ) -> Option<[bool; 2]> {
@@ -239,8 +272,8 @@ impl RsaPublicKey {
             [keys[0].e.low_u64(), keys[1].e.low_u64()],
         )?;
         Some([
-            keys[0].is_encoding_of(&Ubig::from_limbs(em0), msgs[0], alg),
-            keys[1].is_encoding_of(&Ubig::from_limbs(em1), msgs[1], alg),
+            keys[0].is_encoding_of(&em0, digests[0], alg),
+            keys[1].is_encoding_of(&em1, digests[1], alg),
         ])
     }
 
@@ -254,11 +287,35 @@ impl RsaPublicKey {
         (s < self.n).then_some(s)
     }
 
-    /// Whether `em = s^e mod n` is, byte for byte, the EMSA-PKCS1-v1_5
-    /// encoding of `msg` at this key's length.
-    fn is_encoding_of(&self, em: &Ubig, msg: &[u8], alg: HashAlg) -> bool {
+    /// Whether the number whose little-endian limbs are `em` (`s^e mod n`)
+    /// is, byte for byte, the EMSA-PKCS1-v1_5 encoding at this key's
+    /// length `k` of a message whose `alg` digest is `digest`:
+    /// `0x00 0x01`, then `0xFF` up to the `0x00` before `DigestInfo`, then
+    /// the digest. Each byte is read off the limbs where it lies, so no
+    /// encoding is built.
+    fn is_encoding_of(&self, em: &[u64], digest: &[u8], alg: HashAlg) -> bool {
         let k = self.modulus_bytes();
-        emsa_pkcs1_v15(msg, k, alg).is_ok_and(|expected| em.to_bytes_be_padded(k) == expected)
+        let prefix = alg.digest_info_prefix();
+        let t_len = prefix.len() + digest.len();
+        if digest.len() != alg.digest_len() || k < t_len + 11 {
+            return false;
+        }
+        // Byte `i` of the number written as `k` big-endian bytes.
+        let byte = |i: usize| {
+            let from_low = k - 1 - i;
+            em.get(from_low / 8)
+                .map_or(0, |limb| (limb >> (8 * (from_low % 8))) as u8)
+        };
+        // `0x00 0x01` and nothing above `k` bytes: the number is `0x01`
+        // followed by `k - 2` bytes.
+        let top = em.iter().enumerate().rev().find(|(_, &limb)| limb != 0);
+        let bits = top.map_or(0, |(t, limb)| 64 * t + 64 - limb.leading_zeros() as usize);
+        let block_type = bits == 8 * (k - 2) + 1;
+        let separator = k - t_len - 1;
+        let padding = (2..separator).all(|i| byte(i) == 0xff) && byte(separator) == 0x00;
+        let tail = prefix.iter().chain(digest);
+        let digest_info = tail.zip(separator + 1..k).all(|(&want, i)| byte(i) == want);
+        block_type && padding && digest_info
     }
 
     /// This key as built on a CPU without the lane engine.
@@ -740,7 +797,9 @@ mod tests {
         let in_lanes = |keys: [&RsaPrivateKey; 2]| {
             let sigs = [honest(keys[0], a), honest(keys[1], b)];
             let keys = keys.map(RsaPrivateKey::public);
-            RsaPublicKey::verify_pair_in_lanes(keys, [a, b], [&sigs[0], &sigs[1]], alg)
+            let digests = [alg.hash(a), alg.hash(b)];
+            let digests = [&digests[0][..], &digests[1][..]];
+            RsaPublicKey::verify_pair_in_lanes(keys, digests, [&sigs[0], &sigs[1]], alg)
         };
         assert_eq!(in_lanes([k512, k1024]), None);
         assert_eq!(in_lanes([k1024, k2048]), None);
@@ -779,6 +838,111 @@ mod tests {
                 if let Some([one]) = ifma52::pow_short([lanes], [limbs[0]], [e.low_u64()]) {
                     assert_eq!(Ubig::from_limbs(one), want[0], "{key:?} single");
                 }
+            }
+        }
+    }
+
+    /// The check as it stood before it read the encoding in place: the
+    /// scalar `s^e mod n`, serialized, against the allocating
+    /// `emsa_pkcs1_v15` of the message. The reference the digest entries
+    /// are held to.
+    fn reference_verify(key: &RsaPublicKey, msg: &[u8], sig: &[u8], alg: HashAlg) -> bool {
+        let k = key.modulus_bytes();
+        let Some(s) = key.signature_value(sig) else {
+            return false;
+        };
+        let em = s.pow_mod(key.e(), key.n());
+        emsa_pkcs1_v15(msg, k, alg).is_ok_and(|want| em.to_bytes_be_padded(k) == want)
+    }
+
+    /// A signature whose `s^e mod n` is `em`: how a test presents an
+    /// encoding no honest signer makes.
+    fn signature_of_encoding(key: &RsaPrivateKey, em: &[u8]) -> Vec<u8> {
+        let k = key.public().modulus_bytes();
+        key.raw_decrypt(&Ubig::from_bytes_be(em))
+            .to_bytes_be_padded(k)
+    }
+
+    /// `verify`, `verify_digest` and both halves of `verify_pair_digests`
+    /// give the reference's verdict, on the lane engine and the scalar
+    /// one, for an honest signature and for each way to spoil it: every
+    /// one-byte flip, wrong lengths, `s >= n`, zero, another key's
+    /// signature, and signatures whose encodings are right but for one
+    /// part (block type, a byte of the `0xFF` run, the separator, the
+    /// `DigestInfo` prefix, the digest). The wrong digest and a digest of
+    /// the wrong length fail.
+    #[test]
+    fn the_digest_check_agrees_with_the_encoding_it_replaced() {
+        let [k512, k1024, _] = lane_width_keys();
+        let other = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(513), 512);
+        let msg: &[u8] = b"a signed statement";
+        for (key, alg) in [
+            (k512, HashAlg::Sha256),
+            (k1024, HashAlg::Sha256),
+            (k1024, HashAlg::Sha1),
+        ] {
+            let public = key.public();
+            let k = public.modulus_bytes();
+            let honest = key.sign(msg, alg).unwrap();
+            let mut sigs = vec![honest.clone()];
+            for at in 0..k {
+                let mut sig = honest.clone();
+                sig[at] ^= 0x5a;
+                sigs.push(sig);
+            }
+            let n = public.n();
+            sigs.extend([
+                honest[1..].to_vec(),
+                [&[0u8][..], &honest].concat(),
+                Vec::new(),
+                n.to_bytes_be_padded(k),
+                n.add(&Ubig::one()).to_bytes_be_padded(k),
+                vec![0xff; k],
+                vec![0; k],
+                other.sign(msg, alg).unwrap(),
+            ]);
+            let good = emsa_pkcs1_v15(msg, k, alg).unwrap();
+            let separator = k - alg.digest_info_prefix().len() - alg.digest_len() - 1;
+            let digest_at = separator + 1 + alg.digest_info_prefix().len();
+            for at in [
+                0,
+                1,
+                2,
+                k / 2,
+                separator - 1,
+                separator,
+                separator + 1,
+                digest_at - 1,
+                digest_at,
+                k - 1,
+            ] {
+                let mut em = good.clone();
+                em[at] ^= 0x01;
+                sigs.push(signature_of_encoding(key, &em));
+            }
+            assert_eq!(signature_of_encoding(key, &good), honest);
+
+            let digest = alg.hash(msg);
+            let mut accepted = 0;
+            for sig in &sigs {
+                let want = reference_verify(public, msg, sig, alg);
+                accepted += usize::from(want);
+                for engine in [public.clone(), public.scalar_only()] {
+                    assert_eq!(engine.verify(msg, sig, alg), want, "{engine:?}");
+                    assert_eq!(engine.verify_digest(&digest, sig, alg), want);
+                    let pair = |sigs: [&[u8]; 2]| {
+                        RsaPublicKey::verify_pair_digests([&engine; 2], [&digest; 2], sigs, alg)
+                    };
+                    assert_eq!(pair([sig, &honest]), [want, true]);
+                    assert_eq!(pair([&honest, sig]), [true, want]);
+                }
+            }
+            assert_eq!(accepted, 1, "only the honest signature verifies");
+            let wrong = alg.hash(b"another statement");
+            for engine in [public.clone(), public.scalar_only()] {
+                assert!(!engine.verify_digest(&wrong, &honest, alg));
+                assert!(!engine.verify_digest(&digest[1..], &honest, alg));
+                assert!(!engine.verify_digest(&[digest.clone(), vec![0]].concat(), &honest, alg));
             }
         }
     }

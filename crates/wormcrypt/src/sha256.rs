@@ -78,7 +78,22 @@ impl Digest for Sha256 {
         }
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize(self) -> Vec<u8> {
+        self.finalize_array().to_vec()
+    }
+}
+
+impl Sha256 {
+    /// One-shot digest returned as a fixed array (avoids the `Vec` when the
+    /// caller wants to embed the digest in a struct).
+    pub fn digest_array(data: &[u8]) -> [u8; 32] {
+        let mut h = Self::new();
+        h.update(data);
+        h.finalize_array()
+    }
+
+    /// Consumes the hasher and returns the digest as a fixed array.
+    pub(crate) fn finalize_array(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         // `update` leaves fewer than 64 bytes buffered, so the marker
         // byte always fits; the zeros behind it are one fill.
@@ -93,21 +108,10 @@ impl Digest for Sha256 {
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress_blocks(&block);
-        let mut out = Vec::with_capacity(32);
-        for w in self.state {
-            out.extend_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-}
-
-impl Sha256 {
-    /// One-shot digest returned as a fixed array (avoids the `Vec` when the
-    /// caller wants to embed the digest in a struct).
-    pub fn digest_array(data: &[u8]) -> [u8; 32] {
-        let v = Self::digest(data);
         let mut out = [0u8; 32];
-        out.copy_from_slice(&v);
+        for (bytes, w) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&w.to_be_bytes());
+        }
         out
     }
 

@@ -26,8 +26,8 @@ pub struct WireWriter {
 
 impl WireWriter {
     /// Empty writer.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        WireWriter { buf: Vec::new() }
     }
 
     /// Writer pre-tagged with a domain-separation label.
@@ -79,6 +79,13 @@ impl WireWriter {
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
         let len = u32::try_from(v.len()).expect("byte string exceeds the u32 length prefix");
         self.put_u32(len);
+        self.buf.extend_from_slice(v);
+        self
+    }
+
+    /// Appends `v` as it stands, with no length prefix: for bytes that
+    /// are already a canonical encoding, nested in the one being written.
+    pub fn put_raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
         self
     }
@@ -194,6 +201,11 @@ impl WireWriter {
     /// Consumes the writer, returning the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Current encoded length.

@@ -462,3 +462,51 @@ fn pre_crash_host_hash_lies_are_audited_after_resume() {
     // The queue fully drains (no wedged entries).
     srv.idle(1_000_000_000).unwrap();
 }
+
+/// Bytes written to the medium while `f` runs.
+fn bytes_written_by<T>(disk: &Arc<wormstore::MemDisk>, f: impl FnOnce() -> T) -> (T, u64) {
+    use wormstore::BlockDevice;
+    let before = disk.stats().bytes_written;
+    let out = f();
+    (out, disk.stats().bytes_written - before)
+}
+
+#[test]
+fn boot_zeroes_the_journal_region_once_and_a_clean_recovery_writes_nothing_past_the_tail() {
+    let config = WormConfig::test_small();
+    // Boot: the region once, then the frames that publish the first head
+    // and base.
+    let ((srv, disk, clock), booted) = {
+        let disk = Arc::new(wormstore::MemDisk::unmetered(1 << 17));
+        let clock = VirtualClock::starting_at_millis(1_000_000);
+        let (srv, written) = bytes_written_by(&disk, || {
+            strongworm::WormServer::with_durable(
+                Arc::clone(&disk),
+                common::JOURNAL_BYTES,
+                config.clone(),
+                clock.clone(),
+                common::regulator().public(),
+            )
+            .unwrap()
+        });
+        ((srv, disk, clock), written)
+    };
+    let frames = srv.vrdt().journal().len_bytes() as u64;
+    assert_eq!(booted, common::JOURNAL_BYTES + frames);
+
+    let sn = srv.write(&[b"kept"], short_policy(1_000_000)).unwrap();
+    let tail = srv.vrdt().journal().len_bytes() as u64;
+    // A clean stop and recovery: only the frames recovery appends (the
+    // new head and base) reach the medium; nothing past the tail is
+    // rewritten.
+    let (srv, recovered) =
+        bytes_written_by(&disk, || restart(srv, &disk, config.clone(), clock.clone()));
+    assert_eq!(srv.stats_snapshot().counter("recovery.torn_tail"), 0);
+    let appended = srv.vrdt().journal().len_bytes() as u64 - tail;
+    assert_eq!(recovered, appended);
+    let v = verifier(&srv, clock);
+    assert_eq!(
+        v.verify_read(sn, &srv.read(sn).unwrap()),
+        Ok(ReadVerdict::Intact { sn })
+    );
+}
