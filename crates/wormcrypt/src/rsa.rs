@@ -208,18 +208,26 @@ impl RsaPublicKey {
     /// digits split into where the key carries them: four at 1024 bits,
     /// eight at 2048.
     pub fn verify_digest(&self, digest: &[u8], sig: &[u8], alg: HashAlg) -> bool {
+        // `pow_short` has a one-number kernel at 20 and 40 digits only: a
+        // 512-bit key's ten do not split in four, so it goes scalar.
+        let one = |n: &&ifma52::Modulus| matches!(n.digits(), 20 | 40);
+        if let Some(n) = self.lanes.as_deref().filter(one) {
+            let Some(s) = self.signature_limbs(sig) else {
+                return false;
+            };
+            let s = &s[..self.n.limbs.len()];
+            if let Some([em]) = ifma52::pow_short([n], [s], [self.e.low_u64()]) {
+                return self.is_encoding_of(&em, digest, alg);
+            }
+        }
         let Some(s) = self.signature_value(sig) else {
             return false;
         };
-        let lanes = self
-            .lanes
-            .as_deref()
-            .and_then(|n| ifma52::pow_short([n], [&s.limbs], [self.e.low_u64()]));
-        match (lanes, &self.ctx) {
-            (Some([em]), _) => self.is_encoding_of(&em, digest, alg),
-            (None, Some(ctx)) => self.is_encoding_of(&ctx.pow(&s, &self.e).limbs, digest, alg),
-            (None, None) => self.is_encoding_of(&s.pow_mod(&self.e, &self.n).limbs, digest, alg),
-        }
+        let em = match &self.ctx {
+            Some(ctx) => ctx.pow(&s, &self.e),
+            None => s.pow_mod(&self.e, &self.n),
+        };
+        self.is_encoding_of(&em.limbs, digest, alg)
     }
 
     /// Verifies two PKCS#1 v1.5 signatures, each under its own key: exactly
@@ -262,13 +270,13 @@ impl RsaPublicKey {
     ) -> Option<[bool; 2]> {
         let [a, b] = [keys[0].lanes.as_deref()?, keys[1].lanes.as_deref()?];
         let s = [
-            keys[0].signature_value(sigs[0])?,
-            keys[1].signature_value(sigs[1])?,
+            keys[0].signature_limbs(sigs[0])?,
+            keys[1].signature_limbs(sigs[1])?,
         ];
         // Keys of different widths share no pass: `None`.
         let [em0, em1] = ifma52::pow_short(
             [a, b],
-            [&s[0].limbs, &s[1].limbs],
+            [0, 1].map(|i| &s[i][..keys[i].n.limbs.len()]),
             [keys[0].e.low_u64(), keys[1].e.low_u64()],
         )?;
         Some([
@@ -280,11 +288,27 @@ impl RsaPublicKey {
     /// The number a signature encodes, if it has this key's length and is
     /// below `n` — what RFC 8017 §8.2.2 requires before any arithmetic.
     fn signature_value(&self, sig: &[u8]) -> Option<Ubig> {
-        if sig.len() != self.modulus_bytes() {
-            return None;
-        }
-        let s = Ubig::from_bytes_be(sig);
+        let s = Ubig::from_bytes_be(self.of_key_length(sig)?);
         (s < self.n).then_some(s)
+    }
+
+    /// [`Self::signature_value`] as the lanes take it, for a key that
+    /// carries them: little-endian limbs in a fixed array, so parsing
+    /// allocates nothing. The value fits the first `n.limbs.len()`.
+    fn signature_limbs(&self, sig: &[u8]) -> Option<[u64; ifma52::MAX_LIMBS]> {
+        let mut s = [0u64; ifma52::MAX_LIMBS];
+        for (limb, bytes) in s.iter_mut().zip(self.of_key_length(sig)?.rchunks(8)) {
+            *limb = bytes.iter().fold(0, |v, &b| v << 8 | u64::from(b));
+        }
+        // `s < n`, compared from the top limb down.
+        let low = s.get(..self.n.limbs.len())?;
+        low.iter().rev().lt(self.n.limbs.iter().rev()).then_some(s)
+    }
+
+    /// `sig` if it has this key's length in bytes, the first check RFC
+    /// 8017 §8.2.2 makes: both signature parsers start here.
+    fn of_key_length<'s>(&self, sig: &'s [u8]) -> Option<&'s [u8]> {
+        (sig.len() == self.modulus_bytes()).then_some(sig)
     }
 
     /// Whether the number whose little-endian limbs are `em` (`s^e mod n`)
@@ -695,6 +719,28 @@ mod tests {
     }
 
     #[test]
+    fn both_signature_parsers_take_and_refuse_the_same_signatures() {
+        for key in lane_width_keys() {
+            let key = key.public();
+            let (k, n) = (key.modulus_bytes(), key.n());
+            let mut sigs = [
+                Ubig::from_u64(0),
+                n.sub(&Ubig::one()),
+                n.clone(),
+                n.add(&Ubig::one()),
+            ]
+            .map(|v| v.to_bytes_be_padded(k))
+            .to_vec();
+            sigs.extend([vec![0xFF; k], vec![1; k - 1], vec![1; k + 1]]);
+            for sig in sigs {
+                let limbs = key.signature_limbs(&sig);
+                let value = limbs.map(|l| Ubig::from_limbs(l.to_vec()));
+                assert_eq!(value, key.signature_value(&sig), "{key:?} {sig:02x?}");
+            }
+        }
+    }
+
+    #[test]
     fn lanes_are_chosen_by_cpu_and_width_alone() {
         for key in lane_width_keys() {
             assert_eq!(key.lanes.is_some(), ifma52::available(), "{key:?}");
@@ -833,10 +879,14 @@ mod tests {
                 let want = values.each_ref().map(|s| ctx.pow(s, e));
                 let limbs = values.each_ref().map(|s| &s.limbs[..]);
                 let got = ifma52::pow_short([lanes; 2], limbs, [e.low_u64(); 2]).unwrap();
-                assert_eq!(got.map(Ubig::from_limbs), want, "{key:?} pair");
+                assert_eq!(
+                    got.map(|l| Ubig::from_limbs(l.to_vec())),
+                    want,
+                    "{key:?} pair"
+                );
                 // 512 bits has no one-number kernel: `verify` is scalar.
                 if let Some([one]) = ifma52::pow_short([lanes], [limbs[0]], [e.low_u64()]) {
-                    assert_eq!(Ubig::from_limbs(one), want[0], "{key:?} single");
+                    assert_eq!(Ubig::from_limbs(one.to_vec()), want[0], "{key:?} single");
                 }
             }
         }

@@ -289,7 +289,7 @@ pub(crate) fn put_request(
             flags,
             witness,
         } => {
-            w.put_u8(1);
+            w.put_u8(WRITE);
             w.put_count(records.len());
             for rec in records {
                 w.put_bytes(rec);
@@ -299,7 +299,7 @@ pub(crate) fn put_request(
             w.put_u8(witness_code(*witness));
         }
         NetRequest::Read { sn } => {
-            w.put_u8(2);
+            w.put_u8(READ);
             w.put_u64(sn.0);
         }
         NetRequest::Delete { sn } => {
@@ -366,11 +366,15 @@ pub fn decode_request_traced(
     decode_request_inner(bytes, true)
 }
 
-/// Whether a request frame payload is a `Write`, bare or inside a trace
-/// envelope: its opcodes read off, its records left undecoded. What is
-/// not, undecodable payloads included, is `false`.
-pub(crate) fn is_write(bytes: &[u8]) -> bool {
-    let opcode = |bytes| -> Result<u8, WireError> {
+/// The `Write` request opcode, as [`opcode`] reads it.
+pub(crate) const WRITE: u8 = 1;
+/// The `Read` request opcode, as [`opcode`] reads it.
+pub(crate) const READ: u8 = 2;
+
+/// A request frame payload's opcode, bare or inside a trace envelope:
+/// read off, the rest left undecoded. `None` for an undecodable payload.
+pub(crate) fn opcode(bytes: &[u8]) -> Option<u8> {
+    let read = |bytes| -> Result<u8, WireError> {
         let mut r = WireReader::tagged(bytes, REQ_TAG, "request tag")?;
         match r.get_u8()? {
             9 => {
@@ -382,7 +386,13 @@ pub(crate) fn is_write(bytes: &[u8]) -> bool {
             opcode => Ok(opcode),
         }
     };
-    opcode(bytes) == Ok(1)
+    read(bytes).ok()
+}
+
+/// Whether a request frame payload is a `Write`, bare or inside a trace
+/// envelope. What is not, undecodable payloads included, is `false`.
+pub(crate) fn is_write(bytes: &[u8]) -> bool {
+    opcode(bytes) == Some(WRITE)
 }
 
 fn decode_request_inner(
@@ -411,7 +421,7 @@ fn decode_request_inner(
         ));
     }
     let req = match opcode {
-        1 => {
+        WRITE => {
             let n = r.get_count_within(MAX_LIST_LEN, "record count within bounds")?;
             let mut records = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
@@ -427,7 +437,7 @@ fn decode_request_inner(
                 witness,
             }
         }
-        2 => NetRequest::Read {
+        READ => NetRequest::Read {
             sn: SerialNumber(r.get_u64()?),
         },
         3 => NetRequest::Delete {
@@ -646,6 +656,12 @@ mod tests {
                 parent_span: 17,
             };
             let traced = encode_request_traced(&req, ctx);
+            // The reactor's opcode reader reads both forms alike.
+            let op = opcode(&enc);
+            assert_eq!(opcode(&traced), op, "{req:?}");
+            assert_eq!(op == Some(READ), matches!(req, NetRequest::Read { .. }));
+            assert_eq!(op == Some(WRITE), matches!(req, NetRequest::Write { .. }));
+            assert_eq!(is_write(&traced), op == Some(WRITE));
             assert_eq!(
                 decode_request_traced(&traced).unwrap(),
                 (req.clone(), Some(ctx))

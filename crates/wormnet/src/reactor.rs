@@ -12,7 +12,16 @@
 //!   the whole point.
 //! * **Deferred flush** — responses for a readiness burst accumulate in
 //!   a per-connection write buffer and leave in one coalesced write,
-//!   not one flush per frame.
+//!   not one flush per frame: coalesced per burst, and sent before any
+//!   frame that is not a `Read`. Every such frame may command the device
+//!   (a `Write` and so a whole run of them, `Delete`, `LitHold`,
+//!   `LitRelease`, `Tick`, and `GetCompositeHead` or `GetShardKeys`,
+//!   which may sign or query each lane), so the loop first pushes what
+//!   the burst has answered so far to the socket, without blocking: an
+//!   answered read does not wait on an SCPU command that arrived behind
+//!   it. A `Read` is served without that flush; one whose head or base
+//!   is stale refreshes it through the SCPU, and answers ahead of it
+//!   wait for that.
 //! * **Runs of writes** — a `Write` frame and the complete `Write`
 //!   frames already buffered behind it (bare or in a trace envelope, up
 //!   to the burst cap) go to the deployment together, one SCPU command a
@@ -40,7 +49,7 @@ use strongworm::ShardedWormServer;
 use wormstore::BlockDevice;
 
 use crate::frame::parse_frame;
-use crate::protocol::is_write;
+use crate::protocol::{is_write, opcode, READ, WRITE};
 use crate::server::{respond, respond_writes, NetServerConfig, NetStats, SHUTDOWN_POLL};
 
 /// Cap on requests served from one connection per loop iteration.
@@ -157,7 +166,9 @@ impl Conn {
     /// `Write` frame buffered right behind it, up to the cap, are served
     /// as one run ([`respond_writes`]); any other frame ends the run, and
     /// it and a write with no other behind it are served alone
-    /// ([`respond`]). Returns how many frames were served.
+    /// ([`respond`]). Before any frame but a `Read`, pending output is
+    /// pushed to the socket ([`push`]); if that fails, serving stops
+    /// there. Returns how many frames were served.
     fn serve<D: BlockDevice>(
         &mut self,
         server: &ShardedWormServer<D>,
@@ -173,8 +184,22 @@ impl Conn {
             let unparsed = self.rbuf.get(consumed..).unwrap_or_default();
             match parse_frame(unparsed, config.max_frame) {
                 Ok(Some((payload, frame_len))) => {
+                    let op = opcode(payload);
+                    if op != Some(READ) && self.wants_write() {
+                        match push(&self.stream, &mut self.wbuf, &mut self.wpos, stats) {
+                            Ok(true) => {
+                                stats.flushes_before_device.inc();
+                                self.last_write = Instant::now();
+                            }
+                            Ok(false) => {}
+                            Err(close) => {
+                                self.close = Some(close);
+                                break;
+                            }
+                        }
+                    }
                     let before = self.wbuf.len();
-                    let (run, taken) = if is_write(payload) {
+                    let (run, taken) = if op == Some(WRITE) {
                         write_run(unparsed, BURST_FRAMES - frames, config.max_frame)
                     } else {
                         (Vec::new(), frame_len)
@@ -216,33 +241,17 @@ impl Conn {
 
     /// Pushes pending output to the socket: one coalesced write per
     /// burst rather than one flush per frame.
-    fn flush(&mut self) {
-        use std::io::Write as _;
-        while self.wants_write() {
-            let pending = self.wbuf.get(self.wpos..).unwrap_or_default();
-            match (&self.stream).write(pending) {
-                Ok(0) => {
-                    self.close = Some(Close::Error);
-                    return;
-                }
-                Ok(n) => {
-                    self.wpos += n;
+    fn flush(&mut self, stats: &NetStats) {
+        match push(&self.stream, &mut self.wbuf, &mut self.wpos, stats) {
+            Ok(sent) => {
+                if sent {
                     self.last_write = Instant::now();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close = Some(Close::Error);
-                    return;
+                if self.wbuf.capacity() > BUF_SHRINK && !self.wants_write() {
+                    self.wbuf.shrink_to(READ_CHUNK);
                 }
             }
-        }
-        if !self.wants_write() {
-            self.wbuf.clear();
-            self.wpos = 0;
-            if self.wbuf.capacity() > BUF_SHRINK {
-                self.wbuf.shrink_to(READ_CHUNK);
-            }
+            Err(close) => self.close = Some(close),
         }
     }
 
@@ -265,6 +274,40 @@ impl Conn {
             self.close = Some(Close::Timeout);
         }
     }
+}
+
+/// Writes `wbuf[*wpos..]` to the non-blocking `stream` until all of it
+/// has gone or the socket would block, advancing `*wpos`, and empties
+/// `wbuf` once all of it has gone. Returns whether any byte went, or the
+/// close a failed socket calls for. It borrows only a connection's
+/// output side, so a burst can flush while its request bytes are
+/// borrowed.
+fn push(
+    mut stream: &TcpStream,
+    wbuf: &mut Vec<u8>,
+    wpos: &mut usize,
+    stats: &NetStats,
+) -> Result<bool, Close> {
+    use std::io::Write as _;
+    let mut sent = false;
+    while *wpos < wbuf.len() {
+        match stream.write(wbuf.get(*wpos..).unwrap_or_default()) {
+            Ok(0) => return Err(Close::Error),
+            Ok(n) => {
+                *wpos += n;
+                sent = true;
+                stats.flushes.inc();
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(Close::Error),
+        }
+    }
+    if *wpos == wbuf.len() {
+        wbuf.clear();
+        *wpos = 0;
+    }
+    Ok(sent)
 }
 
 /// The complete `Write` frames at the start of `buf`, at most `room` of
@@ -357,14 +400,14 @@ pub(crate) fn worker_loop<D: BlockDevice>(
             if writable {
                 // Free output space first so a backpressured connection
                 // can resume serving within the same iteration.
-                conn.flush();
+                conn.flush(stats);
             }
             if readable && !conn.paused() && conn.close.is_none() {
                 conn.fill(&mut scratch);
             }
             if conn.close.is_none() {
                 wstats.frames.add(conn.serve(server, stats, config));
-                conn.flush();
+                conn.flush(stats);
             }
             conn.decide_close(now, config);
         }
@@ -375,7 +418,7 @@ pub(crate) fn worker_loop<D: BlockDevice>(
     // one attempt), then drop every connection and drain the inbox so
     // gauges return to the truth — zero.
     for conn in &mut conns {
-        conn.flush();
+        conn.flush(stats);
     }
     for _ in conns.drain(..) {
         stats.conns_open.dec();
@@ -427,7 +470,7 @@ fn sweep(conns: &mut Vec<Conn>, stats: &NetStats, wstats: &WorkerStats, live: &A
         // Give buffered responses one last chance before the socket
         // drops (e.g. a framing violation after valid frames: the
         // valid frames' responses still go out).
-        c.flush();
+        c.flush(stats);
         stats.conns_open.dec();
         wstats.conns.dec();
         // ordering: admission counter is advisory (see `admit`).

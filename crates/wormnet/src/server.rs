@@ -8,7 +8,11 @@
 //! connection for its lifetime. Requests on one connection may be
 //! pipelined; responses return in request order, with decode batched
 //! from a per-connection read buffer and flushes coalesced per
-//! readiness burst.
+//! readiness burst, and sent before any device command: what a burst has
+//! answered goes to the socket before any frame but a `Read` is served
+//! (each of those may reach the SCPU), so an answered read does not wait
+//! on an SCPU command that arrived behind it. A `Read` whose head or base
+//! is stale refreshes it through the SCPU without that flush.
 //!
 //! Workers call straight into the fronted deployment — N ≥ 1
 //! [`WormServer`] lanes, one SCPU each; a bound `WormServer` is the
@@ -133,6 +137,11 @@ pub(crate) struct NetStats {
     pub(crate) frames_out: Arc<wormtrace::Counter>,
     pub(crate) bytes_in: Arc<wormtrace::Counter>,
     pub(crate) bytes_out: Arc<wormtrace::Counter>,
+    /// `write(2)` calls that sent response bytes.
+    pub(crate) flushes: Arc<wormtrace::Counter>,
+    /// Flushes of a burst's answered responses made before a frame other
+    /// than a `Read` is served.
+    pub(crate) flushes_before_device: Arc<wormtrace::Counter>,
     pub(crate) timeouts: Arc<wormtrace::Counter>,
     pub(crate) accept_errors: Arc<wormtrace::Counter>,
     pub(crate) queue_depth: Arc<wormtrace::Gauge>,
@@ -152,6 +161,8 @@ impl NetStats {
             frames_out: trace.counter("net.frames_out"),
             bytes_in: trace.counter("net.bytes_in"),
             bytes_out: trace.counter("net.bytes_out"),
+            flushes: trace.counter("net.flushes"),
+            flushes_before_device: trace.counter("net.flushes_before_device"),
             timeouts: trace.counter("net.timeouts"),
             accept_errors: trace.counter("net.accept_errors"),
             queue_depth: trace.gauge("net.queue_depth"),

@@ -1742,3 +1742,75 @@ fn a_buffered_run_of_writes_is_one_command_answered_in_request_order() {
     }
     net.shutdown();
 }
+
+/// A read pipelined ahead of a write is answered while the write still
+/// waits on the device: the burst's answers go out before the device
+/// command, and the write's receipt follows in request order.
+#[test]
+fn a_read_ahead_of_a_write_is_answered_while_the_device_is_busy() {
+    use wormnet::{NetRequest, NetResponse};
+
+    let h = boot(NetServerConfig {
+        workers: 1,
+        ..NetServerConfig::default()
+    });
+    let mut client = RemoteWormClient::connect_with(
+        h.net.local_addr(),
+        Duration::from_secs(5),
+        DEFAULT_MAX_FRAME,
+    )
+    .unwrap();
+    let verifier = client
+        .bootstrap_verifier(Duration::from_secs(300), h.clock.clone())
+        .unwrap();
+    // Written and read once, with a clock that never moves: the head the
+    // read carries stays fresh, so reading it again needs no device.
+    let sn = client.write(&[b"answered first"], policy(3600)).unwrap();
+    assert_eq!(sn, SerialNumber(1));
+    assert_eq!(
+        client.read_verified(sn, &verifier).unwrap().0,
+        ReadVerdict::Intact { sn }
+    );
+
+    let lane = Arc::clone(h.server.coordinator());
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let (held, holding) = std::sync::mpsc::channel::<()>();
+    // The device is held on a thread of its own: the test thread makes
+    // blocking calls, which a thread holding a guard may not.
+    let holder = std::thread::spawn(move || {
+        let _device = lane.firmware_for_test();
+        held.send(()).unwrap();
+        // Dropping `release` (or a panic that drops it) ends the hold.
+        let _ = released.recv();
+    });
+    holding.recv().unwrap();
+
+    let mut pipe = client.pipeline(2);
+    assert!(pipe.send(&NetRequest::Read { sn }).unwrap().is_none());
+    let write = NetRequest::Write {
+        records: vec![bytes::Bytes::from_static(b"answered second")],
+        policy: policy(3600),
+        flags: 0,
+        witness: WitnessMode::Strong,
+    };
+    assert!(pipe.send(&write).unwrap().is_none());
+    // Both frames leave in one coalesced write; the read's answer must
+    // arrive while the device is still held.
+    match pipe.recv() {
+        Ok(Some(NetResponse::Outcome(outcome))) => assert_eq!(
+            verifier.verify_read(sn, &outcome).unwrap(),
+            ReadVerdict::Intact { sn }
+        ),
+        other => panic!("the read must be answered while the device is busy, got {other:?}"),
+    }
+    drop(release);
+    holder.join().unwrap();
+    match pipe.finish().unwrap().as_slice() {
+        [NetResponse::Written { sn }] => assert_eq!(*sn, SerialNumber(2)),
+        other => panic!("expected the write's receipt, got {other:?}"),
+    }
+    let stats = h.server.stats_snapshot();
+    assert!(stats.counter("net.flushes_before_device") >= 1);
+    assert!(stats.counter("net.flushes") >= stats.counter("net.flushes_before_device"));
+    h.net.shutdown();
+}

@@ -173,9 +173,11 @@ impl<D: BlockDevice> TornDisk<D> {
         ctl.writes = 0;
     }
 
-    /// Applies the torn fraction of `data` to the medium per the plan.
-    fn tear(&self, plan: &CutPlan, boundary: u64, offset: u64, data: &[u8]) {
-        let r = mix(plan.seed ^ boundary.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    /// Applies the torn fraction of `data` to the medium per the plan,
+    /// drawn from the plan's seed alone: not from the absolute boundary,
+    /// which counts boot's writes too.
+    fn tear(&self, plan: &CutPlan, offset: u64, data: &[u8]) {
+        let r = mix(plan.seed);
         let len = data.len();
         if len == 0 {
             return;
@@ -240,7 +242,7 @@ impl<D: BlockDevice> BlockDevice for TornDisk<D> {
         };
         match fired {
             Some((plan, boundary)) => {
-                self.tear(&plan, boundary, offset, data);
+                self.tear(&plan, offset, data);
                 Err(BlockError::PowerLost { at_write: boundary })
             }
             None => self.state.inner.write_at(offset, data),

@@ -71,10 +71,13 @@ pub struct CutRange {
 impl CutRange {
     /// The sweep: a cut at every boundary of the range in every
     /// [`CutStyle`], boundary by boundary, the cut at boundary `at`
-    /// seeded `salt ^ at`.
+    /// seeded `salt ^ (at - first)`: by its index within the range, so a
+    /// change to how many writes boot makes moves the range, not the
+    /// draws.
     pub fn plans(self, salt: u64) -> impl Iterator<Item = CutPlan> {
-        (self.first..=self.last)
-            .flat_map(move |at| CutStyle::ALL.map(|style| CutPlan::new(at, style, salt ^ at)))
+        (self.first..=self.last).flat_map(move |at| {
+            CutStyle::ALL.map(|style| CutPlan::new(at, style, salt ^ (at - self.first)))
+        })
     }
 }
 

@@ -9,7 +9,9 @@
 # script then exits non-zero: a stale mutant measures nothing, so it is
 # regenerated against the code or retired, never skipped.
 #
-# Usage: scripts/mutants.sh [<checkout> [<scratch dir>]]
+# Usage: scripts/mutants.sh [--only NN[,NN...]] [<checkout> [<scratch dir>]]
+#   --only NN,...  run only the mutants with these numbers (e.g. --only 45
+#                  or --only 7,45); default: every patch in mutants/
 #   <checkout>     the code to mutate (default: this one); the patches
 #                  always come from this checkout's mutants/
 #   <scratch dir>  where the copy is built and kept (default: a new
@@ -18,6 +20,17 @@
 # libtest reported running for over 60 seconds.
 set -euo pipefail
 here=$(cd "$(dirname "$0")/.." && pwd)
+patches=("$here"/mutants/*.patch)
+if [[ "${1:-}" == --only ]]; then
+  patches=()
+  list=${2:?--only takes a list of mutant numbers}
+  for n in ${list//,/ }; do
+    found=("$here"/mutants/"$(printf %02d "$((10#$n))")"-*.patch)
+    [[ -e "${found[0]}" ]] || { echo "no mutant numbered $n in mutants/" >&2; exit 2; }
+    patches+=("${found[@]}")
+  done
+  shift 2
+fi
 src=$(cd "${1:-$here}" && pwd)
 work=${2:-$(mktemp -d)}
 limit=150
@@ -94,7 +107,7 @@ echo
 echo "| mutant | tier-1 | clippy | verdict |"
 echo "|---|---|---|---|"
 stale=0
-for patch in "$here"/mutants/*.patch; do
+for patch in "${patches[@]}"; do
   name=$(basename "$patch" .patch)
   if ! git -C "$tree" apply "$patch"; then
     echo "| $name | does not apply | | STALE |"

@@ -4,8 +4,8 @@
 //! A cold read — a record the verifier has not checked — is hashed in a
 //! reused per-thread buffer, checked against its digest in place, and
 //! stored by overwriting one slot of each memo, so the verifier's share of
-//! it is the RSA engine's own numbers and the first fill of the slots it
-//! lands in. Timing in CI is noise; a count of allocator calls repeats,
+//! it is the first fill of the slots it lands in: on the lanes the RSA
+//! engine's numbers are fixed arrays. Timing in CI is noise; a count of allocator calls repeats,
 //! so it is the guard.
 //!
 //! This is its own test binary because it installs a counting global
@@ -62,19 +62,21 @@ const RECORDS: usize = 96;
 const RECORD_BYTES: usize = 1024;
 /// Allocator calls one memo-miss verified read may cost the verifier, at
 /// the paper's widths (both witnesses checked in one pass of the lanes
-/// where the CPU has them): what it costs, plus one. Measured: 10.98 in a
-/// fresh verifier — four in the RSA engine (each signature's value and
-/// each lane's result), two for the first signature each of two
+/// where the CPU has them): what it costs, plus one. Measured: 6.98 in a
+/// fresh verifier — two for the first signature each of two
 /// signature-memo slots holds, five for the first record a record-memo
 /// slot holds (its VRD's descriptor list and two signatures, the record
 /// list and the record), less two where an earlier read had filled the
-/// slot. Payload, digest, encoding and memo key allocate nothing; once
-/// a slot is filled, a later read overwrites it in place, so a verifier
-/// in its steady state (`wire_read_cold`) pays the engine's four alone.
-/// The same loop cost 35.12 while payloads and memo keys were built in
-/// vectors, the encoding was compared as bytes, and a memo entry was a
-/// fresh clone.
-const BUDGET_PER_READ: u64 = 12;
+/// slot. The RSA engine allocates nothing on the lanes: each signature's
+/// value and each lane's result are fixed arrays. Payload, digest,
+/// encoding and memo key allocate nothing; once a slot is filled, a later
+/// read overwrites it in place, so a verifier in its steady state
+/// (`wire_read_cold`) allocates nothing there. The same loop cost 35.12
+/// while payloads and memo keys were built in vectors, the encoding was
+/// compared as bytes, and a memo entry was a fresh clone, and 10.98 while
+/// the engine built a `Ubig` for each signature and a `Vec` for each
+/// lane's result.
+const BUDGET_PER_READ: u64 = 8;
 
 /// Allocator calls over one verification of each of `outcomes`.
 fn calls_over(verifier: &strongworm::Verifier, outcomes: &[(SerialNumber, ReadOutcome)]) -> u64 {
