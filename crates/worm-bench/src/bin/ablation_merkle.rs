@@ -14,7 +14,7 @@
 
 use scpu::{CostModel, Op};
 use worm_bench::json_record;
-use wormcrypt::MerkleTree;
+use worm_bench::merkle::MerkleTree;
 
 struct Row {
     n_records: usize,

@@ -36,6 +36,8 @@ use strongworm::{
 };
 use wormstore::Shredder;
 
+pub mod merkle;
+
 /// One point of the Figure 1 reproduction.
 #[derive(Clone, Debug)]
 pub struct ThroughputPoint {

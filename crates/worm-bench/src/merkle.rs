@@ -8,8 +8,7 @@
 //! and an operation counter exposing exactly how many hash evaluations each
 //! mutation cost.
 
-use crate::digest::Digest;
-use crate::Sha256;
+use wormcrypt::{Digest, Sha256};
 
 /// Leaf/interior domain separation prefixes (RFC 6962 style).
 const LEAF_PREFIX: u8 = 0x00;
@@ -22,7 +21,7 @@ const NODE_PREFIX: u8 = 0x01;
 /// built-in [`MerkleTree::hash_ops`] counter makes measurable.
 ///
 /// ```
-/// use wormcrypt::MerkleTree;
+/// use worm_bench::merkle::MerkleTree;
 /// let mut t = MerkleTree::new();
 /// let i = t.append(b"record");
 /// let proof = t.prove(i).unwrap();

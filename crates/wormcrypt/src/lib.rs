@@ -17,8 +17,6 @@
 //!   IBM 4764 benchmark rows in Table 2; [`Sha256`] is the default hash).
 //! * [`Hmac`] — RFC 2104, the paper's fastest burst-witnessing construct.
 //! * [`ChainHash`] — the chained record hash signed by `datasig` (Table 1).
-//! * [`MerkleTree`] — the O(log n)-per-update baseline the paper's window
-//!   scheme replaces (ablation A1).
 //! * [`wire`] — the one canonical byte encoding everything hashed or
 //!   signed in this stack goes through.
 //!
@@ -53,7 +51,6 @@ mod chain;
 mod digest;
 mod error;
 mod hmac;
-mod merkle;
 mod rsa;
 mod sha1;
 mod sha256;
@@ -63,7 +60,6 @@ pub use chain::{ChainHash, ChainRecordWriter};
 pub use digest::Digest;
 pub use error::CryptoError;
 pub use hmac::{ct_eq, Hmac};
-pub use merkle::MerkleTree;
 pub use rsa::{HashAlg, RsaPrivateKey, RsaPublicKey};
 pub use sha1::Sha1;
 pub use sha256::Sha256;

@@ -74,21 +74,15 @@ fn concurrent_clients_write_read_delete_all_verified() {
         )
     };
 
-    // Three barriers: start together, pause while the main thread
-    // expires retention, resume for the delete phase.
-    let start = Arc::new(Barrier::new(CLIENTS + 1));
-    let written = Arc::new(Barrier::new(CLIENTS + 1));
-    let expired = Arc::new(Barrier::new(CLIENTS + 1));
-
-    let threads: Vec<_> = (0..CLIENTS)
+    // Three phases, each joined before the next, so a client that fails
+    // anywhere fails the test at once: the clients write and read back,
+    // the main thread expires retention, the clients delete.
+    let writers: Vec<_> = (0..CLIENTS)
         .map(|t| {
             let verifier = verifier.clone();
-            let (start, written, expired) = (start.clone(), written.clone(), expired.clone());
             std::thread::spawn(move || {
-                let mut client = RemoteWormClient::connect(addr).unwrap();
-                start.wait();
-
                 // Write a multi-record VR, then read it back verified.
+                let mut client = RemoteWormClient::connect(addr).unwrap();
                 let body = format!("client-{t} record");
                 let sn = client
                     .write(&[body.as_bytes(), b"second extent"], policy(60))
@@ -96,10 +90,23 @@ fn concurrent_clients_write_read_delete_all_verified() {
                 let (verdict, outcome) = client.read_verified(sn, &verifier).unwrap();
                 assert_eq!(verdict, ReadVerdict::Intact { sn });
                 assert_eq!(outcome.kind(), "data");
+                (client, sn)
+            })
+        })
+        .collect();
+    let written: Vec<_> = writers
+        .into_iter()
+        .map(|w| w.join().expect("client thread panicked"))
+        .collect();
 
-                written.wait();
-                expired.wait();
+    h.clock.advance(Duration::from_secs(61));
 
+    let deleters: Vec<_> = written
+        .into_iter()
+        .enumerate()
+        .map(|(t, (mut client, sn))| {
+            let verifier = verifier.clone();
+            std::thread::spawn(move || {
                 // Retention has lapsed: drive the deletion and verify
                 // the returned evidence end-to-end.
                 let outcome = client.delete(sn).unwrap();
@@ -116,14 +123,8 @@ fn concurrent_clients_write_read_delete_all_verified() {
             })
         })
         .collect();
-
-    start.wait();
-    written.wait();
-    h.clock.advance(Duration::from_secs(61));
-    expired.wait();
-
-    for t in threads {
-        t.join().expect("client thread panicked");
+    for d in deleters {
+        d.join().expect("client thread panicked");
     }
     assert!(h.net.requests_served() >= (CLIENTS * 4) as u64);
     h.net.shutdown();
@@ -690,14 +691,11 @@ fn sharded_writes_fan_out_and_reads_verify_across_lanes() {
 
     // Concurrent clients write; each verifies its own records as it
     // goes. Round-robin on the server fans the writes across lanes.
-    let start = Arc::new(Barrier::new(CLIENTS + 1));
     let threads: Vec<_> = (0..CLIENTS)
         .map(|t| {
             let verifier = verifier.clone();
-            let start = start.clone();
             std::thread::spawn(move || {
                 let mut client = RemoteWormClient::connect(addr).unwrap();
-                start.wait();
                 (0..3u8)
                     .map(|i| {
                         let body = format!("client-{t} record-{i}");
@@ -710,7 +708,6 @@ fn sharded_writes_fan_out_and_reads_verify_across_lanes() {
             })
         })
         .collect();
-    start.wait();
     let mut sns = Vec::new();
     for t in threads {
         sns.extend(t.join().expect("client thread panicked"));
@@ -1574,13 +1571,16 @@ fn pipelined_readers_partition_frames_in(connections: usize, depth: usize, reads
     );
     drop(setup);
 
+    // Every connection is open and ticked before any pipelines, and the
+    // set-up runs here: a failed connect or tick fails the test at once,
+    // where in a client thread it would leave the others at the barrier.
     let start = Arc::new(Barrier::new(connections));
     let clients: Vec<_> = (0..connections)
         .map(|_| {
+            let mut client = RemoteWormClient::connect(addr).unwrap();
+            client.tick().unwrap();
             let (start, verifier) = (start.clone(), verifier.clone());
             std::thread::spawn(move || {
-                let mut client = RemoteWormClient::connect(addr).unwrap();
-                client.tick().unwrap();
                 start.wait();
                 let mut pipe = client.pipeline(depth);
                 let mut responses = Vec::with_capacity(reads);

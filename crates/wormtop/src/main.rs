@@ -1,25 +1,39 @@
-//! `wormtop` — live introspection for a Strong WORM network server.
+//! `wormtop` — the operator's and the auditor's view of a Strong WORM
+//! network server.
 //!
-//! Polls a `NetServer`'s stats and flight-recorder endpoints over the
-//! ordinary wire protocol (no privileged side channel: what wormtop
-//! sees is exactly what any client can see) and renders per-op request
-//! rates, p50/p99 latency estimates, queue depth, retention-daemon
-//! health, and the span trees of recently captured slow or failing
-//! requests.
+//! Everything it learns comes over the ordinary wire protocol (no
+//! privileged side channel: what wormtop sees is exactly what any client
+//! can see). Commands:
 //!
-//! Modes:
+//! - `wormtop [OPTIONS]` monitors: it polls the stats, flight-recorder
+//!   and audit-chain endpoints and renders per-op request rates, p50/p99
+//!   latency estimates, queue depth, retention-daemon health, and the
+//!   span trees of recently captured slow or failing requests. By default
+//!   it refreshes the full screen every `--interval` (top(1)-style);
+//!   `--once` emits a single poll as one machine-readable JSON line, for
+//!   scripts and CI smoke tests.
+//! - `wormtop verify [OPTIONS]` audits. A compliance auditor does not
+//!   trust the host that serves the audit chain: the host could rewrite
+//!   history after the fact. What it does trust is the SCPU's signing
+//!   key, published through the ordinary key endpoints. `verify`
+//!   therefore fetches the full event chain (cursor-paginated
+//!   `FetchAuditEvents`), replays the hash chain link by link, checks
+//!   every SCPU anchor signature against the published shard keys, and
+//!   reports the first sequence number at which the served history
+//!   diverges from what the SCPU vouched for. Exit codes: 0 = chain
+//!   replayed cleanly; 1 = divergence detected; 2 = usage error;
+//!   3 = connection or protocol failure.
 //!
-//! - default: full-screen refresh every `--interval` (top(1)-style);
-//! - `--once`: a single poll emitted as one machine-readable JSON line,
-//!   for scripts and CI smoke tests;
-//! - `--self-test`: boot an in-process server on a loopback port and
-//!   monitor it, generating enough traffic (including one failing
-//!   request) that every panel has data. Combined with `--once` this
-//!   exercises the whole observability path with zero setup.
+//! `--self-test` boots an in-process server on a loopback port with
+//! enough sample traffic that every panel has data, and points either
+//! command at it: the monitor watches it with a retention daemon per
+//! lane; `verify` proves its chain replays cleanly, then tampers with the
+//! host's journal and proves the same replay pins the flip.
 
 #![forbid(unsafe_code)]
 
 use std::net::SocketAddr;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,171 +41,214 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Clock, VirtualClock};
 use strongworm::{
-    DaemonConfig, RegulatoryAuthority, RetentionDaemon, RetentionPolicy, ShardedWormServer,
-    WormConfig,
+    DaemonConfig, RegulatoryAuthority, RetentionPolicy, ShardedWormServer, WormConfig,
 };
-use wormnet::{NetServer, NetServerConfig, RemoteWormClient};
+use wormaudit::{verify_chain, AuditPage, ChainReport};
+use wormnet::{NetError, NetServer, NetServerConfig, RemoteWormClient};
 use wormstore::Shredder;
 use wormtrace::{CapturedTrace, SpanRecord, StatsSnapshot};
 
 const USAGE: &str = "\
-wormtop — live introspection for a Strong WORM network server
+wormtop — live introspection and audit for a Strong WORM network server
 
 USAGE:
-    wormtop [OPTIONS]
+    wormtop [OPTIONS]            Monitor the server
+    wormtop verify [OPTIONS]     Replay its tamper-evident audit chain
+                                 (exit 0 clean, 1 diverged, 2 usage,
+                                 3 connection)
 
 OPTIONS:
-    --addr HOST:PORT     Server to monitor (default 127.0.0.1:7474)
+    --addr HOST:PORT     Server to use (default 127.0.0.1:7474)
+    --self-test          Boot an in-process server with sample traffic
+                         and use it instead of --addr; verify replays
+                         it clean, then tampers with its journal and
+                         proves the replay detects the flip
+    -h, --help           Show this help
+
+MONITOR OPTIONS:
     --interval MS        Poll interval in milliseconds (default 1000)
     -n, --iterations N   Stop after N polls (default: run until killed)
     --once               Poll once and print one JSON line, then exit
-    --self-test          Boot an in-process server with sample traffic
-                         and monitor that instead of --addr
     --shards N           With --self-test: boot N SCPU lanes, each with
                          its own retention daemon (default 1)
-    -h, --help           Show this help
+
+VERIFY OPTIONS:
+    --from SEQ           First sequence number to fetch (default 0)
+    --page N             Events per fetch page (default 1024)
+    --no-tick            Skip the tick request that forces the SCPU to
+                         anchor the chain tip before fetching (an
+                         unanchored tail is then expected)
+    --json               Emit one machine-readable JSON line
 ";
 
 struct Options {
+    verify: bool,
     addr: String,
+    self_test: bool,
+    // Monitor options.
     interval: Duration,
     iterations: Option<u64>,
     once: bool,
-    self_test: bool,
     shards: u32,
+    // Verify options.
+    from: u64,
+    page: u32,
+    tick: bool,
+    json: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line after the program name: an optional `verify`
+/// subcommand, then the options that command takes.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
+    let mut args = args.peekable();
+    let verify = args.next_if(|a| a == "verify").is_some();
     let mut opts = Options {
+        verify,
         addr: "127.0.0.1:7474".to_string(),
+        self_test: false,
         interval: Duration::from_millis(1000),
         iterations: None,
         once: false,
-        self_test: false,
         shards: 1,
+        from: 0,
+        page: 1024,
+        tick: true,
+        json: false,
     };
-    let mut args = std::env::args().skip(1);
+    fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, name: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let v = args
+            .next()
+            .ok_or_else(|| format!("{name} requires a value"))?;
+        v.parse().map_err(|e| format!("{name}: {e}"))
+    }
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--addr" => opts.addr = value("--addr")?,
-            "--interval" => {
-                let ms: u64 = value("--interval")?
-                    .parse()
-                    .map_err(|e| format!("--interval: {e}"))?;
-                opts.interval = Duration::from_millis(ms.max(1));
+        match (arg.as_str(), verify) {
+            ("--addr", _) => opts.addr = value(&mut args, &arg)?,
+            ("--self-test", _) => opts.self_test = true,
+            ("--interval", false) => {
+                opts.interval = Duration::from_millis(value::<u64>(&mut args, &arg)?.max(1));
             }
-            "-n" | "--iterations" => {
-                opts.iterations = Some(
-                    value("--iterations")?
-                        .parse()
-                        .map_err(|e| format!("--iterations: {e}"))?,
-                );
-            }
-            "--once" => opts.once = true,
-            "--self-test" => opts.self_test = true,
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse::<u32>()
-                    .map_err(|e| format!("--shards: {e}"))?
-                    .max(1);
-            }
-            "-h" | "--help" => {
+            ("-n" | "--iterations", false) => opts.iterations = Some(value(&mut args, &arg)?),
+            ("--once", false) => opts.once = true,
+            ("--shards", false) => opts.shards = value::<u32>(&mut args, &arg)?.max(1),
+            ("--from", true) => opts.from = value(&mut args, &arg)?,
+            ("--page", true) => opts.page = value::<u32>(&mut args, &arg)?.max(1),
+            ("--no-tick", true) => opts.tick = false,
+            ("--json", true) => opts.json = true,
+            ("-h" | "--help", _) => {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument: {other}")),
+            (other, _) => return Err(format!("unknown argument: {other}")),
         }
     }
     Ok(opts)
 }
 
 fn main() {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("wormtop: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    // Self-test: the harness must outlive the polling loop, so the
-    // server handle is held here until exit.
-    let harness = if opts.self_test {
-        Some(self_test_boot(opts.shards))
-    } else {
-        None
-    };
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("wormtop: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    });
+    // Self-test: the harness must outlive the command, so the server
+    // handle is held here until exit.
+    let harness = opts.self_test.then(|| self_test_boot(opts.shards));
     let addr = harness
         .as_ref()
         .map_or_else(|| opts.addr.clone(), |h| h.addr.to_string());
+    let code = if opts.verify {
+        verify(&opts, &addr, harness.as_ref())
+    } else {
+        monitor(&opts, &addr, harness.as_ref())
+    };
+    if let Some(h) = harness {
+        h.net.shutdown();
+    }
+    std::process::exit(code);
+}
 
-    let mut client = match RemoteWormClient::connect(&addr) {
+/// The monitor: polls `addr` and renders each poll, or with `--once`
+/// prints the first poll as one JSON line. Returns the exit code.
+fn monitor(opts: &Options, addr: &str, harness: Option<&SelfTest>) -> i32 {
+    // Per-lane retention daemons, held so their health gauges stay live
+    // while the monitor polls.
+    let _daemons = harness.map(|h| {
+        h.server.spawn_daemons(DaemonConfig {
+            interval: Duration::from_millis(100),
+            ..DaemonConfig::default()
+        })
+    });
+    let mut client = match RemoteWormClient::connect(addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("wormtop: cannot connect to {addr}: {e}");
-            std::process::exit(1);
+            return 1;
         }
     };
-
     let mut audit = AuditView::new();
-    if opts.once {
-        match poll(&mut client, &mut audit) {
-            Ok((stats, traces)) => println!("{}", to_json_line(&addr, &stats, &traces, &audit)),
-            Err(e) => {
-                eprintln!("wormtop: poll failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(h) = harness {
-            h.net.shutdown();
-        }
-        return;
-    }
-
     let mut prev: Option<(Instant, StatsSnapshot)> = None;
     let mut polls: u64 = 0;
     loop {
-        match poll(&mut client, &mut audit) {
-            Ok((stats, traces)) => {
-                polls += 1;
-                render(
-                    &addr,
-                    polls,
-                    opts.interval,
-                    prev.as_ref(),
-                    &stats,
-                    &traces,
-                    &audit,
-                );
-                prev = Some((Instant::now(), stats));
-            }
+        let (stats, traces) = match poll(&mut client, &mut audit) {
+            Ok(p) => p,
             Err(e) => {
                 eprintln!("wormtop: poll failed: {e}");
-                std::process::exit(1);
+                return 1;
             }
+        };
+        if opts.once {
+            println!("{}", to_json_line(addr, &stats, &traces, &audit));
+            return 0;
         }
+        polls += 1;
+        render(
+            addr,
+            polls,
+            opts.interval,
+            prev.as_ref(),
+            &stats,
+            &traces,
+            &audit,
+        );
         if opts.iterations.is_some_and(|n| polls >= n) {
-            break;
+            return 0;
         }
+        prev = Some((Instant::now(), stats));
         std::thread::sleep(opts.interval);
-    }
-    if let Some(h) = harness {
-        h.net.shutdown();
     }
 }
 
 fn poll(
     client: &mut RemoteWormClient,
     audit: &mut AuditView,
-) -> Result<(StatsSnapshot, Vec<CapturedTrace>), wormnet::NetError> {
+) -> Result<(StatsSnapshot, Vec<CapturedTrace>), NetError> {
     let stats = client.stats()?;
     let traces = client.traces()?;
     audit.poll(client)?;
     Ok((stats, traces))
+}
+
+/// Fetches every audit event from `from` on, `page_size` events a
+/// request, and hands each non-empty page to `absorb`: the one pager the
+/// AUDIT panel and `verify` share.
+fn fetch_pages(
+    client: &mut RemoteWormClient,
+    from: u64,
+    page_size: u32,
+    mut absorb: impl FnMut(AuditPage),
+) -> Result<(), NetError> {
+    let mut cursor = from;
+    loop {
+        let page = client.audit_events(cursor, page_size)?;
+        let Some(last) = page.events.last() else {
+            return Ok(());
+        };
+        cursor = last.seq + 1;
+        absorb(page);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -229,17 +286,11 @@ impl AuditView {
     }
 
     /// Fetches every event past the cursor, page by page.
-    fn poll(&mut self, client: &mut RemoteWormClient) -> Result<(), wormnet::NetError> {
-        loop {
-            let page = client.audit_events(self.cursor, AUDIT_PAGE)?;
-            if page.events.is_empty() {
-                return Ok(());
-            }
-            self.absorb(&page);
-        }
+    fn poll(&mut self, client: &mut RemoteWormClient) -> Result<(), NetError> {
+        fetch_pages(client, self.cursor, AUDIT_PAGE, |page| self.absorb(&page))
     }
 
-    fn absorb(&mut self, page: &wormaudit::AuditPage) {
+    fn absorb(&mut self, page: &AuditPage) {
         for e in &page.events {
             if let Some(i) = wormaudit::ALL_CLASSES.iter().position(|c| *c == e.class) {
                 self.class_counts[i] += 1;
@@ -282,23 +333,185 @@ impl AuditView {
 }
 
 // ---------------------------------------------------------------------
+// verify
+// ---------------------------------------------------------------------
+
+/// `wormtop verify`: one replay of the chain served at `addr`, or with a
+/// self-test harness a clean replay and then one over a journal tampered
+/// at seq 0. Returns the exit code.
+fn verify(opts: &Options, addr: &str, harness: Option<&SelfTest>) -> i32 {
+    let pass = |from, tick| {
+        let outcome = run_verify(addr, from, opts.page, tick);
+        match &outcome {
+            Ok(o) if opts.json => println!("{}", report_json_line(o)),
+            Ok(o) => print!("{}", report_human(o)),
+            Err(e) => eprintln!("wormtop: {addr}: {e}"),
+        }
+        outcome.ok()
+    };
+    let Some(h) = harness else {
+        return pass(opts.from, opts.tick).map_or(3, |o| o.exit_code());
+    };
+    let Some(clean) = pass(0, true) else {
+        return 3;
+    };
+    if !clean.report.is_clean() || clean.report.unattested_tail != 0 {
+        eprintln!("wormtop: self-test FAILED: honest chain did not replay cleanly");
+        return 1;
+    }
+    // Now play the dishonest host: rewrite an already-served event in
+    // the live journal and run the identical audit pass.
+    h.server.audit().tamper_event_for_test(0);
+    let Some(tampered) = pass(0, false) else {
+        return 3;
+    };
+    match &tampered.report.divergence {
+        Some(d) if d.seq == 0 => {
+            println!("wormtop: self-test OK (tamper detected at seq 0)");
+            0
+        }
+        other => {
+            eprintln!("wormtop: self-test FAILED: tamper not pinned to seq 0, got {other:?}");
+            1
+        }
+    }
+}
+
+/// Everything one verification pass learned, ready for rendering.
+struct VerifyOutcome {
+    addr: String,
+    page: AuditPage,
+    report: ChainReport,
+    lanes: usize,
+}
+
+impl VerifyOutcome {
+    /// `verify`'s exit code for this pass: 0 clean, 1 diverged.
+    fn exit_code(&self) -> i32 {
+        i32::from(!self.report.is_clean())
+    }
+}
+
+/// Connects, optionally forces an anchor, fetches the published shard
+/// keys and every event from `from` on, and replays the chain.
+fn run_verify(
+    addr: &str,
+    from: u64,
+    page_size: u32,
+    tick: bool,
+) -> Result<VerifyOutcome, NetError> {
+    let mut client = RemoteWormClient::connect(addr)?;
+    if tick {
+        // A tick drives the SCPU's maintenance pass, which anchors the
+        // chain tip — without it the newest events are legitimately
+        // unattested and the tail count is nonzero.
+        client.tick()?;
+    }
+    // The permanent witnessing key of every lane, one for a one-lane
+    // deployment. Anchors may be signed by any lane's SCPU.
+    let shard_keys = client.fetch_shard_keys()?;
+    let lanes = shard_keys.len();
+    let keys: Vec<_> = shard_keys.into_iter().map(|(k, _)| k.sign).collect();
+
+    // One stitched window. Pages overlap in the anchors they carry (each
+    // page repeats the anchors covering its events), so anchors are
+    // deduplicated by sequence number.
+    let mut page = AuditPage::default();
+    fetch_pages(&mut client, from, page_size, |p| {
+        page.events.extend(p.events);
+        page.anchors.extend(p.anchors);
+    })?;
+    page.anchors.sort_by_key(|a| a.seq);
+    page.anchors.dedup_by_key(|a| a.seq);
+    let report = verify_chain(&page, &keys);
+    Ok(VerifyOutcome {
+        addr: addr.to_string(),
+        page,
+        report,
+        lanes,
+    })
+}
+
+fn report_human(outcome: &VerifyOutcome) -> String {
+    let r = &outcome.report;
+    let window = match (outcome.page.events.first(), outcome.page.events.last()) {
+        (Some(first), Some(last)) => format!("seq {}..{}", first.seq, last.seq),
+        _ => "empty window".to_string(),
+    };
+    let newest = r
+        .last_anchored_seq
+        .map_or(String::new(), |seq| format!(" (newest over seq {seq})"));
+    let verdict = match &r.divergence {
+        None => "CLEAN".to_string(),
+        Some(d) => format!("DIVERGED at seq {}: {}", d.seq, d.reason),
+    };
+    format!(
+        "wormtop: {} — {} events ({window}), {} anchors, {} lane(s)\n  \
+         verified links:    {}\n  verified anchors:  {}{newest}\n  \
+         out-of-window:     {}\n  unattested tail:   {}\n  chain: {verdict}\n",
+        outcome.addr,
+        outcome.page.events.len(),
+        outcome.page.anchors.len(),
+        outcome.lanes,
+        r.verified_links,
+        r.verified_anchors,
+        r.out_of_window_anchors,
+        r.unattested_tail,
+    )
+}
+
+fn report_json_line(outcome: &VerifyOutcome) -> String {
+    let r = &outcome.report;
+    let window = match (outcome.page.events.first(), outcome.page.events.last()) {
+        (Some(first), Some(last)) => {
+            format!(",\"first_seq\":{},\"last_seq\":{}", first.seq, last.seq)
+        }
+        _ => String::new(),
+    };
+    let divergence = r.divergence.as_ref().map_or("null".to_string(), |d| {
+        format!(
+            "{{\"seq\":{},\"reason\":\"{}\"}}",
+            d.seq,
+            json_escape(&d.reason)
+        )
+    });
+    format!(
+        "{{\"addr\":\"{}\",\"events\":{},\"anchors\":{},\"lanes\":{}{window},\
+         \"verified_links\":{},\"verified_anchors\":{},\"out_of_window_anchors\":{},\
+         \"unattested_tail\":{},\"clean\":{},\"divergence\":{divergence}}}",
+        json_escape(&outcome.addr),
+        outcome.page.events.len(),
+        outcome.page.anchors.len(),
+        outcome.lanes,
+        r.verified_links,
+        r.verified_anchors,
+        r.out_of_window_anchors,
+        r.unattested_tail,
+        r.is_clean(),
+    )
+}
+
+// ---------------------------------------------------------------------
 // Self-test harness
 // ---------------------------------------------------------------------
 
 struct SelfTest {
+    /// Held for `verify`'s tamper and the monitor's daemons.
+    server: Arc<ShardedWormServer>,
     net: NetServer,
     addr: SocketAddr,
-    /// Per-lane retention daemons — held so their health gauges stay
-    /// live while the monitor polls.
-    _daemons: Vec<RetentionDaemon>,
 }
 
 /// Boots a loopback deployment of `shards` lanes and drives sample
 /// traffic through it: writes (fanned out across lanes), verified reads,
-/// and one rejected litigation hold, with the flight-recorder threshold
-/// dropped to zero so every request's span tree is captured. One
-/// retention daemon runs per lane, so the monitor has live data in every
-/// panel (the shard panel from two lanes up).
+/// a verified composite head and one rejected litigation hold, with the
+/// flight-recorder threshold dropped to zero so every request's span
+/// tree is captured. Three of the records expire before the closing
+/// tick, which shreds them and anchors the chain's tip, so the audit
+/// chain carries shred events beside the boot and heartbeat ones. No
+/// retention daemon runs: a daemon's events landing between `verify`'s
+/// tick and its fetch would leave an unattested tail, so only the
+/// monitor starts them.
 fn self_test_boot(shards: u32) -> SelfTest {
     let clock = VirtualClock::new();
     let mut rng = StdRng::seed_from_u64(42);
@@ -313,12 +526,12 @@ fn self_test_boot(shards: u32) -> SelfTest {
         .expect("self-test server boots"),
     );
     server.trace().flight().set_slow_threshold_ns(0);
-    let _daemons = server.spawn_daemons(DaemonConfig {
-        interval: Duration::from_millis(100),
-        ..DaemonConfig::default()
-    });
-    let net = NetServer::bind(server, "127.0.0.1:0", NetServerConfig::default())
-        .expect("self-test server binds a loopback port");
+    let net = NetServer::bind(
+        Arc::clone(&server),
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .expect("self-test server binds a loopback port");
     let addr = net.local_addr();
 
     let mut client = RemoteWormClient::connect(addr).expect("self-test client connects");
@@ -326,15 +539,18 @@ fn self_test_boot(shards: u32) -> SelfTest {
     let verifier = client
         .bootstrap_verifier(Duration::from_secs(300), clock.clone())
         .expect("self-test verifier bootstraps");
-    let policy = RetentionPolicy::custom(Duration::from_secs(3600), Shredder::ZeroFill);
-    let sns: Vec<_> = (0..8)
+    // Eight records kept an hour, read back verified, and three kept a
+    // second.
+    let sns: Vec<_> = (0..11u64)
         .map(|i| {
+            let secs = if i < 8 { 3600 } else { 1 };
+            let policy = RetentionPolicy::custom(Duration::from_secs(secs), Shredder::ZeroFill);
             client
                 .write(&[format!("self-test record {i}").as_bytes()], policy)
                 .expect("self-test write")
         })
         .collect();
-    for &sn in &sns {
+    for &sn in &sns[..8] {
         client
             .read_verified(sn, &verifier)
             .expect("self-test verified read");
@@ -351,14 +567,9 @@ fn self_test_boot(shards: u32) -> SelfTest {
         client.lit_hold(bad).is_err(),
         "imposter hold must be rejected"
     );
-    // One tick so the audit chain's tip is SCPU-anchored and the AUDIT
-    // panel shows a bounded unattested tail.
+    clock.advance(Duration::from_secs(2));
     client.tick().expect("self-test tick");
-    SelfTest {
-        net,
-        addr,
-        _daemons,
-    }
+    SelfTest { server, net, addr }
 }
 
 // ---------------------------------------------------------------------
@@ -810,6 +1021,156 @@ fn to_json_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Result<Options, String> {
+        parse_args(list.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn verify_args_parse_with_defaults_and_overrides() {
+        let o = args(&["verify"]).unwrap();
+        assert!(o.verify);
+        assert_eq!(o.addr, "127.0.0.1:7474");
+        assert_eq!((o.from, o.page), (0, 1024));
+        assert!(o.tick && !o.json && !o.self_test);
+
+        let o = args(&[
+            "verify",
+            "--addr",
+            "h:1",
+            "--from",
+            "9",
+            "--page",
+            "2",
+            "--no-tick",
+            "--json",
+        ])
+        .unwrap();
+        assert_eq!(o.addr, "h:1");
+        assert_eq!((o.from, o.page), (9, 2));
+        assert!(!o.tick && o.json);
+
+        // No subcommand: the monitor, with its own options.
+        let o = args(&["--self-test", "--shards", "2", "--once", "-n", "3"]).unwrap();
+        assert!(!o.verify && o.self_test && o.once);
+        assert_eq!((o.shards, o.iterations), (2, Some(3)));
+        assert_eq!(o.interval, Duration::from_millis(1000));
+    }
+
+    #[test]
+    fn bad_args_are_rejected() {
+        assert!(args(&["audit"]).is_err());
+        assert!(args(&["verify", "--page"]).is_err());
+        assert!(args(&["verify", "--page", "x"]).is_err());
+        assert!(args(&["verify", "--bogus"]).is_err());
+        // Each command takes only its own options.
+        assert!(args(&["verify", "--once"]).is_err());
+        assert!(args(&["--json"]).is_err());
+        // The subcommand comes first.
+        assert!(args(&["--self-test", "verify"]).is_err());
+    }
+
+    fn outcome(divergence: Option<wormaudit::ChainDivergence>) -> VerifyOutcome {
+        VerifyOutcome {
+            addr: "x:1".to_string(),
+            page: AuditPage {
+                events: vec![wormaudit::AuditEvent {
+                    seq: 0,
+                    at_ms: 1,
+                    class: wormaudit::AuditClass::HeadRefresh,
+                    sn: None,
+                    detail: String::new(),
+                    prev_hash: [0; 32],
+                }],
+                anchors: Vec::new(),
+            },
+            report: ChainReport {
+                unattested_tail: 1,
+                divergence,
+                ..ChainReport::default()
+            },
+            lanes: 1,
+        }
+    }
+
+    fn diverged(reason: &str) -> VerifyOutcome {
+        outcome(Some(wormaudit::ChainDivergence {
+            seq: 7,
+            reason: reason.to_string(),
+        }))
+    }
+
+    #[test]
+    fn human_report_states_the_verdict() {
+        let clean = report_human(&outcome(None));
+        assert_eq!(
+            clean,
+            "wormtop: x:1 — 1 events (seq 0..0), 0 anchors, 1 lane(s)\n  \
+             verified links:    0\n  verified anchors:  0\n  out-of-window:     0\n  \
+             unattested tail:   1\n  chain: CLEAN\n"
+        );
+
+        let diverged = report_human(&diverged("hash-chain break"));
+        assert!(diverged.contains("\n  chain: DIVERGED at seq 7: hash-chain break\n"));
+    }
+
+    #[test]
+    fn json_report_is_one_well_formed_line() {
+        let line = report_json_line(&outcome(None));
+        assert_eq!(
+            line,
+            "{\"addr\":\"x:1\",\"events\":1,\"anchors\":0,\"lanes\":1,\"first_seq\":0,\
+             \"last_seq\":0,\"verified_links\":0,\"verified_anchors\":0,\
+             \"out_of_window_anchors\":0,\"unattested_tail\":1,\"clean\":true,\
+             \"divergence\":null}"
+        );
+
+        let line = report_json_line(&diverged("a \"quoted\" reason"));
+        assert!(line.contains("\"clean\":false"));
+        assert!(
+            line.ends_with(",\"divergence\":{\"seq\":7,\"reason\":\"a \\\"quoted\\\" reason\"}}")
+        );
+    }
+
+    #[test]
+    fn end_to_end_verify_is_clean_then_pins_a_tamper() {
+        let h = self_test_boot(1);
+        let addr = h.addr.to_string();
+
+        // Tiny pages force the pagination path: the chain must stitch
+        // back together densely and still verify.
+        let clean = run_verify(&addr, 0, 2, true).unwrap();
+        assert!(clean.report.is_clean(), "{:?}", clean.report.divergence);
+        assert_eq!(clean.exit_code(), 0);
+        assert_eq!(clean.report.unattested_tail, 0);
+        assert!(clean.page.events.len() > 2, "pagination exercised");
+        let seqs: Vec<u64> = clean.page.events.iter().map(|e| e.seq).collect();
+        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "dense: {seqs:?}");
+        // The expired records' shreds are in the chain.
+        assert!(
+            clean
+                .page
+                .events
+                .iter()
+                .any(|e| e.class == wormaudit::AuditClass::ShredComplete),
+            "no shred event in {seqs:?}"
+        );
+
+        h.server.audit().tamper_event_for_test(1);
+        let tampered = run_verify(&addr, 0, 2, false).unwrap();
+        assert_eq!(
+            tampered
+                .report
+                .divergence
+                .as_ref()
+                .expect("must diverge")
+                .seq,
+            1
+        );
+        assert_eq!(tampered.exit_code(), 1);
+
+        h.net.shutdown();
+    }
 
     #[test]
     fn json_escaping_handles_specials() {

@@ -57,16 +57,19 @@ fn readers_writer_and_daemon_all_verify() {
         let camper = {
             let srv = srv.clone();
             let reads_done = reads_done.clone();
-            let entered = Arc::new(Barrier::new(2));
-            let entered_main = entered.clone();
+            // A channel, not a barrier: a camper that panics before it
+            // holds the guard drops the sender and fails the `recv`.
+            let (entered, entered_main) = std::sync::mpsc::channel();
             let h = std::thread::spawn(move || {
                 let _guard = srv.vrdt();
-                entered.wait();
+                entered.send(()).unwrap();
                 while reads_done.load(Ordering::SeqCst) < 10 {
                     std::thread::yield_now();
                 }
             });
-            entered_main.wait();
+            entered_main
+                .recv()
+                .expect("camper panicked before taking the guard");
             h
         };
         for i in 0..10 {
@@ -120,8 +123,10 @@ fn readers_writer_and_daemon_all_verify() {
             let seeded = seeded.clone();
             let written = written.clone();
             let start = start.clone();
+            // Connected here, so a failed connect fails the test at once
+            // instead of leaving the other readers at the barrier.
+            let mut wire = (t % 2 == 1).then(|| RemoteWormClient::connect(addr).unwrap());
             std::thread::spawn(move || {
-                let mut wire = (t % 2 == 1).then(|| RemoteWormClient::connect(addr).unwrap());
                 start.wait();
                 for i in 0..READS_PER_THREAD {
                     // Rotate over seeded records, whatever the writer has
