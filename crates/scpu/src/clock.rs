@@ -90,24 +90,6 @@ impl VirtualClock {
         // observable (channel send, lock release) already orders it, so Relaxed suffices.
         self.millis.fetch_add(ms, Ordering::Relaxed);
     }
-
-    /// Jumps directly to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past — trusted clocks never run backwards.
-    pub fn jump_to(&self, t: Timestamp) {
-        // ordering: coherence on the single cell keeps each reader's view monotonic; the
-        // backwards-jump assert is a sanity check, not a synchronization point.
-        let cur = self.millis.load(Ordering::Relaxed);
-        assert!(
-            t.as_millis() >= cur,
-            "virtual clock cannot move backwards ({} -> {})",
-            cur,
-            t.as_millis()
-        );
-        self.millis.store(t.as_millis(), Ordering::Relaxed); // ordering: as above
-    }
 }
 
 impl Clock for VirtualClock {
@@ -162,20 +144,6 @@ mod tests {
         c.advance(Duration::from_millis(250));
         c.advance(Duration::from_millis(750));
         assert_eq!(c.now().as_millis(), 1000);
-    }
-
-    #[test]
-    fn virtual_clock_jump() {
-        let c = VirtualClock::starting_at_millis(500);
-        c.jump_to(Timestamp::from_millis(2000));
-        assert_eq!(c.now().as_millis(), 2000);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn virtual_clock_rejects_rewind() {
-        let c = VirtualClock::starting_at_millis(500);
-        c.jump_to(Timestamp::from_millis(100));
     }
 
     #[test]

@@ -232,11 +232,6 @@ impl<A: Applet> Device<A> {
         self.env.memory.clear();
     }
 
-    /// Whether the device is still operational.
-    pub fn is_alive(&self) -> bool {
-        !self.tamper.is_triggered()
-    }
-
     /// Read-only view of the virtual-time cost meter.
     pub fn meter(&self) -> &Meter {
         &self.env.meter
@@ -371,7 +366,7 @@ mod tests {
         let (mut d, _clock) = device();
         d.execute(Req::Incr).unwrap();
         d.trigger_tamper(TamperCause::Penetration);
-        assert!(!d.is_alive());
+        assert!(d.tamper.is_triggered());
         assert!(d.applet_for_test().zeroized);
         assert_eq!(d.applet_for_test().count, 0);
         match d.execute(Req::Get) {

@@ -44,20 +44,6 @@ pub struct RecordAttributes {
 }
 
 impl RecordAttributes {
-    /// Whether the record may be deleted at trusted time `now`.
-    ///
-    /// Deletion requires the retention period to have elapsed *and* no
-    /// live litigation hold.
-    pub fn deletable_at(&self, now: Timestamp) -> bool {
-        if now < self.retention_until {
-            return false;
-        }
-        match &self.litigation_hold {
-            Some(h) => now >= h.hold_until,
-            None => true,
-        }
-    }
-
     /// Canonical encoding (the byte string `metasig` covers, together with
     /// the SN).
     pub fn encode(&self) -> Vec<u8> {
@@ -226,24 +212,6 @@ mod tests {
         let mut a = sample();
         a.regulation = Regulation::Hipaa;
         assert_ne!(a.encode(), base);
-    }
-
-    #[test]
-    fn deletable_logic() {
-        let mut a = sample(); // retention until 100_000
-        let before = Timestamp::from_millis(99_999);
-        let at = Timestamp::from_millis(100_000);
-        assert!(!a.deletable_at(before));
-        assert!(a.deletable_at(at));
-
-        a.litigation_hold = Some(LitigationHold {
-            litigation_id: 1,
-            hold_until: Timestamp::from_millis(200_000),
-            credential: vec![],
-        });
-        assert!(!a.deletable_at(at));
-        assert!(!a.deletable_at(Timestamp::from_millis(199_999)));
-        assert!(a.deletable_at(Timestamp::from_millis(200_000)));
     }
 
     #[test]

@@ -1066,14 +1066,20 @@ mod tests {
         assert_eq!(composite_root(&c.heads).len(), 32);
     }
 
-    fn tiny_key(n: u8) -> RsaPublicKey {
-        // Structurally valid key material (decode only checks non-zero).
+    /// The `to_bytes` form of the key `(n, 3)`.
+    fn tiny_key_bytes(n: u8) -> Vec<u8> {
         let mut raw = Vec::new();
         raw.extend_from_slice(&1u32.to_be_bytes());
         raw.push(n);
         raw.extend_from_slice(&1u32.to_be_bytes());
         raw.push(3);
-        RsaPublicKey::from_bytes(&raw).unwrap()
+        raw
+    }
+
+    fn tiny_key(n: u8) -> RsaPublicKey {
+        // Structurally valid key material for an odd `n` above 1 (decode
+        // checks that, and that the exponent is non-zero).
+        RsaPublicKey::from_bytes(&tiny_key_bytes(n)).unwrap()
     }
 
     #[test]
@@ -1242,6 +1248,35 @@ mod tests {
         let wc = encode_weak_key_cert(&cert);
         assert_eq!(decode_weak_key_cert(&wc).unwrap(), cert);
         assert!(decode_weak_key_cert(&wc[..wc.len() - 1]).is_err());
+    }
+
+    /// No RSA modulus is even or 1: published device keys and weak-key
+    /// certificates carrying one do not decode, in either key slot.
+    #[test]
+    fn keys_with_an_even_modulus_or_a_modulus_of_one_do_not_decode() {
+        let device_keys = |sign: &[u8], delete: &[u8]| {
+            let mut w = WireWriter::tagged("strongworm.devicekeys.v2");
+            w.put_bytes(sign);
+            w.put_bytes(delete);
+            decode_device_keys(&w.finish())
+        };
+        let weak_cert = |key: &[u8]| {
+            let mut w = WireWriter::tagged("strongworm.weakcert.v1");
+            w.put_bytes(key);
+            w.put_u64(1234);
+            put_signature(&mut w, &sig(2));
+            decode_weak_key_cert(&w.finish())
+        };
+        let good = tiny_key_bytes(5);
+        assert!(device_keys(&good, &good).is_ok());
+        assert!(weak_cert(&good).is_ok());
+        for n in [6, 1] {
+            let bad = tiny_key_bytes(n);
+            for keys in [device_keys(&good, &bad), device_keys(&bad, &good)] {
+                assert_eq!(keys.unwrap_err().expected, "rsa public key", "n={n}");
+            }
+            assert_eq!(weak_cert(&bad).unwrap_err().expected, "rsa public key");
+        }
     }
 
     #[test]

@@ -29,7 +29,14 @@ pub enum WitnessMode {
     Hmac,
 }
 
-/// Deployment parameters for a [`WormServer`](crate::WormServer).
+/// Minimum contiguous expired run compacted into a window (paper: 3).
+pub(crate) const MIN_COMPACTION_RUN: usize = 3;
+
+/// Validity period of base certificates (anti-replay expiry).
+pub(crate) const BASE_CERT_LIFETIME: Duration = Duration::from_secs(24 * 60 * 60);
+
+/// Deployment parameters for a [`WormServer`](crate::WormServer); the
+/// SCPU's firmware is booted with the same value.
 #[derive(Clone, Debug)]
 pub struct WormConfig {
     /// Modulus width of the permanent keys `s` and `d` (paper: 1024).
@@ -43,14 +50,10 @@ pub struct WormConfig {
     /// How often the SCPU re-issues the timestamped head certificate even
     /// without updates (paper: "every few minutes").
     pub head_refresh_interval: Duration,
-    /// Validity period of base certificates (anti-replay expiry).
-    pub base_cert_lifetime: Duration,
     /// Default hashing model for writes.
     pub hash_mode: HashMode,
     /// Default witnessing tier for writes.
     pub default_witness: WitnessMode,
-    /// Minimum contiguous expired run compacted into a window (paper: 3).
-    pub min_compaction_run: usize,
     /// Secure coprocessor parameters.
     pub device: DeviceConfig,
     /// Storage capacity of the record store in bytes.
@@ -69,10 +72,8 @@ impl Default for WormConfig {
             weak_bits: 512,
             weak_lifetime: Duration::from_secs(120 * 60),
             head_refresh_interval: Duration::from_secs(120),
-            base_cert_lifetime: Duration::from_secs(24 * 60 * 60),
             hash_mode: HashMode::ScpuHashes,
             default_witness: WitnessMode::Strong,
-            min_compaction_run: 3,
             device: DeviceConfig::default(),
             store_capacity: 64 << 20,
             sn_origin: 0,
@@ -111,7 +112,7 @@ mod tests {
         assert_eq!(c.weak_bits, 512);
         assert!(c.weak_lifetime >= Duration::from_secs(60 * 60));
         assert!(c.weak_lifetime <= Duration::from_secs(180 * 60));
-        assert_eq!(c.min_compaction_run, 3);
+        assert_eq!(MIN_COMPACTION_RUN, 3);
         assert_eq!(c.hash_mode, HashMode::ScpuHashes);
         assert_eq!(c.default_witness, WitnessMode::Strong);
     }

@@ -24,7 +24,6 @@ mod state;
 pub use retention::VEXP_ENTRY_BYTES;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use scpu::{Applet, Env, Timestamp};
 use wormcrypt::RsaPublicKey;
@@ -32,7 +31,7 @@ use wormstore::Shredder;
 
 use crate::attr::RecordAttributes;
 use crate::authority::{HoldCredential, ReleaseCredential};
-use crate::config::WitnessMode;
+use crate::config::{WitnessMode, WormConfig};
 use crate::policy::RetentionPolicy;
 use crate::proofs::{BaseCert, CompositeBinding, DeletionProof, HeadCert, WindowProof};
 use crate::sn::SerialNumber;
@@ -308,44 +307,10 @@ fn reject<T>(msg: impl Into<String>) -> Result<T, FirmwareError> {
     Err(FirmwareError(msg.into()))
 }
 
-/// Firmware configuration burned in before boot.
-#[derive(Clone, Debug)]
-pub struct FirmwareConfig {
-    /// Permanent key width in bits.
-    pub strong_bits: usize,
-    /// Weak (burst) key width in bits.
-    pub weak_bits: usize,
-    /// Security lifetime of weak signatures.
-    pub weak_lifetime: Duration,
-    /// Head-certificate heartbeat interval.
-    pub head_refresh_interval: Duration,
-    /// Base-certificate validity period.
-    pub base_cert_lifetime: Duration,
-    /// Minimum expired-run length for window compaction.
-    pub min_compaction_run: usize,
-    /// Pre-first serial value `Init` boots `SN_current` to (a shard's
-    /// lane origin; 0 for a single-SCPU deployment).
-    pub sn_origin: u64,
-}
-
-impl Default for FirmwareConfig {
-    fn default() -> Self {
-        FirmwareConfig {
-            strong_bits: 1024,
-            weak_bits: 512,
-            weak_lifetime: Duration::from_secs(120 * 60),
-            head_refresh_interval: Duration::from_secs(120),
-            base_cert_lifetime: Duration::from_secs(24 * 60 * 60),
-            min_compaction_run: 3,
-            sn_origin: 0,
-        }
-    }
-}
-
 /// The Strong WORM applet.
 #[derive(Debug)]
 pub struct WormFirmware {
-    pub(crate) cfg: FirmwareConfig,
+    pub(crate) cfg: WormConfig,
     /// Key material and SN tracking; `None` until `Init`.
     pub(crate) state: Option<BootedState>,
     /// Sorted expiration list (Retention Monitor input).
@@ -363,8 +328,10 @@ pub struct WormFirmware {
 }
 
 impl WormFirmware {
-    /// Creates un-booted firmware with the given configuration.
-    pub fn new(cfg: FirmwareConfig) -> Self {
+    /// Creates un-booted firmware with the deployment's configuration:
+    /// its key widths, weak-signature lifetime, heartbeat and SN origin
+    /// are what the firmware reads of it.
+    pub fn new(cfg: WormConfig) -> Self {
         WormFirmware {
             cfg,
             state: None,

@@ -12,6 +12,7 @@ use std::collections::BTreeSet;
 use scpu::{Env, Op, Timestamp};
 use wormcrypt::{RsaPrivateKey, RsaPublicKey};
 
+use crate::config::{BASE_CERT_LIFETIME, MIN_COMPACTION_RUN};
 use crate::proofs::{BaseCert, CompositeBinding, HeadCert, WindowProof};
 use crate::sn::SerialNumber;
 use crate::witness::{
@@ -261,7 +262,7 @@ impl WormFirmware {
     pub(crate) fn refresh_base(&mut self, env: &mut Env) -> Result<BaseCert, FirmwareError> {
         let now = env.now();
         let bits = self.cfg.strong_bits;
-        let lifetime = self.cfg.base_cert_lifetime;
+        let lifetime = BASE_CERT_LIFETIME;
         env.charge(Op::RsaSign { bits });
         let s = self.booted()?;
         let expires_at = now.after(lifetime);
@@ -320,10 +321,9 @@ impl WormFirmware {
             return reject("window bounds inverted");
         }
         let run = hi.get() - lo.get() + 1;
-        if (run as usize) < self.cfg.min_compaction_run {
+        if (run as usize) < MIN_COMPACTION_RUN {
             return reject(format!(
-                "window of {run} entries below the minimum of {}",
-                self.cfg.min_compaction_run
+                "window of {run} entries below the minimum of {MIN_COMPACTION_RUN}"
             ));
         }
         {

@@ -43,9 +43,7 @@ use wormtrace::Plane;
 use crate::codec::put_read_outcome;
 use crate::config::{WitnessMode, WormConfig};
 use crate::error::WormError;
-use crate::firmware::{
-    DeviceKeys, FirmwareConfig, WeakKeyCert, WormFirmware, WormRequest, WormResponse,
-};
+use crate::firmware::{DeviceKeys, WeakKeyCert, WormFirmware, WormRequest, WormResponse};
 use crate::policy::RetentionPolicy;
 use crate::proofs::{CompositeBinding, HeadCert, ReadOutcome, Resolved};
 use crate::sn::SerialNumber;
@@ -170,15 +168,7 @@ impl<D: BlockDevice> WormServer<D> {
         sink: Option<Box<dyn DurableLog>>,
         lane0: Option<LaneZero>,
     ) -> Result<Self, WormError> {
-        let firmware = WormFirmware::new(FirmwareConfig {
-            strong_bits: config.strong_bits,
-            weak_bits: config.weak_bits,
-            weak_lifetime: config.weak_lifetime,
-            head_refresh_interval: config.head_refresh_interval,
-            base_cert_lifetime: config.base_cert_lifetime,
-            min_compaction_run: config.min_compaction_run,
-            sn_origin: config.sn_origin,
-        });
+        let firmware = WormFirmware::new(config.clone());
         let mut device = Device::new(firmware, config.device.clone(), clock.clone());
         execute(
             &mut device,

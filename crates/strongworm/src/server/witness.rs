@@ -25,7 +25,7 @@ use wormstore::{BlockDevice, RecordDescriptor, RecordStore, Shredder};
 use wormtrace::sync::RwLock;
 
 use crate::attr::RecordAttributes;
-use crate::config::{HashMode, WormConfig};
+use crate::config::{HashMode, WormConfig, MIN_COMPACTION_RUN};
 use crate::error::WormError;
 use crate::firmware::{
     OutboxItem, WeakKeyCert, WitnessField, WormFirmware, WormRequest, WormResponse, WriteData,
@@ -546,10 +546,7 @@ impl<D: BlockDevice> WitnessPlane<D> {
     }
 
     pub(crate) fn compact(&mut self) -> Result<usize, WormError> {
-        let runs = self
-            .vrdt
-            .read()
-            .expired_runs(self.config.min_compaction_run);
+        let runs = self.vrdt.read().expired_runs(MIN_COMPACTION_RUN);
         let mut created = 0;
         for (lo, hi) in runs {
             match execute(&mut self.device, WormRequest::CompactWindow { lo, hi })? {

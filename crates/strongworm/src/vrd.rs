@@ -30,11 +30,6 @@ pub struct Vrd {
 }
 
 impl Vrd {
-    /// Total payload size of the VR in bytes.
-    pub fn data_len(&self) -> u64 {
-        self.rdl.iter().map(|rd| rd.len).sum()
-    }
-
     /// Number of data records grouped in this VR.
     pub fn record_count(&self) -> usize {
         self.rdl.len()
@@ -101,7 +96,6 @@ mod tests {
     #[test]
     fn size_accessors() {
         let v = vrd();
-        assert_eq!(v.data_len(), 128);
         assert_eq!(v.record_count(), 2);
         assert!(!v.needs_strengthening());
     }

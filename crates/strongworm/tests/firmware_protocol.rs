@@ -11,24 +11,22 @@ use rand::SeedableRng;
 use scpu::{Applet, Clock, Device, DeviceConfig, VirtualClock};
 use strongworm::attr::RecordAttributes;
 use strongworm::firmware::{
-    FirmwareConfig, FirmwareError, OutboxItem, WeakKeyCert, WitnessField, WormFirmware,
-    WormRequest, WormResponse, WriteData, WriteItem,
+    FirmwareError, OutboxItem, WeakKeyCert, WitnessField, WormFirmware, WormRequest, WormResponse,
+    WriteData, WriteItem,
 };
 use strongworm::witness::{Signature, Witness};
-use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
+use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode, WormConfig};
 use wormstore::Shredder;
 
 type Fw = Device<WormFirmware>;
 
-fn fw_config() -> FirmwareConfig {
-    FirmwareConfig {
+fn fw_config() -> WormConfig {
+    WormConfig {
         strong_bits: 512,
         weak_bits: 512,
         weak_lifetime: Duration::from_secs(7200),
         head_refresh_interval: Duration::from_secs(120),
-        base_cert_lifetime: Duration::from_secs(86400),
-        min_compaction_run: 3,
-        sn_origin: 0,
+        ..WormConfig::default()
     }
 }
 

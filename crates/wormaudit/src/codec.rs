@@ -90,26 +90,6 @@ fn get_event(r: &mut WireReader<'_>) -> Result<AuditEvent, WireError> {
     })
 }
 
-/// Canonical encoding of one audit event.
-pub fn encode_audit_event(e: &AuditEvent) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    put_event(&mut w, e);
-    w.finish()
-}
-
-/// Decodes one audit event.
-///
-/// # Errors
-///
-/// [`WireError`] on truncation, an unknown class code, a non-canonical
-/// SN flag, an oversized detail string, or trailing bytes.
-pub fn decode_audit_event(bytes: &[u8]) -> Result<AuditEvent, WireError> {
-    let mut r = WireReader::new(bytes);
-    let e = get_event(&mut r)?;
-    r.expect_end()?;
-    Ok(e)
-}
-
 /// The chain hash of an event: SHA-256 over its canonical encoding
 /// under a link-specific domain tag. Because the encoding includes
 /// `prev_hash`, each hash commits to the entire prefix of the journal.
@@ -144,26 +124,6 @@ fn get_anchor(r: &mut WireReader<'_>) -> Result<AuditAnchor, WireError> {
         key_id,
         sig,
     })
-}
-
-/// Canonical encoding of one SCPU chain anchor.
-pub fn encode_audit_anchor(a: &AuditAnchor) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    put_anchor(&mut w, a);
-    w.finish()
-}
-
-/// Decodes one SCPU chain anchor.
-///
-/// # Errors
-///
-/// [`WireError`] on truncation, malformed hash/fingerprint widths, an
-/// oversized signature, or trailing bytes.
-pub fn decode_audit_anchor(bytes: &[u8]) -> Result<AuditAnchor, WireError> {
-    let mut r = WireReader::new(bytes);
-    let a = get_anchor(&mut r)?;
-    r.expect_end()?;
-    Ok(a)
 }
 
 /// Canonical `wormaudit.events.v1` encoding of a fetched page.
@@ -233,13 +193,40 @@ mod tests {
         }
     }
 
+    /// A one-event page, and where its event starts.
+    fn page_of(e: &AuditEvent) -> (Vec<u8>, usize) {
+        let mut w = WireWriter::tagged(PAGE_TAG);
+        w.put_count(1);
+        let at = w.len();
+        put_event(&mut w, e);
+        w.put_count(0);
+        (w.finish(), at)
+    }
+
+    /// A one-anchor page, and where its anchor starts.
+    fn anchor_page_of(a: &AuditAnchor) -> (Vec<u8>, usize) {
+        let mut w = WireWriter::tagged(PAGE_TAG);
+        w.put_count(0);
+        w.put_count(1);
+        let at = w.len();
+        put_anchor(&mut w, a);
+        (w.finish(), at)
+    }
+
+    /// What `decode_audit_page` refused `bytes` for.
+    fn refusal(bytes: &[u8]) -> &'static str {
+        decode_audit_page(bytes).unwrap_err().expected
+    }
+
     #[test]
     fn event_roundtrip_and_hash_stability() {
         let e = event(4);
-        let bytes = encode_audit_event(&e);
-        assert_eq!(decode_audit_event(&bytes).unwrap(), e);
+        let (bytes, at) = page_of(&e);
+        assert_eq!(decode_audit_page(&bytes).unwrap().events, [e.clone()][..]);
         // The hash is over the tagged encoding, not the raw one.
-        assert_ne!(event_hash(&e).to_vec(), Sha256::digest_array(&bytes));
+        let raw = WireWriter::encoded(|w| put_event(w, &e));
+        assert_eq!(bytes[at..at + raw.len()], raw);
+        assert_ne!(event_hash(&e).to_vec(), Sha256::digest_array(&raw));
         // Any field change changes the hash.
         let mut e2 = e.clone();
         e2.detail.push('!');
@@ -249,8 +236,8 @@ mod tests {
     #[test]
     fn anchor_roundtrip() {
         let a = anchor(9);
-        let bytes = encode_audit_anchor(&a);
-        assert_eq!(decode_audit_anchor(&bytes).unwrap(), a);
+        let (bytes, _) = anchor_page_of(&a);
+        assert_eq!(decode_audit_page(&bytes).unwrap().anchors, [a]);
     }
 
     #[test]
@@ -278,49 +265,55 @@ mod tests {
         // allocation proportional to the claim.
         let mut w = WireWriter::tagged(PAGE_TAG);
         w.put_u32(u32::MAX);
-        assert!(decode_audit_page(&w.finish()).is_err());
+        assert_eq!(refusal(&w.finish()), "event count within page bound");
         // Oversized detail string inside an otherwise valid event.
         let mut big = event(0);
         big.detail = "x".repeat(MAX_DETAIL_BYTES + 1);
-        let bytes = encode_audit_event(&big);
-        assert!(decode_audit_event(&bytes).is_err());
+        let bound = "byte string within decoder bound";
+        assert_eq!(refusal(&page_of(&big).0), bound);
         // Claimed anchor-signature length above the bound.
         let mut fat = anchor(0);
         fat.sig = vec![1u8; MAX_SIG_BYTES + 1];
-        assert!(decode_audit_anchor(&encode_audit_anchor(&fat)).is_err());
+        assert_eq!(refusal(&anchor_page_of(&fat).0), bound);
+    }
+
+    #[test]
+    fn bad_hash_widths_rejected() {
+        // An event's `prev_hash` is its last field: a big-endian u32
+        // length, then 32 bytes, then the page's anchor count.
+        let (mut bytes, _) = page_of(&event(3));
+        let low_len_byte = bytes.len() - 4 - 32 - 1;
+        bytes[low_len_byte] = 31;
+        assert_eq!(refusal(&bytes), "32-byte chain hash");
+        // An anchor's `chain_hash` length follows its 8-byte seq.
+        let (mut bytes, at) = anchor_page_of(&anchor(0));
+        bytes[at + 8 + 3] = 33;
+        assert_eq!(refusal(&bytes), "32-byte anchored chain hash");
     }
 
     #[test]
     fn non_canonical_sn_flag_rejected() {
         let mut e = event(1);
         e.sn = None;
-        let mut bytes = encode_audit_event(&e);
+        let (mut bytes, at) = page_of(&e);
         // Locate the presence byte: 8 (seq) + 8 (at_ms) + 1 (class).
-        let flag_at = 17;
-        if let Some(b) = bytes.get_mut(flag_at) {
-            assert_eq!(*b, 0);
-            *b = 1; // claims "present" but the decoder then sees sn=0 + same bytes
-        }
+        let flag_at = at + 17;
+        assert_eq!(bytes[flag_at], 0);
         // Flag 1 with value 0 decodes as Some(0) — legal. Flag 2 is not.
-        if let Some(b) = bytes.get_mut(flag_at) {
-            *b = 2;
-        }
-        assert!(decode_audit_event(&bytes).is_err());
+        bytes[flag_at] = 1;
+        assert_eq!(decode_audit_page(&bytes).unwrap().events[0].sn, Some(0));
+        bytes[flag_at] = 2;
+        assert_eq!(refusal(&bytes), "canonical sn presence flag");
         // And an absent SN must carry a zero value slot.
-        let mut bytes2 = encode_audit_event(&e);
-        if let Some(b) = bytes2.get_mut(flag_at + 8) {
-            *b = 9;
-        }
-        assert!(decode_audit_event(&bytes2).is_err());
+        let (mut bytes, _) = page_of(&e);
+        bytes[flag_at + 8] = 9;
+        assert_eq!(refusal(&bytes), "canonical sn presence flag");
     }
 
     #[test]
     fn unknown_class_code_rejected() {
-        let e = event(1);
-        let mut bytes = encode_audit_event(&e);
-        if let Some(b) = bytes.get_mut(16) {
-            *b = 200;
-        }
-        assert!(decode_audit_event(&bytes).is_err());
+        let (mut bytes, at) = page_of(&event(1));
+        bytes[at + 16] = 200;
+        assert_eq!(refusal(&bytes), "known audit class code");
     }
 }

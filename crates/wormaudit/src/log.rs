@@ -185,11 +185,6 @@ impl AuditLog {
         self.inner.lock().next_seq
     }
 
-    /// Oldest retained sequence number, if any event is retained.
-    pub fn first_retained_seq(&self) -> Option<u64> {
-        self.inner.lock().events.front().map(|e| e.seq)
-    }
-
     /// Sequence of the last anchored event, if any anchor exists.
     pub fn last_anchor_seq(&self) -> Option<u64> {
         self.inner.lock().last_anchor_seq
@@ -264,9 +259,9 @@ mod tests {
         for i in 0..10 {
             log.emit(AuditClass::HeadRemint, Some(i), "x");
         }
-        assert_eq!(log.first_retained_seq(), Some(6));
         let page = log.page(0, 100);
         assert_eq!(page.events.len(), 4);
+        assert_eq!(page.events[0].seq, 6);
         for pair in page.events.windows(2) {
             assert_eq!(pair[1].prev_hash, event_hash(&pair[0]));
         }

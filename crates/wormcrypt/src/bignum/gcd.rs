@@ -115,17 +115,6 @@ impl Ubig {
         }
         Some(s0.rem_euclid(m))
     }
-
-    /// Least common multiple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both operands are zero.
-    pub fn lcm(&self, other: &Ubig) -> Ubig {
-        let g = self.gcd(other);
-        assert!(!g.is_zero(), "lcm(0, 0) is undefined");
-        self.div_rem(&g).0.mul(other)
-    }
 }
 
 #[cfg(test)]
@@ -179,18 +168,5 @@ mod tests {
         let d = e.mod_inverse(&phi).unwrap();
         assert_eq!(d, u(2753));
         assert_eq!(e.mul(&d).rem(&phi), Ubig::one());
-    }
-
-    #[test]
-    fn lcm_basics() {
-        assert_eq!(u(4).lcm(&u(6)), u(12));
-        assert_eq!(u(7).lcm(&u(13)), u(91));
-        assert_eq!(u(0).lcm(&u(5)), u(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "undefined")]
-    fn lcm_zero_zero_panics() {
-        u(0).lcm(&u(0));
     }
 }

@@ -8,9 +8,10 @@
 //! no `unsafe` and no external dependencies.
 //!
 //! ```
-//! use wormcrypt::bignum::Ubig;
+//! use wormcrypt::bignum::{Montgomery, Ubig};
 //!
-//! let a = Ubig::from_u64(7).pow_mod(&Ubig::from_u64(5), &Ubig::from_u64(13));
+//! let ctx = Montgomery::new(&Ubig::from_u64(13)).unwrap();
+//! let a = ctx.pow(&Ubig::from_u64(7), &Ubig::from_u64(5));
 //! assert_eq!(a, Ubig::from_u64(11)); // 7^5 = 16807 = 11 (mod 13)
 //! ```
 

@@ -5,9 +5,7 @@
 //! exponentiation routine, [`Montgomery::pow`]: left-to-right sliding
 //! window over a table of odd powers, a fused CIOS multiplication and a
 //! dedicated squaring, all over one scratch buffer allocated per call. RSA
-//! keys build their contexts once and keep them; `Ubig::pow_mod` builds one
-//! per call for an odd modulus and keeps binary square-and-reduce for even
-//! moduli.
+//! keys build their contexts once and keep them.
 
 use super::Ubig;
 
@@ -288,36 +286,6 @@ fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
     false
 }
 
-impl Ubig {
-    /// Computes `self^exp mod modulus`: [`Montgomery::pow`] for an odd
-    /// modulus, binary square-and-reduce otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus` is zero.
-    pub fn pow_mod(&self, exp: &Ubig, modulus: &Ubig) -> Ubig {
-        assert!(!modulus.is_zero(), "pow_mod: zero modulus");
-        if modulus.is_one() {
-            return Ubig::zero();
-        }
-        if let Some(ctx) = Montgomery::new(modulus) {
-            return ctx.pow(self, exp);
-        }
-        // Even modulus fallback (not used by RSA; kept for completeness).
-        let mut result = Ubig::one();
-        let mut b = self.rem(modulus);
-        for i in 0..exp.bit_len() {
-            if exp.bit(i) {
-                result = result.mul(&b).rem(modulus);
-            }
-            if i + 1 < exp.bit_len() {
-                b = b.mul(&b).rem(modulus);
-            }
-        }
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,39 +390,27 @@ mod tests {
     }
 
     #[test]
-    fn pow_mod_small_cases() {
-        assert_eq!(u(7).pow_mod(&u(5), &u(13)), u(11));
-        assert_eq!(u(2).pow_mod(&u(10), &u(1000)), u(24));
-        assert_eq!(u(5).pow_mod(&Ubig::zero(), &u(7)), Ubig::one());
-        assert_eq!(u(0).pow_mod(&u(5), &u(7)), Ubig::zero());
-        assert_eq!(u(5).pow_mod(&u(5), &Ubig::one()), Ubig::zero());
-    }
-
-    #[test]
-    fn pow_mod_even_modulus() {
-        // 3^7 mod 20 = 2187 mod 20 = 7
-        assert_eq!(u(3).pow_mod(&u(7), &u(20)), u(7));
-        // 7^128 mod 2^64: square-and-reduce path over an even modulus.
-        let m = Ubig::one().shl(64);
-        let got = u(7).pow_mod(&u(128), &m);
-        let mut expect = 1u64;
-        for _ in 0..128 {
-            expect = expect.wrapping_mul(7);
-        }
-        assert_eq!(got, Ubig::from_u64(expect));
+    fn pow_small_cases() {
+        let pow = |b: u64, e: &Ubig, n: u64| Montgomery::new(&u(n)).unwrap().pow(&u(b), e);
+        assert_eq!(pow(7, &u(5), 13), u(11));
+        assert_eq!(pow(2, &u(10), 1001), u(23));
+        assert_eq!(pow(5, &Ubig::zero(), 7), Ubig::one());
+        assert_eq!(pow(0, &u(5), 7), Ubig::zero());
+        assert_eq!(pow(14, &u(5), 7), Ubig::zero());
     }
 
     #[test]
     fn fermat_little_theorem() {
         // p prime, a^(p-1) = 1 mod p.
         let p = Ubig::from_hex("ffffffffffffffc5").unwrap(); // largest 64-bit prime
+        let ctx = Montgomery::new(&p).unwrap();
         for a in [2u64, 3, 65537, 0xdeadbeef] {
-            assert_eq!(u(a).pow_mod(&p.sub(&Ubig::one()), &p), Ubig::one(), "a={a}");
+            assert_eq!(ctx.pow(&u(a), &p.sub(&Ubig::one())), Ubig::one(), "a={a}");
         }
     }
 
     #[test]
-    fn pow_mod_large_operands() {
+    fn pow_large_operands() {
         // Cross-check the windowed Montgomery path against naive
         // square-and-multiply with explicit reduction.
         let n = Ubig::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
@@ -462,7 +418,7 @@ mod tests {
         let n = if n.is_even() { n.add(&Ubig::one()) } else { n };
         let b = Ubig::from_hex("123456789abcdef0fedcba9876543210").unwrap();
         let e = Ubig::from_hex("10001").unwrap();
-        let fast = b.pow_mod(&e, &n);
+        let fast = Montgomery::new(&n).unwrap().pow(&b, &e);
         // Naive reference.
         let mut acc = Ubig::one();
         for i in (0..e.bit_len()).rev() {

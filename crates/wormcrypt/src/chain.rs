@@ -62,20 +62,6 @@ impl ChainHash {
         self.count += 1;
     }
 
-    /// Absorbs a record supplied in streaming chunks (for large records the
-    /// caller does not want to buffer). The record boundary is closed when
-    /// the returned [`ChainRecordWriter`] is finished.
-    pub fn absorb_streaming(&mut self) -> ChainRecordWriter<'_> {
-        let mut h = Sha256::new();
-        h.update(&self.state);
-        h.update(&self.count.to_be_bytes());
-        ChainRecordWriter {
-            chain: self,
-            hasher: h,
-            len: 0,
-        }
-    }
-
     /// Number of records absorbed so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -101,35 +87,6 @@ impl ChainHash {
             c.absorb(r);
         }
         c.finalize()
-    }
-}
-
-/// Streaming writer for one record inside a [`ChainHash`].
-///
-/// Note: the streaming form hashes `h_{i-1} || be64(i) || record || be64(len)`
-/// (length *suffix* rather than prefix, since the length is unknown up
-/// front); it therefore produces a digest distinct from [`ChainHash::absorb`]
-/// but with the same binding properties.
-#[derive(Debug)]
-pub struct ChainRecordWriter<'a> {
-    chain: &'a mut ChainHash,
-    hasher: Sha256,
-    len: u64,
-}
-
-impl ChainRecordWriter<'_> {
-    /// Appends a chunk of the current record.
-    pub fn write(&mut self, chunk: &[u8]) {
-        self.hasher.update(chunk);
-        self.len += chunk.len() as u64;
-    }
-
-    /// Closes the record and advances the chain.
-    pub fn finish(self) {
-        let mut h = self.hasher;
-        h.update(&self.len.to_be_bytes());
-        self.chain.state = h.finalize_array();
-        self.chain.count += 1;
     }
 }
 
@@ -177,25 +134,6 @@ mod tests {
         let base = ChainHash::digest_records([b"aaaa".as_slice(), b"bbbb".as_slice()]);
         let tweaked = ChainHash::digest_records([b"aaab".as_slice(), b"bbbb".as_slice()]);
         assert_ne!(base, tweaked);
-    }
-
-    #[test]
-    fn streaming_record_is_consistent() {
-        let mut c1 = ChainHash::new();
-        {
-            let mut w = c1.absorb_streaming();
-            w.write(b"hello ");
-            w.write(b"world");
-            w.finish();
-        }
-        let mut c2 = ChainHash::new();
-        {
-            let mut w = c2.absorb_streaming();
-            w.write(b"hello world");
-            w.finish();
-        }
-        assert_eq!(c1.current(), c2.current());
-        assert_eq!(c1.count(), 1);
     }
 
     #[test]

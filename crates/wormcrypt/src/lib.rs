@@ -56,7 +56,7 @@ mod sha1;
 mod sha256;
 pub mod wire;
 
-pub use chain::{ChainHash, ChainRecordWriter};
+pub use chain::ChainHash;
 pub use digest::Digest;
 pub use error::CryptoError;
 pub use hmac::{ct_eq, Hmac};

@@ -22,11 +22,14 @@
 //! | [`RsaPublicKey::verify_digest`] | 1 signature | scalar (ten digits do not split in four) | `pow_short`: four lanes | `pow_short`: eight lanes |
 //!
 //! `verify` and `verify_pair` hash, then take the digest entries: there is
-//! one check, and it compares `s^e mod n` with the encoding a digest has
-//! where the number's limbs hold it. A shape that leaves lanes over fills
-//! them with numbers whose results are dropped. Which engine runs is fixed when the key is built, from the
-//! CPU and the width alone; PKCS#1 v1.5 is deterministic, so both give the
-//! same bytes and the same verdicts.
+//! one check, and it compares `s^e mod n` with the encoding a SHA-256
+//! digest has where the number's limbs hold it. A shape that leaves lanes
+//! over fills them with numbers whose results are dropped. Which engine
+//! runs is fixed when the key is built, from the CPU and the width alone;
+//! PKCS#1 v1.5 is deterministic, so both give the same bytes and the same
+//! verdicts. Every key's modulus is odd and above 1 —
+//! [`RsaPublicKey::from_bytes`] refuses any other — so the scalar engine
+//! serves every key the lanes do not.
 
 use std::fmt;
 
@@ -35,14 +38,13 @@ use shani::ifma52;
 use crate::bignum::{Montgomery, Ubig};
 use crate::digest::Digest;
 use crate::error::CryptoError;
-use crate::{Sha1, Sha256};
+use crate::Sha256;
 
-/// Hash algorithm used inside the PKCS#1 v1.5 encoding.
+/// Hash algorithm used inside the PKCS#1 v1.5 encoding: SHA-256, the one
+/// every signature in this stack is made over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HashAlg {
-    /// SHA-1 (paper-era default; kept for the Table 2 reproduction).
-    Sha1,
-    /// SHA-256 (default everywhere else).
+    /// SHA-256.
     Sha256,
 }
 
@@ -50,10 +52,6 @@ impl HashAlg {
     /// DER-encoded `DigestInfo` prefix (algorithm identifier).
     fn digest_info_prefix(self) -> &'static [u8] {
         match self {
-            HashAlg::Sha1 => &[
-                0x30, 0x21, 0x30, 0x09, 0x06, 0x05, 0x2b, 0x0e, 0x03, 0x02, 0x1a, 0x05, 0x00, 0x04,
-                0x14,
-            ],
             HashAlg::Sha256 => &[
                 0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02,
                 0x01, 0x05, 0x00, 0x04, 0x20,
@@ -64,7 +62,6 @@ impl HashAlg {
     /// Digest of `msg` under this algorithm.
     pub fn hash(self, msg: &[u8]) -> Vec<u8> {
         match self {
-            HashAlg::Sha1 => Sha1::digest(msg),
             HashAlg::Sha256 => Sha256::digest(msg),
         }
     }
@@ -72,7 +69,6 @@ impl HashAlg {
     /// Length of this algorithm's digest in bytes.
     fn digest_len(self) -> usize {
         match self {
-            HashAlg::Sha1 => Sha1::OUT_LEN,
             HashAlg::Sha256 => Sha256::OUT_LEN,
         }
     }
@@ -85,13 +81,12 @@ impl HashAlg {
 pub struct RsaPublicKey {
     n: Ubig,
     e: Ubig,
-    /// Exponentiation context for `n`; `None` for an even modulus, which no
-    /// RSA key has but the wire format can carry. Boxed because keys travel
-    /// by value inside response enums.
-    ctx: Option<Box<Montgomery>>,
+    /// Exponentiation context for `n`, the scalar engine. Boxed because
+    /// keys travel by value inside response enums.
+    ctx: Box<Montgomery>,
     /// `n` prepared for the lane engine, which [`Self::verify`] and
-    /// [`Self::verify_pair`] use: present for an odd `n` 512, 1024 or 2048
-    /// bits wide with a one-limb `e`, on a CPU that has the engine.
+    /// [`Self::verify_pair`] use: present for an `n` 512, 1024 or 2048 bits
+    /// wide with a one-limb `e`, on a CPU that has the engine.
     lanes: Option<Box<ifma52::Modulus>>,
     fingerprint: [u8; 8],
 }
@@ -140,7 +135,10 @@ impl fmt::Debug for RsaPrivateKey {
 }
 
 impl RsaPublicKey {
-    fn new(n: Ubig, e: Ubig) -> Self {
+    /// The key `(n, e)`; `None` unless `n` is odd and above 1, which every
+    /// RSA modulus is and the exponentiation context needs.
+    fn new(n: Ubig, e: Ubig) -> Option<Self> {
+        let ctx = Box::new(Montgomery::new(&n)?);
         let mut h = Sha256::new();
         h.update(&n.to_bytes_be());
         h.update(&e.to_bytes_be());
@@ -158,13 +156,13 @@ impl RsaPublicKey {
         let lanes = digits
             .filter(|_| ifma52::available() && e.bit_len() <= 64)
             .and_then(|digits| lane_modulus(&n, digits));
-        RsaPublicKey {
-            ctx: Montgomery::new(&n).map(Box::new),
+        Some(RsaPublicKey {
+            ctx,
             lanes: lanes.map(Box::new),
             n,
             e,
             fingerprint,
-        }
+        })
     }
 
     /// Modulus width in bits.
@@ -223,10 +221,7 @@ impl RsaPublicKey {
         let Some(s) = self.signature_value(sig) else {
             return false;
         };
-        let em = match &self.ctx {
-            Some(ctx) => ctx.pow(&s, &self.e),
-            None => s.pow_mod(&self.e, &self.n),
-        };
+        let em = self.ctx.pow(&s, &self.e);
         self.is_encoding_of(&em.limbs, digest, alg)
     }
 
@@ -364,6 +359,12 @@ impl RsaPublicKey {
     }
 
     /// Parses the [`RsaPublicKey::to_bytes`] format.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::Malformed`] on a bad length prefix, trailing bytes, a
+    /// zero exponent, or a modulus that is not odd and above 1 (no RSA
+    /// modulus is even).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CryptoError> {
         let (n, rest) = read_len_prefixed(bytes)?;
         let (e, rest) = read_len_prefixed(rest)?;
@@ -371,10 +372,10 @@ impl RsaPublicKey {
             return Err(CryptoError::Malformed("trailing bytes in public key"));
         }
         let (n, e) = (Ubig::from_bytes_be(n), Ubig::from_bytes_be(e));
-        if n.is_zero() || e.is_zero() {
-            return Err(CryptoError::Malformed("zero modulus or exponent"));
+        if e.is_zero() {
+            return Err(CryptoError::Malformed("zero exponent"));
         }
-        Ok(RsaPublicKey::new(n, e))
+        RsaPublicKey::new(n, e).ok_or(CryptoError::Malformed("modulus not odd and above 1"))
     }
 }
 
@@ -399,7 +400,7 @@ impl RsaPrivateKey {
     /// Panics if `bits < 64` or `bits` is odd.
     #[expect(
         clippy::expect_used,
-        reason = "the inverse of e exists (gcd(e, phi) == 1 checked), q is invertible mod p (distinct primes), and gen_prime returns odd primes of bits / 2 >= 32 bits"
+        reason = "the inverse of e exists (gcd(e, phi) == 1 checked), q is invertible mod p (distinct primes), and gen_prime returns odd primes of bits / 2 >= 32 bits, so n = p * q is odd"
     )]
     pub fn generate<R: rand::RngCore + ?Sized>(rng: &mut R, bits: usize) -> Self {
         assert!(bits >= 64, "modulus below 64 bits cannot encode a digest");
@@ -431,7 +432,7 @@ impl RsaPrivateKey {
             let lanes = prime_lanes(&p).zip(prime_lanes(&q)).map(<[_; 2]>::from);
             let [p, q] = [p, q].map(|f| Montgomery::new(&f).expect("odd prime"));
             return RsaPrivateKey {
-                public: RsaPublicKey::new(n, e),
+                public: RsaPublicKey::new(n, e).expect("odd modulus"),
                 d,
                 p,
                 q,
@@ -640,11 +641,11 @@ mod tests {
     #[test]
     fn sign_verify_roundtrip() {
         let key = test_key();
-        for alg in [HashAlg::Sha1, HashAlg::Sha256] {
-            let sig = key.sign(b"compliance record #1", alg).unwrap();
-            assert_eq!(sig.len(), 64);
-            assert!(key.public().verify(b"compliance record #1", &sig, alg));
-        }
+        let sig = key.sign(b"compliance record #1", HashAlg::Sha256).unwrap();
+        assert_eq!(sig.len(), 64);
+        assert!(key
+            .public()
+            .verify(b"compliance record #1", &sig, HashAlg::Sha256));
     }
 
     #[test]
@@ -661,8 +662,6 @@ mod tests {
             .public()
             .verify(b"original", &sig[..63], HashAlg::Sha256));
         assert!(!key.public().verify(b"original", &[], HashAlg::Sha256));
-        // Wrong hash algorithm.
-        assert!(!key.public().verify(b"original", &sig, HashAlg::Sha1));
     }
 
     #[test]
@@ -678,7 +677,7 @@ mod tests {
         let key = test_key();
         let m = Ubig::from_hex("123456789abcdef0aa55").unwrap();
         let crt = key.raw_decrypt(&m);
-        let plain = m.pow_mod(key.d(), key.public().n());
+        let plain = key.public().ctx.pow(&m, key.d());
         assert_eq!(crt, plain);
     }
 
@@ -693,7 +692,7 @@ mod tests {
             assert!(!key.public().verify(b"widths", &sig, HashAlg::Sha256));
             let m =
                 Ubig::from_bytes_be(&emsa_pkcs1_v15(b"width", bits / 8, HashAlg::Sha256).unwrap());
-            assert_eq!(key.raw_decrypt(&m), m.pow_mod(key.d(), key.public().n()));
+            assert_eq!(key.raw_decrypt(&m), key.public().ctx.pow(&m, key.d()));
             assert_eq!(Ubig::from_bytes_be(&sig), key.raw_decrypt(&m));
         }
     }
@@ -765,21 +764,17 @@ mod tests {
             assert_eq!(parsed.lanes.is_some(), ifma52::available());
         }
         let k1024 = lane_width_keys()[1].public();
-        // 1024 bits, but even, one bit short, or under a two-limb exponent.
+        // 1024 bits, but one bit short, or under a two-limb exponent.
         let n = k1024.n();
-        let even = n.sub(&Ubig::one());
         let mut short = n.shr(1);
         short.set_bit(0);
         let two_limb_e = Ubig::one().shl(64).add(&Ubig::one());
-        assert_eq!((even.bit_len(), short.bit_len()), (1024, 1023));
-        assert!(RsaPublicKey::new(even, k1024.e().clone()).lanes.is_none());
-        assert!(RsaPublicKey::new(short, k1024.e().clone()).lanes.is_none());
-        assert!(RsaPublicKey::new(n.clone(), two_limb_e).lanes.is_none());
+        assert_eq!(short.bit_len(), 1023);
+        let key = |n: &Ubig, e: Ubig| RsaPublicKey::new(n.clone(), e).unwrap();
+        assert!(key(&short, k1024.e().clone()).lanes.is_none());
+        assert!(key(n, two_limb_e).lanes.is_none());
         let widest_e = Ubig::from_u64(u64::MAX);
-        assert_eq!(
-            RsaPublicKey::new(n.clone(), widest_e).lanes.is_some(),
-            ifma52::available()
-        );
+        assert_eq!(key(n, widest_e).lanes.is_some(), ifma52::available());
     }
 
     /// What a non-IFMA machine runs, run here: `verify` and `verify_pair`
@@ -852,18 +847,6 @@ mod tests {
         for keys in [[k512, k512], [k1024, &other], [k2048, k2048]] {
             assert_eq!(in_lanes(keys), ifma52::available().then_some([true; 2]));
         }
-        // The hash algorithm reaches both halves.
-        let sha1 = k1024.sign_many(&[a, b], HashAlg::Sha1).unwrap();
-        let keys = [k1024.public(); 2];
-        let sigs = [&sha1[0][..], &sha1[1][..]];
-        assert_eq!(
-            RsaPublicKey::verify_pair(keys, [a, b], sigs, HashAlg::Sha1),
-            [true; 2]
-        );
-        assert_eq!(
-            RsaPublicKey::verify_pair(keys, [a, b], sigs, alg),
-            [false; 2]
-        );
         // The lanes' exponentiations on random values below n, which no
         // honest signer produces, as a pair and alone, against the scalar
         // engine.
@@ -901,7 +884,7 @@ mod tests {
         let Some(s) = key.signature_value(sig) else {
             return false;
         };
-        let em = s.pow_mod(key.e(), key.n());
+        let em = key.ctx.pow(&s, key.e());
         emsa_pkcs1_v15(msg, k, alg).is_ok_and(|want| em.to_bytes_be_padded(k) == want)
     }
 
@@ -926,11 +909,8 @@ mod tests {
         let [k512, k1024, _] = lane_width_keys();
         let other = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(513), 512);
         let msg: &[u8] = b"a signed statement";
-        for (key, alg) in [
-            (k512, HashAlg::Sha256),
-            (k1024, HashAlg::Sha256),
-            (k1024, HashAlg::Sha1),
-        ] {
+        let alg = HashAlg::Sha256;
+        for key in [k512, k1024] {
             let public = key.public();
             let k = public.modulus_bytes();
             let honest = key.sign(msg, alg).unwrap();
@@ -1024,12 +1004,6 @@ mod tests {
                         assert_eq!(*sig, want[(i + shift) % 4], "k={k} shift={shift}");
                     }
                 }
-                let sha1 = key
-                    .sign_many(&[b"one", b"two", b"three"], HashAlg::Sha1)
-                    .unwrap();
-                assert_eq!(sha1[0], key.sign(b"one", HashAlg::Sha1).unwrap());
-                assert_eq!(sha1[2], key.sign(b"three", HashAlg::Sha1).unwrap());
-                assert!(key.public().verify(b"two", &sha1[1], HashAlg::Sha1));
             }
         }
     }
@@ -1049,35 +1023,32 @@ mod tests {
         );
     }
 
-    /// No RSA key has an even modulus, but `from_bytes` accepts one and
-    /// `verify` then computes `s^e mod n` all the same: n = 2p is
-    /// square-free, so `m^(ed) = m (mod n)` for `ed = 1 (mod p - 1)`.
+    /// No RSA key has an even modulus or a modulus of 1, and `from_bytes`
+    /// refuses both, as it refuses zero: every key it returns has its
+    /// exponentiation context.
     #[test]
-    fn even_modulus_public_key_verifies_and_rejects() {
-        let mut rng = StdRng::seed_from_u64(45);
-        let e = Ubig::from_u64(65537);
-        let (p, d) = loop {
-            let p = Ubig::gen_prime(&mut rng, 511);
-            if let Some(d) = e.mod_inverse(&p.sub(&Ubig::one())) {
-                break (p, d);
+    fn from_bytes_refuses_an_even_modulus_and_a_modulus_of_one() {
+        let key = test_key().public();
+        let with_modulus = |n: &Ubig| {
+            RsaPublicKey {
+                n: n.clone(),
+                ..key.clone()
             }
+            .to_bytes()
         };
-        let n = p.shl(1);
-        let key = RsaPublicKey::new(n.clone(), e);
-        assert!(key.ctx.is_none());
-        let parsed = RsaPublicKey::from_bytes(&key.to_bytes()).unwrap();
-        assert_eq!(parsed, key);
-
-        let em = emsa_pkcs1_v15(b"even", 64, HashAlg::Sha256).unwrap();
-        let sig = Ubig::from_bytes_be(&em)
-            .pow_mod(&d, &n)
-            .to_bytes_be_padded(64);
-        assert!(parsed.verify(b"even", &sig, HashAlg::Sha256));
-        assert!(!parsed.verify(b"odd", &sig, HashAlg::Sha256));
-        let mut bad = sig.clone();
-        bad[63] ^= 1;
-        assert!(!parsed.verify(b"even", &bad, HashAlg::Sha256));
-        assert!(!parsed.verify(b"even", &n.to_bytes_be_padded(64), HashAlg::Sha256));
+        let n = key.n();
+        for bad in [n.sub(&Ubig::one()), n.shl(1), Ubig::one(), Ubig::zero()] {
+            assert!(
+                matches!(
+                    RsaPublicKey::from_bytes(&with_modulus(&bad)),
+                    Err(CryptoError::Malformed(_))
+                ),
+                "n={bad:x}"
+            );
+        }
+        assert_eq!(RsaPublicKey::from_bytes(&with_modulus(n)).unwrap(), *key);
+        let three = RsaPublicKey::from_bytes(&with_modulus(&Ubig::from_u64(3))).unwrap();
+        assert_eq!(three.ctx.modulus(), &Ubig::from_u64(3));
     }
 
     #[test]
@@ -1135,8 +1106,6 @@ mod tests {
             }
             other => panic!("expected ModulusTooSmall, got {other:?}"),
         }
-        // SHA-1 fits (35 + 11 = 46 > 32 — actually also too small).
-        assert!(key.sign(b"m", HashAlg::Sha1).is_err());
     }
 
     #[test]

@@ -807,10 +807,12 @@ mod tests {
     }
 
     fn tiny_key(n: u8) -> wormcrypt::RsaPublicKey {
-        // Structurally valid key material (decode only checks non-zero).
+        // Structurally valid key material (decode checks that the modulus
+        // is odd and above 1 and the exponent non-zero): the `n`-th odd
+        // modulus, so distinct `n` give distinct keys.
         let mut raw = Vec::new();
         raw.extend_from_slice(&1u32.to_be_bytes());
-        raw.push(n);
+        raw.push(2 * n + 1);
         raw.extend_from_slice(&1u32.to_be_bytes());
         raw.push(3);
         wormcrypt::RsaPublicKey::from_bytes(&raw).unwrap()

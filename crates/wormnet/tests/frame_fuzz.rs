@@ -115,11 +115,11 @@ impl Parts {
         Timestamp::from_millis(self.n)
     }
 
-    /// A structurally valid public key (decoding checks only that n and
-    /// e are non-zero).
+    /// A structurally valid public key (decoding checks that n is odd
+    /// and above 1 and that e is non-zero): `n | 1`, or 3 where that is 1.
     fn key(&self, salt: u8) -> wormcrypt::RsaPublicKey {
         let mut raw = 8u32.to_be_bytes().to_vec();
-        raw.extend_from_slice(&(self.n | 1).to_be_bytes());
+        raw.extend_from_slice(&(self.n | 1).max(3).to_be_bytes());
         raw.extend_from_slice(&1u32.to_be_bytes());
         raw.push(salt | 1);
         wormcrypt::RsaPublicKey::from_bytes(&raw).expect("valid key bytes")

@@ -506,11 +506,6 @@ impl<D: BlockDevice> RecordStore<D> {
         self.alloc.lock().lifetime
     }
 
-    /// Number of entries on the free list (for fragmentation diagnostics).
-    pub fn free_extents(&self) -> usize {
-        self.alloc.lock().free_list.len()
-    }
-
     /// Total free-list bytes (excludes the untouched region past the
     /// watermark).
     pub fn free_bytes(&self) -> u64 {
@@ -610,10 +605,10 @@ mod tests {
         let rds: Vec<_> = (0..4).map(|_| s.write(&[7u8; 16]).unwrap()).collect();
         s.shred(&rds[0], Shredder::ZeroFill, &mut rng).unwrap();
         s.shred(&rds[2], Shredder::ZeroFill, &mut rng).unwrap();
-        assert_eq!(s.free_extents(), 2);
+        assert_eq!(s.alloc.lock().free_list.len(), 2);
         s.shred(&rds[1], Shredder::ZeroFill, &mut rng).unwrap();
         // 0..48 coalesced into one extent.
-        assert_eq!(s.free_extents(), 1);
+        assert_eq!(s.alloc.lock().free_list.len(), 1);
         // Big allocation now fits in the coalesced hole.
         let rd = s.write(&[9u8; 48]).unwrap();
         assert_eq!(rd.offset, 0);
@@ -628,10 +623,10 @@ mod tests {
         s.shred(&rd, Shredder::ZeroFill, &mut rng).unwrap();
         let small = s.write(&[3u8; 8]).unwrap();
         assert_eq!(small.offset, 0);
-        assert_eq!(s.free_extents(), 1); // 24 bytes remain free
+        assert_eq!(s.alloc.lock().free_list.len(), 1); // 24 bytes remain free
         let rest = s.write(&[4u8; 24]).unwrap();
         assert_eq!(rest.offset, 8);
-        assert_eq!(s.free_extents(), 0);
+        assert_eq!(s.alloc.lock().free_list.len(), 0);
     }
 
     #[test]
@@ -690,7 +685,7 @@ mod tests {
         let s = RecordStore::recover(dev, &live, &[]).unwrap();
         // Gaps [0,32) and [40,96) are free; watermark sits at 104.
         assert_eq!(s.watermark(), 104);
-        assert_eq!(s.free_extents(), 2);
+        assert_eq!(s.alloc.lock().free_list.len(), 2);
         assert_eq!(s.free_bytes(), 32 + 56);
         assert_eq!(s.lifetime().bytes_reclaimed, 88);
         // Live bytes readable; new writes land in reclaimed space and ids

@@ -243,10 +243,10 @@ fn fetch_pages(
     let mut cursor = from;
     loop {
         let page = client.audit_events(cursor, page_size)?;
-        let Some(last) = page.events.last() else {
+        let Some(next) = page.next_cursor() else {
             return Ok(());
         };
-        cursor = last.seq + 1;
+        cursor = next;
         absorb(page);
     }
 }
@@ -295,9 +295,9 @@ impl AuditView {
             if let Some(i) = wormaudit::ALL_CLASSES.iter().position(|c| *c == e.class) {
                 self.class_counts[i] += 1;
             }
-            self.cursor = self.cursor.max(e.seq + 1);
             self.last_event_at_ms = self.last_event_at_ms.max(e.at_ms);
         }
+        self.cursor = self.cursor.max(page.next_cursor().unwrap_or(0));
         for a in &page.anchors {
             if self.last_anchor_seq.is_none_or(|prev| a.seq > prev) {
                 self.last_anchor_seq = Some(a.seq);

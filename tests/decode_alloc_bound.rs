@@ -126,8 +126,8 @@ fn ts(ms: u64) -> Timestamp {
     Timestamp::from_millis(ms)
 }
 
-/// A structurally valid public key (decoding checks only that n and e
-/// are non-zero).
+/// A structurally valid public key (decoding checks that n is odd and
+/// above 1 and that e is non-zero).
 fn key(n: u8) -> RsaPublicKey {
     let mut raw = 1u32.to_be_bytes().to_vec();
     raw.push(n);

@@ -16,10 +16,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scpu::{Device, DeviceConfig, VirtualClock};
-use strongworm::firmware::{
-    FirmwareConfig, WormFirmware, WormRequest, WormResponse, WriteData, WriteItem,
-};
-use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode};
+use strongworm::firmware::{WormFirmware, WormRequest, WormResponse, WriteData, WriteItem};
+use strongworm::{RegulatoryAuthority, RetentionPolicy, SerialNumber, WitnessMode, WormConfig};
 use wormstore::Shredder;
 
 type Fw = Device<WormFirmware>;
@@ -27,14 +25,12 @@ type Fw = Device<WormFirmware>;
 fn boot() -> (Fw, Arc<VirtualClock>) {
     let clock = VirtualClock::starting_at_millis(10_000);
     let mut dev = Device::new(
-        WormFirmware::new(FirmwareConfig {
+        WormFirmware::new(WormConfig {
             strong_bits: 512,
             weak_bits: 512,
             weak_lifetime: Duration::from_secs(7200),
             head_refresh_interval: Duration::from_secs(100_000), // quiet heartbeat
-            base_cert_lifetime: Duration::from_secs(86_400),
-            min_compaction_run: 3,
-            sn_origin: 0,
+            ..WormConfig::default()
         }),
         DeviceConfig {
             cost_model: scpu::CostModel::free(),
