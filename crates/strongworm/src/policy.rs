@@ -89,33 +89,6 @@ impl RetentionPolicy {
         }
     }
 
-    /// FERPA: five-year retention.
-    pub fn ferpa() -> Self {
-        RetentionPolicy {
-            regulation: Regulation::Ferpa,
-            retention: Duration::from_secs(5 * YEAR),
-            shredder: Shredder::ZeroFill,
-        }
-    }
-
-    /// DoD 5015.2 representative schedule: 25-year retention.
-    pub fn dod5015() -> Self {
-        RetentionPolicy {
-            regulation: Regulation::Dod5015,
-            retention: Duration::from_secs(25 * YEAR),
-            shredder: Shredder::MultiPass { passes: 7 },
-        }
-    }
-
-    /// Sarbanes-Oxley: seven-year retention for audit work papers.
-    pub fn sarbanes_oxley() -> Self {
-        RetentionPolicy {
-            regulation: Regulation::SarbanesOxley,
-            retention: Duration::from_secs(7 * YEAR),
-            shredder: Shredder::MultiPass { passes: 3 },
-        }
-    }
-
     /// Custom policy with an arbitrary retention period.
     pub fn custom(retention: Duration, shredder: Shredder) -> Self {
         RetentionPolicy {
@@ -148,16 +121,9 @@ mod tests {
 
     #[test]
     fn presets_have_multiyear_retention() {
-        for p in [
-            RetentionPolicy::sec17a4(),
-            RetentionPolicy::hipaa(),
-            RetentionPolicy::ferpa(),
-            RetentionPolicy::dod5015(),
-            RetentionPolicy::sarbanes_oxley(),
-        ] {
+        for p in [RetentionPolicy::sec17a4(), RetentionPolicy::hipaa()] {
             assert!(p.retention >= Duration::from_secs(5 * YEAR));
         }
-        assert!(RetentionPolicy::dod5015().retention > RetentionPolicy::hipaa().retention);
     }
 
     #[test]

@@ -79,8 +79,8 @@ impl Signature {
     }
 
     /// Signs each of `msgs` with one `key`: one [`Signature::sign`] each,
-    /// byte for byte, with up to four in one private-key pass where the
-    /// key's engine takes them (`RsaPrivateKey::sign_many`). The
+    /// byte for byte, their private-key work sharing lane passes where
+    /// the key's engine takes them (`RsaPrivateKey::sign_many`). The
     /// constructs the paper issues in twos go through here — `metasig`
     /// with `datasig` (Table 1) and the two bounds of a deleted window
     /// (§4.2.1) — and so do the records of one `Write` command.

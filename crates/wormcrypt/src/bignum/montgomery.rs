@@ -57,11 +57,14 @@ impl Montgomery {
     /// Computes `base^exp mod n`.
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         // The kernels are instantiated with a constant limb count for the
-        // primes and moduli of 512/1024/2048-bit keys, and with the
-        // run-time count for every other width.
+        // primes and moduli of 512/1024/2048-bit keys (two primes of 4
+        // limbs, three of 6 or 11), and with the run-time count for every
+        // other width.
         match self.n.limbs.len() {
             4 => self.pow_k::<4>(base, exp),
+            6 => self.pow_k::<6>(base, exp),
             8 => self.pow_k::<8>(base, exp),
+            11 => self.pow_k::<11>(base, exp),
             16 => self.pow_k::<16>(base, exp),
             32 => self.pow_k::<32>(base, exp),
             _ => self.pow_k::<0>(base, exp),

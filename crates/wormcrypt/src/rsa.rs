@@ -7,6 +7,12 @@
 //! deferred-strength optimization — emerge naturally from the O(k³)
 //! modular exponentiation.
 //!
+//! A private key of 1024 bits or more has three primes, one below has two
+//! (multi-prime RSA, RFC 8017 §3.2): the private operation raises one CRT
+//! residue a prime and recombines them by Garner's method. The public key
+//! `(n, e)` and every signature are what a two-prime key of that `n`
+//! gives.
+//!
 //! There are two engines. [`Montgomery::pow`] is the scalar one: it runs on
 //! every CPU and key width and is the reference the tests compare against.
 //! Where the CPU has AVX-512 IFMA, a key also carries its moduli prepared
@@ -16,8 +22,8 @@
 //!
 //! | entry | numbers | 512 bits | 1024 bits | 2048 bits |
 //! |---|---|---|---|---|
-//! | [`RsaPrivateKey::sign`], a last one or two of [`RsaPrivateKey::sign_many`] | 2 or 4 CRT halves | `pow4`: a lane each, squares beside | `pow4`: a lane each, squares beside | `pow4`: two lanes each, windows |
-//! | [`RsaPrivateKey::sign_many`], three or four at a time | 6 or 8 CRT halves | `pow8`: a lane each, windows | `pow8`: a lane each, windows | two `pow4` calls |
+//! | [`RsaPrivateKey::sign_many`] ([`RsaPrivateKey::sign`] is one message), every residue of every message, eight at a time | 8 CRT residues | `pow8`: 5 digits, a lane each, windows | `pow8`: 7 digits | `pow8`: 14 digits |
+//! | the same, a last pass | 1 to 7 residues | four or fewer: `pow4`, a lane each, squares beside; more: `pow8` | `pow8` | `pow8` |
 //! | [`RsaPublicKey::verify_pair_digests`] | 2 signatures | `pow_short`: two lanes each | `pow_short`: four lanes each | `pow_short`: four lanes each |
 //! | [`RsaPublicKey::verify_digest`] | 1 signature | scalar (ten digits do not split in four) | `pow_short`: four lanes | `pow_short`: eight lanes |
 //!
@@ -108,23 +114,33 @@ impl fmt::Debug for RsaPublicKey {
     }
 }
 
-/// RSA private key with CRT parameters; the primes live in their
-/// exponentiation contexts.
+/// RSA private key with CRT parameters: two primes below 1024 bits,
+/// three from 1024 up.
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: Ubig,
-    p: Montgomery,
-    q: Montgomery,
-    dp: Ubig,
-    dq: Ubig,
-    qinv: Ubig,
-    /// `p` and `q` prepared for the lane engine; `None` on a CPU
-    /// without it or for a width it has no kernel for.
-    lanes: Option<[ifma52::Modulus; 2]>,
+    /// In the order Garner's recombination takes them.
+    primes: Vec<Prime>,
 }
 
-/// Shows the public half only: a log line must not carry `d`, `p` or `q`.
+/// One prime `p_i` of a private key and what the CRT needs of it.
+#[derive(Clone)]
+struct Prime {
+    /// Exponentiation context for `p_i`, the scalar engine; it holds `p_i`.
+    ctx: Montgomery,
+    /// `d mod (p_i - 1)`.
+    exp: Ubig,
+    /// The product of the primes before `p_i` (1 for the first).
+    below: Ubig,
+    /// Garner's coefficient: the inverse of `below` mod `p_i`.
+    coeff: Ubig,
+    /// `p_i` prepared for the lane engine; `None` on a CPU without it or
+    /// for a width it has no kernel for.
+    lanes: Option<ifma52::Modulus>,
+}
+
+/// Shows the public half only: a log line must not carry `d` or a prime.
 impl fmt::Debug for RsaPrivateKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RsaPrivateKey")
@@ -393,53 +409,69 @@ fn read_len_prefixed(bytes: &[u8]) -> Result<(&[u8], &[u8]), CryptoError> {
 
 impl RsaPrivateKey {
     /// Generates a fresh key pair with a modulus of exactly `bits` bits and
-    /// public exponent 65537.
+    /// public exponent 65537: three primes from 1024 bits up (342/341/341
+    /// bits at 1024, 683/683/682 at 2048), two below.
+    ///
+    /// Three primes of a third of the width each leave the factoring by
+    /// the number field sieve, which does not care how many primes there
+    /// are, the cheapest attack at 1024 and 2048 bits; a 512-bit modulus
+    /// keeps two, since ECM would find a 171-bit factor.
     ///
     /// # Panics
     ///
     /// Panics if `bits < 64` or `bits` is odd.
     #[expect(
         clippy::expect_used,
-        reason = "the inverse of e exists (gcd(e, phi) == 1 checked), q is invertible mod p (distinct primes), and gen_prime returns odd primes of bits / 2 >= 32 bits, so n = p * q is odd"
+        reason = "the inverse of e exists (gcd(e, phi) == 1 checked), each prime is coprime to the product of the others (distinct primes), and gen_prime returns odd primes of at least bits / 2 >= 32 bits below 1024 and bits / 3 >= 341 from there, so n is odd"
     )]
     pub fn generate<R: rand::RngCore + ?Sized>(rng: &mut R, bits: usize) -> Self {
         assert!(bits >= 64, "modulus below 64 bits cannot encode a digest");
         assert!(bits.is_multiple_of(2), "modulus width must be even");
         let e = Ubig::from_u64(65537);
+        let one = Ubig::one();
+        let count = if bits >= 1024 { 3 } else { 2 };
         loop {
-            let p = Ubig::gen_prime(rng, bits / 2);
-            let q = loop {
-                let q = Ubig::gen_prime(rng, bits / 2);
-                if q != p {
-                    break q;
-                }
-            };
-            let n = p.mul(&q);
+            // The first `bits % count` primes take a bit more.
+            let mut primes: Vec<Ubig> = Vec::with_capacity(count);
+            for i in 0..count {
+                let width = bits / count + usize::from(i < bits % count);
+                let prime = loop {
+                    let prime = Ubig::gen_prime(rng, width);
+                    if !primes.contains(&prime) {
+                        break prime;
+                    }
+                };
+                primes.push(prime);
+            }
+            let n = primes.iter().fold(one.clone(), |n, p| n.mul(p));
             if n.bit_len() != bits {
                 continue;
             }
-            let one = Ubig::one();
-            let p1 = p.sub(&one);
-            let q1 = q.sub(&one);
-            let phi = p1.mul(&q1);
+            let phi = primes
+                .iter()
+                .fold(one.clone(), |phi, p| phi.mul(&p.sub(&one)));
             if !e.gcd(&phi).is_one() {
                 continue;
             }
             let d = e.mod_inverse(&phi).expect("gcd(e, phi) == 1");
-            let dp = d.rem(&p1);
-            let dq = d.rem(&q1);
-            let qinv = q.mod_inverse(&p).expect("p, q distinct primes");
-            let lanes = prime_lanes(&p).zip(prime_lanes(&q)).map(<[_; 2]>::from);
-            let [p, q] = [p, q].map(|f| Montgomery::new(&f).expect("odd prime"));
+            let mut below = one.clone();
+            let primes = primes
+                .iter()
+                .map(|p| {
+                    let next = below.mul(p);
+                    Prime {
+                        ctx: Montgomery::new(p).expect("odd prime"),
+                        exp: d.rem(&p.sub(&one)),
+                        coeff: below.rem(p).mod_inverse(p).expect("distinct primes"),
+                        below: std::mem::replace(&mut below, next),
+                        lanes: prime_lanes(p),
+                    }
+                })
+                .collect();
             return RsaPrivateKey {
                 public: RsaPublicKey::new(n, e).expect("odd modulus"),
                 d,
-                p,
-                q,
-                dp,
-                dq,
-                qinv,
-                lanes,
+                primes,
             };
         }
     }
@@ -461,10 +493,9 @@ impl RsaPrivateKey {
     }
 
     /// Signs each of `msgs` with PKCS#1 v1.5: byte for byte one
-    /// [`Self::sign`] each, in order. Where the key carries lanes, four
-    /// signatures share one exponentiation in all eight lanes (three take
-    /// the same pass), and a last two or one take the pass a lone
-    /// signature takes.
+    /// [`Self::sign`] each, in order. Where the key carries lanes, every
+    /// CRT residue of every message is raised in passes of eight lanes, so
+    /// a residue shares its pass with those of other messages.
     ///
     /// # Errors
     ///
@@ -475,76 +506,102 @@ impl RsaPrivateKey {
             .iter()
             .map(|msg| emsa_pkcs1_v15(msg, k, alg).map(|em| Ubig::from_bytes_be(&em)))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut sigs = Vec::with_capacity(encoded.len());
-        for ms in encoded.chunks(4) {
-            sigs.extend(self.private_ops(ms).iter().map(|s| s.to_bytes_be_padded(k)));
-        }
+        let sigs = match self.lane_powers(&encoded) {
+            Some(powers) => {
+                let mut powers = powers.into_iter();
+                let mut next = || self.crt_combine(powers.by_ref().take(self.primes.len()));
+                encoded
+                    .iter()
+                    .map(|_| next().to_bytes_be_padded(k))
+                    .collect()
+            }
+            None => encoded
+                .iter()
+                .map(|m| self.raw_decrypt(m).to_bytes_be_padded(k))
+                .collect(),
+        };
         Ok(sigs)
     }
 
-    /// The private operation on up to four values: every CRT half in one
-    /// call to the lanes where the key carries them — one or two values'
-    /// in [`ifma52::pow4`], three or four in [`ifma52::pow8`] — one scalar
-    /// [`Self::raw_decrypt`] per value otherwise.
-    fn private_ops(&self, ms: &[Ubig]) -> Vec<Ubig> {
-        let halves = if ms.len() <= 2 {
-            self.crt_halves(ms, ifma52::pow4)
-        } else {
-            self.crt_halves(ms, ifma52::pow8)
-        };
-        match halves {
-            Some(halves) => halves
-                .chunks(2)
-                .map(|h| self.crt_combine(&h[0], &h[1]))
-                .collect(),
-            None => ms.iter().map(|m| self.raw_decrypt(m)).collect(),
+    /// `m mod p_i ^ (d mod (p_i - 1))` for each value `m` of `ms` and each
+    /// prime `p_i`, in that order: in the lanes, eight residues a pass of
+    /// [`ifma52::pow8`], a last four or fewer of 5 digits in
+    /// [`ifma52::pow4`]. `None` where the key carries no lanes.
+    fn lane_powers(&self, ms: &[Ubig]) -> Option<Vec<Ubig>> {
+        let digits = self.primes.first()?.lanes.as_ref()?.digits();
+        let mut residues = Vec::with_capacity(ms.len() * self.primes.len());
+        residues.extend(
+            ms.iter()
+                .flat_map(|m| self.primes.iter().map(|prime| m.rem(prime.ctx.modulus()))),
+        );
+        for (pass, chunk) in residues.chunks_mut(8).enumerate() {
+            if chunk.len() <= 4 && digits == 5 {
+                self.raise(ifma52::pow4, 8 * pass, chunk)?;
+            } else {
+                self.raise(ifma52::pow8, 8 * pass, chunk)?;
+            }
         }
+        Some(residues)
     }
 
-    /// `[m mod p ^ dp, m mod q ^ dq]` for each value `m` of `ms`, side by
-    /// side through `pow`, which takes `L / 2` values' halves; lanes past
-    /// the last value raise zero. `None` without lanes.
-    fn crt_halves<const L: usize>(&self, ms: &[Ubig], pow: LanePow<L>) -> Option<Vec<Ubig>> {
-        let primes = self.lanes.as_ref()?;
-        let exps = [&self.dp.limbs[..], &self.dq.limbs[..]];
-        let bases: [Ubig; L] = std::array::from_fn(|lane| {
-            let prime = [&self.p, &self.q][lane % 2].modulus();
-            ms.get(lane / 2).map_or_else(Ubig::zero, |m| m.rem(prime))
-        });
+    /// Raises `chunk`, the residues from number `first` of
+    /// [`Self::lane_powers`]'s order on, in place through `pow`: residue
+    /// `first + l` in lane `l`, under its prime's modulus and exponent.
+    /// Lanes past the chunk's end raise zero. `None` where a prime carries
+    /// no lanes.
+    fn raise<const L: usize>(
+        &self,
+        pow: LanePow<L>,
+        first: usize,
+        chunk: &mut [Ubig],
+    ) -> Option<()> {
+        let prime = |l: usize| &self.primes[(first + l) % self.primes.len()];
+        let mut moduli = [prime(0).lanes.as_ref()?; L];
+        for (l, modulus) in moduli.iter_mut().enumerate() {
+            *modulus = prime(l).lanes.as_ref()?;
+        }
         let powers = pow(
-            std::array::from_fn(|lane| &primes[lane % 2]),
-            bases.each_ref().map(|b| &b.limbs[..]),
-            std::array::from_fn(|lane| exps[lane % 2]),
+            moduli,
+            std::array::from_fn(|l| chunk.get(l).map_or(&[][..], |r| &r.limbs[..])),
+            std::array::from_fn(|l| &prime(l).exp.limbs[..]),
         )?;
-        Some(
-            powers
-                .into_iter()
-                .take(2 * ms.len())
-                .map(Ubig::from_limbs)
-                .collect(),
-        )
+        // Each power in its residue's limbs: a prime's worth, no more.
+        for (l, (residue, power)) in chunk.iter_mut().zip(powers).enumerate() {
+            residue.limbs.clear();
+            residue
+                .limbs
+                .extend_from_slice(&power[..prime(l).ctx.modulus().limbs.len()]);
+            residue.normalize();
+        }
+        Some(())
     }
 
     /// RSA private operation via the Chinese Remainder Theorem, on the
-    /// scalar engine.
+    /// scalar engine: one exponentiation a prime.
     fn raw_decrypt(&self, m: &Ubig) -> Ubig {
-        let m1 = self.p.pow(m, &self.dp);
-        let m2 = self.q.pow(m, &self.dq);
-        self.crt_combine(&m1, &m2)
+        self.crt_combine(self.primes.iter().map(|prime| prime.ctx.pow(m, &prime.exp)))
     }
 
-    /// Garner's recombination of `m1 = m^dp mod p` and `m2 = m^dq mod q`.
-    fn crt_combine(&self, m1: &Ubig, m2: &Ubig) -> Ubig {
-        let (p, q) = (self.p.modulus(), self.q.modulus());
-        // h = qinv * (m1 - m2) mod p, handling m1 < m2.
-        let m2_mod_p = m2.rem(p);
-        let diff = if *m1 >= m2_mod_p {
-            m1.sub(&m2_mod_p)
-        } else {
-            m1.add(p).sub(&m2_mod_p)
-        };
-        let h = self.qinv.mul(&diff).rem(p);
-        m2.add(&q.mul(&h))
+    /// Garner's recombination: the value below `n` that is residue `i`
+    /// mod prime `i`, for residues given in the primes' order. It starts
+    /// from the first residue; at each prime after, `x`, below the product
+    /// of the primes before, gains that product times
+    /// `(residue - x) * coeff mod p_i`.
+    fn crt_combine(&self, residues: impl IntoIterator<Item = Ubig>) -> Ubig {
+        let mut residues = residues.into_iter();
+        let mut x = residues.next().unwrap_or_default();
+        for (prime, m) in self.primes.iter().skip(1).zip(residues) {
+            let p = prime.ctx.modulus();
+            let x_mod_p = x.rem(p);
+            let diff = if m >= x_mod_p {
+                m.sub(&x_mod_p)
+            } else {
+                m.add(p).sub(&x_mod_p)
+            };
+            let h = prime.coeff.mul(&diff).rem(p);
+            x = x.add(&prime.below.mul(&h));
+        }
+        x
     }
 
     /// The private exponent (used by self-consistency tests).
@@ -555,25 +612,26 @@ impl RsaPrivateKey {
     /// This key as built on a CPU without the lane engine.
     #[cfg(test)]
     fn scalar_only(&self) -> Self {
-        RsaPrivateKey {
-            lanes: None,
-            ..self.clone()
+        let mut key = self.clone();
+        for prime in &mut key.primes {
+            prime.lanes = None;
         }
+        key
     }
 }
 
 /// An entry of the lane engine that raises `L` numbers at once.
 type LanePow<const L: usize> =
-    fn([&ifma52::Modulus; L], [&[u64]; L], [&[u64]; L]) -> Option<[Vec<u64>; L]>;
+    fn([&ifma52::Modulus; L], [&[u64]; L], [&[u64]; L]) -> Option<[[u64; ifma52::MAX_LIMBS]; L]>;
 
 /// `prime` prepared for the lane engine, if this CPU has it and the
-/// prime is that of a 512, 1024 or 2048-bit key (5, 10 or 20 digits of 52
-/// bits, two bits to spare).
+/// prime is that of a 512, 1024 or 2048-bit key (5, 7 or 14 digits of 52
+/// bits, at least two bits to spare).
 fn prime_lanes(prime: &Ubig) -> Option<ifma52::Modulus> {
     let digits = match prime.bit_len() {
         256 => 5,
-        512 => 10,
-        1024 => 20,
+        341 | 342 => 7,
+        682 | 683 => 14,
         _ => return None,
     };
     lane_modulus(prime, digits)
@@ -630,12 +688,48 @@ mod tests {
         let key = test_key();
         assert_eq!(key.public().modulus_bits(), 512);
         assert_eq!(key.public().modulus_bytes(), 64);
-        // n = p * q
-        let (p, q) = (key.p.modulus(), key.q.modulus());
-        assert_eq!(p.mul(q), *key.public().n());
-        // e * d ≡ 1 mod φ
-        let phi = p.sub(&Ubig::one()).mul(&q.sub(&Ubig::one()));
-        assert_eq!(key.public().e().mul(key.d()).rem(&phi), Ubig::one());
+        assert_key_is_consistent(key);
+    }
+
+    /// The primes multiply to `n`; `e * d ≡ 1 mod φ`; each prime carries
+    /// `d mod (p_i - 1)`, the product of the primes before it and its
+    /// inverse.
+    fn assert_key_is_consistent(key: &RsaPrivateKey) {
+        let one = Ubig::one();
+        let (mut n, mut phi) = (one.clone(), one.clone());
+        for prime in &key.primes {
+            let p = prime.ctx.modulus();
+            assert_eq!(prime.exp, key.d().rem(&p.sub(&one)));
+            assert_eq!(prime.below, n);
+            assert_eq!(prime.coeff.mul(&n).rem(p), one);
+            n = n.mul(p);
+            phi = phi.mul(&p.sub(&one));
+        }
+        assert_eq!(n, *key.public().n());
+        assert_eq!(key.public().e().mul(key.d()).rem(&phi), one);
+    }
+
+    #[test]
+    fn keygen_draws_three_primes_from_1024_bits_and_two_below() {
+        let k768 = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(768), 768);
+        for key in lane_width_keys().iter().chain([&k768]) {
+            let bits = key.public().modulus_bits();
+            let widths: Vec<usize> = key
+                .primes
+                .iter()
+                .map(|p| p.ctx.modulus().bit_len())
+                .collect();
+            let want: &[usize] = match bits {
+                512 => &[256, 256],
+                768 => &[384, 384],
+                1024 => &[342, 341, 341],
+                _ => &[683, 683, 682],
+            };
+            assert_eq!(widths, want, "{bits}");
+            // Distinct too: a prime that divides the product before it has
+            // no coefficient.
+            assert_key_is_consistent(key);
+        }
     }
 
     #[test]
@@ -697,15 +791,20 @@ mod tests {
         }
     }
 
-    /// The scalar signature, computed without `sign`: EMSA encoding, one
-    /// `Montgomery::pow` per prime, Garner. The oracle for both engines.
+    /// The scalar signature, computed without `sign` or the CRT: EMSA
+    /// encoding, then `m^d mod n` in one `Montgomery::pow`. The oracle for
+    /// both engines.
     fn scalar_signature(key: &RsaPrivateKey, msg: &[u8]) -> Vec<u8> {
         let k = key.public().modulus_bytes();
         let m = Ubig::from_bytes_be(&emsa_pkcs1_v15(msg, k, HashAlg::Sha256).unwrap());
-        let (m1, m2) = (key.p.pow(&m, &key.dp), key.q.pow(&m, &key.dq));
-        let s = key.crt_combine(&m1, &m2);
+        let s = key.public().ctx.pow(&m, key.d());
         assert_eq!(s, key.raw_decrypt(&m));
         s.to_bytes_be_padded(k)
+    }
+
+    /// Whether every prime of the key carries the lane engine.
+    fn has_lanes(key: &RsaPrivateKey) -> bool {
+        key.primes.iter().all(|p| p.lanes.is_some())
     }
 
     /// One key per width the lanes serve, shared across tests.
@@ -742,13 +841,13 @@ mod tests {
     #[test]
     fn lanes_are_chosen_by_cpu_and_width_alone() {
         for key in lane_width_keys() {
-            assert_eq!(key.lanes.is_some(), ifma52::available(), "{key:?}");
-            assert!(key.scalar_only().lanes.is_none());
+            assert_eq!(has_lanes(key), ifma52::available(), "{key:?}");
+            assert!(key.scalar_only().primes.iter().all(|p| p.lanes.is_none()));
         }
         // No kernel for these widths: the scalar engine on every CPU.
         for bits in [256usize, 768] {
             let key = RsaPrivateKey::generate(&mut StdRng::seed_from_u64(bits as u64), bits);
-            assert!(key.lanes.is_none(), "{bits}");
+            assert!(key.primes.iter().all(|p| p.lanes.is_none()), "{bits}");
         }
     }
 
@@ -985,8 +1084,9 @@ mod tests {
             let k = key.public().modulus_bytes();
             let want: Vec<Vec<u8>> = messages.iter().map(|m| scalar_signature(key, m)).collect();
             // With lanes where this CPU has them, and as built without;
-            // every count a pass of four, a pass of three and a pass of
-            // one or two make up.
+            // every count from none to nine: whole passes of eight
+            // residues, part passes, and at 512 bits a last four or fewer
+            // in `pow4`.
             for key in [key.clone(), key.scalar_only()] {
                 for n in 0..=messages.len() {
                     let sigs = key.sign_many(&messages[..n], HashAlg::Sha256).unwrap();
@@ -996,7 +1096,7 @@ mod tests {
                     assert_eq!(&key.sign(msg, HashAlg::Sha256).unwrap(), sig, "k={k}");
                     assert!(key.public().verify(msg, sig, HashAlg::Sha256));
                 }
-                // Each message in each position of a pass of four.
+                // Each message in each position of a run of four.
                 for shift in 0..4 {
                     let four: [&[u8]; 4] = std::array::from_fn(|i| messages[(i + shift) % 4]);
                     let sigs = key.sign_many(&four, HashAlg::Sha256).unwrap();
@@ -1068,15 +1168,10 @@ mod tests {
         let shown = format!("{key:?}");
         assert!(shown.contains("modulus_bits: 512"), "{shown}");
         assert!(shown.contains(&format!("{:?}", key.public().fingerprint())));
-        let secrets = [
-            &key.d,
-            key.p.modulus(),
-            key.q.modulus(),
-            &key.dp,
-            &key.dq,
-            &key.qinv,
-        ];
-        for secret in secrets {
+        let primes = key.primes.iter();
+        let secrets = primes.flat_map(|p| [p.ctx.modulus(), &p.exp, &p.below, &p.coeff]);
+        // The first prime's product and coefficient are 1, no secret.
+        for secret in secrets.chain([&key.d]).filter(|s| !s.is_one()) {
             for limb in &secret.limbs {
                 assert!(!shown.contains(&format!("{limb:x}")), "{shown}");
                 assert!(!shown.contains(&limb.to_string()), "{shown}");

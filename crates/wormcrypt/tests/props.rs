@@ -36,8 +36,8 @@ fn ubig_of_bits(seed: u64, bits: usize) -> Ubig {
     Ubig::random_bits(&mut StdRng::seed_from_u64(seed), bits)
 }
 
-/// Every limb count from 1 to 33 — the four the kernels are instantiated for
-/// (4, 8, 16, 32) and both neighbours of each — against exponents of every
+/// Every limb count from 1 to 33 — the six the kernels are instantiated for
+/// (4, 6, 8, 11, 16, 32) and both neighbours of each — against exponents of every
 /// shape the sliding window treats differently.
 #[test]
 fn montgomery_pow_matches_naive_at_every_width() {

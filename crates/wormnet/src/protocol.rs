@@ -340,18 +340,6 @@ pub(crate) fn put_request(
     }
 }
 
-/// Decodes a request frame payload (context-free form). An envelope
-/// (opcode 9) is rejected here — servers use
-/// [`decode_request_traced`], which accepts both forms.
-///
-/// # Errors
-///
-/// [`WireError`] on an unknown tag or opcode, malformed fields,
-/// truncation, or trailing bytes.
-pub fn decode_request(bytes: &[u8]) -> Result<NetRequest, WireError> {
-    decode_request_inner(bytes, false).map(|(req, _)| req)
-}
-
 /// Decodes a request frame payload, accepting either a bare request or
 /// a trace-context envelope. Envelopes nest exactly one level: an
 /// envelope inside an envelope is malformed.
@@ -645,11 +633,13 @@ mod tests {
         ];
         for req in reqs {
             let enc = encode_request(&req);
-            assert_eq!(decode_request(&enc).unwrap(), req);
-            assert!(decode_request(&enc[..enc.len() - 1]).is_err());
+            // A bare request decodes with no context — old clients keep
+            // working.
+            assert_eq!(decode_request_traced(&enc).unwrap(), (req.clone(), None));
+            assert!(decode_request_traced(&enc[..enc.len() - 1]).is_err());
             let mut noisy = enc.clone();
             noisy.push(0);
-            assert!(decode_request(&noisy).is_err());
+            assert!(decode_request_traced(&noisy).is_err());
             // The traced form roundtrips request and context together.
             let ctx = wormtrace::TraceContext {
                 trace_id: 0xABCD,
@@ -662,15 +652,7 @@ mod tests {
             assert_eq!(op == Some(READ), matches!(req, NetRequest::Read { .. }));
             assert_eq!(op == Some(WRITE), matches!(req, NetRequest::Write { .. }));
             assert_eq!(is_write(&traced), op == Some(WRITE));
-            assert_eq!(
-                decode_request_traced(&traced).unwrap(),
-                (req.clone(), Some(ctx))
-            );
-            // A bare request decodes through the traced entry point too,
-            // with no context — old clients keep working.
-            assert_eq!(decode_request_traced(&enc).unwrap(), (req, None));
-            // The context-free decoder rejects envelopes (old servers).
-            assert!(decode_request(&traced).is_err());
+            assert_eq!(decode_request_traced(&traced).unwrap(), (req, Some(ctx)));
             for cut in 0..traced.len() {
                 assert!(decode_request_traced(&traced[..cut]).is_err());
             }
@@ -743,7 +725,7 @@ mod tests {
         let mut w = WireWriter::tagged("wormnet.req.v1");
         w.put_u8(1);
         w.put_u32(u32::MAX);
-        assert!(decode_request(&w.finish()).is_err());
+        assert!(decode_request_traced(&w.finish()).is_err());
     }
 
     #[test]
@@ -758,13 +740,13 @@ mod tests {
             w.put_u8(arg);
             w.put_u32(0);
             w.put_u8(witness_code(WitnessMode::Strong));
-            decode_request(&w.finish())
+            decode_request_traced(&w.finish())
         };
         assert!(write(0, 5).is_err());
         assert!(write(2, 5).is_err());
         for passes in [0, 5, u8::MAX] {
             match write(1, passes).unwrap() {
-                NetRequest::Write { policy, .. } => {
+                (NetRequest::Write { policy, .. }, None) => {
                     assert_eq!(policy.shredder, Shredder::MultiPass { passes });
                 }
                 other => panic!("wrong variant: {other:?}"),
@@ -778,7 +760,7 @@ mod tests {
         for opcode in [7, 200] {
             let mut w = WireWriter::tagged(REQ_TAG);
             w.put_u8(opcode);
-            assert!(decode_request(&w.finish()).is_err());
+            assert!(decode_request_traced(&w.finish()).is_err());
         }
         let mut w = WireWriter::tagged(RESP_TAG);
         w.put_u8(4);
@@ -786,7 +768,7 @@ mod tests {
         let mut w = WireWriter::tagged("wormnet.resp.v2");
         w.put_u8(3);
         assert!(decode_plain(&w.finish()).is_err());
-        assert!(decode_request(b"").is_err());
+        assert!(decode_request_traced(b"").is_err());
         assert!(decode_plain(b"").is_err());
     }
 

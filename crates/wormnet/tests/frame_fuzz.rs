@@ -19,8 +19,8 @@ use strongworm::{
 };
 use wormnet::frame::{append_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME};
 use wormnet::protocol::{
-    decode_request, decode_request_traced, decode_response_shared, encode_request,
-    encode_request_traced, encode_response, NetRequest, NetResponse,
+    decode_request_traced, decode_response_shared, encode_request, encode_request_traced,
+    encode_response, NetRequest, NetResponse,
 };
 use wormnet::NetError;
 use wormstore::{RecordDescriptor, RecordId, Shredder};
@@ -372,7 +372,7 @@ proptest! {
     /// Arbitrary bytes never panic either decoder.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_request(&bytes);
+        let _ = decode_request_traced(&bytes);
         let _ = decode_response_shared(&Bytes::from(bytes));
     }
 
@@ -386,10 +386,10 @@ proptest! {
         prop_assert_eq!(request_variant(&req), v);
         let documented = documented_opcodes();
         let enc = encode_request(&req);
-        prop_assert_eq!(decode_request(&enc).unwrap(), req.clone());
+        prop_assert_eq!(decode_request_traced(&enc).unwrap(), (req.clone(), None));
         prop_assert!(documented.contains(&opcode(&enc)), "opcode {} has no row", opcode(&enc));
         for cut in 0..enc.len() {
-            prop_assert!(decode_request(&enc[..cut]).is_err());
+            prop_assert!(decode_request_traced(&enc[..cut]).is_err());
         }
         let ctx = wormtrace::TraceContext { trace_id: p.n, parent_span: u64::from(p.m) };
         let traced = encode_request_traced(&req, ctx);
@@ -418,15 +418,16 @@ proptest! {
     }
 
     /// Single-byte mutations either fail to decode or decode to a
-    /// different request — no silent aliasing of hostile edits.
+    /// different request, or to the request with a context — no silent
+    /// aliasing of hostile edits.
     #[test]
     fn mutations_never_alias(req in arb_request(), pos in any::<prop::sample::Index>(), flip in 1u8..255) {
         let enc = encode_request(&req);
         let mut bad = enc.clone();
         let i = pos.index(bad.len());
         bad[i] ^= flip;
-        if let Ok(decoded) = decode_request(&bad) {
-            prop_assert_ne!(decoded, req);
+        if let Ok(decoded) = decode_request_traced(&bad) {
+            prop_assert_ne!(decoded, (req, None));
         }
     }
 
